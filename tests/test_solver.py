@@ -196,6 +196,24 @@ def test_output_times_are_exact():
     assert np.all(np.diff(res.sup_series) <= 0.0)
 
 
+def test_interpolated_snapshots_are_zero_past_the_support(monkeypatch):
+    # run() takes u_prev from np.empty_like; fill it with nan, so a cell the
+    # kernel never wrote would show in the snapshots interpolated from it
+    monkeypatch.setattr(np, "empty_like", lambda a, *args, **kwargs: np.full(np.shape(a), np.nan))
+    cells = 64
+    g = RadialGrid(N=3, R=10.0, cells=cells)
+    u0 = np.maximum(1.0 - (g.centers / 2.0) ** 2, 0.0)
+    times = (0.0137, 0.05, 0.211, 0.5)
+    cfg = SolverConfig(t_end=0.5, R=10.0, cells=cells, reaction=False, output_times=times)
+    res = run(u0, g, ones, CC23, cfg)
+    support = np.flatnonzero(res.final_state.u)[-1] + 1
+    assert support < cells // 2
+    assert [t for t, _ in res.snapshots] == list(times)
+    for _, snap in res.snapshots:
+        assert np.all(np.isfinite(snap))
+        assert not snap[support:].any()
+
+
 def test_state_start_skips_stale_outputs():
     g, u0, _ = diffusion_setup(cells=48)
     cfg = SolverConfig(
