@@ -43,14 +43,6 @@ try:
 except ImportError:  # pragma: no cover - exercised only without numba
     HAVE_NUMBA = False
 
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
 STATUS_REACHED_TSTOP = 0
 STATUS_BLOWUP = 1
 STATUS_OVERFLOW = 2
@@ -175,12 +167,6 @@ def _advance_impl(
     if status == STATUS_REACHED_TSTOP and t < t_stop:
         status = STATUS_BUDGET
     return t_prev, t, status, nsub, clamp_added, sup_prev, sup_new
-
-
-if HAVE_NUMBA:
-    _advance_numba = njit(cache=True)(_advance_impl)
-else:  # pragma: no cover
-    _advance_numba = None
 
 
 def _advance_numpy(
@@ -325,7 +311,4 @@ def _advance_numpy(
     return t_prev, t, status, nsub, clamp_added, sup_prev, sup_new
 
 
-def advance(*args, use_numba: bool = True):
-    if use_numba and HAVE_NUMBA:
-        return _advance_numba(*args)
-    return _advance_numpy(*args)
+advance = njit(cache=True)(_advance_impl) if HAVE_NUMBA else _advance_numpy

@@ -41,11 +41,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .density import DensityParams, E, ProblemConstants, inverse_rho
+from .density import E, ProblemConstants
 
 KINK_TOL = 1.0e-9
 
@@ -189,13 +188,6 @@ class GE1Barrier:
         lap = _assemble_laplacian(wm_r, wm_rr, r_b, cc.N)
         return _ret_derivs(w_t, wm_r, wm_rr, lap, scalar)
 
-    def residual(self, dens: DensityParams, r, t):
-        r_b, t_b, scalar = _broadcast(r, t)
-        d = self.eval_derivatives(r_b, t_b)
-        w = self.eval(r_b, t_b)
-        out = d.w_t - np.asarray(inverse_rho(dens, r_b)) * d.lap_wm - w**self.constants.p
-        return _ret(out, scalar)
-
 
 # ---------------------------------------------------------------------------
 # GE2: compactly supported spreading supersolution (p > m)
@@ -327,13 +319,6 @@ class GE2Barrier:
         wm_rr = np.where(pos, wm_rr, 0.0)
         lap = _assemble_laplacian(wm_r, wm_rr, r_b, cc.N)
         return _ret_derivs(w_t, wm_r, wm_rr, lap, scalar)
-
-    def residual(self, dens: DensityParams, r, t):
-        r_b, t_b, scalar = _broadcast(r, t)
-        d = self.eval_derivatives(r_b, t_b)
-        w = self.eval(r_b, t_b)
-        out = d.w_t - np.asarray(inverse_rho(dens, r_b)) * d.lap_wm - w**self.constants.p
-        return _ret(out, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +487,6 @@ class BlowupSubsolution:
         wm_rr = np.where(pos, wm_rr, 0.0)
         lap = _assemble_laplacian(wm_r, wm_rr, r_b, cc.N)
         return _ret_derivs(w_t, wm_r, wm_rr, lap, scalar)
-
-    def residual(self, dens: DensityParams, r, t):
-        r_b, t_b, scalar = _broadcast(r, t)
-        d = self.eval_derivatives(r_b, t_b)
-        w = self.eval(r_b, t_b)
-        out = d.w_t - np.asarray(inverse_rho(dens, r_b)) * d.lap_wm - w**self.constants.p
-        return _ret(out, scalar)
 
     def flux_match(self, t: float) -> "FluxMatchRecord":
         """One-sided fluxes of ``w^m`` across the piece interface at r = e.

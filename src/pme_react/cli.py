@@ -15,7 +15,9 @@ Subcommands, all driven by one config file (see :mod:`pme_react.config`):
 
 Exit status: 0 when the requested check passed (or the simulation
 terminated normally), 2 when it failed, was infeasible or inconclusive,
-1 for usage and config errors.
+1 for usage and config errors.  When the barrier parameter search finds
+nothing, every subcommand writes its output file with the search error,
+prints ``infeasible:`` and exits 2.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -122,16 +124,8 @@ def _need_regime(resolved: config_mod.Resolved, command: str) -> None:
 
 
 def _cmd_feasibility(args) -> int:
-    try:
-        resolved = _load(args)
-        _need_regime(resolved, "feasibility")
-    except FeasibilitySearchError as exc:
-        _write_json(
-            os.path.join(args.out, "summary.json"),
-            {"feasible": False, "error": str(exc)},
-        )
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    resolved = _load(args)
+    _need_regime(resolved, "feasibility")
     report = resolved.report
     if report is None:
         report = check_auto(resolved.barrier, resolved.density)
@@ -144,13 +138,8 @@ def _cmd_feasibility(args) -> int:
 
 
 def _cmd_barrier_check(args) -> int:
-    try:
-        resolved = _load(args)
-        _need_regime(resolved, "barrier-check")
-    except FeasibilitySearchError as exc:
-        _write_json(os.path.join(args.out, "verdict.json"), {"passed": False, "error": str(exc)})
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    resolved = _load(args)
+    _need_regime(resolved, "barrier-check")
     bar, dens = resolved.barrier, resolved.density
     report = resolved.report if resolved.report is not None else check_auto(bar, dens)
     sweep = residual_sweep(bar, dens, resolved.regime)
@@ -195,13 +184,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    try:
-        resolved = _load(args)
-        _need_regime(resolved, "compare")
-    except FeasibilitySearchError as exc:
-        _write_json(os.path.join(args.out, "verdict.json"), {"verdict": "fail", "error": str(exc)})
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    resolved = _load(args)
+    _need_regime(resolved, "compare")
     result = comparison_experiment(resolved.scenario())
     _write_series(os.path.join(args.out, "series.csv"), result.run)
     _write_snapshots(os.path.join(args.out, "snapshots.csv"), result.run, result.run.grid)
@@ -214,18 +198,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    try:
-        resolved = _load(args)
-        _need_regime(resolved, "blow-up-scan")
-    except FeasibilitySearchError as exc:
-        _write_json(os.path.join(args.out, "verdict.json"), {"verdict": "fail", "error": str(exc)})
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    resolved = _load(args)
+    _need_regime(resolved, "blow-up-scan")
     if resolved.regime != REGIME_BLOWUP:
         raise ValueError("'blow-up-scan' needs the blow-up regime")
     scenario = resolved.scenario()
     result = comparison_experiment(scenario)
-    rows = blowup_scan(scenario, factors=SCAN_FACTORS, workers=args.workers)
+    rows = blowup_scan(scenario, factors=SCAN_FACTORS)
     _write_series(os.path.join(args.out, "series.csv"), result.run)
     _write_snapshots(os.path.join(args.out, "snapshots.csv"), result.run, result.run.grid)
     _write_scan(os.path.join(args.out, "scan.csv"), rows)
@@ -238,24 +217,31 @@ def _cmd_scan(args) -> int:
     return EXIT_OK if result.verdict == VERDICT_PASS else EXIT_FAIL
 
 
+# (name, handler, help, output file and the payload it gets, next to the
+# error, when the parameter search fails)
+SPECS = (
+    ("feasibility", _cmd_feasibility, "evaluate or search the closed-form conditions",
+     "summary.json", {"feasible": False}),
+    ("barrier-check", _cmd_barrier_check, "feasibility plus residual and derivative checks",
+     "verdict.json", {"passed": False}),
+    ("simulate", _cmd_simulate, "run the scheme and write series/snapshots",
+     "summary.json", {"feasible": False}),
+    ("compare", _cmd_compare, "run the scheme against the barrier prediction",
+     "verdict.json", {"verdict": "fail"}),
+    ("blow-up-scan", _cmd_scan, "compare, then rerun with scaled initial data",
+     "verdict.json", {"verdict": "fail"}),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pme-react", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = (
-        ("feasibility", _cmd_feasibility, "evaluate or search the closed-form conditions"),
-        ("barrier-check", _cmd_barrier_check, "feasibility plus residual and derivative checks"),
-        ("simulate", _cmd_simulate, "run the scheme and write series/snapshots"),
-        ("compare", _cmd_compare, "run the scheme against the barrier prediction"),
-        ("blow-up-scan", _cmd_scan, "compare, then rerun with scaled initial data"),
-    )
-    for name, fn, help_text in specs:
+    for name, fn, help_text, out_file, infeasible in SPECS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", required=True, help="output directory (created if absent)")
         p.add_argument("--seed", type=int, default=None, help="override the harness seed")
-        if name == "blow-up-scan":
-            p.add_argument("--workers", type=int, default=0, help="parallel scan processes")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, infeasible=(out_file, infeasible))
     return parser
 
 
@@ -265,6 +251,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.fn(args)
+    except FeasibilitySearchError as exc:
+        out_file, payload = args.infeasible
+        _write_json(os.path.join(args.out, out_file), {**payload, "error": str(exc)})
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except config_mod.ConfigError as exc:
         print(f"config error(s) in {args.config}:", file=sys.stderr)
         for issue in exc.issues:

@@ -54,7 +54,6 @@ from .harness import (
     Barrier,
     InitialData,
     Scenario,
-    barrier_from_params,
 )
 from .solver import BOUNDARIES, BOUNDARY_DIRICHLET, SolverConfig
 
@@ -403,7 +402,10 @@ def _parse_initial(raw: str, factor: float) -> InitialData:
     if low == INIT_SCALED_BARRIER:
         return InitialData(kind=INIT_SCALED_BARRIER, factor=factor)
     if low.startswith("constant:"):
-        return InitialData(kind=INIT_CONSTANT, value=float(low.partition(":")[2]))
+        value = float(low.partition(":")[2])
+        if not math.isfinite(value):
+            raise ValueError(f"constant value must be finite, got {raw!r}")
+        return InitialData(kind=INIT_CONSTANT, value=value)
     if low.startswith("csv:"):
         return InitialData(kind=INIT_CSV, path=low.partition(":")[2].strip())
     raise ValueError(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -657,14 +657,7 @@ def _find_ge2(cc, dens, T, search):
     if feasible:
         params["omega_feasible_lo"] = float(min(feasible))
         params["omega_feasible_hi"] = float(max(feasible))
-    report = FeasibilityReport(
-        mode=report.mode,
-        condition_set=report.condition_set,
-        entries=report.entries,
-        params=params,
-        overall=report.overall,
-    )
-    return bar, report
+    return bar, replace(report, params=params)
 
 
 def _find_blowup(cc, dens, T, search):
@@ -706,14 +699,7 @@ def _find_blowup(cc, dens, T, search):
     params = dict(report.params)
     params["omega_feasible_lo"] = float(min(feasible))
     params["omega_feasible_hi"] = float(max(feasible))
-    report = FeasibilityReport(
-        mode=report.mode,
-        condition_set=report.condition_set,
-        entries=report.entries,
-        params=params,
-        overall=report.overall,
-    )
-    return bar, report
+    return bar, replace(report, params=params)
 
 
 def find_params(

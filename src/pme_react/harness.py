@@ -15,7 +15,8 @@ The pieces here connect the closed-form comparison functions from
   initial data and verifies the predicted ordering, support inclusion and
   blow-up window on the computed snapshots.
 * :func:`blowup_scan` reruns the blow-up scenario with the initial data
-  scaled by a list of factors and records which amplitudes still blow up.
+  scaled by a list of factors, one run after another, and records which
+  amplitudes still blow up.
 
 Everything returns plain report dataclasses with ``to_jsonable`` so the
 command line layer only has to serialize.
@@ -24,12 +25,12 @@ command line layer only has to serialize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .barrier import KINK_TOL, BlowupSubsolution, GE1Barrier, GE2Barrier
+from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
 from .density import E, DensityParams, ProblemConstants, inverse_rho
 from .feasibility import (
     REGIME_BLOWUP,
@@ -440,100 +441,70 @@ def comparison_experiment(scenario: Scenario) -> ComparisonResult:
     bar = scenario.barrier
     sub = scenario.regime == REGIME_BLOWUP
     notes: List[str] = []
-
-    if res.termination in ("stalled", "step_limit"):
-        notes.append(f"run terminated early ({res.termination}) at t={res.final_state.t:.6g}")
-        return ComparisonResult(
-            verdict=VERDICT_INCONCLUSIVE,
-            regime=scenario.regime,
-            hypothesis=hyp,
-            checked_times=[],
-            max_violation=math.nan,
-            worst_time=math.nan,
-            support_checked=False,
-            support_ok=None,
-            support_worst_cells=math.nan,
-            blowup_expected=sub,
-            blowup_window_ok=None,
-            s_num=None,
-            tau0=res.tau0,
-            termination=res.termination,
-            notes=notes,
-            run=res,
-        )
-
-    ordered_ok = True
-    support_ok: Optional[bool] = None
     support_checked = scenario.regime in (REGIME_GE2, REGIME_BLOWUP)
-    support_worst = -math.inf if support_checked else math.nan
-    max_viol = -math.inf
-    worst_time = math.nan
+    checked_times: List[float] = []
+    max_viol = worst_time = support_worst = math.nan
+    support_ok: Optional[bool] = None
     blow_ok: Optional[bool] = None
     s_num: Optional[float] = None
 
-    if sub:
-        if res.termination != "blowup" or res.blowup is None:
-            notes.append("expected blow-up but the run completed")
-            return ComparisonResult(
-                verdict=VERDICT_FAIL,
-                regime=scenario.regime,
-                hypothesis=hyp,
-                checked_times=[],
-                max_violation=math.nan,
-                worst_time=math.nan,
-                support_checked=support_checked,
-                support_ok=None,
-                support_worst_cells=math.nan,
-                blowup_expected=True,
-                blowup_window_ok=False,
-                s_num=None,
-                tau0=res.tau0,
-                termination=res.termination,
-                notes=notes,
-                run=res,
-            )
-        s_num = res.blowup.s_num
-        lo = 0.95 * res.tau0 if res.tau0 is not None else 0.0
-        hi = 1.05 * bar.T
-        blow_ok = bool(lo <= s_num <= hi)
-        if not blow_ok:
-            notes.append(f"s_num={s_num:.6g} outside [{lo:.6g}, {hi:.6g}]")
-        t_check = [(t, u) for (t, u) in res.snapshots if t <= 0.95 * s_num]
+    if res.termination in ("stalled", "step_limit"):
+        notes.append(f"run terminated early ({res.termination}) at t={res.final_state.t:.6g}")
+        verdict = VERDICT_INCONCLUSIVE
+        support_checked = False
+    elif sub and (res.termination != "blowup" or res.blowup is None):
+        notes.append("expected blow-up but the run completed")
+        verdict = VERDICT_FAIL
+        blow_ok = False
     else:
-        if res.termination == "blowup":
-            notes.append("unexpected numerical blow-up in an upper-bound regime")
-            ordered_ok = False
-        t_check = list(res.snapshots)
+        ordered_ok = True
+        if sub:
+            s_num = res.blowup.s_num
+            lo = 0.95 * res.tau0 if res.tau0 is not None else 0.0
+            hi = 1.05 * bar.T
+            blow_ok = bool(lo <= s_num <= hi)
+            if not blow_ok:
+                notes.append(f"s_num={s_num:.6g} outside [{lo:.6g}, {hi:.6g}]")
+            t_check = [(t, u) for (t, u) in res.snapshots if t <= 0.95 * s_num]
+        else:
+            if res.termination == "blowup":
+                notes.append("unexpected numerical blow-up in an upper-bound regime")
+                ordered_ok = False
+            t_check = list(res.snapshots)
 
-    checked_times: List[float] = []
-    for t_k, u_k in t_check:
-        if sub and t_k >= bar.T:
-            continue
-        checked_times.append(float(t_k))
-        bar_k = np.asarray(bar.eval(grid.centers, float(t_k)), dtype=float)
-        tol = comparison_tolerance(u_k, bar_k)
-        viol = (bar_k - u_k - tol) if sub else (u_k - bar_k - tol)
-        vmax = float(np.max(viol))
-        if vmax > max_viol:
-            max_viol = vmax
-            worst_time = float(t_k)
-        if vmax > 0.0:
-            ordered_ok = False
+        max_viol = -math.inf
         if support_checked:
-            r_num = support_radius_numeric(u_k, grid, scenario.solver.support_threshold)
-            r_bar = float(bar.support_radius(float(t_k)))
-            # signed excess in cell widths: positive means the inclusion
-            # fails beyond the one-cell allowance at zero
-            excess = ((r_bar - r_num) if sub else (r_num - r_bar)) / grid.dr - 1.0
-            support_worst = max(support_worst, excess)
+            support_worst = -math.inf
+        for t_k, u_k in t_check:
+            if sub and t_k >= bar.T:
+                continue
+            checked_times.append(float(t_k))
+            bar_k = np.asarray(bar.eval(grid.centers, float(t_k)), dtype=float)
+            tol = comparison_tolerance(u_k, bar_k)
+            viol = (bar_k - u_k - tol) if sub else (u_k - bar_k - tol)
+            vmax = float(np.max(viol))
+            if vmax > max_viol:
+                max_viol = vmax
+                worst_time = float(t_k)
+            if vmax > 0.0:
+                ordered_ok = False
+            if support_checked:
+                r_num = support_radius_numeric(u_k, grid)
+                r_bar = float(bar.support_radius(float(t_k)))
+                # signed excess in cell widths: positive means the inclusion
+                # fails beyond the one-cell allowance at zero
+                excess = ((r_bar - r_num) if sub else (r_num - r_bar)) / grid.dr - 1.0
+                support_worst = max(support_worst, excess)
 
-    if support_checked:
-        support_ok = bool(support_worst <= 0.0)
-    ok = ordered_ok and (support_ok is not False) and (blow_ok is not False)
-    if max_viol == -math.inf:
-        max_viol = math.nan
+        if support_checked:
+            support_ok = bool(support_worst <= 0.0)
+        if max_viol == -math.inf:
+            max_viol = math.nan
+        ok = ordered_ok and (support_ok is not False) and (blow_ok is not False)
+        verdict = VERDICT_PASS if ok else VERDICT_FAIL
+
     return ComparisonResult(
-        verdict=VERDICT_PASS if ok else VERDICT_FAIL,
+        verdict=verdict,
         regime=scenario.regime,
         hypothesis=hyp,
         checked_times=checked_times,
@@ -541,7 +512,7 @@ def comparison_experiment(scenario: Scenario) -> ComparisonResult:
         worst_time=worst_time,
         support_checked=support_checked,
         support_ok=support_ok,
-        support_worst_cells=support_worst if support_checked else math.nan,
+        support_worst_cells=support_worst,
         blowup_expected=sub,
         blowup_window_ok=blow_ok,
         s_num=s_num,
@@ -574,22 +545,9 @@ class ScanRow:
         }
 
 
-def _scan_one(args) -> ScanRow:
-    factor, u0, grid, dens, constants, config = args
-    res = run(factor * u0, grid, dens, constants, config)
-    return ScanRow(
-        factor=factor,
-        blew_up=res.termination == "blowup",
-        s_num=res.blowup.s_num if res.blowup is not None else None,
-        tau0=res.tau0,
-        termination=res.termination,
-    )
-
-
 def blowup_scan(
     scenario: Scenario,
     factors: Sequence[float] = (0.25, 0.5, 0.75, 1.0, 1.25),
-    workers: int = 0,
 ) -> List[ScanRow]:
     """Scale the scenario's initial data and record who still blows up.
 
@@ -607,15 +565,19 @@ def blowup_scan(
     if sup0 <= 0.0:
         raise ValueError("scan needs nonzero initial data")
     p = scenario.constants.p
-    jobs = []
+    rows = []
     for f in factors:
         tau_f = 1.0 / ((p - 1.0) * (f * sup0) ** (p - 1.0))
         t_end = max(scenario.solver.t_end, 3.0 * tau_f)
-        cfg = replace(scenario.solver, t_end=t_end, output_times=(), snapshot_stride=0)
-        jobs.append((float(f), u0, grid, scenario.density, scenario.constants, cfg))
-    if workers and workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(_scan_one, jobs))
-    return [_scan_one(job) for job in jobs]
+        cfg = replace(scenario.solver, t_end=t_end, output_times=())
+        res = run(f * u0, grid, scenario.density, scenario.constants, cfg)
+        rows.append(
+            ScanRow(
+                factor=float(f),
+                blew_up=res.termination == "blowup",
+                s_num=res.blowup.s_num if res.blowup is not None else None,
+                tau0=res.tau0,
+                termination=res.termination,
+            )
+        )
+    return rows

@@ -11,7 +11,7 @@ Neumann face.  The update is explicit Euler on
 
 Time step.  Diffusion-limited by ``cfl_safety * min_i rho_i Δr^2 / (2 N m
 u_nbhd^(m-1))`` where ``u_nbhd`` is the max of the cell and its neighbors,
-additionally capped by ``reaction_dt_cap * (sup u)^(1-p)`` when the reaction
+additionally capped by ``REACTION_DT_CAP * (sup u)^(1-p)`` when the reaction
 is on, and by the remaining time to ``t_end`` (which also covers an
 identically zero state, whose diffusion limit is infinite).
 
@@ -25,14 +25,14 @@ with reaction.
 Output.  Series values (sup norm and support radius) and full snapshots are
 taken at the configured output times from the cellwise linear interpolant
 between the two bracketing steps, so the series always agrees with the
-stored snapshots by construction.  A positive ``snapshot_stride`` k
-additionally stores every k-th accepted step.
+stored snapshots by construction.  The support radius counts cells above
+``SUPPORT_THRESHOLD``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -53,6 +53,7 @@ FLAG_THRESHOLD = "threshold"
 FLAG_OVERFLOW = "overflow"
 
 SUPPORT_THRESHOLD = 1.0e-12
+REACTION_DT_CAP = 0.1
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,7 @@ class SolverConfig:
     boundary: str = BOUNDARY_DIRICHLET
     reaction: bool = True
     output_times: Tuple[float, ...] = ()
-    snapshot_stride: int = 0
-    support_threshold: float = SUPPORT_THRESHOLD
-    reaction_dt_cap: float = 0.1
     max_steps: int = 10**9
-    use_numba: bool = True
 
     def __post_init__(self) -> None:
         if not self.t_end > 0.0:
@@ -108,8 +105,6 @@ class SolverConfig:
             raise ValueError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
-        if int(self.snapshot_stride) != self.snapshot_stride or self.snapshot_stride < 0:
-            raise ValueError(f"snapshot_stride must be an integer >= 0, got {self.snapshot_stride}")
         times = tuple(float(t) for t in self.output_times)
         if any(t < 0.0 or t > self.t_end for t in times):
             raise ValueError("output_times must lie within [0, t_end]")
@@ -140,7 +135,6 @@ class RunResult:
     sup_series: np.ndarray
     support_series: np.ndarray
     snapshots: List[Tuple[float, np.ndarray]]
-    stride_snapshots: List[Tuple[float, np.ndarray]]
     termination: str
     blowup: Optional[BlowupRecord]
     tau0: Optional[float]
@@ -191,7 +185,7 @@ def _rho_values(rho: Union[DensityParams, Callable, np.ndarray, Sequence[float]]
 
 def step(u: np.ndarray, t: float, grid: RadialGrid, rho, constants: ProblemConstants, config: SolverConfig) -> Tuple[np.ndarray, float]:
     """Single explicit step (mainly for tests); returns the new state."""
-    res = run(u, grid, rho, constants, config, _max_total_steps=1)
+    res = run(u, grid, rho, constants, replace(config, max_steps=1))
     return res.final_state.u, res.final_state.t
 
 
@@ -201,14 +195,13 @@ def run(
     rho,
     constants: ProblemConstants,
     config: SolverConfig,
-    _max_total_steps: Optional[int] = None,
 ) -> RunResult:
     """Advance initial data to ``t_end`` or numerical blow-up.
 
     ``rho`` may be a :class:`~pme_react.density.DensityParams` (canonical
     member evaluated at cell centers), a callable ``r -> rho(r)``, or a
-    per-cell array.  ``u0`` is copied; a :class:`State` supplies a nonzero
-    start time.
+    per-cell array.  ``u0`` must be finite and nonnegative and is copied; a
+    :class:`State` supplies a nonzero start time.
     """
     if grid.N != constants.N:
         raise ValueError(f"grid dimension N={grid.N} does not match constants N={constants.N}")
@@ -220,6 +213,8 @@ def run(
         u = np.array(u0, dtype=float, copy=True)
     if u.shape != (grid.cells,):
         raise ValueError(f"initial data has shape {u.shape}, expected ({grid.cells},)")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("initial data must be finite")
     if np.any(u < 0.0):
         raise ValueError("initial data must be nonnegative")
 
@@ -230,7 +225,6 @@ def run(
     area_over_dr = grid.faces ** (grid.N - 1) / grid.dr
     cfl_coef = config.cfl_safety * rho_vals * grid.dr**2 / (2.0 * grid.N * constants.m)
     dirichlet = config.boundary == BOUNDARY_DIRICHLET
-    max_steps = config.max_steps if _max_total_steps is None else _max_total_steps
 
     u_prev = np.empty_like(u)
     um = np.empty_like(u)
@@ -243,12 +237,11 @@ def run(
     out_sup: List[float] = []
     out_support: List[float] = []
     snapshots: List[Tuple[float, np.ndarray]] = []
-    stride_snaps: List[Tuple[float, np.ndarray]] = []
 
     def emit(t_out: float, u_out: np.ndarray) -> None:
         out_times.append(t_out)
         out_sup.append(float(u_out.max()))
-        out_support.append(support_radius_numeric(u_out, grid, config.support_threshold))
+        out_support.append(support_radius_numeric(u_out, grid))
         snapshots.append((t_out, u_out.copy()))
 
     # output times already reached (typically t=0) use the exact state
@@ -259,12 +252,10 @@ def run(
     blowup: Optional[BlowupRecord] = None
     total_steps = 0
     clamp_total = 0.0
-    big = 2**62
 
     while t < config.t_end:
         t_stop = pending[0] if pending else config.t_end
-        budget = config.snapshot_stride if config.snapshot_stride > 0 else big
-        budget = min(budget, max_steps - total_steps)
+        budget = config.max_steps - total_steps
         if budget <= 0:
             termination = TERM_STEP_LIMIT
             break
@@ -282,17 +273,14 @@ def run(
             bool(config.reaction),
             bool(dirichlet),
             float(config.blowup_threshold),
-            float(config.reaction_dt_cap),
+            REACTION_DT_CAP,
             float(t),
             float(config.t_end),
             float(t_stop),
             budget,
-            use_numba=config.use_numba,
         )
         total_steps += nsub
         clamp_total += clamp_added
-        if config.snapshot_stride > 0 and nsub > 0:
-            stride_snaps.append((t, u.copy()))
 
         # interpolate output times crossed by the last step; all pending
         # times <= t lie in (t_prev, t] because the kernel stops at t_stop
@@ -313,7 +301,7 @@ def run(
         if status == _kernels.STATUS_STALLED:
             termination = TERM_STALLED
             break
-        if total_steps >= max_steps and t < config.t_end:
+        if total_steps >= config.max_steps and t < config.t_end:
             termination = TERM_STEP_LIMIT
             break
 
@@ -325,7 +313,6 @@ def run(
         sup_series=np.asarray(out_sup),
         support_series=np.asarray(out_support),
         snapshots=snapshots,
-        stride_snapshots=stride_snaps,
         termination=termination,
         blowup=blowup,
         tau0=tau0,

@@ -155,6 +155,16 @@ def test_initial_data_spellings():
     assert issue.line == PLAIN_TEXT.splitlines().index("initial_data = constant:1.0") + 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_initial_constant_must_be_finite(value):
+    text = PLAIN_TEXT.replace("constant:1.0", f"constant:{value}")
+    with pytest.raises(ConfigError) as exc_info:
+        loads(text)
+    (issue,) = exc_info.value.issues
+    assert "finite" in issue.message
+    assert issue.line == PLAIN_TEXT.splitlines().index("initial_data = constant:1.0") + 1
+
+
 def test_scaled_barrier_picks_up_factor():
     text = GE1B_TEXT + "\n[harness]\ninitial_data = scaled_barrier\nscale_factor = 0.25\n"
     cfg = loads(text)
@@ -262,15 +272,28 @@ def test_cli_feasibility_writes_summary(tmp_path, capsys):
     assert "defaults_used" in payload
 
 
-def test_cli_infeasible_search_exits_2(tmp_path, capsys):
+# output file and the key/value that mark a failed parameter search, by subcommand
+INFEASIBLE_OUTPUTS = {
+    "feasibility": ("summary.json", "feasible", False),
+    "barrier-check": ("verdict.json", "passed", False),
+    "simulate": ("summary.json", "feasible", False),
+    "compare": ("verdict.json", "verdict", "fail"),
+    "blow-up-scan": ("verdict.json", "verdict", "fail"),
+}
+
+
+@pytest.mark.parametrize("command", list(INFEASIBLE_OUTPUTS))
+def test_cli_infeasible_search_exits_2(tmp_path, capsys, command):
+    out_file, key, value = INFEASIBLE_OUTPUTS[command]
     text = GE1B_TEXT.replace("regime = GE1b", "regime = GE1b\nb = 1.5")
     cfg = write(tmp_path, "bad_shape.cfg", text)
     out = tmp_path / "out"
-    rc = cli.main(["feasibility", "--config", cfg, "--out", str(out)])
+    rc = cli.main([command, "--config", cfg, "--out", str(out)])
     assert rc == 2
-    assert "infeasible" in capsys.readouterr().err
-    payload = json.loads((out / "summary.json").read_text())
-    assert payload["feasible"] is False
+    assert "infeasible:" in capsys.readouterr().err
+    payload = json.loads((out / out_file).read_text())
+    assert payload[key] == value
+    assert payload["error"]
 
 
 def test_cli_compare_fast_ge1b(tmp_path, capsys):

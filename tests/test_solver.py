@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pme_react._kernels import HAVE_NUMBA
+from pme_react import _kernels
 from pme_react.density import ProblemConstants
 from pme_react.solver import (
     BOUNDARY_DIRICHLET,
@@ -100,6 +100,16 @@ def test_run_validation():
         run(np.ones(8), g, np.zeros(8), CC23, cfg)  # density must be positive
     with pytest.raises(ValueError):
         run(np.ones(8), g, ones, ProblemConstants(m=2.0, p=3.0, N=4), cfg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_rejects_non_finite_initial_data(bad):
+    g = RadialGrid(N=3, R=1.0, cells=8)
+    cfg = SolverConfig(t_end=0.01, R=1.0, cells=8)
+    u0 = np.ones(8)
+    u0[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        run(u0, g, ones, CC23, cfg)
 
 
 # -- conservation and invariance --------------------------------------------
@@ -226,19 +236,6 @@ def test_state_start_skips_stale_outputs():
     assert res.final_state.t == pytest.approx(0.7, abs=0.0)
 
 
-def test_snapshot_stride_records_batches():
-    g, u0, _ = diffusion_setup(cells=48)
-    cfg = SolverConfig(
-        t_end=0.1, R=10.0, cells=48, boundary=BOUNDARY_NEUMANN,
-        reaction=False, snapshot_stride=25,
-    )
-    res = run(u0, g, ones, CC23, cfg)
-    assert len(res.stride_snapshots) >= 2
-    ts = [t for t, _ in res.stride_snapshots]
-    assert all(a < b for a, b in zip(ts, ts[1:]))
-    assert ts[-1] <= 0.1 + 1e-15
-
-
 def test_step_limit_termination():
     g, u0, _ = diffusion_setup(cells=48)
     cfg = SolverConfig(
@@ -263,17 +260,13 @@ def test_single_step_wrapper():
 # -- kernel dispatch ---------------------------------------------------------
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_numba_and_numpy_paths_agree():
+@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
+def test_numba_and_numpy_paths_agree(monkeypatch):
     g, u0, _ = diffusion_setup(cells=48)
-    results = []
-    for use_numba in (True, False):
-        cfg = SolverConfig(
-            t_end=0.05, R=10.0, cells=48, boundary=BOUNDARY_DIRICHLET,
-            use_numba=use_numba,
-        )
-        results.append(run(u0, g, ones, CC23, cfg))
-    a, b = results
+    cfg = SolverConfig(t_end=0.05, R=10.0, cells=48, boundary=BOUNDARY_DIRICHLET)
+    a = run(u0, g, ones, CC23, cfg)
+    monkeypatch.setattr(_kernels, "advance", _kernels._advance_numpy)
+    b = run(u0, g, ones, CC23, cfg)
     assert a.steps == b.steps
     np.testing.assert_allclose(a.final_state.u, b.final_state.u, rtol=1e-12, atol=0.0)
     assert a.final_state.t == pytest.approx(b.final_state.t, rel=1e-12)
