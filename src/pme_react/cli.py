@@ -28,8 +28,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import config as config_mod
 from .feasibility import (
     REGIME_BLOWUP,
@@ -40,6 +38,7 @@ from .harness import (
     VERDICT_PASS,
     blowup_scan,
     comparison_experiment,
+    build_initial,
     derivative_crosscheck,
     residual_sweep,
     run_scenario,
@@ -166,10 +165,7 @@ def _cmd_simulate(args) -> int:
         res = run_scenario(resolved.scenario())
     else:
         grid = RadialGrid(N=resolved.constants.N, R=resolved.solver.R, cells=resolved.solver.cells)
-        if resolved.initial.kind == "constant":
-            u0 = np.full(grid.cells, resolved.initial.value)
-        else:
-            u0 = np.loadtxt(resolved.initial.path, delimiter=",", dtype=float).ravel()
+        u0 = build_initial(resolved.initial, grid)
         res = run(u0, grid, resolved.density, resolved.constants, resolved.solver)
     grid = res.grid
     _write_series(os.path.join(args.out, "series.csv"), res)

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
 from .density import (
@@ -259,14 +258,90 @@ def check_ge2(bar: GE2Barrier, dens: DensityParams) -> FeasibilityReport:
     return _finish(REGIME_GE2, "envelope", entries, params)
 
 
+def _fminbound(f: Callable[[float], float], a: float, b: float, xatol: float) -> float:
+    """Minimum value of ``f`` on ``[a, b]`` by Brent's method.
+
+    Golden-section steps with parabolic interpolation (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973), step for step
+    as scipy's ``minimize_scalar(method="bounded")``: the same tolerances,
+    the same 500-evaluation cap, so it returns the same float.  Returns
+    ``f`` at the best point found.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabolic fit through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = -tol1 if xm - xf < 0.0 else tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return fx
+
+
 @functools.lru_cache(maxsize=None)
 def ge2_drift_minimum(N: int, r0: float) -> float:
     """Minimum over r > 0 of ``(N-1)(1 + r0/r) log(r+r0) - log(r+r0)``.
 
     The quantity diverges at both ends (the geometric term as ``r -> 0``,
     the dimensional one as ``r -> infinity``), so the minimum is interior;
-    it is bracketed on a log grid and polished with bounded scalar
-    minimization.
+    it is bracketed on a log grid and polished with Brent's bounded
+    minimization (:func:`_fminbound`).
     """
 
     def g(r: float) -> float:
@@ -278,8 +353,8 @@ def ge2_drift_minimum(N: int, r0: float) -> float:
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(g, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-    return float(min(res.fun, vals[i]))
+    polished = _fminbound(g, lo, hi, xatol=1e-12)
+    return float(min(polished, vals[i]))
 
 
 def check_ge2_pointwise(bar: GE2Barrier, dens: DensityParams) -> FeasibilityReport:

@@ -129,9 +129,8 @@ def barrier_from_params(
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def build_initial(scenario: Scenario, grid: Optional[RadialGrid] = None) -> np.ndarray:
-    grid = grid if grid is not None else scenario.grid()
-    init = scenario.initial
+def build_initial(init: InitialData, grid: RadialGrid, barrier: Optional[Barrier] = None) -> np.ndarray:
+    """Cell values of ``init`` on ``grid``; the barrier kinds need ``barrier``."""
     if init.kind == INIT_CONSTANT:
         return np.full(grid.cells, float(init.value))
     if init.kind == INIT_CSV:
@@ -141,7 +140,7 @@ def build_initial(scenario: Scenario, grid: Optional[RadialGrid] = None) -> np.n
                 f"csv initial data has {u0.shape[0]} values, grid has {grid.cells} cells"
             )
         return u0
-    u0 = np.asarray(scenario.barrier.eval(grid.centers, 0.0), dtype=float)
+    u0 = np.asarray(barrier.eval(grid.centers, 0.0), dtype=float)
     if init.kind == INIT_SCALED_BARRIER:
         u0 = init.factor * u0
     return u0
@@ -413,7 +412,7 @@ def comparison_tolerance(u_num: np.ndarray, u_bar: np.ndarray) -> np.ndarray:
 
 def run_scenario(scenario: Scenario) -> RunResult:
     grid = scenario.grid()
-    u0 = build_initial(scenario, grid)
+    u0 = build_initial(scenario.initial, grid, scenario.barrier)
     return run(u0, grid, scenario.density, scenario.constants, scenario.solver)
 
 
@@ -430,7 +429,7 @@ def comparison_experiment(scenario: Scenario) -> ComparisonResult:
     ``inconclusive`` verdict rather than a fail.
     """
     grid = scenario.grid()
-    u0 = build_initial(scenario, grid)
+    u0 = build_initial(scenario.initial, grid, scenario.barrier)
     hyp = hypothesis_check(u0, scenario.barrier, grid, scenario.regime)
     if not hyp.ok:
         raise ValueError(
@@ -560,7 +559,7 @@ def blowup_scan(
     if any(not f > 0.0 for f in factors):
         raise ValueError("scan factors must be positive")
     grid = scenario.grid()
-    u0 = build_initial(scenario, grid)
+    u0 = build_initial(scenario.initial, grid, scenario.barrier)
     sup0 = float(u0.max())
     if sup0 <= 0.0:
         raise ValueError("scan needs nonzero initial data")

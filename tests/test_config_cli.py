@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +328,23 @@ def test_cli_simulate_plain_reaction(tmp_path, capsys):
     assert payload["termination"] == "blowup"
     assert payload["s_num"] == pytest.approx(0.5, rel=0.05)
     assert payload["tau0"] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_cli_simulate_plain_short_csv_exits_1(tmp_path, capsys):
+    data = write(tmp_path, "u0.csv", "1.0,1.0,1.0\n")
+    cfg = write(tmp_path, "plain.cfg", PLAIN_TEXT.replace("constant:1.0", f"csv:{data}"))
+    rc = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "csv initial data has 3 values, grid has 16 cells" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize alone cost about 0.5 s of every command's start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import pme_react.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_scan_writes_rows(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pme_react import feasibility
 from pme_react.barrier import E, BlowupSubsolution, GE2Barrier
 from pme_react.density import DensityParams, ProblemConstants
 from pme_react.feasibility import (
@@ -206,6 +207,34 @@ def test_ge2_drift_minimum_against_dense_grid():
     grid_min = float(np.min(2.0 * (1.0 + 8.0 / r) * L - L))
     assert got == pytest.approx(grid_min, rel=1e-8)
     assert got <= grid_min + 1e-12  # polish can only improve on the grid
+
+
+def test_ge2_drift_minimum_pinned_values():
+    # the values scipy's bounded Brent polish gave before the in-package port
+    assert ge2_drift_minimum(3, 8.0) == 5.344673365927255
+    assert ge2_drift_minimum(3, E) == 3.906557937512901
+
+
+def test_fminbound_matches_scipy_bitwise(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    fminbound = feasibility._fminbound
+    calls = []
+
+    def recording(f, a, b, xatol):
+        got = fminbound(f, a, b, xatol)
+        want = optimize.minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": xatol})
+        calls.append((got, want.fun))
+        return got
+
+    monkeypatch.setattr(feasibility, "_fminbound", recording)
+    rng = np.random.default_rng(20240604)
+    cases = [(3, 8.0), (3, E), (3, 25.0), (3, 1000.0)]
+    cases += [(int(n), float(r0)) for n, r0 in zip(rng.integers(2, 7, 40), 10.0 ** rng.uniform(-2, 4, 40))]
+    for N, r0 in cases:
+        ge2_drift_minimum.__wrapped__(N, r0)  # bypass the cache: g and the bracket as used
+    assert len(calls) == len(cases)
+    for (got, want), case in zip(calls, cases):
+        assert got == want, case
 
 
 def test_ge2_envelope_is_empty_at_unit_band():

@@ -91,26 +91,23 @@ def test_build_initial_kinds(tmp_path, ge1b):
     sc = ge1b_scenario(bar)
     grid = sc.grid()
 
-    u_eq = build_initial(sc, grid)
+    u_eq = build_initial(sc.initial, grid, bar)
     np.testing.assert_array_equal(u_eq, bar.eval(grid.centers, 0.0))
 
-    sc_half = dataclasses.replace(sc, initial=InitialData(kind="scaled_barrier", factor=0.5))
-    np.testing.assert_allclose(build_initial(sc_half, grid), 0.5 * u_eq, rtol=1e-15)
+    half = InitialData(kind="scaled_barrier", factor=0.5)
+    np.testing.assert_allclose(build_initial(half, grid, bar), 0.5 * u_eq, rtol=1e-15)
 
-    sc_const = dataclasses.replace(sc, initial=InitialData(kind="constant", value=0.125))
-    assert np.all(build_initial(sc_const, grid) == 0.125)
+    assert np.all(build_initial(InitialData(kind="constant", value=0.125), grid) == 0.125)
 
     path = tmp_path / "u0.csv"
     np.savetxt(path, np.linspace(0.1, 0.2, grid.cells), delimiter=",")
-    sc_csv = dataclasses.replace(sc, initial=InitialData(kind="csv", path=str(path)))
-    got = build_initial(sc_csv, grid)
+    got = build_initial(InitialData(kind="csv", path=str(path)), grid)
     assert got[0] == pytest.approx(0.1) and got[-1] == pytest.approx(0.2)
 
     short = tmp_path / "short.csv"
     np.savetxt(short, np.ones(grid.cells - 3), delimiter=",")
-    sc_bad = dataclasses.replace(sc, initial=InitialData(kind="csv", path=str(short)))
-    with pytest.raises(ValueError):
-        build_initial(sc_bad, grid)
+    with pytest.raises(ValueError, match=f"csv initial data has {grid.cells - 3} values, grid has {grid.cells} cells"):
+        build_initial(InitialData(kind="csv", path=str(short)), grid)
 
 
 def test_barrier_from_params_round_trip(ge1b, blowup):
@@ -126,7 +123,7 @@ def test_hypothesis_check_sides(ge1b, blowup):
     bar, _ = ge1b
     sc = ge1b_scenario(bar)
     grid = sc.grid()
-    u0 = build_initial(sc, grid)
+    u0 = build_initial(sc.initial, grid, sc.barrier)
     rep = hypothesis_check(u0, bar, grid, REGIME_GE1B)
     assert rep.ok and rep.side == "below_barrier"
     bad = hypothesis_check(u0 * 1.01, bar, grid, REGIME_GE1B)
@@ -135,7 +132,7 @@ def test_hypothesis_check_sides(ge1b, blowup):
     bub, _ = blowup
     bsc = blowup_scenario(bub)
     bgrid = bsc.grid()
-    bu0 = build_initial(bsc, bgrid)
+    bu0 = build_initial(bsc.initial, bgrid, bsc.barrier)
     brep = hypothesis_check(bu0, bub, bgrid, REGIME_BLOWUP)
     assert brep.ok and brep.side == "above_barrier"
     assert not hypothesis_check(bu0 * 0.99, bub, bgrid, REGIME_BLOWUP).ok
