@@ -15,10 +15,12 @@ The format is a small INI dialect:
 
 Parsing is done by hand rather than with :mod:`configparser` so that every
 diagnostic carries a line number and all problems in a file are reported
-together.  Omitted barrier parameters are filled by the feasibility search;
-``[barrier]`` may be left out entirely for plain simulation runs, in which
-case R, t_end and output_times must be explicit and the initial data cannot
-reference a barrier.
+together; every number must be finite.  Omitted barrier parameters are
+filled by the feasibility search or by the regime defaults of
+:func:`pme_react.feasibility.build_barrier`, and a barrier key the regime
+does not take is an error.  ``[barrier]`` may be left out entirely for
+plain simulation runs, in which case R, t_end and output_times must be
+explicit and the initial data cannot reference a barrier.
 """
 
 from __future__ import annotations
@@ -29,21 +31,18 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
 from .density import (
     FAMILIES,
     DensityParams,
     ProblemConstants,
 )
 from .feasibility import (
+    BARRIER_KEYS,
     REGIME_BLOWUP,
-    REGIME_GE1A,
-    REGIME_GE1B,
     REGIME_GE2,
     REGIMES,
     FeasibilityReport,
-    SearchConfig,
-    _ge1_shape_defaults,
+    build_barrier,
     find_params,
 )
 from .harness import (
@@ -96,127 +95,83 @@ class _Section:
     def _fail(self, line: int, message: str) -> None:
         self.issues.append(ConfigIssue(line, f"[{self.name}] {message}"))
 
-    def _fetch(self, key, default):
+    def get(self, key, parse, default=_REQUIRED):
+        """``parse`` of the value under ``key``, or ``default`` when the key
+        is absent.  A missing required key, a value ``parse`` rejects (its
+        ``ValueError`` text) and a non-finite number are issues at the
+        key's line, and give None."""
         self.seen.add(key)
-        if key in self.table:
-            return self.table[key]
-        if default is _REQUIRED:
-            self._fail(self.header_line, f"missing required key '{key}'")
-            return None
-        if default is not None:
-            self.defaults.append(f"[{self.name}] {key} = {default} (default)")
-        return (None, default)
-
-    def get_float(self, key, default=_REQUIRED):
-        got = self._fetch(key, default)
-        if got is None:
-            return None
-        raw_s, line_or_val = got
-        if raw_s is None:
-            return line_or_val
-        try:
-            val = float(raw_s)
-        except ValueError:
-            self._fail(line_or_val, f"{key}: expected a number, got {raw_s!r}")
-            return None
-        if not math.isfinite(val):
-            self._fail(line_or_val, f"{key}: value must be finite, got {raw_s!r}")
-            return None
-        return val
-
-    def get_int(self, key, default=_REQUIRED):
-        got = self._fetch(key, default)
-        if got is None:
-            return None
-        raw_s, line_or_val = got
-        if raw_s is None:
-            return line_or_val
-        try:
-            return int(raw_s)
-        except ValueError:
-            self._fail(line_or_val, f"{key}: expected an integer, got {raw_s!r}")
-            return None
-
-    def get_bool(self, key, default=_REQUIRED):
-        got = self._fetch(key, default)
-        if got is None:
-            return None
-        raw_s, line_or_val = got
-        if raw_s is None:
-            return line_or_val
-        low = raw_s.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        self._fail(line_or_val, f"{key}: expected true/false, got {raw_s!r}")
-        return None
-
-    def get_choice(self, key, choices, default=_REQUIRED):
-        """Case-insensitive match against canonical spellings."""
-        got = self._fetch(key, default)
-        if got is None:
-            return None
-        raw_s, line_or_val = got
-        if raw_s is None:
-            return line_or_val
-        for c in choices:
-            if raw_s.lower() == c.lower():
-                return c
-        self._fail(line_or_val, f"{key}: expected one of {', '.join(choices)}, got {raw_s!r}")
-        return None
-
-    def get_str(self, key, default=_REQUIRED):
-        got = self._fetch(key, default)
-        if got is None:
-            return None
-        raw_s, line_or_val = got
-        if raw_s is None:
-            return line_or_val
-        return raw_s
-
-    def get_float_list_or_auto(self, key, default=_REQUIRED):
-        got = self._fetch(key, default)
-        if got is None:
-            return None
-        raw_s, line_or_val = got
-        if raw_s is None:
-            return line_or_val
-        if raw_s.lower() == "auto":
-            return "auto"
-        vals = []
-        for part in raw_s.split(","):
-            part = part.strip()
-            try:
-                vals.append(float(part))
-            except ValueError:
-                self._fail(line_or_val, f"{key}: expected numbers or 'auto', got {part!r}")
+        if key not in self.table:
+            if default is _REQUIRED:
+                self._fail(self.header_line, f"missing required key '{key}'")
                 return None
-        return tuple(vals)
-
-    def get_float_or_auto(self, key, default=_REQUIRED):
-        got = self._fetch(key, default)
-        if got is None:
-            return None
-        raw_s, line_or_val = got
-        if raw_s is None:
-            return line_or_val
-        if raw_s.lower() == "auto":
-            return "auto"
+            if default is not None:
+                self.defaults.append(f"[{self.name}] {key} = {default} (default)")
+            return default
+        raw, line = self.table[key]
         try:
-            val = float(raw_s)
-        except ValueError:
-            self._fail(line_or_val, f"{key}: expected a number or 'auto', got {raw_s!r}")
+            val = parse(raw)
+        except ValueError as exc:
+            self._fail(line, f"{key}: {exc}")
+            return None
+        numbers = val if isinstance(val, tuple) else (val,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+            self._fail(line, f"{key}: value must be finite, got {raw!r}")
             return None
         return val
-
-    def has(self, key) -> bool:
-        return key in self.table
 
     def finish(self) -> None:
         for key, (_, line) in self.table.items():
             if key not in self.seen:
                 self._fail(line, f"unknown key '{key}'")
+
+
+def _convert(convert, raw: str, expected: str):
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ValueError(f"expected {expected}, got {raw!r}") from None
+
+
+def _float(raw: str) -> float:
+    return _convert(float, raw, "a number")
+
+
+def _int(raw: str) -> int:
+    return _convert(int, raw, "an integer")
+
+
+def _bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"expected true/false, got {raw!r}")
+
+
+def _choice(choices):
+    """Case-insensitive match against canonical spellings."""
+
+    def parse(raw: str) -> str:
+        for c in choices:
+            if raw.lower() == c.lower():
+                return c
+        raise ValueError(f"expected one of {', '.join(choices)}, got {raw!r}")
+
+    return parse
+
+
+def _float_or_auto(raw: str):
+    if raw.lower() == "auto":
+        return "auto"
+    return _convert(float, raw, "a number or 'auto'")
+
+
+def _float_list_or_auto(raw: str):
+    if raw.lower() == "auto":
+        return "auto"
+    return tuple(_convert(float, part.strip(), "numbers or 'auto'") for part in raw.split(","))
 
 
 def _parse_sections(text: str):
@@ -296,52 +251,49 @@ def loads(text: str) -> LoadedConfig:
         return _Section(name, tables.get(name), header_lines.get(name, 0), issues, defaults)
 
     prob = section("problem")
-    m = prob.get_float("m")
-    p = prob.get_float("p")
-    N = prob.get_int("n")
+    m = prob.get("m", _float)
+    p = prob.get("p", _float)
+    N = prob.get("n", _int)
     prob.finish()
 
     dens_s = section("density")
-    family = dens_s.get_choice("family", FAMILIES)
-    alpha = dens_s.get_float("alpha")
-    r0 = dens_s.get_float("r0")
-    k = dens_s.get_float("k", 1.0)
-    k1 = dens_s.get_float("k1", 1.0)
-    k2 = dens_s.get_float("k2", 1.0)
-    k0 = dens_s.get_float("k0", None)
-    rho1 = dens_s.get_float("rho1", None)
-    rho2 = dens_s.get_float("rho2", None)
+    family = dens_s.get("family", _choice(FAMILIES))
+    alpha = dens_s.get("alpha", _float)
+    r0 = dens_s.get("r0", _float)
+    k = dens_s.get("k", _float, 1.0)
+    k1 = dens_s.get("k1", _float, 1.0)
+    k2 = dens_s.get("k2", _float, 1.0)
+    k0 = dens_s.get("k0", _float, None)
+    rho1 = dens_s.get("rho1", _float, None)
+    rho2 = dens_s.get("rho2", _float, None)
     dens_s.finish()
 
     bar_s = section("barrier")
     regime = None
     barrier_given: Dict[str, float] = {}
     if bar_s.present:
-        regime = bar_s.get_choice("regime", REGIMES)
-        for key in ("c", "a", "t", "beta", "b", "eps"):
-            if bar_s.has(key):
-                val = bar_s.get_float(key)
-                if val is not None:
-                    barrier_given[key] = val
-            else:
-                bar_s.seen.add(key)
+        regime = bar_s.get("regime", _choice(REGIMES))
+        for name in ("C", "a", "T", "beta", "b", "eps"):
+            val = bar_s.get(name.lower(), _float, None)
+            if val is not None:
+                barrier_given[name] = val
     bar_s.finish()
 
     solver_s = section("solver")
-    R = solver_s.get_float_or_auto("r", "auto")
-    cells = solver_s.get_int("cells", 256)
-    t_end = solver_s.get_float("t_end", None)
-    cfl_safety = solver_s.get_float("cfl_safety", 0.45)
-    blowup_threshold = solver_s.get_float("blowup_threshold", 1.0e6)
-    boundary = solver_s.get_choice("boundary", BOUNDARIES, BOUNDARY_DIRICHLET)
-    reaction = solver_s.get_bool("reaction", True)
-    output_times = solver_s.get_float_list_or_auto("output_times", "auto")
+    R = solver_s.get("r", _float_or_auto, "auto")
+    cells = solver_s.get("cells", _int, 256)
+    t_end = solver_s.get("t_end", _float, None)
+    cfl_safety = solver_s.get("cfl_safety", _float, 0.45)
+    blowup_threshold = solver_s.get("blowup_threshold", _float, 1.0e6)
+    boundary = solver_s.get("boundary", _choice(BOUNDARIES), BOUNDARY_DIRICHLET)
+    reaction = solver_s.get("reaction", _bool, True)
+    output_times = solver_s.get("output_times", _float_list_or_auto, "auto")
     solver_s.finish()
 
     har_s = section("harness")
-    init_raw = har_s.get_str("initial_data", INIT_EQUALS_BARRIER)
-    scale_factor = har_s.get_float("scale_factor", 1.0)
-    seed = har_s.get_int("seed", 0)
+    init_raw = har_s.get("initial_data", str, INIT_EQUALS_BARRIER)
+    scale_factor = har_s.get("scale_factor", _float, 1.0)
+    seed = har_s.get("seed", _int, 0)
     har_s.finish()
 
     initial = None
@@ -440,30 +392,7 @@ class Resolved:
             barrier=self.barrier,
             solver=self.solver,
             initial=self.initial,
-            seed=self.seed,
         )
-
-
-def _build_explicit_barrier(loaded: LoadedConfig, defaults: List[str]) -> Barrier:
-    cc, dens, regime = loaded.constants, loaded.density, loaded.regime
-    given = loaded.barrier_given
-    if regime in (REGIME_GE1A, REGIME_GE1B):
-        T_default = 2.0 if regime == REGIME_GE1A else 1.0
-        beta_default = 0.05 if regime == REGIME_GE1A else 0.0
-        T = given.get("t", T_default)
-        beta = given.get("beta", beta_default)
-        search = SearchConfig(b=given.get("b"), eps=given.get("eps"))
-        b, eps = _ge1_shape_defaults(cc, dens, search)
-        for key, val in (("T", T), ("beta", beta), ("b", b), ("eps", eps)):
-            if key.lower() not in given:
-                defaults.append(f"[barrier] {key} = {val:g} (default)")
-        return GE1Barrier(cc, C=given["c"], T=T, b=b, eps=eps, r0=dens.r0, beta=beta)
-    T = given.get("t", 1.0)
-    if "t" not in given:
-        defaults.append("[barrier] T = 1 (default)")
-    if regime == REGIME_GE2:
-        return GE2Barrier(cc, C=given["c"], a=given["a"], T=T, bbar=dens.alpha + 2.0, r0=dens.r0)
-    return BlowupSubsolution(cc, C=given["c"], a=given["a"], T=T, bunder=dens.alpha + 1.0)
 
 
 def resolve(loaded: LoadedConfig) -> Resolved:
@@ -476,19 +405,18 @@ def resolve(loaded: LoadedConfig) -> Resolved:
     report: Optional[FeasibilityReport] = None
 
     if loaded.regime is not None:
-        given = loaded.barrier_given
-        if loaded.regime in (REGIME_GE2, REGIME_BLOWUP) and ("c" in given) != ("a" in given):
-            raise ValueError(
-                f"regime {loaded.regime} needs both C and a (or neither, to search)"
-            )
-        if "c" in given:
-            barrier = _build_explicit_barrier(loaded, defaults)
-        else:
-            search = SearchConfig(
-                b=given.get("b"), eps=given.get("eps"), beta=given.get("beta")
-            )
-            barrier, report = find_params(cc, dens, loaded.regime, T=given.get("t"), search=search)
+        given = dict(loaded.barrier_given)
+        C = given.pop("C", None)
+        if C is None and "a" not in given:
+            barrier, report = find_params(cc, dens, loaded.regime, **given)
             defaults.append(f"[barrier] C = {report.params['C']:.6g} (search)")
+        else:
+            barrier = build_barrier(cc, dens, loaded.regime, C, **given)
+            defaults += [
+                f"[barrier] {key} = {getattr(barrier, key):g} (default)"
+                for key in BARRIER_KEYS[loaded.regime]
+                if key not in given
+            ]
 
     if loaded.solver_t_end is not None:
         t_end = loaded.solver_t_end

@@ -3,11 +3,17 @@
 Each ``check_*`` function evaluates a closed system of scalar inequalities
 that is sufficient for the corresponding barrier to be a super/subsolution,
 and returns a :class:`FeasibilityReport` listing every inequality with its
-two sides, slack and verdict.  ``find_params`` runs the documented
+two sides, slack and verdict.  ``build_barrier`` is the one place that
+turns a regime and its parameters into a barrier: it holds the regime
+defaults, the shape exponents and the table ``BARRIER_KEYS`` of the
+parameters each regime takes.  ``find_params`` runs the documented
 deterministic search (sweep the shape ratio ``omega = C^(m-1)/a`` on a log
-grid, then locate the binding amplitude ``C`` by bisection, with the time
-shift ``T`` fixed by configuration) and returns parameters that satisfy the
-binding inequality with at least ``margin`` relative slack.
+grid of ``OMEGA_POINTS`` points, ``OMEGA_MIN`` to ``OMEGA_MAX`` for the
+blow-up profile, then locate the binding amplitude ``C`` by
+``BISECT_ITERS`` log-bisection steps on ``[C_LO, C_HI]``, with ``T`` and
+the GE1 shape parameters fixed by the caller or by the defaults) and
+returns parameters that satisfy the binding inequality with at least
+``MARGIN`` relative slack.
 
 Two condition sets exist for the spreading supersolution:
 
@@ -205,8 +211,13 @@ def _require_two_sided(dens: DensityParams, what: str) -> None:
         raise ValueError(f"{what} requires a two-sided (H2/H2Smooth) density")
 
 
+def _bbar(dens: DensityParams) -> float:
+    """Support shape exponent of the spreading supersolution."""
+    return dens.alpha + 2.0
+
+
 def _ge2_structure_entries(bar: GE2Barrier, dens: DensityParams) -> list:
-    return [_entry("support_shape_exponent", abs(bar.bbar - (dens.alpha + 2.0)), 0.0)]
+    return [_entry("support_shape_exponent", abs(bar.bbar - _bbar(dens)), 0.0)]
 
 
 def check_ge2(bar: GE2Barrier, dens: DensityParams) -> FeasibilityReport:
@@ -412,6 +423,11 @@ def check_ge2_pointwise(bar: GE2Barrier, dens: DensityParams) -> FeasibilityRepo
 # ---------------------------------------------------------------------------
 
 
+def _bunder(dens: DensityParams) -> float:
+    """Outer log exponent of the shrinking subsolution."""
+    return dens.alpha + 1.0
+
+
 def check_blowup(bar: BlowupSubsolution, dens: DensityParams) -> FeasibilityReport:
     """Certificate for the shrinking subsolution over a two-sided weight.
 
@@ -440,7 +456,7 @@ def check_blowup(bar: BlowupSubsolution, dens: DensityParams) -> FeasibilityRepo
     coupling_rhs = (p - m) / ((m - 1.0) * (p - 1.0)) * bar.C ** (m - 1.0)
 
     entries = [
-        _entry("outer_shape_exponent", abs(bar.bunder - (dens.alpha + 1.0)), 0.0),
+        _entry("outer_shape_exponent", abs(bar.bunder - _bunder(dens)), 0.0),
         _entry("outer_gap_amplitude", branch_outer, gap_rhs),
         _entry("inner_gap_amplitude", branch_inner, gap_rhs),
         _entry("outer_coupling", K * (branch_outer / (m - 1.0)) ** nu, coupling_rhs),
@@ -570,40 +586,38 @@ def time_conditions_blowup(bar: BlowupSubsolution, dens: DensityParams, n: int =
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs of the deterministic search; all have working defaults.
+# Search budget: the amplitude bracket [C_LO, C_HI], the number of
+# bisection halvings on it, and the relative slack kept on the binding side.
+C_LO = 1.0e-8
+C_HI = 1.0e8
+BISECT_ITERS = 80
+MARGIN = 0.01
+# The blow-up omega grid (log-spaced, both ends included); the GE2 window
+# report uses OMEGA_POINTS points below its own decay-rate cap.
+OMEGA_MIN = 1.0e-3
+OMEGA_MAX = 1.0
+OMEGA_POINTS = 25
 
-    The omega grid is shared by the modes that sweep it (log-spaced,
-    inclusive of ``omega_max``).  ``c_cap`` declares amplitudes above it
-    out of budget, which can empty the feasible omega set.  ``b``, ``eps``
-    and ``beta`` override the GE1 defaults (``(alpha-1)/2``, the geometric
-    mean of the admissible eps window, and 0.05 for p < m).
-    """
-
-    omega_min: float = 1.0e-3
-    omega_max: float = 1.0
-    omega_points: int = 25
-    c_lo: float = 1.0e-8
-    c_hi: float = 1.0e8
-    c_cap: Optional[float] = None
-    bisect_iters: int = 80
-    margin: float = 0.01
-    b: Optional[float] = None
-    eps: Optional[float] = None
-    beta: Optional[float] = None
+# The parameters each regime takes besides the amplitude C.
+BARRIER_KEYS = {
+    REGIME_GE1A: ("T", "beta", "b", "eps"),
+    REGIME_GE1B: ("T", "beta", "b", "eps"),
+    REGIME_GE2: ("a", "T"),
+    REGIME_BLOWUP: ("a", "T"),
+}
 
 
-def _bisect_flip(pred: Callable[[float], bool], lo: float, hi: float, iters: int) -> float:
-    """Boundary amplitude where a monotone pass/fail predicate flips."""
-    f_lo = pred(lo)
-    f_hi = pred(hi)
+def _bisect_flip(pred: Callable[[float], bool]) -> float:
+    """Boundary amplitude in [C_LO, C_HI] where a monotone pass/fail
+    predicate flips."""
+    f_lo = pred(C_LO)
+    f_hi = pred(C_HI)
     if f_lo == f_hi:
         raise FeasibilitySearchError(
-            f"predicate does not flip on [{lo:g}, {hi:g}]; no binding amplitude found"
+            f"predicate does not flip on [{C_LO:g}, {C_HI:g}]; no binding amplitude found"
         )
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(iters):
+    llo, lhi = math.log(C_LO), math.log(C_HI)
+    for _ in range(BISECT_ITERS):
         mid = 0.5 * (llo + lhi)
         if pred(math.exp(mid)) == f_lo:
             llo = mid
@@ -612,17 +626,15 @@ def _bisect_flip(pred: Callable[[float], bool], lo: float, hi: float, iters: int
     return math.exp(0.5 * (llo + lhi))
 
 
-def _ge1_shape_defaults(cc: ProblemConstants, dens: DensityParams, search: SearchConfig):
-    b = search.b if search.b is not None else 0.5 * (dens.alpha - 1.0)
+def _ge1_shape_defaults(cc: ProblemConstants, dens: DensityParams, b, eps):
+    b = b if b is not None else 0.5 * (dens.alpha - 1.0)
     if not 0.0 < b < dens.alpha - 1.0:
         raise FeasibilitySearchError(
             f"decay exponent b={b:g} outside the window (0, alpha-1) for alpha={dens.alpha:g}"
         )
     eps_lo = 1.05 / math.log(dens.r0)
     eps_hi = (cc.N - 2.0) / (b + 1.0)
-    if search.eps is not None:
-        eps = search.eps
-    else:
+    if eps is None:
         if eps_lo >= eps_hi:
             raise FeasibilitySearchError(
                 f"empty eps window: need 1/log(r0)={1.0 / math.log(dens.r0):g} < eps < "
@@ -636,30 +648,81 @@ def _ge1_shape_defaults(cc: ProblemConstants, dens: DensityParams, search: Searc
     return b, eps
 
 
-def _find_ge1(cc, dens, regime, T, search):
-    b, eps = _ge1_shape_defaults(cc, dens, search)
-    if regime == REGIME_GE1A:
-        beta = search.beta if search.beta is not None else 0.05
-        T = 2.0 if T is None else T
-    else:
-        beta = 0.0
-        T = 1.0 if T is None else T
+def build_barrier(
+    cc: ProblemConstants,
+    dens: DensityParams,
+    regime: str,
+    C: Optional[float],
+    a: Optional[float] = None,
+    T: Optional[float] = None,
+    beta: Optional[float] = None,
+    b: Optional[float] = None,
+    eps: Optional[float] = None,
+):
+    """The barrier of ``regime`` with amplitude ``C``, omitted parameters
+    filled with the regime defaults.
 
-    def make(C: float) -> GE1Barrier:
-        return GE1Barrier(constants=cc, C=C, T=T, beta=beta, b=b, eps=eps, r0=dens.r0)
-
-    def pred(C: float) -> bool:
-        return check_ge1(make(C), dens).overall
-
-    boundary = _bisect_flip(pred, search.c_lo, search.c_hi, search.bisect_iters)
-    if regime == REGIME_GE1A:
-        C = boundary * (1.0 + search.margin)  # lower bound binds: smallest passing C
-    else:
-        C = boundary / (1.0 + search.margin)  # upper bound binds: largest passing C
-    if search.c_cap is not None and C > search.c_cap:
-        raise FeasibilitySearchError(
-            f"binding amplitude C={C:g} exceeds the configured cap {search.c_cap:g}"
+    Defaults: ``T`` = 2 for GE1a and 1 otherwise; ``beta`` = 0.05 for GE1a
+    and 0 for GE1b; ``b = (alpha-1)/2`` and ``eps`` the geometric mean of
+    its admissible window (:class:`FeasibilitySearchError` when a given or
+    default value leaves its window).  The compact profiles take their
+    shape exponent from the density (:func:`_bbar`, :func:`_bunder`) and
+    need ``a``.  A parameter outside ``BARRIER_KEYS[regime]`` is a
+    ``ValueError``.
+    """
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    given = {"a": a, "T": T, "beta": beta, "b": b, "eps": eps}
+    extra = [k for k, v in given.items() if v is not None and k not in BARRIER_KEYS[regime]]
+    if extra:
+        raise ValueError(
+            f"regime {regime} takes no {', '.join(extra)}; "
+            f"its parameters are C, {', '.join(BARRIER_KEYS[regime])}"
         )
+    if T is None:
+        T = 2.0 if regime == REGIME_GE1A else 1.0
+    if regime in (REGIME_GE1A, REGIME_GE1B):
+        b, eps = _ge1_shape_defaults(cc, dens, b, eps)
+        if beta is None:
+            beta = 0.05 if regime == REGIME_GE1A else 0.0
+        return GE1Barrier(constants=cc, C=C, T=T, beta=beta, b=b, eps=eps, r0=dens.r0)
+    if C is None or a is None:
+        raise ValueError(f"regime {regime} needs both C and a (or neither, to search)")
+    if regime == REGIME_GE2:
+        return GE2Barrier(constants=cc, C=C, a=a, T=T, bbar=_bbar(dens), r0=dens.r0)
+    return BlowupSubsolution(constants=cc, C=C, a=a, T=T, bunder=_bunder(dens))
+
+
+def _omega_sweep(grid, passes: Callable[[float, float], bool]) -> list:
+    """``(omega, boundary amplitude)``, in grid order, for every grid omega
+    at which ``passes(C, omega)`` flips on the amplitude bracket."""
+    found = []
+    for w in grid:
+        try:
+            found.append((w, _bisect_flip(lambda C: passes(C, w))))
+        except FeasibilitySearchError:
+            continue
+    return found
+
+
+def _with_window(report: FeasibilityReport, found: list) -> FeasibilityReport:
+    """``report`` with the feasible omega range of a sweep in its params."""
+    params = dict(report.params)
+    if found:
+        params["omega_feasible_lo"] = float(min(w for w, _ in found))
+        params["omega_feasible_hi"] = float(max(w for w, _ in found))
+    return replace(report, params=params)
+
+
+def _find_ge1(cc, dens, regime, given):
+    def make(C: float) -> GE1Barrier:
+        return build_barrier(cc, dens, regime, C, **given)
+
+    boundary = _bisect_flip(lambda C: check_ge1(make(C), dens).overall)
+    if regime == REGIME_GE1A:
+        C = boundary * (1.0 + MARGIN)  # lower bound binds: smallest passing C
+    else:
+        C = boundary / (1.0 + MARGIN)  # upper bound binds: largest passing C
     bar = make(C)
     report = check_ge1(bar, dens)
     if not report.overall:
@@ -667,114 +730,57 @@ def _find_ge1(cc, dens, regime, T, search):
     return bar, report
 
 
-def _omega_grid(search: SearchConfig) -> np.ndarray:
-    return np.geomspace(search.omega_min, search.omega_max, search.omega_points)
-
-
-def _find_ge2(cc, dens, T, search):
+def _find_ge2(cc, dens, given):
     _require_two_sided(dens, "the GE2 search")
-    T = 1.0 if T is None else T
     m, p = cc.m, cc.p
-    bbar = dens.alpha + 2.0
     mf = m / (m - 1.0)
 
     def make(C: float, omega: float) -> GE2Barrier:
-        return GE2Barrier(constants=cc, C=C, a=C ** (m - 1.0) / omega, T=T, bbar=bbar, r0=dens.r0)
+        return build_barrier(cc, dens, REGIME_GE2, C, a=C ** (m - 1.0) / omega, **given)
 
-    results = []
-    for checker, cset in ((check_ge2, "envelope"), (check_ge2_pointwise, "pointwise")):
+    for checker, kdecay in ((check_ge2, dens.k2), (check_ge2_pointwise, dens.k1)):
         # the decay-rate condition caps omega independently of C
-        kdecay = dens.k2 if cset == "envelope" else dens.k1
-        omega_cap = (p - m) / ((p - 1.0) * bbar**2 * mf * kdecay)
-        omega = omega_cap / (1.0 + search.margin)
-        if omega <= 0.0:
-            continue
-
-        def pred(C: float, _omega=omega, _checker=checker) -> bool:
-            return _checker(make(C, _omega), dens).overall
-
+        omega_cap = (p - m) / ((p - 1.0) * _bbar(dens) ** 2 * mf * kdecay)
+        omega = omega_cap / (1.0 + MARGIN)
         try:
-            boundary = _bisect_flip(pred, search.c_lo, search.c_hi, search.bisect_iters)
+            boundary = _bisect_flip(lambda C: checker(make(C, omega), dens).overall)
         except FeasibilitySearchError:
             continue
-        C = boundary / (1.0 + search.margin)
-        if search.c_cap is not None and C > search.c_cap:
-            continue
-        bar = make(C, omega)
+        bar = make(boundary / (1.0 + MARGIN), omega)
         report = checker(bar, dens)
         if report.overall:
-            results.append((bar, report, omega_cap, checker))
             break
-
-    if not results:
+    else:
         raise FeasibilitySearchError(
             "no feasible GE2 parameters: both the envelope and the pointwise "
             "condition sets are empty within the search budget"
         )
-    bar, report, omega_cap, checker = results[0]
 
     # report the feasible omega window observed on the documented grid
-    grid = omega_cap * np.geomspace(1.0e-6, 1.0, search.omega_points)
-    feasible = []
-    for w in grid:
-        try:
-            boundary = _bisect_flip(
-                lambda C, _w=w: checker(make(C, _w), dens).overall,
-                search.c_lo,
-                search.c_hi,
-                search.bisect_iters,
-            )
-        except FeasibilitySearchError:
-            continue
-        if search.c_cap is None or boundary / (1.0 + search.margin) <= search.c_cap:
-            feasible.append(w)
-    params = dict(report.params)
-    if feasible:
-        params["omega_feasible_lo"] = float(min(feasible))
-        params["omega_feasible_hi"] = float(max(feasible))
-    return bar, replace(report, params=params)
+    grid = omega_cap * np.geomspace(1.0e-6, 1.0, OMEGA_POINTS)
+    found = _omega_sweep(grid, lambda C, w: checker(make(C, w), dens).overall)
+    return bar, _with_window(report, found)
 
 
-def _find_blowup(cc, dens, T, search):
+def _find_blowup(cc, dens, given):
     _require_two_sided(dens, "the blow-up search")
-    T = 1.0 if T is None else T
     m = cc.m
-    bunder = dens.alpha + 1.0
 
     def make(C: float, omega: float) -> BlowupSubsolution:
-        return BlowupSubsolution(constants=cc, C=C, a=C ** (m - 1.0) / omega, T=T, bunder=bunder)
+        return build_barrier(cc, dens, REGIME_BLOWUP, C, a=C ** (m - 1.0) / omega, **given)
 
-    grid = _omega_grid(search)
-    feasible = []
-    chosen = None
-    for w in grid:
-        try:
-            boundary = _bisect_flip(
-                lambda C, _w=w: check_blowup(make(C, _w), dens).overall,
-                search.c_lo,
-                search.c_hi,
-                search.bisect_iters,
-            )
-        except FeasibilitySearchError:
-            continue
-        C = boundary * (1.0 + search.margin)  # lower bound binds: smallest passing C
-        if search.c_cap is not None and C > search.c_cap:
-            continue
-        feasible.append(w)
-        chosen = (w, C)  # grid is ascending, so this ends at the largest feasible omega
-    if chosen is None:
+    grid = np.geomspace(OMEGA_MIN, OMEGA_MAX, OMEGA_POINTS)
+    found = _omega_sweep(grid, lambda C, w: check_blowup(make(C, w), dens).overall)
+    if not found:
         raise FeasibilitySearchError(
             "no feasible blow-up parameters on the omega grid within the amplitude budget"
         )
-    w, C = chosen
-    bar = make(C, w)
+    w, boundary = found[-1]  # grid is ascending: the largest feasible omega
+    bar = make(boundary * (1.0 + MARGIN), w)  # lower bound binds: smallest passing C
     report = check_blowup(bar, dens)
     if not report.overall:
         raise FeasibilitySearchError("search produced parameters that fail their own check")
-    params = dict(report.params)
-    params["omega_feasible_lo"] = float(min(feasible))
-    params["omega_feasible_hi"] = float(max(feasible))
-    return bar, replace(report, params=params)
+    return bar, _with_window(report, found)
 
 
 def find_params(
@@ -782,38 +788,40 @@ def find_params(
     dens: DensityParams,
     regime: str,
     T: Optional[float] = None,
-    search: Optional[SearchConfig] = None,
+    beta: Optional[float] = None,
+    b: Optional[float] = None,
+    eps: Optional[float] = None,
 ):
     """Deterministic parameter search for one regime.
 
     Sweep order: omega on a log grid (modes with a compact profile), then
-    the amplitude ``C`` by bisection on the binding inequality; ``T`` is
-    fixed by configuration (defaults: 2 for the p < m regime, else 1).
-    Returned parameters satisfy the binding inequality with ``margin``
-    relative slack on the feasible side; the accompanying report is the
-    re-evaluated certificate, so it always passes.
+    the amplitude ``C`` by bisection on the binding inequality.  ``T``,
+    ``beta``, ``b`` and ``eps`` are fixed by the caller or by the regime
+    defaults of :func:`build_barrier`, which also rejects a parameter the
+    regime does not take.  Returned parameters satisfy the binding
+    inequality with ``MARGIN`` relative slack on the feasible side; the
+    accompanying report is the re-evaluated certificate, so it always
+    passes.
 
     Raises :class:`FeasibilitySearchError` when no parameters satisfy every
-    condition within the budget (amplitude bracket, omega grid, optional
-    amplitude cap).
+    condition within the budget (amplitude bracket, omega grid).
     """
-    if search is None:
-        search = SearchConfig()
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    given = {"T": T, "beta": beta, "b": b, "eps": eps}
     if regime == REGIME_GE1A:
         if not cc.p < cc.m:
             raise ValueError("regime GE1a requires p < m")
-        return _find_ge1(cc, dens, regime, T, search)
+        return _find_ge1(cc, dens, regime, given)
     if regime == REGIME_GE1B:
         if not cc.p > cc.m:
             raise ValueError("regime GE1b requires p > m")
-        return _find_ge1(cc, dens, regime, T, search)
+        return _find_ge1(cc, dens, regime, given)
     if not cc.p > cc.m:
         raise ValueError(f"regime {regime} requires p > m")
     if regime == REGIME_GE2:
-        return _find_ge2(cc, dens, T, search)
-    return _find_blowup(cc, dens, T, search)
+        return _find_ge2(cc, dens, given)
+    return _find_blowup(cc, dens, given)
 
 
 def check_auto(bar, dens: DensityParams) -> FeasibilityReport:

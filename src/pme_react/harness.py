@@ -87,7 +87,6 @@ class Scenario:
     barrier: Barrier
     solver: SolverConfig
     initial: InitialData = InitialData()
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.regime not in REGIMES:
@@ -102,31 +101,6 @@ class Scenario:
 
     def grid(self) -> RadialGrid:
         return RadialGrid(N=self.constants.N, R=self.solver.R, cells=self.solver.cells)
-
-
-def barrier_from_params(
-    constants: ProblemConstants, dens: DensityParams, regime: str, params: Dict[str, float]
-) -> Barrier:
-    """Rebuild the barrier object a feasibility report describes."""
-    if regime in (REGIME_GE1A, REGIME_GE1B):
-        return GE1Barrier(
-            constants,
-            C=params["C"],
-            T=params["T"],
-            b=params["b"],
-            eps=params["eps"],
-            r0=dens.r0,
-            beta=params["beta"],
-        )
-    if regime == REGIME_GE2:
-        return GE2Barrier(
-            constants, C=params["C"], a=params["a"], T=params["T"], bbar=params["bbar"], r0=dens.r0
-        )
-    if regime == REGIME_BLOWUP:
-        return BlowupSubsolution(
-            constants, C=params["C"], a=params["a"], T=params["T"], bunder=params["bunder"]
-        )
-    raise ValueError(f"unknown regime {regime!r}")
 
 
 def build_initial(init: InitialData, grid: RadialGrid, barrier: Optional[Barrier] = None) -> np.ndarray:

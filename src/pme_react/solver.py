@@ -71,8 +71,8 @@ class RadialGrid:
     def __post_init__(self) -> None:
         if int(self.N) != self.N or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
-        if not self.R > 0.0:
-            raise ValueError(f"R must be positive, got {self.R}")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError(f"R must be positive and finite, got {self.R}")
         if int(self.cells) != self.cells or self.cells < 2:
             raise ValueError(f"cells must be an integer >= 2, got {self.cells}")
         faces = np.linspace(0.0, self.R, self.cells + 1)
@@ -97,8 +97,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not self.t_end > 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if not self.R > 0.0:
-            raise ValueError(f"R must be positive, got {self.R}")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError(f"R must be positive and finite, got {self.R}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if not self.blowup_threshold > 0.0:
@@ -106,7 +106,7 @@ class SolverConfig:
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
         times = tuple(float(t) for t in self.output_times)
-        if any(t < 0.0 or t > self.t_end for t in times):
+        if not all(0.0 <= t <= self.t_end for t in times):
             raise ValueError("output_times must lie within [0, t_end]")
         if list(times) != sorted(set(times)):
             raise ValueError("output_times must be strictly increasing")

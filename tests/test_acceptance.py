@@ -10,6 +10,7 @@ hardware.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from pme_react.feasibility import (
     REGIME_GE1B,
     REGIME_GE2,
     K_const,
-    SearchConfig,
     check_blowup,
     find_params,
 )
@@ -59,7 +59,7 @@ def _report(ok: bool, label: str) -> None:
 
 @pytest.fixture(scope="module")
 def ge1a_pack():
-    bar, rep = find_params(CC32, H1_FAR, REGIME_GE1A, search=SearchConfig(b=0.95))
+    bar, rep = find_params(CC32, H1_FAR, REGIME_GE1A, b=0.95)
     return bar, rep, H1_FAR
 
 
@@ -195,6 +195,9 @@ def test_criterion_5_self_similar_accuracy():
     )
 
 
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reaction_check.cfg"
+
+
 def test_criterion_6_reaction_clock(tmp_path):
     t0 = time.perf_counter()
     cells = 64
@@ -207,7 +210,7 @@ def test_criterion_6_reaction_clock(tmp_path):
         and abs(res.blowup.s_num - 0.5) <= 0.05 * 0.5
     )
     out = tmp_path / "reaction"
-    rc = cli.main(["simulate", "--config", "configs/reaction_check.cfg", "--out", str(out)])
+    rc = cli.main(["simulate", "--config", str(CONFIG), "--out", str(out)])
     payload = json.loads((out / "summary.json").read_text())
     cli_ok = (
         rc == 0

@@ -159,14 +159,26 @@ def test_initial_data_spellings():
     assert issue.line == PLAIN_TEXT.splitlines().index("initial_data = constant:1.0") + 1
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_initial_constant_must_be_finite(value):
-    text = PLAIN_TEXT.replace("constant:1.0", f"constant:{value}")
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        pytest.param("initial_data = constant:1.0", f"initial_data = constant:{v}", id=v)
+        for v in ("nan", "inf", "-inf")
+    ]
+    + [
+        pytest.param("R = 1.0", "R = inf", id="R-inf"),
+        pytest.param("R = 1.0", "R = nan", id="R-nan"),
+        pytest.param("output_times = 0, 0.2, 0.4", "output_times = 0, nan", id="output_times-nan"),
+        pytest.param("output_times = 0, 0.2, 0.4", "output_times = 0, 0.2, inf", id="output_times-inf"),
+    ],
+)
+def test_initial_constant_must_be_finite(line, bad):
+    text = PLAIN_TEXT.replace(line, bad)
     with pytest.raises(ConfigError) as exc_info:
         loads(text)
     (issue,) = exc_info.value.issues
     assert "finite" in issue.message
-    assert issue.line == PLAIN_TEXT.splitlines().index("initial_data = constant:1.0") + 1
+    assert issue.line == PLAIN_TEXT.splitlines().index(line) + 1
 
 
 def test_scaled_barrier_picks_up_factor():
@@ -215,6 +227,61 @@ def test_resolve_explicit_ge2_pair():
     assert res.report is None  # explicit parameters skip the search
     assert res.barrier.bbar == 4.0  # alpha + 2 from the density
     assert any("T = 1 (default)" in d for d in res.defaults_used)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# what the shipped configs resolve to without running the solver
+REFERENCE = {
+    "ge1a": {"C": 0.7223383898691894, "R": 2000.0, "t_end": 20.0},
+    "ge1b": {"C": 0.339620451625722, "R": 50.0, "t_end": 10.0},
+    "ge2": {"C": 0.7226750271573944, "a": 46.71371375545397, "R": 52.0},
+    "blowup": {"C": 219.23110174053843, "R": 831.2385683796975},
+    "reaction_check": {},
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_reference_configs_resolve_to_pinned_values(path):
+    res = resolve(load(str(path)))
+    want = REFERENCE[path.stem]
+    if not want:
+        assert res.barrier is None
+        return
+    got = {"C": res.barrier.C, "R": res.solver.R, "t_end": res.solver.t_end}
+    if "a" in want:
+        got["a"] = res.barrier.a
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12), key
+
+
+def _shipped(stem, extra):
+    text = (CONFIGS / f"{stem}.cfg").read_text()
+    return text.replace("[barrier]\n", "[barrier]\n" + extra, 1)
+
+
+# the search and the explicit-amplitude path reject the same keys alike
+UNUSED_KEYS = {
+    "ge1b-beta-search": (_shipped("ge1b", "beta = 0.3\n"), "p > m requires beta == 0"),
+    "ge1b-beta-explicit": (_shipped("ge1b", "beta = 0.3\nC = 0.5\n"), "p > m requires beta == 0"),
+    "ge2-b-eps-search": (_shipped("ge2", "b = 0.5\neps = 7\n"), "regime GE2 takes no b, eps"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNUSED_KEYS))
+def test_resolve_rejects_barrier_keys_the_regime_does_not_take(case):
+    text, message = UNUSED_KEYS[case]
+    with pytest.raises(ValueError, match=message):
+        resolve(loads(text))
+
+
+@pytest.mark.parametrize("case", list(UNUSED_KEYS))
+def test_cli_barrier_keys_the_regime_does_not_take_exit_1(tmp_path, capsys, case):
+    text, message = UNUSED_KEYS[case]
+    cfg = write(tmp_path, "extra.cfg", text)
+    rc = cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_resolve_plain_simulation():

@@ -17,7 +17,7 @@ from pme_react.feasibility import (
     REGIME_GE2,
     FeasibilitySearchError,
     K_const,
-    SearchConfig,
+    build_barrier,
     check_auto,
     check_blowup,
     check_ge1,
@@ -124,7 +124,7 @@ def test_blowup_pass_is_monotone_in_amplitude(C, boost):
 
 @pytest.fixture(scope="module")
 def ge1a_found():
-    return find_params(CC32, H1_FAR, REGIME_GE1A, search=SearchConfig(b=0.95))
+    return find_params(CC32, H1_FAR, REGIME_GE1A, b=0.95)
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +180,7 @@ def test_ge1_requires_h1_weight(ge1b_found):
 
 def test_ge1_search_rejects_bad_shape():
     with pytest.raises(FeasibilitySearchError):
-        find_params(CC32, H1_FAR, REGIME_GE1A, search=SearchConfig(b=1.2))
+        find_params(CC32, H1_FAR, REGIME_GE1A, b=1.2)
     # r0 = e leaves no admissible eps window at all
     with pytest.raises(FeasibilitySearchError):
         find_params(CC23, DensityParams(family="H1", alpha=2.0, r0=E), REGIME_GE1B)
@@ -195,6 +195,20 @@ def test_ge1_regime_consistency():
         find_params(CC32, H2S_8, REGIME_GE2)  # GE2 needs p > m
     with pytest.raises(ValueError):
         find_params(CC23, H1_FAR, "GE3")
+
+
+def test_build_barrier_rejects_keys_outside_its_regime():
+    with pytest.raises(ValueError, match="regime GE2 takes no b, eps"):
+        build_barrier(CC23, H2S_8, REGIME_GE2, 0.7, a=40.0, b=0.5, eps=7.0)
+    with pytest.raises(ValueError, match="regime GE1b takes no a"):
+        build_barrier(CC23, H1_NEAR, REGIME_GE1B, 0.3, a=1.0)
+    with pytest.raises(ValueError, match="both C and a"):
+        build_barrier(CC23, H2S_E, REGIME_BLOWUP, 200.0)
+    # the search builds through the same function, so it rejects them too
+    with pytest.raises(ValueError, match="regime GE2 takes no b"):
+        find_params(CC23, H2S_8, REGIME_GE2, b=0.5)
+    with pytest.raises(ValueError, match="p > m requires beta == 0"):
+        find_params(CC23, H1_NEAR, REGIME_GE1B, beta=0.3)
 
 
 # -- GE2: envelope collapse and the pointwise rescue ------------------------
@@ -248,8 +262,11 @@ def test_ge2_envelope_is_empty_at_unit_band():
     assert rep.entry("support_decay_rate").passed
     assert not rep.entry("amplitude_balance").passed
     assert not rep.overall
-    with pytest.raises(FeasibilitySearchError):
-        find_params(CC23, H2S_8, REGIME_GE2, search=SearchConfig(c_cap=1e-6))
+    # closer to p = m the decay-rate cap on omega shrinks with p - m, and
+    # neither condition set admits an amplitude
+    cc = ProblemConstants(m=2.0, p=2.05, N=3)
+    with pytest.raises(FeasibilitySearchError, match="both the envelope and the pointwise"):
+        find_params(cc, H2S_8, REGIME_GE2)
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,11 @@ import pytest
 from pme_react.barrier import E, BlowupSubsolution
 from pme_react.density import DensityParams, ProblemConstants
 from pme_react.feasibility import (
+    BARRIER_KEYS,
     REGIME_BLOWUP,
     REGIME_GE1B,
     REGIME_GE2,
+    build_barrier,
     check_ge1,
     find_params,
 )
@@ -18,7 +20,6 @@ from pme_react.harness import (
     Scenario,
     VERDICT_INCONCLUSIVE,
     VERDICT_PASS,
-    barrier_from_params,
     blowup_scan,
     build_initial,
     comparison_experiment,
@@ -110,13 +111,11 @@ def test_build_initial_kinds(tmp_path, ge1b):
         build_initial(InitialData(kind="csv", path=str(short)), grid)
 
 
-def test_barrier_from_params_round_trip(ge1b, blowup):
-    bar, rep = ge1b
-    back = barrier_from_params(CC23, H1_NEAR, REGIME_GE1B, rep.params)
-    assert back == bar
-    bub, brep = blowup
-    back2 = barrier_from_params(CC23, H2S_E, REGIME_BLOWUP, brep.params)
-    assert back2 == bub
+def test_build_barrier_round_trip(ge1b, blowup):
+    # a report's params rebuild the barrier it certified
+    for (bar, rep), dens, regime in ((ge1b, H1_NEAR, REGIME_GE1B), (blowup, H2S_E, REGIME_BLOWUP)):
+        given = {k: rep.params[k] for k in BARRIER_KEYS[regime]}
+        assert build_barrier(CC23, dens, regime, rep.params["C"], **given) == bar
 
 
 def test_hypothesis_check_sides(ge1b, blowup):

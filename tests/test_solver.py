@@ -112,6 +112,14 @@ def test_run_rejects_non_finite_initial_data(bad):
         run(u0, g, ones, CC23, cfg)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solver_config_rejects_non_finite_R_and_output_times(bad):
+    with pytest.raises(ValueError, match="R must be positive and finite"):
+        SolverConfig(t_end=1.0, R=bad, cells=8)
+    with pytest.raises(ValueError, match="output_times must lie within"):
+        SolverConfig(t_end=1.0, R=1.0, cells=8, output_times=(0.0, bad))
+
+
 # -- conservation and invariance --------------------------------------------
 
 
