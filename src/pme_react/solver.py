@@ -9,11 +9,33 @@ either a homogeneous Dirichlet ghost cell at distance Δr or a zero-flux
 Neumann face.  The update is explicit Euler on
 ``u_i += dt/(rho_i V_i) (F_{i+1/2} - F_{i-1/2}) + dt u_i^p``.
 
-Time step.  Diffusion-limited by ``cfl_safety * min_i rho_i Δr^2 / (2 N m
-u_nbhd^(m-1))`` where ``u_nbhd`` is the max of the cell and its neighbors,
-additionally capped by ``REACTION_DT_CAP * (sup u)^(1-p)`` when the reaction
-is on, and by the remaining time to ``t_end`` (which also covers an
-identically zero state, whose diffusion limit is infinite).
+Time step.  Write ``w = u^m`` and ``A_{i±1/2} = r^(N-1)`` for the face
+areas.  One step is
+
+    u_i' = u_i + dt/(rho_i V_i Δr) (A_{i+1/2} (w_{i+1} - w_i)
+                                    - A_{i-1/2} (w_i - w_{i-1})) + dt u_i^p.
+
+The neighbours enter with nonnegative weights and ``u^p`` grows with
+``u_i``.  For two states ``lo <= hi`` the mean value theorem gives
+``hi_i^m - lo_i^m = m xi^(m-1) (hi_i - lo_i)`` with ``xi <= hi_i``, so the
+coefficient of ``hi_i - lo_i`` in ``hi_i' - lo_i'`` is at least
+``1 - dt m u_nbhd^(m-1) (A_{i-1/2} + A_{i+1/2}) / (rho_i V_i Δr)``, where
+``u_nbhd`` is the max of ``hi`` over the cell and its neighbours.  So the
+step maps ordered pairs to ordered pairs (and nonnegative data to
+nonnegative data) as long as
+
+    dt <= cfl_safety * min_i rho_i V_i Δr / (m u_nbhd^(m-1) (A_{i-1/2} + A_{i+1/2}))
+
+with ``cfl_safety <= 1``; ``cfl_safety = 1`` is the monotone limit.  The
+origin face has zero area.  The outer face counts with its full area under
+both boundaries: the Dirichlet ghost cell sits at distance Δr, and the
+Neumann face carries no flux, so counting it there only shortens the step.
+Against the origin-cell rule ``rho_i Δr^2 / (2 N m u_nbhd^(m-1))`` the
+per-cell bound is larger by ``2 N V_i / (Δr (A_{i-1/2} + A_{i+1/2}))``:
+2 at the origin cell, tending to N in the interior.  When the reaction is
+on, dt is also capped by ``REACTION_DT_CAP * (sup u)^(1-p)``, and always by
+the remaining time to ``t_end`` (which also covers an identically zero
+state, whose diffusion limit is infinite).
 
 Blow-up bookkeeping.  The run stops when the sup norm reaches
 ``blowup_threshold`` (the numerical blow-up time is linearly interpolated
@@ -184,8 +206,8 @@ def _rho_values(rho: Union[DensityParams, Callable, np.ndarray, Sequence[float]]
 
 
 def step(u: np.ndarray, t: float, grid: RadialGrid, rho, constants: ProblemConstants, config: SolverConfig) -> Tuple[np.ndarray, float]:
-    """Single explicit step (mainly for tests); returns the new state."""
-    res = run(u, grid, rho, constants, replace(config, max_steps=1))
+    """Single explicit step from ``(t, u)`` (mainly for tests); returns the new state."""
+    res = run(State(t=t, u=u), grid, rho, constants, replace(config, max_steps=1))
     return res.final_state.u, res.final_state.t
 
 
@@ -223,7 +245,7 @@ def run(
     rho_vol = rho_vals * vol
     inv_rho_vol = 1.0 / rho_vol
     area_over_dr = grid.faces ** (grid.N - 1) / grid.dr
-    cfl_coef = config.cfl_safety * rho_vals * grid.dr**2 / (2.0 * grid.N * constants.m)
+    cfl_coef = config.cfl_safety * rho_vol / (constants.m * (area_over_dr[:-1] + area_over_dr[1:]))
     dirichlet = config.boundary == BOUNDARY_DIRICHLET
 
     u_prev = np.empty_like(u)

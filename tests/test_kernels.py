@@ -27,8 +27,9 @@ def _advance_calls(kernel, u0, m, p, dirichlet):
     g = RadialGrid(N=N, R=R, cells=CELLS)
     rho = 1.0 + 0.5 * g.centers
     rho_vol = rho * g.volumes
-    cfl_coef = 0.45 * rho * g.dr**2 / (2.0 * N * m)
     area_over_dr = g.faces ** (N - 1) / g.dr
+    # the per-cell coefficient solver.run passes at its default cfl_safety
+    cfl_coef = 0.45 * rho_vol / (m * (area_over_dr[:-1] + area_over_dr[1:]))
     u = np.array(u0, dtype=float)
     u_prev = u.copy()
     um = np.full(CELLS, np.nan)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pme_react import _kernels
-from pme_react.density import ProblemConstants
+from pme_react.density import DensityParams, ProblemConstants
 from pme_react.solver import (
+    BOUNDARIES,
     BOUNDARY_DIRICHLET,
     BOUNDARY_NEUMANN,
+    REACTION_DT_CAP,
     TERM_BLOWUP,
     TERM_COMPLETED,
     TERM_STEP_LIMIT,
@@ -25,6 +27,7 @@ from pme_react.solver import (
 )
 
 CC23 = ProblemConstants(m=2.0, p=3.0, N=3)
+H2S_8 = DensityParams(family="H2Smooth", alpha=2.0, r0=8.0)
 
 
 def ones(r):
@@ -263,6 +266,104 @@ def test_single_step_wrapper():
     assert 0.0 < t1 < 0.5
     assert u1.shape == u0.shape
     assert not np.array_equal(u1, u0)
+
+
+def test_single_step_wrapper_starts_at_t():
+    g, u0, _ = diffusion_setup(cells=48)
+    cfg = SolverConfig(t_end=0.5, R=10.0, cells=48, boundary=BOUNDARY_NEUMANN, reaction=False)
+    u1, dt = step(u0, 0.0, g, ones, CC23, cfg)
+    u2, t2 = step(u0, 0.2, g, ones, CC23, cfg)
+    assert t2 == 0.2 + dt
+    np.testing.assert_array_equal(u2, u1)
+
+
+# -- time step ---------------------------------------------------------------
+
+
+def per_cell_dt(u, g, rho_vals, m, cfl_safety):
+    """``cfl_safety rho_i V_i dr / (m u_nbhd^(m-1) (A_{i-1/2} + A_{i+1/2}))``
+    for every cell, with the face areas ``A = r^(N-1)``."""
+    nbhd = np.maximum(u, np.maximum(np.r_[0.0, u[:-1]], np.r_[u[1:], 0.0]))
+    area = g.faces ** (g.N - 1)
+    return cfl_safety * rho_vals * g.volumes * g.dr / (m * nbhd ** (m - 1.0) * (area[:-1] + area[1:]))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("cell", [0, 32, 63], ids=["origin", "interior", "outer"])
+@pytest.mark.parametrize("m", [2.0, 3.0])
+def test_step_takes_the_per_cell_monotone_dt(m, cell, boundary):
+    cells, N, cfl = 64, 3, 0.45
+    g = RadialGrid(N=N, R=20.0, cells=cells)
+    u0 = 0.7 + 0.2 * np.cos(g.centers)
+    rho_vals = np.ones(cells)
+    rho_vals[cell] = 0.1  # the dip makes this cell bind
+    cfg = SolverConfig(t_end=1.0, R=20.0, cells=cells, boundary=boundary, reaction=False, cfl_safety=cfl)
+    _, dt = step(u0, 0.0, g, rho_vals, ProblemConstants(m=m, p=3.0, N=N), cfg)
+
+    dts = per_cell_dt(u0, g, rho_vals, m, cfl)
+    assert int(np.argmin(dts)) == cell
+    # the outer face counts under Neumann too, so both boundaries agree
+    assert dt == pytest.approx(dts[cell], rel=1e-13)
+    nbhd = max(u0[max(cell - 1, 0) : cell + 2])
+    origin_rule = cfl * rho_vals[cell] * g.dr**2 / (2.0 * N * m * nbhd ** (m - 1.0))
+    ratio = dt / origin_rule
+    if cell == 0:
+        assert ratio == pytest.approx(2.0, rel=1e-13)
+    else:
+        assert ratio == pytest.approx(N, rel=0.01)
+
+
+@pytest.mark.parametrize("m", [2.0, 3.0])
+def test_cfl_safety_one_keeps_ordered_pairs_ordered(m):
+    cells, p = 64, 3.0
+    cc = ProblemConstants(m=m, p=p, N=3)
+    g = RadialGrid(N=3, R=20.0, cells=cells)
+    rng = np.random.default_rng(int(m))
+    shape = np.exp(-g.centers / 5.0)
+    for _ in range(100):
+        lo = 0.5 * rng.uniform(0.0, 1.0, cells) * shape
+        hi = lo + 0.5 * rng.uniform(0.0, 1.0, cells) * shape
+        cfg = SolverConfig(t_end=1.0, R=20.0, cells=cells, cfl_safety=1.0)
+        _, dt = step(hi, 0.0, g, H2S_8, cc, cfg)
+        # diffusion, not the reaction cap, set the step
+        assert dt < REACTION_DT_CAP * hi.max() ** (1.0 - p)
+        # lo <= hi allows lo a step at least as long, so both take dt
+        cfg = SolverConfig(t_end=dt, R=20.0, cells=cells, cfl_safety=1.0, max_steps=1)
+        res_lo = run(lo, g, H2S_8, cc, cfg)
+        res_hi = run(hi, g, H2S_8, cc, cfg)
+        assert res_lo.final_state.t == res_hi.final_state.t == dt
+        assert res_lo.clamp_total == 0.0 and res_hi.clamp_total == 0.0
+        assert np.all(res_lo.final_state.u <= res_hi.final_state.u)
+
+
+@pytest.mark.parametrize("m", [2.0, 3.0])
+def test_step_past_the_monotone_limit_reverses_a_bump(m):
+    cells, N = 64, 3
+    g = RadialGrid(N=N, R=20.0, cells=cells)
+    rho_vol = g.volumes  # rho = 1
+    area_over_dr = g.faces ** (N - 1) / g.dr
+    limit = rho_vol / (m * (area_over_dr[:-1] + area_over_dr[1:]))
+
+    def one_step(u0, cfl_coef, t_end):
+        u = u0.copy()
+        res = _kernels.advance(
+            u, np.empty(cells), np.empty(cells), np.empty(cells + 1), rho_vol, 1.0 / rho_vol,
+            area_over_dr, cfl_coef, m, 3.0, True, True, 1.0e6, REACTION_DT_CAP, 0.0, t_end, t_end, 1,
+        )
+        return u, res[1]
+
+    hi = np.zeros(cells)
+    hi[30] = 1.0
+    lo = 0.999 * hi
+    gap = {}
+    for scale in (1.0, 1.1):
+        _, dt = one_step(hi, scale * limit, 1.0)
+        hi_new, t_hi = one_step(hi, scale * limit, dt)
+        lo_new, t_lo = one_step(lo, scale * limit, dt)
+        assert t_hi == t_lo == dt
+        gap[scale] = float(np.max(lo_new - hi_new))
+    assert gap[1.0] <= 0.0
+    assert gap[1.1] > 1e-6
 
 
 # -- kernel dispatch ---------------------------------------------------------
