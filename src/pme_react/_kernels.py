@@ -1,20 +1,21 @@
-"""Inner stepping loops for the explicit radial scheme.
+"""Inner stepping loop for the explicit radial scheme.
 
-Two implementations of the same contract: a scalar loop over every cell,
-compiled with numba when numba imports, and a numpy kernel used otherwise.
-The scalar loop is the reference.  The numpy kernel keeps each cell's
-arithmetic in the same order, so for m, p in {2, 3}, where both expand the
-powers into products, the two produce bit-identical trajectories.  For
-other exponents the scalar ``**`` and ``np.power`` round differently and
-the paths agree only to rounding.
+``advance`` is a numpy kernel: one python iteration per time step, whose
+array operations write into buffers allocated once per call.  Its
+plain-Python reference, a scalar loop over every cell, lives in
+``tests/test_kernels.py``.  The kernel keeps each cell's arithmetic in the
+reference's order, so for m, p in {2, 3}, where both expand the powers into
+products, the two produce bit-identical trajectories.  For other exponents
+the scalar ``**`` and ``np.power`` round differently and the two agree only
+to rounding.
 
-The numpy kernel steps only the active window ``[0, hi)``.  Invariant: at
-the start of every step each cell from ``hi - 1`` on holds +0.0.  A +0.0
-cell between +0.0 neighbours stays +0.0 through a step (no flux, no
-reaction) and adds no term to the dt minimum, so leaving it out changes no
-value.  ``hi`` starts at the last nonzero cell plus 2 and grows by one when
-the edge cell ``hi - 1`` turns positive, which the three-point stencil
-allows at most once per step.
+The kernel steps only the active window ``[0, hi)``.  Invariant: at the
+start of every step each cell from ``hi - 1`` on holds +0.0.  A +0.0 cell
+between +0.0 neighbours stays +0.0 through a step (no flux, no reaction)
+and adds no term to the dt minimum, so leaving it out changes no value.
+``hi`` starts at the last nonzero cell plus 2 and grows by one when the
+edge cell ``hi - 1`` turns positive, which the three-point stencil allows
+at most once per step.
 
 Contract of ``advance``: starting from cell values ``u`` at time ``t``, take
 explicit Euler steps (diffusion flux divergence plus optional reaction) until
@@ -22,8 +23,8 @@ explicit Euler steps (diffusion flux divergence plus optional reaction) until
 norm crosses ``blowup_threshold``, a non-finite value appears, or time stops
 advancing.  ``u_prev`` holds the state before the last executed step, so the
 caller can interpolate output times and the threshold crossing inside the
-final step; the numpy kernel copies all of ``u`` into it on entry, so the
-cells past the window hold their zeros there too.
+final step; all of ``u`` is copied into it on entry, so the cells past the
+window hold their zeros there too.
 
 Returns ``(t_prev, t, status, nsub, clamp_added, sup_prev, sup_new)`` with
 status codes: 0 reached t_stop, 1 threshold blow-up, 2 non-finite blow-up,
@@ -36,12 +37,8 @@ import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
+# the only backend; kept so benchmark records can name it
+HAVE_NUMBA = False
 
 STATUS_REACHED_TSTOP = 0
 STATUS_BLOWUP = 1
@@ -50,11 +47,9 @@ STATUS_STALLED = 3
 STATUS_BUDGET = 4
 
 
-def _advance_impl(
+def advance(
     u,
     u_prev,
-    um,
-    flux,
     rho_vol,
     inv_rho_vol,
     area_over_dr,
@@ -70,129 +65,6 @@ def _advance_impl(
     t_stop,
     max_sub,
 ):
-    n = u.shape[0]
-    clamp_added = 0.0
-    nsub = 0
-    t_prev = t
-    sup_prev = 0.0
-    s0 = 0.0
-    for i in range(n):
-        if u[i] > s0:
-            s0 = u[i]
-    sup_new = s0
-    status = STATUS_REACHED_TSTOP
-
-    while t < t_stop and nsub < max_sub:
-        # diffusion-limited dt from the neighborhood max of u
-        dt = t_end - t
-        for i in range(n):
-            mm = u[i]
-            if i > 0 and u[i - 1] > mm:
-                mm = u[i - 1]
-            if i < n - 1 and u[i + 1] > mm:
-                mm = u[i + 1]
-            if mm > 0.0:
-                if m == 2.0:
-                    pw = mm
-                elif m == 3.0:
-                    pw = mm * mm
-                else:
-                    pw = mm ** (m - 1.0)
-                dti = cfl_coef[i] / pw
-                if dti < dt:
-                    dt = dti
-        if reaction and s0 > 0.0:
-            dtr = react_cap * s0 ** (1.0 - p)
-            if dtr < dt:
-                dt = dtr
-        if t + dt == t:
-            status = STATUS_STALLED
-            break
-
-        for i in range(n):
-            ui = u[i]
-            if m == 2.0:
-                um[i] = ui * ui
-            elif m == 3.0:
-                um[i] = ui * ui * ui
-            else:
-                um[i] = ui**m
-
-        flux[0] = 0.0
-        for j in range(1, n):
-            flux[j] = area_over_dr[j] * (um[j] - um[j - 1])
-        if dirichlet:
-            flux[n] = -area_over_dr[n] * um[n - 1]
-        else:
-            flux[n] = 0.0
-
-        for i in range(n):
-            u_prev[i] = u[i]
-        t_prev = t
-        sup_prev = s0
-
-        s1 = 0.0
-        finite = True
-        for i in range(n):
-            ui = u[i]
-            unew = ui + dt * inv_rho_vol[i] * (flux[i + 1] - flux[i])
-            if reaction:
-                if p == 2.0:
-                    up = ui * ui
-                elif p == 3.0:
-                    up = ui * ui * ui
-                else:
-                    up = ui**p
-                unew = unew + dt * up
-            if unew < 0.0:
-                clamp_added += rho_vol[i] * (-unew)
-                unew = 0.0
-            u[i] = unew
-            if not math.isfinite(unew):
-                finite = False
-            if unew > s1:
-                s1 = unew
-
-        t = t + dt
-        nsub += 1
-        sup_new = s1
-        if not finite:
-            status = STATUS_OVERFLOW
-            break
-        if s1 >= blowup_threshold:
-            status = STATUS_BLOWUP
-            break
-        s0 = s1
-
-    if status == STATUS_REACHED_TSTOP and t < t_stop:
-        status = STATUS_BUDGET
-    return t_prev, t, status, nsub, clamp_added, sup_prev, sup_new
-
-
-def _advance_numpy(
-    u,
-    u_prev,
-    um,
-    flux,
-    rho_vol,
-    inv_rho_vol,
-    area_over_dr,
-    cfl_coef,
-    m,
-    p,
-    reaction,
-    dirichlet,
-    blowup_threshold,
-    react_cap,
-    t,
-    t_end,
-    t_stop,
-    max_sub,
-):
-    # Vectorized variant of _advance_impl on the active window [0, hi): one
-    # python iteration per time step, whose array ops write into buffers
-    # allocated once per call (only the rare clamp and masked-dt paths
-    # allocate inside the loop).
     n = u.shape[0]
     clamp_added = 0.0
     nsub = 0
@@ -208,6 +80,10 @@ def _advance_numpy(
     hi = min(int(nonzero[-1]) + 2 if nonzero.size else 1, n)
     width = 0
     u_prev[:] = u
+    # scratch buffers, allocated once per call; only the rare clamp and
+    # masked-dt paths allocate inside the loop
+    um = np.empty(n)
+    flux = np.empty(n + 1)
     flux[0] = 0.0
     face_max = np.empty(n + 1)
     nbhd = np.empty(n)
@@ -245,7 +121,7 @@ def _advance_numpy(
             elif m != 2.0:
                 np.power(nbhd_w, m - 1.0, out=pw_w)
             # a +0.0 pw gives +inf, which never sets dt; a -0.0 or nan pw
-            # would not, so those fall back to the mask of _advance_impl
+            # would not, so those fall back to a mask of the cells with pw > 0
             np.divide(cfl_w, pw_w, out=ratio_w)
             r = float(minimum.reduce(ratio_w))
             if not r > 0.0:
@@ -258,7 +134,7 @@ def _advance_numpy(
                 status = STATUS_STALLED
                 break
 
-            # u^m and u^p from one u*u: u*u*u is (u*u)*u, as in _advance_impl
+            # u^m and u^p from one u*u: u*u*u is (u*u)*u, as in the reference
             multiply(uk, uk, out=sq_k)
             if m == 3.0:
                 multiply(sq_k, uk, out=um_k)
@@ -309,6 +185,3 @@ def _advance_numpy(
     if status == STATUS_REACHED_TSTOP and t < t_stop:
         status = STATUS_BUDGET
     return t_prev, t, status, nsub, clamp_added, sup_prev, sup_new
-
-
-advance = njit(cache=True)(_advance_impl) if HAVE_NUMBA else _advance_numpy

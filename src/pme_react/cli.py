@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -41,15 +42,12 @@ from .harness import (
     build_initial,
     derivative_crosscheck,
     residual_sweep,
-    run_scenario,
 )
 from .solver import RadialGrid, RunResult, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
-
-SCAN_FACTORS = (0.25, 0.5, 0.75, 1.0, 1.25)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,9 +62,21 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _finite_or_null(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(path: str, payload: dict) -> None:
+    # strict JSON: NaN and Infinity are not JSON, so non-finite floats are
+    # written as null
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True))
+        fh.write(json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False))
         fh.write("\n")
 
 
@@ -161,13 +171,9 @@ def _cmd_barrier_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     resolved = _load(args)
-    if resolved.barrier is not None:
-        res = run_scenario(resolved.scenario())
-    else:
-        grid = RadialGrid(N=resolved.constants.N, R=resolved.solver.R, cells=resolved.solver.cells)
-        u0 = build_initial(resolved.initial, grid)
-        res = run(u0, grid, resolved.density, resolved.constants, resolved.solver)
-    grid = res.grid
+    grid = RadialGrid(N=resolved.constants.N, R=resolved.solver.R, cells=resolved.solver.cells)
+    u0 = build_initial(resolved.initial, grid, resolved.barrier)
+    res = run(u0, grid, resolved.density, resolved.constants, resolved.solver)
     _write_series(os.path.join(args.out, "series.csv"), res)
     _write_snapshots(os.path.join(args.out, "snapshots.csv"), res, grid)
     payload = _run_summary(res)
@@ -200,7 +206,7 @@ def _cmd_scan(args) -> int:
         raise ValueError("'blow-up-scan' needs the blow-up regime")
     scenario = resolved.scenario()
     result = comparison_experiment(scenario)
-    rows = blowup_scan(scenario, factors=SCAN_FACTORS)
+    rows = blowup_scan(scenario)
     _write_series(os.path.join(args.out, "series.csv"), result.run)
     _write_snapshots(os.path.join(args.out, "snapshots.csv"), result.run, result.run.grid)
     _write_scan(os.path.join(args.out, "scan.csv"), rows)

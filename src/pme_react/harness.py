@@ -39,7 +39,7 @@ from .feasibility import (
     REGIME_GE2,
     REGIMES,
 )
-from .solver import RadialGrid, RunResult, SolverConfig, run, support_radius_numeric
+from .solver import RadialGrid, RunResult, SolverConfig, reaction_time_scale, run, support_radius_numeric
 
 Barrier = Union[GE1Barrier, GE2Barrier, BlowupSubsolution]
 
@@ -384,12 +384,6 @@ def comparison_tolerance(u_num: np.ndarray, u_bar: np.ndarray) -> np.ndarray:
     return 1.0e-8 + 1.0e-3 * np.maximum(np.abs(u_num), np.abs(u_bar))
 
 
-def run_scenario(scenario: Scenario) -> RunResult:
-    grid = scenario.grid()
-    u0 = build_initial(scenario.initial, grid, scenario.barrier)
-    return run(u0, grid, scenario.density, scenario.constants, scenario.solver)
-
-
 def comparison_experiment(scenario: Scenario) -> ComparisonResult:
     """Run the scheme and test the ordering the barrier predicts.
 
@@ -540,7 +534,7 @@ def blowup_scan(
     p = scenario.constants.p
     rows = []
     for f in factors:
-        tau_f = 1.0 / ((p - 1.0) * (f * sup0) ** (p - 1.0))
+        tau_f = reaction_time_scale(p, f * sup0)
         t_end = max(scenario.solver.t_end, 3.0 * tau_f)
         cfg = replace(scenario.solver, t_end=t_end, output_times=())
         res = run(f * u0, grid, scenario.density, scenario.constants, cfg)

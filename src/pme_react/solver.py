@@ -249,8 +249,6 @@ def run(
     dirichlet = config.boundary == BOUNDARY_DIRICHLET
 
     u_prev = np.empty_like(u)
-    um = np.empty_like(u)
-    flux = np.empty(grid.cells + 1, dtype=float)
 
     tau0 = reaction_time_scale(constants.p, float(u.max())) if config.reaction else None
 
@@ -284,8 +282,6 @@ def run(
         t_prev, t, status, nsub, clamp_added, sup_prev, sup_new = _kernels.advance(
             u,
             u_prev,
-            um,
-            flux,
             rho_vol,
             inv_rho_vol,
             area_over_dr,

@@ -405,13 +405,42 @@ def test_cli_simulate_plain_short_csv_exits_1(tmp_path, capsys):
     assert "csv initial data has 3 values, grid has 16 cells" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.optimize alone cost about 0.5 s of every command's start-up
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cli_writes_strict_json(tmp_path, capsys):
+    # NaN and Infinity are not JSON; strict readers reject the file
+    cfg = write(tmp_path, "cmp.cfg", GE1B_TEXT + "t_end = 0.5\noutput_times = 0, 0.25, 0.5\n")
+    assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp")]) == 0
+    verdict = json.loads((tmp_path / "cmp" / "verdict.json").read_text(), parse_constant=_reject_constant)
+    assert verdict["support_checked"] is False
+    assert verdict["support_worst_cells"] is None
+    cfg = write(tmp_path, "zero.cfg", PLAIN_TEXT.replace("constant:1.0", "constant:0.0"))
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "zero")]) == 0
+    summary = json.loads((tmp_path / "zero" / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["termination"] == "completed"
+    assert summary["tau0"] is None
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy.optimize alone cost about 0.5 s of every command's start-up.
+    # The second run puts an importable numba first on the path: the
+    # package has one kernel and must not pick it up.
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import pme_react.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    stub = tmp_path / "stub" / "numba"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("def njit(*args, **kwargs):\n    return lambda f: f\n")
+    code = (
+        "import json, sys, pme_react.cli\n"
+        "from pme_react import _kernels\n"
+        "top = {m.split('.')[0] for m in sys.modules}\n"
+        "print(json.dumps([sorted(top & {'scipy', 'numba'}), _kernels.HAVE_NUMBA]))\n"
+    )
+    for path in (str(src), os.pathsep.join((str(stub.parent), str(src)))):
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == [[], False]
 
 
 def test_cli_scan_writes_rows(tmp_path, capsys):

@@ -27,9 +27,8 @@ from pme_react.harness import (
     derivative_crosscheck,
     hypothesis_check,
     residual_sweep,
-    run_scenario,
 )
-from pme_react.solver import BOUNDARY_DIRICHLET, SolverConfig
+from pme_react.solver import BOUNDARY_DIRICHLET, SolverConfig, run
 
 CC23 = ProblemConstants(m=2.0, p=3.0, N=3)
 H1_NEAR = DensityParams(family="H1", alpha=2.0, r0=25.0)
@@ -191,7 +190,8 @@ def test_derivative_crosscheck_small_batch(ge1b):
 def test_run_scenario_outputs(ge1b):
     bar, _ = ge1b
     sc = ge1b_scenario(bar, t_end=0.2)
-    res = run_scenario(sc)
+    grid = sc.grid()
+    res = run(build_initial(sc.initial, grid, sc.barrier), grid, sc.density, sc.constants, sc.solver)
     np.testing.assert_allclose(res.times, sc.solver.output_times, rtol=0, atol=0)
     assert res.termination == "completed"
 

@@ -347,8 +347,8 @@ def test_step_past_the_monotone_limit_reverses_a_bump(m):
     def one_step(u0, cfl_coef, t_end):
         u = u0.copy()
         res = _kernels.advance(
-            u, np.empty(cells), np.empty(cells), np.empty(cells + 1), rho_vol, 1.0 / rho_vol,
-            area_over_dr, cfl_coef, m, 3.0, True, True, 1.0e6, REACTION_DT_CAP, 0.0, t_end, t_end, 1,
+            u, np.empty(cells), rho_vol, 1.0 / rho_vol, area_over_dr, cfl_coef,
+            m, 3.0, True, True, 1.0e6, REACTION_DT_CAP, 0.0, t_end, t_end, 1,
         )
         return u, res[1]
 
@@ -364,21 +364,6 @@ def test_step_past_the_monotone_limit_reverses_a_bump(m):
         gap[scale] = float(np.max(lo_new - hi_new))
     assert gap[1.0] <= 0.0
     assert gap[1.1] > 1e-6
-
-
-# -- kernel dispatch ---------------------------------------------------------
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_numba_and_numpy_paths_agree(monkeypatch):
-    g, u0, _ = diffusion_setup(cells=48)
-    cfg = SolverConfig(t_end=0.05, R=10.0, cells=48, boundary=BOUNDARY_DIRICHLET)
-    a = run(u0, g, ones, CC23, cfg)
-    monkeypatch.setattr(_kernels, "advance", _kernels._advance_numpy)
-    b = run(u0, g, ones, CC23, cfg)
-    assert a.steps == b.steps
-    np.testing.assert_allclose(a.final_state.u, b.final_state.u, rtol=1e-12, atol=0.0)
-    assert a.final_state.t == pytest.approx(b.final_state.t, rel=1e-12)
 
 
 # -- self-similar spreading solution ----------------------------------------
