@@ -54,7 +54,7 @@ from .harness import (
     InitialData,
     Scenario,
 )
-from .solver import BOUNDARIES, BOUNDARY_DIRICHLET, SolverConfig
+from .solver import BOUNDARIES, SolverConfig
 
 _SECTIONS = ("problem", "density", "barrier", "solver", "harness")
 _IGNORED = object()  # sentinel section for keys under an unknown header
@@ -283,10 +283,16 @@ def loads(text: str) -> LoadedConfig:
     R = solver_s.get("r", _float_or_auto, "auto")
     cells = solver_s.get("cells", _int, 256)
     t_end = solver_s.get("t_end", _float, None)
-    cfl_safety = solver_s.get("cfl_safety", _float, 0.45)
-    blowup_threshold = solver_s.get("blowup_threshold", _float, 1.0e6)
-    boundary = solver_s.get("boundary", _choice(BOUNDARIES), BOUNDARY_DIRICHLET)
-    reaction = solver_s.get("reaction", _bool, True)
+    # a dataclass field's default is its class attribute: each is written once
+    solver_kwargs = {
+        key: solver_s.get(key, parse, getattr(SolverConfig, key))
+        for key, parse in (
+            ("cfl_safety", _float),
+            ("blowup_threshold", _float),
+            ("boundary", _choice(BOUNDARIES)),
+            ("reaction", _bool),
+        )
+    }
     output_times = solver_s.get("output_times", _float_list_or_auto, "auto")
     solver_s.finish()
 
@@ -329,12 +335,7 @@ def loads(text: str) -> LoadedConfig:
         solver_R=R,
         solver_cells=cells,
         solver_t_end=t_end,
-        solver_kwargs={
-            "cfl_safety": cfl_safety,
-            "blowup_threshold": blowup_threshold,
-            "boundary": boundary,
-            "reaction": reaction,
-        },
+        solver_kwargs=solver_kwargs,
         output_times=output_times,
         initial=initial,
         seed=seed,

@@ -40,6 +40,9 @@ state, whose diffusion limit is infinite).
 Blow-up bookkeeping.  The run stops when the sup norm reaches
 ``blowup_threshold`` (the numerical blow-up time is linearly interpolated
 inside the crossing step) or leaves the finite range (flag ``overflow``).
+A run whose reaction cap on dt falls below half an ulp of ``t`` before the
+threshold is reached also counts as blow-up, at ``s_num = t`` (flag
+``time_resolution``); a stall with the reaction off stays ``stalled``.
 Negative undershoots are clamped to zero with the clamped weighted mass
 accumulated, and ``tau0 = 1/((p-1) sup(u0)^(p-1))`` is recorded for runs
 with reaction.
@@ -73,6 +76,7 @@ TERM_STEP_LIMIT = "step_limit"
 
 FLAG_THRESHOLD = "threshold"
 FLAG_OVERFLOW = "overflow"
+FLAG_TIME_RESOLUTION = "time_resolution"
 
 SUPPORT_THRESHOLD = 1.0e-12
 REACTION_DT_CAP = 0.1
@@ -109,7 +113,7 @@ class SolverConfig:
     t_end: float
     R: float
     cells: int
-    cfl_safety: float = 0.45
+    cfl_safety: float = 0.9
     blowup_threshold: float = 1.0e6
     boundary: str = BOUNDARY_DIRICHLET
     reaction: bool = True
@@ -317,7 +321,13 @@ def run(
             termination = TERM_BLOWUP
             break
         if status == _kernels.STATUS_STALLED:
-            termination = TERM_STALLED
+            if config.reaction and t + REACTION_DT_CAP * sup_new ** (1.0 - constants.p) == t:
+                # the reaction cap fell below half an ulp of t: the solution
+                # blows up faster than t can resolve, so t is the blow-up time
+                blowup = BlowupRecord(s_num=t, flag=FLAG_TIME_RESOLUTION, final_sup=sup_new)
+                termination = TERM_BLOWUP
+            else:
+                termination = TERM_STALLED
             break
         if total_steps >= config.max_steps and t < config.t_end:
             termination = TERM_STEP_LIMIT

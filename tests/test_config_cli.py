@@ -12,6 +12,7 @@ from pme_react import cli
 from pme_react.config import ConfigError, load, loads, resolve
 from pme_react.density import E
 from pme_react.feasibility import REGIME_BLOWUP, REGIME_GE1B, REGIME_GE2
+from pme_react.harness import VERDICT_FAIL, comparison_experiment
 
 GE1B_TEXT = """\
 [problem]
@@ -88,7 +89,7 @@ def test_loads_happy_path():
     assert cfg.solver_t_end is None
     assert cfg.output_times == "auto"
     assert cfg.initial.kind == "equals_barrier"
-    assert any("cfl_safety = 0.45 (default)" in d for d in cfg.defaults_used)
+    assert any("cfl_safety = 0.9 (default)" in d for d in cfg.defaults_used)
 
 
 def test_loads_collects_every_issue():
@@ -253,6 +254,18 @@ def test_reference_configs_resolve_to_pinned_values(path):
         got["a"] = res.barrier.a
     for key, value in want.items():
         assert got[key] == pytest.approx(value, rel=1e-12), key
+
+
+def test_ge2_at_256_cells_takes_the_pinned_step_count():
+    """The default cfl_safety and the dt rule fix the step count of the
+    shipped GE2 comparison; a change to either shows here."""
+    loaded = load(str(CONFIGS / "ge2.cfg"))
+    loaded.solver_cells = 256
+    out = comparison_experiment(resolve(loaded).scenario())
+    assert out.run.steps == 1664
+    assert out.run.clamp_total == 0.0
+    # the one-cell support check fails at this resolution (a spatial error)
+    assert out.verdict == VERDICT_FAIL
 
 
 def _shipped(stem, extra):

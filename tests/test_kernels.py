@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from pme_react import _kernels
-from pme_react.solver import RadialGrid
+from pme_react.solver import RadialGrid, SolverConfig
 
 
 def _advance_impl(
@@ -154,7 +154,7 @@ def _advance_calls(kernel, u0, m, p, dirichlet):
     rho_vol = rho * g.volumes
     area_over_dr = g.faces ** (N - 1) / g.dr
     # the per-cell coefficient solver.run passes at its default cfl_safety
-    cfl_coef = 0.45 * rho_vol / (m * (area_over_dr[:-1] + area_over_dr[1:]))
+    cfl_coef = SolverConfig.cfl_safety * rho_vol / (m * (area_over_dr[:-1] + area_over_dr[1:]))
     u = np.array(u0, dtype=float)
     u_prev = u.copy()
     t = 0.0

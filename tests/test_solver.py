@@ -12,9 +12,11 @@ from pme_react.solver import (
     BOUNDARIES,
     BOUNDARY_DIRICHLET,
     BOUNDARY_NEUMANN,
+    FLAG_TIME_RESOLUTION,
     REACTION_DT_CAP,
     TERM_BLOWUP,
     TERM_COMPLETED,
+    TERM_STALLED,
     TERM_STEP_LIMIT,
     RadialGrid,
     SolverConfig,
@@ -195,6 +197,31 @@ def test_uniform_reaction_blows_up_at_tau0():
     assert res.blowup.flag == "threshold"
     assert res.blowup.s_num == pytest.approx(res.tau0, rel=0.05)
     assert res.blowup.s_num < 0.7
+
+
+def test_blowup_past_the_time_resolution_is_not_a_stall():
+    """From flat 0.5 at p = 3.5 the reaction cap on dt drops below half an
+    ulp of t before sup reaches the threshold; the kernel stalls there, and
+    the run reports blow-up at that t with the time-resolution flag."""
+    cells = 16
+    cc = ProblemConstants(m=2.0, p=3.5, N=3)
+    g = RadialGrid(N=3, R=1.0, cells=cells)
+    cfg = SolverConfig(t_end=10.0, R=1.0, cells=cells, boundary=BOUNDARY_NEUMANN)
+    res = run(np.full(cells, 0.5), g, ones, cc, cfg)
+    assert res.termination == TERM_BLOWUP
+    assert res.blowup.flag == FLAG_TIME_RESOLUTION
+    assert res.blowup.s_num == res.final_state.t
+    assert res.blowup.final_sup == res.final_state.u.max() < cfg.blowup_threshold
+    assert res.blowup.s_num == pytest.approx(res.tau0, rel=1e-3)
+
+
+def test_diffusion_only_stall_stays_stalled():
+    g, u0, _ = diffusion_setup(cells=48)
+    cfg = SolverConfig(t_end=2.0e20, R=10.0, cells=48, boundary=BOUNDARY_NEUMANN, reaction=False)
+    res = run(State(t=1.0e20, u=u0), g, ones, CC23, cfg)
+    assert res.termination == TERM_STALLED
+    assert res.blowup is None
+    assert res.steps == 0 and res.final_state.t == 1.0e20
 
 
 # -- output bookkeeping ------------------------------------------------------
