@@ -88,11 +88,12 @@ def _write_series(path: str, res: RunResult) -> None:
 
 
 def _write_snapshots(path: str, res: RunResult, grid: RadialGrid) -> None:
+    radii = [f",{_fmt(r)}," for r in grid.centers.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,r,u\n")
         for t, u in res.snapshots:
-            for r, v in zip(grid.centers, u):
-                fh.write(f"{_fmt(t)},{_fmt(r)},{_fmt(v)}\n")
+            ts = _fmt(t)
+            fh.write("".join([f"{ts}{r}{_fmt(v)}\n" for r, v in zip(radii, u.tolist())]))
 
 
 def _write_scan(path: str, rows) -> None:

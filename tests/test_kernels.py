@@ -9,6 +9,7 @@ count.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,23 +149,24 @@ def _bits(*values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-def _advance_calls(kernel, u0, m, p, dirichlet):
-    g = RadialGrid(N=N, R=R, cells=CELLS)
+def _advance_calls(kernel, u0, m, p, dirichlet, cfl_safety=SolverConfig.cfl_safety, threshold=1.0e6, calls=CALLS):
+    g = RadialGrid(N=N, R=R, cells=len(u0))
     rho = 1.0 + 0.5 * g.centers
     rho_vol = rho * g.volumes
     area_over_dr = g.faces ** (N - 1) / g.dr
-    # the per-cell coefficient solver.run passes at its default cfl_safety
-    cfl_coef = SolverConfig.cfl_safety * rho_vol / (m * (area_over_dr[:-1] + area_over_dr[1:]))
+    # the per-cell coefficient solver.run passes, unless told otherwise at
+    # its default cfl_safety
+    cfl_coef = cfl_safety * rho_vol / (m * (area_over_dr[:-1] + area_over_dr[1:]))
     u = np.array(u0, dtype=float)
     u_prev = u.copy()
     t = 0.0
     out = []
-    for t_stop, max_sub in CALLS:
-        # numpy scalars warn on overflow and division by zero
-        with np.errstate(over="ignore", divide="ignore"):
+    for t_stop, max_sub in calls:
+        # numpy scalars warn on overflow, division by zero and inf - inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             res = kernel(
                 u, u_prev, rho_vol, 1.0 / rho_vol, area_over_dr, cfl_coef,
-                m, p, True, dirichlet, 1.0e6, 0.1, t, T_END, t_stop, max_sub,
+                m, p, True, dirichlet, threshold, 0.1, t, T_END, t_stop, max_sub,
             )
         t = res[1]
         out.append((res, u.copy(), u_prev.copy()))
@@ -177,7 +179,25 @@ def _initial(kind):
         return np.maximum(1.0 - (r / 1.3) ** 2, 0.0)
     if kind == "touching":
         return 0.5 + 0.1 * np.cos(r)
+    if kind == "signed":
+        # -0.0 outside the support: the face max there is -0.0 for m = 2,
+        # which takes the masked-dt fallback
+        return np.where(r < 1.3, 1.0 - (r / 1.3) ** 2, -0.0)
     return np.zeros(CELLS)
+
+
+def _assert_bitwise(u0, m, p, dirichlet, **kw):
+    """Kernel and reference agree bit for bit over every call: the whole
+    result tuple, ``u`` and ``u_prev``.  Returns the kernel's calls."""
+    ref = _advance_calls(_advance_impl, u0, m, p, dirichlet, **kw)
+    got = _advance_calls(_kernels.advance, u0, m, p, dirichlet, **kw)
+    for (res_a, u_a, prev_a), (res_b, u_b, prev_b) in zip(ref, got):
+        assert res_b[2:4] == res_a[2:4]  # status, nsub
+        assert _bits(*res_b) == _bits(*res_a)
+        np.testing.assert_array_equal(u_b, u_a)
+        assert u_b.tobytes() == u_a.tobytes()
+        assert prev_b.tobytes() == prev_a.tobytes()
+    return got
 
 
 @pytest.mark.parametrize("kind", ["compact", "touching", "zero"])
@@ -185,14 +205,7 @@ def _initial(kind):
 @pytest.mark.parametrize("m,p", [(2.0, 3.0), (3.0, 2.0)])
 def test_numpy_kernel_matches_scalar_loop_bitwise(kind, dirichlet, m, p):
     u0 = _initial(kind)
-    ref = _advance_calls(_advance_impl, u0, m, p, dirichlet)
-    got = _advance_calls(_kernels.advance, u0, m, p, dirichlet)
-    for (res_a, u_a, prev_a), (res_b, u_b, prev_b) in zip(ref, got):
-        assert res_b[2:4] == res_a[2:4]  # status, nsub
-        assert _bits(*res_b) == _bits(*res_a)
-        np.testing.assert_array_equal(u_b, u_a)
-        assert u_b.tobytes() == u_a.tobytes()
-        assert prev_b.tobytes() == prev_a.tobytes()
+    got = _assert_bitwise(u0, m, p, dirichlet)
     u_end = got[-1][1]
     if kind == "compact":
         # the support started inside the grid and reached its last cell
@@ -213,3 +226,74 @@ def test_numpy_kernel_matches_scalar_loop_with_np_power(kind, dirichlet, m, p):
     for (res_a, u_a, _), (res_b, u_b, _) in zip(ref, got):
         assert res_b[2:4] == res_a[2:4]  # status, nsub
         np.testing.assert_allclose(u_b, u_a, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("m,p", [(2.0, 3.0), (3.0, 2.0)])
+def test_signed_zero_data_matches_scalar_loop_bitwise(dirichlet, m, p):
+    u0 = _initial("signed")
+    assert np.signbit(u0[-1]) and np.signbit(np.maximum(u0[:-1], u0[1:])).any()
+    got = _assert_bitwise(u0, m, p, dirichlet)
+    assert got[-1][1][-1] > 0.0
+
+
+@pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
+def test_blowup_run_matches_scalar_loop_bitwise(dirichlet):
+    # p > m, so the reaction outruns the diffusion step limit
+    u0 = 4.0 * _initial("touching")
+    got = _assert_bitwise(u0, 2.0, 3.0, dirichlet, calls=((T_END, 3000),))
+    assert got[-1][0][2] == _kernels.STATUS_BLOWUP
+
+
+@pytest.mark.parametrize("m,p", [(2.0, 3.0), (3.0, 2.0)])
+def test_overflow_run_matches_scalar_loop_bitwise(m, p):
+    # the reaction term of the first step leaves the float range
+    u0 = 1.0e120 * _initial("compact")
+    got = _assert_bitwise(u0, m, p, True, calls=((T_END, 50),))
+    res, u_end, _ = got[-1]
+    assert res[2] == _kernels.STATUS_OVERFLOW and res[3] == 1
+    assert not np.isfinite(u_end).all()
+
+
+@pytest.mark.parametrize("m,p", [(2.0, 3.0), (3.0, 2.0)])
+def test_clamped_mass_matches_scalar_loop_bitwise(m, p):
+    # steps 2-6 times past the monotone limit undershoot below zero; the
+    # clamped mass must be added up cell by cell, in the reference's order
+    rng = np.random.default_rng(9)
+    clamping = 0
+    for _ in range(24):
+        u0 = rng.random(48) * (rng.random(48) < 0.6)
+        dirichlet = bool(rng.integers(2))
+        got = _assert_bitwise(u0, m, p, dirichlet, cfl_safety=rng.uniform(2.0, 6.0), calls=((T_END, 200),))
+        clamping += got[-1][0][4] > 0.0
+    assert clamping >= 12
+
+
+def test_steps_allocate_nothing():
+    """The kernel's buffers are allocated once per call: a thousand steps
+    take no more memory at their peak than ten."""
+    cells = 512
+    g = RadialGrid(N=N, R=R, cells=cells)
+    rho_vol = g.volumes
+    area_over_dr = g.faces ** (N - 1) / g.dr
+    cfl_coef = rho_vol / (2.0 * (area_over_dr[:-1] + area_over_dr[1:]))
+    # positive up to the boundary, so the window is the grid from the start
+    u0 = 0.5 + 0.1 * np.cos(g.centers)
+
+    def peak(steps):
+        u, u_prev = u0.copy(), np.empty(cells)
+        tracemalloc.start()
+        try:
+            res = _kernels.advance(
+                u, u_prev, rho_vol, 1.0 / rho_vol, area_over_dr, cfl_coef,
+                2.0, 3.0, True, True, 1.0e6, 0.1, 0.0, T_END, T_END, steps,
+            )
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res[3] == steps
+        return top
+
+    peak(10)  # numpy's first-call caches
+    # nsub and t past the small-int and float free lists take a few objects
+    assert peak(1000) <= peak(10) + 64
