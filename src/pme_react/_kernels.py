@@ -204,4 +204,6 @@ def advance(
         u[:], u_prev[:] = u_prev.copy(), u.copy()
     if status == STATUS_REACHED_TSTOP and t < t_stop:
         status = STATUS_BUDGET
-    return t_prev, t, status, nsub, clamp_added, sup_prev, sup_new
+    # + 0.0 turns a -0.0 sup (every cell a zero, -0.0 first) into the
+    # reference's +0.0
+    return t_prev, t, status, nsub, clamp_added, sup_prev + 0.0, sup_new + 0.0

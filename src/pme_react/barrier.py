@@ -6,18 +6,20 @@ Three profile families certify the dichotomy for
 - :class:`GE1Barrier`: positive supersolution with logarithmic spatial decay
   ``C zeta(t) (log(r + r0))^(-b/m)``, ``zeta = (T + t)^beta``.  Used for the
   one-sided weight family; global in time.
-- :class:`GE2Barrier`: compactly supported supersolution
-  ``C zeta [1 - (log(r + r0))^bbar eta/a]_+^(1/(m-1))`` with
-  ``zeta = (T + t)^(-1/(p-1))`` and ``eta = (T + t)^(-(p-m)/(p-1))``; the
-  support spreads and the amplitude decays.  Requires ``p > m``.
-- :class:`BlowupSubsolution`: compactly supported subsolution
-  ``C zeta [1 - sfrak(r) eta/a]_+^(1/(m-1))`` with ``zeta = (T - t)^(-1/(p-1))``
-  and ``eta = (T - t)^((m-p)/(p-1))``, defined for ``t < T`` only; the
-  amplitude diverges as ``t -> T`` while the support shrinks.  The shape
-  function :func:`sfrak` glues ``(log r)^bunder`` outside the ball of radius
-  e to a matched paraboloid inside, so the profile is continuous with a
-  distributional kink only at ``r = e`` whose one-sided fluxes cancel
-  (see :meth:`BlowupSubsolution.flux_match`).
+- :class:`GE2Barrier` and :class:`BlowupSubsolution`: compactly supported
+  profiles of one form, ``C zeta(t) [1 - S(r) eta(t)/a]_+^(1/(m-1))`` with
+  ``zeta = s^(-1/(p-1))`` and ``eta = s^(-(p-m)/(p-1))``; both require
+  ``p > m``.  The GE2 supersolution takes ``s = T + t`` and the log-power
+  shape ``S = (log(r + r0))^bbar``: the support spreads and the amplitude
+  decays.  The blow-up subsolution takes ``s = T - t``, defined for ``t < T``
+  only, and the shape :func:`sfrak`, which glues ``(log r)^bunder`` outside
+  the ball of radius e to a matched paraboloid inside: the amplitude
+  diverges as ``t -> T`` while the support shrinks.  The profile is
+  continuous with a distributional kink only at ``r = e`` whose one-sided
+  fluxes cancel (see :meth:`BlowupSubsolution.flux_match`).  Only ``s`` and
+  ``S`` differ, so values and derivatives are written once, from ``S`` and
+  its radial derivatives ``S'``, ``S''`` (:func:`_compact_eval`,
+  :func:`_compact_derivatives`).
 
 Derivative conventions.  ``eval_derivatives`` returns the tuple record
 ``(w_t, (w^m)_r, (w^m)_rr, Lap(w^m))`` evaluated from hand-differentiated
@@ -67,6 +69,31 @@ class BarrierDerivatives:
     lap_wm: object
 
 
+def _log_branch(x, b: float, derivs: bool = False):
+    """``(log x)^b``; with ``derivs`` also its first two derivatives in x."""
+    L = np.log(x)
+    if not derivs:
+        return L**b
+    return L**b, b * L ** (b - 1.0) / x, b * ((b - 1.0) * L ** (b - 2.0) - L ** (b - 1.0)) / x**2
+
+
+def _paraboloid_branch(r, b: float, derivs: bool = False):
+    """``b r^2/(2 e^2) + 1 - b/2``; with ``derivs`` also its first two r-derivatives."""
+    S = b * r**2 / (2.0 * E**2) + 1.0 - b / 2.0
+    if not derivs:
+        return S
+    return S, b * r / E**2, b / E**2
+
+
+def _sfrak(r, bunder: float, derivs: bool = False):
+    outer = r >= E
+    logs = _log_branch(np.where(outer, r, E), bunder, derivs)
+    paras = _paraboloid_branch(r, bunder, derivs)
+    if not derivs:
+        return np.where(outer, logs, paras)
+    return tuple(np.where(outer, lg, pa) for lg, pa in zip(logs, paras))
+
+
 def sfrak(r, bunder: float):
     """Piecewise shape function: (log r)^bunder outside radius e, matched
     paraboloid ``bunder r^2/(2 e^2) + 1 - bunder/2`` inside.
@@ -74,13 +101,19 @@ def sfrak(r, bunder: float):
     Continuous with value 1 at r = e; negative near the origin when
     bunder > 2.  Vectorized over r >= 0.
     """
-    r_arr = np.asarray(r, dtype=float)
-    outer = np.where(r_arr >= E, r_arr, E)
-    inner = bunder * r_arr**2 / (2.0 * E**2) + 1.0 - bunder / 2.0
-    out = np.where(r_arr >= E, np.log(outer) ** bunder, inner)
-    if np.ndim(r) == 0:
-        return float(out)
-    return out
+    out = _sfrak(np.asarray(r, dtype=float), bunder)
+    return float(out) if np.ndim(r) == 0 else out
+
+
+def _time_factors(T, t, sign: float, m: float, p: float):
+    """``(zeta, eta, zeta', eta')`` with ``zeta = s^(-1/(p-1))``,
+    ``eta = s^(-(p-m)/(p-1))`` and ``s = T + sign t``; primes are d/dt."""
+    s = T + sign * t
+    zeta = s ** (-1.0 / (p - 1.0))
+    eta = s ** (-(p - m) / (p - 1.0))
+    zeta_p = -sign * (1.0 / (p - 1.0)) * zeta / s
+    eta_p = -sign * ((p - m) / (p - 1.0)) * eta / s
+    return zeta, eta, zeta_p, eta_p
 
 
 def _broadcast(r, t):
@@ -106,6 +139,69 @@ def _assemble_laplacian(wm_r, wm_rr, r, N):
     r_safe = np.where(r > 0.0, r, 1.0)
     lap = wm_rr + (N - 1.0) * wm_r / r_safe
     return np.where(r > 0.0, lap, N * wm_rr)
+
+
+def _compact_eval(bar, r, t):
+    """``C zeta [1 - S eta/a]_+^(1/(m-1))`` for a compact profile ``bar``."""
+    r_b, t_b, scalar = _broadcast(r, t)
+    zeta, eta, _, _ = bar.time_factors(t_b)
+    F = 1.0 - bar._shape(r_b) * eta / bar.a
+    pos = F > 0.0
+    F_safe = np.where(pos, F, 1.0)
+    out = np.where(pos, bar.C * zeta * F_safe ** (1.0 / (bar.constants.m - 1.0)), 0.0)
+    return _ret(out, scalar)
+
+
+def _compact_terms(bar, factors, S, S_r, S_rr):
+    """``(w_t, (w^m)_r, (w^m)_rr)`` from ``factors = (zeta, eta, zeta', eta')``
+    and ``S``, ``S'``, ``S''``.  With ``F = 1 - S eta/a`` and ``q = 1/(m-1)``:
+
+    ``w_t = C (zeta' F^q - q zeta S (eta'/a) F^(q-1))``,
+    ``(w^m)_r = -m q C^m zeta^m (eta/a) S' F^q`` and
+    ``(w^m)_rr = -m q C^m zeta^m (eta/a) (S'' F^q - q (eta/a) S'^2 F^(q-1))``;
+    all three vanish where ``F <= 0``.
+    """
+    cc = bar.constants
+    q = 1.0 / (cc.m - 1.0)
+    zeta, eta, zeta_p, eta_p = factors
+    ea = eta / bar.a
+    F = 1.0 - S * ea
+    pos = F > 0.0
+    F_safe = np.where(pos, F, 1.0)
+    Fq, Fq1 = F_safe**q, F_safe ** (q - 1.0)
+    coef = -cc.m * q * bar.C**cc.m * zeta**cc.m * ea
+    w_t = bar.C * (zeta_p * Fq - q * zeta * S * (eta_p / bar.a) * Fq1)
+    wm_r = coef * S_r * Fq
+    wm_rr = coef * (S_rr * Fq - q * ea * S_r**2 * Fq1)
+    return tuple(np.where(pos, x, 0.0) for x in (w_t, wm_r, wm_rr))
+
+
+def _compact_derivatives(bar, r, t) -> BarrierDerivatives:
+    r_b, t_b, scalar = _broadcast(r, t)
+    factors = bar.time_factors(t_b)
+    bar._refuse_kinks(r_b, t_b, factors[1])
+    w_t, wm_r, wm_rr = _compact_terms(bar, factors, *bar._shape(r_b, derivs=True))
+    lap = _assemble_laplacian(wm_r, wm_rr, r_b, bar.constants.N)
+    return _ret_derivs(w_t, wm_r, wm_rr, lap, scalar)
+
+
+def _validate_compact(bar, role: str) -> None:
+    if not bar.constants.p > bar.constants.m:
+        raise ValueError(f"the {role} requires p > m")
+    for name in ("C", "a", "T"):
+        if not getattr(bar, name) > 0.0:
+            raise ValueError(f"{name} must be positive, got {getattr(bar, name)}")
+
+
+def _refuse_corner(r_b, t_b, corner, what: str) -> None:
+    # a nan corner is never near
+    near = np.abs(r_b - corner) < KINK_TOL
+    if np.any(near):
+        i = int(np.argmax(near))
+        raise KinkError(
+            f"point (r={r_b.flat[i]:.12g}, t={t_b.flat[i]:.12g}) is within {KINK_TOL:g} "
+            f"of the {what}={np.broadcast_to(corner, r_b.shape).flat[i]:.12g}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +296,9 @@ class GE2Barrier:
 
     ``zeta = (T+t)^(-1/(p-1))``, ``eta = (T+t)^(-(p-m)/(p-1))``; requires
     ``p > m``.  ``bbar`` is the support-shape exponent, pinned to
-    ``alpha + 2`` by the density it is paired with (enforced at scenario
-    level, hence only ``bbar > 3`` here); ``a`` calibrates the support size.
+    ``alpha + 2`` by the density it is paired with (checked by the
+    certificate entry ``support_shape_exponent``, hence only ``bbar > 3``
+    here); ``a`` calibrates the support size.
     """
 
     constants: ProblemConstants
@@ -212,23 +309,18 @@ class GE2Barrier:
     r0: float
 
     def __post_init__(self) -> None:
-        cc = self.constants
-        if not cc.p > cc.m:
-            raise ValueError("the spreading supersolution requires p > m")
-        for name in ("C", "a", "T"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        _validate_compact(self, "spreading supersolution")
         if not self.bbar > 3.0:
             raise ValueError("bbar = alpha + 2 with alpha > 1 forces bbar > 3")
         if not self.r0 >= E:
             raise ValueError(f"r0 must be at least e, got {self.r0}")
 
-    def _zeta(self, t):
-        return (self.T + t) ** (-1.0 / (self.constants.p - 1.0))
+    def time_factors(self, t):
+        """``(zeta, eta, zeta', eta')`` at ``s = T + t``."""
+        return _time_factors(self.T, t, 1.0, self.constants.m, self.constants.p)
 
-    def _eta(self, t):
-        cc = self.constants
-        return (self.T + t) ** (-(cc.p - cc.m) / (cc.p - 1.0))
+    def _shape(self, r, derivs: bool = False):
+        return _log_branch(r + self.r0, self.bbar, derivs)
 
     def support_radius(self, t: float) -> float:
         """Free boundary radius ``exp((a/eta)^(1/bbar)) - r0`` (0 if empty).
@@ -236,89 +328,25 @@ class GE2Barrier:
         Warns when the support degenerates to a point or vanishes, which
         happens for very small ``a``.
         """
-        ratio = (self.a / self._eta(float(t))) ** (1.0 / self.bbar)
-        r_star = math.exp(ratio) - self.r0
+        _, eta, _, _ = self.time_factors(float(t))
+        r_star = math.exp((self.a / eta) ** (1.0 / self.bbar)) - self.r0
         if r_star <= 0.0:
-            warnings.warn(
-                f"support degenerates at t={t}: free boundary radius {r_star:.6g} <= 0",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            msg = f"support degenerates at t={t}: free boundary radius {r_star:.6g} <= 0"
+            warnings.warn(msg, RuntimeWarning, stacklevel=2)
             return 0.0
         return r_star
 
-    def _profile(self, r_b, t_b):
-        # F = 1 - L^bbar eta/a and its positive part bookkeeping.
-        L = np.log(r_b + self.r0)
-        F = 1.0 - L**self.bbar * self._eta(t_b) / self.a
-        pos = F > 0.0
-        F_safe = np.where(pos, F, 1.0)
-        return L, F, pos, F_safe
-
-    def eval(self, r, t):
-        cc = self.constants
-        r_b, t_b, scalar = _broadcast(r, t)
-        _, _, pos, F_safe = self._profile(r_b, t_b)
-        out = np.where(
-            pos, self.C * self._zeta(t_b) * F_safe ** (1.0 / (cc.m - 1.0)), 0.0
-        )
-        return _ret(out, scalar)
-
-    def _refuse_kinks(self, r_b, t_b) -> None:
-        eta = self._eta(t_b)
+    def _refuse_kinks(self, r_b, t_b, eta) -> None:
         arg = (self.a / eta) ** (1.0 / self.bbar)
         with np.errstate(over="ignore"):
             r_star = np.exp(arg) - self.r0
-        near = (r_star > 0.0) & (np.abs(r_b - r_star) < KINK_TOL)
-        if np.any(near):
-            i = int(np.argmax(near))
-            raise KinkError(
-                f"point (r={r_b.flat[i]:.12g}, t={t_b.flat[i]:.12g}) is within "
-                f"{KINK_TOL:g} of the free boundary r*={np.asarray(r_star).flat[i]:.12g}"
-            )
+        _refuse_corner(r_b, t_b, np.where(r_star > 0.0, r_star, np.nan), "free boundary r*")
+
+    def eval(self, r, t):
+        return _compact_eval(self, r, t)
 
     def eval_derivatives(self, r, t) -> BarrierDerivatives:
-        cc = self.constants
-        m, p = cc.m, cc.p
-        q = 1.0 / (m - 1.0)
-        r_b, t_b, scalar = _broadcast(r, t)
-        self._refuse_kinks(r_b, t_b)
-
-        s = r_b + self.r0
-        L, F, pos, F_safe = self._profile(r_b, t_b)
-        zeta = self._zeta(t_b)
-        eta = self._eta(t_b)
-        zeta_p = -(1.0 / (p - 1.0)) * zeta / (self.T + t_b)
-        eta_p = -((p - m) / (p - 1.0)) * eta / (self.T + t_b)
-        zm = zeta**m
-        Cm = self.C**m
-        mf = m / (m - 1.0)
-
-        w_t = self.C * zeta_p * F_safe**q - (
-            self.C / (m - 1.0)
-        ) * zeta * (L**self.bbar / self.a) * eta_p * F_safe ** (q - 1.0)
-        wm_r = -mf * self.bbar * Cm * zm * (eta / self.a) * L ** (self.bbar - 1.0) * F_safe**q / s
-        wm_rr = (
-            -mf
-            * self.bbar
-            * Cm
-            * zm
-            * (eta / self.a)
-            * (
-                ((self.bbar - 1.0) * L ** (self.bbar - 2.0) - L ** (self.bbar - 1.0))
-                * F_safe**q
-                - (self.bbar / (m - 1.0))
-                * (eta / self.a)
-                * L ** (2.0 * self.bbar - 2.0)
-                * F_safe ** (q - 1.0)
-            )
-            / s**2
-        )
-        w_t = np.where(pos, w_t, 0.0)
-        wm_r = np.where(pos, wm_r, 0.0)
-        wm_rr = np.where(pos, wm_rr, 0.0)
-        lap = _assemble_laplacian(wm_r, wm_rr, r_b, cc.N)
-        return _ret_derivs(w_t, wm_r, wm_rr, lap, scalar)
+        return _compact_derivatives(self, r, t)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +362,7 @@ class BlowupSubsolution:
     diverge as ``t -> T``: the amplitude blows up while the support
     ``{sfrak < a/eta}`` shrinks onto the core of the paraboloid.  ``bunder``
     is the outer log exponent, pinned to ``alpha + 1 > 2`` by the paired
-    density (enforced at scenario level).
+    density (checked by the certificate entry ``outer_shape_exponent``).
     """
 
     constants: ProblemConstants
@@ -344,29 +372,19 @@ class BlowupSubsolution:
     bunder: float
 
     def __post_init__(self) -> None:
-        cc = self.constants
-        if not cc.p > cc.m:
-            raise ValueError("the blow-up subsolution requires p > m")
-        for name in ("C", "a", "T"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        _validate_compact(self, "blow-up subsolution")
         if not self.bunder > 2.0:
             raise ValueError("bunder = alpha + 1 with alpha > 1 forces bunder > 2")
 
-    def _check_time(self, t_b) -> None:
-        t_arr = np.atleast_1d(np.asarray(t_b, dtype=float))
-        if np.any(t_arr >= self.T):
-            bad = float(t_arr[t_arr >= self.T][0])
-            raise TimeDomainError(
-                f"subsolution is defined for t < T = {self.T}; got t = {bad}"
-            )
+    def time_factors(self, t):
+        """``(zeta, eta, zeta', eta')`` at ``s = T - t``; refuses ``t >= T``."""
+        late = np.extract(np.asarray(t, dtype=float) >= self.T, t)
+        if late.size:
+            raise TimeDomainError(f"subsolution is defined for t < T = {self.T}; got t = {float(late[0])}")
+        return _time_factors(self.T, t, -1.0, self.constants.m, self.constants.p)
 
-    def _zeta(self, t):
-        return (self.T - t) ** (-1.0 / (self.constants.p - 1.0))
-
-    def _eta(self, t):
-        cc = self.constants
-        return (self.T - t) ** ((cc.m - cc.p) / (cc.p - 1.0))
+    def _shape(self, r, derivs: bool = False):
+        return _sfrak(r, self.bunder, derivs)
 
     def support_radius(self, t: float) -> float:
         """Radius where ``sfrak(r) = a/eta(t)``; the support is [0, r*).
@@ -375,143 +393,43 @@ class BlowupSubsolution:
         exceeds 1, the paraboloid branch otherwise.  Decreases in time and
         tends to ``e sqrt((bunder-2)/bunder)`` as ``a/eta -> 0``.
         """
-        t_b = np.asarray(float(t))
-        self._check_time(t_b)
-        level = self.a / self._eta(float(t))
+        _, eta, _, _ = self.time_factors(float(t))
+        level = self.a / eta
         if level >= 1.0:
             return math.exp(level ** (1.0 / self.bunder))
         return E * math.sqrt(1.0 + (2.0 / self.bunder) * (level - 1.0))
 
-    def _profile(self, r_b, t_b):
-        P = 1.0 - sfrak(r_b, self.bunder) * self._eta(t_b) / self.a
-        pos = P > 0.0
-        P_safe = np.where(pos, P, 1.0)
-        return P, pos, P_safe
+    def _refuse_kinks(self, r_b, t_b, eta) -> None:
+        _refuse_corner(r_b, t_b, E, "piece interface r")
+        # levels > 0 and bunder > 2 keep both branches real everywhere
+        levels = self.a / eta
+        r_star = np.where(
+            levels >= 1.0,
+            np.exp(levels ** (1.0 / self.bunder)),
+            E * np.sqrt(1.0 + (2.0 / self.bunder) * (levels - 1.0)),
+        )
+        _refuse_corner(r_b, t_b, r_star, "free boundary r*")
 
     def eval(self, r, t):
-        cc = self.constants
-        r_b, t_b, scalar = _broadcast(r, t)
-        self._check_time(t_b)
-        _, pos, P_safe = self._profile(r_b, t_b)
-        out = np.where(
-            pos, self.C * self._zeta(t_b) * P_safe ** (1.0 / (cc.m - 1.0)), 0.0
-        )
-        return _ret(out, scalar)
-
-    def _refuse_kinks(self, r_b, t_b) -> None:
-        if np.any(np.abs(r_b - E) < KINK_TOL):
-            i = int(np.argmax(np.abs(r_b - E) < KINK_TOL))
-            raise KinkError(
-                f"point (r={r_b.flat[i]:.12g}) is within {KINK_TOL:g} of the "
-                f"piece interface r = e"
-            )
-        levels = self.a / self._eta(t_b)
-        with np.errstate(invalid="ignore"):
-            r_star = np.where(
-                levels >= 1.0,
-                np.exp(np.maximum(levels, 1.0) ** (1.0 / self.bunder)),
-                E * np.sqrt(np.maximum(1.0 + (2.0 / self.bunder) * (levels - 1.0), 0.0)),
-            )
-        near = np.abs(r_b - r_star) < KINK_TOL
-        if np.any(near):
-            i = int(np.argmax(near))
-            raise KinkError(
-                f"point (r={r_b.flat[i]:.12g}, t={t_b.flat[i]:.12g}) is within "
-                f"{KINK_TOL:g} of the free boundary r*={np.asarray(r_star).flat[i]:.12g}"
-            )
+        return _compact_eval(self, r, t)
 
     def eval_derivatives(self, r, t) -> BarrierDerivatives:
-        cc = self.constants
-        m, p = cc.m, cc.p
-        q = 1.0 / (m - 1.0)
-        r_b, t_b, scalar = _broadcast(r, t)
-        self._check_time(t_b)
-        self._refuse_kinks(r_b, t_b)
-
-        P, pos, P_safe = self._profile(r_b, t_b)
-        zeta = self._zeta(t_b)
-        eta = self._eta(t_b)
-        zeta_p = (1.0 / (p - 1.0)) * zeta / (self.T - t_b)
-        eta_p = ((p - m) / (p - 1.0)) * eta / (self.T - t_b)
-        zm = zeta**m
-        Cm = self.C**m
-        mf = m / (m - 1.0)
-        shape = sfrak(r_b, self.bunder)
-
-        w_t = self.C * zeta_p * P_safe**q - (
-            self.C / (m - 1.0)
-        ) * zeta * (shape / self.a) * eta_p * P_safe ** (q - 1.0)
-
-        outer = r_b >= E
-        r_safe = np.where(r_b > 0.0, r_b, 1.0)
-        L = np.log(np.where(outer, r_safe, E))
-
-        # outer piece: shape = L^bunder, L = log r
-        wm_r_out = -self.bunder * (Cm / self.a) * zm * mf * eta * L ** (
-            self.bunder - 1.0
-        ) * P_safe**q / r_safe
-        wm_rr_out = (
-            -self.bunder
-            * (Cm / self.a)
-            * zm
-            * mf
-            * eta
-            * (
-                ((self.bunder - 1.0) * L ** (self.bunder - 2.0) - L ** (self.bunder - 1.0))
-                * P_safe**q
-                - (self.bunder / (m - 1.0))
-                * (eta / self.a)
-                * L ** (2.0 * self.bunder - 2.0)
-                * P_safe ** (q - 1.0)
-            )
-            / r_safe**2
-        )
-
-        # inner piece: shape = bunder r^2/(2 e^2) + 1 - bunder/2
-        inner_coef = (Cm / self.a) * zm * mf * (self.bunder / E**2) * eta
-        wm_r_in = -inner_coef * r_b * P_safe**q
-        wm_rr_in = (
-            (Cm / self.a**2)
-            * zm
-            * (m / (m - 1.0) ** 2)
-            * (self.bunder**2 * r_b**2 / E**4)
-            * eta**2
-            * P_safe ** (q - 1.0)
-            - inner_coef * P_safe**q
-        )
-
-        wm_r = np.where(outer, wm_r_out, wm_r_in)
-        wm_rr = np.where(outer, wm_rr_out, wm_rr_in)
-        w_t = np.where(pos, w_t, 0.0)
-        wm_r = np.where(pos, wm_r, 0.0)
-        wm_rr = np.where(pos, wm_rr, 0.0)
-        lap = _assemble_laplacian(wm_r, wm_rr, r_b, cc.N)
-        return _ret_derivs(w_t, wm_r, wm_rr, lap, scalar)
+        return _compact_derivatives(self, r, t)
 
     def flux_match(self, t: float) -> "FluxMatchRecord":
         """One-sided fluxes of ``w^m`` across the piece interface at r = e.
 
         Both sides equal ``-(C^m/a) zeta^m (m/(m-1)) (bunder/e) eta
-        [1 - eta/a]_+^(1/(m-1))`` in closed form; the record evaluates each
-        side through its own branch formula so the cancellation is tested,
-        not assumed.
+        [1 - eta/a]_+^(1/(m-1))`` in closed form; each side is evaluated with
+        the formula and branch :meth:`eval_derivatives` uses there, so the
+        cancellation is tested, not assumed.
         """
-        self._check_time(np.asarray(float(t)))
-        cc = self.constants
-        m = cc.m
-        zeta = float(self._zeta(float(t)))
-        eta = float(self._eta(float(t)))
-        Pq = max(1.0 - eta / self.a, 0.0) ** (1.0 / (m - 1.0))
-        mf = m / (m - 1.0)
-        # outer branch at r = e: L = log e = 1
-        right = -self.bunder * (self.C**m / self.a) * zeta**m * mf * eta * Pq / E
-        # inner branch at r = e: shape gradient bunder * e / e^2
-        left = -(self.C**m / self.a) * zeta**m * mf * (self.bunder * E / E**2) * eta * Pq
+        factors = self.time_factors(float(t))
+        right = float(_compact_terms(self, factors, *_log_branch(E, self.bunder, derivs=True))[1])
+        left = float(_compact_terms(self, factors, *_paraboloid_branch(E, self.bunder, derivs=True))[1])
         jump = right - left
         scale = max(abs(left), abs(right), 1.0e-300)
-        return FluxMatchRecord(
-            left_flux=left, right_flux=right, jump=jump, rel_jump=abs(jump) / scale
-        )
+        return FluxMatchRecord(left, right, jump, abs(jump) / scale)
 
 
 @dataclass(frozen=True)

@@ -531,11 +531,7 @@ def time_conditions_ge2(bar: GE2Barrier, dens: DensityParams, n: int = 1000) -> 
     m, p, N = cc.m, cc.p, cc.N
     mf = m / (m - 1.0)
     t = np.linspace(0.0, 10.0 * bar.T, n)
-    s = bar.T + t
-    zeta = s ** (-1.0 / (p - 1.0))
-    eta = s ** (-(p - m) / (p - 1.0))
-    zeta_p = -(1.0 / (p - 1.0)) * zeta / s
-    eta_p = -((p - m) / (p - 1.0)) * eta / s
+    zeta, eta, zeta_p, eta_p = bar.time_factors(t)
     ratio = bar.C ** (m - 1.0) / bar.a
     X = dens.k1 * (bar.bbar * mf + N - 3.0) - dens.k2 * bar.bbar / (m - 1.0)
     margins = {
@@ -555,11 +551,7 @@ def time_conditions_blowup(bar: BlowupSubsolution, dens: DensityParams, n: int =
     _, rho2 = derive_rho_bounds(dens)
     K = K_const(m, p)
     t = np.linspace(0.0, bar.T * (1.0 - 1.0e-3), n)
-    s = bar.T - t
-    zeta = s ** (-1.0 / (p - 1.0))
-    eta = s ** ((m - p) / (p - 1.0))
-    zeta_p = (1.0 / (p - 1.0)) * zeta / s
-    eta_p = ((p - m) / (p - 1.0)) * eta / s
+    zeta, eta, zeta_p, eta_p = bar.time_factors(t)
     ratio = bar.C ** (m - 1.0) / bar.a
     gamma = bar.C ** (p - 1.0) * zeta**p
     delta = (zeta / (m - 1.0)) * (eta_p / eta)

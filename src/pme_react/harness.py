@@ -32,13 +32,7 @@ import numpy as np
 
 from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
 from .density import E, DensityParams, ProblemConstants, inverse_rho
-from .feasibility import (
-    REGIME_BLOWUP,
-    REGIME_GE1A,
-    REGIME_GE1B,
-    REGIME_GE2,
-    REGIMES,
-)
+from .feasibility import REGIME_BLOWUP, REGIME_GE2, REGIMES
 from .solver import RadialGrid, RunResult, SolverConfig, reaction_time_scale, run, support_radius_numeric
 
 Barrier = Union[GE1Barrier, GE2Barrier, BlowupSubsolution]
@@ -52,8 +46,6 @@ INIT_KINDS = (INIT_EQUALS_BARRIER, INIT_SCALED_BARRIER, INIT_CONSTANT, INIT_CSV)
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_INCONCLUSIVE = "inconclusive"
-
-_SUPER_REGIMES = (REGIME_GE1A, REGIME_GE1B, REGIME_GE2)
 
 
 @dataclass(frozen=True)
@@ -394,7 +386,9 @@ def comparison_experiment(scenario: Scenario) -> ComparisonResult:
     the threshold inside the comparison window, stay above the barrier and
     cover its support until ``0.95`` of the numerical blow-up time.  A run
     that stops early for numerical reasons (stall, step budget) yields an
-    ``inconclusive`` verdict rather than a fail.
+    ``inconclusive`` verdict rather than a fail, and so does a run that
+    leaves no output time to check (before ``0.95 s_num`` for blow-up)
+    unless it has already failed.
     """
     grid = scenario.grid()
     u0 = build_initial(scenario.initial, grid, scenario.barrier)
@@ -463,12 +457,20 @@ def comparison_experiment(scenario: Scenario) -> ComparisonResult:
                 excess = ((r_bar - r_num) if sub else (r_num - r_bar)) / grid.dr - 1.0
                 support_worst = max(support_worst, excess)
 
-        if support_checked:
-            support_ok = bool(support_worst <= 0.0)
         if max_viol == -math.inf:
             max_viol = math.nan
-        ok = ordered_ok and (support_ok is not False) and (blow_ok is not False)
-        verdict = VERDICT_PASS if ok else VERDICT_FAIL
+        ok = ordered_ok and (blow_ok is not False)
+        if not checked_times:
+            # nothing was compared: a pass would claim an ordering never seen
+            cut = f" before 0.95 s_num = {0.95 * s_num:.6g}" if sub else ""
+            notes.append(f"no output time{cut} to check: ordering and support untested")
+            support_checked = False
+            support_worst = math.nan
+            verdict = VERDICT_INCONCLUSIVE if ok else VERDICT_FAIL
+        else:
+            if support_checked:
+                support_ok = bool(support_worst <= 0.0)
+            verdict = VERDICT_PASS if ok and support_ok is not False else VERDICT_FAIL
 
     return ComparisonResult(
         verdict=verdict,

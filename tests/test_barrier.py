@@ -260,11 +260,64 @@ def test_blowup_flux_match():
     assert rec.left_flux == pytest.approx(rec.right_flux, rel=1e-12)
 
 
-def test_blowup_scalar_array_parity():
-    bar = bu(T=2.0)
-    r = np.array([0.0, 1.0, 2.0, 5.0])
+def test_blowup_paraboloid_branch_matches_central_differences():
+    # every point inside r < e, where sfrak is the paraboloid, and inside
+    # the support at each time
+    bar = bu(T=2.0, a=3.0)
+    m, h = bar.constants.m, 1.0e-5
+    for t in (0.0, 0.3, 0.7, 1.2, 1.5):
+        r = np.linspace(0.1, E - 0.05, 12)
+        assert bar.support_radius(t) > E
+        d = bar.eval_derivatives(r, t)
+        w_t = (bar.eval(r, t + h) - bar.eval(r, t - h)) / (2.0 * h)
+        wm_r = (bar.eval(r + h, t) ** m - bar.eval(r - h, t) ** m) / (2.0 * h)
+        wm_rr = (bar.eval_derivatives(r + h, t).wm_r - bar.eval_derivatives(r - h, t).wm_r) / (2.0 * h)
+        np.testing.assert_allclose(d.w_t, w_t, rtol=1e-6)
+        np.testing.assert_allclose(d.wm_r, wm_r, rtol=1e-6)
+        np.testing.assert_allclose(d.wm_rr, wm_rr, rtol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "bar, r",
+    [(bu(T=2.0), [0.0, 1.0, 2.0, 5.0]), (ge2(), [0.0, 1.0, 3.0, 5.0])],
+    ids=["blowup", "ge2"],
+)
+def test_compact_scalar_array_parity(bar, r):
+    r = np.array(r)
     vec = bar.eval(r, 0.25)
     d = bar.eval_derivatives(r, 0.25)
     for i, ri in enumerate(r):
         assert vec[i] == bar.eval(float(ri), 0.25)
-        assert d.wm_r[i] == bar.eval_derivatives(float(ri), 0.25).wm_r
+        di = bar.eval_derivatives(float(ri), 0.25)
+        assert (d.w_t[i], d.wm_r[i], d.wm_rr[i], d.lap_wm[i]) == (di.w_t, di.wm_r, di.wm_rr, di.lap_wm)
+
+
+def test_compact_eval_is_the_closed_form_bit_for_bit():
+    # ``C zeta F^(1/(m-1))`` with ``F = 1 - S eta/a``, written out in the
+    # order the profiles evaluate it: initial data, hypothesis checks and
+    # compare verdicts depend on these bits
+    m, p = 2.5, 3.5
+    cc = ProblemConstants(m=m, p=p, N=3)
+    q = 1.0 / (m - 1.0)
+
+    def profile(C, zeta, eta, a, S):
+        F = 1.0 - S * eta / a
+        return np.where(F > 0.0, C * zeta * np.where(F > 0.0, F, 1.0) ** q, 0.0)
+
+    r = np.linspace(0.0, 12.0, 241)
+    t = np.linspace(0.0, 1.9, 241)
+    g = GE2Barrier(constants=cc, C=0.7, a=40.0, T=1.0, bbar=4.0, r0=8.0)
+    s = g.T + t
+    S = np.log(r + g.r0) ** g.bbar
+    want = profile(g.C, s ** (-1.0 / (p - 1.0)), s ** (-(p - m) / (p - 1.0)), g.a, S)
+    assert (want == 0.0).any() and (want > 0.0).any()
+    assert g.eval(r, t).tobytes() == want.tobytes()
+
+    b = BlowupSubsolution(constants=cc, C=1.0, a=3.0, T=2.0, bunder=3.0)
+    s = b.T - t
+    outer = r >= E
+    S = np.where(outer, np.log(np.where(outer, r, E)) ** b.bunder, b.bunder * r**2 / (2.0 * E**2) + 1.0 - b.bunder / 2.0)
+    want = profile(b.C, s ** (-1.0 / (p - 1.0)), s ** ((m - p) / (p - 1.0)), b.a, S)
+    assert outer.any() and (~outer).any() and (want == 0.0).any() and (want > 0.0).any()
+    assert b.eval(r, t).tobytes() == want.tobytes()
+    assert sfrak(r, b.bunder).tobytes() == S.tobytes()

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -454,6 +455,21 @@ def test_cli_import_loads_no_scipy(tmp_path):
         env = {**os.environ, "PYTHONPATH": path}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert json.loads(out.stdout) == [[], False]
+
+
+def test_cli_compare_with_nothing_to_check_is_inconclusive(tmp_path, capsys):
+    # the only output time lies past the blow-up, so no snapshot is compared
+    text = (CONFIGS / "blowup.cfg").read_text()
+    cfg = write(tmp_path, "late.cfg", re.sub(r"(?m)^output_times = .*$", "output_times = 1.5e-5", text))
+    out = tmp_path / "out"
+    rc = cli.main(["compare", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert "compare[Blowup]: inconclusive" in capsys.readouterr().out
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["termination"] == "blowup" and verdict["blowup_window_ok"] is True
+    assert verdict["checked_times"] == [] and verdict["max_violation"] is None
+    assert verdict["support_ok"] is None and verdict["support_checked"] is False
+    assert any("untested" in note for note in verdict["notes"])
 
 
 def test_cli_scan_writes_rows(tmp_path, capsys):

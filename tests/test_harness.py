@@ -59,7 +59,9 @@ def ge1b_scenario(bar, t_end=1.0, **solver_kw):
 
 def blowup_scenario(bar, cells=64, t_end=2.0e-5):
     R = 2.0 * bar.support_radius(0.0)
-    cfg = SolverConfig(t_end=t_end, R=R, cells=cells, boundary=BOUNDARY_DIRICHLET)
+    cfg = SolverConfig(
+        t_end=t_end, R=R, cells=cells, boundary=BOUNDARY_DIRICHLET, output_times=(0.0, 2.5e-6, 5.0e-6)
+    )
     return Scenario(
         constants=CC23, density=H2S_E, regime=REGIME_BLOWUP, barrier=bar, solver=cfg
     )
@@ -226,6 +228,7 @@ def test_comparison_blowup_coarse(blowup):
     bub, _ = blowup
     out = comparison_experiment(blowup_scenario(bub))
     assert out.verdict == VERDICT_PASS
+    assert out.checked_times == [0.0, 2.5e-6, 5.0e-6] and out.support_ok
     assert out.blowup_expected and out.blowup_window_ok
     assert out.s_num is not None and out.tau0 is not None
     assert 0.95 * out.tau0 <= out.s_num <= 1.05 * bub.T

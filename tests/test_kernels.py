@@ -238,6 +238,16 @@ def test_signed_zero_data_matches_scalar_loop_bitwise(dirichlet, m, p):
 
 
 @pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("m,p", [(2.0, 3.0), (3.0, 2.0)])
+def test_all_negative_zero_data_reports_positive_zero_sups(dirichlet, m, p):
+    # the reference starts its max at +0.0, so an all -0.0 state has sup
+    # +0.0; with no mass dt is t_end - t, so one call takes the one step
+    got = _assert_bitwise(np.full(CELLS, -0.0), m, p, dirichlet, calls=((T_END, 50),))
+    res = got[-1][0]
+    assert res[3] == 1 and not np.signbit(res[5]) and not np.signbit(res[6])
+
+
+@pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
 def test_blowup_run_matches_scalar_loop_bitwise(dirichlet):
     # p > m, so the reaction outruns the diffusion step limit
     u0 = 4.0 * _initial("touching")
