@@ -19,11 +19,14 @@ Each family has a canonical smooth representative (see :func:`rho`), and
 envelope on a sample grid.  Derived constants used by the feasibility layer,
 a safe one-sided envelope constant for ``H1`` and inverse-weight bounds on
 the closed ball of radius e, are produced by :func:`derive_k0` and
-:func:`derive_rho_bounds`.
+:func:`derive_rho_bounds`.  Both are computed once per ``DensityParams``
+(and ``margin``) and cached, since the parameter search evaluates them for
+every candidate barrier.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -77,7 +80,8 @@ class DensityParams:
     constants for H2/H2Smooth.  The canonical representative of the two-sided
     families uses ``k1``.  ``k0``, ``rho1`` and ``rho2`` are optional
     overrides for the derived constants (see :func:`derive_k0` and
-    :func:`derive_rho_bounds`); when absent they are computed on demand.
+    :func:`derive_rho_bounds`); when absent they are computed on demand,
+    once per distinct ``DensityParams``.
 
     Only algebraic invariants are validated here (positivity, ``alpha > 1``,
     ``k1 <= k2``, ``r0 >= e``).  Whether a concrete weight actually respects
@@ -277,6 +281,7 @@ def envelope_check(
     )
 
 
+@functools.lru_cache(maxsize=None)
 def derive_k0(params: DensityParams, margin: float = 0.05) -> float:
     """Safe constant for the shifted one-sided envelope of an H1 weight.
 
@@ -298,6 +303,7 @@ def derive_k0(params: DensityParams, margin: float = 0.05) -> float:
     return (1.0 - margin) * float(min(ratio.min(), tail))
 
 
+@functools.lru_cache(maxsize=None)
 def derive_rho_bounds(params: DensityParams, margin: float = 0.05) -> tuple:
     """Bounds ``rho1 <= 1/rho <= rho2`` on the closed ball of radius e.
 

@@ -7,13 +7,17 @@ two sides, slack and verdict.  ``build_barrier`` is the one place that
 turns a regime and its parameters into a barrier: it holds the regime
 defaults, the shape exponents and the table ``BARRIER_KEYS`` of the
 parameters each regime takes.  ``find_params`` runs the documented
-deterministic search (sweep the shape ratio ``omega = C^(m-1)/a`` on a log
-grid of ``OMEGA_POINTS`` points, ``OMEGA_MIN`` to ``OMEGA_MAX`` for the
-blow-up profile, then locate the binding amplitude ``C`` by
-``BISECT_ITERS`` log-bisection steps on ``[C_LO, C_HI]``, with ``T`` and
-the GE1 shape parameters fixed by the caller or by the defaults) and
-returns parameters that satisfy the binding inequality with at least
-``MARGIN`` relative slack.
+deterministic search and returns parameters that satisfy the binding
+inequality with at least ``MARGIN`` relative slack.  The compact profiles
+sweep the shape ratio ``omega = C^(m-1)/a`` on a log grid of
+``OMEGA_POINTS`` points (``OMEGA_MIN`` to ``OMEGA_MAX`` for the blow-up
+profile).  An omega is feasible when the certificate flips between the
+bracket ends ``C_LO`` and ``C_HI``, two evaluations each; the feasible
+range is the report's omega window.  Only the omega the search returns
+is bisected for its binding amplitude ``C``: log-bisection on
+``[C_LO, C_HI]`` that stops when the bracket ends are adjacent floats, or
+after ``BISECT_ITERS`` halvings.  ``T`` and the GE1 shape parameters are
+fixed by the caller or by the defaults.
 
 Two condition sets exist for the spreading supersolution:
 
@@ -601,7 +605,14 @@ BARRIER_KEYS = {
 
 def _bisect_flip(pred: Callable[[float], bool]) -> float:
     """Boundary amplitude in [C_LO, C_HI] where a monotone pass/fail
-    predicate flips."""
+    predicate flips.
+
+    Halves the log bracket until its midpoint rounds to one of its ends
+    (about 54 halvings for a boundary away from C = 1, where the floats
+    are densest) or ``BISECT_ITERS`` halvings are done.  A further halving
+    would test that end again and could not move the bracket, so the
+    result is the one all ``BISECT_ITERS`` halvings give.
+    """
     f_lo = pred(C_LO)
     f_hi = pred(C_HI)
     if f_lo == f_hi:
@@ -611,6 +622,8 @@ def _bisect_flip(pred: Callable[[float], bool]) -> float:
     llo, lhi = math.log(C_LO), math.log(C_HI)
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (llo + lhi)
+        if mid == llo or mid == lhi:
+            break
         if pred(math.exp(mid)) == f_lo:
             llo = mid
         else:
@@ -686,23 +699,17 @@ def build_barrier(
 
 
 def _omega_sweep(grid, passes: Callable[[float, float], bool]) -> list:
-    """``(omega, boundary amplitude)``, in grid order, for every grid omega
-    at which ``passes(C, omega)`` flips on the amplitude bracket."""
-    found = []
-    for w in grid:
-        try:
-            found.append((w, _bisect_flip(lambda C: passes(C, w))))
-        except FeasibilitySearchError:
-            continue
-    return found
+    """The grid omegas, in grid order, at which ``passes(C, omega)`` flips
+    on the amplitude bracket (differs between ``C_LO`` and ``C_HI``)."""
+    return [w for w in grid if passes(C_LO, w) != passes(C_HI, w)]
 
 
 def _with_window(report: FeasibilityReport, found: list) -> FeasibilityReport:
     """``report`` with the feasible omega range of a sweep in its params."""
     params = dict(report.params)
     if found:
-        params["omega_feasible_lo"] = float(min(w for w, _ in found))
-        params["omega_feasible_hi"] = float(max(w for w, _ in found))
+        params["omega_feasible_lo"] = float(min(found))
+        params["omega_feasible_hi"] = float(max(found))
     return replace(report, params=params)
 
 
@@ -767,7 +774,8 @@ def _find_blowup(cc, dens, given):
         raise FeasibilitySearchError(
             "no feasible blow-up parameters on the omega grid within the amplitude budget"
         )
-    w, boundary = found[-1]  # grid is ascending: the largest feasible omega
+    w = found[-1]  # grid is ascending: the largest feasible omega
+    boundary = _bisect_flip(lambda C: check_blowup(make(C, w), dens).overall)
     bar = make(boundary * (1.0 + MARGIN), w)  # lower bound binds: smallest passing C
     report = check_blowup(bar, dens)
     if not report.overall:
@@ -787,13 +795,13 @@ def find_params(
     """Deterministic parameter search for one regime.
 
     Sweep order: omega on a log grid (modes with a compact profile), then
-    the amplitude ``C`` by bisection on the binding inequality.  ``T``,
-    ``beta``, ``b`` and ``eps`` are fixed by the caller or by the regime
-    defaults of :func:`build_barrier`, which also rejects a parameter the
-    regime does not take.  Returned parameters satisfy the binding
-    inequality with ``MARGIN`` relative slack on the feasible side; the
-    accompanying report is the re-evaluated certificate, so it always
-    passes.
+    the amplitude ``C`` by bisection on the binding inequality, at the
+    returned omega only.  ``T``, ``beta``, ``b`` and ``eps`` are fixed by
+    the caller or by the regime defaults of :func:`build_barrier`, which
+    also rejects a parameter the regime does not take.  Returned
+    parameters satisfy the binding inequality with ``MARGIN`` relative
+    slack on the feasible side; the accompanying report is the
+    re-evaluated certificate, so it always passes.
 
     Raises :class:`FeasibilitySearchError` when no parameters satisfy every
     condition within the budget (amplitude bracket, omega grid).

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,6 +156,28 @@ def test_derive_rho_bounds_overrides_win():
         family=FAMILY_H2SMOOTH, alpha=2.0, r0=math.e, rho1=1.0, rho2=1.0
     )
     assert derive_rho_bounds(d) == (1.0, 1.0)
+
+
+def test_derived_constants_are_cached_per_params():
+    h1 = DensityParams(family=FAMILY_H1, alpha=2.5, r0=25.0, k=1.5)
+    h2 = DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=8.0, k1=1.0, k2=2.0)
+    assert derive_k0(h1) == derive_k0.__wrapped__(h1)
+    assert derive_rho_bounds(h2) == derive_rho_bounds.__wrapped__(h2)
+    # an equal DensityParams is the same key: the second call computes nothing
+    hits = derive_rho_bounds.cache_info().hits
+    assert derive_rho_bounds(replace(h2)) is derive_rho_bounds(h2)
+    assert derive_rho_bounds.cache_info().hits == hits + 2
+    # overrides still win
+    assert derive_k0(replace(h1, k0=0.5)) == 0.5
+    assert derive_rho_bounds(replace(h2, rho1=2.0, rho2=3.0)) == (2.0, 3.0)
+    # a DensityParams differing only in r0 gets its own entry and value
+    for fn, params in ((derive_k0, h1), (derive_rho_bounds, h2)):
+        moved = replace(params, r0=params.r0 + 1.0)
+        misses = fn.cache_info().misses
+        assert fn(moved) == fn.__wrapped__(moved)
+        assert fn.cache_info().misses == misses + 1
+    moved = replace(h2, r0=9.0)
+    assert derive_rho_bounds(moved) != derive_rho_bounds(h2)
 
 
 def test_derive_rho_bounds_from_member():

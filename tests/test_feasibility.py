@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pme_react import feasibility
 from pme_react.barrier import E, BlowupSubsolution, GE2Barrier
+from pme_react.config import load
 from pme_react.density import DensityParams, ProblemConstants
 from pme_react.feasibility import (
     REGIME_BLOWUP,
@@ -358,3 +360,125 @@ def test_reports_serialize(ge2_found, blowup_found):
         assert {e["name"] for e in parsed["inequalities"]} == {
             e.name for e in rep.entries
         }
+
+
+# -- the search: bisection and evaluation counts -----------------------------
+
+
+def _bisect_all_halvings(pred):
+    """Reference bisection: every one of the ``BISECT_ITERS`` halvings, with
+    no stop at float resolution."""
+    f_lo = pred(feasibility.C_LO)
+    if f_lo == pred(feasibility.C_HI):
+        raise FeasibilitySearchError("no flip")
+    llo, lhi = math.log(feasibility.C_LO), math.log(feasibility.C_HI)
+    for _ in range(feasibility.BISECT_ITERS):
+        mid = 0.5 * (llo + lhi)
+        if pred(math.exp(mid)) == f_lo:
+            llo = mid
+        else:
+            lhi = mid
+    return math.exp(0.5 * (llo + lhi))
+
+
+def _ulps_from(x, toward, k):
+    for _ in range(k):
+        x = np.nextafter(x, toward)
+    return float(x)
+
+
+def test_bisect_flip_matches_all_halvings():
+    lo, hi = feasibility.C_LO, feasibility.C_HI
+    rng = np.random.default_rng(2024)
+    thresholds = [float(x) for x in np.exp(rng.uniform(math.log(lo), math.log(hi), 190))]
+    # a few ulps inside either end (one ulp of log(C) is ~16 ulps of C
+    # there), and at 1, where the floats are dense enough that the halving
+    # cap binds
+    thresholds += [_ulps_from(lo, hi, k) for k in (1, 2, 3, 15, 16, 17)]
+    thresholds += [_ulps_from(hi, lo, k) for k in (0, 1, 2, 15, 16, 17)]
+    thresholds += [1.0, _ulps_from(1.0, hi, 1), _ulps_from(1.0, lo, 1)]
+    assert len(thresholds) >= 200
+    calls = []
+    for thr in thresholds:
+        for pred in (lambda C: C >= thr, lambda C: C < thr):
+            counted = []
+
+            def tally(C, pred=pred):
+                counted.append(C)
+                return pred(C)
+
+            got = feasibility._bisect_flip(tally)
+            assert got == _bisect_all_halvings(pred), thr
+            calls.append(len(counted))
+    assert max(calls) <= 2 + feasibility.BISECT_ITERS
+    # the stop at float resolution cuts a typical search well below the cap
+    assert sorted(calls)[len(calls) // 2] < 2 + 60
+    for constant in (True, False):
+        with pytest.raises(FeasibilitySearchError):
+            feasibility._bisect_flip(lambda C: constant)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# What find_params returns for each shipped barrier config, bit for bit, and
+# how many certificates (check_* calls) it evaluates to get there.
+SEARCH_PINS = {
+    "ge1a": (
+        62,
+        {"C": 0.7223383898691894, "T": 2.0},
+        {
+            "C": 0.7223383898691894, "T": 2.0, "beta": 0.05, "b": 0.95,
+            "eps": 0.2791957944233054, "r0": 1000.0, "cbar": 0.29404915507676693,
+            "k0": 0.95, "K0": 0.4111503012892854,
+        },
+    ),
+    "ge1b": (
+        60,
+        {"C": 0.339620451625722, "T": 1.0},
+        {
+            "C": 0.339620451625722, "T": 1.0, "beta": 0.0, "b": 0.5,
+            "eps": 0.46633381508943156, "r0": 25.0, "cbar": 0.4161231071231106,
+            "k0": 0.95, "K0": 0.14273715674878001,
+        },
+    ),
+    "ge2": (
+        115,
+        {"C": 0.7226750271573944, "a": 46.71371375545397, "T": 1.0},
+        {
+            "C": 0.7226750271573944, "a": 46.71371375545397, "T": 1.0, "bbar": 4.0,
+            "r0": 8.0, "omega": 0.01547029702970297, "k_canonical": 1.0,
+            "drift_bracket_min": 8.344673365927255,
+            "omega_feasible_lo": 0.008786583206099204, "omega_feasible_hi": 0.015625,
+        },
+    ),
+    "blowup": (
+        108,
+        {"C": 219.23110174053843, "a": 219.23110174053843, "T": 1.0},
+        {
+            "C": 219.23110174053843, "a": 219.23110174053843, "T": 1.0, "bunder": 3.0,
+            "omega": 1.0, "k2": 1.0, "rho1": 7.019603293984117,
+            "rho2": 10.825521594868949, "K": 0.3849001794597505, "branch_outer": 43.0,
+            "branch_inner": 27.37135056206182, "omega_feasible_lo": 0.001,
+            "omega_feasible_hi": 1.0,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(SEARCH_PINS))
+def test_search_pins_shipped_configs_bitwise(stem, monkeypatch):
+    n_checks, fields, params = SEARCH_PINS[stem]
+    calls = []
+    for name in ("check_ge1", "check_ge2", "check_ge2_pointwise", "check_blowup"):
+        original = getattr(feasibility, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(feasibility, name, counted)
+    loaded = load(str(CONFIGS / f"{stem}.cfg"))
+    bar, rep = find_params(loaded.constants, loaded.density, loaded.regime, **loaded.barrier_given)
+    assert {key: getattr(bar, key) for key in fields} == fields
+    assert rep.params == params
+    assert len(calls) == n_checks

@@ -49,6 +49,10 @@ def _advance_impl(
             s0 = u[i]
     sup_new = s0
     status = _kernels.STATUS_REACHED_TSTOP
+    # the kernel copies all of u into u_prev on entry, also when it takes
+    # no step
+    for i in range(n):
+        u_prev[i] = u[i]
 
     while t < t_stop and nsub < max_sub:
         # diffusion-limited dt from the neighborhood max of u
@@ -245,6 +249,22 @@ def test_all_negative_zero_data_reports_positive_zero_sups(dirichlet, m, p):
     got = _assert_bitwise(np.full(CELLS, -0.0), m, p, dirichlet, calls=((T_END, 50),))
     res = got[-1][0]
     assert res[3] == 1 and not np.signbit(res[5]) and not np.signbit(res[6])
+
+
+@pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("m,p", [(2.0, 3.0), (3.0, 2.0)])
+def test_zero_step_calls_match_scalar_loop_bitwise(dirichlet, m, p):
+    # with no mass dt is t_end - t, so the first call reaches t_end in one
+    # step and the other three start at t >= t_stop and take none
+    got = _assert_bitwise(np.full(CELLS, -0.0), m, p, dirichlet)
+    assert [res[3] for res, _, _ in got] == [1, 0, 0, 0]
+    # the step turned -0.0 cells into +0.0 and left the -0.0 in u_prev; a
+    # zero-step call copies u into u_prev, so the sign bits tell the copy
+    # apart from a call that leaves u_prev alone
+    _, u_step, prev_step = got[0]
+    assert np.signbit(prev_step).all() and not np.signbit(u_step).all()
+    for _, u_end, prev_end in got[1:]:
+        assert prev_end.tobytes() == u_end.tobytes()
 
 
 @pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
