@@ -36,6 +36,11 @@ differentiated across a corner.
 Residual convention.  ``residual = w_t - (1/rho) Lap(w^m) - w^p``; a
 supersolution has residual >= 0 on its support interior, a subsolution
 has residual <= 0.
+
+Regimes.  Each barrier names the regime it certifies as ``regime``, so the
+regime is never passed beside a barrier: GE1a (p < m) and GE1b (p > m) for
+:class:`GE1Barrier`, GE2 and Blowup for the two compact profiles.  The
+names are the ``REGIME_*`` constants here.
 """
 
 from __future__ import annotations
@@ -49,6 +54,12 @@ import numpy as np
 from .density import E, ProblemConstants
 
 KINK_TOL = 1.0e-9
+
+REGIME_GE1A = "GE1a"
+REGIME_GE1B = "GE1b"
+REGIME_GE2 = "GE2"
+REGIME_BLOWUP = "Blowup"
+REGIMES = (REGIME_GE1A, REGIME_GE1B, REGIME_GE2, REGIME_BLOWUP)
 
 
 class KinkError(ValueError):
@@ -250,6 +261,11 @@ class GE1Barrier:
             self, "cbar", math.log(self.r0) ** (-self.b * cc.p / cc.m)
         )
 
+    @property
+    def regime(self) -> str:
+        """GE1a when p < m, GE1b when p > m."""
+        return REGIME_GE1A if self.constants.p < self.constants.m else REGIME_GE1B
+
     def _zeta(self, t):
         return (self.T + t) ** self.beta
 
@@ -300,6 +316,8 @@ class GE2Barrier:
     certificate entry ``support_shape_exponent``, hence only ``bbar > 3``
     here); ``a`` calibrates the support size.
     """
+
+    regime = REGIME_GE2
 
     constants: ProblemConstants
     C: float
@@ -364,6 +382,8 @@ class BlowupSubsolution:
     is the outer log exponent, pinned to ``alpha + 1 > 2`` by the paired
     density (checked by the certificate entry ``outer_shape_exponent``).
     """
+
+    regime = REGIME_BLOWUP
 
     constants: ProblemConstants
     C: float

@@ -13,6 +13,11 @@ Subcommands, all driven by one config file (see :mod:`pme_react.config`):
 * ``blow-up-scan``: the blow-up comparison plus reruns with scaled initial
   data, adding ``scan.csv``.
 
+Reports are dataclasses; their fields are the JSON keys, and only the
+compare payload is reshaped here (the raw run becomes ``steps``,
+``final_sup`` and ``clamp_total``).  Non-finite floats are written as
+``null``.
+
 Exit status: 0 when the requested check passed (or the simulation
 terminated normally), 2 when it failed, was infeasible or inconclusive,
 1 for usage and config errors.  When the barrier parameter search finds
@@ -23,6 +28,7 @@ prints ``infeasible:`` and exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -30,11 +36,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import config as config_mod
-from .feasibility import (
-    REGIME_BLOWUP,
-    FeasibilitySearchError,
-    check_auto,
-)
+from .barrier import REGIME_BLOWUP
+from .feasibility import FeasibilitySearchError, check_auto
 from .harness import (
     VERDICT_PASS,
     blowup_scan,
@@ -62,7 +65,13 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _fields(report) -> dict:
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
 def _finite_or_null(value):
+    if dataclasses.is_dataclass(value):
+        value = _fields(value)
     if isinstance(value, float) and not math.isfinite(value):
         return None
     if isinstance(value, dict):
@@ -128,8 +137,21 @@ def _load(args) -> config_mod.Resolved:
     return config_mod.resolve(loaded)
 
 
+def _compare_payload(result, defaults_used) -> dict:
+    """A comparison's fields, with the raw run reduced to three numbers."""
+    payload = _fields(result)
+    res = payload.pop("run")
+    payload.update(
+        steps=res.steps,
+        final_sup=float(res.final_state.u.max()),
+        clamp_total=res.clamp_total,
+        defaults_used=defaults_used,
+    )
+    return payload
+
+
 def _need_regime(resolved: config_mod.Resolved, command: str) -> None:
-    if resolved.regime is None or resolved.barrier is None:
+    if resolved.barrier is None:
         raise ValueError(f"'{command}' needs a [barrier] section with a regime")
 
 
@@ -139,8 +161,7 @@ def _cmd_feasibility(args) -> int:
     report = resolved.report
     if report is None:
         report = check_auto(resolved.barrier, resolved.density)
-    payload = report.to_jsonable()
-    payload["defaults_used"] = resolved.defaults_used
+    payload = {**_fields(report), "defaults_used": resolved.defaults_used}
     _write_json(os.path.join(args.out, "summary.json"), payload)
     print(f"{report.mode}: {'feasible' if report.overall else 'infeasible'} "
           f"({report.condition_set} conditions)")
@@ -152,16 +173,16 @@ def _cmd_barrier_check(args) -> int:
     _need_regime(resolved, "barrier-check")
     bar, dens = resolved.barrier, resolved.density
     report = resolved.report if resolved.report is not None else check_auto(bar, dens)
-    sweep = residual_sweep(bar, dens, resolved.regime)
+    sweep = residual_sweep(bar, dens)
     cross = derivative_crosscheck(bar, seed=resolved.seed)
     passed = bool(report.overall and sweep.passed and cross.passed)
     _write_json(
         os.path.join(args.out, "verdict.json"),
         {
             "passed": passed,
-            "feasibility": report.to_jsonable(),
-            "residual_sweep": sweep.to_jsonable(),
-            "derivative_crosscheck": cross.to_jsonable(),
+            "feasibility": report,
+            "residual_sweep": sweep,
+            "derivative_crosscheck": cross,
             "defaults_used": resolved.defaults_used,
         },
     )
@@ -189,12 +210,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     resolved = _load(args)
     _need_regime(resolved, "compare")
-    result = comparison_experiment(resolved.scenario())
+    result = comparison_experiment(resolved.barrier, resolved.density, resolved.solver, resolved.initial)
     _write_series(os.path.join(args.out, "series.csv"), result.run)
     _write_snapshots(os.path.join(args.out, "snapshots.csv"), result.run, result.run.grid)
-    payload = result.to_jsonable()
-    payload["defaults_used"] = resolved.defaults_used
-    _write_json(os.path.join(args.out, "verdict.json"), payload)
+    _write_json(os.path.join(args.out, "verdict.json"), _compare_payload(result, resolved.defaults_used))
     print(f"compare[{result.regime}]: {result.verdict} "
           f"(termination={result.termination}, max_violation={result.max_violation:.3e})")
     return EXIT_OK if result.verdict == VERDICT_PASS else EXIT_FAIL
@@ -203,18 +222,16 @@ def _cmd_compare(args) -> int:
 def _cmd_scan(args) -> int:
     resolved = _load(args)
     _need_regime(resolved, "blow-up-scan")
-    if resolved.regime != REGIME_BLOWUP:
+    if resolved.barrier.regime != REGIME_BLOWUP:
         raise ValueError("'blow-up-scan' needs the blow-up regime")
-    scenario = resolved.scenario()
-    result = comparison_experiment(scenario)
-    rows = blowup_scan(scenario)
+    inputs = (resolved.barrier, resolved.density, resolved.solver, resolved.initial)
+    result = comparison_experiment(*inputs)
+    rows = blowup_scan(*inputs)
     _write_series(os.path.join(args.out, "series.csv"), result.run)
     _write_snapshots(os.path.join(args.out, "snapshots.csv"), result.run, result.run.grid)
     _write_scan(os.path.join(args.out, "scan.csv"), rows)
-    payload = result.to_jsonable()
-    payload["scan"] = [row.to_jsonable() for row in rows]
-    payload["defaults_used"] = resolved.defaults_used
-    _write_json(os.path.join(args.out, "verdict.json"), payload)
+    payload = _compare_payload(result, resolved.defaults_used)
+    _write_json(os.path.join(args.out, "verdict.json"), {**payload, "scan": rows})
     blew = sum(1 for row in rows if row.blew_up)
     print(f"blow-up-scan: compare {result.verdict}; {blew}/{len(rows)} scaled runs blew up")
     return EXIT_OK if result.verdict == VERDICT_PASS else EXIT_FAIL

@@ -11,7 +11,8 @@ The format is a small INI dialect:
   seed).
 * ``R = auto`` and ``output_times = auto`` defer to regime-specific rules;
   ``initial_data`` is one of ``equals_barrier``, ``scaled_barrier``,
-  ``constant:<value>``, ``csv:<path>``.
+  ``constant:<value>``, ``csv:<path>``; ``scale_factor`` is an error with
+  any but ``scaled_barrier``.
 
 Parsing is done by hand rather than with :mod:`configparser` so that every
 diagnostic carries a line number and all problems in a file are reported
@@ -31,20 +32,13 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .barrier import REGIME_BLOWUP, REGIME_GE2, REGIMES
 from .density import (
     FAMILIES,
     DensityParams,
     ProblemConstants,
 )
-from .feasibility import (
-    BARRIER_KEYS,
-    REGIME_BLOWUP,
-    REGIME_GE2,
-    REGIMES,
-    FeasibilityReport,
-    build_barrier,
-    find_params,
-)
+from .feasibility import BARRIER_KEYS, FeasibilityReport, build_barrier, find_params
 from .harness import (
     INIT_CONSTANT,
     INIT_CSV,
@@ -52,7 +46,6 @@ from .harness import (
     INIT_SCALED_BARRIER,
     Barrier,
     InitialData,
-    Scenario,
 )
 from .solver import BOUNDARIES, SolverConfig
 
@@ -309,6 +302,9 @@ def loads(text: str) -> LoadedConfig:
             initial = _parse_initial(init_raw, scale_factor)
         except ValueError as exc:
             issues.append(ConfigIssue(init_line, f"[harness] initial_data: {exc}"))
+    if initial is not None and initial.kind != INIT_SCALED_BARRIER and "scale_factor" in har_s.table:
+        message = f"only used with initial_data = {INIT_SCALED_BARRIER}, got {initial.kind}"
+        issues.append(ConfigIssue(har_s.table["scale_factor"][1], f"[harness] scale_factor: {message}"))
 
     constants = density = None
     if None not in (m, p, N):
@@ -375,25 +371,12 @@ def _parse_initial(raw: str, factor: float) -> InitialData:
 class Resolved:
     constants: ProblemConstants
     density: DensityParams
-    regime: Optional[str]
-    barrier: Optional[Barrier]
+    barrier: Optional[Barrier]  # carries its regime
     report: Optional[FeasibilityReport]
     solver: SolverConfig
     initial: InitialData
     seed: int
     defaults_used: List[str]
-
-    def scenario(self) -> Scenario:
-        if self.barrier is None or self.regime is None:
-            raise ValueError("config has no barrier regime; only plain simulation is possible")
-        return Scenario(
-            constants=self.constants,
-            density=self.density,
-            regime=self.regime,
-            barrier=self.barrier,
-            solver=self.solver,
-            initial=self.initial,
-        )
 
 
 def resolve(loaded: LoadedConfig) -> Resolved:
@@ -430,9 +413,9 @@ def resolve(loaded: LoadedConfig) -> Resolved:
     if loaded.solver_R == "auto":
         if barrier is None:
             raise ValueError("[solver] R must be a number when no barrier regime is set")
-        if loaded.regime == REGIME_GE2:
+        if barrier.regime == REGIME_GE2:
             R = 2.0 * barrier.support_radius(t_end)
-        elif loaded.regime == REGIME_BLOWUP:
+        elif barrier.regime == REGIME_BLOWUP:
             R = 2.0 * barrier.support_radius(0.0)
         else:
             R = 2.0 * dens.r0
@@ -463,7 +446,6 @@ def resolve(loaded: LoadedConfig) -> Resolved:
     return Resolved(
         constants=cc,
         density=dens,
-        regime=loaded.regime,
         barrier=barrier,
         report=report,
         solver=solver,

@@ -3,10 +3,12 @@
 Each ``check_*`` function evaluates a closed system of scalar inequalities
 that is sufficient for the corresponding barrier to be a super/subsolution,
 and returns a :class:`FeasibilityReport` listing every inequality with its
-two sides, slack and verdict.  ``build_barrier`` is the one place that
-turns a regime and its parameters into a barrier: it holds the regime
-defaults, the shape exponents and the table ``BARRIER_KEYS`` of the
-parameters each regime takes.  ``find_params`` runs the documented
+two sides, slack and verdict; its ``mode`` is the barrier's ``regime``.
+``build_barrier`` is the one place that turns a regime name and its
+parameters into a barrier: it holds the regime defaults, the shape
+exponents and the table ``BARRIER_KEYS`` of the parameters each regime
+takes.  It and ``find_params`` share one check of the regime name and its
+exponent condition (:func:`_check_regime`).  ``find_params`` runs the documented
 deterministic search and returns parameters that satisfy the binding
 inequality with at least ``MARGIN`` relative slack.  The compact profiles
 sweep the shape ratio ``omega = C^(m-1)/a`` on a log grid of
@@ -49,6 +51,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from .barrier import REGIME_BLOWUP, REGIME_GE1A, REGIME_GE1B, REGIME_GE2, REGIMES
 from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
 from .density import (
     DensityParams,
@@ -58,12 +61,6 @@ from .density import (
     derive_k0,
     derive_rho_bounds,
 )
-
-REGIME_GE1A = "GE1a"
-REGIME_GE1B = "GE1b"
-REGIME_GE2 = "GE2"
-REGIME_BLOWUP = "Blowup"
-REGIMES = (REGIME_GE1A, REGIME_GE1B, REGIME_GE2, REGIME_BLOWUP)
 
 
 class FeasibilitySearchError(RuntimeError):
@@ -86,34 +83,15 @@ class FeasibilityEntry:
 class FeasibilityReport:
     mode: str
     condition_set: str
-    entries: Tuple[FeasibilityEntry, ...]
+    inequalities: Tuple[FeasibilityEntry, ...]
     params: Dict[str, float] = field(default_factory=dict)
     overall: bool = True
 
     def entry(self, name: str) -> FeasibilityEntry:
-        for e in self.entries:
+        for e in self.inequalities:
             if e.name == name:
                 return e
         raise KeyError(f"no inequality named {name!r} in this report")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "mode": self.mode,
-            "condition_set": self.condition_set,
-            "overall": self.overall,
-            "params": dict(self.params),
-            "inequalities": [
-                {
-                    "name": e.name,
-                    "lhs": e.lhs,
-                    "rhs": e.rhs,
-                    "slack": e.slack,
-                    "passed": e.passed,
-                    "strict": e.strict,
-                }
-                for e in self.entries
-            ],
-        }
 
 
 def _entry(name: str, lhs: float, rhs: float, strict: bool = False) -> FeasibilityEntry:
@@ -128,7 +106,7 @@ def _finish(mode, condition_set, entries, params) -> FeasibilityReport:
     return FeasibilityReport(
         mode=mode,
         condition_set=condition_set,
-        entries=tuple(entries),
+        inequalities=tuple(entries),
         params={k: float(v) for k, v in params.items()},
         overall=all(e.passed for e in entries),
     )
@@ -182,7 +160,7 @@ def check_ge1(bar: GE1Barrier, dens: DensityParams) -> FeasibilityReport:
         _entry("laplacian_margin", bar.eps * (bar.b + 1.0), cc.N - 2.0, strict=True),
         _entry("epsilon_floor", 1.0 / math.log(bar.r0), bar.eps, strict=True),
     ]
-    if cc.p < cc.m:
+    if bar.regime == REGIME_GE1A:
         entries.append(_entry("beta_mode", 0.0, bar.beta, strict=True))
         entries.append(_entry("time_shift_gt_one", 1.0, bar.T, strict=True))
         entries.append(_entry("amplitude_balance", bar.cbar, K0 * bar.C ** (cc.m - cc.p)))
@@ -201,8 +179,7 @@ def check_ge1(bar: GE1Barrier, dens: DensityParams) -> FeasibilityReport:
         "k0": k0,
         "K0": K0,
     }
-    mode = REGIME_GE1A if cc.p < cc.m else REGIME_GE1B
-    return _finish(mode, "envelope", entries, params)
+    return _finish(bar.regime, "envelope", entries, params)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +247,7 @@ def check_ge2(bar: GE2Barrier, dens: DensityParams) -> FeasibilityReport:
         "k2": dens.k2,
         "X": X,
     }
-    return _finish(REGIME_GE2, "envelope", entries, params)
+    return _finish(bar.regime, "envelope", entries, params)
 
 
 def _fminbound(f: Callable[[float], float], a: float, b: float, xatol: float) -> float:
@@ -419,7 +396,7 @@ def check_ge2_pointwise(bar: GE2Barrier, dens: DensityParams) -> FeasibilityRepo
         "k_canonical": kc,
         "drift_bracket_min": bracket_min,
     }
-    return _finish(REGIME_GE2, "pointwise", entries, params)
+    return _finish(bar.regime, "pointwise", entries, params)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +456,7 @@ def check_blowup(bar: BlowupSubsolution, dens: DensityParams) -> FeasibilityRepo
         "branch_outer": branch_outer,
         "branch_inner": branch_inner,
     }
-    return _finish(REGIME_BLOWUP, "envelope", entries, params)
+    return _finish(bar.regime, "envelope", entries, params)
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +630,18 @@ def _ge1_shape_defaults(cc: ProblemConstants, dens: DensityParams, b, eps):
     return b, eps
 
 
+def _check_regime(cc: ProblemConstants, regime: str) -> None:
+    """Reject an unknown regime name and a regime whose exponent condition
+    fails: GE1a needs p < m, every other regime p > m."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    if regime == REGIME_GE1A:
+        if not cc.p < cc.m:
+            raise ValueError("regime GE1a requires p < m")
+    elif not cc.p > cc.m:
+        raise ValueError(f"regime {regime} requires p > m")
+
+
 def build_barrier(
     cc: ProblemConstants,
     dens: DensityParams,
@@ -672,11 +661,11 @@ def build_barrier(
     its admissible window (:class:`FeasibilitySearchError` when a given or
     default value leaves its window).  The compact profiles take their
     shape exponent from the density (:func:`_bbar`, :func:`_bunder`) and
-    need ``a``.  A parameter outside ``BARRIER_KEYS[regime]`` is a
-    ``ValueError``.
+    need ``a``.  An unknown regime, one whose exponent condition fails
+    (:func:`_check_regime`) and a parameter outside ``BARRIER_KEYS[regime]``
+    are a ``ValueError``.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    _check_regime(cc, regime)
     given = {"a": a, "T": T, "beta": beta, "b": b, "eps": eps}
     extra = [k for k, v in given.items() if v is not None and k not in BARRIER_KEYS[regime]]
     if extra:
@@ -806,19 +795,10 @@ def find_params(
     Raises :class:`FeasibilitySearchError` when no parameters satisfy every
     condition within the budget (amplitude bracket, omega grid).
     """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    _check_regime(cc, regime)
     given = {"T": T, "beta": beta, "b": b, "eps": eps}
-    if regime == REGIME_GE1A:
-        if not cc.p < cc.m:
-            raise ValueError("regime GE1a requires p < m")
+    if regime in (REGIME_GE1A, REGIME_GE1B):
         return _find_ge1(cc, dens, regime, given)
-    if regime == REGIME_GE1B:
-        if not cc.p > cc.m:
-            raise ValueError("regime GE1b requires p > m")
-        return _find_ge1(cc, dens, regime, given)
-    if not cc.p > cc.m:
-        raise ValueError(f"regime {regime} requires p > m")
     if regime == REGIME_GE2:
         return _find_ge2(cc, dens, given)
     return _find_blowup(cc, dens, given)

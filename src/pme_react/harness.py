@@ -1,4 +1,4 @@
-"""Experiment harness: scenarios, residual sweeps, comparison runs.
+"""Experiment harness: residual sweeps, comparison runs, amplitude scans.
 
 The pieces here connect the closed-form comparison functions from
 :mod:`pme_react.barrier` with the finite-volume scheme in
@@ -14,12 +14,13 @@ The pieces here connect the closed-form comparison functions from
 * :func:`comparison_experiment` runs the scheme from barrier-compatible
   initial data and verifies the predicted ordering, support inclusion and
   blow-up window on the computed snapshots.
-* :func:`blowup_scan` reruns the blow-up scenario with the initial data
+* :func:`blowup_scan` reruns the blow-up comparison with the initial data
   scaled by a list of factors, one run after another, and records which
   amplitudes still blow up.
 
-Everything returns plain report dataclasses with ``to_jsonable`` so the
-command line layer only has to serialize.
+Each takes a barrier, which carries its regime and problem constants.
+Everything returns plain report dataclasses; the command line writes their
+fields as JSON keys.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
-from .density import E, DensityParams, ProblemConstants, inverse_rho
-from .feasibility import REGIME_BLOWUP, REGIME_GE2, REGIMES
+from .density import E, DensityParams, inverse_rho
 from .solver import RadialGrid, RunResult, SolverConfig, reaction_time_scale, run, support_radius_numeric
 
 Barrier = Union[GE1Barrier, GE2Barrier, BlowupSubsolution]
@@ -50,7 +50,7 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class InitialData:
-    """How a scenario builds its starting profile.
+    """How a comparison run builds its starting profile.
 
     ``equals_barrier`` samples the barrier at t=0, ``scaled_barrier``
     multiplies that by ``factor``, ``constant`` fills with ``value`` and
@@ -69,30 +69,6 @@ class InitialData:
             raise ValueError(f"scale factor must be positive, got {self.factor}")
         if self.kind == INIT_CSV and not self.path:
             raise ValueError("csv initial data needs a path")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    constants: ProblemConstants
-    density: DensityParams
-    regime: str
-    barrier: Barrier
-    solver: SolverConfig
-    initial: InitialData = InitialData()
-
-    def __post_init__(self) -> None:
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        want = BlowupSubsolution if self.regime == REGIME_BLOWUP else (
-            GE2Barrier if self.regime == REGIME_GE2 else GE1Barrier
-        )
-        if not isinstance(self.barrier, want):
-            raise ValueError(
-                f"regime {self.regime} needs a {want.__name__}, got {type(self.barrier).__name__}"
-            )
-
-    def grid(self) -> RadialGrid:
-        return RadialGrid(N=self.constants.N, R=self.solver.R, cells=self.solver.cells)
 
 
 def build_initial(init: InitialData, grid: RadialGrid, barrier: Optional[Barrier] = None) -> np.ndarray:
@@ -120,25 +96,12 @@ def build_initial(init: InitialData, grid: RadialGrid, barrier: Optional[Barrier
 class SweepReport:
     regime: str
     role: str  # "supersolution" or "subsolution"
-    n_r: int
-    n_t: int
+    grid: Tuple[int, int]  # (n_r, n_t)
     rel_tol: float
     min_margin: float  # signed so that >= -rel_tol means pass
     worst_r: float
     worst_t: float
     passed: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "regime": self.regime,
-            "role": self.role,
-            "grid": [self.n_r, self.n_t],
-            "rel_tol": self.rel_tol,
-            "min_margin": self.min_margin,
-            "worst_r": self.worst_r,
-            "worst_t": self.worst_t,
-            "passed": self.passed,
-        }
 
 
 def _relative_margins(resid: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -168,7 +131,6 @@ def _sweep_radii(bar: Barrier, t: float, n_r: int) -> np.ndarray:
 def residual_sweep(
     bar: Barrier,
     dens: DensityParams,
-    regime: str,
     n_r: int = 200,
     n_t: int = 50,
     rel_tol: float = 1.0e-10,
@@ -200,10 +162,9 @@ def residual_sweep(
             worst_r = float(r[i])
             worst_t = float(t)
     return SweepReport(
-        regime=regime,
+        regime=bar.regime,
         role="subsolution" if sub else "supersolution",
-        n_r=n_r,
-        n_t=n_t,
+        grid=(n_r, n_t),
         rel_tol=rel_tol,
         min_margin=min_margin,
         worst_r=worst_r,
@@ -223,15 +184,6 @@ class CrosscheckReport:
     rel_tol: float
     max_err: Dict[str, float]
     passed: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "h": self.h,
-            "rel_tol": self.rel_tol,
-            "max_err": dict(self.max_err),
-            "passed": self.passed,
-        }
 
 
 def _crosscheck_points(bar: Barrier, n: int, rng: np.random.Generator, h: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -306,19 +258,11 @@ class HypothesisReport:
     n_violations: int
     ok: bool
 
-    def to_jsonable(self) -> dict:
-        return {
-            "side": self.side,
-            "max_violation": self.max_violation,
-            "n_violations": self.n_violations,
-            "ok": self.ok,
-        }
 
-
-def hypothesis_check(u0: np.ndarray, bar: Barrier, grid: RadialGrid, regime: str) -> HypothesisReport:
+def hypothesis_check(u0: np.ndarray, bar: Barrier, grid: RadialGrid) -> HypothesisReport:
     bar0 = np.asarray(bar.eval(grid.centers, 0.0), dtype=float)
     tol = 1.0e-12 * max(float(np.max(np.abs(bar0))), 1.0)
-    if regime == REGIME_BLOWUP:
+    if isinstance(bar, BlowupSubsolution):
         side = "above_barrier"
         viol = bar0 - u0 - tol
     else:
@@ -348,35 +292,19 @@ class ComparisonResult:
     notes: List[str]
     run: RunResult
 
-    def to_jsonable(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "regime": self.regime,
-            "hypothesis": self.hypothesis.to_jsonable(),
-            "checked_times": list(self.checked_times),
-            "max_violation": self.max_violation,
-            "worst_time": self.worst_time,
-            "support_checked": self.support_checked,
-            "support_ok": self.support_ok,
-            "support_worst_cells": self.support_worst_cells,
-            "blowup_expected": self.blowup_expected,
-            "blowup_window_ok": self.blowup_window_ok,
-            "s_num": self.s_num,
-            "tau0": self.tau0,
-            "termination": self.termination,
-            "steps": self.run.steps,
-            "final_sup": float(self.run.final_state.u.max()),
-            "clamp_total": self.run.clamp_total,
-            "notes": list(self.notes),
-        }
-
 
 def comparison_tolerance(u_num: np.ndarray, u_bar: np.ndarray) -> np.ndarray:
     """Pointwise allowance for scheme error: ``1e-8 + 1e-3 max(|u|,|bar|)``."""
     return 1.0e-8 + 1.0e-3 * np.maximum(np.abs(u_num), np.abs(u_bar))
 
 
-def comparison_experiment(scenario: Scenario) -> ComparisonResult:
+def _grid(bar: Barrier, solver: SolverConfig) -> RadialGrid:
+    return RadialGrid(N=bar.constants.N, R=solver.R, cells=solver.cells)
+
+
+def comparison_experiment(
+    bar: Barrier, dens: DensityParams, solver: SolverConfig, initial: InitialData = InitialData()
+) -> ComparisonResult:
     """Run the scheme and test the ordering the barrier predicts.
 
     Upper-bound regimes must complete without blow-up and stay at or below
@@ -390,19 +318,18 @@ def comparison_experiment(scenario: Scenario) -> ComparisonResult:
     leaves no output time to check (before ``0.95 s_num`` for blow-up)
     unless it has already failed.
     """
-    grid = scenario.grid()
-    u0 = build_initial(scenario.initial, grid, scenario.barrier)
-    hyp = hypothesis_check(u0, scenario.barrier, grid, scenario.regime)
+    grid = _grid(bar, solver)
+    u0 = build_initial(initial, grid, bar)
+    hyp = hypothesis_check(u0, bar, grid)
     if not hyp.ok:
         raise ValueError(
             f"initial data is on the wrong side of the barrier in {hyp.n_violations} cells "
             f"(worst excess {hyp.max_violation:.3e}); comparison would be vacuous"
         )
-    res = run(u0, grid, scenario.density, scenario.constants, scenario.solver)
-    bar = scenario.barrier
-    sub = scenario.regime == REGIME_BLOWUP
+    res = run(u0, grid, dens, bar.constants, solver)
+    sub = isinstance(bar, BlowupSubsolution)
     notes: List[str] = []
-    support_checked = scenario.regime in (REGIME_GE2, REGIME_BLOWUP)
+    support_checked = not isinstance(bar, GE1Barrier)
     checked_times: List[float] = []
     max_viol = worst_time = support_worst = math.nan
     support_ok: Optional[bool] = None
@@ -474,7 +401,7 @@ def comparison_experiment(scenario: Scenario) -> ComparisonResult:
 
     return ComparisonResult(
         verdict=verdict,
-        regime=scenario.regime,
+        regime=bar.regime,
         hypothesis=hyp,
         checked_times=checked_times,
         max_violation=max_viol,
@@ -493,7 +420,7 @@ def comparison_experiment(scenario: Scenario) -> ComparisonResult:
 
 
 # ---------------------------------------------------------------------------
-# amplitude scan around the blow-up scenario
+# amplitude scan around the blow-up comparison
 
 
 @dataclass(frozen=True)
@@ -504,42 +431,35 @@ class ScanRow:
     tau0: Optional[float]
     termination: str
 
-    def to_jsonable(self) -> dict:
-        return {
-            "factor": self.factor,
-            "blew_up": self.blew_up,
-            "s_num": self.s_num,
-            "tau0": self.tau0,
-            "termination": self.termination,
-        }
-
 
 def blowup_scan(
-    scenario: Scenario,
+    bar: Barrier,
+    dens: DensityParams,
+    solver: SolverConfig,
+    initial: InitialData = InitialData(),
     factors: Sequence[float] = (0.25, 0.5, 0.75, 1.0, 1.25),
 ) -> List[ScanRow]:
-    """Scale the scenario's initial data and record who still blows up.
+    """Scale the comparison's initial data and record who still blows up.
 
     The time horizon of each row is stretched to at least three reaction
     times of its own scaled data, so smaller amplitudes get a fair window
     instead of inheriting the horizon tuned to the unscaled run.
     """
-    if scenario.regime != REGIME_BLOWUP:
+    if not isinstance(bar, BlowupSubsolution):
         raise ValueError("the amplitude scan is defined for the blow-up regime")
     if any(not f > 0.0 for f in factors):
         raise ValueError("scan factors must be positive")
-    grid = scenario.grid()
-    u0 = build_initial(scenario.initial, grid, scenario.barrier)
+    grid = _grid(bar, solver)
+    u0 = build_initial(initial, grid, bar)
     sup0 = float(u0.max())
     if sup0 <= 0.0:
         raise ValueError("scan needs nonzero initial data")
-    p = scenario.constants.p
     rows = []
     for f in factors:
-        tau_f = reaction_time_scale(p, f * sup0)
-        t_end = max(scenario.solver.t_end, 3.0 * tau_f)
-        cfg = replace(scenario.solver, t_end=t_end, output_times=())
-        res = run(f * u0, grid, scenario.density, scenario.constants, cfg)
+        tau_f = reaction_time_scale(bar.constants.p, f * sup0)
+        t_end = max(solver.t_end, 3.0 * tau_f)
+        cfg = replace(solver, t_end=t_end, output_times=())
+        res = run(f * u0, grid, dens, bar.constants, cfg)
         rows.append(
             ScanRow(
                 factor=float(f),

@@ -28,7 +28,6 @@ from pme_react.feasibility import (
     find_params,
 )
 from pme_react.harness import (
-    Scenario,
     comparison_experiment,
     derivative_crosscheck,
     residual_sweep,
@@ -92,7 +91,7 @@ def test_criterion_1_residual_signs(ge1a_pack, ge1b_pack, ge2_pack, blowup_pack)
         (blowup_pack, REGIME_BLOWUP),
     ):
         t0 = time.perf_counter()
-        sweep = residual_sweep(bar, dens, regime, n_r=200, n_t=50, rel_tol=1e-10)
+        sweep = residual_sweep(bar, dens, n_r=200, n_t=50, rel_tol=1e-10)
         dt = time.perf_counter() - t0
         ok = ok and sweep.passed and dt <= 1.0
         detail.append(f"{regime} margin={sweep.min_margin:.3g} in {dt:.2f}s")
@@ -232,9 +231,8 @@ def test_criterion_7_spreading_bound_end_to_end(ge2_pack):
     cfg = SolverConfig(
         t_end=10.0, R=52.0, cells=2048, boundary=BOUNDARY_DIRICHLET, output_times=times
     )
-    sc = Scenario(constants=CC23, density=dens, regime=REGIME_GE2, barrier=bar, solver=cfg)
     t0 = time.perf_counter()
-    out = comparison_experiment(sc)
+    out = comparison_experiment(bar, dens, cfg)
     dt = time.perf_counter() - t0
     ok = (
         out.verdict == "pass"
@@ -258,9 +256,8 @@ def test_criterion_8_blowup_end_to_end(blowup_pack):
         boundary=BOUNDARY_DIRICHLET,
         output_times=tuple(k * 1.0e-6 for k in range(12)),
     )
-    sc = Scenario(constants=CC23, density=dens, regime=REGIME_BLOWUP, barrier=bar, solver=cfg)
     t0 = time.perf_counter()
-    out = comparison_experiment(sc)
+    out = comparison_experiment(bar, dens, cfg)
     dt = time.perf_counter() - t0
     ok = (
         out.verdict == "pass"
@@ -289,11 +286,8 @@ def test_criterion_9_log_decay_bounds_end_to_end(ge1a_pack, ge1b_pack):
             t_end=t_end, R=R, cells=cells, boundary=BOUNDARY_DIRICHLET,
             output_times=tuple(float(t) for t in np.linspace(0.0, t_end, 21)),
         )
-        sc = Scenario(
-            constants=bar.constants, density=dens, regime=regime, barrier=bar, solver=cfg
-        )
         t0 = time.perf_counter()
-        out = comparison_experiment(sc)
+        out = comparison_experiment(bar, dens, cfg)
         dt = time.perf_counter() - t0
         ok = ok and out.verdict == "pass" and out.max_violation <= 0.0 and dt <= 300.0
         detail.append(f"{regime} max_violation={out.max_violation:.2e} in {dt:.1f}s")

@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 from pme_react.barrier import (
     E,
     KINK_TOL,
+    REGIME_BLOWUP,
+    REGIME_GE1A,
+    REGIME_GE1B,
+    REGIME_GE2,
     BlowupSubsolution,
     GE1Barrier,
     GE2Barrier,
@@ -94,6 +98,18 @@ def test_ge1_beta_regime_coupling():
             constants=ProblemConstants(m=2.0, p=2.0, N=3),
             C=1.0, T=1.0, b=1.0, eps=0.25, r0=E,
         )
+
+
+def test_regime_follows_class_and_exponents():
+    assert ge1().regime == REGIME_GE1B  # p > m
+    grow = GE1Barrier(constants=CC32, C=1.0, T=2.0, b=1.0, eps=0.25, r0=E, beta=0.05)
+    assert grow.regime == REGIME_GE1A  # p < m
+    assert GE2Barrier(constants=CC23, C=1.0, a=1.0, T=1.0, bbar=4.0, r0=E).regime == REGIME_GE2
+    assert BlowupSubsolution(constants=CC23, C=1.0, a=1.0, T=1.0, bunder=3.0).regime == REGIME_BLOWUP
+    # the compact profiles exist for p > m only, so p < m names no regime
+    for cls, shape in ((GE2Barrier, dict(bbar=4.0, r0=E)), (BlowupSubsolution, dict(bunder=3.0))):
+        with pytest.raises(ValueError, match="requires p > m"):
+            cls(constants=CC32, C=1.0, a=1.0, T=1.0, **shape)
 
 
 def test_ge1_validation():

@@ -190,26 +190,42 @@ def test_scaled_barrier_picks_up_factor():
     assert cfg.initial.factor == 0.25
 
 
+@pytest.mark.parametrize(
+    "initial",
+    ["initial_data = equals_barrier\n", "", "initial_data = constant:0.5\n"],
+    ids=["equals_barrier", "default", "constant"],
+)
+def test_scale_factor_without_scaled_barrier_is_an_error(tmp_path, capsys, initial):
+    # ignored, it would let an unscaled run pass as the scaled one
+    text = (CONFIGS / "ge1b.cfg").read_text()
+    text = text.replace("initial_data = equals_barrier\n", initial + "scale_factor = 5.0\n")
+    cfg = write(tmp_path, "scaled.cfg", text)
+    rc = cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    line = text.splitlines().index("scale_factor = 5.0") + 1
+    assert f"line {line}: [harness] scale_factor: only used with initial_data = scaled_barrier" in (
+        capsys.readouterr().err
+    )
+
+
 # -- resolution -------------------------------------------------------------
 
 
 def test_resolve_ge1_auto_rules():
     res = resolve(loads(GE1B_TEXT))
-    assert res.regime == REGIME_GE1B
+    assert res.barrier.regime == REGIME_GE1B
     assert res.report is not None and res.report.overall
     assert res.solver.t_end == 10.0  # 10 T with the default T = 1
     assert res.solver.R == 50.0  # 2 r0
     assert len(res.solver.output_times) == 21
     assert res.solver.output_times[0] == 0.0 and res.solver.output_times[-1] == 10.0
-    sc = res.scenario()
-    assert sc.grid().R == 50.0
     assert any("(search)" in d for d in res.defaults_used)
     assert any("(auto)" in d for d in res.defaults_used)
 
 
 def test_resolve_blowup_auto_R():
     res = resolve(loads(BLOWUP_TEXT))
-    assert res.regime == REGIME_BLOWUP
+    assert res.barrier.regime == REGIME_BLOWUP
     assert res.solver.R == pytest.approx(2.0 * res.barrier.support_radius(0.0), rel=1e-12)
     assert res.solver.R == pytest.approx(831.2, rel=1e-3)
 
@@ -225,7 +241,7 @@ def test_resolve_explicit_ge2_pair():
         "regime = Blowup", "regime = GE2\nC = 0.722675\na = 46.713714"
     ).replace("r0 = " + repr(E), "r0 = 8")
     res = resolve(loads(text))
-    assert res.regime == REGIME_GE2
+    assert res.barrier.regime == REGIME_GE2
     assert res.report is None  # explicit parameters skip the search
     assert res.barrier.bbar == 4.0  # alpha + 2 from the density
     assert any("T = 1 (default)" in d for d in res.defaults_used)
@@ -262,7 +278,8 @@ def test_ge2_at_256_cells_takes_the_pinned_step_count():
     shipped GE2 comparison; a change to either shows here."""
     loaded = load(str(CONFIGS / "ge2.cfg"))
     loaded.solver_cells = 256
-    out = comparison_experiment(resolve(loaded).scenario())
+    res = resolve(loaded)
+    out = comparison_experiment(res.barrier, res.density, res.solver, res.initial)
     assert out.run.steps == 1664
     assert out.run.clamp_total == 0.0
     # the one-cell support check fails at this resolution (a spatial error)
@@ -300,10 +317,8 @@ def test_cli_barrier_keys_the_regime_does_not_take_exit_1(tmp_path, capsys, case
 
 def test_resolve_plain_simulation():
     res = resolve(loads(PLAIN_TEXT))
-    assert res.barrier is None and res.regime is None
+    assert res.barrier is None
     assert res.solver.output_times == (0.0, 0.2, 0.4)
-    with pytest.raises(ValueError):
-        res.scenario()
 
 
 def test_resolve_plain_requires_explicit_numbers():
@@ -367,6 +382,19 @@ INFEASIBLE_OUTPUTS = {
 }
 
 
+# regime GE1a with p > m: with beta = 0 and an explicit C the GE1 barrier
+# itself builds, so only the regime check keeps compare from running it
+GE1A_WITH_P_ABOVE_M = GE1B_TEXT.replace("regime = GE1b", "regime = GE1a\nC = 0.5\nbeta = 0")
+
+
+@pytest.mark.parametrize("command", list(INFEASIBLE_OUTPUTS))
+def test_cli_regime_exponent_mismatch_exits_1(tmp_path, capsys, command):
+    cfg = write(tmp_path, "ge1a.cfg", GE1A_WITH_P_ABOVE_M)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: regime GE1a requires p < m" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", list(INFEASIBLE_OUTPUTS))
 def test_cli_infeasible_search_exits_2(tmp_path, capsys, command):
     out_file, key, value = INFEASIBLE_OUTPUTS[command]
@@ -423,16 +451,38 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def _strict_json(path):
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+# the JSON keys of each report: its dataclass fields, and for compare the run
+# reduced to three numbers (the raw run never reaches the file)
+HYPOTHESIS_KEYS = {"side", "max_violation", "n_violations", "ok"}
+COMPARE_KEYS = {
+    "verdict", "regime", "hypothesis", "checked_times", "max_violation", "worst_time",
+    "support_checked", "support_ok", "support_worst_cells", "blowup_expected",
+    "blowup_window_ok", "s_num", "tau0", "termination", "notes",
+    "steps", "final_sup", "clamp_total", "defaults_used",
+}
+SCAN_ROW_KEYS = {"factor", "blew_up", "s_num", "tau0", "termination"}
+FEASIBILITY_KEYS = {"mode", "condition_set", "inequalities", "params", "overall"}
+INEQUALITY_KEYS = {"name", "lhs", "rhs", "slack", "passed", "strict"}
+SWEEP_KEYS = {"regime", "role", "grid", "rel_tol", "min_margin", "worst_r", "worst_t", "passed"}
+CROSSCHECK_KEYS = {"n_points", "h", "rel_tol", "max_err", "passed"}
+
+
 def test_cli_writes_strict_json(tmp_path, capsys):
     # NaN and Infinity are not JSON; strict readers reject the file
     cfg = write(tmp_path, "cmp.cfg", GE1B_TEXT + "t_end = 0.5\noutput_times = 0, 0.25, 0.5\n")
     assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp")]) == 0
-    verdict = json.loads((tmp_path / "cmp" / "verdict.json").read_text(), parse_constant=_reject_constant)
+    verdict = _strict_json(tmp_path / "cmp" / "verdict.json")
+    assert set(verdict) == COMPARE_KEYS and "run" not in verdict
+    assert set(verdict["hypothesis"]) == HYPOTHESIS_KEYS
     assert verdict["support_checked"] is False
     assert verdict["support_worst_cells"] is None
     cfg = write(tmp_path, "zero.cfg", PLAIN_TEXT.replace("constant:1.0", "constant:0.0"))
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "zero")]) == 0
-    summary = json.loads((tmp_path / "zero" / "summary.json").read_text(), parse_constant=_reject_constant)
+    summary = _strict_json(tmp_path / "zero" / "summary.json")
     assert summary["termination"] == "completed"
     assert summary["tau0"] is None
 
@@ -485,6 +535,25 @@ def test_cli_scan_writes_rows(tmp_path, capsys):
         factor, fired, s_num, tau0 = line.split(",")
         assert fired == "true"
         assert float(s_num) >= 0.95 * float(tau0)
-    verdict = json.loads((out / "verdict.json").read_text())
+    verdict = _strict_json(out / "verdict.json")
+    assert set(verdict) == COMPARE_KEYS | {"scan"}
     assert len(verdict["scan"]) == 5
+    assert all(set(row) == SCAN_ROW_KEYS for row in verdict["scan"])
     assert verdict["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("stem", ["ge1a", "ge1b", "ge2", "blowup"])
+def test_cli_barrier_check_names_one_regime(tmp_path, capsys, stem):
+    # the regime is the barrier's: the certificate and the sweep name the
+    # config's regime
+    out = tmp_path / "out"
+    rc = cli.main(["barrier-check", "--config", str(CONFIGS / f"{stem}.cfg"), "--out", str(out)])
+    assert rc == 0
+    verdict = _strict_json(out / "verdict.json")
+    assert set(verdict) == {"passed", "feasibility", "residual_sweep", "derivative_crosscheck", "defaults_used"}
+    feas, sweep = verdict["feasibility"], verdict["residual_sweep"]
+    assert feas["mode"] == sweep["regime"] == load(str(CONFIGS / f"{stem}.cfg")).regime
+    assert set(feas) == FEASIBILITY_KEYS
+    assert all(set(e) == INEQUALITY_KEYS for e in feas["inequalities"])
+    assert set(sweep) == SWEEP_KEYS and sweep["grid"] == [200, 50]
+    assert set(verdict["derivative_crosscheck"]) == CROSSCHECK_KEYS

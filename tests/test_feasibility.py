@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pme_react import feasibility
+from pme_react import cli, feasibility
 from pme_react.barrier import E, BlowupSubsolution, GE2Barrier
 from pme_react.config import load
 from pme_react.density import DensityParams, ProblemConstants
@@ -35,6 +35,7 @@ from pme_react.feasibility import (
 
 CC23 = ProblemConstants(m=2.0, p=3.0, N=3)
 CC32 = ProblemConstants(m=3.0, p=2.0, N=3)
+CC22 = ProblemConstants(m=2.0, p=2.0, N=3)
 
 H1_FAR = DensityParams(family="H1", alpha=2.0, r0=1000.0)
 H1_NEAR = DensityParams(family="H1", alpha=2.0, r0=25.0)
@@ -199,6 +200,33 @@ def test_ge1_regime_consistency():
         find_params(CC23, H1_FAR, "GE3")
 
 
+# (constants, regime, message) that build_barrier and find_params both refuse
+REGIME_REFUSALS = {
+    "unknown-name": (CC23, "GE3", "unknown regime 'GE3'"),
+    "GE1a-p>m": (CC23, REGIME_GE1A, "regime GE1a requires p < m"),
+    "GE1a-p=m": (CC22, REGIME_GE1A, "regime GE1a requires p < m"),
+    "GE1b-p<m": (CC32, REGIME_GE1B, "regime GE1b requires p > m"),
+    "GE1b-p=m": (CC22, REGIME_GE1B, "regime GE1b requires p > m"),
+    "GE2-p<m": (CC32, REGIME_GE2, "regime GE2 requires p > m"),
+    "GE2-p=m": (CC22, REGIME_GE2, "regime GE2 requires p > m"),
+    "Blowup-p<m": (CC32, REGIME_BLOWUP, "regime Blowup requires p > m"),
+    "Blowup-p=m": (CC22, REGIME_BLOWUP, "regime Blowup requires p > m"),
+}
+
+
+@pytest.mark.parametrize("case", list(REGIME_REFUSALS))
+@pytest.mark.parametrize("build", ["build_barrier", "find_params"])
+def test_one_regime_check(build, case):
+    cc, regime, message = REGIME_REFUSALS[case]
+    dens = H1_NEAR if regime in (REGIME_GE1A, REGIME_GE1B) else H2S_8
+    with pytest.raises(ValueError, match=message):
+        if build == "build_barrier":
+            # with beta = 0 the GE1 barrier itself accepts p > m
+            build_barrier(cc, dens, regime, 0.5, beta=0.0 if regime == REGIME_GE1A else None)
+        else:
+            find_params(cc, dens, regime)
+
+
 def test_build_barrier_rejects_keys_outside_its_regime():
     with pytest.raises(ValueError, match="regime GE2 takes no b, eps"):
         build_barrier(CC23, H2S_8, REGIME_GE2, 0.7, a=40.0, b=0.5, eps=7.0)
@@ -353,13 +381,25 @@ def test_time_grid_ge2_reports_envelope_collapse(ge2_found):
 
 
 def test_reports_serialize(ge2_found, blowup_found):
+    # the command line writes a report's fields as its JSON keys
     for bar, rep in (ge2_found, blowup_found):
-        text = json.dumps(rep.to_jsonable(), indent=2, sort_keys=True)
+        text = json.dumps(cli._finite_or_null(rep), indent=2, sort_keys=True, allow_nan=False)
         parsed = json.loads(text)
-        assert parsed["overall"] is True
-        assert {e["name"] for e in parsed["inequalities"]} == {
-            e.name for e in rep.entries
-        }
+        assert set(parsed) == {"mode", "condition_set", "inequalities", "params", "overall"}
+        assert parsed["overall"] is True and parsed["mode"] == bar.regime
+        assert [e["name"] for e in parsed["inequalities"]] == [e.name for e in rep.inequalities]
+        for e in parsed["inequalities"]:
+            assert set(e) == {"name", "lhs", "rhs", "slack", "passed", "strict"}
+
+
+def test_report_mode_is_the_barrier_regime(ge1a_found, ge1b_found, ge2_found, blowup_found):
+    for bar, dens in ((ge1a_found[0], H1_FAR), (ge1b_found[0], H1_NEAR)):
+        assert check_ge1(bar, dens).mode == bar.regime
+    for (bar, rep), want in (
+        (ge1a_found, REGIME_GE1A), (ge1b_found, REGIME_GE1B),
+        (ge2_found, REGIME_GE2), (blowup_found, REGIME_BLOWUP),
+    ):
+        assert bar.regime == rep.mode == want
 
 
 # -- the search: bisection and evaluation counts -----------------------------

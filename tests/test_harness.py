@@ -10,14 +10,12 @@ from pme_react.feasibility import (
     BARRIER_KEYS,
     REGIME_BLOWUP,
     REGIME_GE1B,
-    REGIME_GE2,
     build_barrier,
     check_ge1,
     find_params,
 )
 from pme_react.harness import (
     InitialData,
-    Scenario,
     VERDICT_INCONCLUSIVE,
     VERDICT_PASS,
     blowup_scan,
@@ -28,7 +26,7 @@ from pme_react.harness import (
     hypothesis_check,
     residual_sweep,
 )
-from pme_react.solver import BOUNDARY_DIRICHLET, SolverConfig, run
+from pme_react.solver import BOUNDARY_DIRICHLET, RadialGrid, SolverConfig, run
 
 CC23 = ProblemConstants(m=2.0, p=3.0, N=3)
 H1_NEAR = DensityParams(family="H1", alpha=2.0, r0=25.0)
@@ -47,27 +45,25 @@ def blowup():
     return bar, rep
 
 
-def ge1b_scenario(bar, t_end=1.0, **solver_kw):
-    cfg = SolverConfig(
+def ge1b_solver(t_end=1.0, **solver_kw):
+    return SolverConfig(
         t_end=t_end, R=50.0, cells=64, boundary=BOUNDARY_DIRICHLET,
         output_times=tuple(np.linspace(0.0, t_end, 5)), **solver_kw,
     )
-    return Scenario(
-        constants=CC23, density=H1_NEAR, regime=REGIME_GE1B, barrier=bar, solver=cfg
-    )
 
 
-def blowup_scenario(bar, cells=64, t_end=2.0e-5):
+def blowup_solver(bar, cells=64, t_end=2.0e-5):
     R = 2.0 * bar.support_radius(0.0)
-    cfg = SolverConfig(
+    return SolverConfig(
         t_end=t_end, R=R, cells=cells, boundary=BOUNDARY_DIRICHLET, output_times=(0.0, 2.5e-6, 5.0e-6)
     )
-    return Scenario(
-        constants=CC23, density=H2S_E, regime=REGIME_BLOWUP, barrier=bar, solver=cfg
-    )
 
 
-# -- scenario plumbing ------------------------------------------------------
+def grid_of(cfg):
+    return RadialGrid(N=CC23.N, R=cfg.R, cells=cfg.cells)
+
+
+# -- inputs: initial data, barriers, hypotheses ------------------------------
 
 
 def test_initial_data_validation():
@@ -79,21 +75,11 @@ def test_initial_data_validation():
         InitialData(kind="csv")
 
 
-def test_scenario_checks_barrier_type(ge1b):
-    bar, _ = ge1b
-    cfg = SolverConfig(t_end=1.0, R=50.0, cells=16)
-    with pytest.raises(ValueError):
-        Scenario(constants=CC23, density=H1_NEAR, regime=REGIME_GE2, barrier=bar, solver=cfg)
-    with pytest.raises(ValueError):
-        Scenario(constants=CC23, density=H1_NEAR, regime="GE5", barrier=bar, solver=cfg)
-
-
 def test_build_initial_kinds(tmp_path, ge1b):
     bar, _ = ge1b
-    sc = ge1b_scenario(bar)
-    grid = sc.grid()
+    grid = grid_of(ge1b_solver())
 
-    u_eq = build_initial(sc.initial, grid, bar)
+    u_eq = build_initial(InitialData(), grid, bar)
     np.testing.assert_array_equal(u_eq, bar.eval(grid.centers, 0.0))
 
     half = InitialData(kind="scaled_barrier", factor=0.5)
@@ -121,21 +107,19 @@ def test_build_barrier_round_trip(ge1b, blowup):
 
 def test_hypothesis_check_sides(ge1b, blowup):
     bar, _ = ge1b
-    sc = ge1b_scenario(bar)
-    grid = sc.grid()
-    u0 = build_initial(sc.initial, grid, sc.barrier)
-    rep = hypothesis_check(u0, bar, grid, REGIME_GE1B)
+    grid = grid_of(ge1b_solver())
+    u0 = build_initial(InitialData(), grid, bar)
+    rep = hypothesis_check(u0, bar, grid)
     assert rep.ok and rep.side == "below_barrier"
-    bad = hypothesis_check(u0 * 1.01, bar, grid, REGIME_GE1B)
+    bad = hypothesis_check(u0 * 1.01, bar, grid)
     assert not bad.ok and bad.n_violations == grid.cells
 
     bub, _ = blowup
-    bsc = blowup_scenario(bub)
-    bgrid = bsc.grid()
-    bu0 = build_initial(bsc.initial, bgrid, bsc.barrier)
-    brep = hypothesis_check(bu0, bub, bgrid, REGIME_BLOWUP)
+    bgrid = grid_of(blowup_solver(bub))
+    bu0 = build_initial(InitialData(), bgrid, bub)
+    brep = hypothesis_check(bu0, bub, bgrid)
     assert brep.ok and brep.side == "above_barrier"
-    assert not hypothesis_check(bu0 * 0.99, bub, bgrid, REGIME_BLOWUP).ok
+    assert not hypothesis_check(bu0 * 0.99, bub, bgrid).ok
 
 
 def test_comparison_tolerance_scales():
@@ -150,7 +134,7 @@ def test_comparison_tolerance_scales():
 
 def test_residual_sweep_passes_at_found_params(ge1b):
     bar, _ = ge1b
-    rep = residual_sweep(bar, H1_NEAR, REGIME_GE1B, n_r=50, n_t=10)
+    rep = residual_sweep(bar, H1_NEAR, n_r=50, n_t=10)
     assert rep.passed
     assert rep.min_margin > 1.0  # large slack: the certificate is conservative
     assert rep.role == "supersolution"
@@ -162,20 +146,20 @@ def test_residual_sweep_certificate_is_sufficient_not_necessary(ge1b):
     bar, _ = ge1b
     slightly_fat = dataclasses.replace(bar, C=bar.C * 5.0)
     assert not check_ge1(slightly_fat, H1_NEAR).overall
-    assert residual_sweep(slightly_fat, H1_NEAR, REGIME_GE1B, n_r=50, n_t=10).passed
+    assert residual_sweep(slightly_fat, H1_NEAR, n_r=50, n_t=10).passed
 
     very_fat = dataclasses.replace(bar, C=bar.C * 50.0)
-    sweep = residual_sweep(very_fat, H1_NEAR, REGIME_GE1B, n_r=50, n_t=10)
+    sweep = residual_sweep(very_fat, H1_NEAR, n_r=50, n_t=10)
     assert not sweep.passed
     assert sweep.min_margin < -0.5
 
 
 def test_residual_sweep_detects_weak_subsolution(blowup):
     bub, _ = blowup
-    good = residual_sweep(bub, H2S_E, REGIME_BLOWUP, n_r=50, n_t=10)
+    good = residual_sweep(bub, H2S_E, n_r=50, n_t=10)
     assert good.passed and good.role == "subsolution"
     weak = BlowupSubsolution(constants=CC23, C=1.0, a=1.0, T=bub.T, bunder=3.0)
-    assert not residual_sweep(weak, H2S_E, REGIME_BLOWUP, n_r=50, n_t=10).passed
+    assert not residual_sweep(weak, H2S_E, n_r=50, n_t=10).passed
 
 
 def test_derivative_crosscheck_small_batch(ge1b):
@@ -191,16 +175,16 @@ def test_derivative_crosscheck_small_batch(ge1b):
 
 def test_run_scenario_outputs(ge1b):
     bar, _ = ge1b
-    sc = ge1b_scenario(bar, t_end=0.2)
-    grid = sc.grid()
-    res = run(build_initial(sc.initial, grid, sc.barrier), grid, sc.density, sc.constants, sc.solver)
-    np.testing.assert_allclose(res.times, sc.solver.output_times, rtol=0, atol=0)
+    cfg = ge1b_solver(t_end=0.2)
+    grid = grid_of(cfg)
+    res = run(build_initial(InitialData(), grid, bar), grid, H1_NEAR, CC23, cfg)
+    np.testing.assert_allclose(res.times, cfg.output_times, rtol=0, atol=0)
     assert res.termination == "completed"
 
 
 def test_comparison_ge1b_passes(ge1b):
     bar, _ = ge1b
-    out = comparison_experiment(ge1b_scenario(bar))
+    out = comparison_experiment(bar, H1_NEAR, ge1b_solver())
     assert out.verdict == VERDICT_PASS
     assert out.max_violation <= 0.0
     assert not out.support_checked
@@ -209,16 +193,14 @@ def test_comparison_ge1b_passes(ge1b):
 
 def test_comparison_rejects_wrong_side_data(blowup):
     bub, _ = blowup
-    sc = blowup_scenario(bub, cells=16)
-    sc = dataclasses.replace(sc, initial=InitialData(kind="constant", value=0.0))
+    zero = InitialData(kind="constant", value=0.0)
     with pytest.raises(ValueError, match="wrong side"):
-        comparison_experiment(sc)
+        comparison_experiment(bub, H2S_E, blowup_solver(bub, cells=16), zero)
 
 
 def test_comparison_step_budget_is_inconclusive(ge1b):
     bar, _ = ge1b
-    sc = ge1b_scenario(bar, max_steps=3)
-    out = comparison_experiment(sc)
+    out = comparison_experiment(bar, H1_NEAR, ge1b_solver(max_steps=3))
     assert out.verdict == VERDICT_INCONCLUSIVE
     assert out.termination == "step_limit"
     assert out.notes and "step_limit" in out.notes[0]
@@ -226,7 +208,7 @@ def test_comparison_step_budget_is_inconclusive(ge1b):
 
 def test_comparison_blowup_coarse(blowup):
     bub, _ = blowup
-    out = comparison_experiment(blowup_scenario(bub))
+    out = comparison_experiment(bub, H2S_E, blowup_solver(bub))
     assert out.verdict == VERDICT_PASS
     assert out.checked_times == [0.0, 2.5e-6, 5.0e-6] and out.support_ok
     assert out.blowup_expected and out.blowup_window_ok
@@ -234,22 +216,12 @@ def test_comparison_blowup_coarse(blowup):
     assert 0.95 * out.tau0 <= out.s_num <= 1.05 * bub.T
 
 
-def test_comparison_to_jsonable_keys(ge1b):
-    bar, _ = ge1b
-    out = comparison_experiment(ge1b_scenario(bar, t_end=0.2))
-    d = out.to_jsonable()
-    for key in ("verdict", "hypothesis", "max_violation", "termination", "steps"):
-        assert key in d
-    assert "run" not in d  # raw arrays stay out of the serialized record
-
-
 # -- amplitude scan ---------------------------------------------------------
 
 
 def test_blowup_scan_rows(blowup):
     bub, _ = blowup
-    sc = blowup_scenario(bub)
-    rows = blowup_scan(sc, factors=(0.5, 1.0))
+    rows = blowup_scan(bub, H2S_E, blowup_solver(bub), factors=(0.5, 1.0))
     assert [row.factor for row in rows] == [0.5, 1.0]
     for row in rows:
         assert row.blew_up and row.termination == "blowup"
@@ -262,7 +234,7 @@ def test_blowup_scan_rows(blowup):
 def test_blowup_scan_guards(ge1b, blowup):
     bar, _ = ge1b
     with pytest.raises(ValueError):
-        blowup_scan(ge1b_scenario(bar))
+        blowup_scan(bar, H1_NEAR, ge1b_solver())
     bub, _ = blowup
     with pytest.raises(ValueError):
-        blowup_scan(blowup_scenario(bub), factors=(0.5, -1.0))
+        blowup_scan(bub, H2S_E, blowup_solver(bub), factors=(0.5, -1.0))
