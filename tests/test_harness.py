@@ -1,9 +1,11 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from pme_react import cli
 from pme_react.barrier import E, BlowupSubsolution
 from pme_react.density import DensityParams, ProblemConstants
 from pme_react.feasibility import (
@@ -204,6 +206,19 @@ def test_comparison_step_budget_is_inconclusive(ge1b):
     assert out.verdict == VERDICT_INCONCLUSIVE
     assert out.termination == "step_limit"
     assert out.notes and "step_limit" in out.notes[0]
+
+
+def test_comparison_to_jsonable_keys(ge1b):
+    # the serialized record is the result's fields, raw run reduced to numbers
+    bar, _ = ge1b
+    out = comparison_experiment(bar, H1_NEAR, ge1b_solver(t_end=0.2))
+    d = json.loads(json.dumps(cli._finite_or_null(cli._compare_payload(out, [])), allow_nan=False))
+    for key in ("verdict", "hypothesis", "max_violation", "termination", "steps"):
+        assert key in d
+    assert "run" not in d  # raw arrays stay out of the serialized record
+    assert set(d) - {"steps", "final_sup", "clamp_total", "defaults_used"} == {
+        f.name for f in dataclasses.fields(out) if f.name != "run"
+    }
 
 
 def test_comparison_blowup_coarse(blowup):
