@@ -2,14 +2,15 @@
 
 The package is organized bottom-up:
 
-- ``density``: admissible radial weight families and their envelope checks.
+- ``density``: admissible radial weight families, their canonical members
+  and the derived constants the certificates need.
 - ``barrier``: closed-form super/subsolution profiles and their derivatives.
 - ``feasibility``: inequality systems certifying the barrier sign conditions,
   plus a deterministic parameter search.
 - ``solver``: explicit radial finite-volume scheme with blow-up detection.
-- ``harness``: scenario assembly, residual sweeps, solver-vs-barrier
-  comparison experiments.
-- ``config`` / ``cli``: INI-style scenario files and the ``pme-react``
+- ``harness``: residual sweeps, derivative crosschecks, solver-vs-barrier
+  comparison experiments and amplitude scans.
+- ``config`` / ``cli``: INI-style config files and the ``pme-react``
   command line front end.
 """
 

@@ -4,11 +4,12 @@ The format is a small INI dialect:
 
 * ``[section]`` headers, ``key = value`` lines, blank lines and full-line
   comments starting with ``#`` or ``;``.
-* Sections: ``[problem]`` (m, p, N), ``[density]`` (family, alpha, r0, k,
-  k1, k2, k0, rho1, rho2), ``[barrier]`` (regime, C, a, T, beta, b, eps),
-  ``[solver]`` (R, cells, t_end, cfl_safety, blowup_threshold, boundary,
-  reaction, output_times), ``[harness]`` (initial_data, scale_factor,
-  seed).
+* Sections: ``[problem]`` (m, p, N), ``[density]`` (family, alpha, r0,
+  then k, k0 for H1 or k1, k2, rho1, rho2 for H2 and H2Smooth; a key of
+  the other family is an error), ``[barrier]`` (regime, C, a, T, beta, b,
+  eps), ``[solver]`` (R, cells, t_end, cfl_safety, blowup_threshold,
+  boundary, reaction, output_times), ``[harness]`` (initial_data,
+  scale_factor, seed).
 * ``R = auto`` and ``output_times = auto`` defer to regime-specific rules;
   ``initial_data`` is one of ``equals_barrier``, ``scaled_barrier``,
   ``constant:<value>``, ``csv:<path>``; ``scale_factor`` is an error with
@@ -35,6 +36,9 @@ import numpy as np
 from .barrier import REGIME_BLOWUP, REGIME_GE2, REGIMES
 from .density import (
     FAMILIES,
+    FAMILY_H1,
+    FAMILY_H2,
+    FAMILY_H2SMOOTH,
     DensityParams,
     ProblemConstants,
 )
@@ -50,6 +54,12 @@ from .harness import (
 from .solver import BOUNDARIES, SolverConfig
 
 _SECTIONS = ("problem", "density", "barrier", "solver", "harness")
+# The [density] keys each family takes besides family, alpha and r0.
+_DENSITY_KEYS = {
+    FAMILY_H1: ("k", "k0"),
+    FAMILY_H2: ("k1", "k2", "rho1", "rho2"),
+    FAMILY_H2SMOOTH: ("k1", "k2", "rho1", "rho2"),
+}
 _IGNORED = object()  # sentinel section for keys under an unknown header
 
 
@@ -113,10 +123,10 @@ class _Section:
             return None
         return val
 
-    def finish(self) -> None:
+    def finish(self, note: str = "") -> None:
         for key, (_, line) in self.table.items():
             if key not in self.seen:
-                self._fail(line, f"unknown key '{key}'")
+                self._fail(line, f"unknown key '{key}'{note}")
 
 
 def _convert(convert, raw: str, expected: str):
@@ -253,13 +263,11 @@ def loads(text: str) -> LoadedConfig:
     family = dens_s.get("family", _choice(FAMILIES))
     alpha = dens_s.get("alpha", _float)
     r0 = dens_s.get("r0", _float)
-    k = dens_s.get("k", _float, 1.0)
-    k1 = dens_s.get("k1", _float, 1.0)
-    k2 = dens_s.get("k2", _float, 1.0)
-    k0 = dens_s.get("k0", _float, None)
-    rho1 = dens_s.get("rho1", _float, None)
-    rho2 = dens_s.get("rho2", _float, None)
-    dens_s.finish()
+    # an unreadable family reads every family's keys, so none is judged against it
+    taken = _DENSITY_KEYS.get(family, _DENSITY_KEYS[FAMILY_H1] + _DENSITY_KEYS[FAMILY_H2])
+    dens_kw = {key: dens_s.get(key, _float, getattr(DensityParams, key)) for key in taken}
+    note = f" for family {family} (its keys: family, alpha, r0, {', '.join(taken)})" if family else ""
+    dens_s.finish(note)
 
     bar_s = section("barrier")
     regime = None
@@ -291,12 +299,14 @@ def loads(text: str) -> LoadedConfig:
 
     har_s = section("harness")
     init_raw = har_s.get("initial_data", str, INIT_EQUALS_BARRIER)
-    scale_factor = har_s.get("scale_factor", _float, 1.0)
+    # the factor, and so its default, applies to scaled_barrier data only
+    scaled = init_raw is not None and init_raw.strip() == INIT_SCALED_BARRIER
+    scale_factor = har_s.get("scale_factor", _float, 1.0 if scaled else None)
     seed = har_s.get("seed", _int, 0)
     har_s.finish()
 
     initial = None
-    if init_raw is not None and scale_factor is not None:
+    if init_raw is not None and not (scaled and scale_factor is None):
         init_line = har_s.table.get("initial_data", ("", har_s.header_line))[1]
         try:
             initial = _parse_initial(init_raw, scale_factor)
@@ -312,11 +322,10 @@ def loads(text: str) -> LoadedConfig:
             constants = ProblemConstants(m=m, p=p, N=N)
         except ValueError as exc:
             issues.append(ConfigIssue(header_lines.get("problem", 0), f"[problem] {exc}"))
-    if None not in (family, alpha, r0, k, k1, k2):
+    band = [dens_kw[key] for key in ("k", "k1", "k2") if key in dens_kw]
+    if None not in (family, alpha, r0, *band):
         try:
-            density = DensityParams(
-                family=family, alpha=alpha, r0=r0, k=k, k1=k1, k2=k2, k0=k0, rho1=rho1, rho2=rho2
-            )
+            density = DensityParams(family=family, alpha=alpha, r0=r0, **dens_kw)
         except ValueError as exc:
             issues.append(ConfigIssue(header_lines.get("density", 0), f"[density] {exc}"))
 

@@ -14,22 +14,22 @@ by the hypothesis they realize:
     between the ``k1`` and ``k2`` multiples for every ``r >= 0``, which keeps
     the weight smooth and positive down to the origin.
 
-Each family has a canonical smooth representative (see :func:`rho`), and
-:func:`envelope_check` verifies an arbitrary user weight against the family
-envelope on a sample grid.  Derived constants used by the feasibility layer,
-a safe one-sided envelope constant for ``H1`` and inverse-weight bounds on
-the closed ball of radius e, are produced by :func:`derive_k0` and
-:func:`derive_rho_bounds`.  Both are computed once per ``DensityParams``
-(and ``margin``) and cached, since the parameter search evaluates them for
-every candidate barrier.
+Each family has a canonical smooth representative (see :func:`rho`), the
+only weight the laboratory builds: a config names a family and its
+constants, never a weight of its own.  Derived constants used by the
+feasibility layer, a safe one-sided envelope constant for ``H1`` and
+inverse-weight bounds on the closed ball of radius e, are produced by
+:func:`derive_k0` and :func:`derive_rho_bounds`.  Both are computed once
+per ``DensityParams`` (and ``margin``) and cached, since the parameter
+search evaluates them for every candidate barrier.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -39,10 +39,6 @@ FAMILY_H1 = "H1"
 FAMILY_H2 = "H2"
 FAMILY_H2SMOOTH = "H2Smooth"
 FAMILIES = (FAMILY_H1, FAMILY_H2, FAMILY_H2SMOOTH)
-
-# Relative tolerance below which an envelope slack still counts as a pass;
-# the canonical H2Smooth member with k1 == k2 sits exactly on both envelopes.
-ENVELOPE_PASS_TOL = 1.0e-12
 
 
 @dataclass(frozen=True)
@@ -76,19 +72,19 @@ class ProblemConstants:
 class DensityParams:
     """Constants pinning down a weight family member.
 
-    ``k`` is the H1 envelope constant; ``k1 <= k2`` are the two-sided band
-    constants for H2/H2Smooth.  The canonical representative of the two-sided
-    families uses ``k1``.  ``k0``, ``rho1`` and ``rho2`` are optional
-    overrides for the derived constants (see :func:`derive_k0` and
-    :func:`derive_rho_bounds`); when absent they are computed on demand,
-    once per distinct ``DensityParams``.
+    H1 uses ``k``, its envelope constant, and the optional override ``k0``
+    of :func:`derive_k0`.  H2/H2Smooth use the band constants ``k1 <= k2``
+    (the canonical representative uses ``k1``) and the optional overrides
+    ``rho1``, ``rho2`` of :func:`derive_rho_bounds`.  Derived constants
+    without an override are computed on demand, once per distinct
+    ``DensityParams``.
 
     Only algebraic invariants are validated here (positivity, ``alpha > 1``,
-    ``k1 <= k2``, ``r0 >= e``).  Whether a concrete weight actually respects
-    its family envelope is a separate question answered by
-    :func:`envelope_check`; in particular a two-sided band that is too narrow
-    cannot be met by the canonical shifted representative near ``r = e``, and
-    the constructor deliberately does not reject such parameter sets.
+    ``k1 <= k2``, ``r0 >= e``).  The H1 and H2Smooth members meet their
+    envelopes by construction.  The H2 band is stated in the unshifted
+    ``log r``, so a band that is too narrow misses its own shifted member
+    near ``r = e``; the constructor deliberately does not reject such
+    parameter sets.
     """
 
     family: str
@@ -154,131 +150,6 @@ def rho(params: DensityParams, r):
     if np.ndim(r) == 0:
         return 1.0 / inv
     return 1.0 / np.asarray(inv)
-
-
-def rho_function(params: DensityParams) -> Callable:
-    """Bind ``params`` into a plain callable ``r -> rho(r)`` for the solver."""
-
-    def _rho(r):
-        return rho(params, r)
-
-    return _rho
-
-
-@dataclass(frozen=True)
-class EnvelopeSample:
-    """Outcome of one envelope comparison.
-
-    ``passed`` is None for rejected samples (outside the family's region of
-    validity), in which case ``reason`` says why and ``slack`` is NaN.
-    ``slack`` is relative: min(inv/lower - 1, upper/inv - 1), so 0 means the
-    weight touches the envelope and negative means it violates it.
-    """
-
-    r: float
-    slack: float
-    passed: Optional[bool]
-    reason: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    family: str
-    entries: tuple = field(repr=False, default=())
-    worst_slack: float = math.inf
-    worst_r: float = math.nan
-    n_rejected: int = 0
-    passed: bool = True
-
-
-def _default_envelope_samples() -> np.ndarray:
-    # Log-spaced radii on (e, 1e6]; the open left end keeps H1/H2 samples valid.
-    return np.geomspace(E * (1.0 + 1e-9), 1.0e6, 4096)
-
-
-def envelope_check(
-    params: DensityParams,
-    rho_fn: Optional[Callable] = None,
-    samples: Optional[Sequence[float]] = None,
-) -> EnvelopeReport:
-    """Check a weight against its family envelope on a sample grid.
-
-    Parameters
-    ----------
-    params : DensityParams
-        Supplies the family and the envelope constants.
-    rho_fn : callable, optional
-        Weight to test, as ``r -> rho(r)``.  Defaults to the canonical
-        representative of ``params``.
-    samples : sequence of float, optional
-        Radii to test.  Defaults to 4096 log-spaced points on (e, 1e6].
-        For H1/H2 any sample with ``r <= e`` is rejected (recorded with a
-        reason, not counted as a failure); H2Smooth accepts all ``r >= 0``.
-
-    Returns
-    -------
-    EnvelopeReport
-        Per-sample relative slacks, the worst slack with its radius, and an
-        overall verdict (every accepted sample within ``ENVELOPE_PASS_TOL``).
-    """
-    if rho_fn is None:
-        rho_fn = rho_function(params)
-    if samples is None:
-        samples = _default_envelope_samples()
-    samples = np.asarray(samples, dtype=float)
-
-    shifted = params.family == FAMILY_H2SMOOTH
-    entries = []
-    worst_slack = math.inf
-    worst_r = math.nan
-    n_rejected = 0
-
-    for r_i in samples:
-        if r_i < 0.0 or (not shifted and r_i <= E):
-            region = "r >= 0" if shifted else "r > e"
-            entries.append(
-                EnvelopeSample(
-                    r=float(r_i),
-                    slack=math.nan,
-                    passed=None,
-                    reason=f"sample outside the family {params.family} region of validity ({region})",
-                )
-            )
-            n_rejected += 1
-            continue
-
-        inv = 1.0 / float(rho_fn(r_i))
-        if shifted:
-            s = r_i + params.r0
-            base = s**2 / math.log(s) ** params.alpha
-            lower = params.k1 * base
-            upper = params.k2 * base
-            slack = min(inv / lower - 1.0, upper / inv - 1.0)
-        elif params.family == FAMILY_H2:
-            base = r_i**2 / math.log(r_i) ** params.alpha
-            lower = params.k1 * base
-            upper = params.k2 * base
-            slack = min(inv / lower - 1.0, upper / inv - 1.0)
-        else:
-            lower = params.k * math.log(r_i) ** params.alpha * r_i**2
-            slack = inv / lower - 1.0
-
-        ok = slack >= -ENVELOPE_PASS_TOL
-        entries.append(EnvelopeSample(r=float(r_i), slack=float(slack), passed=bool(ok)))
-        if slack < worst_slack:
-            worst_slack = float(slack)
-            worst_r = float(r_i)
-
-    accepted = [e for e in entries if e.passed is not None]
-    passed = bool(accepted) and all(e.passed for e in accepted)
-    return EnvelopeReport(
-        family=params.family,
-        entries=tuple(entries),
-        worst_slack=worst_slack,
-        worst_r=worst_r,
-        n_rejected=n_rejected,
-        passed=passed,
-    )
 
 
 @functools.lru_cache(maxsize=None)

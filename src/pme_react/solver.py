@@ -58,8 +58,8 @@ stored snapshots by construction.  The support radius counts cells above
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -188,19 +188,9 @@ def support_radius_numeric(u: np.ndarray, grid: RadialGrid, threshold: float = S
     return float(grid.faces[idx[-1] + 1])
 
 
-def weighted_mass(u: np.ndarray, grid: RadialGrid, rho_values: np.ndarray) -> float:
-    """Discrete weighted mass ``sum_i rho_i V_i u_i`` (conserved by pure
-    Neumann diffusion up to clamping)."""
-    return float(np.sum(np.asarray(rho_values) * grid.volumes * np.asarray(u)))
-
-
-def _rho_values(rho: Union[DensityParams, Callable, np.ndarray, Sequence[float]], grid: RadialGrid) -> np.ndarray:
+def _rho_values(rho: Union[DensityParams, np.ndarray, Sequence[float]], grid: RadialGrid) -> np.ndarray:
     if isinstance(rho, DensityParams):
         vals = np.asarray(density_rho(rho, grid.centers), dtype=float)
-    elif callable(rho):
-        vals = np.asarray(rho(grid.centers), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(grid.cells, float(vals))
     else:
         vals = np.asarray(rho, dtype=float)
     if vals.shape != (grid.cells,):
@@ -208,12 +198,6 @@ def _rho_values(rho: Union[DensityParams, Callable, np.ndarray, Sequence[float]]
     if not np.all(vals > 0.0):
         raise ValueError("density must be strictly positive on every cell")
     return vals
-
-
-def step(u: np.ndarray, t: float, grid: RadialGrid, rho, constants: ProblemConstants, config: SolverConfig) -> Tuple[np.ndarray, float]:
-    """Single explicit step from ``(t, u)`` (mainly for tests); returns the new state."""
-    res = run(State(t=t, u=u), grid, rho, constants, replace(config, max_steps=1))
-    return res.final_state.u, res.final_state.t
 
 
 def run(
@@ -225,10 +209,10 @@ def run(
 ) -> RunResult:
     """Advance initial data to ``t_end`` or numerical blow-up.
 
-    ``rho`` may be a :class:`~pme_react.density.DensityParams` (canonical
-    member evaluated at cell centers), a callable ``r -> rho(r)``, or a
-    per-cell array.  ``u0`` must be finite and nonnegative and is copied; a
-    :class:`State` supplies a nonzero start time.
+    ``rho`` is a :class:`~pme_react.density.DensityParams` (canonical
+    member evaluated at cell centers) or a per-cell array.  ``u0`` must be
+    finite and nonnegative and is copied; a :class:`State` supplies a
+    nonzero start time.
     """
     if grid.N != constants.N:
         raise ValueError(f"grid dimension N={grid.N} does not match constants N={constants.N}")

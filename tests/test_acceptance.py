@@ -172,7 +172,7 @@ def _barenblatt_error(cells: int) -> float:
     res = run(
         State(t=1.0, u=barenblatt(grid.centers, 1.0)),
         grid,
-        lambda r: np.ones_like(r),
+        np.ones(cells),
         CC23,
         cfg,
     )
@@ -202,7 +202,7 @@ def test_criterion_6_reaction_clock(tmp_path):
     cells = 64
     grid = RadialGrid(N=3, R=1.0, cells=cells)
     cfg = SolverConfig(t_end=0.7, R=1.0, cells=cells, boundary=BOUNDARY_NEUMANN)
-    res = run(np.ones(cells), grid, lambda r: np.ones_like(r), CC23, cfg)
+    res = run(np.ones(cells), grid, np.ones(cells), CC23, cfg)
     direct_ok = (
         res.termination == "blowup"
         and res.blowup is not None

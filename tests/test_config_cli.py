@@ -208,6 +208,43 @@ def test_scale_factor_without_scaled_barrier_is_an_error(tmp_path, capsys, initi
     )
 
 
+@pytest.mark.parametrize(
+    "stem, family, key, takes",
+    [
+        ("ge1b", "H1", "k1 = 2.0", "k, k0"),
+        ("ge2", "H2", "k0 = 0.5", "k1, k2, rho1, rho2"),
+        ("ge2", "H2Smooth", "k = 50", "k1, k2, rho1, rho2"),
+    ],
+    ids=["H1", "H2", "H2Smooth"],
+)
+def test_density_key_of_another_family_is_an_error(tmp_path, capsys, stem, family, key, takes):
+    # ignored, it would let a run claim a weight it never used
+    text = (CONFIGS / f"{stem}.cfg").read_text()
+    text = re.sub(r"family = \w+\n", f"family = {family}\n{key}\n", text)
+    cfg = write(tmp_path, "family.cfg", text)
+    rc = cli.main(["barrier-check", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    line = text.splitlines().index(key) + 1
+    name = key.partition(" ")[0]
+    assert (
+        f"line {line}: [density] unknown key '{name}' for family {family} "
+        f"(its keys: family, alpha, r0, {takes})"
+    ) in capsys.readouterr().err
+
+
+def test_defaults_used_lists_only_defaults_that_apply():
+    h1 = loads(GE1B_TEXT).defaults_used
+    assert "[density] k = 1.0 (default)" in h1
+    h2 = loads(BLOWUP_TEXT).defaults_used
+    assert "[density] k1 = 1.0 (default)" in h2 and "[density] k2 = 1.0 (default)" in h2
+    for used, foreign in ((h1, ("k1", "k2")), (h2, ("k",))):
+        names = [d.split(" = ")[0] for d in used]
+        assert not any(f"[density] {key}" in names for key in foreign)
+        assert "[harness] scale_factor" not in names
+    scaled = loads(GE1B_TEXT + "\n[harness]\ninitial_data = scaled_barrier\n")
+    assert "[harness] scale_factor = 1.0 (default)" in scaled.defaults_used
+
+
 # -- resolution -------------------------------------------------------------
 
 

@@ -15,10 +15,8 @@ from pme_react.density import (
     ProblemConstants,
     derive_k0,
     derive_rho_bounds,
-    envelope_check,
     inverse_rho,
     rho,
-    rho_function,
 )
 
 
@@ -72,13 +70,6 @@ def test_scalar_array_parity():
         assert vec[i] == inverse_rho(d, float(ri))
 
 
-def test_rho_function_matches_rho():
-    d = DensityParams(family=FAMILY_H1, alpha=2.0, r0=25.0)
-    fn = rho_function(d)
-    r = np.linspace(0.0, 50.0, 11)
-    np.testing.assert_allclose(fn(r), rho(d, r), rtol=0, atol=0)
-
-
 @given(st.floats(min_value=0.0, max_value=1.0e6, allow_nan=False))
 def test_inverse_relation(r):
     d = DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=8.0)
@@ -86,60 +77,62 @@ def test_inverse_relation(r):
     assert rho(d, r) > 0.0
 
 
-def test_envelope_canonical_h2smooth_is_tight():
-    """The canonical member with k1 == k2 sits exactly on both envelopes."""
-    d = DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=8.0, k1=1.0, k2=1.0)
-    rep = envelope_check(d)
-    assert rep.passed
-    assert abs(rep.worst_slack) <= 1e-12
+# Radii (e, 1e6]: the H1 and H2 envelopes are stated outside the ball of radius e.
+ENVELOPE_RADII = np.geomspace(E * (1.0 + 1e-9), 1.0e6, 4096)
 
 
-def test_envelope_h1_canonical_passes():
-    d = DensityParams(family=FAMILY_H1, alpha=2.0, r0=math.e)
-    rep = envelope_check(d)
-    assert rep.passed
-    assert rep.worst_slack >= -1e-12
-    # samples at or below e are outside the one-sided hypothesis region
-    assert rep.n_rejected == 0
+def envelope_slack(band, member):
+    """Worst relative slack of ``member``'s canonical inverse weight against
+    ``band``'s family envelope on ENVELOPE_RADII, and its radius: 0 touches
+    the envelope, negative violates it."""
+    r = ENVELOPE_RADII
+    inv = inverse_rho(member, r)
+    if band.family == FAMILY_H1:
+        slack = inv / (band.k * np.log(r) ** band.alpha * r**2) - 1.0
+    else:
+        x = r + band.r0 if band.family == FAMILY_H2SMOOTH else r
+        base = x**2 / np.log(x) ** band.alpha
+        slack = np.minimum(inv / (band.k1 * base) - 1.0, band.k2 * base / inv - 1.0)
+    i = int(np.argmin(slack))
+    return float(slack[i]), float(r[i])
 
 
-def test_envelope_detects_violation_beyond_r10():
-    d = DensityParams(family=FAMILY_H1, alpha=2.0, r0=math.e)
-    base = rho_function(d)
-
-    def bad(r):
-        r = np.asarray(r, dtype=float)
-        # doubling rho halves 1/rho, dropping it under the lower envelope
-        return np.where(r > 10.0, 2.0 * base(r), base(r))
-
-    rep = envelope_check(d, rho_fn=bad)
-    assert not rep.passed
-    assert rep.worst_slack < -0.4
-    assert rep.worst_r > 10.0
+def h2(k1, k2):
+    return DensityParams(family=FAMILY_H2, alpha=2.0, r0=8.0, k1=k1, k2=k2)
 
 
-def test_envelope_h2_band():
-    # The H2 band is stated with unshifted log r, while the canonical member
-    # carries the shift r + r0.  Near r = e the shift inflates the member above
-    # a narrow band, so only a wide enough band contains its own canonical
-    # representative.
-    narrow = DensityParams(family=FAMILY_H2, alpha=2.0, r0=8.0, k1=1.0, k2=1.5)
-    rep = envelope_check(narrow)
-    assert not rep.passed
-    assert rep.worst_r < 10.0
+H2S_TIGHT = DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=8.0, k1=1.0, k2=1.0)
+H1_E = DensityParams(family=FAMILY_H1, alpha=2.0, r0=math.e)
 
-    wide = DensityParams(family=FAMILY_H2, alpha=2.0, r0=8.0, k1=0.2, k2=8.0)
-    assert envelope_check(wide).passed
 
-    mid = rho_function(
-        DensityParams(family=FAMILY_H2, alpha=2.0, r0=8.0, k1=1.0, k2=1.0)
-    )
-    assert envelope_check(wide, rho_fn=mid).passed
-
-    outside = rho_function(
-        DensityParams(family=FAMILY_H2, alpha=2.0, r0=8.0, k1=40.0, k2=40.0)
-    )
-    assert not envelope_check(wide, rho_fn=outside).passed
+@pytest.mark.parametrize(
+    "band, members",
+    [
+        # k1 == k2: the member sits exactly on both envelopes
+        pytest.param(H2S_TIGHT, [(H2S_TIGHT, "tight")], id="h2smooth-tight"),
+        pytest.param(H1_E, [(H1_E, "inside")], id="h1"),
+        # The H2 band is stated with unshifted log r, while the member carries
+        # the shift r + r0.  Near r = e the shift inflates the member above a
+        # narrow band, so only a wide enough band contains its own member.
+        pytest.param(h2(1.0, 1.5), [(h2(1.0, 1.5), "outside near e")], id="h2-narrow"),
+        pytest.param(
+            h2(0.2, 8.0),
+            [(h2(0.2, 8.0), "inside"), (h2(1.0, 1.0), "inside"), (h2(40.0, 40.0), "outside")],
+            id="h2-wide",
+        ),
+    ],
+)
+def test_canonical_member_envelope(band, members):
+    for member, expect in members:
+        slack, r_worst = envelope_slack(band, member)
+        if expect == "tight":
+            assert abs(slack) <= 1e-12
+        elif expect == "inside":
+            assert slack >= -1e-12
+        else:
+            assert slack < -1e-12
+            if expect == "outside near e":
+                assert r_worst < 10.0
 
 
 def test_derive_k0_scales_with_k():

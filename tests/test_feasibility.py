@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pme_react import cli, feasibility
-from pme_react.barrier import E, BlowupSubsolution, GE2Barrier
+from pme_react.barrier import E, BlowupSubsolution, GE1Barrier, GE2Barrier
 from pme_react.config import load
-from pme_react.density import DensityParams, ProblemConstants
+from pme_react.density import DensityParams, ProblemConstants, derive_k0, derive_rho_bounds
 from pme_react.feasibility import (
     REGIME_BLOWUP,
     REGIME_GE1A,
@@ -28,9 +28,6 @@ from pme_react.feasibility import (
     find_params,
     ge2_drift_minimum,
     omega_of,
-    time_conditions_blowup,
-    time_conditions_ge1,
-    time_conditions_ge2,
 )
 
 CC23 = ProblemConstants(m=2.0, p=3.0, N=3)
@@ -327,6 +324,100 @@ def test_ge2_pointwise_balance_margin(ge2_found):
 
 
 # -- round-trips and the time-grid conditions -------------------------------
+
+# The time_conditions_* oracles evaluate the direct time-dependent sufficient
+# conditions on a dense grid.  For the power-law time factors used here the
+# scalar certificates imply them exactly (the time factors cancel).
+
+
+@dataclasses.dataclass(frozen=True)
+class TimeGridReport:
+    """Margins of the direct time-dependent conditions on a dense grid.
+
+    Every margin array must be nonnegative for the condition to hold on the
+    grid; ``min_margins`` collects the minima and ``overall`` their
+    conjunction.
+    """
+
+    t_grid: np.ndarray
+    margins: dict
+    min_margins: dict
+    overall: bool
+
+
+def _grid_report(t_grid, margins) -> TimeGridReport:
+    mins = {k: float(np.min(v)) for k, v in margins.items()}
+    return TimeGridReport(
+        t_grid=t_grid,
+        margins=margins,
+        min_margins=mins,
+        overall=all(v >= 0.0 for v in mins.values()),
+    )
+
+
+def time_conditions_ge1(bar: GE1Barrier, dens: DensityParams, n: int = 1000) -> TimeGridReport:
+    """Monotone time factor and amplitude balance along t in [0, 10 T]."""
+    cc = bar.constants
+    k0 = derive_k0(dens)
+    K0 = k0 * bar.b * (cc.N - 2.0 - bar.eps * (bar.b + 1.0))
+    t = np.linspace(0.0, 10.0 * bar.T, n)
+    zeta = (bar.T + t) ** bar.beta
+    zeta_p = (
+        bar.beta * (bar.T + t) ** (bar.beta - 1.0) if bar.beta != 0.0 else np.zeros_like(t)
+    )
+    margins = {
+        "zeta_monotone": zeta_p,
+        "amplitude_balance": K0 * bar.C**cc.m * zeta**cc.m - bar.cbar * bar.C**cc.p * zeta**cc.p,
+    }
+    return _grid_report(t, margins)
+
+
+def time_conditions_ge2(bar: GE2Barrier, dens: DensityParams, n: int = 1000) -> TimeGridReport:
+    """Support decay rate and drift balance along t in [0, 10 T]."""
+    cc = bar.constants
+    m, p, N = cc.m, cc.p, cc.N
+    mf = m / (m - 1.0)
+    t = np.linspace(0.0, 10.0 * bar.T, n)
+    zeta, eta, zeta_p, eta_p = bar.time_factors(t)
+    ratio = bar.C ** (m - 1.0) / bar.a
+    X = dens.k1 * (bar.bbar * mf + N - 3.0) - dens.k2 * bar.bbar / (m - 1.0)
+    margins = {
+        "support_decay_rate": -eta_p / eta**2 - bar.bbar**2 * ratio * zeta ** (m - 1.0) * mf * dens.k2,
+        "drift_balance": zeta_p
+        + bar.bbar * ratio * zeta**m * eta * mf * X
+        - bar.C ** (p - 1.0) * zeta**p,
+    }
+    return _grid_report(t, margins)
+
+
+def time_conditions_blowup(bar: BlowupSubsolution, dens: DensityParams, n: int = 1000) -> TimeGridReport:
+    """Envelope/core gap and coupling conditions along t in [0, T)."""
+    cc = bar.constants
+    m, p, N = cc.m, cc.p, cc.N
+    mf = m / (m - 1.0)
+    _, rho2 = derive_rho_bounds(dens)
+    K = K_const(m, p)
+    t = np.linspace(0.0, bar.T * (1.0 - 1.0e-3), n)
+    zeta, eta, zeta_p, eta_p = bar.time_factors(t)
+    ratio = bar.C ** (m - 1.0) / bar.a
+    gamma = bar.C ** (p - 1.0) * zeta**p
+    delta = (zeta / (m - 1.0)) * (eta_p / eta)
+    sigma = (
+        zeta_p
+        + delta
+        + bar.bunder * ratio * zeta**m * mf * eta * dens.k2 * (bar.bunder * mf + N - 2.0)
+    )
+    sigma0 = zeta_p + delta + rho2 * N * (bar.bunder / E**2) * ratio * zeta**m * mf * eta
+    nu1 = (p + m - 2.0) / (p - 1.0)
+    nu2 = (m - 1.0) / (p - 1.0)
+    margins = {
+        "sigma_positive": sigma,
+        "outer_coupling": delta * gamma**nu2 - K * sigma**nu1,
+        "outer_gap": (p + m - 2.0) * gamma - (m - 1.0) * sigma,
+        "inner_coupling": delta * gamma**nu2 - K * sigma0**nu1,
+        "inner_gap": (p + m - 2.0) * gamma - (m - 1.0) * sigma0,
+    }
+    return _grid_report(t, margins)
 
 
 @pytest.fixture(scope="module")

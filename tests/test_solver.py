@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,17 +24,23 @@ from pme_react.solver import (
     State,
     reaction_time_scale,
     run,
-    step,
     support_radius_numeric,
-    weighted_mass,
 )
 
 CC23 = ProblemConstants(m=2.0, p=3.0, N=3)
 H2S_8 = DensityParams(family="H2Smooth", alpha=2.0, r0=8.0)
 
 
-def ones(r):
-    return np.ones_like(np.asarray(r, dtype=float))
+def weighted_mass(u, grid, rho_values):
+    """Discrete weighted mass ``sum_i rho_i V_i u_i`` (conserved by pure
+    Neumann diffusion up to clamping)."""
+    return float(np.sum(np.asarray(rho_values) * grid.volumes * np.asarray(u)))
+
+
+def step(u, t, grid, rho, constants, config):
+    """Single explicit step from ``(t, u)``; returns the new state."""
+    res = run(State(t=t, u=u), grid, rho, constants, replace(config, max_steps=1))
+    return res.final_state.u, res.final_state.t
 
 
 # -- grid and config --------------------------------------------------------
@@ -98,13 +105,15 @@ def test_run_validation():
     g = RadialGrid(N=3, R=1.0, cells=8)
     cfg = SolverConfig(t_end=0.01, R=1.0, cells=8)
     with pytest.raises(ValueError):
-        run(-np.ones(8), g, ones, CC23, cfg)
+        run(-np.ones(8), g, np.ones(g.cells), CC23, cfg)
     with pytest.raises(ValueError):
-        run(np.ones(5), g, ones, CC23, cfg)
+        run(np.ones(5), g, np.ones(g.cells), CC23, cfg)
     with pytest.raises(ValueError):
         run(np.ones(8), g, np.zeros(8), CC23, cfg)  # density must be positive
     with pytest.raises(ValueError):
-        run(np.ones(8), g, ones, ProblemConstants(m=2.0, p=3.0, N=4), cfg)
+        run(np.ones(8), g, np.ones(g.cells), ProblemConstants(m=2.0, p=3.0, N=4), cfg)
+    with pytest.raises(TypeError):
+        run(np.ones(8), g, lambda r: np.ones_like(r), CC23, cfg)  # a density is never a callable
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -114,7 +123,7 @@ def test_run_rejects_non_finite_initial_data(bad):
     u0 = np.ones(8)
     u0[3] = bad
     with pytest.raises(ValueError, match="finite"):
-        run(u0, g, ones, CC23, cfg)
+        run(u0, g, np.ones(g.cells), CC23, cfg)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -137,7 +146,7 @@ def diffusion_setup(cells=128, boundary=BOUNDARY_NEUMANN, t_end=0.5):
 
 def test_neumann_diffusion_conserves_mass():
     g, u0, cfg = diffusion_setup()
-    res = run(u0, g, ones, CC23, cfg)
+    res = run(u0, g, np.ones(g.cells), CC23, cfg)
     assert res.termination == TERM_COMPLETED
     assert res.clamp_total == 0.0
     assert res.tau0 is None
@@ -153,7 +162,7 @@ def test_dirichlet_boundary_drains_mass():
     g = RadialGrid(N=3, R=2.0, cells=cells)
     u0 = np.ones(cells)
     cfg = SolverConfig(t_end=0.2, R=2.0, cells=cells, boundary=BOUNDARY_DIRICHLET, reaction=False)
-    res = run(u0, g, ones, CC23, cfg)
+    res = run(u0, g, np.ones(g.cells), CC23, cfg)
     m0 = weighted_mass(u0, g, res.rho_values)
     m1 = weighted_mass(res.final_state.u, g, res.rho_values)
     assert m1 < 0.95 * m0
@@ -164,7 +173,7 @@ def test_uniform_neumann_state_is_steady():
     g = RadialGrid(N=3, R=1.0, cells=cells)
     u0 = np.full(cells, 0.7)
     cfg = SolverConfig(t_end=0.05, R=1.0, cells=cells, boundary=BOUNDARY_NEUMANN, reaction=False)
-    res = run(u0, g, ones, CC23, cfg)
+    res = run(u0, g, np.ones(g.cells), CC23, cfg)
     assert np.array_equal(res.final_state.u, u0)
 
 
@@ -180,7 +189,7 @@ def test_uniform_reaction_matches_ode():
         t_end=0.4, R=1.0, cells=cells, boundary=BOUNDARY_NEUMANN,
         output_times=(0.2, 0.4),
     )
-    res = run(np.ones(cells), g, ones, CC23, cfg)
+    res = run(np.ones(cells), g, np.ones(g.cells), CC23, cfg)
     assert res.termination == TERM_COMPLETED
     assert res.tau0 == pytest.approx(0.5, rel=1e-15)
     for t_out, sup in zip(res.times, res.sup_series):
@@ -191,7 +200,7 @@ def test_uniform_reaction_blows_up_at_tau0():
     cells = 8
     g = RadialGrid(N=3, R=1.0, cells=cells)
     cfg = SolverConfig(t_end=0.7, R=1.0, cells=cells, boundary=BOUNDARY_NEUMANN)
-    res = run(np.ones(cells), g, ones, CC23, cfg)
+    res = run(np.ones(cells), g, np.ones(g.cells), CC23, cfg)
     assert res.termination == TERM_BLOWUP
     assert res.blowup is not None
     assert res.blowup.flag == "threshold"
@@ -207,7 +216,7 @@ def test_blowup_past_the_time_resolution_is_not_a_stall():
     cc = ProblemConstants(m=2.0, p=3.5, N=3)
     g = RadialGrid(N=3, R=1.0, cells=cells)
     cfg = SolverConfig(t_end=10.0, R=1.0, cells=cells, boundary=BOUNDARY_NEUMANN)
-    res = run(np.full(cells, 0.5), g, ones, cc, cfg)
+    res = run(np.full(cells, 0.5), g, np.ones(g.cells), cc, cfg)
     assert res.termination == TERM_BLOWUP
     assert res.blowup.flag == FLAG_TIME_RESOLUTION
     assert res.blowup.s_num == res.final_state.t
@@ -218,7 +227,7 @@ def test_blowup_past_the_time_resolution_is_not_a_stall():
 def test_diffusion_only_stall_stays_stalled():
     g, u0, _ = diffusion_setup(cells=48)
     cfg = SolverConfig(t_end=2.0e20, R=10.0, cells=48, boundary=BOUNDARY_NEUMANN, reaction=False)
-    res = run(State(t=1.0e20, u=u0), g, ones, CC23, cfg)
+    res = run(State(t=1.0e20, u=u0), g, np.ones(g.cells), CC23, cfg)
     assert res.termination == TERM_STALLED
     assert res.blowup is None
     assert res.steps == 0 and res.final_state.t == 1.0e20
@@ -234,7 +243,7 @@ def test_output_times_are_exact():
         t_end=0.5, R=10.0, cells=48, boundary=BOUNDARY_NEUMANN,
         reaction=False, output_times=times,
     )
-    res = run(u0, g, ones, CC23, cfg)
+    res = run(u0, g, np.ones(g.cells), CC23, cfg)
     np.testing.assert_array_equal(res.times, np.asarray(times))
     assert len(res.snapshots) == 4
     t0, snap0 = res.snapshots[0]
@@ -253,7 +262,7 @@ def test_interpolated_snapshots_are_zero_past_the_support(monkeypatch):
     u0 = np.maximum(1.0 - (g.centers / 2.0) ** 2, 0.0)
     times = (0.0137, 0.05, 0.211, 0.5)
     cfg = SolverConfig(t_end=0.5, R=10.0, cells=cells, reaction=False, output_times=times)
-    res = run(u0, g, ones, CC23, cfg)
+    res = run(u0, g, np.ones(g.cells), CC23, cfg)
     support = np.flatnonzero(res.final_state.u)[-1] + 1
     assert support < cells // 2
     assert [t for t, _ in res.snapshots] == list(times)
@@ -268,7 +277,7 @@ def test_state_start_skips_stale_outputs():
         t_end=0.7, R=10.0, cells=48, boundary=BOUNDARY_NEUMANN,
         reaction=False, output_times=(0.1, 0.6),
     )
-    res = run(State(t=0.5, u=u0), g, ones, CC23, cfg)
+    res = run(State(t=0.5, u=u0), g, np.ones(g.cells), CC23, cfg)
     assert res.termination == TERM_COMPLETED
     assert list(res.times) == [0.6]
     assert res.final_state.t == pytest.approx(0.7, abs=0.0)
@@ -280,7 +289,7 @@ def test_step_limit_termination():
         t_end=0.5, R=10.0, cells=48, boundary=BOUNDARY_NEUMANN,
         reaction=False, max_steps=5,
     )
-    res = run(u0, g, ones, CC23, cfg)
+    res = run(u0, g, np.ones(g.cells), CC23, cfg)
     assert res.termination == TERM_STEP_LIMIT
     assert res.steps == 5
     assert res.final_state.t < 0.5
@@ -289,7 +298,7 @@ def test_step_limit_termination():
 def test_single_step_wrapper():
     g, u0, _ = diffusion_setup(cells=48)
     cfg = SolverConfig(t_end=0.5, R=10.0, cells=48, boundary=BOUNDARY_NEUMANN, reaction=False)
-    u1, t1 = step(u0, 0.0, g, ones, CC23, cfg)
+    u1, t1 = step(u0, 0.0, g, np.ones(g.cells), CC23, cfg)
     assert 0.0 < t1 < 0.5
     assert u1.shape == u0.shape
     assert not np.array_equal(u1, u0)
@@ -298,8 +307,8 @@ def test_single_step_wrapper():
 def test_single_step_wrapper_starts_at_t():
     g, u0, _ = diffusion_setup(cells=48)
     cfg = SolverConfig(t_end=0.5, R=10.0, cells=48, boundary=BOUNDARY_NEUMANN, reaction=False)
-    u1, dt = step(u0, 0.0, g, ones, CC23, cfg)
-    u2, t2 = step(u0, 0.2, g, ones, CC23, cfg)
+    u1, dt = step(u0, 0.0, g, np.ones(g.cells), CC23, cfg)
+    u2, t2 = step(u0, 0.2, g, np.ones(g.cells), CC23, cfg)
     assert t2 == 0.2 + dt
     np.testing.assert_array_equal(u2, u1)
 
@@ -408,7 +417,7 @@ def test_barenblatt_profile_is_tracked():
     cells = 400
     g = RadialGrid(N=3, R=6.9, cells=cells)
     cfg = SolverConfig(t_end=2.0, R=6.9, cells=cells, reaction=False)
-    res = run(State(t=1.0, u=barenblatt(g.centers, 1.0)), g, ones, CC23, cfg)
+    res = run(State(t=1.0, u=barenblatt(g.centers, 1.0)), g, np.ones(g.cells), CC23, cfg)
     assert res.termination == TERM_COMPLETED
     exact = barenblatt(g.centers, 2.0)
     err = np.max(np.abs(res.final_state.u - exact)) / exact.max()
@@ -431,7 +440,7 @@ def test_neumann_mass_property(u0):
     cfg = SolverConfig(
         t_end=0.01, R=1.0, cells=16, boundary=BOUNDARY_NEUMANN, reaction=False
     )
-    res = run(u0, g, ones, CC23, cfg)
+    res = run(u0, g, np.ones(g.cells), CC23, cfg)
     m0 = weighted_mass(u0, g, res.rho_values)
     m1 = weighted_mass(res.final_state.u, g, res.rho_values)
     assert m1 - m0 == pytest.approx(res.clamp_total, abs=1e-12 + 1e-10 * max(m0, 1.0))
