@@ -5,8 +5,8 @@ The format is a small INI dialect:
 * ``[section]`` headers, ``key = value`` lines, blank lines and full-line
   comments starting with ``#`` or ``;``.
 * Sections: ``[problem]`` (m, p, N), ``[density]`` (family, alpha, r0,
-  then k, k0 for H1 or k1, k2, rho1, rho2 for H2 and H2Smooth; a key of
-  the other family is an error), ``[barrier]`` (regime, C, a, T, beta, b,
+  then k, k0 for H1 or k1, k2, rho1, rho2 for H2Smooth; a key of the
+  other family is an error), ``[barrier]`` (regime, C, a, T, beta, b,
   eps), ``[solver]`` (R, cells, t_end, cfl_safety, blowup_threshold,
   boundary, reaction, output_times), ``[harness]`` (initial_data,
   scale_factor, seed).
@@ -37,7 +37,6 @@ from .barrier import REGIME_BLOWUP, REGIME_GE2, REGIMES
 from .density import (
     FAMILIES,
     FAMILY_H1,
-    FAMILY_H2,
     FAMILY_H2SMOOTH,
     DensityParams,
     ProblemConstants,
@@ -57,7 +56,6 @@ _SECTIONS = ("problem", "density", "barrier", "solver", "harness")
 # The [density] keys each family takes besides family, alpha and r0.
 _DENSITY_KEYS = {
     FAMILY_H1: ("k", "k0"),
-    FAMILY_H2: ("k1", "k2", "rho1", "rho2"),
     FAMILY_H2SMOOTH: ("k1", "k2", "rho1", "rho2"),
 }
 _IGNORED = object()  # sentinel section for keys under an unknown header
@@ -264,7 +262,7 @@ def loads(text: str) -> LoadedConfig:
     alpha = dens_s.get("alpha", _float)
     r0 = dens_s.get("r0", _float)
     # an unreadable family reads every family's keys, so none is judged against it
-    taken = _DENSITY_KEYS.get(family, _DENSITY_KEYS[FAMILY_H1] + _DENSITY_KEYS[FAMILY_H2])
+    taken = _DENSITY_KEYS.get(family, _DENSITY_KEYS[FAMILY_H1] + _DENSITY_KEYS[FAMILY_H2SMOOTH])
     dens_kw = {key: dens_s.get(key, _float, getattr(DensityParams, key)) for key in taken}
     note = f" for family {family} (its keys: family, alpha, r0, {', '.join(taken)})" if family else ""
     dens_s.finish(note)

@@ -1,14 +1,11 @@
 """Radial density weights with slowly varying inverse growth.
 
 Everything downstream works with a weight ``rho(r)`` whose inverse grows like
-``r^2`` times a logarithmic correction.  Three families are supported, named
+``r^2`` times a logarithmic correction.  Two families are supported, named
 by the hypothesis they realize:
 
 ``H1``
     one-sided: ``1/rho >= k (log r)^alpha r^2`` outside the ball of radius e.
-``H2``
-    two-sided: ``k1 r^2 / (log r)^alpha <= 1/rho <= k2 r^2 / (log r)^alpha``
-    outside the ball of radius e.
 ``H2Smooth``
     the shifted two-sided form ``k (r + r0)^2 / (log(r + r0))^alpha`` bounded
     between the ``k1`` and ``k2`` multiples for every ``r >= 0``, which keeps
@@ -36,9 +33,8 @@ import numpy as np
 E = math.e
 
 FAMILY_H1 = "H1"
-FAMILY_H2 = "H2"
 FAMILY_H2SMOOTH = "H2Smooth"
-FAMILIES = (FAMILY_H1, FAMILY_H2, FAMILY_H2SMOOTH)
+FAMILIES = (FAMILY_H1, FAMILY_H2SMOOTH)
 
 
 @dataclass(frozen=True)
@@ -73,18 +69,15 @@ class DensityParams:
     """Constants pinning down a weight family member.
 
     H1 uses ``k``, its envelope constant, and the optional override ``k0``
-    of :func:`derive_k0`.  H2/H2Smooth use the band constants ``k1 <= k2``
+    of :func:`derive_k0`.  H2Smooth uses the band constants ``k1 <= k2``
     (the canonical representative uses ``k1``) and the optional overrides
     ``rho1``, ``rho2`` of :func:`derive_rho_bounds`.  Derived constants
     without an override are computed on demand, once per distinct
     ``DensityParams``.
 
     Only algebraic invariants are validated here (positivity, ``alpha > 1``,
-    ``k1 <= k2``, ``r0 >= e``).  The H1 and H2Smooth members meet their
-    envelopes by construction.  The H2 band is stated in the unshifted
-    ``log r``, so a band that is too narrow misses its own shifted member
-    near ``r = e``; the constructor deliberately does not reject such
-    parameter sets.
+    ``k1 <= k2``, ``r0 >= e``).  Both canonical members meet their
+    envelopes by construction.
     """
 
     family: str
@@ -103,7 +96,7 @@ class DensityParams:
                 f"unknown density family {self.family!r}; expected one of {FAMILIES}"
             )
         if not self.alpha > 1.0:
-            raise ValueError(f"alpha must exceed 1 for the H1/H2 families, got {self.alpha}")
+            raise ValueError(f"alpha must exceed 1 for the H1/H2Smooth families, got {self.alpha}")
         if not self.r0 >= E:
             raise ValueError(f"r0 must be at least e = {E:.15g}, got {self.r0}")
         if self.family == FAMILY_H1:
@@ -129,7 +122,7 @@ def inverse_rho(params: DensityParams, r):
     Canonical representatives (``s = r + r0``, ``L = log s``):
 
     - H1: ``1/rho = k L^alpha s^2``
-    - H2 / H2Smooth: ``1/rho = k1 s^2 / L^alpha``
+    - H2Smooth: ``1/rho = k1 s^2 / L^alpha``
 
     Accepts scalars or arrays, vectorized over ``r >= 0``.
     """

@@ -21,20 +21,15 @@ is bisected for its binding amplitude ``C``: log-bisection on
 after ``BISECT_ITERS`` halvings.  ``T`` and the GE1 shape parameters are
 fixed by the caller or by the defaults.
 
-Two condition sets exist for the spreading supersolution:
-
-- ``check_ge2`` uses the envelope-level system, which bounds the weight by
-  its two-sided band constants ``k1, k2`` before optimizing.  That system is
-  infeasible when ``k1(bbar m/(m-1) + N - 3) - k2 bbar/(m-1)`` times
-  ``(p - m)`` does not strictly exceed ``bbar k2`` (in particular at the
-  equality case k1 = k2 = 1, N = 3, m = 2, p = 3, alpha = 2).
-- ``check_ge2_pointwise`` works with the canonical band member directly: the
-  residual factors through a concave profile polynomial in
-  ``F = 1 - (log(r+r0))^bbar eta/a``, so nonnegativity reduces to the two
-  endpoint inequalities, with the spatial drift minimum found numerically.
-  ``find_params`` falls back to this set when the envelope system has no
-  feasible amplitude, and the report's ``condition_set`` records which set
-  certified the returned parameters.
+The spreading supersolution has one condition set, :func:`check_ge2`,
+over the canonical band member (the weight with constant ``k1``, the only
+weight a config can build).  Its residual factors through a concave
+profile polynomial in ``F = 1 - (log(r+r0))^bbar eta/a``, so nonnegativity
+reduces to the two endpoint inequalities, with the spatial drift minimum
+found numerically.  Its search has no fallback: omega just below the cap
+the decay rate puts on it, one bisection for ``C``, one recheck.  The
+certificate does not depend on ``T``, so the search also refuses a barrier
+whose support is empty at t = 0 and names the ``T`` that opens it.
 """
 
 from __future__ import annotations
@@ -184,65 +179,12 @@ def check_ge1(bar: GE1Barrier, dens: DensityParams) -> FeasibilityReport:
 
 def _require_two_sided(dens: DensityParams, what: str) -> None:
     if dens.family == FAMILY_H1:
-        raise ValueError(f"{what} requires a two-sided (H2/H2Smooth) density")
+        raise ValueError(f"{what} requires a two-sided (H2Smooth) density")
 
 
 def _bbar(dens: DensityParams) -> float:
     """Support shape exponent of the spreading supersolution."""
     return dens.alpha + 2.0
-
-
-def _ge2_structure_entries(bar: GE2Barrier, dens: DensityParams) -> list:
-    return [_entry("support_shape_exponent", abs(bar.bbar - _bbar(dens)), 0.0)]
-
-
-def check_ge2(bar: GE2Barrier, dens: DensityParams) -> FeasibilityReport:
-    """Envelope-level certificate for the spreading supersolution.
-
-    Conditions: ``bbar = alpha + 2``; the band ratio window
-    ``k2/k1 < m + (N-3)(m-1)/bbar``; the support decay rate
-    ``bbar^2 omega (m/(m-1)) k2 <= (p-m)/(p-1)``; and the amplitude balance
-    ``C^(p-1) + 1/(p-1) <= bbar omega (m/(m-1)) X`` with
-    ``X = k1(bbar m/(m-1) + N - 3) - k2 bbar/(m-1)``.
-    """
-    cc = bar.constants
-    _require_two_sided(dens, "the envelope GE2 certificate")
-    m, p, N = cc.m, cc.p, cc.N
-    omega = omega_of(bar.C, bar.a, m)
-    mf = m / (m - 1.0)
-    X = dens.k1 * (bar.bbar * mf + N - 3.0) - dens.k2 * bar.bbar / (m - 1.0)
-
-    entries = _ge2_structure_entries(bar, dens)
-    entries.append(
-        _entry(
-            "density_ratio_window",
-            dens.k2 / dens.k1,
-            m + (N - 3.0) * (m - 1.0) / bar.bbar,
-            strict=True,
-        )
-    )
-    entries.append(
-        _entry("support_decay_rate", bar.bbar**2 * omega * mf * dens.k2, (p - m) / (p - 1.0))
-    )
-    entries.append(
-        _entry(
-            "amplitude_balance",
-            bar.C ** (p - 1.0) + 1.0 / (p - 1.0),
-            bar.bbar * omega * mf * X,
-        )
-    )
-    params = {
-        "C": bar.C,
-        "a": bar.a,
-        "T": bar.T,
-        "bbar": bar.bbar,
-        "r0": bar.r0,
-        "omega": omega,
-        "k1": dens.k1,
-        "k2": dens.k2,
-        "X": X,
-    }
-    return _finish(bar.regime, "envelope", entries, params)
 
 
 def _fminbound(f: Callable[[float], float], a: float, b: float, xatol: float) -> float:
@@ -344,43 +286,45 @@ def ge2_drift_minimum(N: int, r0: float) -> float:
     return float(min(polished, vals[i]))
 
 
-def check_ge2_pointwise(bar: GE2Barrier, dens: DensityParams) -> FeasibilityReport:
-    """Sharp certificate for the spreading supersolution over the canonical
-    band member (the weight with constant ``k1``).
+def check_ge2(bar: GE2Barrier, dens: DensityParams) -> FeasibilityReport:
+    """Certificate for the spreading supersolution over the canonical band
+    member (the weight with constant ``k1``).
 
     The residual equals ``C tau F^(1/(m-1)-1)`` times a profile polynomial
     that is concave in ``F``, so nonnegativity on the support interior
-    reduces to the endpoints:
+    reduces to the endpoints, after the shape check ``bbar = alpha + 2``:
 
-    - ``F -> 0``: the support decay rate, identical in form to the envelope
-      version but with the canonical constant;
-    - ``F -> 1``: the amplitude balance with the true spatial minimum of the
-      drift bracket ``(N-1)(1 + r0/r)L - L + bbar - 1`` instead of its
-      envelope bound.
+    - ``F -> 0``: the support decay rate
+      ``bbar^2 omega (m/(m-1)) k1 <= (p-m)/(p-1)``;
+    - ``F -> 1``: the amplitude balance
+      ``C^(p-1) + 1/(p-1) <= bbar omega (m/(m-1)) k1 B`` with ``B`` the
+      spatial minimum of the drift bracket ``(N-1)(1 + r0/r)L - L + bbar - 1``
+      (:func:`ge2_drift_minimum`).
+
+    The entries keep their ``_pointwise`` names and the report its
+    ``condition_set = "pointwise"``, so written reports keep their layout.
     """
     cc = bar.constants
-    _require_two_sided(dens, "the pointwise GE2 certificate")
+    _require_two_sided(dens, "the GE2 certificate")
     m, p, N = cc.m, cc.p, cc.N
     kc = dens.k1
     omega = omega_of(bar.C, bar.a, m)
     mf = m / (m - 1.0)
     bracket_min = ge2_drift_minimum(N, bar.r0) + bar.bbar - 1.0
 
-    entries = _ge2_structure_entries(bar, dens)
-    entries.append(
+    entries = [
+        _entry("support_shape_exponent", abs(bar.bbar - _bbar(dens)), 0.0),
         _entry(
             "support_decay_rate_pointwise",
             bar.bbar**2 * omega * mf * kc,
             (p - m) / (p - 1.0),
-        )
-    )
-    entries.append(
+        ),
         _entry(
             "amplitude_balance_pointwise",
             bar.C ** (p - 1.0) + 1.0 / (p - 1.0),
             bar.bbar * omega * mf * kc * bracket_min,
-        )
-    )
+        ),
+    ]
     params = {
         "C": bar.C,
         "a": bar.a,
@@ -626,28 +570,36 @@ def _find_ge2(cc, dens, given):
     def make(C: float, omega: float) -> GE2Barrier:
         return build_barrier(cc, dens, REGIME_GE2, C, a=C ** (m - 1.0) / omega, **given)
 
-    for checker, kdecay in ((check_ge2, dens.k2), (check_ge2_pointwise, dens.k1)):
-        # the decay-rate condition caps omega independently of C
-        omega_cap = (p - m) / ((p - 1.0) * _bbar(dens) ** 2 * mf * kdecay)
-        omega = omega_cap / (1.0 + MARGIN)
-        try:
-            boundary = _bisect_flip(lambda C: checker(make(C, omega), dens).overall)
-        except FeasibilitySearchError:
-            continue
-        bar = make(boundary / (1.0 + MARGIN), omega)
-        report = checker(bar, dens)
-        if report.overall:
-            break
-    else:
+    def passes(C: float, omega: float) -> bool:
+        return check_ge2(make(C, omega), dens).overall
+
+    # the decay-rate condition caps omega independently of C
+    omega_cap = (p - m) / ((p - 1.0) * _bbar(dens) ** 2 * mf * dens.k1)
+    omega = omega_cap / (1.0 + MARGIN)
+    try:
+        boundary = _bisect_flip(lambda C: passes(C, omega))
+    except FeasibilitySearchError:
         raise FeasibilitySearchError(
-            "no feasible GE2 parameters: both the envelope and the pointwise "
-            "condition sets are empty within the search budget"
+            f"no feasible GE2 parameters: no amplitude in [{C_LO:g}, {C_HI:g}] "
+            f"passes the certificate at omega={omega:g}"
+        ) from None
+    bar = make(boundary / (1.0 + MARGIN), omega)
+    report = check_ge2(bar, dens)
+    if not report.overall:
+        raise FeasibilitySearchError("search produced parameters that fail their own check")
+    # the certificate does not depend on T, but the support at t = 0 does
+    q = (p - m) / (p - 1.0)
+    edge = math.log(bar.r0) ** bar.bbar
+    if bar.a * bar.T**q <= edge:
+        raise FeasibilitySearchError(
+            f"the certified GE2 barrier is identically zero at t = 0: "
+            f"a T^((p-m)/(p-1)) = {bar.a * bar.T**q:g} <= (log r0)^bbar = {edge:g}; "
+            f"its support opens for T > {(edge / bar.a) ** (1.0 / q):g}"
         )
 
     # report the feasible omega window observed on the documented grid
     grid = omega_cap * np.geomspace(1.0e-6, 1.0, OMEGA_POINTS)
-    found = _omega_sweep(grid, lambda C, w: checker(make(C, w), dens).overall)
-    return bar, _with_window(report, found)
+    return bar, _with_window(report, _omega_sweep(grid, passes))
 
 
 def _find_blowup(cc, dens, given):
@@ -693,7 +645,8 @@ def find_params(
     re-evaluated certificate, so it always passes.
 
     Raises :class:`FeasibilitySearchError` when no parameters satisfy every
-    condition within the budget (amplitude bracket, omega grid).
+    condition within the budget (amplitude bracket, omega grid), and for a
+    GE2 barrier that is identically zero at t = 0.
     """
     _check_regime(cc, regime)
     given = {"T": T, "beta": beta, "b": b, "eps": eps}
@@ -705,19 +658,11 @@ def find_params(
 
 
 def check_auto(bar, dens: DensityParams) -> FeasibilityReport:
-    """Run the condition set matching the barrier's type.
-
-    For the spreading supersolution the envelope set is tried first and the
-    sharp pointwise set is returned when the envelope one fails, mirroring
-    the parameter search.
-    """
+    """Run the certificate matching the barrier's type."""
     if isinstance(bar, GE1Barrier):
         return check_ge1(bar, dens)
     if isinstance(bar, GE2Barrier):
-        report = check_ge2(bar, dens)
-        if report.overall:
-            return report
-        return check_ge2_pointwise(bar, dens)
+        return check_ge2(bar, dens)
     if isinstance(bar, BlowupSubsolution):
         return check_blowup(bar, dens)
     raise TypeError(f"no condition set for {type(bar).__name__}")

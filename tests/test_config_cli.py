@@ -212,10 +212,9 @@ def test_scale_factor_without_scaled_barrier_is_an_error(tmp_path, capsys, initi
     "stem, family, key, takes",
     [
         ("ge1b", "H1", "k1 = 2.0", "k, k0"),
-        ("ge2", "H2", "k0 = 0.5", "k1, k2, rho1, rho2"),
         ("ge2", "H2Smooth", "k = 50", "k1, k2, rho1, rho2"),
     ],
-    ids=["H1", "H2", "H2Smooth"],
+    ids=["H1", "H2Smooth"],
 )
 def test_density_key_of_another_family_is_an_error(tmp_path, capsys, stem, family, key, takes):
     # ignored, it would let a run claim a weight it never used
@@ -230,6 +229,19 @@ def test_density_key_of_another_family_is_an_error(tmp_path, capsys, stem, famil
         f"line {line}: [density] unknown key '{name}' for family {family} "
         f"(its keys: family, alpha, r0, {takes})"
     ) in capsys.readouterr().err
+
+
+def test_family_h2_is_an_error(tmp_path, capsys):
+    # the unshifted H2 band misses its own canonical member near r = e;
+    # H2Smooth is the two-sided family the laboratory builds
+    text = (CONFIGS / "ge2.cfg").read_text().replace("family = H2Smooth\n", "family = H2\n")
+    cfg = write(tmp_path, "h2.cfg", text)
+    rc = cli.main(["barrier-check", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    line = text.splitlines().index("family = H2") + 1
+    err = capsys.readouterr().err
+    assert f"line {line}: [density] family: expected one of H1, H2Smooth, got 'H2'" in err
+    assert err.count("line ") == 1  # the band keys k1, k2 are not judged against it
 
 
 def test_defaults_used_lists_only_defaults_that_apply():

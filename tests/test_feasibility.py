@@ -24,11 +24,11 @@ from pme_react.feasibility import (
     check_blowup,
     check_ge1,
     check_ge2,
-    check_ge2_pointwise,
     find_params,
     ge2_drift_minimum,
     omega_of,
 )
+from pme_react.harness import residual_sweep
 
 CC23 = ProblemConstants(m=2.0, p=3.0, N=3)
 CC32 = ProblemConstants(m=3.0, p=2.0, N=3)
@@ -238,7 +238,7 @@ def test_build_barrier_rejects_keys_outside_its_regime():
         find_params(CC23, H1_NEAR, REGIME_GE1B, beta=0.3)
 
 
-# -- GE2: envelope collapse and the pointwise rescue ------------------------
+# -- GE2 search and certificate ---------------------------------------------
 
 
 def test_ge2_drift_minimum_against_dense_grid():
@@ -279,21 +279,35 @@ def test_fminbound_matches_scipy_bitwise(monkeypatch):
 
 
 def test_ge2_envelope_is_empty_at_unit_band():
-    # k1 = k2 = 1, bbar = 4, m = 2, p = 3: X = (4*2+0) - 4 = 4 and the
-    # decay-rate cap omega <= 1/64 forces the balance rhs below C^2 + 1/2
-    # for every positive C, so the envelope condition set admits nothing.
-    bar = GE2Barrier(constants=CC23, C=0.72, a=46.7, T=1.0, bbar=4.0, r0=8.0)
-    rep = check_ge2(bar, H2S_8)
-    assert rep.params["X"] == pytest.approx(4.0, rel=1e-14)
-    assert rep.entry("density_ratio_window").passed
-    assert rep.entry("support_decay_rate").passed
-    assert not rep.entry("amplitude_balance").passed
-    assert not rep.overall
     # closer to p = m the decay-rate cap on omega shrinks with p - m, and
-    # neither condition set admits an amplitude
+    # the certificate admits no amplitude at all
     cc = ProblemConstants(m=2.0, p=2.05, N=3)
-    with pytest.raises(FeasibilitySearchError, match="both the envelope and the pointwise"):
+    with pytest.raises(FeasibilitySearchError, match="no feasible GE2 parameters: no amplitude in"):
         find_params(cc, H2S_8, REGIME_GE2)
+
+
+def test_ge2_search_ignores_the_upper_band_constant():
+    # the certificate reads only k1, the constant of the canonical member
+    cc = ProblemConstants(m=2.0, p=4.0, N=3)
+    narrow = DensityParams(family="H2Smooth", alpha=2.0, r0=8.0, k1=1.0, k2=1.0)
+    wide = DensityParams(family="H2Smooth", alpha=2.0, r0=8.0, k1=1.0, k2=1.2)
+    (bar, rep), (bar_narrow, rep_narrow) = (find_params(cc, d, REGIME_GE2) for d in (wide, narrow))
+    assert bar == bar_narrow and rep.params == rep_narrow.params
+    assert residual_sweep(bar, wide).passed
+
+
+def test_ge2_search_refuses_an_empty_support():
+    # at r0 = 25 the certified a leaves (log r0)^bbar ~ 107 above a T^(1/2)
+    # at T = 1: the barrier is zero at t = 0.  The certificate does not
+    # depend on T, so the message names the T that opens the support.
+    dens = DensityParams(family="H2Smooth", alpha=2.0, r0=25.0)
+    with pytest.raises(FeasibilitySearchError, match=r"identically zero at t = 0.*opens for T > 3\.98885"):
+        find_params(CC23, dens, REGIME_GE2)
+    bar, rep = find_params(CC23, dens, REGIME_GE2, T=5.0)
+    assert rep.overall and bar.T == 5.0
+    assert bar.support_radius(0.0) > 0.0
+    sweep = residual_sweep(bar, dens)
+    assert sweep.passed and sweep.min_margin > 0.0
 
 
 @pytest.fixture(scope="module")
@@ -315,12 +329,12 @@ def test_ge2_pointwise_parameters(ge2_found):
 
 def test_ge2_pointwise_balance_margin(ge2_found):
     bar, _ = ge2_found
-    rep = check_ge2_pointwise(bar, H2S_8)
+    rep = check_ge2(bar, H2S_8)
     bal = rep.entry("amplitude_balance_pointwise")
     assert bal.passed
     assert 0.0 <= bal.slack <= 0.1 * bal.rhs  # found amplitude hugs the cap
     lean = dataclasses.replace(bar, C=bar.C * 1.1)
-    assert not check_ge2_pointwise(lean, H2S_8).overall
+    assert not check_ge2(lean, H2S_8).overall
 
 
 # -- round-trips and the time-grid conditions -------------------------------
@@ -373,18 +387,19 @@ def time_conditions_ge1(bar: GE1Barrier, dens: DensityParams, n: int = 1000) -> 
 
 
 def time_conditions_ge2(bar: GE2Barrier, dens: DensityParams, n: int = 1000) -> TimeGridReport:
-    """Support decay rate and drift balance along t in [0, 10 T]."""
+    """Support decay rate and drift balance along t in [0, 10 T], over the
+    canonical member (constant ``k1``) and its drift-bracket minimum."""
     cc = bar.constants
     m, p, N = cc.m, cc.p, cc.N
     mf = m / (m - 1.0)
     t = np.linspace(0.0, 10.0 * bar.T, n)
     zeta, eta, zeta_p, eta_p = bar.time_factors(t)
     ratio = bar.C ** (m - 1.0) / bar.a
-    X = dens.k1 * (bar.bbar * mf + N - 3.0) - dens.k2 * bar.bbar / (m - 1.0)
+    drift = dens.k1 * (ge2_drift_minimum(N, bar.r0) + bar.bbar - 1.0)
     margins = {
-        "support_decay_rate": -eta_p / eta**2 - bar.bbar**2 * ratio * zeta ** (m - 1.0) * mf * dens.k2,
+        "support_decay_rate": -eta_p / eta**2 - bar.bbar**2 * ratio * zeta ** (m - 1.0) * mf * dens.k1,
         "drift_balance": zeta_p
-        + bar.bbar * ratio * zeta**m * eta * mf * X
+        + bar.bbar * ratio * zeta**m * eta * mf * drift
         - bar.C ** (p - 1.0) * zeta**p,
     }
     return _grid_report(t, margins)
@@ -447,28 +462,17 @@ def test_blowup_found_values(blowup_found):
     assert rep.params["branch_inner"] == pytest.approx(27.371351, abs=1e-5)
 
 
-def test_time_grid_conditions_hold(ge1a_found, ge1b_found, blowup_found):
+def test_time_grid_conditions_hold(ge1a_found, ge1b_found, ge2_found, blowup_found):
     for (bar, _), dens, fn in (
         (ge1a_found, H1_FAR, time_conditions_ge1),
         (ge1b_found, H1_NEAR, time_conditions_ge1),
+        (ge2_found, H2S_8, time_conditions_ge2),
         (blowup_found, H2S_E, time_conditions_blowup),
     ):
         rep = fn(bar, dens)
         assert rep.overall, rep.min_margins
         assert all(v >= 0.0 for v in rep.min_margins.values())
         assert len(rep.t_grid) == 1000
-
-
-def test_time_grid_ge2_reports_envelope_collapse(ge2_found):
-    """The GE2 time grid transcribes the envelope-form balance, which is
-    empty at the unit band; it must say so even though the pointwise
-    certificate (and the actual residual) hold at the found parameters."""
-    bar, rep = ge2_found
-    assert rep.overall  # the pointwise certificate passed
-    grid = time_conditions_ge2(bar, H2S_8)
-    assert grid.min_margins["support_decay_rate"] >= 0.0
-    assert grid.min_margins["drift_balance"] < 0.0
-    assert not grid.overall
 
 
 def test_reports_serialize(ge2_found, blowup_found):
@@ -573,7 +577,7 @@ SEARCH_PINS = {
         },
     ),
     "ge2": (
-        115,
+        113,
         {"C": 0.7226750271573944, "a": 46.71371375545397, "T": 1.0},
         {
             "C": 0.7226750271573944, "a": 46.71371375545397, "T": 1.0, "bbar": 4.0,
@@ -600,7 +604,7 @@ SEARCH_PINS = {
 def test_search_pins_shipped_configs_bitwise(stem, monkeypatch):
     n_checks, fields, params = SEARCH_PINS[stem]
     calls = []
-    for name in ("check_ge1", "check_ge2", "check_ge2_pointwise", "check_blowup"):
+    for name in ("check_ge1", "check_ge2", "check_blowup"):
         original = getattr(feasibility, name)
 
         def counted(*args, _original=original, **kwargs):
