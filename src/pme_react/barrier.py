@@ -354,10 +354,14 @@ class GE2Barrier:
             return 0.0
         return r_star
 
-    def _refuse_kinks(self, r_b, t_b, eta) -> None:
-        arg = (self.a / eta) ** (1.0 / self.bbar)
+    def support_radii(self, eta):
+        """Free boundary radii ``exp((a/eta)^(1/bbar)) - r0`` at an array of
+        ``eta`` values (:meth:`time_factors`); <= 0 where the support is empty."""
         with np.errstate(over="ignore"):
-            r_star = np.exp(arg) - self.r0
+            return np.exp((self.a / eta) ** (1.0 / self.bbar)) - self.r0
+
+    def _refuse_kinks(self, r_b, t_b, eta) -> None:
+        r_star = self.support_radii(eta)
         _refuse_corner(r_b, t_b, np.where(r_star > 0.0, r_star, np.nan), "free boundary r*")
 
     def eval(self, r, t):
@@ -419,16 +423,20 @@ class BlowupSubsolution:
             return math.exp(level ** (1.0 / self.bunder))
         return E * math.sqrt(1.0 + (2.0 / self.bunder) * (level - 1.0))
 
-    def _refuse_kinks(self, r_b, t_b, eta) -> None:
-        _refuse_corner(r_b, t_b, E, "piece interface r")
+    def support_radii(self, eta):
+        """:meth:`support_radius` at an array of ``eta`` values
+        (:meth:`time_factors`)."""
         # levels > 0 and bunder > 2 keep both branches real everywhere
         levels = self.a / eta
-        r_star = np.where(
+        return np.where(
             levels >= 1.0,
             np.exp(levels ** (1.0 / self.bunder)),
             E * np.sqrt(1.0 + (2.0 / self.bunder) * (levels - 1.0)),
         )
-        _refuse_corner(r_b, t_b, r_star, "free boundary r*")
+
+    def _refuse_kinks(self, r_b, t_b, eta) -> None:
+        _refuse_corner(r_b, t_b, E, "piece interface r")
+        _refuse_corner(r_b, t_b, self.support_radii(eta), "free boundary r*")
 
     def eval(self, r, t):
         return _compact_eval(self, r, t)

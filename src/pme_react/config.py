@@ -41,7 +41,7 @@ from .density import (
     DensityParams,
     ProblemConstants,
 )
-from .feasibility import BARRIER_KEYS, FeasibilityReport, build_barrier, find_params
+from .feasibility import BARRIER_KEYS, FeasibilityReport, build_barrier, find_params, refuse_empty_ge2
 from .harness import (
     INIT_CONSTANT,
     INIT_CSV,
@@ -403,6 +403,8 @@ def resolve(loaded: LoadedConfig) -> Resolved:
             defaults.append(f"[barrier] C = {report.params['C']:.6g} (search)")
         else:
             barrier = build_barrier(cc, dens, loaded.regime, C, **given)
+            if barrier.regime == REGIME_GE2:
+                refuse_empty_ge2(barrier)
             defaults += [
                 f"[barrier] {key} = {getattr(barrier, key):g} (default)"
                 for key in BARRIER_KEYS[loaded.regime]

@@ -28,8 +28,9 @@ profile polynomial in ``F = 1 - (log(r+r0))^bbar eta/a``, so nonnegativity
 reduces to the two endpoint inequalities, with the spatial drift minimum
 found numerically.  Its search has no fallback: omega just below the cap
 the decay rate puts on it, one bisection for ``C``, one recheck.  The
-certificate does not depend on ``T``, so the search also refuses a barrier
-whose support is empty at t = 0 and names the ``T`` that opens it.
+certificate does not depend on ``T``, so :func:`refuse_empty_ge2` refuses
+a barrier whose support is empty at t = 0 and names the ``T`` that opens
+it; the search and ``config.resolve``'s given parameters both call it.
 """
 
 from __future__ import annotations
@@ -76,12 +77,6 @@ class FeasibilityReport:
     inequalities: Tuple[FeasibilityEntry, ...]
     params: Dict[str, float] = field(default_factory=dict)
     overall: bool = True
-
-    def entry(self, name: str) -> FeasibilityEntry:
-        for e in self.inequalities:
-            if e.name == name:
-                return e
-        raise KeyError(f"no inequality named {name!r} in this report")
 
 
 def _entry(name: str, lhs: float, rhs: float, strict: bool = False) -> FeasibilityEntry:
@@ -562,6 +557,20 @@ def _find_ge1(cc, dens, regime, given):
     return bar, report
 
 
+def refuse_empty_ge2(bar: GE2Barrier) -> None:
+    """Raise :class:`FeasibilitySearchError` when ``bar`` is identically zero
+    at t = 0: the certificate does not depend on ``T``, but the support does."""
+    m, p = bar.constants.m, bar.constants.p
+    q = (p - m) / (p - 1.0)
+    edge = math.log(bar.r0) ** bar.bbar
+    if bar.a * bar.T**q <= edge:
+        raise FeasibilitySearchError(
+            f"the certified GE2 barrier is identically zero at t = 0: "
+            f"a T^((p-m)/(p-1)) = {bar.a * bar.T**q:g} <= (log r0)^bbar = {edge:g}; "
+            f"its support opens for T > {(edge / bar.a) ** (1.0 / q):g}"
+        )
+
+
 def _find_ge2(cc, dens, given):
     _require_two_sided(dens, "the GE2 search")
     m, p = cc.m, cc.p
@@ -587,15 +596,7 @@ def _find_ge2(cc, dens, given):
     report = check_ge2(bar, dens)
     if not report.overall:
         raise FeasibilitySearchError("search produced parameters that fail their own check")
-    # the certificate does not depend on T, but the support at t = 0 does
-    q = (p - m) / (p - 1.0)
-    edge = math.log(bar.r0) ** bar.bbar
-    if bar.a * bar.T**q <= edge:
-        raise FeasibilitySearchError(
-            f"the certified GE2 barrier is identically zero at t = 0: "
-            f"a T^((p-m)/(p-1)) = {bar.a * bar.T**q:g} <= (log r0)^bbar = {edge:g}; "
-            f"its support opens for T > {(edge / bar.a) ** (1.0 / q):g}"
-        )
+    refuse_empty_ge2(bar)
 
     # report the feasible omega window observed on the documented grid
     grid = omega_cap * np.geomspace(1.0e-6, 1.0, OMEGA_POINTS)

@@ -4,13 +4,14 @@ The pieces here connect the closed-form comparison functions from
 :mod:`pme_react.barrier` with the finite-volume scheme in
 :mod:`pme_react.solver`:
 
-* :func:`residual_sweep` samples the analytic residual
-  ``w_t - (1/rho) lap(w^m) - w^p`` on a deterministic interior grid and
-  checks it has the sign the comparison role demands (nonnegative for the
-  decaying and spreading upper bounds, nonpositive for the blow-up lower
-  bound).
+* :func:`residual_sweep` evaluates the analytic residual
+  ``w_t - (1/rho) lap(w^m) - w^p`` once on a deterministic (t, r) interior
+  grid and checks it has the sign the comparison role demands (nonnegative
+  for the decaying and spreading upper bounds, nonpositive for the blow-up
+  lower bound); a nan margin fails.
 * :func:`derivative_crosscheck` validates the closed-form derivatives
-  against central differences at randomly sampled interior points.
+  against central differences at interior points drawn from Python's
+  ``random.Random(seed)``, which spares every command ``numpy.random``.
 * :func:`comparison_experiment` runs the scheme from barrier-compatible
   initial data and verifies the predicted ordering, support inclusion and
   blow-up window on the computed snapshots.
@@ -26,6 +27,7 @@ fields as JSON keys.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -141,34 +143,29 @@ def residual_sweep(
     The margin is the residual relative to the local scale
     ``|w^p| + |w_t|``, with the sign flipped for the blow-up lower bound so
     a uniform ``min_margin >= -rel_tol`` is the pass condition in all
-    regimes.
+    regimes.  The worst point is the first minimum in (t, r) order, or the
+    first nan margin, which fails the sweep.
     """
     sub = isinstance(bar, BlowupSubsolution)
     if t_max is None:
         t_max = bar.T * (1.0 - 1.0e-3) if sub else 10.0 * bar.T
     t_grid = np.linspace(0.0, t_max, n_t)
-    min_margin = math.inf
-    worst_r = worst_t = math.nan
-    for t in t_grid:
-        r = _sweep_radii(bar, float(t), n_r)
-        d = bar.eval_derivatives(r, float(t))
-        w = bar.eval(r, float(t))
-        resid = d.w_t - inverse_rho(dens, r) * d.lap_wm - w**bar.constants.p
-        scale = np.abs(w**bar.constants.p) + np.abs(d.w_t)
-        rel = _relative_margins(-resid if sub else resid, scale)
-        i = int(np.argmin(rel))
-        if rel[i] < min_margin:
-            min_margin = float(rel[i])
-            worst_r = float(r[i])
-            worst_t = float(t)
+    r = np.stack([_sweep_radii(bar, float(t), n_r) for t in t_grid])
+    d = bar.eval_derivatives(r, t_grid[:, None])
+    w = bar.eval(r, t_grid[:, None])
+    resid = d.w_t - inverse_rho(dens, r) * d.lap_wm - w**bar.constants.p
+    scale = np.abs(w**bar.constants.p) + np.abs(d.w_t)
+    rel = _relative_margins(-resid if sub else resid, scale)
+    it, ir = np.unravel_index(np.argmin(rel), rel.shape)
+    min_margin = float(rel[it, ir])
     return SweepReport(
         regime=bar.regime,
         role="subsolution" if sub else "supersolution",
         grid=(n_r, n_t),
         rel_tol=rel_tol,
         min_margin=min_margin,
-        worst_r=worst_r,
-        worst_t=worst_t,
+        worst_r=float(r[it, ir]),
+        worst_t=float(t_grid[it]),
         passed=bool(min_margin >= -rel_tol),
     )
 
@@ -186,19 +183,21 @@ class CrosscheckReport:
     passed: bool
 
 
-def _crosscheck_points(bar: Barrier, n: int, rng: np.random.Generator, h: float) -> Tuple[np.ndarray, np.ndarray]:
+def _uniform(rng: random.Random, lo: float, hi: float, n: int) -> np.ndarray:
+    return lo + (hi - lo) * np.array([rng.random() for _ in range(n)])
+
+
+def _crosscheck_points(bar: Barrier, n: int, rng: random.Random, h: float) -> Tuple[np.ndarray, np.ndarray]:
     if isinstance(bar, GE1Barrier):
-        r = rng.uniform(0.1, 50.0, n)
-        t = rng.uniform(0.1, 3.0 * bar.T, n)
-        return r, t
+        return _uniform(rng, 0.1, 50.0, n), _uniform(rng, 0.1, 3.0 * bar.T, n)
     if isinstance(bar, GE2Barrier):
-        t = rng.uniform(0.1, 2.0 * bar.T, n)
-        frac = rng.uniform(0.05, 0.9, n)
-        r = np.maximum(frac * np.array([bar.support_radius(tt) for tt in t]), 0.1)
+        t = _uniform(rng, 0.1, 2.0 * bar.T, n)
+        frac = _uniform(rng, 0.05, 0.9, n)
+        r = np.maximum(frac * bar.support_radii(bar.time_factors(t)[1]), 0.1)
         return r, t
-    t = rng.uniform(0.0, 0.5 * bar.T, n)
-    frac = rng.uniform(0.05, 0.9, n)
-    r = frac * np.array([bar.support_radius(tt) for tt in t])
+    t = _uniform(rng, 0.0, 0.5 * bar.T, n)
+    frac = _uniform(rng, 0.05, 0.9, n)
+    r = frac * bar.support_radii(bar.time_factors(t)[1])
     guard = 100.0 * h
     r = np.where(np.abs(r - E) < guard, r + 2.0 * guard, r)
     return r, t
@@ -217,9 +216,11 @@ def derivative_crosscheck(
     second radial derivative differences the analytic first derivative so
     the check is not dominated by double-differencing roundoff.  Relative
     errors use a floor of ``1e-3`` times the batch maximum so near-zero
-    samples do not inflate the quotient.
+    samples do not inflate the quotient.  A nan error fails the check.
     """
-    rng = np.random.default_rng(seed)
+    if seed < 0:  # random.Random(-s) draws what random.Random(s) draws
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    rng = random.Random(seed)
     r, t = _crosscheck_points(bar, n_points, rng, h)
     m = bar.constants.m
 
@@ -239,10 +240,8 @@ def derivative_crosscheck(
         floor = 1.0e-3 * max(float(np.max(np.abs(exact))), 1.0e-300)
         denom = np.maximum(np.maximum(np.abs(exact), np.abs(fd)), floor)
         max_err[name] = float(np.max(np.abs(exact - fd) / denom))
-    worst = max(max_err.values())
-    return CrosscheckReport(
-        n_points=n_points, h=h, rel_tol=rel_tol, max_err=max_err, passed=bool(worst <= rel_tol)
-    )
+    passed = all(err <= rel_tol for err in max_err.values())
+    return CrosscheckReport(n_points=n_points, h=h, rel_tol=rel_tol, max_err=max_err, passed=passed)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +457,29 @@ def test_cli_infeasible_search_exits_2(tmp_path, capsys, command):
     payload = json.loads((out / out_file).read_text())
     assert payload[key] == value
     assert payload["error"]
+
+
+@pytest.mark.parametrize("command", ["barrier-check", "compare"])
+def test_cli_explicit_ge2_with_empty_support_exits_2(tmp_path, capsys, command):
+    # given C and a skip the search but not its refusal of a barrier that is
+    # zero at t = 0; without it both commands passed on all-zero data and
+    # printed 2,030 "support degenerates" warnings
+    text = (CONFIGS / "ge2.cfg").read_text()
+    for old, new in (("r0 = 8.0", "r0 = 25"), ("R = 52.0", "R = auto"), ("cells = 2048", "cells = 256"),
+                     ("regime = GE2", "regime = GE2\nC = 0.8315561018810539\na = 53.75178642559133")):
+        text = text.replace(old, new)
+    cfg = write(tmp_path, "ge2_empty.cfg", text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([command, "--config", cfg, "--out", str(out)])
+    assert rc == 2 and caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("infeasible: the certified GE2 barrier is identically zero at t = 0")
+    out_file, key, value = INFEASIBLE_OUTPUTS[command]
+    payload = json.loads((out / out_file).read_text())
+    assert payload[key] == value and "opens for T > 3.98885" in payload["error"]
 
 
 def test_cli_compare_fast_ge1b(tmp_path, capsys):

@@ -41,6 +41,12 @@ H2S_E = DensityParams(family="H2Smooth", alpha=2.0, r0=E)
 H2S_UNIT = DensityParams(family="H2Smooth", alpha=2.0, r0=E, rho1=1.0, rho2=1.0)
 
 
+def entry(report, name):
+    """The inequality of ``report`` called ``name``."""
+    (found,) = [e for e in report.inequalities if e.name == name]
+    return found
+
+
 # -- calibration constant ---------------------------------------------------
 
 
@@ -88,13 +94,13 @@ def test_blowup_amplitude_threshold():
     above = check_blowup(unit_subsolution(threshold * 1.0001), H2S_UNIT)
     below = check_blowup(unit_subsolution(threshold * 0.9999), H2S_UNIT)
     assert above.overall
-    assert above.entry("outer_coupling").passed
+    assert entry(above, "outer_coupling").passed
     assert not below.overall
-    assert not below.entry("outer_coupling").passed
+    assert not entry(below, "outer_coupling").passed
     # every other inequality is slack at both amplitudes
     for rep in (above, below):
         for name in ("outer_shape_exponent", "outer_gap_amplitude", "inner_gap_amplitude", "inner_coupling"):
-            assert rep.entry(name).passed
+            assert entry(rep, name).passed
 
 
 def test_blowup_requires_two_sided_weight():
@@ -105,7 +111,7 @@ def test_blowup_requires_two_sided_weight():
 def test_blowup_shape_exponent_must_match_alpha():
     bar = BlowupSubsolution(constants=CC23, C=300.0, a=300.0, T=1.0, bunder=2.5)
     rep = check_blowup(bar, H2S_UNIT)
-    assert not rep.entry("outer_shape_exponent").passed
+    assert not entry(rep, "outer_shape_exponent").passed
 
 
 @settings(max_examples=30, deadline=None)
@@ -152,10 +158,10 @@ def test_ge1a_flip_below_threshold(ge1a_found):
     lean = dataclasses.replace(bar, C=bar.C / 1.05)
     rep = check_ge1(lean, H1_FAR)
     assert not rep.overall
-    assert not rep.entry("amplitude_balance").passed
+    assert not entry(rep, "amplitude_balance").passed
     for name in ("b_positive", "b_below_alpha_window", "laplacian_margin",
                  "epsilon_floor", "beta_mode", "time_shift_gt_one"):
-        assert rep.entry(name).passed
+        assert entry(rep, name).passed
 
 
 def test_ge1b_amplitude_against_closed_form(ge1b_found):
@@ -169,7 +175,7 @@ def test_ge1b_amplitude_against_closed_form(ge1b_found):
     assert bar.b == 0.5  # default (alpha-1)/2
     assert bar.beta == 0.0 and bar.T == 1.0
     fat = dataclasses.replace(bar, C=bar.C * 1.05)
-    assert not check_ge1(fat, H1_NEAR).entry("amplitude_balance").passed
+    assert not entry(check_ge1(fat, H1_NEAR), "amplitude_balance").passed
 
 
 def test_ge1_requires_h1_weight(ge1b_found):
@@ -330,7 +336,7 @@ def test_ge2_pointwise_parameters(ge2_found):
 def test_ge2_pointwise_balance_margin(ge2_found):
     bar, _ = ge2_found
     rep = check_ge2(bar, H2S_8)
-    bal = rep.entry("amplitude_balance_pointwise")
+    bal = entry(rep, "amplitude_balance_pointwise")
     assert bal.passed
     assert 0.0 <= bal.slack <= 0.1 * bal.rhs  # found amplitude hugs the cap
     lean = dataclasses.replace(bar, C=bar.C * 1.1)

@@ -1,13 +1,18 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pme_react import cli
-from pme_react.barrier import E, BlowupSubsolution
-from pme_react.density import DensityParams, ProblemConstants
+from pme_react import cli, harness
+from pme_react.barrier import E, BlowupSubsolution, GE1Barrier
+from pme_react.config import load, resolve
+from pme_react.density import DensityParams, ProblemConstants, inverse_rho
 from pme_react.feasibility import (
     BARRIER_KEYS,
     REGIME_BLOWUP,
@@ -18,6 +23,7 @@ from pme_react.feasibility import (
 )
 from pme_react.harness import (
     InitialData,
+    SweepReport,
     VERDICT_INCONCLUSIVE,
     VERDICT_PASS,
     blowup_scan,
@@ -33,6 +39,18 @@ from pme_react.solver import BOUNDARY_DIRICHLET, RadialGrid, SolverConfig, run
 CC23 = ProblemConstants(m=2.0, p=3.0, N=3)
 H1_NEAR = DensityParams(family="H1", alpha=2.0, r0=25.0)
 H2S_E = DensityParams(family="H2Smooth", alpha=2.0, r0=E)
+ROOT = Path(__file__).resolve().parents[1]
+STEMS = ("ge1a", "ge1b", "ge2", "blowup")
+
+
+@pytest.fixture(scope="module")
+def shipped():
+    """The barrier and density each shipped barrier config resolves to."""
+    out = {}
+    for stem in STEMS:
+        res = resolve(load(str(ROOT / "configs" / f"{stem}.cfg")))
+        out[stem] = (res.barrier, res.density)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +152,81 @@ def test_comparison_tolerance_scales():
 # -- residual sweeps --------------------------------------------------------
 
 
+def slice_margins(bar, dens, t, n_r):
+    """Sample radii and signed relative margins of one time slice."""
+    sub = isinstance(bar, BlowupSubsolution)
+    r = harness._sweep_radii(bar, t, n_r)
+    d = bar.eval_derivatives(r, t)
+    w = bar.eval(r, t)
+    resid = d.w_t - inverse_rho(dens, r) * d.lap_wm - w**bar.constants.p
+    scale = np.abs(w**bar.constants.p) + np.abs(d.w_t)
+    return r, harness._relative_margins(-resid if sub else resid, scale)
+
+
+def looped_sweep(bar, dens, n_r=200, n_t=50, rel_tol=1.0e-10):
+    """Oracle for :func:`residual_sweep`: one evaluation per time slice; a
+    slice's first minimum replaces the worst point only when strictly
+    smaller, so ties keep the earliest (t, r)."""
+    sub = isinstance(bar, BlowupSubsolution)
+    t_max = bar.T * (1.0 - 1.0e-3) if sub else 10.0 * bar.T
+    min_margin = math.inf
+    worst_r = worst_t = math.nan
+    for t in np.linspace(0.0, t_max, n_t):
+        r, rel = slice_margins(bar, dens, float(t), n_r)
+        i = int(np.argmin(rel))
+        if rel[i] < min_margin:
+            min_margin, worst_r, worst_t = float(rel[i]), float(r[i]), float(t)
+    return SweepReport(
+        regime=bar.regime, role="subsolution" if sub else "supersolution", grid=(n_r, n_t),
+        rel_tol=rel_tol, min_margin=min_margin, worst_r=worst_r, worst_t=worst_t,
+        passed=bool(min_margin >= -rel_tol),
+    )
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_residual_sweep_matches_the_looped_oracle(shipped, stem):
+    bar, dens = shipped[stem]
+    rep = residual_sweep(bar, dens)
+    assert rep.passed
+    assert rep == looped_sweep(bar, dens)
+
+
+def test_residual_sweep_tie_keeps_the_first_in_t_then_r_order(shipped, monkeypatch):
+    # GE1b has beta = 0, so its margins depend on r alone.  With the radii
+    # rolled back one place per slice, every slice holds the same minimum,
+    # one column earlier each time: only the (t, r) order picks slice 0.
+    bar, dens = shipped["ge1b"]
+    t_grid = np.linspace(0.0, 10.0 * bar.T, 10)
+    radii = harness._sweep_radii
+    roll = {float(t): -k for k, t in enumerate(t_grid)}
+    monkeypatch.setattr(harness, "_sweep_radii", lambda b, t, n: np.roll(radii(b, t, n), roll[t]))
+    slices = [slice_margins(bar, dens, float(t), 50) for t in t_grid]
+    assert len({float(np.min(rel)) for _, rel in slices}) == 1
+    assert len({int(np.argmin(rel)) for _, rel in slices}) == 10
+    rep = residual_sweep(bar, dens, n_r=50, n_t=10)
+    assert rep == looped_sweep(bar, dens, n_r=50, n_t=10)
+    r, rel = slices[0]
+    assert rep.worst_t == 0.0 and rep.worst_r == r[np.argmin(rel)]
+
+
+def test_residual_sweep_fails_on_a_nan_margin(shipped, monkeypatch):
+    # one nan value in every slice: the looped sweep skipped each such slice
+    bar, dens = shipped["ge1b"]
+    exact = GE1Barrier.eval
+
+    def nan_at_7(self, r, t):
+        w = np.array(exact(self, r, t))
+        w[..., 7] = np.nan
+        return w
+
+    monkeypatch.setattr(GE1Barrier, "eval", nan_at_7)
+    old = looped_sweep(bar, dens, n_r=50, n_t=10)
+    assert old.passed and old.min_margin == math.inf
+    rep = residual_sweep(bar, dens, n_r=50, n_t=10)
+    assert not rep.passed and math.isnan(rep.min_margin)
+    assert (rep.worst_r, rep.worst_t) == (harness._sweep_radii(bar, 0.0, 50)[7], 0.0)
+
+
 def test_residual_sweep_passes_at_found_params(ge1b):
     bar, _ = ge1b
     rep = residual_sweep(bar, H1_NEAR, n_r=50, n_t=10)
@@ -154,6 +247,7 @@ def test_residual_sweep_certificate_is_sufficient_not_necessary(ge1b):
     sweep = residual_sweep(very_fat, H1_NEAR, n_r=50, n_t=10)
     assert not sweep.passed
     assert sweep.min_margin < -0.5
+    assert sweep == looped_sweep(very_fat, H1_NEAR, n_r=50, n_t=10)
 
 
 def test_residual_sweep_detects_weak_subsolution(blowup):
@@ -161,7 +255,9 @@ def test_residual_sweep_detects_weak_subsolution(blowup):
     good = residual_sweep(bub, H2S_E, n_r=50, n_t=10)
     assert good.passed and good.role == "subsolution"
     weak = BlowupSubsolution(constants=CC23, C=1.0, a=1.0, T=bub.T, bunder=3.0)
-    assert not residual_sweep(weak, H2S_E, n_r=50, n_t=10).passed
+    sweep = residual_sweep(weak, H2S_E, n_r=50, n_t=10)
+    assert not sweep.passed
+    assert sweep == looped_sweep(weak, H2S_E, n_r=50, n_t=10)
 
 
 def test_derivative_crosscheck_small_batch(ge1b):
@@ -170,6 +266,47 @@ def test_derivative_crosscheck_small_batch(ge1b):
     assert rep.passed
     assert set(rep.max_err) == {"w_t", "wm_r", "wm_rr"}
     assert max(rep.max_err.values()) <= 1e-6
+
+
+def test_derivative_crosscheck_fails_on_a_nan_error(shipped, monkeypatch):
+    # a nan after a finite w_t error used to drop out of max()
+    bar, _ = shipped["ge1b"]
+    exact = GE1Barrier.eval_derivatives
+
+    def nan_slope(self, r, t):
+        d = exact(self, r, t)
+        wm_r = np.array(d.wm_r)
+        wm_r[5] = np.nan
+        return dataclasses.replace(d, wm_r=wm_r)
+
+    monkeypatch.setattr(GE1Barrier, "eval_derivatives", nan_slope)
+    rep = derivative_crosscheck(bar)
+    assert rep.max_err["w_t"] == 0.0 and math.isnan(rep.max_err["wm_r"])
+    assert not rep.passed
+
+
+def test_derivative_crosscheck_passes_for_fifty_seeds(shipped):
+    for stem in STEMS:
+        bar, _ = shipped[stem]
+        for seed in range(50):
+            rep = derivative_crosscheck(bar, seed=seed)
+            assert rep.passed, (stem, seed, rep.max_err)
+        assert derivative_crosscheck(bar, seed=7) == derivative_crosscheck(bar, seed=7)
+    with pytest.raises(ValueError, match="non-negative"):
+        derivative_crosscheck(bar, seed=-1)
+
+
+def test_barrier_check_does_not_import_numpy_random(tmp_path):
+    code = (
+        "import json, sys\n"
+        "from pme_react import cli\n"
+        f"rc = cli.main(['barrier-check', '--config', {str(ROOT / 'configs' / 'blowup.cfg')!r}, "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "print(json.dumps([rc, 'numpy.random' in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, False]
 
 
 # -- comparison experiments -------------------------------------------------
