@@ -16,14 +16,11 @@ only weight the laboratory builds: a config names a family and its
 constants, never a weight of its own.  Derived constants used by the
 feasibility layer, a safe one-sided envelope constant for ``H1`` and
 inverse-weight bounds on the closed ball of radius e, are produced by
-:func:`derive_k0` and :func:`derive_rho_bounds`.  Both are computed once
-per ``DensityParams`` (and ``margin``) and cached, since the parameter
-search evaluates them for every candidate barrier.
+:func:`derive_k0` and :func:`derive_rho_bounds` in closed form.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -35,6 +32,9 @@ E = math.e
 FAMILY_H1 = "H1"
 FAMILY_H2SMOOTH = "H2Smooth"
 FAMILIES = (FAMILY_H1, FAMILY_H2SMOOTH)
+
+# Relative safety margin by which the derived constants are moved outward.
+DERIVED_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ class DensityParams:
     of :func:`derive_k0`.  H2Smooth uses the band constants ``k1 <= k2``
     (the canonical representative uses ``k1``) and the optional overrides
     ``rho1``, ``rho2`` of :func:`derive_rho_bounds`.  Derived constants
-    without an override are computed on demand, once per distinct
-    ``DensityParams``.
+    without an override are computed on demand.
 
     Only algebraic invariants are validated here (positivity, ``alpha > 1``,
     ``k1 <= k2``, ``r0 >= e``).  Both canonical members meet their
@@ -145,39 +144,37 @@ def rho(params: DensityParams, r):
     return 1.0 / np.asarray(inv)
 
 
-@functools.lru_cache(maxsize=None)
-def derive_k0(params: DensityParams, margin: float = 0.05) -> float:
+def derive_k0(params: DensityParams) -> float:
     """Safe constant for the shifted one-sided envelope of an H1 weight.
 
     Returns ``k0`` such that ``1/rho >= k0 (log(r + r0))^alpha (r + r0)^2``
     holds for every ``r >= 0`` with a multiplicative safety margin.  The
-    constant is the grid minimum of the ratio of the two sides (dense radii
-    plus the analytic tail limit, which for the canonical member equals
-    ``k``), shrunk by ``margin``.
+    canonical member is ``k`` times that envelope, so ``k0`` is ``k``
+    shrunk by ``DERIVED_MARGIN``.
     """
     if params.family != FAMILY_H1:
         raise ValueError("derive_k0 applies to the H1 family only")
     if params.k0 is not None:
         return params.k0
-    radii = np.concatenate([[0.0], np.geomspace(1.0e-3, 1.0e6, 4096)])
-    s = radii + params.r0
-    envelope = np.log(s) ** params.alpha * s**2
-    ratio = np.asarray(inverse_rho(params, radii)) / envelope
-    tail = params.k  # the shifted envelope is exact for the canonical member
-    return (1.0 - margin) * float(min(ratio.min(), tail))
+    return (1.0 - DERIVED_MARGIN) * params.k
 
 
-@functools.lru_cache(maxsize=None)
-def derive_rho_bounds(params: DensityParams, margin: float = 0.05) -> tuple:
+def derive_rho_bounds(params: DensityParams) -> tuple:
     """Bounds ``rho1 <= 1/rho <= rho2`` on the closed ball of radius e.
 
-    Explicit overrides on ``params`` win; otherwise the bounds come from a
-    1025-point grid on [0, e], widened outward by ``margin`` on both sides.
-    These constants feed the inner-ball branch of the blow-up feasibility
-    system.
+    Explicit overrides on ``params`` win.  Otherwise: ``s^2/L^alpha`` with
+    ``s = r + r0`` has one critical point, a minimum at ``s = e^(alpha/2)``,
+    so the maximum on [0, e] is at an end and the minimum at an end or
+    there; both are widened outward by ``DERIVED_MARGIN``.  These constants
+    feed the inner-ball branch of the blow-up feasibility system.
     """
+    if params.family == FAMILY_H1:
+        raise ValueError("derive_rho_bounds applies to the H2Smooth family only")
     if params.rho1 is not None and params.rho2 is not None:
         return params.rho1, params.rho2
-    radii = np.linspace(0.0, E, 1025)
-    inv = np.asarray(inverse_rho(params, radii))
-    return (1.0 - margin) * float(inv.min()), (1.0 + margin) * float(inv.max())
+    radii = [0.0, E]
+    r_min = math.exp(0.5 * params.alpha) - params.r0
+    if 0.0 < r_min < E:
+        radii.append(r_min)
+    inv = inverse_rho(params, np.array(radii))
+    return (1.0 - DERIVED_MARGIN) * float(inv.min()), (1.0 + DERIVED_MARGIN) * float(inv.max())

@@ -26,11 +26,13 @@ over the canonical band member (the weight with constant ``k1``, the only
 weight a config can build).  Its residual factors through a concave
 profile polynomial in ``F = 1 - (log(r+r0))^bbar eta/a``, so nonnegativity
 reduces to the two endpoint inequalities, with the spatial drift minimum
-found numerically.  Its search has no fallback: omega just below the cap
-the decay rate puts on it, one bisection for ``C``, one recheck.  The
-certificate does not depend on ``T``, so :func:`refuse_empty_ge2` refuses
-a barrier whose support is empty at t = 0 and names the ``T`` that opens
-it; the search and ``config.resolve``'s given parameters both call it.
+taken where its derivative changes sign (:func:`ge2_drift_minimum`).  Its
+search has no fallback: omega just below the cap the decay rate puts on
+it, one bisection for ``C``, one recheck; with no amplitude at all it
+names the edge ``p - m`` must pass.  The certificate does not depend on
+``T``, so :func:`refuse_empty_ge2` refuses a barrier whose support is
+empty at t = 0 and names the ``T`` that opens it; the search and
+``config.resolve``'s given parameters both call it.
 """
 
 from __future__ import annotations
@@ -182,103 +184,32 @@ def _bbar(dens: DensityParams) -> float:
     return dens.alpha + 2.0
 
 
-def _fminbound(f: Callable[[float], float], a: float, b: float, xatol: float) -> float:
-    """Minimum value of ``f`` on ``[a, b]`` by Brent's method.
-
-    Golden-section steps with parabolic interpolation (R. P. Brent,
-    *Algorithms for Minimization without Derivatives*, 1973), step for step
-    as scipy's ``minimize_scalar(method="bounded")``: the same tolerances,
-    the same 500-evaluation cap, so it returns the same float.  Returns
-    ``f`` at the best point found.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabolic fit through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = -tol1 if xm - xf < 0.0 else tol1
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-
-        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return fx
-
-
 @functools.lru_cache(maxsize=None)
 def ge2_drift_minimum(N: int, r0: float) -> float:
-    """Minimum over r > 0 of ``(N-1)(1 + r0/r) log(r+r0) - log(r+r0)``.
+    """Minimum over r > 0 of ``g(r) = (N-1)(1 + r0/r) log(r+r0) - log(r+r0)``.
 
-    The quantity diverges at both ends (the geometric term as ``r -> 0``,
-    the dimensional one as ``r -> infinity``), so the minimum is interior;
-    it is bracketed on a log grid and polished with Brent's bounded
-    minimization (:func:`_fminbound`).
+    ``g`` diverges at both ends (the geometric term as ``r -> 0``, the
+    dimensional one as ``r -> infinity``) and its derivative
+    ``g'(r) = (N-1)(1/r - r0 log(r+r0)/r^2) - 1/(r+r0)`` changes sign once,
+    so the minimizer is found by bisection on the sign of ``g'`` over
+    ``[1e-3, 1e9]``, with geometric midpoints, until the midpoint equals
+    a bracket end; the minimum is ``g`` at the better end.
     """
 
     def g(r: float) -> float:
         L = math.log(r + r0)
         return (N - 1.0) * (1.0 + r0 / r) * L - L
 
-    grid = np.geomspace(1.0e-3, 1.0e9, 2001)
-    vals = np.array([g(r) for r in grid])
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    polished = _fminbound(g, lo, hi, xatol=1e-12)
-    return float(min(polished, vals[i]))
+    lo, hi = 1.0e-3, 1.0e9
+    while True:
+        mid = math.sqrt(lo * hi)
+        if mid == lo or mid == hi:
+            return min(g(lo), g(hi))
+        # g'(mid) < 0: the minimizer lies above mid
+        if (N - 1.0) * (1.0 / mid - r0 * math.log(mid + r0) / mid**2) < 1.0 / (mid + r0):
+            lo = mid
+        else:
+            hi = mid
 
 
 def check_ge2(bar: GE2Barrier, dens: DensityParams) -> FeasibilityReport:
@@ -575,6 +506,7 @@ def _find_ge2(cc, dens, given):
     _require_two_sided(dens, "the GE2 search")
     m, p = cc.m, cc.p
     mf = m / (m - 1.0)
+    bbar = _bbar(dens)
 
     def make(C: float, omega: float) -> GE2Barrier:
         return build_barrier(cc, dens, REGIME_GE2, C, a=C ** (m - 1.0) / omega, **given)
@@ -583,14 +515,19 @@ def _find_ge2(cc, dens, given):
         return check_ge2(make(C, omega), dens).overall
 
     # the decay-rate condition caps omega independently of C
-    omega_cap = (p - m) / ((p - 1.0) * _bbar(dens) ** 2 * mf * dens.k1)
+    omega_cap = (p - m) / ((p - 1.0) * bbar**2 * mf * dens.k1)
     omega = omega_cap / (1.0 + MARGIN)
     try:
         boundary = _bisect_flip(lambda C: passes(C, omega))
     except FeasibilitySearchError:
+        # at this omega the amplitude balance reads C^(p-1) + 1/(p-1) <=
+        # (p-m) B / ((p-1) bbar (1 + MARGIN)), B the drift bracket minimum,
+        # so small C passes iff p - m > edge
+        edge = (1.0 + MARGIN) * bbar / (ge2_drift_minimum(cc.N, dens.r0) + bbar - 1.0)
         raise FeasibilitySearchError(
             f"no feasible GE2 parameters: no amplitude in [{C_LO:g}, {C_HI:g}] "
-            f"passes the certificate at omega={omega:g}"
+            f"passes the certificate at omega={omega:g}; needs p - m > {edge:.3g} "
+            f"at N = {cc.N}, r0 = {dens.r0:g}, alpha = {dens.alpha:g}"
         ) from None
     bar = make(boundary / (1.0 + MARGIN), omega)
     report = check_ge2(bar, dens)

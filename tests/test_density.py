@@ -117,6 +117,51 @@ def test_canonical_member_envelope(band, members):
             assert slack >= -1e-12
 
 
+def grid_k0(params, margin=0.05):
+    """Oracle for :func:`derive_k0`: the ratio of ``1/rho`` to the shifted
+    envelope on a dense grid plus the analytic tail limit ``k``, shrunk by
+    ``margin``."""
+    radii = np.concatenate([[0.0], np.geomspace(1.0e-3, 1.0e6, 4096)])
+    s = radii + params.r0
+    envelope = np.log(s) ** params.alpha * s**2
+    ratio = np.asarray(inverse_rho(params, radii)) / envelope
+    return (1.0 - margin) * float(min(ratio.min(), params.k))
+
+
+def grid_rho_bounds(params, margin=0.05):
+    """Oracle for :func:`derive_rho_bounds`: min and max of ``1/rho`` on a
+    1025-point grid on [0, e], widened outward by ``margin``."""
+    radii = np.linspace(0.0, E, 1025)
+    inv = np.asarray(inverse_rho(params, radii))
+    return (1.0 - margin) * float(inv.min()), (1.0 + margin) * float(inv.max())
+
+
+# The density sections of the shipped reference configs.
+SHIPPED_H1 = [DensityParams(family=FAMILY_H1, alpha=2.0, r0=r0) for r0 in (1000.0, 25.0)]
+SHIPPED_H2SMOOTH = [DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=r0) for r0 in (8.0, E)]
+
+
+def test_derived_constants_match_the_grid_oracles_at_shipped_params():
+    for d in SHIPPED_H1:
+        assert derive_k0(d) == grid_k0(d) == 0.95
+    for d in SHIPPED_H2SMOOTH:
+        assert derive_rho_bounds(d) == grid_rho_bounds(d)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0, 6.0], ids=lambda a: f"alpha={a:g}")
+@pytest.mark.parametrize("r0", [E, 3.0, 5.0, 8.0, 25.0], ids=["r0=e", "r0=3", "r0=5", "r0=8", "r0=25"])
+def test_derived_constants_against_the_grid_oracles(alpha, r0):
+    h1 = DensityParams(family=FAMILY_H1, alpha=alpha, r0=r0, k=1.3)
+    assert derive_k0(h1) == pytest.approx(grid_k0(h1), rel=1e-15)
+    assert derive_k0(h1) >= grid_k0(h1)
+    h2 = DensityParams(family=FAMILY_H2SMOOTH, alpha=alpha, r0=r0, k1=1.3, k2=2.0)
+    (lo, hi), (grid_lo, grid_hi) = derive_rho_bounds(h2), grid_rho_bounds(h2)
+    # rho1 is the exact minimum, the grid's can only sit above it
+    assert lo <= grid_lo
+    assert lo == pytest.approx(grid_lo, rel=1e-5)
+    assert hi == pytest.approx(grid_hi, rel=1e-15)
+
+
 def test_derive_k0_scales_with_k():
     d1 = DensityParams(family=FAMILY_H1, alpha=2.0, r0=8.0, k=1.0)
     d3 = DensityParams(family=FAMILY_H1, alpha=2.0, r0=8.0, k=3.0)
@@ -126,6 +171,14 @@ def test_derive_k0_scales_with_k():
         derive_k0(DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=8.0))
 
 
+def test_derive_rho_bounds_refuses_h1():
+    with pytest.raises(ValueError, match="H2Smooth family only"):
+        derive_rho_bounds(DensityParams(family=FAMILY_H1, alpha=2.0, r0=8.0))
+    # an override does not make it apply
+    with pytest.raises(ValueError, match="H2Smooth family only"):
+        derive_rho_bounds(DensityParams(family=FAMILY_H1, alpha=2.0, r0=8.0, rho1=1.0, rho2=2.0))
+
+
 def test_derive_rho_bounds_overrides_win():
     d = DensityParams(
         family=FAMILY_H2SMOOTH, alpha=2.0, r0=math.e, rho1=1.0, rho2=1.0
@@ -133,26 +186,24 @@ def test_derive_rho_bounds_overrides_win():
     assert derive_rho_bounds(d) == (1.0, 1.0)
 
 
-def test_derived_constants_are_cached_per_params():
+def test_derived_constants_follow_params():
     h1 = DensityParams(family=FAMILY_H1, alpha=2.5, r0=25.0, k=1.5)
     h2 = DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=8.0, k1=1.0, k2=2.0)
-    assert derive_k0(h1) == derive_k0.__wrapped__(h1)
-    assert derive_rho_bounds(h2) == derive_rho_bounds.__wrapped__(h2)
-    # an equal DensityParams is the same key: the second call computes nothing
-    hits = derive_rho_bounds.cache_info().hits
-    assert derive_rho_bounds(replace(h2)) is derive_rho_bounds(h2)
-    assert derive_rho_bounds.cache_info().hits == hits + 2
-    # overrides still win
+    # overrides win
     assert derive_k0(replace(h1, k0=0.5)) == 0.5
     assert derive_rho_bounds(replace(h2, rho1=2.0, rho2=3.0)) == (2.0, 3.0)
-    # a DensityParams differing only in r0 gets its own entry and value
-    for fn, params in ((derive_k0, h1), (derive_rho_bounds, h2)):
-        moved = replace(params, r0=params.r0 + 1.0)
-        misses = fn.cache_info().misses
-        assert fn(moved) == fn.__wrapped__(moved)
-        assert fn.cache_info().misses == misses + 1
-    moved = replace(h2, r0=9.0)
-    assert derive_rho_bounds(moved) != derive_rho_bounds(h2)
+    # r0 moves the inverse-weight bounds
+    assert derive_rho_bounds(replace(h2, r0=9.0)) != derive_rho_bounds(h2)
+
+
+def test_derive_rho_bounds_interior_minimum():
+    # alpha = 3, r0 = 3: s^2/L^3 has its minimum at s = e^1.5, inside [r0, r0 + e]
+    d = DensityParams(family=FAMILY_H2SMOOTH, alpha=3.0, r0=3.0)
+    lo, hi = derive_rho_bounds(d)
+    assert lo == pytest.approx(0.95 * math.exp(3.0) / 1.5**3, rel=1e-14)
+    ends = [s**2 / math.log(s) ** 3 for s in (3.0, 3.0 + E)]
+    assert hi == pytest.approx(1.05 * max(ends), rel=1e-14)
+    assert lo < 0.95 * min(ends)
 
 
 def test_derive_rho_bounds_from_member():

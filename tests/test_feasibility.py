@@ -247,41 +247,45 @@ def test_build_barrier_rejects_keys_outside_its_regime():
 # -- GE2 search and certificate ---------------------------------------------
 
 
-def test_ge2_drift_minimum_against_dense_grid():
-    got = ge2_drift_minimum(3, 8.0)
+# r0 geometric in [e, 1e4]: the range over which the bisection in
+# ge2_drift_minimum is checked to have a single sign change to find.
+DRIFT_R0 = [float(r0) for r0 in np.geomspace(E, 1.0e4, 10)]
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 8])
+def test_ge2_drift_derivative_changes_sign_once(N):
+    r = np.geomspace(1.0e-3, 1.0e9, 200001)
+    for r0 in DRIFT_R0:
+        dg = (N - 1.0) * (1.0 / r - r0 * np.log(r + r0) / r**2) - 1.0 / (r + r0)
+        neg = dg < 0.0
+        assert neg[0] and not neg[-1], (N, r0)
+        assert np.count_nonzero(neg[1:] != neg[:-1]) == 1, (N, r0)
+
+
+@pytest.mark.parametrize(
+    "N, r0",
+    [
+        pytest.param(3, 8.0, id="N3-r0=8"),
+        pytest.param(3, E, id="N3-r0=e"),
+        pytest.param(4, DRIFT_R0[3], id="N4-r0=42"),
+        pytest.param(5, 25.0, id="N5-r0=25"),
+        pytest.param(6, DRIFT_R0[7], id="N6-r0=1613"),
+        pytest.param(8, 1.0e4, id="N8-r0=1e4"),
+    ],
+)
+def test_ge2_drift_minimum_against_dense_grid(N, r0):
+    got = ge2_drift_minimum(N, r0)
     r = np.geomspace(1e-4, 1e10, 400001)
-    L = np.log(r + 8.0)
-    grid_min = float(np.min(2.0 * (1.0 + 8.0 / r) * L - L))
+    L = np.log(r + r0)
+    grid_min = float(np.min((N - 1.0) * (1.0 + r0 / r) * L - L))
     assert got == pytest.approx(grid_min, rel=1e-8)
-    assert got <= grid_min + 1e-12  # polish can only improve on the grid
+    assert got <= grid_min + 1e-12  # the bisection can only improve on the grid
 
 
 def test_ge2_drift_minimum_pinned_values():
-    # the values scipy's bounded Brent polish gave before the in-package port
+    # the values every earlier release certified with, bit for bit
     assert ge2_drift_minimum(3, 8.0) == 5.344673365927255
     assert ge2_drift_minimum(3, E) == 3.906557937512901
-
-
-def test_fminbound_matches_scipy_bitwise(monkeypatch):
-    optimize = pytest.importorskip("scipy.optimize")
-    fminbound = feasibility._fminbound
-    calls = []
-
-    def recording(f, a, b, xatol):
-        got = fminbound(f, a, b, xatol)
-        want = optimize.minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": xatol})
-        calls.append((got, want.fun))
-        return got
-
-    monkeypatch.setattr(feasibility, "_fminbound", recording)
-    rng = np.random.default_rng(20240604)
-    cases = [(3, 8.0), (3, E), (3, 25.0), (3, 1000.0)]
-    cases += [(int(n), float(r0)) for n, r0 in zip(rng.integers(2, 7, 40), 10.0 ** rng.uniform(-2, 4, 40))]
-    for N, r0 in cases:
-        ge2_drift_minimum.__wrapped__(N, r0)  # bypass the cache: g and the bracket as used
-    assert len(calls) == len(cases)
-    for (got, want), case in zip(calls, cases):
-        assert got == want, case
 
 
 def test_ge2_envelope_is_empty_at_unit_band():
@@ -290,6 +294,29 @@ def test_ge2_envelope_is_empty_at_unit_band():
     cc = ProblemConstants(m=2.0, p=2.05, N=3)
     with pytest.raises(FeasibilitySearchError, match="no feasible GE2 parameters: no amplitude in"):
         find_params(cc, H2S_8, REGIME_GE2)
+
+
+@pytest.mark.parametrize(
+    "N, r0, p_edge",
+    [
+        pytest.param(3, 8.0, 2.4841, id="N3-r0=8"),
+        pytest.param(5, 8.0, 2.2281, id="N5-r0=8"),
+        pytest.param(3, E, 2.5850, id="N3-r0=e"),
+    ],
+)
+def test_ge2_infeasibility_names_its_frontier(N, r0, p_edge):
+    # at the searched omega the amplitude balance admits a small C iff
+    # p - m > (1 + MARGIN) bbar / B, B the drift bracket minimum; k1 cancels
+    dens = DensityParams(family="H2Smooth", alpha=2.0, r0=r0, k1=1.7, k2=1.7)
+    edge = (1.0 + feasibility.MARGIN) * 4.0 / (ge2_drift_minimum(N, r0) + 3.0)
+    assert 2.0 + edge == pytest.approx(p_edge, abs=1e-4)
+    below = ProblemConstants(m=2.0, p=2.0 + edge - 0.01, N=N)
+    with pytest.raises(FeasibilitySearchError, match="no amplitude in") as err:
+        find_params(below, dens, REGIME_GE2, T=100.0)
+    assert str(err.value).endswith(f"; needs p - m > {edge:.3g} at N = {N}, r0 = {r0:g}, alpha = 2")
+    above = ProblemConstants(m=2.0, p=2.0 + edge + 0.01, N=N)
+    _, report = find_params(above, dens, REGIME_GE2, T=100.0)
+    assert report.overall
 
 
 def test_ge2_search_ignores_the_upper_band_constant():
