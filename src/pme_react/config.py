@@ -41,7 +41,7 @@ from .density import (
     DensityParams,
     ProblemConstants,
 )
-from .feasibility import BARRIER_KEYS, FeasibilityReport, build_barrier, find_params, refuse_empty_ge2
+from .feasibility import BARRIER_KEYS, FeasibilityReport, build_barrier, find_params, refuse_degenerate_support
 from .harness import (
     INIT_CONSTANT,
     INIT_CSV,
@@ -403,8 +403,8 @@ def resolve(loaded: LoadedConfig) -> Resolved:
             defaults.append(f"[barrier] C = {report.params['C']:.6g} (search)")
         else:
             barrier = build_barrier(cc, dens, loaded.regime, C, **given)
-            if barrier.regime == REGIME_GE2:
-                refuse_empty_ge2(barrier)
+            if barrier.regime in (REGIME_GE2, REGIME_BLOWUP):
+                refuse_degenerate_support(barrier)
             defaults += [
                 f"[barrier] {key} = {getattr(barrier, key):g} (default)"
                 for key in BARRIER_KEYS[loaded.regime]
@@ -423,7 +423,10 @@ def resolve(loaded: LoadedConfig) -> Resolved:
         if barrier is None:
             raise ValueError("[solver] R must be a number when no barrier regime is set")
         if barrier.regime == REGIME_GE2:
-            R = 2.0 * barrier.support_radius(t_end)
+            try:
+                R = 2.0 * barrier.support_radius(t_end)
+            except OverflowError:
+                raise ValueError(f"[solver] R = auto overflows at t_end = {t_end:g}; give R") from None
         elif barrier.regime == REGIME_BLOWUP:
             R = 2.0 * barrier.support_radius(0.0)
         else:

@@ -8,18 +8,12 @@ two sides, slack and verdict; its ``mode`` is the barrier's ``regime``.
 parameters into a barrier: it holds the regime defaults, the shape
 exponents and the table ``BARRIER_KEYS`` of the parameters each regime
 takes.  It and ``find_params`` share one check of the regime name and its
-exponent condition (:func:`_check_regime`).  ``find_params`` runs the documented
-deterministic search and returns parameters that satisfy the binding
-inequality with at least ``MARGIN`` relative slack.  The compact profiles
-sweep the shape ratio ``omega = C^(m-1)/a`` on a log grid of
-``OMEGA_POINTS`` points (``OMEGA_MIN`` to ``OMEGA_MAX`` for the blow-up
-profile).  An omega is feasible when the certificate flips between the
-bracket ends ``C_LO`` and ``C_HI``, two evaluations each; the feasible
-range is the report's omega window.  Only the omega the search returns
-is bisected for its binding amplitude ``C``: log-bisection on
-``[C_LO, C_HI]`` that stops when the bracket ends are adjacent floats, or
-after ``BISECT_ITERS`` halvings.  ``T`` and the GE1 shape parameters are
-fixed by the caller or by the defaults.
+exponent condition (:func:`_check_regime`).  ``find_params`` returns
+parameters with ``MARGIN`` relative slack on the binding inequality; ``C``
+enters each certificate only through power laws, so its binding value is
+closed form.  The compact profiles sweep ``omega = C^(m-1)/a`` on a log
+grid of ``OMEGA_POINTS`` points; the omegas at which the certificate
+differs between ``C_LO`` and ``C_HI`` are the report's omega window.
 
 The spreading supersolution has one condition set, :func:`check_ge2`,
 over the canonical band member (the weight with constant ``k1``, the only
@@ -27,12 +21,8 @@ weight a config can build).  Its residual factors through a concave
 profile polynomial in ``F = 1 - (log(r+r0))^bbar eta/a``, so nonnegativity
 reduces to the two endpoint inequalities, with the spatial drift minimum
 taken where its derivative changes sign (:func:`ge2_drift_minimum`).  Its
-search has no fallback: omega just below the cap the decay rate puts on
-it, one bisection for ``C``, one recheck; with no amplitude at all it
-names the edge ``p - m`` must pass.  The certificate does not depend on
-``T``, so :func:`refuse_empty_ge2` refuses a barrier whose support is
-empty at t = 0 and names the ``T`` that opens it; the search and
-``config.resolve``'s given parameters both call it.
+search takes omega just below the decay-rate cap; with no amplitude at
+all it names the edge ``p - m`` must pass.
 """
 
 from __future__ import annotations
@@ -329,11 +319,10 @@ def check_blowup(bar: BlowupSubsolution, dens: DensityParams) -> FeasibilityRepo
 # ---------------------------------------------------------------------------
 
 
-# Search budget: the amplitude bracket [C_LO, C_HI], the number of
-# bisection halvings on it, and the relative slack kept on the binding side.
+# Search budget: the amplitude range [C_LO, C_HI] a binding amplitude must
+# lie in, and the relative slack kept on the binding side.
 C_LO = 1.0e-8
 C_HI = 1.0e8
-BISECT_ITERS = 80
 MARGIN = 0.01
 # The blow-up omega grid (log-spaced, both ends included); the GE2 window
 # report uses OMEGA_POINTS points below its own decay-rate cap.
@@ -350,32 +339,44 @@ BARRIER_KEYS = {
 }
 
 
-def _bisect_flip(pred: Callable[[float], bool]) -> float:
-    """Boundary amplitude in [C_LO, C_HI] where a monotone pass/fail
-    predicate flips.
+def _binding_amplitude(cc, probe):
+    """The C at which a certificate flips, from ``probe``, the certificate
+    at C = 1: the balance ``lhs <= rhs`` gives GE1 ``(rhs/lhs)^(1/(p-m))``
+    and GE2 ``(rhs - 1/(p-1))^(1/(p-1))`` (0 without room); Blowup takes
+    the largest ``(lhs/rhs)^(1/k)`` over its gap (k = p-1) and coupling
+    (k = m-1) entries.  A failed entry without C is named in a
+    :class:`FeasibilitySearchError`."""
+    m, p = cc.m, cc.p
+    floor = 0.0
+    for e in probe.inequalities:
+        # C enters the entries named for the amplitude or the coupling
+        if "gap" in e.name or "coupling" in e.name:
+            floor = max(floor, (e.lhs / e.rhs) ** (1.0 / (p - 1.0 if "gap" in e.name else m - 1.0)))
+        elif "amplitude" in e.name:
+            balance = e
+        elif not e.passed:
+            raise FeasibilitySearchError(
+                f"no feasible {probe.mode} parameters: {e.name} fails at every amplitude "
+                f"(lhs {e.lhs:g}, rhs {e.rhs:g})"
+            )
+    if probe.mode == REGIME_BLOWUP:
+        return floor
+    if probe.mode == REGIME_GE2:
+        room = balance.rhs - 1.0 / (p - 1.0)
+        return room ** (1.0 / (p - 1.0)) if room > 0.0 else 0.0
+    return (balance.rhs / balance.lhs) ** (1.0 / (p - m))
 
-    Halves the log bracket until its midpoint rounds to one of its ends
-    (about 54 halvings for a boundary away from C = 1, where the floats
-    are densest) or ``BISECT_ITERS`` halvings are done.  A further halving
-    would test that end again and could not move the bracket, so the
-    result is the one all ``BISECT_ITERS`` halvings give.
-    """
-    f_lo = pred(C_LO)
-    f_hi = pred(C_HI)
-    if f_lo == f_hi:
-        raise FeasibilitySearchError(
-            f"predicate does not flip on [{C_LO:g}, {C_HI:g}]; no binding amplitude found"
-        )
-    llo, lhi = math.log(C_LO), math.log(C_HI)
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (llo + lhi)
-        if mid == llo or mid == lhi:
-            break
-        if pred(math.exp(mid)) == f_lo:
-            llo = mid
-        else:
-            lhi = mid
-    return math.exp(0.5 * (llo + lhi))
+
+def _settle(make, check, dens, boundary, floor):
+    """``make(C)`` with C ``MARGIN`` past a binding ``boundary`` in
+    ``[C_LO, C_HI]`` (above a floor, below a cap), and its recheck."""
+    if not C_LO <= boundary <= C_HI:
+        raise FeasibilitySearchError(f"binding amplitude {boundary:g} outside [{C_LO:g}, {C_HI:g}]")
+    bar = make(boundary * (1.0 + MARGIN) if floor else boundary / (1.0 + MARGIN))
+    report = check(bar, dens)
+    if not report.overall:
+        raise FeasibilitySearchError("search produced parameters that fail their own check")
+    return bar, report
 
 
 def _ge1_shape_defaults(cc: ProblemConstants, dens: DensityParams, b, eps):
@@ -472,54 +473,42 @@ def _with_window(report: FeasibilityReport, found: list) -> FeasibilityReport:
     return replace(report, params=params)
 
 
-def _find_ge1(cc, dens, regime, given):
-    def make(C: float) -> GE1Barrier:
-        return build_barrier(cc, dens, regime, C, **given)
-
-    boundary = _bisect_flip(lambda C: check_ge1(make(C), dens).overall)
-    if regime == REGIME_GE1A:
-        C = boundary * (1.0 + MARGIN)  # lower bound binds: smallest passing C
-    else:
-        C = boundary / (1.0 + MARGIN)  # upper bound binds: largest passing C
-    bar = make(C)
-    report = check_ge1(bar, dens)
-    if not report.overall:
-        raise FeasibilitySearchError("search produced parameters that fail their own check")
-    return bar, report
-
-
-def refuse_empty_ge2(bar: GE2Barrier) -> None:
-    """Raise :class:`FeasibilitySearchError` when ``bar`` is identically zero
-    at t = 0: the certificate does not depend on ``T``, but the support does."""
-    m, p = bar.constants.m, bar.constants.p
-    q = (p - m) / (p - 1.0)
-    edge = math.log(bar.r0) ** bar.bbar
-    if bar.a * bar.T**q <= edge:
+def refuse_degenerate_support(bar) -> None:
+    """Raise :class:`FeasibilitySearchError` for a compact barrier whose
+    support at t = 0 is empty (GE2: the certificate ignores ``T``, the
+    support does not) or has a radius R(0) that is not a finite float."""
+    if bar.regime == REGIME_GE2:
+        q = (bar.constants.p - bar.constants.m) / (bar.constants.p - 1.0)
+        edge = math.log(bar.r0) ** bar.bbar
+        if bar.a * bar.T**q <= edge:
+            raise FeasibilitySearchError(
+                f"the certified GE2 barrier is identically zero at t = 0: "
+                f"a T^((p-m)/(p-1)) = {bar.a * bar.T**q:g} <= (log r0)^bbar = {edge:g}; "
+                f"its support opens for T > {(edge / bar.a) ** (1.0 / q):g}"
+            )
+    try:
+        bar.support_radius(0.0)
+    except OverflowError:
+        shape = bar.bbar if bar.regime == REGIME_GE2 else bar.bunder
+        exponent = (bar.a / bar.time_factors(0.0)[1]) ** (1.0 / shape)
         raise FeasibilitySearchError(
-            f"the certified GE2 barrier is identically zero at t = 0: "
-            f"a T^((p-m)/(p-1)) = {bar.a * bar.T**q:g} <= (log r0)^bbar = {edge:g}; "
-            f"its support opens for T > {(edge / bar.a) ** (1.0 / q):g}"
-        )
+            f"the certified {bar.regime} barrier's support radius R(0) ~ exp({exponent:.6g}) "
+            f"at t = 0 is not a finite float"
+        ) from None
 
 
 def _find_ge2(cc, dens, given):
-    _require_two_sided(dens, "the GE2 search")
     m, p = cc.m, cc.p
-    mf = m / (m - 1.0)
     bbar = _bbar(dens)
 
     def make(C: float, omega: float) -> GE2Barrier:
         return build_barrier(cc, dens, REGIME_GE2, C, a=C ** (m - 1.0) / omega, **given)
 
-    def passes(C: float, omega: float) -> bool:
-        return check_ge2(make(C, omega), dens).overall
-
     # the decay-rate condition caps omega independently of C
-    omega_cap = (p - m) / ((p - 1.0) * bbar**2 * mf * dens.k1)
+    omega_cap = (p - m) / ((p - 1.0) * bbar**2 * (m / (m - 1.0)) * dens.k1)
     omega = omega_cap / (1.0 + MARGIN)
-    try:
-        boundary = _bisect_flip(lambda C: passes(C, omega))
-    except FeasibilitySearchError:
+    boundary = _binding_amplitude(cc, check_ge2(make(1.0, omega), dens))
+    if not boundary >= C_LO:
         # at this omega the amplitude balance reads C^(p-1) + 1/(p-1) <=
         # (p-m) B / ((p-1) bbar (1 + MARGIN)), B the drift bracket minimum,
         # so small C passes iff p - m > edge
@@ -528,24 +517,18 @@ def _find_ge2(cc, dens, given):
             f"no feasible GE2 parameters: no amplitude in [{C_LO:g}, {C_HI:g}] "
             f"passes the certificate at omega={omega:g}; needs p - m > {edge:.3g} "
             f"at N = {cc.N}, r0 = {dens.r0:g}, alpha = {dens.alpha:g}"
-        ) from None
-    bar = make(boundary / (1.0 + MARGIN), omega)
-    report = check_ge2(bar, dens)
-    if not report.overall:
-        raise FeasibilitySearchError("search produced parameters that fail their own check")
-    refuse_empty_ge2(bar)
+        )
+    bar, report = _settle(lambda C: make(C, omega), check_ge2, dens, boundary, floor=False)
+    refuse_degenerate_support(bar)
 
     # report the feasible omega window observed on the documented grid
     grid = omega_cap * np.geomspace(1.0e-6, 1.0, OMEGA_POINTS)
-    return bar, _with_window(report, _omega_sweep(grid, passes))
+    return bar, _with_window(report, _omega_sweep(grid, lambda C, w: check_ge2(make(C, w), dens).overall))
 
 
 def _find_blowup(cc, dens, given):
-    _require_two_sided(dens, "the blow-up search")
-    m = cc.m
-
     def make(C: float, omega: float) -> BlowupSubsolution:
-        return build_barrier(cc, dens, REGIME_BLOWUP, C, a=C ** (m - 1.0) / omega, **given)
+        return build_barrier(cc, dens, REGIME_BLOWUP, C, a=C ** (cc.m - 1.0) / omega, **given)
 
     grid = np.geomspace(OMEGA_MIN, OMEGA_MAX, OMEGA_POINTS)
     found = _omega_sweep(grid, lambda C, w: check_blowup(make(C, w), dens).overall)
@@ -554,11 +537,9 @@ def _find_blowup(cc, dens, given):
             "no feasible blow-up parameters on the omega grid within the amplitude budget"
         )
     w = found[-1]  # grid is ascending: the largest feasible omega
-    boundary = _bisect_flip(lambda C: check_blowup(make(C, w), dens).overall)
-    bar = make(boundary * (1.0 + MARGIN), w)  # lower bound binds: smallest passing C
-    report = check_blowup(bar, dens)
-    if not report.overall:
-        raise FeasibilitySearchError("search produced parameters that fail their own check")
+    boundary = _binding_amplitude(cc, check_blowup(make(1.0, w), dens))
+    bar, report = _settle(lambda C: make(C, w), check_blowup, dens, boundary, floor=True)
+    refuse_degenerate_support(bar)
     return bar, _with_window(report, found)
 
 
@@ -573,23 +554,20 @@ def find_params(
 ):
     """Deterministic parameter search for one regime.
 
-    Sweep order: omega on a log grid (modes with a compact profile), then
-    the amplitude ``C`` by bisection on the binding inequality, at the
-    returned omega only.  ``T``, ``beta``, ``b`` and ``eps`` are fixed by
-    the caller or by the regime defaults of :func:`build_barrier`, which
-    also rejects a parameter the regime does not take.  Returned
-    parameters satisfy the binding inequality with ``MARGIN`` relative
-    slack on the feasible side; the accompanying report is the
-    re-evaluated certificate, so it always passes.
-
-    Raises :class:`FeasibilitySearchError` when no parameters satisfy every
-    condition within the budget (amplitude bracket, omega grid), and for a
-    GE2 barrier that is identically zero at t = 0.
+    Compact profiles fix omega first (the blow-up grid's largest feasible
+    omega, GE2's decay-rate cap over ``1 + MARGIN``); ``C`` is the binding
+    amplitude (:func:`_binding_amplitude`) moved ``MARGIN`` to the feasible
+    side, and the report is its rechecked certificate.  The rest comes from
+    the caller or :func:`build_barrier`.  Raises
+    :class:`FeasibilitySearchError` when nothing passes within the budget.
     """
     _check_regime(cc, regime)
     given = {"T": T, "beta": beta, "b": b, "eps": eps}
     if regime in (REGIME_GE1A, REGIME_GE1B):
-        return _find_ge1(cc, dens, regime, given)
+        make = functools.partial(build_barrier, cc, dens, regime, **given)
+        boundary = _binding_amplitude(cc, check_ge1(make(1.0), dens))
+        # GE1a (p < m) has a floor on C, GE1b a cap
+        return _settle(make, check_ge1, dens, boundary, floor=regime == REGIME_GE1A)
     if regime == REGIME_GE2:
         return _find_ge2(cc, dens, given)
     return _find_blowup(cc, dens, given)

@@ -482,6 +482,66 @@ def test_cli_explicit_ge2_with_empty_support_exits_2(tmp_path, capsys, command):
     assert payload[key] == value and "opens for T > 3.98885" in payload["error"]
 
 
+# a blow-up density the search certifies at C = a = 2.7e6, where the support
+# radius at t = 0 is exp(838.6): it used to end in an OverflowError traceback
+OVERFLOWING_BLOWUP_TEXT = """\
+[problem]
+m = 2
+p = 2.05
+N = 5
+
+[density]
+family = H2Smooth
+alpha = 1.2
+r0 = 20
+k1 = 2
+k2 = 3
+
+[barrier]
+regime = Blowup
+{given}
+[solver]
+R = {R}
+cells = 32
+t_end = 1e-5
+output_times = 0, 1e-6
+"""
+
+
+GIVEN_OVERFLOWING_BLOWUP = "C = 2703041.6635985197\na = 2703041.6635985197\n"
+
+
+@pytest.mark.parametrize("given", ["", GIVEN_OVERFLOWING_BLOWUP], ids=["search", "given"])
+@pytest.mark.parametrize("R", ["auto", "10"])
+@pytest.mark.parametrize("command", ["feasibility", "barrier-check", "compare"])
+def test_cli_blowup_with_overflowing_support_exits_2(tmp_path, capsys, command, R, given):
+    cfg = write(tmp_path, "overflow.cfg", OVERFLOWING_BLOWUP_TEXT.format(R=R, given=given))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 1
+    assert err[0] == (
+        "infeasible: the certified Blowup barrier's support radius R(0) ~ exp(838.628) "
+        "at t = 0 is not a finite float"
+    )
+    out_file, key, value = INFEASIBLE_OUTPUTS[command]
+    payload = json.loads((out / out_file).read_text())
+    assert payload[key] == value and payload["error"] == err[0][len("infeasible: "):]
+
+
+def test_cli_auto_radius_overflowing_at_t_end_exits_1(tmp_path, capsys):
+    # R(0) = exp(562) is a float, but the spreading support reaches exp(1001)
+    # by t_end = 100, so R = auto has no finite value to take
+    text = (CONFIGS / "ge2.cfg").read_text()
+    for old, new in (("R = 52.0", "R = auto\nt_end = 100"), ("cells = 2048", "cells = 32"),
+                     ("regime = GE2", "regime = GE2\nC = 0.1\na = 1e11")):
+        text = text.replace(old, new)
+    cfg = write(tmp_path, "ge2_wide.cfg", text)
+    rc = cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: [solver] R = auto overflows at t_end = 100; give R")
+
+
 def test_cli_compare_fast_ge1b(tmp_path, capsys):
     text = GE1B_TEXT + "t_end = 0.5\noutput_times = 0, 0.25, 0.5\n"
     cfg = write(tmp_path, "cmp.cfg", text)

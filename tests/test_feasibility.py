@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -192,6 +193,15 @@ def test_ge1_search_rejects_bad_shape():
         find_params(CC23, DensityParams(family="H1", alpha=2.0, r0=E), REGIME_GE1B)
 
 
+def test_ge1_search_names_an_amplitude_free_failure():
+    # T <= 1 fails GE1a at every amplitude, so the search names that entry
+    with pytest.raises(FeasibilitySearchError) as err:
+        find_params(CC32, H1_FAR, REGIME_GE1A, b=0.95, T=0.5)
+    assert str(err.value) == (
+        "no feasible GE1a parameters: time_shift_gt_one fails at every amplitude (lhs 1, rhs 0.5)"
+    )
+
+
 def test_ge1_regime_consistency():
     with pytest.raises(ValueError):
         find_params(CC23, H1_FAR, REGIME_GE1A)  # GE1a needs p < m
@@ -317,6 +327,27 @@ def test_ge2_infeasibility_names_its_frontier(N, r0, p_edge):
     above = ProblemConstants(m=2.0, p=2.0 + edge + 0.01, N=N)
     _, report = find_params(above, dens, REGIME_GE2, T=100.0)
     assert report.overall
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("r0", [E, 8.0, 100.0], ids=["r0=e", "r0=8", "r0=100"])
+@pytest.mark.parametrize("N", [3, 4, 6])
+def test_ge2_frontier_on_a_grid(N, r0, alpha):
+    # the closed-form edge (1 + MARGIN) bbar / B separates "no amplitude"
+    # from an amplitude; above it the search may still refuse an empty support
+    dens = DensityParams(family="H2Smooth", alpha=alpha, r0=r0, k1=1.7, k2=1.7)
+    bbar = alpha + 2.0
+    edge = (1.0 + feasibility.MARGIN) * bbar / (ge2_drift_minimum(N, r0) + bbar - 1.0)
+    below = ProblemConstants(m=2.0, p=2.0 + edge - 0.01, N=N)
+    with pytest.raises(FeasibilitySearchError, match=f"no amplitude in .*; needs p - m > {edge:.3g} "):
+        find_params(below, dens, REGIME_GE2, T=100.0)
+    above = ProblemConstants(m=2.0, p=2.0 + edge + 0.01, N=N)
+    try:
+        _, report = find_params(above, dens, REGIME_GE2, T=100.0)
+    except FeasibilitySearchError as err:
+        assert "identically zero at t = 0" in str(err)
+    else:
+        assert report.overall
 
 
 def test_ge2_search_ignores_the_upper_band_constant():
@@ -530,18 +561,23 @@ def test_report_mode_is_the_barrier_regime(ge1a_found, ge1b_found, ge2_found, bl
         assert bar.regime == rep.mode == want
 
 
-# -- the search: bisection and evaluation counts -----------------------------
+# -- the search: closed-form amplitudes and evaluation counts ---------------
+
+BISECT_ITERS = 80
 
 
-def _bisect_all_halvings(pred):
-    """Reference bisection: every one of the ``BISECT_ITERS`` halvings, with
-    no stop at float resolution."""
+def _bisect_flip(pred):
+    """Reference bisection: the amplitude in [C_LO, C_HI] where a monotone
+    pass/fail predicate flips.  Halves the log bracket until its midpoint
+    rounds to one of its ends, or ``BISECT_ITERS`` halvings are done."""
     f_lo = pred(feasibility.C_LO)
     if f_lo == pred(feasibility.C_HI):
         raise FeasibilitySearchError("no flip")
     llo, lhi = math.log(feasibility.C_LO), math.log(feasibility.C_HI)
-    for _ in range(feasibility.BISECT_ITERS):
+    for _ in range(BISECT_ITERS):
         mid = 0.5 * (llo + lhi)
+        if mid == llo or mid == lhi:
+            break
         if pred(math.exp(mid)) == f_lo:
             llo = mid
         else:
@@ -549,41 +585,52 @@ def _bisect_all_halvings(pred):
     return math.exp(0.5 * (llo + lhi))
 
 
-def _ulps_from(x, toward, k):
-    for _ in range(k):
-        x = np.nextafter(x, toward)
-    return float(x)
+def _amplitude_cases(regime):
+    """(constants, density, C -> barrier, certificate) over a grid of m,
+    p - m, N, alpha, r0 and, for the compact profiles, omega."""
+    for m, gap, N, alpha, r0 in itertools.product((1.5, 3.0), (0.3, 2.0), (3, 6), (1.5, 3.0), (E, 100.0)):
+        if regime in (REGIME_GE1A, REGIME_GE1B):
+            lo, hi = (m, m + gap) if regime == REGIME_GE1B else (m + gap, m)
+            cc = ProblemConstants(m=lo, p=hi, N=N)
+            dens = DensityParams(family="H1", alpha=alpha, r0=30.0 * r0)
+            yield cc, dens, lambda C, cc=cc, dens=dens: build_barrier(cc, dens, regime, C), check_ge1
+            continue
+        cc = ProblemConstants(m=m, p=m + gap, N=N)
+        dens = DensityParams(family="H2Smooth", alpha=alpha, r0=r0, k1=1.3, k2=1.6)
+        if regime == REGIME_GE2:
+            # below the decay-rate cap on omega, where the amplitude can bind
+            cap = gap / ((m + gap - 1.0) * (alpha + 2.0) ** 2 * m / (m - 1.0) * dens.k1)
+            omegas, check = (1e-3 * cap, 0.1 * cap, 0.5 * cap, 0.99 * cap), check_ge2
+        else:
+            omegas, check = (1e-3, 3e-2, 1.0), check_blowup
+        for w in omegas:
+            def make(C, cc=cc, dens=dens, w=w):
+                return build_barrier(cc, dens, regime, C, a=C ** (cc.m - 1.0) / w)
+
+            yield cc, dens, make, check
 
 
-def test_bisect_flip_matches_all_halvings():
-    lo, hi = feasibility.C_LO, feasibility.C_HI
-    rng = np.random.default_rng(2024)
-    thresholds = [float(x) for x in np.exp(rng.uniform(math.log(lo), math.log(hi), 190))]
-    # a few ulps inside either end (one ulp of log(C) is ~16 ulps of C
-    # there), and at 1, where the floats are dense enough that the halving
-    # cap binds
-    thresholds += [_ulps_from(lo, hi, k) for k in (1, 2, 3, 15, 16, 17)]
-    thresholds += [_ulps_from(hi, lo, k) for k in (0, 1, 2, 15, 16, 17)]
-    thresholds += [1.0, _ulps_from(1.0, hi, 1), _ulps_from(1.0, lo, 1)]
-    assert len(thresholds) >= 200
-    calls = []
-    for thr in thresholds:
-        for pred in (lambda C: C >= thr, lambda C: C < thr):
-            counted = []
-
-            def tally(C, pred=pred):
-                counted.append(C)
-                return pred(C)
-
-            got = feasibility._bisect_flip(tally)
-            assert got == _bisect_all_halvings(pred), thr
-            calls.append(len(counted))
-    assert max(calls) <= 2 + feasibility.BISECT_ITERS
-    # the stop at float resolution cuts a typical search well below the cap
-    assert sorted(calls)[len(calls) // 2] < 2 + 60
-    for constant in (True, False):
-        with pytest.raises(FeasibilitySearchError):
-            feasibility._bisect_flip(lambda C: constant)
+@pytest.mark.parametrize("regime", [REGIME_GE1A, REGIME_GE1B, REGIME_GE2, REGIME_BLOWUP])
+def test_binding_amplitude_against_bisection(regime):
+    # the closed form is where the certificate flips: it agrees with a
+    # bisection on the certificate to within the bisection's log-grid
+    # resolution, about one ulp of log C (worst measured on this grid:
+    # 2.0e-15 GE1a, 1.3e-15 GE1b, 4.0e-15 GE2 and Blowup)
+    compared = 0
+    for cc, dens, make, check in _amplitude_cases(regime):
+        try:
+            closed = feasibility._binding_amplitude(cc, check(make(1.0), dens))
+        except FeasibilitySearchError:
+            closed = None
+        try:
+            oracle = _bisect_flip(lambda C: check(make(C), dens).overall)
+        except FeasibilitySearchError:
+            # no flip inside the budget: the closed form lies outside it too
+            assert closed is None or not feasibility.C_LO <= closed <= feasibility.C_HI
+            continue
+        assert closed == pytest.approx(oracle, rel=1e-14, abs=0.0)
+        compared += 1
+    assert compared >= 32
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -592,38 +639,38 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # how many certificates (check_* calls) it evaluates to get there.
 SEARCH_PINS = {
     "ge1a": (
-        62,
-        {"C": 0.7223383898691894, "T": 2.0},
+        2,
+        {"C": 0.7223383898691895, "T": 2.0},
         {
-            "C": 0.7223383898691894, "T": 2.0, "beta": 0.05, "b": 0.95,
+            "C": 0.7223383898691895, "T": 2.0, "beta": 0.05, "b": 0.95,
             "eps": 0.2791957944233054, "r0": 1000.0, "cbar": 0.29404915507676693,
             "k0": 0.95, "K0": 0.4111503012892854,
         },
     ),
     "ge1b": (
-        60,
-        {"C": 0.339620451625722, "T": 1.0},
+        2,
+        {"C": 0.33962045162572196, "T": 1.0},
         {
-            "C": 0.339620451625722, "T": 1.0, "beta": 0.0, "b": 0.5,
+            "C": 0.33962045162572196, "T": 1.0, "beta": 0.0, "b": 0.5,
             "eps": 0.46633381508943156, "r0": 25.0, "cbar": 0.4161231071231106,
             "k0": 0.95, "K0": 0.14273715674878001,
         },
     ),
     "ge2": (
-        113,
-        {"C": 0.7226750271573944, "a": 46.71371375545397, "T": 1.0},
+        52,
+        {"C": 0.7226750271573943, "a": 46.713713755453966, "T": 1.0},
         {
-            "C": 0.7226750271573944, "a": 46.71371375545397, "T": 1.0, "bbar": 4.0,
+            "C": 0.7226750271573943, "a": 46.713713755453966, "T": 1.0, "bbar": 4.0,
             "r0": 8.0, "omega": 0.01547029702970297, "k_canonical": 1.0,
             "drift_bracket_min": 8.344673365927255,
             "omega_feasible_lo": 0.008786583206099204, "omega_feasible_hi": 0.015625,
         },
     ),
     "blowup": (
-        108,
-        {"C": 219.23110174053843, "a": 219.23110174053843, "T": 1.0},
+        52,
+        {"C": 219.23110174053858, "a": 219.23110174053858, "T": 1.0},
         {
-            "C": 219.23110174053843, "a": 219.23110174053843, "T": 1.0, "bunder": 3.0,
+            "C": 219.23110174053858, "a": 219.23110174053858, "T": 1.0, "bunder": 3.0,
             "omega": 1.0, "k2": 1.0, "rho1": 7.019603293984117,
             "rho2": 10.825521594868949, "K": 0.3849001794597505, "branch_outer": 43.0,
             "branch_inner": 27.37135056206182, "omega_feasible_lo": 0.001,
