@@ -21,6 +21,13 @@ Three profile families certify the dichotomy for
   its radial derivatives ``S'``, ``S''`` (:func:`_compact_eval`,
   :func:`_compact_derivatives`).
 
+Evaluation.  ``eval``, ``eval_derivatives`` and ``support_radius`` take
+scalars or arrays and compute with numpy on at least 1-d arrays
+(:func:`_broadcast`), so a scalar equals the matching element of an array
+call bit for bit (numpy's scalar power can round an ulp away from its array
+loops); time factors are computed on ``t``'s own shape and broadcast in the
+formulas.  A scalar input gives a 0-d result (``float(...)`` makes a float).
+
 Derivative conventions.  ``eval_derivatives`` returns the tuple record
 ``(w_t, (w^m)_r, (w^m)_rr, Lap(w^m))`` evaluated from hand-differentiated
 closed forms, with the radial Laplacian ``(w^m)_rr + (N-1)/r (w^m)_r`` away
@@ -46,7 +53,6 @@ names are the ``REGIME_*`` constants here.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +78,8 @@ class TimeDomainError(ValueError):
 
 @dataclass(frozen=True)
 class BarrierDerivatives:
-    """Bundle (w_t, (w^m)_r, (w^m)_rr, Lap(w^m)); scalars or arrays."""
+    """Bundle (w_t, (w^m)_r, (w^m)_rr, Lap(w^m)); numpy values of the
+    broadcast shape of ``r`` and ``t``, 0-d for scalar inputs."""
 
     w_t: object
     wm_r: object
@@ -96,24 +103,18 @@ def _paraboloid_branch(r, b: float, derivs: bool = False):
     return S, b * r / E**2, b / E**2
 
 
-def _sfrak(r, bunder: float, derivs: bool = False):
+def sfrak(r, bunder: float, derivs: bool = False):
+    """Piecewise shape function: (log r)^bunder outside radius e, matched
+    paraboloid ``bunder r^2/(2 e^2) + 1 - bunder/2`` inside; with ``derivs``
+    also its first two r-derivatives.  Continuous with value 1 at r = e;
+    negative near the origin when bunder > 2.  Scalar or array ``r >= 0``.
+    """
     outer = r >= E
     logs = _log_branch(np.where(outer, r, E), bunder, derivs)
     paras = _paraboloid_branch(r, bunder, derivs)
     if not derivs:
         return np.where(outer, logs, paras)
     return tuple(np.where(outer, lg, pa) for lg, pa in zip(logs, paras))
-
-
-def sfrak(r, bunder: float):
-    """Piecewise shape function: (log r)^bunder outside radius e, matched
-    paraboloid ``bunder r^2/(2 e^2) + 1 - bunder/2`` inside.
-
-    Continuous with value 1 at r = e; negative near the origin when
-    bunder > 2.  Vectorized over r >= 0.
-    """
-    out = _sfrak(np.asarray(r, dtype=float), bunder)
-    return float(out) if np.ndim(r) == 0 else out
 
 
 def _time_factors(T, t, sign: float, m: float, p: float):
@@ -127,22 +128,10 @@ def _time_factors(T, t, sign: float, m: float, p: float):
     return zeta, eta, zeta_p, eta_p
 
 
-def _broadcast(r, t):
-    r_arr = np.asarray(r, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = r_arr.ndim == 0 and t_arr.ndim == 0
-    r_b, t_b = np.broadcast_arrays(np.atleast_1d(r_arr), np.atleast_1d(t_arr))
-    return r_b, t_b, scalar
-
-
-def _ret(x, scalar: bool):
-    return float(x[0]) if scalar else x
-
-
-def _ret_derivs(w_t, wm_r, wm_rr, lap, scalar: bool) -> BarrierDerivatives:
-    if scalar:
-        return BarrierDerivatives(float(w_t[0]), float(wm_r[0]), float(wm_rr[0]), float(lap[0]))
-    return BarrierDerivatives(w_t, wm_r, wm_rr, lap)
+def _broadcast(*args):
+    """``args`` as at least 1-d float arrays, which the formulas broadcast, and their broadcast shape."""
+    arrays = [np.atleast_1d(np.asarray(x, dtype=float)) for x in args]
+    return arrays, np.broadcast_shapes(*map(np.shape, args))
 
 
 def _assemble_laplacian(wm_r, wm_rr, r, N):
@@ -154,13 +143,12 @@ def _assemble_laplacian(wm_r, wm_rr, r, N):
 
 def _compact_eval(bar, r, t):
     """``C zeta [1 - S eta/a]_+^(1/(m-1))`` for a compact profile ``bar``."""
-    r_b, t_b, scalar = _broadcast(r, t)
+    (r_b, t_b), shape = _broadcast(r, t)
     zeta, eta, _, _ = bar.time_factors(t_b)
     F = 1.0 - bar._shape(r_b) * eta / bar.a
     pos = F > 0.0
     F_safe = np.where(pos, F, 1.0)
-    out = np.where(pos, bar.C * zeta * F_safe ** (1.0 / (bar.constants.m - 1.0)), 0.0)
-    return _ret(out, scalar)
+    return np.where(pos, bar.C * zeta * F_safe ** (1.0 / (bar.constants.m - 1.0)), 0.0).reshape(shape)
 
 
 def _compact_terms(bar, factors, S, S_r, S_rr):
@@ -188,12 +176,11 @@ def _compact_terms(bar, factors, S, S_r, S_rr):
 
 
 def _compact_derivatives(bar, r, t) -> BarrierDerivatives:
-    r_b, t_b, scalar = _broadcast(r, t)
-    factors = bar.time_factors(t_b)
-    bar._refuse_kinks(r_b, t_b, factors[1])
-    w_t, wm_r, wm_rr = _compact_terms(bar, factors, *bar._shape(r_b, derivs=True))
+    (r_b, t_b), shape = _broadcast(r, t)
+    bar._refuse_kinks(r_b, t_b)
+    w_t, wm_r, wm_rr = _compact_terms(bar, bar.time_factors(t_b), *bar._shape(r_b, derivs=True))
     lap = _assemble_laplacian(wm_r, wm_rr, r_b, bar.constants.N)
-    return _ret_derivs(w_t, wm_r, wm_rr, lap, scalar)
+    return BarrierDerivatives(*(x.reshape(shape) for x in (w_t, wm_r, wm_rr, lap)))
 
 
 def _validate_compact(bar, role: str) -> None:
@@ -208,11 +195,10 @@ def _refuse_corner(r_b, t_b, corner, what: str) -> None:
     # a nan corner is never near
     near = np.abs(r_b - corner) < KINK_TOL
     if np.any(near):
-        i = int(np.argmax(near))
-        raise KinkError(
-            f"point (r={r_b.flat[i]:.12g}, t={t_b.flat[i]:.12g}) is within {KINK_TOL:g} "
-            f"of the {what}={np.broadcast_to(corner, r_b.shape).flat[i]:.12g}"
-        )
+        shape = np.broadcast_shapes(near.shape, t_b.shape)
+        i = int(np.argmax(np.broadcast_to(near, shape)))
+        r, t, c = (np.broadcast_to(x, shape).flat[i] for x in (r_b, t_b, corner))
+        raise KinkError(f"point (r={r:.12g}, t={t:.12g}) is within {KINK_TOL:g} of the {what}={c:.12g}")
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +257,17 @@ class GE1Barrier:
 
     def _zeta_prime(self, t):
         if self.beta == 0.0:
-            return np.zeros_like(np.asarray(t, dtype=float))
+            return np.zeros_like(t)
         return self.beta * (self.T + t) ** (self.beta - 1.0)
 
     def eval(self, r, t):
-        r_b, t_b, scalar = _broadcast(r, t)
+        (r_b, t_b), shape = _broadcast(r, t)
         L = np.log(r_b + self.r0)
-        out = self.C * self._zeta(t_b) * L ** (-self.b / self.constants.m)
-        return _ret(out, scalar)
+        return (self.C * self._zeta(t_b) * L ** (-self.b / self.constants.m)).reshape(shape)
 
     def eval_derivatives(self, r, t) -> BarrierDerivatives:
         cc = self.constants
-        r_b, t_b, scalar = _broadcast(r, t)
+        (r_b, t_b), shape = _broadcast(r, t)
         s = r_b + self.r0
         L = np.log(s)
         zeta = self._zeta(t_b)
@@ -298,7 +283,7 @@ class GE1Barrier:
             / s**2
         )
         lap = _assemble_laplacian(wm_r, wm_rr, r_b, cc.N)
-        return _ret_derivs(w_t, wm_r, wm_rr, lap, scalar)
+        return BarrierDerivatives(*(x.reshape(shape) for x in (w_t, wm_r, wm_rr, lap)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,28 +325,18 @@ class GE2Barrier:
     def _shape(self, r, derivs: bool = False):
         return _log_branch(r + self.r0, self.bbar, derivs)
 
-    def support_radius(self, t: float) -> float:
-        """Free boundary radius ``exp((a/eta)^(1/bbar)) - r0`` (0 if empty).
-
-        Warns when the support degenerates to a point or vanishes, which
-        happens for very small ``a``.
-        """
-        _, eta, _, _ = self.time_factors(float(t))
-        r_star = math.exp((self.a / eta) ** (1.0 / self.bbar)) - self.r0
-        if r_star <= 0.0:
-            msg = f"support degenerates at t={t}: free boundary radius {r_star:.6g} <= 0"
-            warnings.warn(msg, RuntimeWarning, stacklevel=2)
-            return 0.0
-        return r_star
-
-    def support_radii(self, eta):
-        """Free boundary radii ``exp((a/eta)^(1/bbar)) - r0`` at an array of
-        ``eta`` values (:meth:`time_factors`); <= 0 where the support is empty."""
+    def support_radius(self, t):
+        """Free boundary radius ``exp((a/eta(t))^(1/bbar)) - r0`` at scalar or
+        array ``t``: ``<= 0`` where the support is empty (very small ``a``),
+        ``+inf`` past the float range; never raises or warns."""
+        (t_b,), shape = _broadcast(t)
+        _, eta, _, _ = self.time_factors(t_b)
         with np.errstate(over="ignore"):
-            return np.exp((self.a / eta) ** (1.0 / self.bbar)) - self.r0
+            r_star = np.exp((self.a / eta) ** (1.0 / self.bbar)) - self.r0
+        return r_star.reshape(shape)
 
-    def _refuse_kinks(self, r_b, t_b, eta) -> None:
-        r_star = self.support_radii(eta)
+    def _refuse_kinks(self, r_b, t_b) -> None:
+        r_star = self.support_radius(t_b)
         _refuse_corner(r_b, t_b, np.where(r_star > 0.0, r_star, np.nan), "free boundary r*")
 
     def eval(self, r, t):
@@ -408,35 +383,33 @@ class BlowupSubsolution:
         return _time_factors(self.T, t, -1.0, self.constants.m, self.constants.p)
 
     def _shape(self, r, derivs: bool = False):
-        return _sfrak(r, self.bunder, derivs)
+        return sfrak(r, self.bunder, derivs)
 
-    def support_radius(self, t: float) -> float:
-        """Radius where ``sfrak(r) = a/eta(t)``; the support is [0, r*).
+    def support_radius(self, t):
+        """Radius where ``sfrak(r) = a/eta(t)`` at scalar or array ``t``; the
+        support is [0, r*), and ``+inf`` past the float range never raises or
+        warns.
 
         Solves the outer branch ``(log r)^bunder = a/eta`` when the level
         exceeds 1, the paraboloid branch otherwise.  Decreases in time and
         tends to ``e sqrt((bunder-2)/bunder)`` as ``a/eta -> 0``.
         """
-        _, eta, _, _ = self.time_factors(float(t))
-        level = self.a / eta
-        if level >= 1.0:
-            return math.exp(level ** (1.0 / self.bunder))
-        return E * math.sqrt(1.0 + (2.0 / self.bunder) * (level - 1.0))
-
-    def support_radii(self, eta):
-        """:meth:`support_radius` at an array of ``eta`` values
-        (:meth:`time_factors`)."""
+        (t_b,), shape = _broadcast(t)
+        _, eta, _, _ = self.time_factors(t_b)
         # levels > 0 and bunder > 2 keep both branches real everywhere
         levels = self.a / eta
-        return np.where(
-            levels >= 1.0,
-            np.exp(levels ** (1.0 / self.bunder)),
-            E * np.sqrt(1.0 + (2.0 / self.bunder) * (levels - 1.0)),
-        )
+        with np.errstate(over="ignore"):
+            r_star = np.where(
+                levels >= 1.0,
+                np.exp(levels ** (1.0 / self.bunder)),
+                E * np.sqrt(1.0 + (2.0 / self.bunder) * (levels - 1.0)),
+            )
+        return r_star.reshape(shape)
 
-    def _refuse_kinks(self, r_b, t_b, eta) -> None:
+    def _refuse_kinks(self, r_b, t_b) -> None:
+        r_star = self.support_radius(t_b)  # refuses t >= T before any kink
         _refuse_corner(r_b, t_b, E, "piece interface r")
-        _refuse_corner(r_b, t_b, self.support_radii(eta), "free boundary r*")
+        _refuse_corner(r_b, t_b, r_star, "free boundary r*")
 
     def eval(self, r, t):
         return _compact_eval(self, r, t)

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 from . import config as config_mod
 from .barrier import REGIME_BLOWUP
-from .feasibility import FeasibilitySearchError, check_auto
+from .feasibility import FeasibilitySearchError
 from .harness import (
     VERDICT_PASS,
     blowup_scan,
@@ -102,7 +102,8 @@ def _write_snapshots(path: str, res: RunResult, grid: RadialGrid) -> None:
         fh.write("t,r,u\n")
         for t, u in res.snapshots:
             ts = _fmt(t)
-            fh.write("".join([f"{ts}{r}{_fmt(v)}\n" for r, v in zip(radii, u.tolist())]))
+            # streamed: a joined snapshot set the peak memory of compare
+            fh.writelines(f"{ts}{r}{_fmt(v)}\n" for r, v in zip(radii, u.tolist()))
 
 
 def _write_scan(path: str, rows) -> None:
@@ -159,8 +160,6 @@ def _cmd_feasibility(args) -> int:
     resolved = _load(args)
     _need_regime(resolved, "feasibility")
     report = resolved.report
-    if report is None:
-        report = check_auto(resolved.barrier, resolved.density)
     payload = {**_fields(report), "defaults_used": resolved.defaults_used}
     _write_json(os.path.join(args.out, "summary.json"), payload)
     print(f"{report.mode}: {'feasible' if report.overall else 'infeasible'} "
@@ -172,7 +171,7 @@ def _cmd_barrier_check(args) -> int:
     resolved = _load(args)
     _need_regime(resolved, "barrier-check")
     bar, dens = resolved.barrier, resolved.density
-    report = resolved.report if resolved.report is not None else check_auto(bar, dens)
+    report = resolved.report
     sweep = residual_sweep(bar, dens)
     cross = derivative_crosscheck(bar, seed=resolved.seed)
     passed = bool(report.overall and sweep.passed and cross.passed)

@@ -41,7 +41,8 @@ from .density import (
     DensityParams,
     ProblemConstants,
 )
-from .feasibility import BARRIER_KEYS, FeasibilityReport, build_barrier, find_params, refuse_degenerate_support
+from .feasibility import BARRIER_KEYS, FeasibilityReport, build_barrier, check_auto, find_params
+from .feasibility import refuse_degenerate_support
 from .harness import (
     INIT_CONSTANT,
     INIT_CSV,
@@ -379,7 +380,7 @@ class Resolved:
     constants: ProblemConstants
     density: DensityParams
     barrier: Optional[Barrier]  # carries its regime
-    report: Optional[FeasibilityReport]
+    report: Optional[FeasibilityReport]  # the barrier's certificate, None without one
     solver: SolverConfig
     initial: InitialData
     seed: int
@@ -387,7 +388,7 @@ class Resolved:
 
 
 def resolve(loaded: LoadedConfig) -> Resolved:
-    """Fill search-derived barrier parameters and regime-dependent solver
+    """Search or certify the barrier and fill regime-dependent solver
     defaults; raises ``ValueError``/``FeasibilitySearchError`` on
     inconsistent requests."""
     defaults = list(loaded.defaults_used)
@@ -403,6 +404,7 @@ def resolve(loaded: LoadedConfig) -> Resolved:
             defaults.append(f"[barrier] C = {report.params['C']:.6g} (search)")
         else:
             barrier = build_barrier(cc, dens, loaded.regime, C, **given)
+            report = check_auto(barrier, dens)
             if barrier.regime in (REGIME_GE2, REGIME_BLOWUP):
                 refuse_degenerate_support(barrier)
             defaults += [
@@ -422,13 +424,11 @@ def resolve(loaded: LoadedConfig) -> Resolved:
     if loaded.solver_R == "auto":
         if barrier is None:
             raise ValueError("[solver] R must be a number when no barrier regime is set")
-        if barrier.regime == REGIME_GE2:
-            try:
-                R = 2.0 * barrier.support_radius(t_end)
-            except OverflowError:
-                raise ValueError(f"[solver] R = auto overflows at t_end = {t_end:g}; give R") from None
-        elif barrier.regime == REGIME_BLOWUP:
-            R = 2.0 * barrier.support_radius(0.0)
+        if barrier.regime in (REGIME_GE2, REGIME_BLOWUP):
+            # the GE2 support is widest at t_end, the shrinking blow-up one at 0
+            R = 2.0 * float(barrier.support_radius(t_end if barrier.regime == REGIME_GE2 else 0.0))
+            if not math.isfinite(R):
+                raise ValueError(f"[solver] R = auto overflows at t_end = {t_end:g}; give R")
         else:
             R = 2.0 * dens.r0
         defaults.append(f"[solver] R = {R:.6g} (auto)")

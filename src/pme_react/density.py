@@ -123,25 +123,18 @@ def inverse_rho(params: DensityParams, r):
     - H1: ``1/rho = k L^alpha s^2``
     - H2Smooth: ``1/rho = k1 s^2 / L^alpha``
 
-    Accepts scalars or arrays, vectorized over ``r >= 0``.
+    Computed with numpy for scalar or array ``r >= 0`` (0-d for a scalar).
     """
     s = np.asarray(r, dtype=float) + params.r0
     L = np.log(s)
     if params.family == FAMILY_H1:
-        out = params.k * L**params.alpha * s**2
-    else:
-        out = params.k1 * s**2 / L**params.alpha
-    if np.ndim(r) == 0:
-        return float(out)
-    return out
+        return params.k * L**params.alpha * s**2
+    return params.k1 * s**2 / L**params.alpha
 
 
 def rho(params: DensityParams, r):
     """Canonical weight ``rho(r)``; the reciprocal of :func:`inverse_rho`."""
-    inv = inverse_rho(params, r)
-    if np.ndim(r) == 0:
-        return 1.0 / inv
-    return 1.0 / np.asarray(inv)
+    return 1.0 / inverse_rho(params, r)
 
 
 def derive_k0(params: DensityParams) -> float:

@@ -486,15 +486,13 @@ def refuse_degenerate_support(bar) -> None:
                 f"a T^((p-m)/(p-1)) = {bar.a * bar.T**q:g} <= (log r0)^bbar = {edge:g}; "
                 f"its support opens for T > {(edge / bar.a) ** (1.0 / q):g}"
             )
-    try:
-        bar.support_radius(0.0)
-    except OverflowError:
+    if not math.isfinite(bar.support_radius(0.0)):
         shape = bar.bbar if bar.regime == REGIME_GE2 else bar.bunder
         exponent = (bar.a / bar.time_factors(0.0)[1]) ** (1.0 / shape)
         raise FeasibilitySearchError(
             f"the certified {bar.regime} barrier's support radius R(0) ~ exp({exponent:.6g}) "
             f"at t = 0 is not a finite float"
-        ) from None
+        )
 
 
 def _find_ge2(cc, dens, given):

@@ -189,10 +189,7 @@ def support_radius_numeric(u: np.ndarray, grid: RadialGrid, threshold: float = S
 
 
 def _rho_values(rho: Union[DensityParams, np.ndarray, Sequence[float]], grid: RadialGrid) -> np.ndarray:
-    if isinstance(rho, DensityParams):
-        vals = np.asarray(density_rho(rho, grid.centers), dtype=float)
-    else:
-        vals = np.asarray(rho, dtype=float)
+    vals = density_rho(rho, grid.centers) if isinstance(rho, DensityParams) else np.asarray(rho, dtype=float)
     if vals.shape != (grid.cells,):
         raise ValueError(f"density values have shape {vals.shape}, expected ({grid.cells},)")
     if not np.all(vals > 0.0):

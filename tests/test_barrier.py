@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,10 +165,23 @@ def test_ge2_support_radius_formula():
     assert bar.support_radius(3.0) > bar.support_radius(0.0)
 
 
-def test_ge2_degenerate_support_warns():
-    bar = ge2(a=1.0)
-    with pytest.warns(RuntimeWarning):
-        assert bar.support_radius(0.0) == 0.0
+def test_ge2_empty_support_is_nonpositive_without_warning():
+    bar = ge2(a=1.0)  # exp((a/eta)^(1/4)) = e < r0 = 8 at t = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r_star = bar.support_radius(0.0)
+    assert r_star <= 0.0
+    assert r_star == pytest.approx(E - bar.r0, rel=1e-14)
+    assert bar.eval(0.0, 0.0) == 0.0
+
+
+def test_ge2_overflowing_support_is_inf_without_warning():
+    bar = ge2(a=1.0e11)  # R(0) ~ exp(562), R(10) ~ exp(758)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radii = bar.support_radius(np.array([0.0, 10.0]))
+        assert bar.support_radius(10.0) == math.inf
+    assert math.isfinite(radii[0]) and radii[1] == math.inf
 
 
 def test_ge2_vanishes_outside_support():
@@ -252,6 +266,21 @@ def test_blowup_support_branches():
     assert all(a > b for a, b in zip(radii, radii[1:]))
 
 
+@pytest.mark.parametrize(
+    "bar, t_max",
+    [(ge2(), 10.0), (bu(T=2.0, a=3.0), 2.0 * (1.0 - 1.0e-3))],
+    ids=["ge2", "blowup"],
+)
+def test_support_radius_array_is_the_per_time_calls(bar, t_max):
+    # the residual sweep's 50 times: its per-slice radii and the array
+    # calls of the crosscheck run one code path, bit for bit
+    t = np.linspace(0.0, t_max, 50)
+    per_time = np.array([bar.support_radius(float(ti)) for ti in t])
+    assert bar.support_radius(t).tobytes() == per_time.tobytes()
+    assert bar.support_radius(t.reshape(5, 10)).shape == (5, 10)
+    assert np.ndim(bar.support_radius(0.5)) == 0
+
+
 def test_blowup_amplitude_diverges():
     bar = bu()
     assert bar.eval(0.0, 1.0 - 1e-6) / bar.eval(0.0, 0.0) > 1000.0
@@ -306,6 +335,28 @@ def test_compact_scalar_array_parity(bar, r):
         assert vec[i] == bar.eval(float(ri), 0.25)
         di = bar.eval_derivatives(float(ri), 0.25)
         assert (d.w_t[i], d.wm_r[i], d.wm_rr[i], d.lap_wm[i]) == (di.w_t, di.wm_r, di.wm_rr, di.lap_wm)
+
+
+@pytest.mark.parametrize(
+    "bar, t_hi",
+    [(ge1(), 3.0), (ge2(), 3.0), (bu(T=2.0, a=3.0), 1.9)],
+    ids=["ge1", "ge2", "blowup"],
+)
+def test_scalar_calls_are_array_elements_bit_for_bit(bar, t_hi):
+    # a scalar runs numpy's array loops: numpy's scalar power rounds an ulp
+    # away from them at several points in a hundred
+    rng = np.random.default_rng(3)
+    r = rng.uniform(0.1, 5.0, 200)
+    r = np.where(np.abs(r - E) < 1.0e-3, r + 1.0e-2, r)
+    t = rng.uniform(0.0, t_hi, 200)
+    if not isinstance(bar, GE1Barrier):
+        r = np.minimum(r, 0.9 * bar.support_radius(t))  # inside the support, off its edge
+    vec, d = bar.eval(r, t), bar.eval_derivatives(r, t)
+    for i in range(r.size):
+        assert vec[i] == bar.eval(float(r[i]), float(t[i]))
+        di = bar.eval_derivatives(float(r[i]), float(t[i]))
+        assert (d.w_t[i], d.wm_r[i], d.wm_rr[i], d.lap_wm[i]) == (di.w_t, di.wm_r, di.wm_rr, di.lap_wm)
+    assert np.ndim(bar.eval(1.0, 0.5)) == 0 and np.ndim(bar.eval_derivatives(1.0, 0.5).lap_wm) == 0
 
 
 def test_compact_eval_is_the_closed_form_bit_for_bit():

@@ -13,7 +13,7 @@ import pytest
 from pme_react import cli
 from pme_react.config import ConfigError, load, loads, resolve
 from pme_react.density import E
-from pme_react.feasibility import REGIME_BLOWUP, REGIME_GE1B, REGIME_GE2
+from pme_react.feasibility import REGIME_BLOWUP, REGIME_GE1B, REGIME_GE2, check_auto
 from pme_react.harness import VERDICT_FAIL, comparison_experiment
 
 GE1B_TEXT = """\
@@ -292,7 +292,9 @@ def test_resolve_explicit_ge2_pair():
     ).replace("r0 = " + repr(E), "r0 = 8")
     res = resolve(loads(text))
     assert res.barrier.regime == REGIME_GE2
-    assert res.report is None  # explicit parameters skip the search
+    # explicit parameters skip the search, not the certificate
+    assert res.report == check_auto(res.barrier, res.density)
+    assert not any("(search)" in d for d in res.defaults_used)
     assert res.barrier.bbar == 4.0  # alpha + 2 from the density
     assert any("T = 1 (default)" in d for d in res.defaults_used)
 
@@ -540,6 +542,47 @@ def test_cli_auto_radius_overflowing_at_t_end_exits_1(tmp_path, capsys):
     rc = cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: [solver] R = auto overflows at t_end = 100; give R")
+
+
+@pytest.mark.parametrize("command", ["barrier-check", "compare"])
+def test_cli_ge2_support_overflowing_after_t0_fails_quietly(tmp_path, capsys, command):
+    # R(0) = exp(562) is a float but R(10) = exp(758) is not: the sweep up to
+    # 10 T and the support check of compare used to end in an OverflowError
+    # traceback; now the non-finite values fail where they occur
+    text = (CONFIGS / "ge2.cfg").read_text()
+    for old, new in (("R = 52.0", "R = 10"), ("cells = 2048", "cells = 32"),
+                     ("regime = GE2", "regime = GE2\nC = 0.1\na = 1e11")):
+        text = text.replace(old, new)
+    cfg = write(tmp_path, "ge2_wide.cfg", text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([command, "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and caught == [] and captured.err == ""
+    assert captured.out.count("\n") == 1 and ": fail" in captured.out
+    out_file, key, value = INFEASIBLE_OUTPUTS[command]
+    payload = json.loads((out / out_file).read_text())
+    assert payload[key] == value
+    if command == "barrier-check":
+        assert payload["residual_sweep"]["passed"] is False
+        assert payload["residual_sweep"]["min_margin"] is None  # nan, at its point
+
+
+# GE1 parameters given on a density the GE1 certificate does not cover: the
+# search path refused them, but compare used to run a verdict against the
+# uncertified barrier (exit 2) and simulate to run it (exit 0)
+GE1B_GIVEN_ON_H2SMOOTH = (
+    _shipped("ge1b", "C = 0.3\n").replace("family = H1", "family = H2Smooth").replace("k = 1.0", "k1 = 1.0")
+)
+
+
+@pytest.mark.parametrize("command", list(INFEASIBLE_OUTPUTS))
+def test_cli_given_barrier_is_certified_by_every_command(tmp_path, capsys, command):
+    cfg = write(tmp_path, "ge1b_h2.cfg", GE1B_GIVEN_ON_H2SMOOTH)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: GE1 certificates require an H1-family density\n"
 
 
 def test_cli_compare_fast_ge1b(tmp_path, capsys):
