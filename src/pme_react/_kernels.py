@@ -17,15 +17,20 @@ and adds no term to the dt minimum, so leaving it out changes no value.
 when the edge cell ``hi - 1`` turns positive, which the three-point stencil
 allows at most once per step.
 
-The diffusion limit is taken on the interior faces ``1 .. hi-1``, as
-``min_j cf_j / g(F_j)`` with ``F_j = max(u_{j-1}, u_j)``, ``cf_j =
-min(c_{j-1}, c_j)`` and ``g(x) = x^(m-1)``.  It equals the reference's
-``min_i c_i / g(max(u_{i-1}, u_i, u_{i+1}))`` bit for bit, because correctly
-rounded ``max``, ``x*x`` and division are monotone: a cell's three-cell max
-is the larger of its two face maxima, and ``F`` on an edge face never
-exceeds it on the interior face next to it.  A -0.0 or nan ``g`` falls back
-to the faces with ``g > 0``, as the reference skips cells whose max is not
-positive.
+The diffusion limit is taken per cell, as ``min_i c3_i / g(u_i)`` over the
+window with ``c3_i = min(c_{i-1}, c_i, c_{i+1})``, built once per call, and
+``g(x) = x^(m-1)``: ``u`` itself at m = 2 and the ``u*u`` the update needs
+anyway at m = 3.  It equals the reference's ``min_i c_i / g(max(u_{i-1},
+u_i, u_{i+1}))`` bit for bit: both are the minimum of ``c_i / g(u_k)`` over
+the pairs of adjacent or equal cells (i, k), because correctly rounded
+``max``, ``x*x`` and division are monotone.  A -0.0 or nan ``g`` (a -0.0
+cell at m = 2) falls back to the cells with ``g > 0``, as the reference
+skips cells whose max is not positive.
+
+At (m, p) = (2, 3) or (3, 2) a step makes 14 numpy calls: the dt division
+and its ``argmin``, ``u*u`` and one more product for the cube, two for the
+fluxes, four for the diffusion update and two for the reaction, and the
+``argmin`` and ``argmax`` of the clamp check and the sup.
 
 Contract of ``advance``: starting from cell values ``u`` at time ``t``, take
 explicit Euler steps (diffusion flux divergence plus optional reaction) until
@@ -95,50 +100,55 @@ def advance(
     u_prev[:] = u
     # scratch buffers, allocated once per call; only the rare clamp and
     # masked-dt paths allocate inside the loop
-    cf = np.minimum(cfl_coef[:-1], cfl_coef[1:])
-    face_max = np.empty(n - 1)
-    pw = face_max if m == 2.0 else np.empty(n - 1)
-    ratio = np.empty(n - 1)
+    c3 = cfl_coef.copy()  # min(c_{i-1}, c_i, c_{i+1}), see the docstring
+    np.minimum(c3[:-1], cfl_coef[1:], out=c3[:-1])
+    np.minimum(c3[1:], cfl_coef[:-1], out=c3[1:])
+    ratio = np.empty(n)
     um = np.empty(n)
     flux = np.empty(n + 1)
     flux[0] = 0.0
     sq = um if m == 2.0 else np.empty(n)
+    # g = u^(m-1) of the dt minimum: u itself at m = 2, u*u at m = 3
+    pw = sq if m in (2.0, 3.0) else np.empty(n)
     up = um if m == p else sq if p == 2.0 else np.empty(n)
     dflux = np.empty(n)
     inc = np.empty(n)
 
-    maximum, multiply = np.maximum, np.multiply
+    # local names and positional ``out``: each lookup and keyword costs
+    # dispatch time at every step
+    add, subtract, multiply, divide, power = np.add, np.subtract, np.multiply, np.divide, np.power
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while t < t_stop and nsub < max_sub:
             if width != hi:
-                # views of the window [0, hi) and its faces; u^m and the
-                # fluxes take one cell more when hi < n
+                # views of the window [0, hi); u^m and the fluxes take one
+                # cell more when hi < n
                 width = hi
                 k = min(hi + 1, n)
                 # cur views the state, nxt the buffer the next step writes
                 a, b = (u_prev, u) if nsub % 2 else (u, u_prev)
-                cur, nxt = [(x[:hi], x[: hi - 1], x[1:hi], x[:k]) for x in (a, b)]
-                fm_w, pw_w, cf_w, ratio_w = face_max[: hi - 1], pw[: hi - 1], cf[: hi - 1], ratio[: hi - 1]
-                sq_k, sq_w, um_k, up_w = sq[:k], sq[:hi], um[:k], up[:hi]
+                cur, nxt = [(x[:hi], x[:k]) for x in (a, b)]
+                c3_w, ratio_w = c3[:hi], ratio[:hi]
+                sq_k, sq_w, um_k, up_w, g_w = sq[:k], sq[:hi], um[:k], up[:hi], pw[:hi]
                 um_lo, um_hi, flux_in, area_in = um[: k - 1], um[1:k], flux[1:k], area_over_dr[1:k]
                 flux_lo, flux_hi, dflux_w = flux[:hi], flux[1 : hi + 1], dflux[:hi]
                 inv_w, inc_w = inv_rho_vol[:hi], inc[:hi]
 
-            uw, u_lo, u_hi, uk = cur
-            # diffusion-limited dt on the interior faces (see the module
-            # docstring); faces past the window are zero and never set dt
-            maximum(u_lo, u_hi, out=fm_w)
-            if m == 3.0:
-                multiply(fm_w, fm_w, out=pw_w)
-            elif m != 2.0:
-                np.power(fm_w, m - 1.0, out=pw_w)
-            # a +0.0 pw gives +inf, which never sets dt; a -0.0 or nan pw
-            # would not, so those fall back to a mask of the faces with pw > 0
-            np.divide(cf_w, pw_w, out=ratio_w)
+            uw, uk = cur
+            # u^m and u^p from one u*u: u*u*u is (u*u)*u, as in the reference
+            multiply(uk, uk, sq_k)
+            # diffusion-limited dt per cell (see the module docstring); cells
+            # past the window are +0.0 and never set dt
+            if m == 2.0:
+                g_w = uw
+            elif m != 3.0:
+                power(uw, m - 1.0, g_w)
+            # a +0.0 g gives +inf, which never sets dt; a -0.0 or nan g
+            # would not, so those fall back to a mask of the cells with g > 0
+            divide(c3_w, g_w, ratio_w)
             r = float(ratio_w[ratio_w.argmin()])
             if not r > 0.0:
-                positive = pw_w > 0.0
-                r = float((cf_w[positive] / pw_w[positive]).min()) if positive.any() else math.inf
+                positive = g_w > 0.0
+                r = float((c3_w[positive] / g_w[positive]).min()) if positive.any() else math.inf
             dt = min(t_end - t, r)
             if reaction and s0 > 0.0:
                 dt = min(dt, react_cap * s0 ** (1.0 - p))
@@ -146,34 +156,32 @@ def advance(
                 status = STATUS_STALLED
                 break
 
-            # u^m and u^p from one u*u: u*u*u is (u*u)*u, as in the reference
-            multiply(uk, uk, out=sq_k)
             if m == 3.0:
-                multiply(sq_k, uk, out=um_k)
+                multiply(sq_k, uk, um_k)
             elif m != 2.0:
-                np.power(uk, m, out=um_k)
+                power(uk, m, um_k)
             if reaction and m != p:
                 if p == 3.0:
-                    multiply(sq_w, uw, out=up_w)
+                    multiply(sq_w, uw, up_w)
                 elif p != 2.0:
-                    np.power(uw, p, out=up_w)
-            np.subtract(um_hi, um_lo, out=flux_in)
-            multiply(area_in, flux_in, out=flux_in)
+                    power(uw, p, up_w)
+            subtract(um_hi, um_lo, flux_in)
+            multiply(area_in, flux_in, flux_in)
             if hi == n:
                 flux[n] = -area_over_dr[n] * um[n - 1] if dirichlet else 0.0
 
             t_prev = t
             sup_prev = s0
 
-            np.subtract(flux_hi, flux_lo, out=dflux_w)
-            multiply(inv_w, dt, out=inc_w)
-            multiply(inc_w, dflux_w, out=inc_w)
-            np.add(uw, inc_w, out=nxt[0])
+            subtract(flux_hi, flux_lo, dflux_w)
+            multiply(inv_w, dt, inc_w)
+            multiply(inc_w, dflux_w, inc_w)
+            add(uw, inc_w, nxt[0])
             cur, nxt = nxt, cur
             uw = cur[0]
             if reaction:
-                multiply(up_w, dt, out=inc_w)
-                np.add(uw, inc_w, out=uw)
+                multiply(up_w, dt, inc_w)
+                add(uw, inc_w, uw)
             # x[x.argmin()] is the min, or the first nan, at a fraction of
             # the cost of minimum.reduce
             if not uw[uw.argmin()] >= 0.0:

@@ -22,7 +22,9 @@ Exit status: 0 when the requested check passed (or the simulation
 terminated normally), 2 when it failed, was infeasible or inconclusive,
 1 for usage and config errors.  When the barrier parameter search finds
 nothing, every subcommand writes its output file with the search error,
-prints ``infeasible:`` and exits 2.
+prints ``infeasible:`` and exits 2; ``compare`` and ``blow-up-scan`` do
+the same with given parameters that fail their certificate, since a run
+against an uncertified barrier shows nothing.
 """
 
 from __future__ import annotations
@@ -156,6 +158,16 @@ def _need_regime(resolved: config_mod.Resolved, command: str) -> None:
         raise ValueError(f"'{command}' needs a [barrier] section with a regime")
 
 
+def _need_certificate(resolved: config_mod.Resolved) -> None:
+    report = resolved.report
+    if not report.overall:
+        failing = "; ".join(
+            f"{e.name}: {e.lhs:.6g} {'>=' if e.strict else '>'} {e.rhs:.6g}"
+            for e in report.inequalities if not e.passed
+        )
+        raise FeasibilitySearchError(f"the given {report.mode} parameters fail their certificate ({failing})")
+
+
 def _cmd_feasibility(args) -> int:
     resolved = _load(args)
     _need_regime(resolved, "feasibility")
@@ -209,6 +221,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     resolved = _load(args)
     _need_regime(resolved, "compare")
+    _need_certificate(resolved)
     result = comparison_experiment(resolved.barrier, resolved.density, resolved.solver, resolved.initial)
     _write_series(os.path.join(args.out, "series.csv"), result.run)
     _write_snapshots(os.path.join(args.out, "snapshots.csv"), result.run, result.run.grid)
@@ -223,6 +236,7 @@ def _cmd_scan(args) -> int:
     _need_regime(resolved, "blow-up-scan")
     if resolved.barrier.regime != REGIME_BLOWUP:
         raise ValueError("'blow-up-scan' needs the blow-up regime")
+    _need_certificate(resolved)
     inputs = (resolved.barrier, resolved.density, resolved.solver, resolved.initial)
     result = comparison_experiment(*inputs)
     rows = blowup_scan(*inputs)

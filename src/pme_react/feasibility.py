@@ -47,7 +47,8 @@ from .density import (
 
 
 class FeasibilitySearchError(RuntimeError):
-    """No parameters satisfy every condition within the search budget."""
+    """No parameters satisfy every condition within the search budget, or
+    the given ones fail their certificate where a command needs it."""
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,9 @@ per-cell bound is larger by ``2 N V_i / (Δr (A_{i-1/2} + A_{i+1/2}))``:
 2 at the origin cell, tending to N in the interior.  When the reaction is
 on, dt is also capped by ``REACTION_DT_CAP * (sup u)^(1-p)``, and always by
 the remaining time to ``t_end`` (which also covers an identically zero
-state, whose diffusion limit is infinite).  The kernel takes the minimum
-over faces, bit for bit the same (see :mod:`pme_react._kernels`).
+state, whose diffusion limit is infinite).  The kernel divides each cell's
+smallest coefficient over itself and its neighbours by its own
+``u^(m-1)``, bit for bit the same minimum (see :mod:`pme_react._kernels`).
 
 Blow-up bookkeeping.  The run stops when the sup norm reaches
 ``blowup_threshold`` (the numerical blow-up time is linearly interpolated

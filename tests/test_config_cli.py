@@ -544,16 +544,17 @@ def test_cli_auto_radius_overflowing_at_t_end_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: [solver] R = auto overflows at t_end = 100; give R")
 
 
-@pytest.mark.parametrize("command", ["barrier-check", "compare"])
+# GE2 with a given amplitude that fails its certificate: R(0) = exp(562) is
+# a float but R(10) = exp(758) is not
+GE2_WIDE = (CONFIGS / "ge2.cfg").read_text().replace("R = 52.0", "R = 10").replace(
+    "cells = 2048", "cells = 32").replace("regime = GE2", "regime = GE2\nC = 0.1\na = 1e11")
+
+
+@pytest.mark.parametrize("command", ["barrier-check"])
 def test_cli_ge2_support_overflowing_after_t0_fails_quietly(tmp_path, capsys, command):
-    # R(0) = exp(562) is a float but R(10) = exp(758) is not: the sweep up to
-    # 10 T and the support check of compare used to end in an OverflowError
-    # traceback; now the non-finite values fail where they occur
-    text = (CONFIGS / "ge2.cfg").read_text()
-    for old, new in (("R = 52.0", "R = 10"), ("cells = 2048", "cells = 32"),
-                     ("regime = GE2", "regime = GE2\nC = 0.1\na = 1e11")):
-        text = text.replace(old, new)
-    cfg = write(tmp_path, "ge2_wide.cfg", text)
+    # the sweep up to 10 T used to end in an OverflowError traceback; now the
+    # non-finite values fail where they occur
+    cfg = write(tmp_path, "ge2_wide.cfg", GE2_WIDE)
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -561,12 +562,45 @@ def test_cli_ge2_support_overflowing_after_t0_fails_quietly(tmp_path, capsys, co
     captured = capsys.readouterr()
     assert rc == 2 and caught == [] and captured.err == ""
     assert captured.out.count("\n") == 1 and ": fail" in captured.out
-    out_file, key, value = INFEASIBLE_OUTPUTS[command]
-    payload = json.loads((out / out_file).read_text())
-    assert payload[key] == value
-    if command == "barrier-check":
-        assert payload["residual_sweep"]["passed"] is False
-        assert payload["residual_sweep"]["min_margin"] is None  # nan, at its point
+    payload = json.loads((out / "verdict.json").read_text())
+    assert payload["passed"] is False
+    assert payload["residual_sweep"]["passed"] is False
+    assert payload["residual_sweep"]["min_margin"] is None  # nan, at its point
+
+
+# given parameters whose certificate fails: (config, regime, condition set,
+# the failing inequalities)
+UNCERTIFIED = {
+    "compare": (GE2_WIDE, "GE2", "pointwise", "amplitude_balance_pointwise: 0.51 > 6.67574e-11"),
+    "blow-up-scan": (
+        _shipped("blowup", "C = 10.0\na = 3.0\n").replace("cells = 2048", "cells = 64"),
+        "Blowup",
+        "envelope",
+        "outer_coupling: 644.432 > 5; inner_coupling: 322.652 > 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(UNCERTIFIED))
+def test_cli_given_barrier_failing_its_certificate_is_refused(tmp_path, capsys, command):
+    # a run against an uncertified barrier confirms nothing (compare used to
+    # print "compare[GE2]: fail (..., max_violation=3.285e-02)"), so it is
+    # refused the way a failed search is, before the solver runs
+    text, regime, conditions, failing = UNCERTIFIED[command]
+    cfg = write(tmp_path, "given.cfg", text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([command, "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    error = f"the given {regime} parameters fail their certificate ({failing})"
+    assert rc == 2 and caught == [] and captured.out == ""
+    assert captured.err == f"infeasible: {error}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["verdict.json"]
+    assert json.loads((out / "verdict.json").read_text()) == {"verdict": "fail", "error": error}
+    # feasibility reports the same certificate as infeasible
+    assert cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().out == f"{regime}: infeasible ({conditions} conditions)\n"
 
 
 # GE1 parameters given on a density the GE1 certificate does not cover: the

@@ -153,9 +153,12 @@ def _bits(*values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-def _advance_calls(kernel, u0, m, p, dirichlet, cfl_safety=SolverConfig.cfl_safety, threshold=1.0e6, calls=CALLS):
+def _advance_calls(
+    kernel, u0, m, p, dirichlet, cfl_safety=SolverConfig.cfl_safety, threshold=1.0e6, calls=CALLS, rho=None
+):
     g = RadialGrid(N=N, R=R, cells=len(u0))
-    rho = 1.0 + 0.5 * g.centers
+    if rho is None:
+        rho = 1.0 + 0.5 * g.centers
     rho_vol = rho * g.volumes
     area_over_dr = g.faces ** (N - 1) / g.dr
     # the per-cell coefficient solver.run passes, unless told otherwise at
@@ -184,8 +187,9 @@ def _initial(kind):
     if kind == "touching":
         return 0.5 + 0.1 * np.cos(r)
     if kind == "signed":
-        # -0.0 outside the support: the face max there is -0.0 for m = 2,
-        # which takes the masked-dt fallback
+        # -0.0 outside the support: at m = 2 the dt minimum divides by
+        # g = u, so every step with a -0.0 cell in the window takes the
+        # masked-dt fallback; at m = 3 g = u*u is +0.0 there and none does
         return np.where(r < 1.3, 1.0 - (r / 1.3) ** 2, -0.0)
     return np.zeros(CELLS)
 
@@ -297,6 +301,35 @@ def test_clamped_mass_matches_scalar_loop_bitwise(m, p):
         got = _assert_bitwise(u0, m, p, dirichlet, cfl_safety=rng.uniform(2.0, 6.0), calls=((T_END, 200),))
         clamping += got[-1][0][4] > 0.0
     assert clamping >= 12
+
+
+@pytest.mark.parametrize("m,p", [(2.0, 3.0), (3.0, 2.0)])
+def test_dt_from_the_neighbourhood_min_matches_scalar_loop_bitwise(m, p):
+    """One step from each of 200 seeded states.  The kernel's per-cell
+    ``min(c_{i-1}, c_i, c_{i+1}) / g(u_i)`` must pick the reference's
+    ``min_i c_i / g(max(u_{i-1}, u_i, u_{i+1}))`` bit for bit.  The states
+    are not monotone and neither is the density, so the binding pair of
+    cells lies anywhere, also at the window edge; zeros inside and in the
+    tail carry either sign."""
+    rng = np.random.default_rng(19)
+    diffusion_bound = 0
+    for _ in range(200):
+        cells = int(rng.integers(2, 40))
+        u0 = rng.random(cells) * (rng.random(cells) < 0.7)
+        u0[cells - int(rng.integers(0, cells)) :] = 0.0
+        zeros = u0 == 0.0
+        u0[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        rho = np.exp(rng.normal(0.0, 1.5, cells))
+        cfl_safety = rng.uniform(0.05, 1.0)
+        for dirichlet in (True, False):
+            got = _assert_bitwise(u0, m, p, dirichlet, cfl_safety=cfl_safety, rho=rho, calls=((T_END, 1),))
+            res = got[-1][0]
+            assert res[3] == 1
+            # u <= 1, so the reaction cap 0.1 sup^(1-p) is below t_end
+            if res[5] > 0.0:
+                diffusion_bound += res[1] < 0.1 * res[5] ** (1.0 - p)
+    # the diffusion limit set most of the 400 steps
+    assert diffusion_bound >= 300
 
 
 def test_steps_allocate_nothing():
