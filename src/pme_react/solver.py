@@ -47,7 +47,11 @@ threshold is reached also counts as blow-up, at ``s_num = t`` (flag
 ``time_resolution``); a stall with the reaction off stays ``stalled``.
 Negative undershoots are clamped to zero with the clamped weighted mass
 accumulated, and ``tau0 = 1/((p-1) sup(u0)^(p-1))`` is recorded for runs
-with reaction.
+with reaction.  The kernel takes the sup, and at m = 2 the clamp, only when
+the next step's diffusion limit cannot rule out a stop or a binding
+reaction cap, and always before it returns (see :mod:`pme_react._kernels`);
+every stop, cap and clamp still falls on the step where a check after every
+step puts it.
 
 Output.  Series values (sup norm and support radius) and full snapshots are
 taken at the configured output times from the cellwise linear interpolant

@@ -338,6 +338,28 @@ def test_ge2_at_256_cells_takes_the_pinned_step_count():
     assert out.verdict == VERDICT_FAIL
 
 
+# steps and s_num bits of the shipped runs whose kernel calls settle steps
+# late (see pme_react._kernels); ge2@256 above settles only at each return
+SETTLED_RUNS = {
+    ("compare", "ge1a"): (8459, None),
+    ("compare", "ge1b"): (15147, None),
+    ("simulate", "reaction_check"): (25424, "0x1.0007bfe4790f8p-1"),
+    ("blow-up-scan", "blowup"): (106, "0x1.7354840af778bp-17"),
+}
+
+
+@pytest.mark.parametrize("command,stem", sorted(SETTLED_RUNS))
+def test_shipped_runs_take_the_pinned_steps(tmp_path, command, stem):
+    """A stop or a reaction cap that a late settle misses changes the step
+    count or the blow-up time of these runs."""
+    rc = cli.main([command, "--config", str(CONFIGS / f"{stem}.cfg"), "--out", str(tmp_path)])
+    assert rc == 0
+    name = "summary.json" if command == "simulate" else "verdict.json"
+    payload = json.loads((tmp_path / name).read_text())
+    s_num = payload["s_num"]
+    assert (payload["steps"], s_num if s_num is None else float.hex(s_num)) == SETTLED_RUNS[command, stem]
+
+
 def _shipped(stem, extra):
     text = (CONFIGS / f"{stem}.cfg").read_text()
     return text.replace("[barrier]\n", "[barrier]\n" + extra, 1)

@@ -154,7 +154,8 @@ def _bits(*values):
 
 
 def _advance_calls(
-    kernel, u0, m, p, dirichlet, cfl_safety=SolverConfig.cfl_safety, threshold=1.0e6, calls=CALLS, rho=None
+    kernel, u0, m, p, dirichlet, cfl_safety=SolverConfig.cfl_safety, threshold=1.0e6, calls=CALLS, rho=None,
+    t0=0.0, t_end=T_END,
 ):
     g = RadialGrid(N=N, R=R, cells=len(u0))
     if rho is None:
@@ -166,14 +167,14 @@ def _advance_calls(
     cfl_coef = cfl_safety * rho_vol / (m * (area_over_dr[:-1] + area_over_dr[1:]))
     u = np.array(u0, dtype=float)
     u_prev = u.copy()
-    t = 0.0
+    t = t0
     out = []
     for t_stop, max_sub in calls:
         # numpy scalars warn on overflow, division by zero and inf - inf
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             res = kernel(
                 u, u_prev, rho_vol, 1.0 / rho_vol, area_over_dr, cfl_coef,
-                m, p, True, dirichlet, threshold, 0.1, t, T_END, t_stop, max_sub,
+                m, p, True, dirichlet, threshold, 0.1, t, t_end, t_stop, max_sub,
             )
         t = res[1]
         out.append((res, u.copy(), u_prev.copy()))
@@ -330,6 +331,121 @@ def test_dt_from_the_neighbourhood_min_matches_scalar_loop_bitwise(m, p):
                 diffusion_bound += res[1] < 0.1 * res[5] ** (1.0 - p)
     # the diffusion limit set most of the 400 steps
     assert diffusion_bound >= 300
+
+
+def _one_step_calls(u0, m, p, dirichlet, steps, t_stop=T_END, **kw):
+    """The run as ``steps`` calls of one step each: every step is the last
+    of its call, so the settle at the return ends it."""
+    return _assert_bitwise(u0, m, p, dirichlet, calls=((t_stop, 1),) * steps, **kw)
+
+
+@pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
+def test_blowup_in_one_step_calls_matches_scalar_loop_bitwise(dirichlet):
+    # the whole run settles its crossing step in the loop, the one-step
+    # calls at the return of the last call
+    u0 = 4.0 * _initial("touching")
+    whole = _assert_bitwise(u0, 2.0, 3.0, dirichlet, calls=((T_END, 3000),))[-1][0]
+    assert whole[2] == _kernels.STATUS_BLOWUP
+    got = _one_step_calls(u0, 2.0, 3.0, dirichlet, whole[3])
+    statuses = [res[2] for res, _, _ in got]
+    assert statuses == [_kernels.STATUS_BUDGET] * (whole[3] - 1) + [_kernels.STATUS_BLOWUP]
+    last = got[-1][0]
+    assert _bits(*last[:2], *last[5:]) == _bits(*whole[:2], *whole[5:])
+
+
+@pytest.mark.parametrize("m,p", [(2.0, 3.0), (3.0, 2.0)])
+def test_overflow_in_a_one_step_call_matches_scalar_loop_bitwise(m, p):
+    got = _one_step_calls(1.0e120 * _initial("compact"), m, p, True, 1)
+    res, u_end, _ = got[-1]
+    assert res[2] == _kernels.STATUS_OVERFLOW and res[3] == 1
+    assert not np.isfinite(u_end).all()
+
+
+@pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
+def test_reaction_cap_on_small_data_at_p_below_m_matches_scalar_loop_bitwise(dirichlet):
+    # at (m, p) = (3, 2) the cap 0.1 sup^-1 undercuts the diffusion limit
+    # c / sup^2 once sup < 10 c, so small data take steps with r above the
+    # settle interval's finite upper end, where the cap needs the exact sup
+    u0 = 0.1 * _initial("touching")
+    kw = dict(rho=np.full(CELLS, 10.0))
+    whole = _assert_bitwise(u0, 3.0, 2.0, dirichlet, calls=((T_END, 50),), **kw)[-1][0]
+    got = _one_step_calls(u0, 3.0, 2.0, dirichlet, whole[3], **kw)
+    first = got[0][0]
+    assert first[1] == 0.1 * first[5] ** -1.0  # the cap set the first step
+
+
+@pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("m", [2.0, 3.0])
+def test_p_equal_to_m_matches_scalar_loop_bitwise(m, dirichlet):
+    # at p = m the settle interval is empty: every step settles in the loop
+    u0 = _initial("touching")
+    r_lo, r_hi = _kernels._settle_interval(1.0, m, m, True, 1.0e6, 0.1)
+    assert not r_lo < r_hi
+    _assert_bitwise(u0, m, m, dirichlet)
+    _one_step_calls(u0, m, m, dirichlet, 40)
+
+
+def test_stalled_run_matches_scalar_loop_bitwise():
+    # near t = 2^40 half an ulp of t is 1.2e-4; the diffusion limit c / u
+    # falls below it as the reaction grows u, long before the cap binds, so
+    # the run stalls with r inside the settle interval and only the settle
+    # at the return takes the sup
+    t0 = 2.0**40
+    kw = dict(rho=np.full(CELLS, 0.1), t0=t0, t_end=2.0 * t0)
+    u0 = 3.0 * _initial("touching")
+    whole = _assert_bitwise(u0, 2.0, 3.0, False, calls=((t0 + 100.0, 5000),), **kw)[-1][0]
+    t = whole[1]
+    assert whole[2] == _kernels.STATUS_STALLED and whole[3] > 0
+    assert t + 0.1 * whole[6] ** -2.0 > t  # the cap would not have stalled
+    # as one-step calls, the stall comes at the entry of the last call
+    got = _one_step_calls(u0, 2.0, 3.0, False, whole[3] + 1, t_stop=t0 + 100.0, **kw)
+    assert got[-1][0][2:4] == (_kernels.STATUS_STALLED, 0)
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 2.5, 3.0])
+def test_dt_minimum_bounds_the_sup(m):
+    """The settle rule rests on ``u_i^(m-1) <= max(c3) / r`` for the dt
+    minimum r.  For 200 seeded states, with values log-uniform in
+    [1e-300, 1e150], zeros of either sign and a log-normal density, the
+    kernel's r (one step with the reaction off and nothing else to bound
+    dt) keeps ``max(u) <= (PAD max(c3) / r)^(1/(m-1)) PAD``, and at the
+    edges of the settle interval that bound keeps the sup below the
+    threshold and the reaction cap at least r."""
+    rng = np.random.default_rng(20)
+    pad = _kernels.PAD
+    checked = 0
+    for _ in range(200):
+        cells = int(rng.integers(2, 40))
+        u0 = 10.0 ** rng.uniform(-300.0, 150.0, cells)
+        zeros = rng.random(cells) < 0.3
+        u0[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        g = RadialGrid(N=N, R=R, cells=cells)
+        rho_vol = np.exp(rng.normal(0.0, 1.5, cells)) * g.volumes
+        area_over_dr = g.faces ** (N - 1) / g.dr
+        cfl_coef = rng.uniform(0.05, 1.0) * rho_vol / (m * (area_over_dr[:-1] + area_over_dr[1:]))
+        c3 = np.minimum(cfl_coef, np.minimum(np.r_[cfl_coef[1:], np.inf], np.r_[np.inf, cfl_coef[:-1]]))
+        cmax = float(c3.max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = _kernels.advance(
+                u0.copy(), np.empty(cells), rho_vol, 1.0 / rho_vol, area_over_dr, cfl_coef,
+                m, 3.0, False, True, math.inf, 0.1, 0.0, math.inf, math.inf, 1,
+            )[1]
+        if not _kernels.TINY <= r <= cmax / _kernels.TINY:
+            continue
+        checked += 1
+        assert u0.max() <= (pad * cmax / r) ** (1.0 / (m - 1.0)) * pad
+        for p in (m - 0.5, m + 0.5, 2.0 * m):
+            threshold = 10.0 ** rng.uniform(0.0, 12.0)
+            r_lo, r_hi = _kernels._settle_interval(cmax, m, p, True, threshold, 0.1)
+            for edge in (np.nextafter(r_lo, np.inf), np.nextafter(r_hi, 0.0)):
+                if r_lo < edge < r_hi:
+                    sup = (pad * cmax / edge) ** (1.0 / (m - 1.0)) * pad
+                    assert sup < threshold
+                    # an inf cap (a tiny or zero sup) is at least r too
+                    with np.errstate(over="ignore", divide="ignore"):
+                        assert 0.1 * sup ** (1.0 - p) >= edge
+    # the others have r = inf: every ratio is past the float range
+    assert checked >= 190
 
 
 def test_steps_allocate_nothing():
