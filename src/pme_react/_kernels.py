@@ -48,9 +48,10 @@ end.
 At (m, p) = (2, 3) a step makes 12 numpy calls: the dt division and its
 ``argmin``, ``u*u`` and one more product for the cube, two for the fluxes,
 four for the diffusion update and two for the reaction.  At (3, 2) it makes
-13, the ``argmin`` of the clamp check being the extra one.  dt reaches the
-two products that take it as a 0-d array filled once per step, which a ufunc
-takes faster than a Python float.
+13, the ``argmin`` of the clamp check being the extra one.  With m and p
+outside {2, 3} nothing reads ``u*u`` and it is skipped: three powers take
+its place, 14 calls.  dt reaches the two products that take it as a 0-d
+array filled once per step, which a ufunc takes faster than a Python float.
 
 Contract of ``advance``: starting from cell values ``u`` at time ``t``, take
 explicit Euler steps (diffusion flux divergence plus optional reaction) until
@@ -90,6 +91,8 @@ PAD = 1.0 + 2.0**-20
 # the bound keeps to relative rounding errors, which PAD covers, while r and
 # max(c3) / r are both normal floats, at least TINY
 TINY = 2.0**-1022
+# log of 2^1024, where the float range ends
+LOG_FLOAT_MAX = 1024.0 * math.log(2.0)
 
 
 def _settle_interval(cmax, m, p, reaction, threshold, react_cap):
@@ -120,6 +123,16 @@ def _settle_interval(cmax, m, p, reaction, threshold, react_cap):
     r_lo = max(float(np.exp(log_lo + log_pad)), TINY)
     r_hi = min(float(np.exp(log_hi - log_pad)), cmax / TINY)
     return r_lo, r_hi
+
+
+def reaction_cap(react_cap, sup, p):
+    """``react_cap * sup^(1-p)``, or +inf for a zero sup and where
+    ``sup^(1-p)`` passes the float range, where Python's ``**`` raises
+    ``OverflowError``.  The log test gives up a relative 1e-9 below the
+    largest float, where the rounding of the log could hide an overflow."""
+    if not sup > 0.0 or (1.0 - p) * math.log(sup) >= LOG_FLOAT_MAX - 1.0e-9:
+        return math.inf
+    return react_cap * sup ** (1.0 - p)
 
 
 def _clamp(uw, rho_w, clamp_added):
@@ -198,6 +211,7 @@ def advance(
     # g = u^(m-1) of the dt minimum: u itself at m = 2, u*u at m = 3
     pw = sq if m in (2.0, 3.0) else np.empty(n)
     up = um if m == p else sq if p == 2.0 else np.empty(n)
+    need_sq = m == 2.0 or (reaction and p in (2.0, 3.0))
     dflux = np.empty(n)
     inc = np.empty(n)
     dt_a = np.empty(())
@@ -248,8 +262,8 @@ def advance(
                     positive = g_w > 0.0
                     r = float((c3_w[positive] / g_w[positive]).min()) if positive.any() else math.inf
                 dt = min(t_end - t, r)
-                if reaction and s0 > 0.0:
-                    dt = min(dt, react_cap * s0 ** (1.0 - p))
+                if reaction:
+                    dt = min(dt, reaction_cap(react_cap, s0, p))
             if t + dt == t:
                 status = STATUS_STALLED
                 break
@@ -258,8 +272,10 @@ def advance(
             if m == 3.0:
                 multiply(sq_k, uk, um_k)
             else:
-                # after the settle, which at m = 2 may have clamped cells
-                multiply(uk, uk, sq_k)
+                # after the settle, which at m = 2 may have clamped cells;
+                # u*u is u^m at m = 2 and otherwise read only at p in {2, 3}
+                if need_sq:
+                    multiply(uk, uk, sq_k)
                 if m != 2.0:
                     power(uk, m, um_k)
             if reaction and m != p:

@@ -14,7 +14,10 @@ The pieces here connect the closed-form comparison functions from
   ``random.Random(seed)``, which spares every command ``numpy.random``.
 * :func:`comparison_experiment` runs the scheme from barrier-compatible
   initial data and verifies the predicted ordering, support inclusion and
-  blow-up window on the computed snapshots.
+  blow-up window on the computed snapshots, and reports how close the run
+  came to the barrier (``headroom``).  The positive GE1 barriers are their
+  own boundary datum on the backward-Euler path, checked by a rerun at
+  half the step; the compact barriers run the explicit scheme.
 * :func:`blowup_scan` reruns the blow-up comparison with the initial data
   scaled by a list of factors, one run after another, and records which
   amplitudes still blow up.
@@ -29,13 +32,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
 from .density import E, DensityParams, inverse_rho
 from .solver import RadialGrid, RunResult, SolverConfig, reaction_time_scale, run, support_radius_numeric
+
+if TYPE_CHECKING:
+    from .implicit import ImplicitStats
 
 Barrier = Union[GE1Barrier, GE2Barrier, BlowupSubsolution]
 
@@ -269,6 +275,19 @@ def hypothesis_check(u0: np.ndarray, bar: Barrier, grid: RadialGrid) -> Hypothes
     return HypothesisReport(side=side, max_violation=max(worst, 0.0), n_violations=n_bad, ok=n_bad == 0)
 
 
+@dataclass(frozen=True)
+class HalfStepCheck:
+    """The implicit comparison rerun with every step at most ``max_dt``,
+    half the first run's largest step, judged the same way."""
+
+    max_dt: float
+    steps: int
+    newton_iterations: int
+    max_violation: float
+    headroom: float
+    verdict: str
+
+
 @dataclass
 class ComparisonResult:
     verdict: str
@@ -277,6 +296,9 @@ class ComparisonResult:
     checked_times: List[float]
     max_violation: float
     worst_time: float
+    headroom: float
+    headroom_time: float
+    headroom_radius: float
     support_checked: bool
     support_ok: Optional[bool]
     support_worst_cells: float
@@ -286,6 +308,8 @@ class ComparisonResult:
     tau0: Optional[float]
     termination: str
     notes: List[str]
+    implicit: Optional[ImplicitStats]
+    half_dt: Optional[HalfStepCheck]
     run: RunResult
 
 
@@ -313,6 +337,19 @@ def comparison_experiment(
     ``inconclusive`` verdict rather than a fail, and so does a run that
     leaves no output time to check (before ``0.95 s_num`` for blow-up)
     unless it has already failed.
+
+    GE1 barriers are positive everywhere, so a zero wall at R would drain
+    the run far below them.  Their runs take the barrier itself as the
+    boundary datum, ``W(R + dr/2, t)`` in the cell past R, on the
+    backward-Euler path (:func:`~pme_react.implicit.run_implicit`); the
+    configured ``boundary`` does not apply.  That run is repeated with every
+    step at most half the first run's largest, and the verdict is
+    ``inconclusive`` when the two disagree.  The compact barriers run the
+    explicit scheme as configured.
+
+    ``headroom`` is the largest ``(u - W)/W`` (``(W - u)/W`` for the
+    blow-up regime) over the checked times t > 0 and the cells with W > 0,
+    with its time and cell radius: how near the run came to the barrier.
     """
     grid = _grid(bar, solver)
     u0 = build_initial(initial, grid, bar)
@@ -322,12 +359,61 @@ def comparison_experiment(
             f"initial data is on the wrong side of the barrier in {hyp.n_violations} cells "
             f"(worst excess {hyp.max_violation:.3e}); comparison would be vacuous"
         )
-    res = run(u0, grid, dens, bar.constants, solver)
+    half_dt: Optional[HalfStepCheck] = None
+    if isinstance(bar, GE1Barrier):
+        # imported here, so that only these runs compile the module; with no
+        # bytecode cache, compiling it in every command cost start-up time
+        from .implicit import run_implicit
+
+        r_ghost = grid.R + 0.5 * grid.dr
+
+        def ghost(t: float) -> float:
+            return float(bar.eval(r_ghost, t))
+
+        res = run_implicit(u0, grid, dens, bar.constants, solver, ghost)
+        judged = _judge(bar, grid, res)
+        max_dt = 0.5 * res.implicit.dt_largest
+        if max_dt > 0.0:
+            half = run_implicit(u0, grid, dens, bar.constants, solver, ghost, max_dt=max_dt)
+            checked = _judge(bar, grid, half)
+            half_dt = HalfStepCheck(
+                max_dt=max_dt,
+                steps=half.steps,
+                newton_iterations=half.implicit.newton_iterations,
+                max_violation=checked["max_violation"],
+                headroom=checked["headroom"],
+                verdict=checked["verdict"],
+            )
+            if half_dt.verdict != judged["verdict"]:
+                judged["notes"].append(
+                    f"the rerun with dt <= {max_dt:.6g} gives {half_dt.verdict}, not {judged['verdict']}"
+                )
+                judged["verdict"] = VERDICT_INCONCLUSIVE
+    else:
+        res = run(u0, grid, dens, bar.constants, solver)
+        judged = _judge(bar, grid, res)
+    return ComparisonResult(
+        regime=bar.regime,
+        hypothesis=hyp,
+        blowup_expected=isinstance(bar, BlowupSubsolution),
+        tau0=res.tau0,
+        termination=res.termination,
+        implicit=res.implicit,
+        half_dt=half_dt,
+        run=res,
+        **judged,
+    )
+
+
+def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> dict:
+    """The verdict of one run against ``bar`` and the numbers behind it, as
+    :class:`ComparisonResult` fields."""
     sub = isinstance(bar, BlowupSubsolution)
     notes: List[str] = []
     support_checked = not isinstance(bar, GE1Barrier)
     checked_times: List[float] = []
     max_viol = worst_time = support_worst = math.nan
+    headroom = headroom_time = headroom_radius = math.nan
     support_ok: Optional[bool] = None
     blow_ok: Optional[bool] = None
     s_num: Optional[float] = None
@@ -372,6 +458,14 @@ def comparison_experiment(
                 worst_time = float(t_k)
             if vmax > 0.0:
                 ordered_ok = False
+            inside = np.flatnonzero(bar_k > 0.0)
+            if t_k > 0.0 and inside.size:
+                gap = (bar_k - u_k) if sub else (u_k - bar_k)
+                rel = gap[inside] / bar_k[inside]
+                k = int(np.argmax(rel))
+                if math.isnan(headroom) or rel[k] > headroom:
+                    headroom, headroom_time = float(rel[k]), float(t_k)
+                    headroom_radius = float(grid.centers[inside[k]])
             if support_checked:
                 r_num = support_radius_numeric(u_k, grid)
                 r_bar = float(bar.support_radius(t_k))
@@ -395,23 +489,20 @@ def comparison_experiment(
                 support_ok = bool(support_worst <= 0.0)
             verdict = VERDICT_PASS if ok and support_ok is not False else VERDICT_FAIL
 
-    return ComparisonResult(
+    return dict(
         verdict=verdict,
-        regime=bar.regime,
-        hypothesis=hyp,
         checked_times=checked_times,
         max_violation=max_viol,
         worst_time=worst_time,
+        headroom=headroom,
+        headroom_time=headroom_time,
+        headroom_radius=headroom_radius,
         support_checked=support_checked,
         support_ok=support_ok,
         support_worst_cells=support_worst,
-        blowup_expected=sub,
         blowup_window_ok=blow_ok,
         s_num=s_num,
-        tau0=res.tau0,
-        termination=res.termination,
         notes=notes,
-        run=res,
     )
 
 

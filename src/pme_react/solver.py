@@ -1,4 +1,6 @@
-"""Explicit finite-volume scheme for the weighted reaction-diffusion flow.
+"""Finite-volume scheme for the weighted reaction-diffusion flow: explicit
+steps (:func:`run`) and, against a boundary datum, backward-Euler steps
+(:func:`pme_react.implicit.run_implicit`).
 
 Discretization.  Radial domain [0, R] split into equal cells; faces sit at
 ``i Δr`` and carry the area factor ``r^(N-1)``, cell volumes are
@@ -6,7 +8,8 @@ Discretization.  Radial domain [0, R] split into equal cells; faces sit at
 area).  The diffusive flux through an interior face is the two-point
 difference of ``u^m``; the origin face has zero area and the outer face is
 either a homogeneous Dirichlet ghost cell at distance Δr or a zero-flux
-Neumann face.  The update is explicit Euler on
+Neumann face (on the backward-Euler path, a ghost cell holding a given
+value).  The update is explicit Euler on
 ``u_i += dt/(rho_i V_i) (F_{i+1/2} - F_{i-1/2}) + dt u_i^p``.
 
 Time step.  Write ``w = u^m`` and ``A_{i±1/2} = r^(N-1)`` for the face
@@ -39,6 +42,35 @@ state, whose diffusion limit is infinite).  The kernel divides each cell's
 smallest coefficient over itself and its neighbours by its own
 ``u^(m-1)``, bit for bit the same minimum (see :mod:`pme_react._kernels`).
 
+Backward Euler.  :func:`pme_react.implicit.run_implicit` takes the same
+fluxes and reaction at the step's end: the new state ``v`` solves
+``F(v) = 0`` with
+
+    F_i(v) = rho_i V_i (v_i - u_i) - dt (A_{i+1/2} (w_{i+1} - w_i)
+                                         - A_{i-1/2} (w_i - w_{i-1})) / Δr
+             - dt rho_i V_i v_i^p,
+
+``w = v^m``, and ``w_n = G^m`` for a given value ``G`` in the cell past R.
+Newton's method solves it, each iteration a tridiagonal solve.  The
+Jacobian has off-diagonal entries ``-dt A m v_k^(m-1) / Δr <= 0``: a
+Z-matrix.  Each face's coefficient appears in the column of its cell twice,
+once on the diagonal and once off it, with opposite signs, so the diagonal
+exceeds the column's off-diagonal sum by ``rho_j V_j (1 - dt p v_j^(p-1))``
+(and by the outer face's term in the last column).  While
+``dt p v^(p-1) < 1`` the Jacobian is column diagonally dominant, hence an
+M-matrix with a nonnegative inverse.  Take two accepted steps ``lo`` and
+``hi`` of one dt from data ``lo^0 <= hi^0`` and boundary values ``G_lo <=
+G_hi``.  The mean value theorem gives ``M (hi - lo) = rho V (hi^0 - lo^0)
++ (a nonnegative boundary term)``, with ``M`` the Jacobian at points
+between ``lo`` and ``hi``, where the bound holds too; so ``hi >= lo``.  The
+step preserves order, and nonnegative data stay nonnegative, at any
+diffusion dt.  Only the reaction bounds the step: it starts at ``dt p
+sup^(p-1) <= IMPLICIT_DT_CAP = 1/2`` and is halved while Newton does not
+converge in ``NEWTON_MAX_ITER`` iterations, or its result is negative
+somewhere or has ``dt p sup^(p-1) >= 1``.  Powers at m, p in {2, 3} are
+products and the tridiagonal solve is a loop over Python floats, so a run
+is the same on every machine.
+
 Blow-up bookkeeping.  The run stops when the sup norm reaches
 ``blowup_threshold`` (the numerical blow-up time is linearly interpolated
 inside the crossing step) or leaves the finite range (flag ``overflow``).
@@ -64,12 +96,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import _kernels
 from .density import DensityParams, ProblemConstants, rho as density_rho
+
+if TYPE_CHECKING:
+    from .implicit import ImplicitStats
 
 BOUNDARY_DIRICHLET = "dirichlet0"
 BOUNDARY_NEUMANN = "neumann0"
@@ -173,6 +208,7 @@ class RunResult:
     steps: int
     clamp_total: float
     final_state: State
+    implicit: Optional[ImplicitStats] = None
 
 
 def reaction_time_scale(p: float, sup_u0: float) -> float:
@@ -202,20 +238,8 @@ def _rho_values(rho: Union[DensityParams, np.ndarray, Sequence[float]], grid: Ra
     return vals
 
 
-def run(
-    u0: Union[np.ndarray, State],
-    grid: RadialGrid,
-    rho,
-    constants: ProblemConstants,
-    config: SolverConfig,
-) -> RunResult:
-    """Advance initial data to ``t_end`` or numerical blow-up.
-
-    ``rho`` is a :class:`~pme_react.density.DensityParams` (canonical
-    member evaluated at cell centers) or a per-cell array.  ``u0`` must be
-    finite and nonnegative and is copied; a :class:`State` supplies a
-    nonzero start time.
-    """
+def _start(u0: Union[np.ndarray, State], grid: RadialGrid, constants: ProblemConstants) -> Tuple[float, np.ndarray]:
+    """Start time and a validated copy of the initial cell values."""
     if grid.N != constants.N:
         raise ValueError(f"grid dimension N={grid.N} does not match constants N={constants.N}")
     if isinstance(u0, State):
@@ -230,7 +254,55 @@ def run(
         raise ValueError("initial data must be finite")
     if np.any(u < 0.0):
         raise ValueError("initial data must be nonnegative")
+    return t, u
 
+
+class _Outputs:
+    """The output times a run has still to reach, and the series values and
+    snapshots taken at the ones it has passed.  Those already reached at the
+    start time (typically t = 0) take the initial state itself."""
+
+    def __init__(self, grid: RadialGrid, times: Sequence[float], t: float, u: np.ndarray) -> None:
+        self.grid = grid
+        self.pending = [tt for tt in times if tt >= t]
+        self.times: List[float] = []
+        self.sup: List[float] = []
+        self.support: List[float] = []
+        self.snapshots: List[Tuple[float, np.ndarray]] = []
+        while self.pending and self.pending[0] <= t:
+            self.emit(self.pending.pop(0), u)
+
+    def emit(self, t_out: float, u_out: np.ndarray) -> None:
+        self.times.append(t_out)
+        self.sup.append(float(u_out.max()))
+        self.support.append(support_radius_numeric(u_out, self.grid))
+        self.snapshots.append((t_out, u_out.copy()))
+
+    def fields(self) -> dict:
+        """The output fields of a :class:`RunResult`."""
+        return dict(
+            times=np.asarray(self.times),
+            sup_series=np.asarray(self.sup),
+            support_series=np.asarray(self.support),
+            snapshots=self.snapshots,
+        )
+
+
+def run(
+    u0: Union[np.ndarray, State],
+    grid: RadialGrid,
+    rho,
+    constants: ProblemConstants,
+    config: SolverConfig,
+) -> RunResult:
+    """Advance initial data to ``t_end`` or numerical blow-up.
+
+    ``rho`` is a :class:`~pme_react.density.DensityParams` (canonical
+    member evaluated at cell centers) or a per-cell array.  ``u0`` must be
+    finite and nonnegative and is copied; a :class:`State` supplies a
+    nonzero start time.
+    """
+    t, u = _start(u0, grid, constants)
     rho_vals = _rho_values(rho, grid)
     vol = grid.volumes
     rho_vol = rho_vals * vol
@@ -243,21 +315,8 @@ def run(
 
     tau0 = reaction_time_scale(constants.p, float(u.max())) if config.reaction else None
 
-    pending = [tt for tt in config.output_times if tt >= t]
-    out_times: List[float] = []
-    out_sup: List[float] = []
-    out_support: List[float] = []
-    snapshots: List[Tuple[float, np.ndarray]] = []
-
-    def emit(t_out: float, u_out: np.ndarray) -> None:
-        out_times.append(t_out)
-        out_sup.append(float(u_out.max()))
-        out_support.append(support_radius_numeric(u_out, grid))
-        snapshots.append((t_out, u_out.copy()))
-
-    # output times already reached (typically t=0) use the exact state
-    while pending and pending[0] <= t:
-        emit(pending.pop(0), u)
+    outputs = _Outputs(grid, config.output_times, t, u)
+    pending = outputs.pending
 
     termination = TERM_COMPLETED
     blowup: Optional[BlowupRecord] = None
@@ -296,7 +355,7 @@ def run(
         while pending and pending[0] <= t:
             t_out = pending.pop(0)
             frac = 1.0 if t == t_prev else (t_out - t_prev) / (t - t_prev)
-            emit(t_out, u_prev + frac * (u - u_prev))
+            outputs.emit(t_out, u_prev + frac * (u - u_prev))
 
         if status == _kernels.STATUS_BLOWUP:
             s_num = t_prev + (t - t_prev) * (config.blowup_threshold - sup_prev) / (sup_new - sup_prev)
@@ -308,7 +367,7 @@ def run(
             termination = TERM_BLOWUP
             break
         if status == _kernels.STATUS_STALLED:
-            if config.reaction and t + REACTION_DT_CAP * sup_new ** (1.0 - constants.p) == t:
+            if config.reaction and t + _kernels.reaction_cap(REACTION_DT_CAP, sup_new, constants.p) == t:
                 # the reaction cap fell below half an ulp of t: the solution
                 # blows up faster than t can resolve, so t is the blow-up time
                 blowup = BlowupRecord(s_num=t, flag=FLAG_TIME_RESOLUTION, final_sup=sup_new)
@@ -324,10 +383,7 @@ def run(
         grid=grid,
         config=config,
         rho_values=rho_vals,
-        times=np.asarray(out_times),
-        sup_series=np.asarray(out_sup),
-        support_series=np.asarray(out_support),
-        snapshots=snapshots,
+        **outputs.fields(),
         termination=termination,
         blowup=blowup,
         tau0=tau0,
@@ -335,3 +391,4 @@ def run(
         clamp_total=clamp_total,
         final_state=State(t=t, u=u.copy()),
     )
+

@@ -339,10 +339,11 @@ def test_ge2_at_256_cells_takes_the_pinned_step_count():
 
 
 # steps and s_num bits of the shipped runs whose kernel calls settle steps
-# late (see pme_react._kernels); ge2@256 above settles only at each return
+# late (see pme_react._kernels); ge2@256 above settles only at each return.
+# The GE1 comparisons take backward-Euler steps (pme_react.implicit.run_implicit)
 SETTLED_RUNS = {
-    ("compare", "ge1a"): (8459, None),
-    ("compare", "ge1b"): (15147, None),
+    ("compare", "ge1a"): (40, None),
+    ("compare", "ge1b"): (20, None),
     ("simulate", "reaction_check"): (25424, "0x1.0007bfe4790f8p-1"),
     ("blow-up-scan", "blowup"): (106, "0x1.7354840af778bp-17"),
 }
@@ -694,8 +695,11 @@ COMPARE_KEYS = {
     "verdict", "regime", "hypothesis", "checked_times", "max_violation", "worst_time",
     "support_checked", "support_ok", "support_worst_cells", "blowup_expected",
     "blowup_window_ok", "s_num", "tau0", "termination", "notes",
+    "headroom", "headroom_time", "headroom_radius", "implicit", "half_dt",
     "steps", "final_sup", "clamp_total", "defaults_used",
 }
+IMPLICIT_KEYS = {"newton_iterations", "halvings", "dt_bound", "dt_smallest", "dt_largest"}
+HALF_DT_KEYS = {"max_dt", "steps", "newton_iterations", "max_violation", "headroom", "verdict"}
 SCAN_ROW_KEYS = {"factor", "blew_up", "s_num", "tau0", "termination"}
 FEASIBILITY_KEYS = {"mode", "condition_set", "inequalities", "params", "overall"}
 INEQUALITY_KEYS = {"name", "lhs", "rhs", "slack", "passed", "strict"}
@@ -710,6 +714,9 @@ def test_cli_writes_strict_json(tmp_path, capsys):
     verdict = _strict_json(tmp_path / "cmp" / "verdict.json")
     assert set(verdict) == COMPARE_KEYS and "run" not in verdict
     assert set(verdict["hypothesis"]) == HYPOTHESIS_KEYS
+    assert set(verdict["implicit"]) == IMPLICIT_KEYS
+    assert set(verdict["implicit"]["dt_bound"]) == {"output", "positivity", "max_dt"}
+    assert set(verdict["half_dt"]) == HALF_DT_KEYS
     assert verdict["support_checked"] is False
     assert verdict["support_worst_cells"] is None
     cfg = write(tmp_path, "zero.cfg", PLAIN_TEXT.replace("constant:1.0", "constant:0.0"))
@@ -769,6 +776,8 @@ def test_cli_scan_writes_rows(tmp_path, capsys):
         assert float(s_num) >= 0.95 * float(tau0)
     verdict = _strict_json(out / "verdict.json")
     assert set(verdict) == COMPARE_KEYS | {"scan"}
+    # the blow-up regime runs the explicit scheme
+    assert verdict["implicit"] is None and verdict["half_dt"] is None
     assert len(verdict["scan"]) == 5
     assert all(set(row) == SCAN_ROW_KEYS for row in verdict["scan"])
     assert verdict["verdict"] == "pass"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pme_react import cli, harness
+from pme_react import cli, harness, implicit
 from pme_react.barrier import E, BlowupSubsolution, GE1Barrier
 from pme_react.config import load, resolve
 from pme_react.density import DensityParams, ProblemConstants, inverse_rho
@@ -24,6 +24,7 @@ from pme_react.feasibility import (
 from pme_react.harness import (
     InitialData,
     SweepReport,
+    VERDICT_FAIL,
     VERDICT_INCONCLUSIVE,
     VERDICT_PASS,
     blowup_scan,
@@ -328,6 +329,49 @@ def test_comparison_ge1b_passes(ge1b):
     assert out.max_violation <= 0.0
     assert not out.support_checked
     assert out.checked_times == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_comparison_ge1_runs_implicitly_with_the_barrier_at_the_wall(ge1b, monkeypatch):
+    bar, _ = ge1b
+    cfg = ge1b_solver()
+    ghosts = []
+    real = implicit.run_implicit
+
+    def spy(u0, grid, rho, constants, config, ghost, **kw):
+        ghosts.append(ghost)
+        return real(u0, grid, rho, constants, config, ghost, **kw)
+
+    monkeypatch.setattr(implicit, "run_implicit", spy)
+    out = comparison_experiment(bar, H1_NEAR, cfg)
+    grid = grid_of(cfg)
+    # the cell past R holds the barrier's value there
+    assert len(ghosts) == 2 and ghosts[0] is ghosts[1]
+    assert ghosts[0](0.5) == float(bar.eval(grid.R + 0.5 * grid.dr, 0.5))
+    # one step per output time; the rerun at half the step takes two
+    assert out.run.steps == 4 and out.implicit.dt_bound["output"] == 4
+    assert out.half_dt.max_dt == 0.125 and out.half_dt.steps == 8
+    assert out.verdict == out.half_dt.verdict == VERDICT_PASS
+    assert -1.0e-3 < out.headroom < 0.0 and out.headroom_time > 0.0
+    assert 0.0 < out.headroom_radius < grid.R
+
+
+def test_comparison_ge1_reruns_that_disagree_are_inconclusive(ge1b, monkeypatch):
+    bar, _ = ge1b
+    real = implicit.run_implicit
+
+    def doubled_rerun(u0, grid, rho, constants, config, ghost, max_dt=math.inf):
+        res = real(u0, grid, rho, constants, config, ghost, max_dt=max_dt)
+        if max_dt < math.inf:
+            # the rerun lands well above the barrier after t = 0
+            res.snapshots[1:] = [(t, 2.0 * u) for t, u in res.snapshots[1:]]
+        return res
+
+    monkeypatch.setattr(implicit, "run_implicit", doubled_rerun)
+    out = comparison_experiment(bar, H1_NEAR, ge1b_solver())
+    assert out.half_dt.verdict == VERDICT_FAIL
+    assert out.verdict == VERDICT_INCONCLUSIVE
+    assert "gives fail, not pass" in out.notes[-1]
+    assert out.max_violation <= 0.0  # the first run alone passes
 
 
 def test_comparison_rejects_wrong_side_data(blowup):

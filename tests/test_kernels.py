@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from pme_react import _kernels
-from pme_react.solver import RadialGrid, SolverConfig
+from pme_react.density import ProblemConstants
+from pme_react.solver import RadialGrid, SolverConfig, run
 
 
 def _advance_impl(
@@ -74,7 +75,11 @@ def _advance_impl(
                 if dti < dt:
                     dt = dti
         if reaction and s0 > 0.0:
-            dtr = react_cap * s0 ** (1.0 - p)
+            # a power past the float range is inf, where ** raises
+            try:
+                dtr = react_cap * s0 ** (1.0 - p)
+            except OverflowError:
+                dtr = math.inf
             if dtr < dt:
                 dt = dtr
         if t + dt == t:
@@ -226,9 +231,10 @@ def test_numpy_kernel_matches_scalar_loop_bitwise(kind, dirichlet, m, p):
 
 @pytest.mark.parametrize("kind", ["compact", "touching"])
 @pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
-@pytest.mark.parametrize("m,p", [(2.5, 3.5), (1.5, 2.5)])
+@pytest.mark.parametrize("m,p", [(2.5, 3.5), (1.5, 2.5), (2.5, 2.0), (1.5, 3.0)])
 def test_numpy_kernel_matches_scalar_loop_with_np_power(kind, dirichlet, m, p):
-    # ``**`` and ``np.power`` may round apart, so only to rounding here
+    # ``**`` and ``np.power`` may round apart, so only to rounding here; at
+    # p in {2, 3} the reaction reads ``u*u``, which m alone does not need
     u0 = _initial(kind)
     ref = _advance_calls(_advance_impl, u0, m, p, dirichlet)
     got = _advance_calls(_kernels.advance, u0, m, p, dirichlet)
@@ -400,6 +406,46 @@ def test_stalled_run_matches_scalar_loop_bitwise():
     # as one-step calls, the stall comes at the entry of the last call
     got = _one_step_calls(u0, 2.0, 3.0, False, whole[3] + 1, t_stop=t0 + 100.0, **kw)
     assert got[-1][0][2:4] == (_kernels.STATUS_STALLED, 0)
+
+
+@pytest.mark.parametrize("m,p,scale", [(2.0, 3.0, 1.0e-160), (3.0, 2.0, 1.0e-310)])
+def test_reaction_cap_past_the_float_range_matches_scalar_loop_bitwise(m, p, scale):
+    # sup^(1-p) overflows, so the cap is inf: one step to t_end
+    u0 = scale * _initial("touching")
+    got = _assert_bitwise(u0, m, p, True, calls=((T_END, 50),))
+    assert got[-1][0][1:4] == (T_END, _kernels.STATUS_REACHED_TSTOP, 1)
+
+
+def test_tiny_data_at_p_below_m_run_to_the_end():
+    # 16 cells of 1e-310: 0.1 sup^-1 passes the float range, so the reaction
+    # cap of every settle and of the stall check is inf, never a raise
+    cc = ProblemConstants(m=3.0, p=2.0, N=N)
+    cfg = SolverConfig(t_end=1.0, R=R, cells=16)
+    res = run(np.full(16, 1.0e-310), RadialGrid(N=N, R=R, cells=16), np.ones(16), cc, cfg)
+    assert res.termination == "completed" and res.final_state.t == 1.0
+    assert _kernels.reaction_cap(0.1, 1.0e-310, 2.0) == math.inf
+    assert _kernels.reaction_cap(0.1, 0.0, 2.0) == math.inf
+    assert _kernels.reaction_cap(0.1, 4.0, 3.0) == 0.1 * 4.0**-2.0
+
+
+def test_steps_make_twelve_ufunc_calls_at_non_integer_exponents(monkeypatch):
+    """At (m, p) = (2.5, 3.5) a step makes two powers for the dt minimum and
+    u^m, one for u^p, the dt division, two flux products and six updates;
+    ``u*u`` has no reader there and is not computed."""
+    calls = []
+
+    def counted(*args):
+        # the kernel binds the ufuncs at entry: count them during the call only
+        with monkeypatch.context() as patch:
+            for name in ("add", "subtract", "multiply", "divide", "power"):
+                ufunc = getattr(np, name)
+                patch.setattr(np, name, lambda *a, _f=ufunc, _n=name, **kw: calls.append(_n) or _f(*a, **kw))
+            return _kernels.advance(*args)
+
+    res = _advance_calls(counted, _initial("touching"), 2.5, 3.5, True, calls=((T_END, 40),))[-1][0]
+    assert res[3] == 40
+    assert len(calls) == 12 * 40
+    assert calls.count("power") == 3 * 40 and calls.count("multiply") == 4 * 40
 
 
 @pytest.mark.parametrize("m", [1.5, 2.0, 2.5, 3.0])

@@ -9,10 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 from pme_react import _kernels
 from pme_react.density import DensityParams, ProblemConstants
+from pme_react.density import rho as density_rho
+from pme_react.implicit import IMPLICIT_DT_CAP, NEWTON_MAX_ITER, _thomas, run_implicit
 from pme_react.solver import (
     BOUNDARIES,
     BOUNDARY_DIRICHLET,
     BOUNDARY_NEUMANN,
+    FLAG_THRESHOLD,
     FLAG_TIME_RESOLUTION,
     REACTION_DT_CAP,
     TERM_BLOWUP,
@@ -444,3 +447,137 @@ def test_neumann_mass_property(u0):
     m0 = weighted_mass(u0, g, res.rho_values)
     m1 = weighted_mass(res.final_state.u, g, res.rho_values)
     assert m1 - m0 == pytest.approx(res.clamp_total, abs=1e-12 + 1e-10 * max(m0, 1.0))
+
+
+# -- backward Euler with a boundary datum -------------------------------------
+
+
+def test_thomas_matches_a_dense_solve():
+    # random column diagonally dominant systems, as the Newton steps solve;
+    # np.linalg.solve is the oracle here only
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 17, 64):
+        for _ in range(25):
+            sub, sup = rng.uniform(-1.0, 1.0, (2, n - 1))
+            column = np.abs(np.r_[0.0, sup]) + np.abs(np.r_[sub, 0.0])
+            diag = (column + rng.uniform(0.01, 2.0, n)) * rng.choice([-1.0, 1.0], n)
+            rhs = rng.normal(0.0, 1.0, n)
+            dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+            want = np.linalg.solve(dense, rhs)
+            got = np.array(_thomas(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("m", [2.0, 3.0])
+def test_implicit_steps_keep_ordered_pairs_ordered(m):
+    """Acceptance criterion 10 on the backward-Euler path: 20 seeded ordered
+    pairs with ordered ghost data stay ordered, with steps many times the
+    explicit monotone limit.  ``max_dt`` gives both runs of a pair the same
+    steps, so the comparison principle holds to the Newton tolerance."""
+    cells, p, R = 64, 3.0, 20.0
+    cc = ProblemConstants(m=m, p=p, N=3)
+    g = RadialGrid(N=3, R=R, cells=cells)
+    rho_vals = density_rho(H2S_8, g.centers)
+    cfg = SolverConfig(t_end=0.2, R=R, cells=cells, output_times=(0.0, 0.2))
+    rng = np.random.default_rng(20240817 + int(m))
+    shape = np.exp(-g.centers / 5.0)
+    edge = math.exp(-(R + 0.5 * g.dr) / 5.0)
+    for _ in range(20):
+        lo = 0.5 * rng.uniform(0.0, 1.0, cells) * shape
+        hi = lo + 0.4 * rng.uniform(0.0, 1.0, cells) * shape
+        g_lo = 0.5 * rng.uniform() * edge
+        g_hi = g_lo + 0.4 * rng.uniform() * edge
+        res_lo = run_implicit(lo, g, H2S_8, cc, cfg, lambda t: g_lo * (1.0 + t), max_dt=0.1)
+        res_hi = run_implicit(hi, g, H2S_8, cc, cfg, lambda t: g_hi * (1.0 + t), max_dt=0.1)
+        for res in (res_lo, res_hi):
+            assert res.termination == TERM_COMPLETED
+            assert res.implicit.dt_bound == {"output": 1, "positivity": 0, "max_dt": 1}
+            assert res.implicit.halvings == 0
+        assert 0.1 > 10.0 * per_cell_dt(hi, g, rho_vals, m, 1.0).min()
+        for (t_lo, u_lo), (t_hi, u_hi) in zip(res_lo.snapshots, res_hi.snapshots):
+            assert t_lo == t_hi
+            assert np.all(u_lo >= 0.0)
+            assert np.all(u_lo <= u_hi + 1e-10 * u_hi.max())
+
+
+def test_implicit_ghost_is_taken_at_the_step_end():
+    # from zero data only the boundary value feeds the run, and at t = 0 it
+    # is zero: the step must take it at its end time
+    g = RadialGrid(N=3, R=20.0, cells=16)
+    cfg = SolverConfig(t_end=1.0, R=20.0, cells=16, output_times=(0.0, 1.0), reaction=False)
+    times = []
+
+    def ghost(t):
+        times.append(t)
+        return t
+
+    res = run_implicit(np.zeros(16), g, np.ones(16), CC23, cfg, ghost)
+    assert res.steps == 1 and times == [1.0]
+    assert res.final_state.u[-1] > 0.0 and np.all(np.diff(res.final_state.u) >= 0.0)
+
+
+def test_implicit_positivity_cap_sets_the_step():
+    # dt p sup^(p-1) <= 1/2 at the step's start, below the output spacing
+    cc = ProblemConstants(m=3.0, p=2.0, N=3)
+    g = RadialGrid(N=3, R=20.0, cells=64)
+    u0 = 0.9 * np.exp(-g.centers / 5.0)
+    cfg = SolverConfig(t_end=1.0, R=20.0, cells=64, output_times=(0.0, 1.0), max_steps=1)
+    res = run_implicit(u0, g, H2S_8, cc, cfg, lambda t: 0.0)
+    assert res.termination == TERM_STEP_LIMIT and res.steps == 1
+    assert res.implicit.dt_bound == {"output": 0, "positivity": 1, "max_dt": 0}
+    assert res.implicit.halvings == 0
+    assert res.final_state.t == IMPLICIT_DT_CAP / (2.0 * u0.max())
+    # with the reaction off nothing but the output time bounds the step
+    res = run_implicit(u0, g, H2S_8, cc, replace(cfg, reaction=False), lambda t: 0.0)
+    assert res.termination == TERM_COMPLETED and res.steps == 1
+
+
+def test_implicit_step_halves_where_the_new_sup_breaks_the_bound():
+    # a light density ties the state to a fast-rising boundary value: at
+    # the cap, Newton converges to a state with dt p sup^(p-1) = 1.31, past
+    # the M-matrix bound, so the step halves
+    g = RadialGrid(N=3, R=3.0, cells=24)
+    cfg = SolverConfig(t_end=1.0, R=3.0, cells=24, output_times=(0.0, 1.0), max_steps=1)
+    res = run_implicit(np.full(24, 3.0), g, np.full(24, 1.0e-6), CC23, cfg, lambda t: 3.0 + 100.0 * t)
+    cap = IMPLICIT_DT_CAP / (3.0 * 9.0)
+    assert res.implicit.halvings == 1 and res.implicit.newton_iterations < 2 * NEWTON_MAX_ITER
+    assert res.final_state.t == 0.5 * cap
+    assert res.final_state.t * 3.0 * res.final_state.u.max() ** 2 < 1.0
+
+
+def test_implicit_step_never_accepts_a_negative_state():
+    # a negative boundary value at m = 3 (the flux reads G^3 < 0) pulls the
+    # converged state below zero at every dt, so each try halves until dt
+    # no longer advances t = 2^40 (ulp 2^-12)
+    cc = ProblemConstants(m=3.0, p=2.0, N=3)
+    g = RadialGrid(N=3, R=20.0, cells=16)
+    cfg = SolverConfig(t_end=2.0**40 + 1.0, R=20.0, cells=16, reaction=False)
+    res = run_implicit(State(t=2.0**40, u=np.zeros(16)), g, np.ones(16), cc, cfg, lambda t: -1.0)
+    assert res.termination == TERM_STALLED and res.steps == 0
+    assert res.implicit.halvings == 13
+    assert np.all(res.final_state.u == 0.0)
+
+
+@pytest.mark.parametrize("m,p", [(2.0, 3.0), (3.0, 2.0)])
+def test_implicit_step_halves_where_newton_fails(m, p):
+    """Flat data on a heavy density: each cell follows ``v = u + dt v^p``.
+    At the cap that has no root (p = 3) or a double one (p = 2, where
+    Newton converges too slowly), so the first try halves; at half the cap
+    it converges."""
+    cc = ProblemConstants(m=m, p=p, N=3)
+    g = RadialGrid(N=3, R=20.0, cells=64)
+    heavy = np.full(64, 1.0e6)
+    cfg = SolverConfig(t_end=1.0, R=20.0, cells=64, output_times=(0.0, 1.0), max_steps=1)
+    res = run_implicit(np.ones(64), g, heavy, cc, cfg, lambda t: 1.0)
+    assert res.implicit.halvings == 1
+    assert res.implicit.dt_bound["positivity"] == 1
+    assert res.final_state.t == 0.5 * IMPLICIT_DT_CAP / p
+    assert res.implicit.newton_iterations > NEWTON_MAX_ITER
+    # the root of v = 1 + v^p / (4 p) nearest 1, at the centre cell
+    v = res.final_state.u[0]
+    assert v == pytest.approx(1.0 + v**p / (4.0 * p), rel=1e-12)
+    # left to run, the data blow up a little before the reaction time
+    # 1/(p - 1): backward Euler grows faster than the ODE
+    res = run_implicit(np.ones(64), g, heavy, cc, replace(cfg, max_steps=10**4), lambda t: 1.0)
+    assert res.termination == TERM_BLOWUP and res.blowup.flag == FLAG_THRESHOLD
+    assert 0.8 < res.blowup.s_num * (p - 1.0) < 1.0
