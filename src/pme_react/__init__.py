@@ -12,9 +12,21 @@ The package is organized bottom-up:
   comparison experiments and amplitude scans.
 - ``config`` / ``cli``: INI-style config files and the ``pme-react``
   command line front end.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the variable
+is already set, so numpy loads without a BLAS worker pool; export another
+value before the first import to override it.
 """
 
-from . import barrier, config, density, feasibility, harness, solver
+import os
+
+# Nothing in this package calls BLAS (tests/test_blas_guard.py keeps it so),
+# yet numpy's OpenBLAS starts a pool of worker threads as it loads, and on a
+# 2-vCPU machine that made `import numpy` up to twice as slow in every
+# command.  It must precede the first import of numpy; a user's value is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import barrier, config, density, feasibility, harness, solver  # noqa: E402
 
 __version__ = "0.1.0"
 

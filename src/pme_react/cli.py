@@ -184,7 +184,7 @@ def _cmd_barrier_check(args) -> int:
     _need_regime(resolved, "barrier-check")
     bar, dens = resolved.barrier, resolved.density
     report = resolved.report
-    sweep = residual_sweep(bar, dens)
+    sweep = residual_sweep(bar, dens, t_end=resolved.solver.t_end)
     cross = derivative_crosscheck(bar, seed=resolved.seed)
     passed = bool(report.overall and sweep.passed and cross.passed)
     _write_json(

@@ -5,10 +5,10 @@ The pieces here connect the closed-form comparison functions from
 :mod:`pme_react.solver`:
 
 * :func:`residual_sweep` evaluates the analytic residual
-  ``w_t - (1/rho) lap(w^m) - w^p`` once on a deterministic (t, r) interior
-  grid and checks it has the sign the comparison role demands (nonnegative
-  for the decaying and spreading upper bounds, nonpositive for the blow-up
-  lower bound); a nan margin fails.
+  ``w_t - (1/rho) lap(w^m) - w^p`` on a deterministic (t, r) interior
+  grid, ten time rows at a time, and checks it has the sign the comparison
+  role demands (nonnegative for the decaying and spreading upper bounds,
+  nonpositive for the blow-up lower bound); a nan margin fails.
 * :func:`derivative_crosscheck` validates the closed-form derivatives
   against central differences at interior points drawn from Python's
   ``random.Random(seed)``, which spares every command ``numpy.random``.
@@ -122,6 +122,18 @@ def _relative_margins(resid: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return rel
 
 
+# time rows the sweep evaluates at once: the whole 50 x 200 grid held about
+# 1 MB of temporaries, which set the resident peak of ``barrier-check``
+_SWEEP_ROWS = 10
+
+
+def _block_margins(bar: Barrier, dens: DensityParams, r: np.ndarray, t: np.ndarray, sub: bool) -> np.ndarray:
+    d = bar.eval_derivatives(r, t)
+    wp = bar.eval(r, t) ** bar.constants.p
+    resid = d.w_t - inverse_rho(dens, r) * d.lap_wm - wp
+    return _relative_margins(-resid if sub else resid, np.abs(wp) + np.abs(d.w_t))
+
+
 def _sweep_radii(bar: Barrier, t: float, n_r: int) -> np.ndarray:
     """Interior radius samples for one time slice, away from r=0 and kinks."""
     if isinstance(bar, GE1Barrier):
@@ -140,9 +152,13 @@ def residual_sweep(
     n_r: int = 200,
     n_t: int = 50,
     rel_tol: float = 1.0e-10,
-    t_max: Optional[float] = None,
+    t_end: Optional[float] = None,
 ) -> SweepReport:
     """Check the residual sign on an ``n_r`` x ``n_t`` interior grid.
+
+    A supersolution is swept over ``0 <= t <= max(10 T, t_end)``, every
+    time a comparison up to ``t_end`` checks; the blow-up subsolution over
+    ``0 <= t <= T (1 - 1e-3)``, before it blows up.
 
     The margin is the residual relative to the local scale
     ``|w^p| + |w_t|``, with the sign flipped for the blow-up lower bound so
@@ -151,17 +167,15 @@ def residual_sweep(
     first nan margin, which fails the sweep.
     """
     sub = isinstance(bar, BlowupSubsolution)
-    if t_max is None:
-        t_max = bar.T * (1.0 - 1.0e-3) if sub else 10.0 * bar.T
+    t_max = bar.T * (1.0 - 1.0e-3) if sub else max(10.0 * bar.T, t_end or 0.0)
     t_grid = np.linspace(0.0, t_max, n_t)
     # a non-finite margin fails the sweep at its point, so overflow is not warned about
     with np.errstate(all="ignore"):
         r = np.stack([_sweep_radii(bar, float(t), n_r) for t in t_grid])
-        d = bar.eval_derivatives(r, t_grid[:, None])
-        w = bar.eval(r, t_grid[:, None])
-        resid = d.w_t - inverse_rho(dens, r) * d.lap_wm - w**bar.constants.p
-        scale = np.abs(w**bar.constants.p) + np.abs(d.w_t)
-        rel = _relative_margins(-resid if sub else resid, scale)
+        rel = np.concatenate([
+            _block_margins(bar, dens, r[i:i + _SWEEP_ROWS], t_grid[i:i + _SWEEP_ROWS, None], sub)
+            for i in range(0, n_t, _SWEEP_ROWS)
+        ])
     it, ir = np.unravel_index(np.argmin(rel), rel.shape)
     min_margin = float(rel[it, ir])
     return SweepReport(

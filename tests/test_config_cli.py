@@ -14,7 +14,7 @@ from pme_react import cli
 from pme_react.config import ConfigError, load, loads, resolve
 from pme_react.density import E
 from pme_react.feasibility import REGIME_BLOWUP, REGIME_GE1B, REGIME_GE2, check_auto
-from pme_react.harness import VERDICT_FAIL, comparison_experiment
+from pme_react.harness import VERDICT_FAIL, comparison_experiment, residual_sweep
 
 GE1B_TEXT = """\
 [problem]
@@ -798,3 +798,22 @@ def test_cli_barrier_check_names_one_regime(tmp_path, capsys, stem):
     assert all(set(e) == INEQUALITY_KEYS for e in feas["inequalities"])
     assert set(sweep) == SWEEP_KEYS and sweep["grid"] == [200, 50]
     assert set(verdict["derivative_crosscheck"]) == CROSSCHECK_KEYS
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_cli_barrier_check_sweeps_to_t_end(tmp_path, k):
+    # ge2.cfg's barrier rescaled by k (C k^(-1/(p-1)), a k^((p-m)/(p-1)),
+    # T/k) holds its residual sign up to 10 T = 10/k, but not up to the
+    # t_end = 10 that compare would check: worst at t = 10
+    text = (CONFIGS / "ge2.cfg").read_text()
+    bar = resolve(loads(text)).barrier
+    given = f"regime = GE2\nC = {bar.C * k ** -0.5!r}\na = {bar.a * k ** 0.5!r}\nT = {bar.T / k!r}"
+    text = text.replace("regime = GE2", given).replace("cells = 2048", "cells = 2048\nt_end = 10")
+    cfg = write(tmp_path, f"ge2_k{k}.cfg", text)
+    resolved = resolve(load(cfg))
+    assert residual_sweep(resolved.barrier, resolved.density).passed  # t <= 10 T alone misses it
+    out = tmp_path / "out"
+    assert cli.main(["barrier-check", "--config", cfg, "--out", str(out)]) == 2
+    sweep = _strict_json(out / "verdict.json")["residual_sweep"]
+    assert sweep["passed"] is False and sweep["worst_t"] == 10.0
+    assert sweep["min_margin"] == pytest.approx(-0.092 if k == 3 else -0.323, abs=1e-3)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,34 @@ def test_residual_sweep_matches_the_looped_oracle(shipped, stem):
     rep = residual_sweep(bar, dens)
     assert rep.passed
     assert rep == looped_sweep(bar, dens)
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_residual_sweep_in_blocks_matches_the_looped_oracle_on_a_ragged_grid(shipped, stem):
+    # 23 time rows: two full blocks and a short one
+    bar, dens = shipped[stem]
+    assert residual_sweep(bar, dens, n_r=40, n_t=23) == looped_sweep(bar, dens, n_r=40, n_t=23)
+
+
+def test_residual_sweep_horizon_is_at_least_10_T_and_blowup_ignores_t_end(shipped):
+    # a t_end past 10 T is swept: see test_cli_barrier_check_sweeps_to_t_end
+    ge2, dens = shipped["ge2"]
+    assert residual_sweep(ge2, dens, t_end=5.0 * ge2.T) == residual_sweep(ge2, dens)
+    blowup, dens = shipped["blowup"]
+    assert residual_sweep(blowup, dens, t_end=100.0) == residual_sweep(blowup, dens)
+
+
+def test_residual_sweep_peak_memory_is_a_block_of_rows(shipped):
+    # the whole 50 x 200 grid at once peaked at about 1.1 MB of numpy
+    # temporaries, the resident peak of barrier-check; ten rows, ~0.36 MB
+    bar, dens = shipped["blowup"]
+    tracemalloc.start()
+    try:
+        residual_sweep(bar, dens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 def test_residual_sweep_tie_keeps_the_first_in_t_then_r_order(shipped, monkeypatch):
