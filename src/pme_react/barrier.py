@@ -16,7 +16,8 @@ Three profile families certify the dichotomy for
   the ball of radius e to a matched paraboloid inside: the amplitude
   diverges as ``t -> T`` while the support shrinks.  The profile is
   continuous with a distributional kink only at ``r = e`` whose one-sided
-  fluxes cancel (see :meth:`BlowupSubsolution.flux_match`).  Only ``s`` and
+  fluxes cancel (acceptance criterion 11 evaluates both sides with
+  :func:`_compact_terms` on each branch).  Only ``s`` and
   ``S`` differ, so values and derivatives are written once, from ``S`` and
   its radial derivatives ``S'``, ``S''`` (:func:`_compact_eval`,
   :func:`_compact_derivatives`).
@@ -416,26 +417,3 @@ class BlowupSubsolution:
 
     def eval_derivatives(self, r, t) -> BarrierDerivatives:
         return _compact_derivatives(self, r, t)
-
-    def flux_match(self, t: float) -> "FluxMatchRecord":
-        """One-sided fluxes of ``w^m`` across the piece interface at r = e.
-
-        Both sides equal ``-(C^m/a) zeta^m (m/(m-1)) (bunder/e) eta
-        [1 - eta/a]_+^(1/(m-1))`` in closed form; each side is evaluated with
-        the formula and branch :meth:`eval_derivatives` uses there, so the
-        cancellation is tested, not assumed.
-        """
-        factors = self.time_factors(float(t))
-        right = float(_compact_terms(self, factors, *_log_branch(E, self.bunder, derivs=True))[1])
-        left = float(_compact_terms(self, factors, *_paraboloid_branch(E, self.bunder, derivs=True))[1])
-        jump = right - left
-        scale = max(abs(left), abs(right), 1.0e-300)
-        return FluxMatchRecord(left, right, jump, abs(jump) / scale)
-
-
-@dataclass(frozen=True)
-class FluxMatchRecord:
-    left_flux: float
-    right_flux: float
-    jump: float
-    rel_jump: float

@@ -64,6 +64,8 @@ _IGNORED = object()  # sentinel section for keys under an unknown header
 
 @dataclass(frozen=True)
 class ConfigIssue:
+    """One problem found in a config file, with its line."""
+
     line: int
     message: str
 
@@ -227,6 +229,8 @@ def _parse_sections(text: str):
 
 @dataclass
 class LoadedConfig:
+    """A parsed and validated config, before any search or regime-dependent default."""
+
     constants: ProblemConstants
     density: DensityParams
     regime: Optional[str]
@@ -377,6 +381,8 @@ def _parse_initial(raw: str, factor: float) -> InitialData:
 
 @dataclass
 class Resolved:
+    """A config made runnable: the certified barrier, its report, solver settings and initial data."""
+
     constants: ProblemConstants
     density: DensityParams
     barrier: Optional[Barrier]  # carries its regime

@@ -11,9 +11,9 @@ takes.  It and ``find_params`` share one check of the regime name and its
 exponent condition (:func:`_check_regime`).  ``find_params`` returns
 parameters with ``MARGIN`` relative slack on the binding inequality; ``C``
 enters each certificate only through power laws, so its binding value is
-closed form.  The compact profiles sweep ``omega = C^(m-1)/a`` on a log
-grid of ``OMEGA_POINTS`` points; the omegas at which the certificate
-differs between ``C_LO`` and ``C_HI`` are the report's omega window.
+closed form.  The blow-up search takes the largest ``omega = C^(m-1)/a``
+of a log grid of ``OMEGA_POINTS`` points at which the certificate differs
+between ``C_LO`` and ``C_HI``, scanning the grid from its top end.
 
 The spreading supersolution has one condition set, :func:`check_ge2`,
 over the canonical band member (the weight with constant ``k1``, the only
@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class FeasibilityEntry:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """A certificate: each inequality of one condition set, the parameters, and their conjunction."""
+
     mode: str
     condition_set: str
     inequalities: Tuple[FeasibilityEntry, ...]
@@ -325,8 +327,7 @@ def check_blowup(bar: BlowupSubsolution, dens: DensityParams) -> FeasibilityRepo
 C_LO = 1.0e-8
 C_HI = 1.0e8
 MARGIN = 0.01
-# The blow-up omega grid (log-spaced, both ends included); the GE2 window
-# report uses OMEGA_POINTS points below its own decay-rate cap.
+# The blow-up omega grid (log-spaced, both ends included).
 OMEGA_MIN = 1.0e-3
 OMEGA_MAX = 1.0
 OMEGA_POINTS = 25
@@ -459,21 +460,6 @@ def build_barrier(
     return BlowupSubsolution(constants=cc, C=C, a=a, T=T, bunder=_bunder(dens))
 
 
-def _omega_sweep(grid, passes: Callable[[float, float], bool]) -> list:
-    """The grid omegas, in grid order, at which ``passes(C, omega)`` flips
-    on the amplitude bracket (differs between ``C_LO`` and ``C_HI``)."""
-    return [w for w in grid if passes(C_LO, w) != passes(C_HI, w)]
-
-
-def _with_window(report: FeasibilityReport, found: list) -> FeasibilityReport:
-    """``report`` with the feasible omega range of a sweep in its params."""
-    params = dict(report.params)
-    if found:
-        params["omega_feasible_lo"] = float(min(found))
-        params["omega_feasible_hi"] = float(max(found))
-    return replace(report, params=params)
-
-
 def refuse_degenerate_support(bar) -> None:
     """Raise :class:`FeasibilitySearchError` for a compact barrier whose
     support at t = 0 is empty (GE2: the certificate ignores ``T``, the
@@ -499,14 +485,14 @@ def refuse_degenerate_support(bar) -> None:
 def _find_ge2(cc, dens, given):
     m, p = cc.m, cc.p
     bbar = _bbar(dens)
-
-    def make(C: float, omega: float) -> GE2Barrier:
-        return build_barrier(cc, dens, REGIME_GE2, C, a=C ** (m - 1.0) / omega, **given)
-
     # the decay-rate condition caps omega independently of C
     omega_cap = (p - m) / ((p - 1.0) * bbar**2 * (m / (m - 1.0)) * dens.k1)
     omega = omega_cap / (1.0 + MARGIN)
-    boundary = _binding_amplitude(cc, check_ge2(make(1.0, omega), dens))
+
+    def make(C: float) -> GE2Barrier:
+        return build_barrier(cc, dens, REGIME_GE2, C, a=C ** (m - 1.0) / omega, **given)
+
+    boundary = _binding_amplitude(cc, check_ge2(make(1.0), dens))
     if not boundary >= C_LO:
         # at this omega the amplitude balance reads C^(p-1) + 1/(p-1) <=
         # (p-m) B / ((p-1) bbar (1 + MARGIN)), B the drift bracket minimum,
@@ -517,29 +503,27 @@ def _find_ge2(cc, dens, given):
             f"passes the certificate at omega={omega:g}; needs p - m > {edge:.3g} "
             f"at N = {cc.N}, r0 = {dens.r0:g}, alpha = {dens.alpha:g}"
         )
-    bar, report = _settle(lambda C: make(C, omega), check_ge2, dens, boundary, floor=False)
+    bar, report = _settle(make, check_ge2, dens, boundary, floor=False)
     refuse_degenerate_support(bar)
-
-    # report the feasible omega window observed on the documented grid
-    grid = omega_cap * np.geomspace(1.0e-6, 1.0, OMEGA_POINTS)
-    return bar, _with_window(report, _omega_sweep(grid, lambda C, w: check_ge2(make(C, w), dens).overall))
+    return bar, report
 
 
 def _find_blowup(cc, dens, given):
     def make(C: float, omega: float) -> BlowupSubsolution:
         return build_barrier(cc, dens, REGIME_BLOWUP, C, a=C ** (cc.m - 1.0) / omega, **given)
 
-    grid = np.geomspace(OMEGA_MIN, OMEGA_MAX, OMEGA_POINTS)
-    found = _omega_sweep(grid, lambda C, w: check_blowup(make(C, w), dens).overall)
-    if not found:
+    # the largest grid omega at which the certificate differs between C_LO and C_HI
+    for w in np.geomspace(OMEGA_MIN, OMEGA_MAX, OMEGA_POINTS)[::-1]:
+        if check_blowup(make(C_LO, w), dens).overall != check_blowup(make(C_HI, w), dens).overall:
+            break
+    else:
         raise FeasibilitySearchError(
             "no feasible blow-up parameters on the omega grid within the amplitude budget"
         )
-    w = found[-1]  # grid is ascending: the largest feasible omega
     boundary = _binding_amplitude(cc, check_blowup(make(1.0, w), dens))
     bar, report = _settle(lambda C: make(C, w), check_blowup, dens, boundary, floor=True)
     refuse_degenerate_support(bar)
-    return bar, _with_window(report, found)
+    return bar, report
 
 
 def find_params(
@@ -553,10 +537,11 @@ def find_params(
 ):
     """Deterministic parameter search for one regime.
 
-    Compact profiles fix omega first (the blow-up grid's largest feasible
-    omega, GE2's decay-rate cap over ``1 + MARGIN``); ``C`` is the binding
-    amplitude (:func:`_binding_amplitude`) moved ``MARGIN`` to the feasible
-    side, and the report is its rechecked certificate.  The rest comes from
+    Compact profiles fix omega first (the largest blow-up grid omega at
+    which the certificate flips on ``[C_LO, C_HI]``, GE2's decay-rate cap
+    over ``1 + MARGIN``); ``C`` is the binding amplitude
+    (:func:`_binding_amplitude`) moved ``MARGIN`` to the feasible side, and
+    the report is its rechecked certificate.  The rest comes from
     the caller or :func:`build_barrier`.  Raises
     :class:`FeasibilitySearchError` when nothing passes within the budget.
     """

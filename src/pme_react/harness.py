@@ -102,6 +102,8 @@ def build_initial(init: InitialData, grid: RadialGrid, barrier: Optional[Barrier
 
 @dataclass(frozen=True)
 class SweepReport:
+    """Worst signed relative residual of a barrier over an (r, t) grid, and where it lies."""
+
     regime: str
     role: str  # "supersolution" or "subsolution"
     grid: Tuple[int, int]  # (n_r, n_t)
@@ -196,6 +198,8 @@ def residual_sweep(
 
 @dataclass(frozen=True)
 class CrosscheckReport:
+    """Largest relative error of the closed-form derivatives against finite differences."""
+
     n_points: int
     h: float
     rel_tol: float
@@ -304,6 +308,8 @@ class HalfStepCheck:
 
 @dataclass
 class ComparisonResult:
+    """Verdict of one barrier comparison, the evidence it rests on, and the run itself."""
+
     verdict: str
     regime: str
     hypothesis: HypothesisReport
@@ -526,6 +532,8 @@ def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> dict:
 
 @dataclass(frozen=True)
 class ScanRow:
+    """One run of the amplitude scan: its data factor and whether, and when, it blew up."""
+
     factor: float
     blew_up: bool
     s_num: Optional[float]

@@ -151,6 +151,8 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Run settings: horizon, grid, step safety, blow-up threshold, boundary, reaction, output times."""
+
     t_end: float
     R: float
     cells: int
@@ -182,12 +184,16 @@ class SolverConfig:
 
 @dataclass
 class State:
+    """The cell values ``u`` at time ``t``."""
+
     t: float
     u: np.ndarray
 
 
 @dataclass(frozen=True)
 class BlowupRecord:
+    """Numerical blow-up time ``s_num``, the flag of the test that saw it, and the last sup."""
+
     s_num: float
     flag: str
     final_sup: float
@@ -195,6 +201,8 @@ class BlowupRecord:
 
 @dataclass
 class RunResult:
+    """What one run produced: sup and support series, snapshots, termination, blow-up, step counts."""
+
     grid: RadialGrid
     config: SolverConfig
     rho_values: np.ndarray

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from pme_react.barrier import (
     GE2Barrier,
     KinkError,
     TimeDomainError,
+    _compact_terms,
+    _log_branch,
+    _paraboloid_branch,
     sfrak,
 )
 from pme_react.density import ProblemConstants
@@ -248,7 +252,7 @@ def test_blowup_time_domain():
         with pytest.raises(TimeDomainError):
             bar.support_radius(t)
         with pytest.raises(TimeDomainError):
-            bar.flux_match(t)
+            flux_match(bar, t)
     with pytest.raises(TimeDomainError):
         bar.eval(np.zeros(3), np.array([0.0, 0.5, 1.0]))
 
@@ -297,9 +301,35 @@ def test_blowup_kink_refusals():
     bar.eval_derivatives(0.5, 0.5)  # interior of the paraboloid piece is fine
 
 
+@dataclass(frozen=True)
+class FluxMatchRecord:
+    """One-sided fluxes of ``w^m`` at r = e, their jump and its relative size."""
+
+    left_flux: float
+    right_flux: float
+    jump: float
+    rel_jump: float
+
+
+def flux_match(bar: BlowupSubsolution, t: float) -> FluxMatchRecord:
+    """One-sided fluxes of ``w^m`` across the piece interface at r = e.
+
+    Both sides equal ``-(C^m/a) zeta^m (m/(m-1)) (bunder/e) eta
+    [1 - eta/a]_+^(1/(m-1))`` in closed form; each side is evaluated with
+    the formula and branch ``eval_derivatives`` uses there, so the
+    cancellation is tested, not assumed.  Acceptance criterion 11 calls it.
+    """
+    factors = bar.time_factors(float(t))
+    right = float(_compact_terms(bar, factors, *_log_branch(E, bar.bunder, derivs=True))[1])
+    left = float(_compact_terms(bar, factors, *_paraboloid_branch(E, bar.bunder, derivs=True))[1])
+    jump = right - left
+    scale = max(abs(left), abs(right), 1.0e-300)
+    return FluxMatchRecord(left, right, jump, abs(jump) / scale)
+
+
 def test_blowup_flux_match():
     bar = bu(T=2.0, a=3.0)
-    rec = bar.flux_match(0.7)
+    rec = flux_match(bar, 0.7)
     assert rec.rel_jump <= 1e-12
     assert rec.left_flux < 0.0  # outward flux through r = e
     assert rec.left_flux == pytest.approx(rec.right_flux, rel=1e-12)

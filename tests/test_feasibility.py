@@ -385,7 +385,8 @@ def test_ge2_pointwise_parameters(ge2_found):
     assert rep.condition_set == "pointwise"
     # the decay-rate cap (p-m)/((p-1) bbar^2 (m/(m-1)) k1) is exactly 1/64
     omega = omega_of(bar.C, bar.a, 2.0)
-    assert rep.params["omega_feasible_hi"] == pytest.approx(1.0 / 64.0, rel=1e-12)
+    decay = entry(rep, "support_decay_rate_pointwise")
+    assert decay.rhs / decay.lhs * rep.params["omega"] == pytest.approx(1.0 / 64.0, rel=1e-12)
     assert omega == pytest.approx((1.0 / 64.0) / 1.01, rel=1e-9)
     assert rep.params["drift_bracket_min"] == pytest.approx(8.344673, abs=1e-4)
     assert bar.bbar == 4.0 and bar.r0 == 8.0
@@ -657,24 +658,22 @@ SEARCH_PINS = {
         },
     ),
     "ge2": (
-        52,
+        2,
         {"C": 0.7226750271573943, "a": 46.713713755453966, "T": 1.0},
         {
             "C": 0.7226750271573943, "a": 46.713713755453966, "T": 1.0, "bbar": 4.0,
             "r0": 8.0, "omega": 0.01547029702970297, "k_canonical": 1.0,
             "drift_bracket_min": 8.344673365927255,
-            "omega_feasible_lo": 0.008786583206099204, "omega_feasible_hi": 0.015625,
         },
     ),
     "blowup": (
-        52,
+        4,
         {"C": 219.23110174053858, "a": 219.23110174053858, "T": 1.0},
         {
             "C": 219.23110174053858, "a": 219.23110174053858, "T": 1.0, "bunder": 3.0,
             "omega": 1.0, "k2": 1.0, "rho1": 7.019603293984117,
             "rho2": 10.825521594868949, "K": 0.3849001794597505, "branch_outer": 43.0,
-            "branch_inner": 27.37135056206182, "omega_feasible_lo": 0.001,
-            "omega_feasible_hi": 1.0,
+            "branch_inner": 27.37135056206182,
         },
     ),
 }
@@ -697,3 +696,99 @@ def test_search_pins_shipped_configs_bitwise(stem, monkeypatch):
     assert {key: getattr(bar, key) for key in fields} == fields
     assert rep.params == params
     assert len(calls) == n_checks
+
+
+@pytest.mark.parametrize(
+    "regime, m, p", [(REGIME_GE2, 2.0, 40.0), (REGIME_BLOWUP, 39.3, 39.45)], ids=["GE2", "Blowup"]
+)
+def test_search_evaluates_no_certificate_it_does_not_decide_by(regime, m, p):
+    # GE2 evaluates no certificate at C_HI, whose C_HI^(p-1) overflows a
+    # float here; Blowup stops at the top grid omega, above the omegas where
+    # a = C_HI^(m-1)/omega overflows
+    bar, rep = find_params(ProblemConstants(m=m, p=p, N=3), H2S_8, regime)
+    assert rep.overall and check_auto(bar, H2S_8) == rep
+
+
+def _blowup_search_by_full_sweep(cc, dens, given):
+    """Reference Blowup search: every omega of the grid is tried on the
+    amplitude bracket and the largest that flips is kept; the amplitude
+    step is the shipped one.  Returns the flipping omegas and the barrier
+    and report, or the FeasibilitySearchError the search would raise."""
+
+    def make(C, w):
+        return build_barrier(cc, dens, REGIME_BLOWUP, C, a=C ** (cc.m - 1.0) / w, **given)
+
+    grid = np.geomspace(feasibility.OMEGA_MIN, feasibility.OMEGA_MAX, feasibility.OMEGA_POINTS)
+    found = [
+        w for w in grid
+        if check_blowup(make(feasibility.C_LO, w), dens).overall
+        != check_blowup(make(feasibility.C_HI, w), dens).overall
+    ]
+    if not found:
+        return found, FeasibilitySearchError(
+            "no feasible blow-up parameters on the omega grid within the amplitude budget"
+        )
+    w = found[-1]
+    try:
+        boundary = feasibility._binding_amplitude(cc, check_blowup(make(1.0, w), dens))
+        bar, report = feasibility._settle(lambda C: make(C, w), check_blowup, dens, boundary, floor=True)
+        feasibility.refuse_degenerate_support(bar)
+    except FeasibilitySearchError as err:
+        return found, err
+    return found, (bar, report)
+
+
+def _blowup_draws(n=50, seed=20261019):
+    """Seeded Blowup inputs from the boxes m in [1.2, 4], p > m, N in
+    {3, ..., 6}, alpha in [1.2, 4], r0 in [e, 100], k1 in [0.5, 2] and
+    k2/k1 in [1, 2].  Every fifth draw takes m <= 1.35 and p - m <= 1e-2,
+    the corner that holds the inputs on which no omega flips within the
+    amplitude budget."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        corner = i % 5 == 4
+        m = rng.uniform(1.2, 1.35) if corner else rng.uniform(1.2, 4.0)
+        gap = math.exp(rng.uniform(*np.log([1e-4, 1e-2] if corner else [1e-2, 3.0])))
+        N = int(rng.integers(3, 7))
+        alpha = rng.uniform(1.2, 4.0)
+        r0 = math.exp(rng.uniform(1.0, math.log(100.0)))
+        k1 = rng.uniform(0.5, 2.0)
+        k2 = k1 * rng.uniform(1.0, 2.0)
+        yield (
+            ProblemConstants(m=m, p=m + gap, N=N),
+            DensityParams(family="H2Smooth", alpha=alpha, r0=r0, k1=k1, k2=k2),
+            {},
+        )
+    loaded = load(str(CONFIGS / "blowup.cfg"))
+    yield loaded.constants, loaded.density, loaded.barrier_given
+
+
+def test_blowup_search_matches_the_full_omega_sweep(monkeypatch):
+    # scanning the grid from its top end and stopping at the first flip
+    # returns the full sweep's largest flipping omega, bit for bit
+    calls = []
+    monkeypatch.setattr(
+        feasibility, "check_blowup", lambda *args: calls.append(1) or check_blowup(*args)
+    )
+    grid = np.geomspace(feasibility.OMEGA_MIN, feasibility.OMEGA_MAX, feasibility.OMEGA_POINTS)
+    outcomes = {"top": 0, "below top": 0, "no flip": 0, "refused": 0}
+    for cc, dens, given in _blowup_draws():
+        found, want = _blowup_search_by_full_sweep(cc, dens, given)
+        calls.clear()
+        if isinstance(want, FeasibilitySearchError):
+            with pytest.raises(FeasibilitySearchError) as err:
+                find_params(cc, dens, REGIME_BLOWUP, **given)
+            assert str(err.value) == str(want)
+            outcomes["refused" if found else "no flip"] += 1
+            if not found:
+                assert len(calls) == 2 * len(grid)
+            continue
+        bar, report = find_params(cc, dens, REGIME_BLOWUP, **given)
+        want_bar, want_report = want
+        assert (bar.C, bar.a, bar.T) == (want_bar.C, want_bar.a, want_bar.T)
+        assert bar == want_bar and report == want_report
+        # two certificates per grid omega from the top down to the flip,
+        # then the probe at C = 1 and the recheck
+        assert len(calls) == 2 * np.count_nonzero(grid >= found[-1]) + 2
+        outcomes["top" if found[-1] == grid[-1] else "below top"] += 1
+    assert min(outcomes.values()) >= 1 and outcomes["no flip"] >= 4, outcomes
