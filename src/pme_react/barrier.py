@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import E, ProblemConstants
+from .density import E, ProblemConstants, power_or_inf
 
 KINK_TOL = 1.0e-9
 
@@ -169,7 +169,7 @@ def _compact_terms(bar, factors, S, S_r, S_rr):
     pos = F > 0.0
     F_safe = np.where(pos, F, 1.0)
     Fq, Fq1 = F_safe**q, F_safe ** (q - 1.0)
-    coef = -cc.m * q * bar.C**cc.m * zeta**cc.m * ea
+    coef = -cc.m * q * power_or_inf(bar.C, cc.m) * zeta**cc.m * ea
     w_t = bar.C * (zeta_p * Fq - q * zeta * S * (eta_p / bar.a) * Fq1)
     wm_r = coef * S_r * Fq
     wm_rr = coef * (S_rr * Fq - q * ea * S_r**2 * Fq1)
@@ -273,7 +273,7 @@ class GE1Barrier:
         L = np.log(s)
         zeta = self._zeta(t_b)
         zm = zeta**cc.m
-        Cm = self.C**cc.m
+        Cm = power_or_inf(self.C, cc.m)
         w_t = self.C * self._zeta_prime(t_b) * L ** (-self.b / cc.m)
         wm_r = -self.b * Cm * zm * L ** (-self.b - 1.0) / s
         wm_rr = (

@@ -48,7 +48,7 @@ from .harness import (
     derivative_crosscheck,
     residual_sweep,
 )
-from .solver import RadialGrid, RunResult, run
+from .solver import TERM_BLOWUP, TERM_COMPLETED, RadialGrid, RunResult, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -212,7 +212,7 @@ def _cmd_simulate(args) -> int:
     payload = _run_summary(res)
     payload["defaults_used"] = resolved.defaults_used
     _write_json(os.path.join(args.out, "summary.json"), payload)
-    ok = res.termination in ("completed", "blowup")
+    ok = res.termination in (TERM_COMPLETED, TERM_BLOWUP)
     print(f"simulate: {res.termination} at t={res.final_state.t:.6g} "
           f"(sup={float(res.final_state.u.max()):.6g}, steps={res.steps})")
     return EXIT_OK if ok else EXIT_FAIL

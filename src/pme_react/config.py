@@ -5,8 +5,9 @@ The format is a small INI dialect:
 * ``[section]`` headers, ``key = value`` lines, blank lines and full-line
   comments starting with ``#`` or ``;``.
 * Sections: ``[problem]`` (m, p, N), ``[density]`` (family, alpha, r0,
-  then k, k0 for H1 or k1, k2, rho1, rho2 for H2Smooth; a key of the
-  other family is an error), ``[barrier]`` (regime, C, a, T, beta, b,
+  then k for H1 or k1, k2 for H2Smooth; a key of the other family is an
+  error, and so are the derived constants k0, rho1 and rho2, which a
+  config never sets), ``[barrier]`` (regime, C, a, T, beta, b,
   eps), ``[solver]`` (R, cells, t_end, cfl_safety, blowup_threshold,
   boundary, reaction, output_times), ``[harness]`` (initial_data,
   scale_factor, seed).
@@ -56,8 +57,8 @@ from .solver import BOUNDARIES, SolverConfig
 _SECTIONS = ("problem", "density", "barrier", "solver", "harness")
 # The [density] keys each family takes besides family, alpha and r0.
 _DENSITY_KEYS = {
-    FAMILY_H1: ("k", "k0"),
-    FAMILY_H2SMOOTH: ("k1", "k2", "rho1", "rho2"),
+    FAMILY_H1: ("k",),
+    FAMILY_H2SMOOTH: ("k1", "k2"),
 }
 _IGNORED = object()  # sentinel section for keys under an unknown header
 
@@ -325,8 +326,7 @@ def loads(text: str) -> LoadedConfig:
             constants = ProblemConstants(m=m, p=p, N=N)
         except ValueError as exc:
             issues.append(ConfigIssue(header_lines.get("problem", 0), f"[problem] {exc}"))
-    band = [dens_kw[key] for key in ("k", "k1", "k2") if key in dens_kw]
-    if None not in (family, alpha, r0, *band):
+    if None not in (family, alpha, r0, *dens_kw.values()):
         try:
             density = DensityParams(family=family, alpha=alpha, r0=r0, **dens_kw)
         except ValueError as exc:

@@ -37,6 +37,18 @@ FAMILIES = (FAMILY_H1, FAMILY_H2SMOOTH)
 DERIVED_MARGIN = 0.05
 
 
+
+def power_or_inf(x: float, e: float) -> float:
+    """``x ** e`` for a float ``x > 0``, or +inf where it passes the float
+    range: there Python's ``**`` raises ``OverflowError``, where numpy
+    arithmetic gives inf.  For powers of an amplitude that a config or a
+    search can push past the float range."""
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ProblemConstants:
     """Exponents and dimension of the reaction-diffusion problem.

@@ -43,6 +43,7 @@ from .density import (
     ProblemConstants,
     derive_k0,
     derive_rho_bounds,
+    power_or_inf,
 )
 
 
@@ -109,7 +110,7 @@ def K_const(m: float, p: float) -> float:
 
 def omega_of(C: float, a: float, m: float) -> float:
     """Shape ratio ``omega = C^(m-1)/a`` shared by all compact profiles."""
-    return C ** (m - 1.0) / a
+    return power_or_inf(C, m - 1.0) / a
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +144,10 @@ def check_ge1(bar: GE1Barrier, dens: DensityParams) -> FeasibilityReport:
     if bar.regime == REGIME_GE1A:
         entries.append(_entry("beta_mode", 0.0, bar.beta, strict=True))
         entries.append(_entry("time_shift_gt_one", 1.0, bar.T, strict=True))
-        entries.append(_entry("amplitude_balance", bar.cbar, K0 * bar.C ** (cc.m - cc.p)))
+        entries.append(_entry("amplitude_balance", bar.cbar, K0 * power_or_inf(bar.C, cc.m - cc.p)))
     else:
         entries.append(_entry("beta_mode", abs(bar.beta), 0.0))
-        entries.append(_entry("amplitude_balance", bar.cbar * bar.C ** (cc.p - cc.m), K0))
+        entries.append(_entry("amplitude_balance", bar.cbar * power_or_inf(bar.C, cc.p - cc.m), K0))
 
     params = {
         "C": bar.C,
@@ -240,7 +241,7 @@ def check_ge2(bar: GE2Barrier, dens: DensityParams) -> FeasibilityReport:
         ),
         _entry(
             "amplitude_balance_pointwise",
-            bar.C ** (p - 1.0) + 1.0 / (p - 1.0),
+            power_or_inf(bar.C, p - 1.0) + 1.0 / (p - 1.0),
             bar.bbar * omega * mf * kc * bracket_min,
         ),
     ]
@@ -291,8 +292,8 @@ def check_blowup(bar: BlowupSubsolution, dens: DensityParams) -> FeasibilityRepo
 
     branch_outer = 1.0 + m * k2 * bar.bunder * omega * (N - 2.0 + bar.bunder * m / (m - 1.0))
     branch_inner = 1.0 + m * rho2 * omega * bar.bunder * N / E**2
-    gap_rhs = (p + m - 2.0) * bar.C ** (p - 1.0)
-    coupling_rhs = (p - m) / ((m - 1.0) * (p - 1.0)) * bar.C ** (m - 1.0)
+    gap_rhs = (p + m - 2.0) * power_or_inf(bar.C, p - 1.0)
+    coupling_rhs = (p - m) / ((m - 1.0) * (p - 1.0)) * power_or_inf(bar.C, m - 1.0)
 
     entries = [
         _entry("outer_shape_exponent", abs(bar.bunder - _bunder(dens)), 0.0),
@@ -353,7 +354,7 @@ def _binding_amplitude(cc, probe):
     for e in probe.inequalities:
         # C enters the entries named for the amplitude or the coupling
         if "gap" in e.name or "coupling" in e.name:
-            floor = max(floor, (e.lhs / e.rhs) ** (1.0 / (p - 1.0 if "gap" in e.name else m - 1.0)))
+            floor = max(floor, power_or_inf(e.lhs / e.rhs, 1.0 / (p - 1.0 if "gap" in e.name else m - 1.0)))
         elif "amplitude" in e.name:
             balance = e
         elif not e.passed:
@@ -365,8 +366,8 @@ def _binding_amplitude(cc, probe):
         return floor
     if probe.mode == REGIME_GE2:
         room = balance.rhs - 1.0 / (p - 1.0)
-        return room ** (1.0 / (p - 1.0)) if room > 0.0 else 0.0
-    return (balance.rhs / balance.lhs) ** (1.0 / (p - m))
+        return power_or_inf(room, 1.0 / (p - 1.0)) if room > 0.0 else 0.0
+    return power_or_inf(balance.rhs / balance.lhs, 1.0 / (p - m))
 
 
 def _settle(make, check, dens, boundary, floor):
@@ -471,7 +472,7 @@ def refuse_degenerate_support(bar) -> None:
             raise FeasibilitySearchError(
                 f"the certified GE2 barrier is identically zero at t = 0: "
                 f"a T^((p-m)/(p-1)) = {bar.a * bar.T**q:g} <= (log r0)^bbar = {edge:g}; "
-                f"its support opens for T > {(edge / bar.a) ** (1.0 / q):g}"
+                f"its support opens for T > {power_or_inf(edge / bar.a, 1.0 / q):g}"
             )
     if not math.isfinite(bar.support_radius(0.0)):
         shape = bar.bbar if bar.regime == REGIME_GE2 else bar.bunder
@@ -490,7 +491,7 @@ def _find_ge2(cc, dens, given):
     omega = omega_cap / (1.0 + MARGIN)
 
     def make(C: float) -> GE2Barrier:
-        return build_barrier(cc, dens, REGIME_GE2, C, a=C ** (m - 1.0) / omega, **given)
+        return build_barrier(cc, dens, REGIME_GE2, C, a=power_or_inf(C, m - 1.0) / omega, **given)
 
     boundary = _binding_amplitude(cc, check_ge2(make(1.0), dens))
     if not boundary >= C_LO:
@@ -510,7 +511,7 @@ def _find_ge2(cc, dens, given):
 
 def _find_blowup(cc, dens, given):
     def make(C: float, omega: float) -> BlowupSubsolution:
-        return build_barrier(cc, dens, REGIME_BLOWUP, C, a=C ** (cc.m - 1.0) / omega, **given)
+        return build_barrier(cc, dens, REGIME_BLOWUP, C, a=power_or_inf(C, cc.m - 1.0) / omega, **given)
 
     # the largest grid omega at which the certificate differs between C_LO and C_HI
     for w in np.geomspace(OMEGA_MIN, OMEGA_MAX, OMEGA_POINTS)[::-1]:

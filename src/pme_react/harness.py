@@ -38,7 +38,8 @@ import numpy as np
 
 from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
 from .density import E, DensityParams, inverse_rho
-from .solver import RadialGrid, RunResult, SolverConfig, reaction_time_scale, run, support_radius_numeric
+from .solver import TERM_BLOWUP, TERM_STALLED, TERM_STEP_LIMIT, RadialGrid, RunResult, SolverConfig
+from .solver import reaction_time_scale, run, support_radius_numeric
 
 if TYPE_CHECKING:
     from .implicit import ImplicitStats
@@ -438,11 +439,11 @@ def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> dict:
     blow_ok: Optional[bool] = None
     s_num: Optional[float] = None
 
-    if res.termination in ("stalled", "step_limit"):
+    if res.termination in (TERM_STALLED, TERM_STEP_LIMIT):
         notes.append(f"run terminated early ({res.termination}) at t={res.final_state.t:.6g}")
         verdict = VERDICT_INCONCLUSIVE
         support_checked = False
-    elif sub and (res.termination != "blowup" or res.blowup is None):
+    elif sub and (res.termination != TERM_BLOWUP or res.blowup is None):
         notes.append("expected blow-up but the run completed")
         verdict = VERDICT_FAIL
         blow_ok = False
@@ -457,7 +458,7 @@ def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> dict:
                 notes.append(f"s_num={s_num:.6g} outside [{lo:.6g}, {hi:.6g}]")
             t_check = [(t, u) for (t, u) in res.snapshots if t <= 0.95 * s_num]
         else:
-            if res.termination == "blowup":
+            if res.termination == TERM_BLOWUP:
                 notes.append("unexpected numerical blow-up in an upper-bound regime")
                 ordered_ok = False
             t_check = list(res.snapshots)
@@ -572,7 +573,7 @@ def blowup_scan(
         rows.append(
             ScanRow(
                 factor=float(f),
-                blew_up=res.termination == "blowup",
+                blew_up=res.termination == TERM_BLOWUP,
                 s_num=res.blowup.s_num if res.blowup is not None else None,
                 tau0=res.tau0,
                 termination=res.termination,

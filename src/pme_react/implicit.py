@@ -3,37 +3,25 @@
 :func:`run_implicit` takes the operator and the reaction of
 :mod:`pme_react.solver` at each step's end, with a given value in the cell
 past R; the ``solver`` docstring derives why such a step keeps ordered data
-ordered at any diffusion dt.  ``compare`` runs the GE1 barriers, which are
-positive everywhere, here with the barrier itself as the boundary datum.
-It imports this module only for those runs, so no other command compiles it.
+ordered at any diffusion dt.  Its steps follow the contract of
+:func:`pme_react._kernels.advance`, so the driver of :mod:`pme_react.solver`
+runs them and records the run, as it does for the explicit scheme.
+``compare`` runs the GE1 barriers, which are positive everywhere, here with
+the barrier itself as the boundary datum.  It imports this module only for
+those runs, so no other command compiles it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Union
 
 import numpy as np
 
 from . import _kernels
 from .density import ProblemConstants
-from .solver import (
-    FLAG_THRESHOLD,
-    TERM_BLOWUP,
-    TERM_COMPLETED,
-    TERM_STALLED,
-    TERM_STEP_LIMIT,
-    BlowupRecord,
-    RadialGrid,
-    RunResult,
-    SolverConfig,
-    State,
-    _Outputs,
-    _rho_values,
-    _start,
-    reaction_time_scale,
-)
+from .solver import RadialGrid, RunResult, SolverConfig, State, _drive
 
 # backward Euler: dt p sup^(p-1) <= IMPLICIT_DT_CAP at a step's start
 IMPLICIT_DT_CAP = 0.5
@@ -144,76 +132,58 @@ def run_implicit(
     IMPLICIT_DT_CAP`` or ``max_dt`` is smaller, so the snapshots are the
     states themselves.  A try whose Newton iteration does not converge, or
     whose new state is negative somewhere or has ``dt p sup^(p-1) >= 1``,
-    is halved (``solver`` docstring).  The run stops as ``run`` does at
-    ``blowup_threshold``, at ``max_steps`` and when a halved dt no longer
-    advances t (``stalled``)."""
-    t, u = _start(u0, grid, constants)
-    rho_vals = _rho_values(rho, grid)
-    rho_vol = rho_vals * grid.volumes
-    area_over_dr = grid.faces ** (grid.N - 1) / grid.dr
+    is halved (``solver`` docstring), and the run stalls where a halved dt
+    no longer advances t.  One driver records the runs of both schemes:
+    this one is recorded as :func:`~pme_react.solver.run`'s is, with the
+    same output, threshold, ``max_steps`` and stall rules (a stall with the
+    reaction on can be a ``time_resolution`` blow-up).  The result carries
+    :class:`ImplicitStats` as ``implicit``."""
     m, p, reaction = float(constants.m), float(constants.p), bool(config.reaction)
-    tau0 = reaction_time_scale(p, float(u.max())) if reaction else None
-
-    outputs = _Outputs(grid, config.output_times, t, u)
-    pending = outputs.pending
-
-    termination = TERM_COMPLETED
-    blowup: Optional[BlowupRecord] = None
-    steps = iterations = halvings = 0
+    iterations = halvings = 0
     dt_bound = {"output": 0, "positivity": 0, "max_dt": 0}
     dts: List[float] = []
-    while t < config.t_end:
-        if steps >= config.max_steps:
-            termination = TERM_STEP_LIMIT
-            break
-        t_stop = pending[0] if pending else config.t_end
-        sup = float(u.max())
-        cap = _kernels.reaction_cap(IMPLICIT_DT_CAP / p, sup, p) if reaction else math.inf
-        # the first of equal bounds names the step
-        dt, bound = min((t_stop - t, "output"), (cap, "positivity"), (max_dt, "max_dt"), key=lambda b: b[0])
-        while True:
-            t_new = t_stop if dt == t_stop - t else t + dt
-            if t_new == t:
-                break
-            v, its = _backward_euler(u, dt, _power(float(ghost(t_new)), m), rho_vol, area_over_dr, m, p, reaction)
-            iterations += its
-            if v is not None and float(v.min()) >= 0.0:
-                if not reaction or dt < _kernels.reaction_cap(1.0 / p, float(v.max()), p):
-                    break
-            dt *= 0.5
-            halvings += 1
-        if t_new == t:
-            termination = TERM_STALLED
-            break
-        t_prev, t, u = t, t_new, v
-        steps += 1
-        dt_bound[bound] += 1
-        dts.append(dt)
-        if pending and t == pending[0]:
-            outputs.emit(pending.pop(0), u)
-        sup_new = float(u.max())
-        if sup_new >= config.blowup_threshold:
-            s_num = t_prev + (t - t_prev) * (config.blowup_threshold - sup) / (sup_new - sup)
-            blowup = BlowupRecord(s_num=s_num, flag=FLAG_THRESHOLD, final_sup=sup_new)
-            termination = TERM_BLOWUP
-            break
 
-    return RunResult(
-        grid=grid,
-        config=config,
-        rho_values=rho_vals,
-        **outputs.fields(),
-        termination=termination,
-        blowup=blowup,
-        tau0=tau0,
-        steps=steps,
-        clamp_total=0.0,
-        final_state=State(t=t, u=u.copy()),
-        implicit=ImplicitStats(
-            newton_iterations=iterations,
-            halvings=halvings,
-            dt_bound=dt_bound,
-            dt_smallest=min(dts, default=math.nan),
-            dt_largest=max(dts, default=math.nan),
-        ),
+    def scheme(rho_vol, area_over_dr):
+        def step(u, u_prev, t, t_stop, budget):
+            nonlocal iterations, halvings
+            t_prev, nsub = t, 0
+            sup_prev = sup = float(u.max())
+            while t < t_stop and nsub < budget:
+                cap = _kernels.reaction_cap(IMPLICIT_DT_CAP / p, sup, p) if reaction else math.inf
+                # the first of equal bounds names the step
+                dt, bound = min((t_stop - t, "output"), (cap, "positivity"), (max_dt, "max_dt"), key=lambda b: b[0])
+                while True:
+                    t_new = t_stop if dt == t_stop - t else t + dt
+                    if t_new == t:
+                        return t_prev, t, _kernels.STATUS_STALLED, nsub, 0.0, sup_prev, sup
+                    ghost_m = _power(float(ghost(t_new)), m)
+                    v, its = _backward_euler(u, dt, ghost_m, rho_vol, area_over_dr, m, p, reaction)
+                    iterations += its
+                    if v is not None and float(v.min()) >= 0.0:
+                        if not reaction or dt < _kernels.reaction_cap(1.0 / p, float(v.max()), p):
+                            break
+                    dt *= 0.5
+                    halvings += 1
+                u_prev[:] = u
+                u[:] = v
+                t_prev, t = t, t_new
+                nsub += 1
+                dt_bound[bound] += 1
+                dts.append(dt)
+                sup_prev, sup = sup, float(u.max())
+                if sup >= config.blowup_threshold:
+                    return t_prev, t, _kernels.STATUS_BLOWUP, nsub, 0.0, sup_prev, sup
+            status = _kernels.STATUS_REACHED_TSTOP if t >= t_stop else _kernels.STATUS_BUDGET
+            return t_prev, t, status, nsub, 0.0, sup_prev, sup
+
+        return step
+
+    res = _drive(u0, grid, rho, constants, config, scheme)
+    res.implicit = ImplicitStats(
+        newton_iterations=iterations,
+        halvings=halvings,
+        dt_bound=dt_bound,
+        dt_smallest=min(dts, default=math.nan),
+        dt_largest=max(dts, default=math.nan),
     )
+    return res

@@ -1,6 +1,9 @@
 """Finite-volume scheme for the weighted reaction-diffusion flow: explicit
 steps (:func:`run`) and, against a boundary datum, backward-Euler steps
-(:func:`pme_react.implicit.run_implicit`).
+(:func:`pme_react.implicit.run_implicit`).  One driver, ``_drive``, runs
+the steps of both schemes and records their runs: output snapshots and
+series, the blow-up record, the termination, ``max_steps``, ``tau0`` and
+the clamped mass.
 
 Discretization.  Radial domain [0, R] split into equal cells; faces sit at
 ``i Δr`` and carry the area factor ``r^(N-1)``, cell volumes are
@@ -71,12 +74,13 @@ somewhere or has ``dt p sup^(p-1) >= 1``.  Powers at m, p in {2, 3} are
 products and the tridiagonal solve is a loop over Python floats, so a run
 is the same on every machine.
 
-Blow-up bookkeeping.  The run stops when the sup norm reaches
-``blowup_threshold`` (the numerical blow-up time is linearly interpolated
-inside the crossing step) or leaves the finite range (flag ``overflow``).
-A run whose reaction cap on dt falls below half an ulp of ``t`` before the
-threshold is reached also counts as blow-up, at ``s_num = t`` (flag
-``time_resolution``); a stall with the reaction off stays ``stalled``.
+Blow-up bookkeeping, the same for both schemes.  The run stops when the
+sup norm reaches ``blowup_threshold`` (the numerical blow-up time is
+linearly interpolated inside the crossing step) or leaves the finite range
+(flag ``overflow``).  A run that stalls, its step no longer advancing
+``t``, while ``REACTION_DT_CAP * sup^(1-p)`` is below half an ulp of ``t``
+also counts as blow-up, at ``s_num = t`` (flag ``time_resolution``); any
+other stall, and every stall with the reaction off, stays ``stalled``.
 Negative undershoots are clamped to zero with the clamped weighted mass
 accumulated, and ``tau0 = 1/((p-1) sup(u0)^(p-1))`` is recorded for runs
 with reaction.  The kernel takes the sup, and at m = 2 the clamp, only when
@@ -85,10 +89,13 @@ reaction cap, and always before it returns (see :mod:`pme_react._kernels`);
 every stop, cap and clamp still falls on the step where a check after every
 step puts it.
 
-Output.  Series values (sup norm and support radius) and full snapshots are
-taken at the configured output times from the cellwise linear interpolant
-between the two bracketing steps, so the series always agrees with the
-stored snapshots by construction.  The support radius counts cells above
+Output.  Full snapshots are taken at the configured output times: an
+output time a step lands on takes the state itself, any other the cellwise
+linear interpolant between the two bracketing steps.  So backward-Euler
+snapshots, whose steps end on the output times, are the stepped states,
+and a snapshot at ``t_end`` is the final state.  The series values (sup
+norm and support radius) are read off the snapshots, so they agree by
+construction.  The support radius counts cells above
 ``SUPPORT_THRESHOLD``.
 """
 
@@ -96,12 +103,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import _kernels
-from .density import DensityParams, ProblemConstants, rho as density_rho
+from .density import DensityParams, ProblemConstants, power_or_inf, rho as density_rho
 
 if TYPE_CHECKING:
     from .implicit import ImplicitStats
@@ -220,10 +227,11 @@ class RunResult:
 
 
 def reaction_time_scale(p: float, sup_u0: float) -> float:
-    """Reaction comparison time ``1/((p-1) sup^{p-1})``; inf for zero data."""
+    """Reaction comparison time ``1/((p-1) sup^{p-1})``; inf for zero data,
+    0 where ``sup^{p-1}`` passes the float range."""
     if sup_u0 <= 0.0:
         return math.inf
-    return 1.0 / ((p - 1.0) * sup_u0 ** (p - 1.0))
+    return 1.0 / ((p - 1.0) * power_or_inf(sup_u0, p - 1.0))
 
 
 def support_radius_numeric(u: np.ndarray, grid: RadialGrid, threshold: float = SUPPORT_THRESHOLD) -> float:
@@ -237,65 +245,6 @@ def support_radius_numeric(u: np.ndarray, grid: RadialGrid, threshold: float = S
     return float(grid.faces[idx[-1] + 1])
 
 
-def _rho_values(rho: Union[DensityParams, np.ndarray, Sequence[float]], grid: RadialGrid) -> np.ndarray:
-    vals = density_rho(rho, grid.centers) if isinstance(rho, DensityParams) else np.asarray(rho, dtype=float)
-    if vals.shape != (grid.cells,):
-        raise ValueError(f"density values have shape {vals.shape}, expected ({grid.cells},)")
-    if not np.all(vals > 0.0):
-        raise ValueError("density must be strictly positive on every cell")
-    return vals
-
-
-def _start(u0: Union[np.ndarray, State], grid: RadialGrid, constants: ProblemConstants) -> Tuple[float, np.ndarray]:
-    """Start time and a validated copy of the initial cell values."""
-    if grid.N != constants.N:
-        raise ValueError(f"grid dimension N={grid.N} does not match constants N={constants.N}")
-    if isinstance(u0, State):
-        t = float(u0.t)
-        u = np.array(u0.u, dtype=float, copy=True)
-    else:
-        t = 0.0
-        u = np.array(u0, dtype=float, copy=True)
-    if u.shape != (grid.cells,):
-        raise ValueError(f"initial data has shape {u.shape}, expected ({grid.cells},)")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("initial data must be finite")
-    if np.any(u < 0.0):
-        raise ValueError("initial data must be nonnegative")
-    return t, u
-
-
-class _Outputs:
-    """The output times a run has still to reach, and the series values and
-    snapshots taken at the ones it has passed.  Those already reached at the
-    start time (typically t = 0) take the initial state itself."""
-
-    def __init__(self, grid: RadialGrid, times: Sequence[float], t: float, u: np.ndarray) -> None:
-        self.grid = grid
-        self.pending = [tt for tt in times if tt >= t]
-        self.times: List[float] = []
-        self.sup: List[float] = []
-        self.support: List[float] = []
-        self.snapshots: List[Tuple[float, np.ndarray]] = []
-        while self.pending and self.pending[0] <= t:
-            self.emit(self.pending.pop(0), u)
-
-    def emit(self, t_out: float, u_out: np.ndarray) -> None:
-        self.times.append(t_out)
-        self.sup.append(float(u_out.max()))
-        self.support.append(support_radius_numeric(u_out, self.grid))
-        self.snapshots.append((t_out, u_out.copy()))
-
-    def fields(self) -> dict:
-        """The output fields of a :class:`RunResult`."""
-        return dict(
-            times=np.asarray(self.times),
-            sup_series=np.asarray(self.sup),
-            support_series=np.asarray(self.support),
-            snapshots=self.snapshots,
-        )
-
-
 def run(
     u0: Union[np.ndarray, State],
     grid: RadialGrid,
@@ -303,100 +252,119 @@ def run(
     constants: ProblemConstants,
     config: SolverConfig,
 ) -> RunResult:
-    """Advance initial data to ``t_end`` or numerical blow-up.
+    """Advance initial data to ``t_end`` or numerical blow-up by explicit steps.
 
     ``rho`` is a :class:`~pme_react.density.DensityParams` (canonical
     member evaluated at cell centers) or a per-cell array.  ``u0`` must be
     finite and nonnegative and is copied; a :class:`State` supplies a
     nonzero start time.
     """
-    t, u = _start(u0, grid, constants)
-    rho_vals = _rho_values(rho, grid)
-    vol = grid.volumes
-    rho_vol = rho_vals * vol
-    inv_rho_vol = 1.0 / rho_vol
-    area_over_dr = grid.faces ** (grid.N - 1) / grid.dr
-    cfl_coef = config.cfl_safety * rho_vol / (constants.m * (area_over_dr[:-1] + area_over_dr[1:]))
+    m, p = float(constants.m), float(constants.p)
     dirichlet = config.boundary == BOUNDARY_DIRICHLET
 
+    def explicit(rho_vol, area_over_dr):
+        inv_rho_vol = 1.0 / rho_vol
+        cfl_coef = config.cfl_safety * rho_vol / (constants.m * (area_over_dr[:-1] + area_over_dr[1:]))
+
+        def step(u, u_prev, t, t_stop, budget):
+            return _kernels.advance(
+                u, u_prev, rho_vol, inv_rho_vol, area_over_dr, cfl_coef, m, p, bool(config.reaction), dirichlet,
+                float(config.blowup_threshold), REACTION_DT_CAP, float(t), float(config.t_end), float(t_stop), budget,
+            )
+
+        return step
+
+    return _drive(u0, grid, rho, constants, config, explicit)
+
+
+def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: SolverConfig, scheme) -> RunResult:
+    """The run loop of both schemes, and the one place that records a run.
+
+    ``scheme(rho_vol, area_over_dr)`` returns the step function, called as
+    ``step(u, u_prev, t, t_stop, budget)`` with the contract of
+    :func:`pme_react._kernels.advance`: step ``u`` in place toward
+    ``t_stop`` within ``budget`` steps, leave the state before the last step
+    in ``u_prev`` and return its 7-tuple and status codes.  The driver
+    validates the data, takes the output snapshots, classifies the
+    termination (module docstring) and counts steps against ``max_steps``.
+    """
+    if grid.N != constants.N:
+        raise ValueError(f"grid dimension N={grid.N} does not match constants N={constants.N}")
+    t, u = (float(u0.t), u0.u) if isinstance(u0, State) else (0.0, u0)
+    u = np.array(u, dtype=float, copy=True)
+    if u.shape != (grid.cells,):
+        raise ValueError(f"initial data has shape {u.shape}, expected ({grid.cells},)")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("initial data must be finite")
+    if np.any(u < 0.0):
+        raise ValueError("initial data must be nonnegative")
+    rho_vals = density_rho(rho, grid.centers) if isinstance(rho, DensityParams) else np.asarray(rho, dtype=float)
+    if rho_vals.shape != (grid.cells,):
+        raise ValueError(f"density values have shape {rho_vals.shape}, expected ({grid.cells},)")
+    if not np.all(rho_vals > 0.0):
+        raise ValueError("density must be strictly positive on every cell")
+
+    step = scheme(rho_vals * grid.volumes, grid.faces ** (grid.N - 1) / grid.dr)
     u_prev = np.empty_like(u)
-
     tau0 = reaction_time_scale(constants.p, float(u.max())) if config.reaction else None
-
-    outputs = _Outputs(grid, config.output_times, t, u)
-    pending = outputs.pending
+    # output times already reached at the start (typically t = 0) take the
+    # initial state; earlier ones are skipped
+    pending = [tt for tt in config.output_times if tt >= t]
+    snapshots: List[Tuple[float, np.ndarray]] = []
+    while pending and pending[0] <= t:
+        snapshots.append((pending.pop(0), u.copy()))
 
     termination = TERM_COMPLETED
     blowup: Optional[BlowupRecord] = None
-    total_steps = 0
+    steps = 0
     clamp_total = 0.0
-
     while t < config.t_end:
-        t_stop = pending[0] if pending else config.t_end
-        budget = config.max_steps - total_steps
+        # also where the last call used up the budget short of t_end
+        budget = config.max_steps - steps
         if budget <= 0:
             termination = TERM_STEP_LIMIT
             break
-        t_prev, t, status, nsub, clamp_added, sup_prev, sup_new = _kernels.advance(
-            u,
-            u_prev,
-            rho_vol,
-            inv_rho_vol,
-            area_over_dr,
-            cfl_coef,
-            float(constants.m),
-            float(constants.p),
-            bool(config.reaction),
-            bool(dirichlet),
-            float(config.blowup_threshold),
-            REACTION_DT_CAP,
-            float(t),
-            float(config.t_end),
-            float(t_stop),
-            budget,
-        )
-        total_steps += nsub
+        t_stop = pending[0] if pending else config.t_end
+        t_prev, t, status, nsub, clamp_added, sup_prev, sup_new = step(u, u_prev, t, t_stop, budget)
+        steps += nsub
         clamp_total += clamp_added
 
-        # interpolate output times crossed by the last step; all pending
-        # times <= t lie in (t_prev, t] because the kernel stops at t_stop
+        # the output times the last step crossed lie in (t_prev, t], since
+        # the step function stops at t_stop: one the step lands on takes the
+        # state itself, the others the cellwise linear interpolant
         while pending and pending[0] <= t:
             t_out = pending.pop(0)
-            frac = 1.0 if t == t_prev else (t_out - t_prev) / (t - t_prev)
-            outputs.emit(t_out, u_prev + frac * (u - u_prev))
+            snap = u.copy() if t_out == t else u_prev + (t_out - t_prev) / (t - t_prev) * (u - u_prev)
+            snapshots.append((t_out, snap))
 
         if status == _kernels.STATUS_BLOWUP:
             s_num = t_prev + (t - t_prev) * (config.blowup_threshold - sup_prev) / (sup_new - sup_prev)
             blowup = BlowupRecord(s_num=s_num, flag=FLAG_THRESHOLD, final_sup=sup_new)
-            termination = TERM_BLOWUP
-            break
-        if status == _kernels.STATUS_OVERFLOW:
+        elif status == _kernels.STATUS_OVERFLOW:
             blowup = BlowupRecord(s_num=t, flag=FLAG_OVERFLOW, final_sup=math.inf)
-            termination = TERM_BLOWUP
-            break
-        if status == _kernels.STATUS_STALLED:
+        elif status == _kernels.STATUS_STALLED:
             if config.reaction and t + _kernels.reaction_cap(REACTION_DT_CAP, sup_new, constants.p) == t:
                 # the reaction cap fell below half an ulp of t: the solution
                 # blows up faster than t can resolve, so t is the blow-up time
                 blowup = BlowupRecord(s_num=t, flag=FLAG_TIME_RESOLUTION, final_sup=sup_new)
-                termination = TERM_BLOWUP
             else:
                 termination = TERM_STALLED
-            break
-        if total_steps >= config.max_steps and t < config.t_end:
-            termination = TERM_STEP_LIMIT
-            break
+        else:
+            continue
+        break
 
     return RunResult(
         grid=grid,
         config=config,
         rho_values=rho_vals,
-        **outputs.fields(),
-        termination=termination,
+        times=np.asarray([t_out for t_out, _ in snapshots]),
+        sup_series=np.asarray([float(snap.max()) for _, snap in snapshots]),
+        support_series=np.asarray([support_radius_numeric(snap, grid) for _, snap in snapshots]),
+        snapshots=snapshots,
+        termination=TERM_BLOWUP if blowup is not None else termination,
         blowup=blowup,
         tau0=tau0,
-        steps=total_steps,
+        steps=steps,
         clamp_total=clamp_total,
         final_state=State(t=t, u=u.copy()),
     )
-

@@ -212,8 +212,8 @@ def test_scale_factor_without_scaled_barrier_is_an_error(tmp_path, capsys, initi
 @pytest.mark.parametrize(
     "stem, family, key, takes",
     [
-        ("ge1b", "H1", "k1 = 2.0", "k, k0"),
-        ("ge2", "H2Smooth", "k = 50", "k1, k2, rho1, rho2"),
+        ("ge1b", "H1", "k1 = 2.0", "k"),
+        ("ge2", "H2Smooth", "k = 50", "k1, k2"),
     ],
     ids=["H1", "H2Smooth"],
 )
@@ -230,6 +230,23 @@ def test_density_key_of_another_family_is_an_error(tmp_path, capsys, stem, famil
         f"line {line}: [density] unknown key '{name}' for family {family} "
         f"(its keys: family, alpha, r0, {takes})"
     ) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stem, key", [("ge1b", "k0 = 50.0"), ("ge2", "rho1 = 1.0"), ("ge2", "rho2 = 1.0")])
+def test_derived_density_constant_is_not_a_key(tmp_path, capsys, stem, key):
+    # k0 = 50.0 on ge1b.cfg used to certify a searched C of 17.87 (0.340
+    # without it), a barrier whose residual sweep fails (margin -0.775)
+    text = (CONFIGS / f"{stem}.cfg").read_text()
+    text = text.replace("r0 = ", f"{key}\nr0 = ", 1)
+    cfg = write(tmp_path, "derived.cfg", text)
+    rc = cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    line = text.splitlines().index(key) + 1
+    family, takes = ("H1", "k") if stem == "ge1b" else ("H2Smooth", "k1, k2")
+    assert capsys.readouterr().err == (
+        f"config error(s) in {cfg}:\n  line {line}: [density] unknown key '{key.partition(' ')[0]}' "
+        f"for family {family} (its keys: family, alpha, r0, {takes})\n"
+    )
 
 
 def test_family_h2_is_an_error(tmp_path, capsys):
@@ -589,6 +606,41 @@ def test_cli_ge2_support_overflowing_after_t0_fails_quietly(tmp_path, capsys, co
     assert payload["passed"] is False
     assert payload["residual_sweep"]["passed"] is False
     assert payload["residual_sweep"]["min_margin"] is None  # nan, at its point
+
+
+# a Python-float power of C passes the float range: C_HI^(p-1) in the
+# blow-up search at p = 40, C^m of a given GE1 amplitude in the sweep, and
+# sup(u0)^(p-1) in the reaction time of the data that barrier gives; each
+# used to end in an OverflowError traceback
+GE1B_C1E200 = _shipped("ge1b", "C = 1e200\n")
+OVERFLOWING_POWERS = {
+    "blowup-p40": (
+        "barrier-check",
+        (CONFIGS / "blowup.cfg").read_text().replace("p = 3.0", "p = 40.0"),
+        0,
+        "barrier-check: pass (feasible=True, sweep=True, derivatives=True)\n",
+    ),
+    "ge1b-C1e200": (
+        "barrier-check",
+        GE1B_C1E200,
+        2,
+        "barrier-check: fail (feasible=False, sweep=False, derivatives=False)\n",
+    ),
+    # the reaction cap on dt underflows to 0 at this sup: a blow-up that t
+    # cannot resolve
+    "ge1b-C1e200-simulate": ("simulate", GE1B_C1E200, 0, "simulate: blowup at t=0 (sup=7.4568e+199, steps=0)\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWING_POWERS))
+def test_cli_overflowing_power_of_c_gives_inf(tmp_path, capsys, case):
+    command, text, code, line = OVERFLOWING_POWERS[case]
+    cfg = write(tmp_path, "power.cfg", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err, caught) == (code, line, "", [])
 
 
 # given parameters whose certificate fails: (config, regime, condition set,

@@ -274,6 +274,50 @@ def test_interpolated_snapshots_are_zero_past_the_support(monkeypatch):
         assert not snap[support:].any()
 
 
+@pytest.mark.parametrize("implicit", [False, True], ids=["run", "run_implicit"])
+def test_snapshot_at_t_end_is_the_final_state(implicit):
+    # one step from a jump lands on t_end; there the explicit interpolant at
+    # frac = 1, u_prev + (u - u_prev), rounds cell 16 (0.001 -> 0.0135) off
+    # the state by an ulp
+    g = RadialGrid(N=3, R=20.0, cells=64)
+    u0 = np.where(g.centers < 5.0, 1.0, 1e-3)
+    cfg = SolverConfig(t_end=5e-5, R=20.0, cells=64, output_times=(0.0, 5e-5))
+    if implicit:
+        res = run_implicit(u0, g, H2S_8, CC23, cfg, lambda t: 1e-3)
+    else:
+        res = run(u0, g, H2S_8, CC23, cfg)
+    assert res.steps == 1 and res.final_state.t == 5e-5
+    t_last, snap = res.snapshots[-1]
+    assert t_last == 5e-5 and snap.tobytes() == res.final_state.u.tobytes()
+
+
+@pytest.mark.parametrize(
+    "sup,max_dt,termination,flag",
+    [(1.0, math.inf, TERM_BLOWUP, FLAG_TIME_RESOLUTION), (1.0e-9, 0.5, TERM_STALLED, None)],
+    ids=["time_resolution", "stalled"],
+)
+def test_implicit_stall_takes_the_run_stall_rule(sup, max_dt, termination, flag):
+    """At t = 1e16 (half an ulp is 1) no step advances t.  With sup 1 the
+    positivity cap 1/6 sets the step, and run's reaction cap 0.1 is below
+    half an ulp: a time-resolution blow-up, as an explicit run from there
+    reports.  With sup 1e-9, ``max_dt`` sets the step; the reaction cap is
+    1e17, so the run is only stalled."""
+    t0 = 1.0e16
+    g = RadialGrid(N=3, R=1.0, cells=16)
+    cfg = SolverConfig(t_end=2.0e16, R=1.0, cells=16, boundary=BOUNDARY_NEUMANN)
+    u0 = State(t=t0, u=np.full(16, sup))
+    res = run_implicit(u0, g, np.ones(16), CC23, cfg, lambda t: sup, max_dt=max_dt)
+    assert res.steps == 0 and res.final_state.t == t0
+    assert res.termination == termination
+    assert (t0 + _kernels.reaction_cap(REACTION_DT_CAP, sup, 3.0) == t0) == (flag is not None)
+    if flag is None:
+        assert res.blowup is None
+    else:
+        assert (res.blowup.flag, res.blowup.s_num, res.blowup.final_sup) == (flag, t0, sup)
+        explicit = run(u0, g, np.ones(16), CC23, cfg)
+        assert explicit.termination == termination and explicit.blowup == res.blowup
+
+
 def test_state_start_skips_stale_outputs():
     g, u0, _ = diffusion_setup(cells=48)
     cfg = SolverConfig(
