@@ -150,9 +150,19 @@ class RadialGrid:
         if int(self.cells) != self.cells or self.cells < 2:
             raise ValueError(f"cells must be an integer >= 2, got {self.cells}")
         faces = np.linspace(0.0, self.R, self.cells + 1)
+        # r^N underflows to 0 for a tiny R and overflows to inf - inf = nan
+        # for a huge one; either way the scheme divides by nonsense
+        with np.errstate(over="ignore", invalid="ignore"):
+            volumes = (faces[1:] ** self.N - faces[:-1] ** self.N) / self.N
+            areas = faces[1:] ** (self.N - 1)
+        if not all(np.all((x > 0.0) & (x < math.inf)) for x in (volumes, areas)):
+            raise ValueError(
+                f"R = {self.R!r} with N = {self.N} and cells = {self.cells} gives cell volumes or face areas "
+                "that are zero or not finite in double precision"
+            )
         object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "centers", 0.5 * (faces[:-1] + faces[1:]))
-        object.__setattr__(self, "volumes", (faces[1:] ** self.N - faces[:-1] ** self.N) / self.N)
+        object.__setattr__(self, "volumes", volumes)
         object.__setattr__(self, "dr", float(faces[1] - faces[0]))
 
 

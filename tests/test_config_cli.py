@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -869,3 +870,62 @@ def test_cli_barrier_check_sweeps_to_t_end(tmp_path, k):
     sweep = _strict_json(out / "verdict.json")["residual_sweep"]
     assert sweep["passed"] is False and sweep["worst_t"] == 10.0
     assert sweep["min_margin"] == pytest.approx(-0.092 if k == 3 else -0.323, abs=1e-3)
+
+
+@pytest.mark.parametrize("R", ["1e-300", "1e120", "1e-120"])
+@pytest.mark.parametrize("command, stem", [("simulate", "reaction_check"), ("compare", "ge2")])
+def test_cli_degenerate_grid_is_an_error(tmp_path, capsys, command, stem, R):
+    # r^N in the cell volumes underflows to 0 for a tiny R and overflows to
+    # inf - inf = nan for a huge one; a run on such a grid reports nonsense
+    # (a nan blow-up, a stall at t = 0), so it must not start
+    text = re.sub(r"(?m)^R = .*$", f"R = {R}", (CONFIGS / f"{stem}.cfg").read_text())
+    cfg = write(tmp_path, f"{stem}.cfg", text)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: R = {float(R)!r} with N = 3 and cells = ")
+
+
+def _freeze_case(tmp_path, case):
+    """Arguments of one command that ends on the named return path."""
+    if case == "pass":
+        return ["barrier-check", "--config", str(CONFIGS / "ge2.cfg")]
+    if case == "fail":
+        text = re.sub(r"(?m)^cells = .*$", "cells = 256", (CONFIGS / "ge2.cfg").read_text())
+        return ["compare", "--config", write(tmp_path, "ge2_256.cfg", text)]
+    if case == "infeasible":
+        text = GE1B_TEXT.replace("regime = GE1b", "regime = GE1b\nb = 1.5")
+        return ["feasibility", "--config", write(tmp_path, "bad_shape.cfg", text)]
+    if case == "config error":
+        return ["feasibility", "--config", write(tmp_path, "bad.cfg", "[problem]\nm = two\n")]
+    text = re.sub(r"(?m)^R = .*$", "R = 1e120", (CONFIGS / "reaction_check.cfg").read_text())
+    return ["simulate", "--config", write(tmp_path, "huge.cfg", text)]
+
+
+@pytest.mark.parametrize("case, code", [("pass", 0), ("fail", 2), ("infeasible", 2), ("config error", 1), ("error", 1)])
+def test_cli_main_freezes_the_collector_on_every_exit(tmp_path, case, code):
+    # shutdown then skips the process's objects instead of freeing them one
+    # by one; gc.get_objects() does not list the permanent generation
+    assert gc.get_freeze_count() == 0
+    marker = [object()]
+    assert cli.main(_freeze_case(tmp_path, case) + ["--out", str(tmp_path / "out")]) == code
+    assert gc.get_freeze_count() > 0
+    assert not any(obj is marker for obj in gc.get_objects())
+
+
+def test_cli_subprocess_matches_in_process_byte_for_byte(tmp_path, capsys):
+    # the freeze on the way out still lets the interpreter flush a piped
+    # stdout and leaves the output file whole
+    cfg = str(CONFIGS / "ge2.cfg")
+    assert cli.main(["barrier-check", "--config", cfg, "--out", str(tmp_path / "in")]) == 0
+    line = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pme_react.cli", "barrier-check", "--config", cfg, "--out", str(tmp_path / "sub")],
+        env=env, capture_output=True, check=False,
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == line.encode()
+    assert (tmp_path / "sub" / "verdict.json").read_bytes() == (tmp_path / "in" / "verdict.json").read_bytes()
