@@ -792,3 +792,53 @@ def test_blowup_search_matches_the_full_omega_sweep(monkeypatch):
         assert len(calls) == 2 * np.count_nonzero(grid >= found[-1]) + 2
         outcomes["top" if found[-1] == grid[-1] else "below top"] += 1
     assert min(outcomes.values()) >= 1 and outcomes["no flip"] >= 4, outcomes
+
+
+# -- the atlas: what the search certifies and why it refuses -----------------
+
+# The grid the ROADMAP measures coverage on: m, |p - m| with p on the
+# regime's side of m (and p > 1), alpha, r0 and N, at the default T.
+ATLAS = {
+    "m": (1.2, 1.5, 2.0, 3.0, 4.0),
+    "gap": (0.01, 0.1, 0.5, 1.0, 3.0),
+    "alpha": (1.1, 1.5, 2.0, 3.0),
+    "r0": (E, 4.0, 8.0, 100.0, 1.0e4),
+    "N": (3, 4, 6),
+}
+# Each refusal reason, by a phrase its message holds.
+ATLAS_REASONS = {
+    "outside the budget": "binding amplitude",
+    "empty eps window": "empty eps window",
+    "p - m edge": "needs p - m >",
+    "identically zero at t = 0": "identically zero at t = 0",
+    "R(0) not finite": "is not a finite float",
+    "no omega on the grid": "on the omega grid",
+}
+# A change that moves a count names the move in CHANGES.md.
+ATLAS_PINS = {
+    REGIME_GE1A: {"certified": 443, "outside the budget": 337, "empty eps window": 120},
+    REGIME_GE1B: {"certified": 964, "outside the budget": 336, "empty eps window": 200},
+    REGIME_GE2: {"certified": 492, "p - m edge": 615, "identically zero at t = 0": 393},
+    REGIME_BLOWUP: {"certified": 1177, "R(0) not finite": 187, "no omega on the grid": 136},
+}
+
+
+@pytest.mark.parametrize("regime", sorted(ATLAS_PINS))
+def test_search_on_the_atlas(regime):
+    family = "H1" if regime in (REGIME_GE1A, REGIME_GE1B) else "H2Smooth"
+    counts = {}
+    for m, gap, alpha, r0, N in itertools.product(*ATLAS.values()):
+        p = m - gap if regime == REGIME_GE1A else m + gap
+        if not p > 1.0:
+            continue
+        try:
+            _, report = find_params(
+                ProblemConstants(m=m, p=p, N=N), DensityParams(family=family, alpha=alpha, r0=r0), regime
+            )
+        except FeasibilitySearchError as err:
+            (reason,) = [k for k, phrase in ATLAS_REASONS.items() if phrase in str(err)]
+        else:
+            assert report.overall
+            reason = "certified"
+        counts[reason] = counts.get(reason, 0) + 1
+    assert counts == ATLAS_PINS[regime]
