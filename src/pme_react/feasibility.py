@@ -11,9 +11,9 @@ takes.  It and ``find_params`` share one check of the regime name and its
 exponent condition (:func:`_check_regime`).  ``find_params`` returns
 parameters with ``MARGIN`` relative slack on the binding inequality; ``C``
 enters each certificate only through power laws, so its binding value is
-closed form.  The blow-up search takes the largest ``omega = C^(m-1)/a``
-of a log grid of ``OMEGA_POINTS`` points at which the certificate differs
-between ``C_LO`` and ``C_HI``, scanning the grid from its top end.
+closed form.  The blow-up search scans a log grid of ``OMEGA_POINTS``
+values of ``omega = C^(m-1)/a`` from its top end and takes the first whose
+binding amplitude lies in ``[C_LO, C_HI]``.
 
 The spreading supersolution has one condition set, :func:`check_ge2`,
 over the canonical band member (the weight with constant ``k1``, the only
@@ -27,7 +27,6 @@ all it names the edge ``p - m`` must pass.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -178,7 +177,6 @@ def _bbar(dens: DensityParams) -> float:
     return dens.alpha + 2.0
 
 
-@functools.lru_cache(maxsize=None)
 def ge2_drift_minimum(N: int, r0: float) -> float:
     """Minimum over r > 0 of ``g(r) = (N-1)(1 + r0/r) log(r+r0) - log(r+r0)``.
 
@@ -187,20 +185,27 @@ def ge2_drift_minimum(N: int, r0: float) -> float:
     ``g'(r) = (N-1)(1/r - r0 log(r+r0)/r^2) - 1/(r+r0)`` changes sign once,
     so the minimizer is found by bisection on the sign of ``g'`` over
     ``[1e-3, 1e9]``, with geometric midpoints, until the midpoint equals
-    a bracket end; the minimum is ``g`` at the better end.
+    a bracket end; the minimum is ``g`` at the better end.  The minimizer
+    is of order ``r0 log r0``, so while ``g' < 0`` at the upper end the
+    bracket first moves up to ``[hi, 2 hi]``.
     """
 
     def g(r: float) -> float:
         L = math.log(r + r0)
         return (N - 1.0) * (1.0 + r0 / r) * L - L
 
+    def falling(r: float) -> bool:
+        return (N - 1.0) * (1.0 / r - r0 * math.log(r + r0) / r**2) < 1.0 / (r + r0)
+
     lo, hi = 1.0e-3, 1.0e9
+    while falling(hi):
+        lo, hi = hi, 2.0 * hi
     while True:
         mid = math.sqrt(lo * hi)
         if mid == lo or mid == hi:
             return min(g(lo), g(hi))
         # g'(mid) < 0: the minimizer lies above mid
-        if (N - 1.0) * (1.0 / mid - r0 * math.log(mid + r0) / mid**2) < 1.0 / (mid + r0):
+        if falling(mid):
             lo = mid
         else:
             hi = mid
@@ -370,18 +375,6 @@ def _binding_amplitude(cc, probe):
     return power_or_inf(balance.rhs / balance.lhs, 1.0 / (p - m))
 
 
-def _settle(make, check, dens, boundary, floor):
-    """``make(C)`` with C ``MARGIN`` past a binding ``boundary`` in
-    ``[C_LO, C_HI]`` (above a floor, below a cap), and its recheck."""
-    if not C_LO <= boundary <= C_HI:
-        raise FeasibilitySearchError(f"binding amplitude {boundary:g} outside [{C_LO:g}, {C_HI:g}]")
-    bar = make(boundary * (1.0 + MARGIN) if floor else boundary / (1.0 + MARGIN))
-    report = check(bar, dens)
-    if not report.overall:
-        raise FeasibilitySearchError("search produced parameters that fail their own check")
-    return bar, report
-
-
 def _ge1_shape_defaults(cc: ProblemConstants, dens: DensityParams, b, eps):
     b = b if b is not None else 0.5 * (dens.alpha - 1.0)
     if not 0.0 < b < dens.alpha - 1.0:
@@ -483,50 +476,6 @@ def refuse_degenerate_support(bar) -> None:
         )
 
 
-def _find_ge2(cc, dens, given):
-    m, p = cc.m, cc.p
-    bbar = _bbar(dens)
-    # the decay-rate condition caps omega independently of C
-    omega_cap = (p - m) / ((p - 1.0) * bbar**2 * (m / (m - 1.0)) * dens.k1)
-    omega = omega_cap / (1.0 + MARGIN)
-
-    def make(C: float) -> GE2Barrier:
-        return build_barrier(cc, dens, REGIME_GE2, C, a=power_or_inf(C, m - 1.0) / omega, **given)
-
-    boundary = _binding_amplitude(cc, check_ge2(make(1.0), dens))
-    if not boundary >= C_LO:
-        # at this omega the amplitude balance reads C^(p-1) + 1/(p-1) <=
-        # (p-m) B / ((p-1) bbar (1 + MARGIN)), B the drift bracket minimum,
-        # so small C passes iff p - m > edge
-        edge = (1.0 + MARGIN) * bbar / (ge2_drift_minimum(cc.N, dens.r0) + bbar - 1.0)
-        raise FeasibilitySearchError(
-            f"no feasible GE2 parameters: no amplitude in [{C_LO:g}, {C_HI:g}] "
-            f"passes the certificate at omega={omega:g}; needs p - m > {edge:.3g} "
-            f"at N = {cc.N}, r0 = {dens.r0:g}, alpha = {dens.alpha:g}"
-        )
-    bar, report = _settle(make, check_ge2, dens, boundary, floor=False)
-    refuse_degenerate_support(bar)
-    return bar, report
-
-
-def _find_blowup(cc, dens, given):
-    def make(C: float, omega: float) -> BlowupSubsolution:
-        return build_barrier(cc, dens, REGIME_BLOWUP, C, a=power_or_inf(C, cc.m - 1.0) / omega, **given)
-
-    # the largest grid omega at which the certificate differs between C_LO and C_HI
-    for w in np.geomspace(OMEGA_MIN, OMEGA_MAX, OMEGA_POINTS)[::-1]:
-        if check_blowup(make(C_LO, w), dens).overall != check_blowup(make(C_HI, w), dens).overall:
-            break
-    else:
-        raise FeasibilitySearchError(
-            "no feasible blow-up parameters on the omega grid within the amplitude budget"
-        )
-    boundary = _binding_amplitude(cc, check_blowup(make(1.0, w), dens))
-    bar, report = _settle(lambda C: make(C, w), check_blowup, dens, boundary, floor=True)
-    refuse_degenerate_support(bar)
-    return bar, report
-
-
 def find_params(
     cc: ProblemConstants,
     dens: DensityParams,
@@ -538,24 +487,60 @@ def find_params(
 ):
     """Deterministic parameter search for one regime.
 
-    Compact profiles fix omega first (the largest blow-up grid omega at
-    which the certificate flips on ``[C_LO, C_HI]``, GE2's decay-rate cap
-    over ``1 + MARGIN``); ``C`` is the binding amplitude
-    (:func:`_binding_amplitude`) moved ``MARGIN`` to the feasible side, and
-    the report is its rechecked certificate.  The rest comes from
-    the caller or :func:`build_barrier`.  Raises
-    :class:`FeasibilitySearchError` when nothing passes within the budget.
+    One loop over the candidate omegas (none for GE1, GE2's decay-rate cap
+    over ``1 + MARGIN``, the blow-up grid from its top end) builds the
+    barrier at C = 1 and stops at the first binding amplitude
+    (:func:`_binding_amplitude`) inside ``[C_LO, C_HI]``.  ``C`` is that
+    amplitude moved ``MARGIN`` to the feasible side (above a floor for GE1a
+    and Blowup, below a cap for GE1b and GE2), and the report is its
+    rechecked certificate.  The rest comes from the caller or
+    :func:`build_barrier`.  Raises :class:`FeasibilitySearchError` when
+    nothing passes within the budget, and for a compact barrier whose
+    support is degenerate (:func:`refuse_degenerate_support`).
     """
     _check_regime(cc, regime)
+    m, p = cc.m, cc.p
     given = {"T": T, "beta": beta, "b": b, "eps": eps}
-    if regime in (REGIME_GE1A, REGIME_GE1B):
-        make = functools.partial(build_barrier, cc, dens, regime, **given)
-        boundary = _binding_amplitude(cc, check_ge1(make(1.0), dens))
-        # GE1a (p < m) has a floor on C, GE1b a cap
-        return _settle(make, check_ge1, dens, boundary, floor=regime == REGIME_GE1A)
+    omegas = [None]
     if regime == REGIME_GE2:
-        return _find_ge2(cc, dens, given)
-    return _find_blowup(cc, dens, given)
+        bbar = _bbar(dens)
+        # the decay-rate condition caps omega independently of C
+        omegas = [(p - m) / ((p - 1.0) * bbar**2 * (m / (m - 1.0)) * dens.k1) / (1.0 + MARGIN)]
+    elif regime == REGIME_BLOWUP:
+        omegas = np.geomspace(OMEGA_MIN, OMEGA_MAX, OMEGA_POINTS)[::-1]
+
+    def make(C: float, omega):
+        a = None if omega is None else power_or_inf(C, m - 1.0) / omega
+        return build_barrier(cc, dens, regime, C, a=a, **given)
+
+    for omega in omegas:
+        boundary = _binding_amplitude(cc, check_auto(make(1.0, omega), dens))
+        if C_LO <= boundary <= C_HI:
+            break
+    else:
+        if regime == REGIME_BLOWUP:
+            raise FeasibilitySearchError(
+                "no feasible blow-up parameters on the omega grid within the amplitude budget"
+            )
+        if regime == REGIME_GE2 and not boundary >= C_LO:
+            # at this omega the amplitude balance reads C^(p-1) + 1/(p-1) <=
+            # (p-m) B / ((p-1) bbar (1 + MARGIN)), B the drift bracket minimum,
+            # so small C passes iff p - m > edge
+            edge = (1.0 + MARGIN) * bbar / (ge2_drift_minimum(cc.N, dens.r0) + bbar - 1.0)
+            raise FeasibilitySearchError(
+                f"no feasible GE2 parameters: no amplitude in [{C_LO:g}, {C_HI:g}] "
+                f"passes the certificate at omega={omega:g}; needs p - m > {edge:.3g} "
+                f"at N = {cc.N}, r0 = {dens.r0:g}, alpha = {dens.alpha:g}"
+            )
+        raise FeasibilitySearchError(f"binding amplitude {boundary:g} outside [{C_LO:g}, {C_HI:g}]")
+    floor = regime in (REGIME_GE1A, REGIME_BLOWUP)
+    bar = make(boundary * (1.0 + MARGIN) if floor else boundary / (1.0 + MARGIN), omega)
+    report = check_auto(bar, dens)
+    if not report.overall:
+        raise FeasibilitySearchError("search produced parameters that fail their own check")
+    if omega is not None:
+        refuse_degenerate_support(bar)
+    return bar, report
 
 
 def check_auto(bar, dens: DensityParams) -> FeasibilityReport:

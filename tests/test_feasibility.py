@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -257,19 +258,31 @@ def test_build_barrier_rejects_keys_outside_its_regime():
 # -- GE2 search and certificate ---------------------------------------------
 
 
-# r0 geometric in [e, 1e4]: the range over which the bisection in
-# ge2_drift_minimum is checked to have a single sign change to find.
-DRIFT_R0 = [float(r0) for r0 in np.geomspace(E, 1.0e4, 10)]
+# r0 geometric in [e, 1e4], then by powers of 100 up to 1e16: past
+# r0 ~ 1e8 the minimizer, of order r0 log r0, lies above the bisection's
+# starting bracket [1e-3, 1e9].
+DRIFT_R0 = [float(r0) for r0 in np.geomspace(E, 1.0e4, 10)] + [10.0**k for k in range(6, 17, 2)]
+# radii past every minimizer: (N-1)/(N-2) r0 log r0 is below 1e18 here
+DRIFT_RADII = np.geomspace(1.0e-4, 1.0e22, 400001)
+
+
+def _drift(N, r0, r):
+    L = np.log(r + r0)
+    return (N - 1.0) * (1.0 + r0 / r) * L - L
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6, 8])
 def test_ge2_drift_derivative_changes_sign_once(N):
-    r = np.geomspace(1.0e-3, 1.0e9, 200001)
+    # g' changes sign once, and the minimum is g where it does
+    r = DRIFT_RADII
     for r0 in DRIFT_R0:
         dg = (N - 1.0) * (1.0 / r - r0 * np.log(r + r0) / r**2) - 1.0 / (r + r0)
         neg = dg < 0.0
         assert neg[0] and not neg[-1], (N, r0)
         assert np.count_nonzero(neg[1:] != neg[:-1]) == 1, (N, r0)
+        i = np.count_nonzero(neg)
+        at_change = float(np.min(_drift(N, r0, r[i - 1:i + 1])))
+        assert ge2_drift_minimum(N, r0) == pytest.approx(at_change, rel=1e-8), (N, r0)
 
 
 @pytest.mark.parametrize(
@@ -281,13 +294,17 @@ def test_ge2_drift_derivative_changes_sign_once(N):
         pytest.param(5, 25.0, id="N5-r0=25"),
         pytest.param(6, DRIFT_R0[7], id="N6-r0=1613"),
         pytest.param(8, 1.0e4, id="N8-r0=1e4"),
+        pytest.param(3, 1.0e8, id="N3-r0=1e8"),
+        pytest.param(3, 1.0e10, id="N3-r0=1e10"),
+        pytest.param(4, 1.0e12, id="N4-r0=1e12"),
+        pytest.param(5, 1.0e14, id="N5-r0=1e14"),
+        pytest.param(3, 1.0e16, id="N3-r0=1e16"),
+        pytest.param(6, 1.0e10, id="N6-r0=1e10"),
     ],
 )
 def test_ge2_drift_minimum_against_dense_grid(N, r0):
     got = ge2_drift_minimum(N, r0)
-    r = np.geomspace(1e-4, 1e10, 400001)
-    L = np.log(r + r0)
-    grid_min = float(np.min((N - 1.0) * (1.0 + r0 / r) * L - L))
+    grid_min = float(np.min(_drift(N, r0, DRIFT_RADII)))
     assert got == pytest.approx(grid_min, rel=1e-8)
     assert got <= grid_min + 1e-12  # the bisection can only improve on the grid
 
@@ -370,6 +387,20 @@ def test_ge2_search_refuses_an_empty_support():
     bar, rep = find_params(CC23, dens, REGIME_GE2, T=5.0)
     assert rep.overall and bar.T == 5.0
     assert bar.support_radius(0.0) > 0.0
+    sweep = residual_sweep(bar, dens)
+    assert sweep.passed and sweep.min_margin > 0.0
+
+
+def test_ge2_search_at_large_r0_certifies_only_a_supersolution():
+    # at r0 = 1e10 the drift minimizer lies near 5e11; a minimum taken on
+    # [1e-3, 1e9] alone overstated it and certified C = 11.5 at T = 1e8, a
+    # barrier whose sweep reads -0.847 at r = 3.3e11
+    cc = ProblemConstants(m=2.0, p=2.5, N=3)
+    dens = DensityParams(family="H2Smooth", alpha=2.0, r0=1.0e10)
+    with pytest.raises(FeasibilitySearchError, match=r"identically zero at t = 0.*opens for T > 6\.99928e\+09"):
+        find_params(cc, dens, REGIME_GE2, T=1.0e8)
+    bar, rep = find_params(cc, dens, REGIME_GE2, T=7.0e9)
+    assert rep.overall
     sweep = residual_sweep(bar, dens)
     assert sweep.passed and sweep.min_margin > 0.0
 
@@ -667,7 +698,7 @@ SEARCH_PINS = {
         },
     ),
     "blowup": (
-        4,
+        2,
         {"C": 219.23110174053858, "a": 219.23110174053858, "T": 1.0},
         {
             "C": 219.23110174053858, "a": 219.23110174053858, "T": 1.0, "bunder": 3.0,
@@ -702,18 +733,20 @@ def test_search_pins_shipped_configs_bitwise(stem, monkeypatch):
     "regime, m, p", [(REGIME_GE2, 2.0, 40.0), (REGIME_BLOWUP, 39.3, 39.45)], ids=["GE2", "Blowup"]
 )
 def test_search_evaluates_no_certificate_it_does_not_decide_by(regime, m, p):
-    # GE2 evaluates no certificate at C_HI, whose C_HI^(p-1) overflows a
-    # float here; Blowup stops at the top grid omega, above the omegas where
-    # a = C_HI^(m-1)/omega overflows
+    # C_HI^(p-1) overflows a float here, and the search evaluates no
+    # certificate at C_HI: each takes C = 1 and the closed-form binding
+    # amplitude, and Blowup stops at the top grid omega
     bar, rep = find_params(ProblemConstants(m=m, p=p, N=3), H2S_8, regime)
     assert rep.overall and check_auto(bar, H2S_8) == rep
 
 
 def _blowup_search_by_full_sweep(cc, dens, given):
     """Reference Blowup search: every omega of the grid is tried on the
-    amplitude bracket and the largest that flips is kept; the amplitude
-    step is the shipped one.  Returns the flipping omegas and the barrier
-    and report, or the FeasibilitySearchError the search would raise."""
+    amplitude bracket and the largest at which the certificate differs
+    between C_LO and C_HI is kept; its binding amplitude is moved MARGIN
+    above the floor and rechecked.  Returns the flipping omegas and the
+    barrier and report, or the FeasibilitySearchError the search would
+    raise."""
 
     def make(C, w):
         return build_barrier(cc, dens, REGIME_BLOWUP, C, a=C ** (cc.m - 1.0) / w, **given)
@@ -731,7 +764,14 @@ def _blowup_search_by_full_sweep(cc, dens, given):
     w = found[-1]
     try:
         boundary = feasibility._binding_amplitude(cc, check_blowup(make(1.0, w), dens))
-        bar, report = feasibility._settle(lambda C: make(C, w), check_blowup, dens, boundary, floor=True)
+        if not feasibility.C_LO <= boundary <= feasibility.C_HI:
+            raise FeasibilitySearchError(
+                f"binding amplitude {boundary:g} outside [{feasibility.C_LO:g}, {feasibility.C_HI:g}]"
+            )
+        bar = make(boundary * (1.0 + feasibility.MARGIN), w)
+        report = check_blowup(bar, dens)
+        if not report.overall:
+            raise FeasibilitySearchError("search produced parameters that fail their own check")
         feasibility.refuse_degenerate_support(bar)
     except FeasibilitySearchError as err:
         return found, err
@@ -764,8 +804,9 @@ def _blowup_draws(n=50, seed=20261019):
 
 
 def test_blowup_search_matches_the_full_omega_sweep(monkeypatch):
-    # scanning the grid from its top end and stopping at the first flip
-    # returns the full sweep's largest flipping omega, bit for bit
+    # scanning the grid from its top end and stopping at the first binding
+    # amplitude inside the budget returns the full sweep's largest flipping
+    # omega, bit for bit
     calls = []
     monkeypatch.setattr(
         feasibility, "check_blowup", lambda *args: calls.append(1) or check_blowup(*args)
@@ -781,15 +822,15 @@ def test_blowup_search_matches_the_full_omega_sweep(monkeypatch):
             assert str(err.value) == str(want)
             outcomes["refused" if found else "no flip"] += 1
             if not found:
-                assert len(calls) == 2 * len(grid)
+                assert len(calls) == len(grid)
             continue
         bar, report = find_params(cc, dens, REGIME_BLOWUP, **given)
         want_bar, want_report = want
         assert (bar.C, bar.a, bar.T) == (want_bar.C, want_bar.a, want_bar.T)
         assert bar == want_bar and report == want_report
-        # two certificates per grid omega from the top down to the flip,
-        # then the probe at C = 1 and the recheck
-        assert len(calls) == 2 * np.count_nonzero(grid >= found[-1]) + 2
+        # the certificate at C = 1 for each grid omega from the top down to
+        # the flip, then the recheck
+        assert len(calls) == np.count_nonzero(grid >= found[-1]) + 1
         outcomes["top" if found[-1] == grid[-1] else "below top"] += 1
     assert min(outcomes.values()) >= 1 and outcomes["no flip"] >= 4, outcomes
 
@@ -842,3 +883,50 @@ def test_search_on_the_atlas(regime):
             reason = "certified"
         counts[reason] = counts.get(reason, 0) + 1
     assert counts == ATLAS_PINS[regime]
+
+
+# -- certified implies a supersolution (or subsolution) on the sweep --------
+
+# Certified barriers whose sweep margin is not finite: their R(0) is finite
+# but too large for the sweep's powers of r.  Refusing what doubles cannot
+# evaluate (ROADMAP item 2(f)) takes these to 0.
+SWEEP_NONFINITE = {REGIME_GE1A: 0, REGIME_GE1B: 0, REGIME_GE2: 0, REGIME_BLOWUP: 8}
+
+
+def _search_draws(regime, n=100):
+    """``n`` seeded inputs for ``regime`` from the box m in [1.2, 4],
+    |p - m| log-uniform in [1e-3, 5] with p on the regime's side of m (a
+    draw with p <= 1 is drawn again), alpha in [1.05, 4], r0 log-uniform
+    in [e, 1e14], N in {3, ..., 6}, and T the default or a power of ten
+    from 1e-3 to 1e9."""
+    rng = random.Random(f"search-draws-{regime}")
+    family = "H1" if regime in (REGIME_GE1A, REGIME_GE1B) else "H2Smooth"
+    while n:
+        m = rng.uniform(1.2, 4.0)
+        gap = math.exp(rng.uniform(math.log(1.0e-3), math.log(5.0)))
+        p = m - gap if regime == REGIME_GE1A else m + gap
+        alpha = rng.uniform(1.05, 4.0)
+        r0 = math.exp(rng.uniform(1.0, math.log(1.0e14)))
+        N = rng.choice((3, 4, 5, 6))
+        T = rng.choice((None,) + tuple(10.0**k for k in range(-3, 10)))
+        if p > 1.0:
+            n -= 1
+            yield ProblemConstants(m=m, p=p, N=N), DensityParams(family=family, alpha=alpha, r0=r0), T
+
+
+@pytest.mark.parametrize("regime", sorted(SWEEP_NONFINITE))
+def test_certified_barriers_pass_their_sweep(regime):
+    certified, nonfinite = 0, 0
+    for cc, dens, T in _search_draws(regime):
+        try:
+            bar, _ = find_params(cc, dens, regime, T=T)
+        except FeasibilitySearchError:
+            continue
+        certified += 1
+        sweep = residual_sweep(bar, dens)
+        if not math.isfinite(sweep.min_margin):
+            nonfinite += 1
+            continue
+        assert sweep.passed, (cc, dens, T, sweep.min_margin)
+    assert certified > 0
+    assert nonfinite == SWEEP_NONFINITE[regime]
