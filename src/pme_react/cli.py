@@ -14,9 +14,10 @@ Subcommands, all driven by one config file (see :mod:`pme_react.config`):
   data, adding ``scan.csv``.
 
 Reports are dataclasses; their fields are the JSON keys, and only the
-compare payload is reshaped here (the raw run becomes ``steps``,
-``final_sup`` and ``clamp_total``).  Non-finite floats are written as
-``null``.
+compare payload is reshaped here (the raw run becomes ``tau0``,
+``termination``, ``implicit``, ``steps``, ``final_sup`` and
+``clamp_total``).  ``series.csv`` is read off the run's snapshots.
+Non-finite floats are written as ``null``.
 
 Exit status: 0 when the requested check passed (or the simulation
 terminated normally), 2 when it failed, was infeasible or inconclusive,
@@ -49,7 +50,7 @@ from .harness import (
     derivative_crosscheck,
     residual_sweep,
 )
-from .solver import TERM_BLOWUP, TERM_COMPLETED, RadialGrid, RunResult, run
+from .solver import TERM_BLOWUP, TERM_COMPLETED, RadialGrid, RunResult, run, support_radius_numeric
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,19 +93,17 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_series(path: str, res: RunResult) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,sup_norm,support_radius\n")
-        for t, s, r in zip(res.times, res.sup_series, res.support_series):
-            fh.write(f"{_fmt(t)},{_fmt(s)},{_fmt(r)}\n")
-
-
-def _write_snapshots(path: str, res: RunResult, grid: RadialGrid) -> None:
-    radii = [f",{_fmt(r)}," for r in grid.centers.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_run(out: str, res: RunResult) -> None:
+    """``snapshots.csv``, and ``series.csv`` with each snapshot's time, sup
+    norm and support radius."""
+    radii = [f",{_fmt(r)}," for r in res.grid.centers.tolist()]
+    with open(os.path.join(out, "series.csv"), "w", encoding="utf-8") as series, \
+            open(os.path.join(out, "snapshots.csv"), "w", encoding="utf-8") as fh:
+        series.write("t,sup_norm,support_radius\n")
         fh.write("t,r,u\n")
         for t, u in res.snapshots:
             ts = _fmt(t)
+            series.write(f"{ts},{_fmt(float(u.max()))},{_fmt(support_radius_numeric(u, res.grid))}\n")
             # streamed: a joined snapshot set the peak memory of compare
             fh.writelines(f"{ts}{r}{_fmt(v)}\n" for r, v in zip(radii, u.tolist()))
 
@@ -124,8 +123,8 @@ def _run_summary(res: RunResult) -> dict:
         "steps": res.steps,
         "final_time": res.final_state.t,
         "final_sup": float(res.final_state.u.max()),
-        "s_num": res.blowup.s_num if res.blowup is not None else None,
-        "blowup_flag": res.blowup.flag if res.blowup is not None else None,
+        "s_num": res.s_num,
+        "blowup_flag": res.blowup_flag,
         "tau0": res.tau0,
         "clamp_total": res.clamp_total,
         "cells": res.grid.cells,
@@ -142,10 +141,13 @@ def _load(args) -> config_mod.Resolved:
 
 
 def _compare_payload(result, defaults_used) -> dict:
-    """A comparison's fields, with the raw run reduced to three numbers."""
+    """A comparison's fields, with the raw run reduced to the six it reports."""
     payload = _fields(result)
     res = payload.pop("run")
     payload.update(
+        tau0=res.tau0,
+        termination=res.termination,
+        implicit=res.implicit,
         steps=res.steps,
         final_sup=float(res.final_state.u.max()),
         clamp_total=res.clamp_total,
@@ -208,8 +210,7 @@ def _cmd_simulate(args) -> int:
     grid = RadialGrid(N=resolved.constants.N, R=resolved.solver.R, cells=resolved.solver.cells)
     u0 = build_initial(resolved.initial, grid, resolved.barrier)
     res = run(u0, grid, resolved.density, resolved.constants, resolved.solver)
-    _write_series(os.path.join(args.out, "series.csv"), res)
-    _write_snapshots(os.path.join(args.out, "snapshots.csv"), res, grid)
+    _write_run(args.out, res)
     payload = _run_summary(res)
     payload["defaults_used"] = resolved.defaults_used
     _write_json(os.path.join(args.out, "summary.json"), payload)
@@ -224,11 +225,10 @@ def _cmd_compare(args) -> int:
     _need_regime(resolved, "compare")
     _need_certificate(resolved)
     result = comparison_experiment(resolved.barrier, resolved.density, resolved.solver, resolved.initial)
-    _write_series(os.path.join(args.out, "series.csv"), result.run)
-    _write_snapshots(os.path.join(args.out, "snapshots.csv"), result.run, result.run.grid)
+    _write_run(args.out, result.run)
     _write_json(os.path.join(args.out, "verdict.json"), _compare_payload(result, resolved.defaults_used))
     print(f"compare[{result.regime}]: {result.verdict} "
-          f"(termination={result.termination}, max_violation={result.max_violation:.3e})")
+          f"(termination={result.run.termination}, max_violation={result.max_violation:.3e})")
     return EXIT_OK if result.verdict == VERDICT_PASS else EXIT_FAIL
 
 
@@ -241,8 +241,7 @@ def _cmd_scan(args) -> int:
     inputs = (resolved.barrier, resolved.density, resolved.solver, resolved.initial)
     result = comparison_experiment(*inputs)
     rows = blowup_scan(*inputs)
-    _write_series(os.path.join(args.out, "series.csv"), result.run)
-    _write_snapshots(os.path.join(args.out, "snapshots.csv"), result.run, result.run.grid)
+    _write_run(args.out, result.run)
     _write_scan(os.path.join(args.out, "scan.csv"), rows)
     payload = _compare_payload(result, resolved.defaults_used)
     _write_json(os.path.join(args.out, "verdict.json"), {**payload, "scan": rows})
@@ -274,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", required=True, help="output directory (created if absent)")
-        p.add_argument("--seed", type=int, default=None, help="override the harness seed")
+        p.add_argument("--seed", type=int, default=None, help="override the harness seed (only barrier-check "
+                       "reads it: feasibility, simulate, compare and blow-up-scan accept it and ignore it)")
         p.set_defaults(fn=fn, infeasible=(out_file, infeasible))
     return parser
 

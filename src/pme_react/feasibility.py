@@ -457,7 +457,9 @@ def build_barrier(
 def refuse_degenerate_support(bar) -> None:
     """Raise :class:`FeasibilitySearchError` for a compact barrier whose
     support at t = 0 is empty (GE2: the certificate ignores ``T``, the
-    support does not) or has a radius R(0) that is not a finite float."""
+    support does not), has a radius R(0) that is not a finite float, or
+    has ``R(0)^N`` past the float range, where the residual sweep's powers
+    of r and the solver's cell volumes overflow."""
     if bar.regime == REGIME_GE2:
         q = (bar.constants.p - bar.constants.m) / (bar.constants.p - 1.0)
         edge = math.log(bar.r0) ** bar.bbar
@@ -467,12 +469,18 @@ def refuse_degenerate_support(bar) -> None:
                 f"a T^((p-m)/(p-1)) = {bar.a * bar.T**q:g} <= (log r0)^bbar = {edge:g}; "
                 f"its support opens for T > {power_or_inf(edge / bar.a, 1.0 / q):g}"
             )
-    if not math.isfinite(bar.support_radius(0.0)):
+    R0 = float(bar.support_radius(0.0))
+    if not math.isfinite(R0):
         shape = bar.bbar if bar.regime == REGIME_GE2 else bar.bunder
         exponent = (bar.a / bar.time_factors(0.0)[1]) ** (1.0 / shape)
         raise FeasibilitySearchError(
             f"the certified {bar.regime} barrier's support radius R(0) ~ exp({exponent:.6g}) "
             f"at t = 0 is not a finite float"
+        )
+    if not math.isfinite(power_or_inf(R0, bar.constants.N)):
+        raise FeasibilitySearchError(
+            f"the certified {bar.regime} barrier's support radius R(0) = {R0:.6g} at t = 0 has R(0)^N "
+            f"past the float range at N = {bar.constants.N}, so its residual cannot be evaluated"
         )
 
 

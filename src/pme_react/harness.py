@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,9 +40,6 @@ from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
 from .density import E, DensityParams, inverse_rho
 from .solver import TERM_BLOWUP, TERM_STALLED, TERM_STEP_LIMIT, RadialGrid, RunResult, SolverConfig
 from .solver import reaction_time_scale, run, support_radius_numeric
-
-if TYPE_CHECKING:
-    from .implicit import ImplicitStats
 
 Barrier = Union[GE1Barrier, GE2Barrier, BlowupSubsolution]
 
@@ -326,10 +323,7 @@ class ComparisonResult:
     blowup_expected: bool
     blowup_window_ok: Optional[bool]
     s_num: Optional[float]
-    tau0: Optional[float]
-    termination: str
     notes: List[str]
-    implicit: Optional[ImplicitStats]
     half_dt: Optional[HalfStepCheck]
     run: RunResult
 
@@ -417,9 +411,6 @@ def comparison_experiment(
         regime=bar.regime,
         hypothesis=hyp,
         blowup_expected=isinstance(bar, BlowupSubsolution),
-        tau0=res.tau0,
-        termination=res.termination,
-        implicit=res.implicit,
         half_dt=half_dt,
         run=res,
         **judged,
@@ -443,14 +434,14 @@ def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> dict:
         notes.append(f"run terminated early ({res.termination}) at t={res.final_state.t:.6g}")
         verdict = VERDICT_INCONCLUSIVE
         support_checked = False
-    elif sub and (res.termination != TERM_BLOWUP or res.blowup is None):
+    elif sub and res.termination != TERM_BLOWUP:
         notes.append("expected blow-up but the run completed")
         verdict = VERDICT_FAIL
         blow_ok = False
     else:
         ordered_ok = True
         if sub:
-            s_num = res.blowup.s_num
+            s_num = res.s_num
             lo = 0.95 * res.tau0 if res.tau0 is not None else 0.0
             hi = 1.05 * bar.T
             blow_ok = bool(lo <= s_num <= hi)
@@ -574,7 +565,7 @@ def blowup_scan(
             ScanRow(
                 factor=float(f),
                 blew_up=res.termination == TERM_BLOWUP,
-                s_num=res.blowup.s_num if res.blowup is not None else None,
+                s_num=res.s_num,
                 tau0=res.tau0,
                 termination=res.termination,
             )

@@ -1,9 +1,9 @@
 """Finite-volume scheme for the weighted reaction-diffusion flow: explicit
 steps (:func:`run`) and, against a boundary datum, backward-Euler steps
 (:func:`pme_react.implicit.run_implicit`).  One driver, ``_drive``, runs
-the steps of both schemes and records their runs: output snapshots and
-series, the blow-up record, the termination, ``max_steps``, ``tau0`` and
-the clamped mass.
+the steps of both schemes and records their runs: output snapshots, the
+termination, the blow-up time and flag, ``max_steps``, ``tau0`` and the
+clamped mass.
 
 Discretization.  Radial domain [0, R] split into equal cells; faces sit at
 ``i Δr`` and carry the area factor ``r^(N-1)``, cell volumes are
@@ -75,12 +75,14 @@ products and the tridiagonal solve is a loop over Python floats, so a run
 is the same on every machine.
 
 Blow-up bookkeeping, the same for both schemes.  The run stops when the
-sup norm reaches ``blowup_threshold`` (the numerical blow-up time is
-linearly interpolated inside the crossing step) or leaves the finite range
-(flag ``overflow``).  A run that stalls, its step no longer advancing
-``t``, while ``REACTION_DT_CAP * sup^(1-p)`` is below half an ulp of ``t``
-also counts as blow-up, at ``s_num = t`` (flag ``time_resolution``); any
-other stall, and every stall with the reaction off, stays ``stalled``.
+sup norm reaches ``blowup_threshold`` (``blowup_flag`` ``threshold``; the
+numerical blow-up time ``s_num`` is linearly interpolated inside the
+crossing step) or leaves the finite range (flag ``overflow``, ``s_num``
+the time that step reached).  A run that stalls, its step no longer
+advancing ``t``, while ``REACTION_DT_CAP * sup^(1-p)`` is below half an
+ulp of ``t`` also counts as blow-up, at ``s_num = t`` (flag
+``time_resolution``); any other stall, and every stall with the reaction
+off, stays ``stalled``.
 Negative undershoots are clamped to zero with the clamped weighted mass
 accumulated, and ``tau0 = 1/((p-1) sup(u0)^(p-1))`` is recorded for runs
 with reaction.  The kernel takes the sup, and at m = 2 the clamp, only when
@@ -93,10 +95,11 @@ Output.  Full snapshots are taken at the configured output times: an
 output time a step lands on takes the state itself, any other the cellwise
 linear interpolant between the two bracketing steps.  So backward-Euler
 snapshots, whose steps end on the output times, are the stepped states,
-and a snapshot at ``t_end`` is the final state.  The series values (sup
-norm and support radius) are read off the snapshots, so they agree by
-construction.  The support radius counts cells above
-``SUPPORT_THRESHOLD``.
+and a snapshot at ``t_end`` is the final state.  A run records its
+snapshots and nothing derived from them: the command line reads each
+series row (time, sup norm and :func:`support_radius_numeric`, which counts
+cells above ``SUPPORT_THRESHOLD``) off its snapshot, so the two output
+files agree by construction.
 """
 
 from __future__ import annotations
@@ -207,28 +210,18 @@ class State:
     u: np.ndarray
 
 
-@dataclass(frozen=True)
-class BlowupRecord:
-    """Numerical blow-up time ``s_num``, the flag of the test that saw it, and the last sup."""
-
-    s_num: float
-    flag: str
-    final_sup: float
-
-
 @dataclass
 class RunResult:
-    """What one run produced: sup and support series, snapshots, termination, blow-up, step counts."""
+    """What one run produced: snapshots, termination, blow-up time and flag
+    (both ``None`` unless it blew up), step count and clamped mass."""
 
     grid: RadialGrid
     config: SolverConfig
     rho_values: np.ndarray
-    times: np.ndarray
-    sup_series: np.ndarray
-    support_series: np.ndarray
     snapshots: List[Tuple[float, np.ndarray]]
     termination: str
-    blowup: Optional[BlowupRecord]
+    s_num: Optional[float]
+    blowup_flag: Optional[str]
     tau0: Optional[float]
     steps: int
     clamp_total: float
@@ -325,7 +318,8 @@ def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: Solve
         snapshots.append((pending.pop(0), u.copy()))
 
     termination = TERM_COMPLETED
-    blowup: Optional[BlowupRecord] = None
+    s_num: Optional[float] = None
+    flag: Optional[str] = None
     steps = 0
     clamp_total = 0.0
     while t < config.t_end:
@@ -349,14 +343,14 @@ def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: Solve
 
         if status == _kernels.STATUS_BLOWUP:
             s_num = t_prev + (t - t_prev) * (config.blowup_threshold - sup_prev) / (sup_new - sup_prev)
-            blowup = BlowupRecord(s_num=s_num, flag=FLAG_THRESHOLD, final_sup=sup_new)
+            flag = FLAG_THRESHOLD
         elif status == _kernels.STATUS_OVERFLOW:
-            blowup = BlowupRecord(s_num=t, flag=FLAG_OVERFLOW, final_sup=math.inf)
+            s_num, flag = t, FLAG_OVERFLOW
         elif status == _kernels.STATUS_STALLED:
             if config.reaction and t + _kernels.reaction_cap(REACTION_DT_CAP, sup_new, constants.p) == t:
                 # the reaction cap fell below half an ulp of t: the solution
                 # blows up faster than t can resolve, so t is the blow-up time
-                blowup = BlowupRecord(s_num=t, flag=FLAG_TIME_RESOLUTION, final_sup=sup_new)
+                s_num, flag = t, FLAG_TIME_RESOLUTION
             else:
                 termination = TERM_STALLED
         else:
@@ -367,12 +361,10 @@ def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: Solve
         grid=grid,
         config=config,
         rho_values=rho_vals,
-        times=np.asarray([t_out for t_out, _ in snapshots]),
-        sup_series=np.asarray([float(snap.max()) for _, snap in snapshots]),
-        support_series=np.asarray([support_radius_numeric(snap, grid) for _, snap in snapshots]),
         snapshots=snapshots,
-        termination=TERM_BLOWUP if blowup is not None else termination,
-        blowup=blowup,
+        termination=TERM_BLOWUP if flag is not None else termination,
+        s_num=s_num,
+        blowup_flag=flag,
         tau0=tau0,
         steps=steps,
         clamp_total=clamp_total,

@@ -206,8 +206,7 @@ def test_criterion_6_reaction_clock(tmp_path):
     res = run(np.ones(cells), grid, np.ones(cells), CC23, cfg)
     direct_ok = (
         res.termination == "blowup"
-        and res.blowup is not None
-        and abs(res.blowup.s_num - 0.5) <= 0.05 * 0.5
+        and abs(res.s_num - 0.5) <= 0.05 * 0.5
     )
     out = tmp_path / "reaction"
     rc = cli.main(["simulate", "--config", str(CONFIG), "--out", str(out)])
@@ -218,7 +217,7 @@ def test_criterion_6_reaction_clock(tmp_path):
         and abs(payload["s_num"] - 0.5) <= 0.05 * 0.5
     )
     dt = time.perf_counter() - t0
-    s_direct = res.blowup.s_num if res.blowup else math.nan
+    s_direct = res.s_num if res.s_num is not None else math.nan
     _report(
         direct_ok and cli_ok and dt <= 10.0,
         f"criterion-6 reaction clock: direct s_num={s_direct:.6f}, "
@@ -237,7 +236,7 @@ def test_criterion_7_spreading_bound_end_to_end(ge2_pack):
     dt = time.perf_counter() - t0
     ok = (
         out.verdict == "pass"
-        and out.termination == "completed"
+        and out.run.termination == "completed"
         and out.max_violation <= 0.0
         and out.support_ok is True
         and dt <= 300.0
@@ -262,14 +261,14 @@ def test_criterion_8_blowup_end_to_end(blowup_pack):
     dt = time.perf_counter() - t0
     ok = (
         out.verdict == "pass"
-        and out.termination == "blowup"
+        and out.run.termination == "blowup"
         and out.blowup_window_ok is True
         and out.support_ok is True
         and out.max_violation <= 0.0
         and dt <= 300.0
     )
     s_num = out.s_num if out.s_num is not None else math.nan
-    tau0 = out.tau0 if out.tau0 is not None else math.nan
+    tau0 = out.run.tau0 if out.run.tau0 is not None else math.nan
     _report(ok, f"criterion-8 blow-up from the subsolution: s_num={s_num:.4g} in "
                 f"[0.95 tau0, 1.05 T] with tau0={tau0:.4g}, lower bound and "
                 f"support held to 0.95 s_num, {dt:.1f}s (<=300s)")

@@ -2,11 +2,17 @@
 
 ``perfbench/child.py`` patches every function listed in its ``TRACED``
 table when it runs with ``--trace 1``; a renamed or deleted target would
-only surface there, as a crash of the traced run.
+only surface there, as a crash of the traced run.  It looks each module up
+in ``sys.modules`` right after ``import pme_react.cli``, so a module that
+import leaves out (a lazy import) would crash it the same way.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +38,16 @@ def test_traced_target_resolves(span, mod_name, attr):
         assert callable(getattr(owner, cls_name).__dict__.get(meth))
     else:
         assert callable(getattr(owner, attr, None))
+
+
+def test_cli_import_loads_every_traced_module():
+    # a fresh interpreter: this suite's own imports would hide a lazy one
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import json, sys, pme_react.cli\nprint(json.dumps(sorted(sys.modules)))\n"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(out.stdout))
+    assert {"pme_react." + mod_name for _, mod_name, _ in TRACED} <= loaded
 
 
 def test_backend_flag_exists():

@@ -16,6 +16,7 @@ from pme_react.config import ConfigError, load, loads, resolve
 from pme_react.density import E
 from pme_react.feasibility import REGIME_BLOWUP, REGIME_GE1B, REGIME_GE2, check_auto
 from pme_react.harness import VERDICT_FAIL, comparison_experiment, residual_sweep
+from pme_react.solver import SUPPORT_THRESHOLD, RadialGrid
 
 GE1B_TEXT = """\
 [problem]
@@ -132,6 +133,43 @@ cells = 64
     assert has(2, "missing required key 'n'")
     # the swallowed keys under bad headers produce no extra noise
     assert not any("x" in i.message and i.line == 12 for i in issues)
+
+
+PLAIN_BOUNDARY_LINE = PLAIN_TEXT.splitlines().index("boundary = neumann0") + 1
+
+
+@pytest.mark.parametrize(
+    "spelling, value",
+    [(v, True) for v in ("true", "True", "YES", "on", "1")] + [(v, False) for v in ("false", "No", "OFF", "0")],
+)
+def test_solver_reaction_spellings(spelling, value):
+    text = PLAIN_TEXT.replace("boundary = neumann0", f"boundary = neumann0\nreaction = {spelling}")
+    assert loads(text).solver_kwargs["reaction"] is value
+
+
+def test_solver_reaction_rejects_other_words():
+    text = PLAIN_TEXT.replace("boundary = neumann0", "boundary = neumann0\nreaction = maybe")
+    with pytest.raises(ConfigError) as exc_info:
+        loads(text)
+    (issue,) = exc_info.value.issues
+    assert issue.line == PLAIN_BOUNDARY_LINE + 1
+    assert issue.message == "[solver] reaction: expected true/false, got 'maybe'"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("[density]", "duplicate section [density]"),
+        ("cells 16", "expected 'key = value' or '[section]', got 'cells 16'"),
+        ("= 16", "empty key"),
+    ],
+    ids=["duplicate-section", "no-equals", "empty-key"],
+)
+def test_loads_line_errors(bad, message):
+    with pytest.raises(ConfigError) as exc_info:
+        loads(PLAIN_TEXT + bad + "\n")
+    (issue,) = exc_info.value.issues
+    assert (issue.line, issue.message) == (len(PLAIN_TEXT.splitlines()) + 1, message)
 
 
 def test_loads_missing_required_sections():
@@ -572,23 +610,65 @@ def test_cli_blowup_with_overflowing_support_exits_2(tmp_path, capsys, command, 
     assert payload[key] == value and payload["error"] == err[0][len("infeasible: "):]
 
 
+# R(0) = 5.9e170 is a float, but R(0)^4 is not: the sweep's powers of r and
+# the grid's cell volumes overflow, so the certificate must not pass it on
+HUGE_BLOWUP_TEXT = """\
+[problem]
+m = 2
+p = 2.01
+N = 4
+
+[density]
+family = H2Smooth
+alpha = 1.1
+r0 = 8
+
+[barrier]
+regime = Blowup
+{given}
+[solver]
+R = auto
+cells = 32
+t_end = 1e-5
+output_times = 0, 1e-6
+"""
+
+
+@pytest.mark.parametrize("given", ["", "C = 281007.23069392756\na = 281007.23069392756\n"], ids=["search", "given"])
+@pytest.mark.parametrize("command", ["feasibility", "barrier-check", "compare"])
+def test_cli_blowup_with_unevaluable_support_exits_2(tmp_path, capsys, command, given):
+    cfg = write(tmp_path, "huge.cfg", HUGE_BLOWUP_TEXT.format(given=given))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 1
+    assert err[0] == (
+        "infeasible: the certified Blowup barrier's support radius R(0) = 5.88903e+170 at t = 0 "
+        "has R(0)^N past the float range at N = 4, so its residual cannot be evaluated"
+    )
+    out_file, key, value = INFEASIBLE_OUTPUTS[command]
+    payload = json.loads((out / out_file).read_text())
+    assert payload[key] == value and payload["error"] == err[0][len("infeasible: "):]
+
+
 def test_cli_auto_radius_overflowing_at_t_end_exits_1(tmp_path, capsys):
-    # R(0) = exp(562) is a float, but the spreading support reaches exp(1001)
-    # by t_end = 100, so R = auto has no finite value to take
+    # R(0) = exp(178) and R(0)^3 are floats, but the spreading support
+    # reaches exp(750) by t_end = 1e5, so R = auto has no finite value to take
     text = (CONFIGS / "ge2.cfg").read_text()
-    for old, new in (("R = 52.0", "R = auto\nt_end = 100"), ("cells = 2048", "cells = 32"),
-                     ("regime = GE2", "regime = GE2\nC = 0.1\na = 1e11")):
+    for old, new in (("R = 52.0", "R = auto\nt_end = 1e5"), ("cells = 2048", "cells = 32"),
+                     ("regime = GE2", "regime = GE2\nC = 0.1\na = 1e9")):
         text = text.replace(old, new)
     cfg = write(tmp_path, "ge2_wide.cfg", text)
     rc = cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: [solver] R = auto overflows at t_end = 100; give R")
+    assert capsys.readouterr().err.startswith("error: [solver] R = auto overflows at t_end = 100000; give R")
 
 
-# GE2 with a given amplitude that fails its certificate: R(0) = exp(562) is
-# a float but R(10) = exp(758) is not
-GE2_WIDE = (CONFIGS / "ge2.cfg").read_text().replace("R = 52.0", "R = 10").replace(
-    "cells = 2048", "cells = 32").replace("regime = GE2", "regime = GE2\nC = 0.1\na = 1e11")
+# GE2 with a given amplitude that fails its certificate: R(0) = exp(178)
+# and R(0)^3 are floats, but R(1e5) = exp(750), at the t_end the sweep
+# reaches, is not
+GE2_WIDE = (CONFIGS / "ge2.cfg").read_text().replace("R = 52.0", "R = 10\nt_end = 1e5").replace(
+    "cells = 2048", "cells = 32").replace("regime = GE2", "regime = GE2\nC = 0.1\na = 1e9")
 
 
 @pytest.mark.parametrize("command", ["barrier-check"])
@@ -647,7 +727,7 @@ def test_cli_overflowing_power_of_c_gives_inf(tmp_path, capsys, case):
 # given parameters whose certificate fails: (config, regime, condition set,
 # the failing inequalities)
 UNCERTIFIED = {
-    "compare": (GE2_WIDE, "GE2", "pointwise", "amplitude_balance_pointwise: 0.51 > 6.67574e-11"),
+    "compare": (GE2_WIDE, "GE2", "pointwise", "amplitude_balance_pointwise: 0.51 > 6.67574e-09"),
     "blow-up-scan": (
         _shipped("blowup", "C = 10.0\na = 3.0\n").replace("cells = 2048", "cells = 64"),
         "Blowup",
@@ -725,6 +805,36 @@ def test_cli_simulate_plain_reaction(tmp_path, capsys):
     assert payload["tau0"] == pytest.approx(0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("command, stem", [("simulate", "reaction_check"), ("compare", "ge2")])
+def test_cli_series_rows_are_read_off_the_snapshots(tmp_path, command, stem):
+    # each series.csv row is (t, max u, support radius) of its snapshot
+    # block; the radius is the outer face of the last cell above
+    # SUPPORT_THRESHOLD.  Rounding to 12 digits keeps the order of values,
+    # so the max of the written values is the written max.
+    text = (CONFIGS / f"{stem}.cfg").read_text()
+    if stem == "ge2":
+        text = re.sub(r"(?m)^cells = .*$", "cells = 256", text)
+    cfg = write(tmp_path, f"{stem}.cfg", text)
+    out = tmp_path / "out"
+    # ge2 at 256 cells fails its support allowance, and still writes both files
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == (2 if stem == "ge2" else 0)
+    resolved = resolve(load(cfg))
+    solver = resolved.solver
+    faces = RadialGrid(N=resolved.constants.N, R=solver.R, cells=solver.cells).faces
+    blocks = {}
+    for row in (out / "snapshots.csv").read_text().splitlines()[1:]:
+        t, _, u = row.split(",")
+        blocks.setdefault(t, []).append(float(u))
+    expected = ["t,sup_norm,support_radius"]
+    for t, u in blocks.items():
+        assert len(u) == solver.cells
+        inside = np.flatnonzero(np.asarray(u) > SUPPORT_THRESHOLD)
+        radius = faces[inside[-1] + 1] if inside.size else 0.0
+        expected.append(f"{t},{max(u):.12g},{radius:.12g}")
+    assert len(expected) > 2
+    assert (out / "series.csv").read_text().splitlines() == expected
+
+
 def test_cli_simulate_plain_short_csv_exits_1(tmp_path, capsys):
     data = write(tmp_path, "u0.csv", "1.0,1.0,1.0\n")
     cfg = write(tmp_path, "plain.cfg", PLAIN_TEXT.replace("constant:1.0", f"csv:{data}"))
@@ -742,7 +852,7 @@ def _strict_json(path):
 
 
 # the JSON keys of each report: its dataclass fields, and for compare the run
-# reduced to three numbers (the raw run never reaches the file)
+# reduced to the six values it reports (the raw run never reaches the file)
 HYPOTHESIS_KEYS = {"side", "max_violation", "n_violations", "ok"}
 COMPARE_KEYS = {
     "verdict", "regime", "hypothesis", "checked_times", "max_violation", "worst_time",

@@ -347,7 +347,7 @@ def test_run_scenario_outputs(ge1b):
     cfg = ge1b_solver(t_end=0.2)
     grid = grid_of(cfg)
     res = run(build_initial(InitialData(), grid, bar), grid, H1_NEAR, CC23, cfg)
-    np.testing.assert_allclose(res.times, cfg.output_times, rtol=0, atol=0)
+    assert tuple(t for t, _ in res.snapshots) == cfg.output_times
     assert res.termination == "completed"
 
 
@@ -377,7 +377,7 @@ def test_comparison_ge1_runs_implicitly_with_the_barrier_at_the_wall(ge1b, monke
     assert len(ghosts) == 2 and ghosts[0] is ghosts[1]
     assert ghosts[0](0.5) == float(bar.eval(grid.R + 0.5 * grid.dr, 0.5))
     # one step per output time; the rerun at half the step takes two
-    assert out.run.steps == 4 and out.implicit.dt_bound["output"] == 4
+    assert out.run.steps == 4 and out.run.implicit.dt_bound["output"] == 4
     assert out.half_dt.max_dt == 0.125 and out.half_dt.steps == 8
     assert out.verdict == out.half_dt.verdict == VERDICT_PASS
     assert -1.0e-3 < out.headroom < 0.0 and out.headroom_time > 0.0
@@ -414,7 +414,7 @@ def test_comparison_step_budget_is_inconclusive(ge1b):
     bar, _ = ge1b
     out = comparison_experiment(bar, H1_NEAR, ge1b_solver(max_steps=3))
     assert out.verdict == VERDICT_INCONCLUSIVE
-    assert out.termination == "step_limit"
+    assert out.run.termination == "step_limit"
     assert out.notes and "step_limit" in out.notes[0]
 
 
@@ -426,7 +426,7 @@ def test_comparison_to_jsonable_keys(ge1b):
     for key in ("verdict", "hypothesis", "max_violation", "termination", "steps"):
         assert key in d
     assert "run" not in d  # raw arrays stay out of the serialized record
-    assert set(d) - {"steps", "final_sup", "clamp_total", "defaults_used"} == {
+    assert set(d) - {"tau0", "termination", "implicit", "steps", "final_sup", "clamp_total", "defaults_used"} == {
         f.name for f in dataclasses.fields(out) if f.name != "run"
     }
 
@@ -437,8 +437,8 @@ def test_comparison_blowup_coarse(blowup):
     assert out.verdict == VERDICT_PASS
     assert out.checked_times == [0.0, 2.5e-6, 5.0e-6] and out.support_ok
     assert out.blowup_expected and out.blowup_window_ok
-    assert out.s_num is not None and out.tau0 is not None
-    assert 0.95 * out.tau0 <= out.s_num <= 1.05 * bub.T
+    assert out.s_num == out.run.s_num and out.run.tau0 is not None
+    assert 0.95 * out.run.tau0 <= out.s_num <= 1.05 * bub.T
 
 
 # -- amplitude scan ---------------------------------------------------------

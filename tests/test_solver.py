@@ -15,6 +15,7 @@ from pme_react.solver import (
     BOUNDARIES,
     BOUNDARY_DIRICHLET,
     BOUNDARY_NEUMANN,
+    FLAG_OVERFLOW,
     FLAG_THRESHOLD,
     FLAG_TIME_RESOLUTION,
     REACTION_DT_CAP,
@@ -195,8 +196,8 @@ def test_uniform_reaction_matches_ode():
     res = run(np.ones(cells), g, np.ones(g.cells), CC23, cfg)
     assert res.termination == TERM_COMPLETED
     assert res.tau0 == pytest.approx(0.5, rel=1e-15)
-    for t_out, sup in zip(res.times, res.sup_series):
-        assert sup == pytest.approx((1.0 - 2.0 * t_out) ** -0.5, rel=2e-3)
+    for t_out, snap in res.snapshots:
+        assert snap.max() == pytest.approx((1.0 - 2.0 * t_out) ** -0.5, rel=2e-3)
 
 
 def test_uniform_reaction_blows_up_at_tau0():
@@ -205,10 +206,23 @@ def test_uniform_reaction_blows_up_at_tau0():
     cfg = SolverConfig(t_end=0.7, R=1.0, cells=cells, boundary=BOUNDARY_NEUMANN)
     res = run(np.ones(cells), g, np.ones(g.cells), CC23, cfg)
     assert res.termination == TERM_BLOWUP
-    assert res.blowup is not None
-    assert res.blowup.flag == "threshold"
-    assert res.blowup.s_num == pytest.approx(res.tau0, rel=0.05)
-    assert res.blowup.s_num < 0.7
+    assert res.blowup_flag == FLAG_THRESHOLD
+    assert res.s_num == pytest.approx(res.tau0, rel=0.05)
+    assert res.s_num < 0.7
+
+
+def test_overflow_below_the_threshold_is_blowup():
+    """From flat 1e120 at p = 3 the first step's reaction term u^p leaves
+    the float range while the threshold 1e300 is still above sup: the run
+    blows up with the overflow flag at the time that step reached."""
+    cells = 8
+    g = RadialGrid(N=3, R=1.0, cells=cells)
+    cfg = SolverConfig(t_end=1.0, R=1.0, cells=cells, boundary=BOUNDARY_NEUMANN, blowup_threshold=1.0e300)
+    res = run(np.full(cells, 1.0e120), g, np.ones(g.cells), CC23, cfg)
+    assert res.termination == TERM_BLOWUP
+    assert res.blowup_flag == FLAG_OVERFLOW
+    assert res.s_num == res.final_state.t > 0.0
+    assert res.steps == 1 and not np.isfinite(res.final_state.u).all()
 
 
 def test_blowup_past_the_time_resolution_is_not_a_stall():
@@ -221,10 +235,10 @@ def test_blowup_past_the_time_resolution_is_not_a_stall():
     cfg = SolverConfig(t_end=10.0, R=1.0, cells=cells, boundary=BOUNDARY_NEUMANN)
     res = run(np.full(cells, 0.5), g, np.ones(g.cells), cc, cfg)
     assert res.termination == TERM_BLOWUP
-    assert res.blowup.flag == FLAG_TIME_RESOLUTION
-    assert res.blowup.s_num == res.final_state.t
-    assert res.blowup.final_sup == res.final_state.u.max() < cfg.blowup_threshold
-    assert res.blowup.s_num == pytest.approx(res.tau0, rel=1e-3)
+    assert res.blowup_flag == FLAG_TIME_RESOLUTION
+    assert res.s_num == res.final_state.t
+    assert res.final_state.u.max() < cfg.blowup_threshold
+    assert res.s_num == pytest.approx(res.tau0, rel=1e-3)
 
 
 def test_diffusion_only_stall_stays_stalled():
@@ -232,7 +246,7 @@ def test_diffusion_only_stall_stays_stalled():
     cfg = SolverConfig(t_end=2.0e20, R=10.0, cells=48, boundary=BOUNDARY_NEUMANN, reaction=False)
     res = run(State(t=1.0e20, u=u0), g, np.ones(g.cells), CC23, cfg)
     assert res.termination == TERM_STALLED
-    assert res.blowup is None
+    assert res.s_num is None and res.blowup_flag is None
     assert res.steps == 0 and res.final_state.t == 1.0e20
 
 
@@ -247,13 +261,12 @@ def test_output_times_are_exact():
         reaction=False, output_times=times,
     )
     res = run(u0, g, np.ones(g.cells), CC23, cfg)
-    np.testing.assert_array_equal(res.times, np.asarray(times))
-    assert len(res.snapshots) == 4
+    assert [t for t, _ in res.snapshots] == list(times)
     t0, snap0 = res.snapshots[0]
     assert t0 == 0.0
     np.testing.assert_array_equal(snap0, u0)
     # snapshots interpolate between steps, so sups interleave monotonically here
-    assert np.all(np.diff(res.sup_series) <= 0.0)
+    assert np.all(np.diff([snap.max() for _, snap in res.snapshots]) <= 0.0)
 
 
 def test_interpolated_snapshots_are_zero_past_the_support(monkeypatch):
@@ -311,11 +324,11 @@ def test_implicit_stall_takes_the_run_stall_rule(sup, max_dt, termination, flag)
     assert res.termination == termination
     assert (t0 + _kernels.reaction_cap(REACTION_DT_CAP, sup, 3.0) == t0) == (flag is not None)
     if flag is None:
-        assert res.blowup is None
+        assert res.s_num is None and res.blowup_flag is None
     else:
-        assert (res.blowup.flag, res.blowup.s_num, res.blowup.final_sup) == (flag, t0, sup)
+        assert (res.blowup_flag, res.s_num, res.final_state.u.max()) == (flag, t0, sup)
         explicit = run(u0, g, np.ones(16), CC23, cfg)
-        assert explicit.termination == termination and explicit.blowup == res.blowup
+        assert (explicit.termination, explicit.blowup_flag, explicit.s_num) == (termination, flag, t0)
 
 
 def test_state_start_skips_stale_outputs():
@@ -326,7 +339,7 @@ def test_state_start_skips_stale_outputs():
     )
     res = run(State(t=0.5, u=u0), g, np.ones(g.cells), CC23, cfg)
     assert res.termination == TERM_COMPLETED
-    assert list(res.times) == [0.6]
+    assert [t for t, _ in res.snapshots] == [0.6]
     assert res.final_state.t == pytest.approx(0.7, abs=0.0)
 
 
@@ -623,5 +636,5 @@ def test_implicit_step_halves_where_newton_fails(m, p):
     # left to run, the data blow up a little before the reaction time
     # 1/(p - 1): backward Euler grows faster than the ODE
     res = run_implicit(np.ones(64), g, heavy, cc, replace(cfg, max_steps=10**4), lambda t: 1.0)
-    assert res.termination == TERM_BLOWUP and res.blowup.flag == FLAG_THRESHOLD
-    assert 0.8 < res.blowup.s_num * (p - 1.0) < 1.0
+    assert res.termination == TERM_BLOWUP and res.blowup_flag == FLAG_THRESHOLD
+    assert 0.8 < res.s_num * (p - 1.0) < 1.0

@@ -94,5 +94,5 @@ def test_certified_compact_barriers_keep_their_verdicts(stem):
     res = _resolved(stem, cells=256 if stem == "ge2" else None)
     out = _compare(res, res.barrier)
     assert out.verdict == (VERDICT_FAIL if stem == "ge2" else VERDICT_PASS)
-    assert out.implicit is None and out.half_dt is None
+    assert out.run.implicit is None and out.half_dt is None
     assert out.headroom < 0.0
