@@ -45,13 +45,15 @@ r)``; outside it, and at every return, the kernel settles first.  At m = 2,
 the clamp can wait for the settle too; at other m it stays at each step's
 end.
 
-At (m, p) = (2, 3) a step makes 12 numpy calls: the dt division and its
-``argmin``, ``u*u`` and one more product for the cube, two for the fluxes,
-four for the diffusion update and two for the reaction.  At (3, 2) it makes
-13, the ``argmin`` of the clamp check being the extra one.  With m and p
-outside {2, 3} nothing reads ``u*u`` and it is skipped: three powers take
-its place, 14 calls.  dt reaches the two products that take it as a 0-d
-array filled once per step, which a ufunc takes faster than a Python float.
+The update takes one Euler rate per cell, ``inv_i (F_{i+1/2} - F_{i-1/2})``
+plus ``u_i^p`` when the reaction is on, multiplies it by dt once and adds
+the result to ``u_i``, in the reference's order.  At (m, p) = (2, 3) a step
+makes 11 numpy calls: the dt division and its ``argmin``, ``u*u`` and one
+more product for the cube, two for the fluxes and five for the update.  At
+(3, 2) it makes 12, the ``argmin`` of the clamp check being the extra one.
+With m and p outside {2, 3} nothing reads ``u*u`` and it is skipped: three
+powers take its place, 13 calls.  dt reaches its product as a 0-d array
+filled once per step, which a ufunc takes faster than a Python float.
 
 Contract of ``advance``: starting from cell values ``u`` at time ``t``, take
 explicit Euler steps (diffusion flux divergence plus optional reaction) until
@@ -212,7 +214,6 @@ def advance(
     pw = sq if m in (2.0, 3.0) else np.empty(n)
     up = um if m == p else sq if p == 2.0 else np.empty(n)
     need_sq = m == 2.0 or (reaction and p in (2.0, 3.0))
-    dflux = np.empty(n)
     inc = np.empty(n)
     dt_a = np.empty(())
 
@@ -232,7 +233,7 @@ def advance(
                 c3_w, ratio_w, rho_w = c3[:hi], ratio[:hi], rho_vol[:hi]
                 sq_k, sq_w, um_k, up_w, g_w = sq[:k], sq[:hi], um[:k], up[:hi], pw[:hi]
                 um_lo, um_hi, flux_in, area_in = um[: k - 1], um[1:k], flux[1:k], area_over_dr[1:k]
-                flux_lo, flux_hi, dflux_w = flux[:hi], flux[1 : hi + 1], dflux[:hi]
+                flux_lo, flux_hi = flux[:hi], flux[1 : hi + 1]
                 inv_w, inc_w = inv_rho_vol[:hi], inc[:hi]
 
             uw, uk = cur
@@ -289,15 +290,14 @@ def advance(
                 flux[n] = -area_over_dr[n] * um[n - 1] if dirichlet else 0.0
 
             t_prev = t
-            subtract(flux_hi, flux_lo, dflux_w)
-            multiply(inv_w, dt_a, inc_w)
-            multiply(inc_w, dflux_w, inc_w)
+            subtract(flux_hi, flux_lo, inc_w)
+            multiply(inv_w, inc_w, inc_w)
+            if reaction:
+                add(inc_w, up_w, inc_w)
+            multiply(inc_w, dt_a, inc_w)
             add(uw, inc_w, nxt[0])
             cur, nxt = nxt, cur
             uw = cur[0]
-            if reaction:
-                multiply(up_w, dt_a, inc_w)
-                add(uw, inc_w, uw)
             settled = False
             if not clamp_late and not uw[uw.argmin()] >= 0.0:
                 clamp_added = _clamp(uw, rho_w, clamp_added)

@@ -14,9 +14,9 @@ Subcommands, all driven by one config file (see :mod:`pme_react.config`):
   data, adding ``scan.csv``.
 
 Reports are dataclasses; their fields are the JSON keys, and only the
-compare payload is reshaped here (the raw run becomes ``tau0``,
-``termination``, ``implicit``, ``steps``, ``final_sup`` and
-``clamp_total``).  ``series.csv`` is read off the run's snapshots.
+compare payload is reshaped here (the raw run becomes its outcome, the
+keys it shares with ``summary.json``, and ``implicit``).  ``series.csv`` is
+read off the run's snapshots.
 Non-finite floats are written as ``null``.
 
 Exit status: 0 when the requested check passed (or the simulation
@@ -38,6 +38,8 @@ import math
 import os
 import sys
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import config as config_mod
 from .barrier import REGIME_BLOWUP
@@ -104,8 +106,11 @@ def _write_run(out: str, res: RunResult) -> None:
         for t, u in res.snapshots:
             ts = _fmt(t)
             series.write(f"{ts},{_fmt(float(u.max()))},{_fmt(support_radius_numeric(u, res.grid))}\n")
-            # streamed: a joined snapshot set the peak memory of compare
-            fh.writelines(f"{ts}{r}{_fmt(v)}\n" for r, v in zip(radii, u.tolist()))
+            # streamed: a joined snapshot set the peak memory of compare.  Past
+            # the last nonzero bit pattern every cell is +0.0, written "0"
+            k = np.trim_zeros(u.view(np.int64), "b").size
+            fh.writelines(f"{ts}{r}{_fmt(v)}\n" for r, v in zip(radii, u[:k].tolist()))
+            fh.writelines(f"{ts}{r}0\n" for r in radii[k:])
 
 
 def _write_scan(path: str, rows) -> None:
@@ -117,19 +122,16 @@ def _write_scan(path: str, rows) -> None:
             fh.write(f"{_fmt(row.factor)},{str(row.blew_up).lower()},{s_num},{tau0}\n")
 
 
-def _run_summary(res: RunResult) -> dict:
+def _run_outcome(res: RunResult) -> dict:
+    """How a run ended: the keys ``summary.json`` and ``verdict.json`` share."""
     return {
         "termination": res.termination,
         "steps": res.steps,
-        "final_time": res.final_state.t,
         "final_sup": float(res.final_state.u.max()),
         "s_num": res.s_num,
         "blowup_flag": res.blowup_flag,
         "tau0": res.tau0,
         "clamp_total": res.clamp_total,
-        "cells": res.grid.cells,
-        "R": res.grid.R,
-        "t_end": res.config.t_end,
     }
 
 
@@ -141,18 +143,10 @@ def _load(args) -> config_mod.Resolved:
 
 
 def _compare_payload(result, defaults_used) -> dict:
-    """A comparison's fields, with the raw run reduced to the six it reports."""
+    """A comparison's fields, with the raw run reduced to its outcome and ``implicit``."""
     payload = _fields(result)
     res = payload.pop("run")
-    payload.update(
-        tau0=res.tau0,
-        termination=res.termination,
-        implicit=res.implicit,
-        steps=res.steps,
-        final_sup=float(res.final_state.u.max()),
-        clamp_total=res.clamp_total,
-        defaults_used=defaults_used,
-    )
+    payload.update(_run_outcome(res), implicit=res.implicit, defaults_used=defaults_used)
     return payload
 
 
@@ -211,8 +205,9 @@ def _cmd_simulate(args) -> int:
     u0 = build_initial(resolved.initial, grid, resolved.barrier)
     res = run(u0, grid, resolved.density, resolved.constants, resolved.solver)
     _write_run(args.out, res)
-    payload = _run_summary(res)
-    payload["defaults_used"] = resolved.defaults_used
+    payload = _run_outcome(res)
+    payload.update(final_time=res.final_state.t, cells=res.grid.cells, R=res.grid.R, t_end=res.config.t_end,
+                   defaults_used=resolved.defaults_used)
     _write_json(os.path.join(args.out, "summary.json"), payload)
     ok = res.termination in (TERM_COMPLETED, TERM_BLOWUP)
     print(f"simulate: {res.termination} at t={res.final_state.t:.6g} "

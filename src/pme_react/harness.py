@@ -134,14 +134,15 @@ def _block_margins(bar: Barrier, dens: DensityParams, r: np.ndarray, t: np.ndarr
     return _relative_margins(-resid if sub else resid, np.abs(wp) + np.abs(d.w_t))
 
 
-def _sweep_radii(bar: Barrier, t: float, n_r: int) -> np.ndarray:
-    """Interior radius samples for one time slice, away from r=0 and kinks."""
+def _sweep_grid(bar: Barrier, t_grid: np.ndarray, n_r: int) -> np.ndarray:
+    """Interior radius samples, one row of ``n_r`` per time in ``t_grid``,
+    away from r=0 and kinks."""
     if isinstance(bar, GE1Barrier):
-        return np.geomspace(1.0e-3, 1.0e6, n_r)
-    r_star = bar.support_radius(t)
+        return np.tile(np.geomspace(1.0e-3, 1.0e6, n_r), (t_grid.size, 1))
+    r_star = bar.support_radius(t_grid)
     if isinstance(bar, GE2Barrier):
-        return np.linspace(0.005, 0.995, n_r) * r_star
-    r = np.linspace(0.0, 0.995 * r_star, n_r)
+        return np.linspace(0.005, 0.995, n_r) * r_star[:, None]
+    r = np.linspace(0.0, 0.995 * r_star, n_r, axis=1)
     near_kink = np.abs(r - E) < 1.0e-6
     return np.where(near_kink, r + 2.0e-6, r)
 
@@ -171,7 +172,7 @@ def residual_sweep(
     t_grid = np.linspace(0.0, t_max, n_t)
     # a non-finite margin fails the sweep at its point, so overflow is not warned about
     with np.errstate(all="ignore"):
-        r = np.stack([_sweep_radii(bar, float(t), n_r) for t in t_grid])
+        r = _sweep_grid(bar, t_grid, n_r)
         rel = np.concatenate([
             _block_margins(bar, dens, r[i:i + _SWEEP_ROWS], t_grid[i:i + _SWEEP_ROWS, None], sub)
             for i in range(0, n_t, _SWEEP_ROWS)
@@ -322,7 +323,6 @@ class ComparisonResult:
     support_worst_cells: float
     blowup_expected: bool
     blowup_window_ok: Optional[bool]
-    s_num: Optional[float]
     notes: List[str]
     half_dt: Optional[HalfStepCheck]
     run: RunResult
@@ -428,7 +428,6 @@ def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> dict:
     headroom = headroom_time = headroom_radius = math.nan
     support_ok: Optional[bool] = None
     blow_ok: Optional[bool] = None
-    s_num: Optional[float] = None
 
     if res.termination in (TERM_STALLED, TERM_STEP_LIMIT):
         notes.append(f"run terminated early ({res.termination}) at t={res.final_state.t:.6g}")
@@ -513,7 +512,6 @@ def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> dict:
         support_ok=support_ok,
         support_worst_cells=support_worst,
         blowup_window_ok=blow_ok,
-        s_num=s_num,
         notes=notes,
     )
 

@@ -77,7 +77,8 @@ is the same on every machine.
 Blow-up bookkeeping, the same for both schemes.  The run stops when the
 sup norm reaches ``blowup_threshold`` (``blowup_flag`` ``threshold``; the
 numerical blow-up time ``s_num`` is linearly interpolated inside the
-crossing step) or leaves the finite range (flag ``overflow``, ``s_num``
+crossing step, and data already at the threshold end the run at its start
+time, with no step) or leaves the finite range (flag ``overflow``, ``s_num``
 the time that step reached).  A run that stalls, its step no longer
 advancing ``t``, while ``REACTION_DT_CAP * sup^(1-p)`` is below half an
 ulp of ``t`` also counts as blow-up, at ``s_num = t`` (flag
@@ -318,11 +319,11 @@ def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: Solve
         snapshots.append((pending.pop(0), u.copy()))
 
     termination = TERM_COMPLETED
-    s_num: Optional[float] = None
-    flag: Optional[str] = None
+    # data at the threshold blew up before the first step
+    s_num, flag = (t, FLAG_THRESHOLD) if u.max() >= config.blowup_threshold else (None, None)
     steps = 0
     clamp_total = 0.0
-    while t < config.t_end:
+    while flag is None and t < config.t_end:
         # also where the last call used up the budget short of t_end
         budget = config.max_steps - steps
         if budget <= 0:

@@ -267,7 +267,7 @@ def test_criterion_8_blowup_end_to_end(blowup_pack):
         and out.max_violation <= 0.0
         and dt <= 300.0
     )
-    s_num = out.s_num if out.s_num is not None else math.nan
+    s_num = out.run.s_num if out.run.s_num is not None else math.nan
     tau0 = out.run.tau0 if out.run.tau0 is not None else math.nan
     _report(ok, f"criterion-8 blow-up from the subsolution: s_num={s_num:.4g} in "
                 f"[0.95 tau0, 1.05 T] with tau0={tau0:.4g}, lower bound and "

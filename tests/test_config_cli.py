@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -401,7 +402,7 @@ SETTLED_RUNS = {
     ("compare", "ge1a"): (40, None),
     ("compare", "ge1b"): (20, None),
     ("simulate", "reaction_check"): (25424, "0x1.0007bfe4790f8p-1"),
-    ("blow-up-scan", "blowup"): (106, "0x1.7354840af778bp-17"),
+    ("blow-up-scan", "blowup"): (106, "0x1.7354840af7786p-17"),
 }
 
 
@@ -805,6 +806,21 @@ def test_cli_simulate_plain_reaction(tmp_path, capsys):
     assert payload["tau0"] == pytest.approx(0.5, rel=1e-12)
 
 
+def test_snapshots_csv_formats_every_cell(tmp_path):
+    # the +0.0 cells past a snapshot's last nonzero bit pattern are written
+    # from preformatted rows; a -0.0 among the zeros keeps its sign
+    grid = RadialGrid(N=3, R=1.0, cells=6)
+    snaps = [
+        (0.0, np.array([1.5, 0.0, -0.0, 0.0, 0.0, 0.0])),
+        (0.25, np.zeros(6)),
+        (0.5, np.array([0.0, 0.0, 0.0, 0.0, 0.0, -0.0])),
+        (1.0 / 3.0, np.array([np.nan, 1.0e-300, 0.0, 2.0 / 3.0, 0.0, 0.0])),
+    ]
+    cli._write_run(str(tmp_path), SimpleNamespace(grid=grid, snapshots=snaps))
+    rows = [f"{t:.12g},{r:.12g},{v:.12g}\n" for t, u in snaps for r, v in zip(grid.centers, u)]
+    assert (tmp_path / "snapshots.csv").read_text() == "t,r,u\n" + "".join(rows)
+
+
 @pytest.mark.parametrize("command, stem", [("simulate", "reaction_check"), ("compare", "ge2")])
 def test_cli_series_rows_are_read_off_the_snapshots(tmp_path, command, stem):
     # each series.csv row is (t, max u, support radius) of its snapshot
@@ -852,12 +868,12 @@ def _strict_json(path):
 
 
 # the JSON keys of each report: its dataclass fields, and for compare the run
-# reduced to the six values it reports (the raw run never reaches the file)
+# reduced to the eight values it reports (the raw run never reaches the file)
 HYPOTHESIS_KEYS = {"side", "max_violation", "n_violations", "ok"}
 COMPARE_KEYS = {
     "verdict", "regime", "hypothesis", "checked_times", "max_violation", "worst_time",
     "support_checked", "support_ok", "support_worst_cells", "blowup_expected",
-    "blowup_window_ok", "s_num", "tau0", "termination", "notes",
+    "blowup_window_ok", "s_num", "blowup_flag", "tau0", "termination", "notes",
     "headroom", "headroom_time", "headroom_radius", "implicit", "half_dt",
     "steps", "final_sup", "clamp_total", "defaults_used",
 }

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pme_react import cli, harness, implicit
-from pme_react.barrier import E, BlowupSubsolution, GE1Barrier
+from pme_react.barrier import E, BlowupSubsolution, GE1Barrier, GE2Barrier
 from pme_react.config import load, resolve
 from pme_react.density import DensityParams, ProblemConstants, inverse_rho
 from pme_react.feasibility import (
@@ -154,10 +154,22 @@ def test_comparison_tolerance_scales():
 # -- residual sweeps --------------------------------------------------------
 
 
-def slice_margins(bar, dens, t, n_r):
+def sweep_radii(bar, t, n_r):
+    """The oracle's radii: the interior samples of one time slice, away
+    from r=0 and kinks, one ``geomspace`` or ``linspace`` per slice."""
+    if isinstance(bar, GE1Barrier):
+        return np.geomspace(1.0e-3, 1.0e6, n_r)
+    r_star = bar.support_radius(t)
+    if isinstance(bar, GE2Barrier):
+        return np.linspace(0.005, 0.995, n_r) * r_star
+    r = np.linspace(0.0, 0.995 * r_star, n_r)
+    return np.where(np.abs(r - E) < 1.0e-6, r + 2.0e-6, r)
+
+
+def slice_margins(bar, dens, t, n_r, radii=sweep_radii):
     """Sample radii and signed relative margins of one time slice."""
     sub = isinstance(bar, BlowupSubsolution)
-    r = harness._sweep_radii(bar, t, n_r)
+    r = radii(bar, t, n_r)
     d = bar.eval_derivatives(r, t)
     w = bar.eval(r, t)
     resid = d.w_t - inverse_rho(dens, r) * d.lap_wm - w**bar.constants.p
@@ -165,7 +177,7 @@ def slice_margins(bar, dens, t, n_r):
     return r, harness._relative_margins(-resid if sub else resid, scale)
 
 
-def looped_sweep(bar, dens, n_r=200, n_t=50, rel_tol=1.0e-10):
+def looped_sweep(bar, dens, n_r=200, n_t=50, rel_tol=1.0e-10, radii=sweep_radii):
     """Oracle for :func:`residual_sweep`: one evaluation per time slice; a
     slice's first minimum replaces the worst point only when strictly
     smaller, so ties keep the earliest (t, r)."""
@@ -174,7 +186,7 @@ def looped_sweep(bar, dens, n_r=200, n_t=50, rel_tol=1.0e-10):
     min_margin = math.inf
     worst_r = worst_t = math.nan
     for t in np.linspace(0.0, t_max, n_t):
-        r, rel = slice_margins(bar, dens, float(t), n_r)
+        r, rel = slice_margins(bar, dens, float(t), n_r, radii)
         i = int(np.argmin(rel))
         if rel[i] < min_margin:
             min_margin, worst_r, worst_t = float(rel[i]), float(r[i]), float(t)
@@ -227,14 +239,17 @@ def test_residual_sweep_tie_keeps_the_first_in_t_then_r_order(shipped, monkeypat
     # one column earlier each time: only the (t, r) order picks slice 0.
     bar, dens = shipped["ge1b"]
     t_grid = np.linspace(0.0, 10.0 * bar.T, 10)
-    radii = harness._sweep_radii
     roll = {float(t): -k for k, t in enumerate(t_grid)}
-    monkeypatch.setattr(harness, "_sweep_radii", lambda b, t, n: np.roll(radii(b, t, n), roll[t]))
-    slices = [slice_margins(bar, dens, float(t), 50) for t in t_grid]
+
+    def rolled(b, t, n):
+        return np.roll(sweep_radii(b, t, n), roll[t])
+
+    monkeypatch.setattr(harness, "_sweep_grid", lambda b, ts, n: np.stack([rolled(b, float(t), n) for t in ts]))
+    slices = [slice_margins(bar, dens, float(t), 50, rolled) for t in t_grid]
     assert len({float(np.min(rel)) for _, rel in slices}) == 1
     assert len({int(np.argmin(rel)) for _, rel in slices}) == 10
     rep = residual_sweep(bar, dens, n_r=50, n_t=10)
-    assert rep == looped_sweep(bar, dens, n_r=50, n_t=10)
+    assert rep == looped_sweep(bar, dens, n_r=50, n_t=10, radii=rolled)
     r, rel = slices[0]
     assert rep.worst_t == 0.0 and rep.worst_r == r[np.argmin(rel)]
 
@@ -254,7 +269,7 @@ def test_residual_sweep_fails_on_a_nan_margin(shipped, monkeypatch):
     assert old.passed and old.min_margin == math.inf
     rep = residual_sweep(bar, dens, n_r=50, n_t=10)
     assert not rep.passed and math.isnan(rep.min_margin)
-    assert (rep.worst_r, rep.worst_t) == (harness._sweep_radii(bar, 0.0, 50)[7], 0.0)
+    assert (rep.worst_r, rep.worst_t) == (sweep_radii(bar, 0.0, 50)[7], 0.0)
 
 
 def test_residual_sweep_passes_at_found_params(ge1b):
@@ -426,7 +441,8 @@ def test_comparison_to_jsonable_keys(ge1b):
     for key in ("verdict", "hypothesis", "max_violation", "termination", "steps"):
         assert key in d
     assert "run" not in d  # raw arrays stay out of the serialized record
-    assert set(d) - {"tau0", "termination", "implicit", "steps", "final_sup", "clamp_total", "defaults_used"} == {
+    run_keys = {"s_num", "blowup_flag", "tau0", "termination", "implicit", "steps", "final_sup", "clamp_total"}
+    assert set(d) - run_keys - {"defaults_used"} == {
         f.name for f in dataclasses.fields(out) if f.name != "run"
     }
 
@@ -437,8 +453,8 @@ def test_comparison_blowup_coarse(blowup):
     assert out.verdict == VERDICT_PASS
     assert out.checked_times == [0.0, 2.5e-6, 5.0e-6] and out.support_ok
     assert out.blowup_expected and out.blowup_window_ok
-    assert out.s_num == out.run.s_num and out.run.tau0 is not None
-    assert 0.95 * out.run.tau0 <= out.s_num <= 1.05 * bub.T
+    assert out.run.tau0 is not None
+    assert 0.95 * out.run.tau0 <= out.run.s_num <= 1.05 * bub.T
 
 
 # -- amplitude scan ---------------------------------------------------------

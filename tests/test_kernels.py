@@ -112,7 +112,7 @@ def _advance_impl(
         finite = True
         for i in range(n):
             ui = u[i]
-            unew = ui + dt * inv_rho_vol[i] * (flux[i + 1] - flux[i])
+            rate = inv_rho_vol[i] * (flux[i + 1] - flux[i])
             if reaction:
                 if p == 2.0:
                     up = ui * ui
@@ -120,7 +120,8 @@ def _advance_impl(
                     up = ui * ui * ui
                 else:
                     up = ui**p
-                unew = unew + dt * up
+                rate = rate + up
+            unew = ui + rate * dt
             if unew < 0.0:
                 clamp_added += rho_vol[i] * (-unew)
                 unew = 0.0
@@ -428,10 +429,18 @@ def test_tiny_data_at_p_below_m_run_to_the_end():
     assert _kernels.reaction_cap(0.1, 4.0, 3.0) == 0.1 * 4.0**-2.0
 
 
-def test_steps_make_twelve_ufunc_calls_at_non_integer_exponents(monkeypatch):
-    """At (m, p) = (2.5, 3.5) a step makes two powers for the dt minimum and
-    u^m, one for u^p, the dt division, two flux products and six updates;
-    ``u*u`` has no reader there and is not computed."""
+# ufunc calls per step: the dt division, the powers or products for u^(m-1),
+# u^m and u^p, two for the fluxes and five for the Euler rate and update;
+# ``u*u`` is not computed where nothing reads it, as at (2.5, 3.5)
+UFUNC_CALLS = {
+    (2.0, 3.0): dict(divide=1, multiply=5, subtract=2, add=2),
+    (3.0, 2.0): dict(divide=1, multiply=5, subtract=2, add=2),
+    (2.5, 3.5): dict(divide=1, power=3, multiply=3, subtract=2, add=2),
+}
+
+
+@pytest.mark.parametrize("m,p", list(UFUNC_CALLS))
+def test_steps_make_the_counted_ufunc_calls(monkeypatch, m, p):
     calls = []
 
     def counted(*args):
@@ -442,10 +451,9 @@ def test_steps_make_twelve_ufunc_calls_at_non_integer_exponents(monkeypatch):
                 patch.setattr(np, name, lambda *a, _f=ufunc, _n=name, **kw: calls.append(_n) or _f(*a, **kw))
             return _kernels.advance(*args)
 
-    res = _advance_calls(counted, _initial("touching"), 2.5, 3.5, True, calls=((T_END, 40),))[-1][0]
+    res = _advance_calls(counted, _initial("touching"), m, p, True, calls=((T_END, 40),))[-1][0]
     assert res[3] == 40
-    assert len(calls) == 12 * 40
-    assert calls.count("power") == 3 * 40 and calls.count("multiply") == 4 * 40
+    assert {name: calls.count(name) / 40 for name in set(calls)} == UFUNC_CALLS[m, p]
 
 
 @pytest.mark.parametrize("m", [1.5, 2.0, 2.5, 3.0])

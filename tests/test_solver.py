@@ -250,6 +250,24 @@ def test_diffusion_only_stall_stays_stalled():
     assert res.steps == 0 and res.final_state.t == 1.0e20
 
 
+@pytest.mark.parametrize("implicit", [False, True], ids=["run", "run_implicit"])
+def test_data_at_the_threshold_blow_up_at_their_start(implicit):
+    """Data whose sup already reaches the threshold have blown up: the run
+    ends at its start time with no step, where interpolating the crossing
+    from a sup past the threshold put s_num before the step it ended."""
+    t0 = 0.25
+    g = RadialGrid(N=3, R=1.0, cells=16)
+    cfg = SolverConfig(t_end=1.0, R=1.0, cells=16, boundary=BOUNDARY_NEUMANN, blowup_threshold=2.0,
+                       output_times=(0.25, 0.5))
+    u0 = State(t=t0, u=np.full(16, 3.0))
+    if implicit:
+        res = run_implicit(u0, g, np.ones(16), CC23, cfg, lambda t: 3.0)
+    else:
+        res = run(u0, g, np.ones(16), CC23, cfg)
+    assert (res.termination, res.blowup_flag, res.s_num, res.steps) == (TERM_BLOWUP, FLAG_THRESHOLD, t0, 0)
+    assert res.final_state.t == t0 and [t for t, _ in res.snapshots] == [t0]
+
+
 # -- output bookkeeping ------------------------------------------------------
 
 
