@@ -39,8 +39,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import config as config_mod
 from .barrier import REGIME_BLOWUP
 from .feasibility import FeasibilitySearchError
@@ -106,11 +104,8 @@ def _write_run(out: str, res: RunResult) -> None:
         for t, u in res.snapshots:
             ts = _fmt(t)
             series.write(f"{ts},{_fmt(float(u.max()))},{_fmt(support_radius_numeric(u, res.grid))}\n")
-            # streamed: a joined snapshot set the peak memory of compare.  Past
-            # the last nonzero bit pattern every cell is +0.0, written "0"
-            k = np.trim_zeros(u.view(np.int64), "b").size
-            fh.writelines(f"{ts}{r}{_fmt(v)}\n" for r, v in zip(radii, u[:k].tolist()))
-            fh.writelines(f"{ts}{r}0\n" for r in radii[k:])
+            # streamed: a joined snapshot set the peak memory of compare
+            fh.writelines(f"{ts}{r}{_fmt(v)}\n" for r, v in zip(radii, u.tolist()))
 
 
 def _write_scan(path: str, rows) -> None:

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -804,21 +803,6 @@ def test_cli_simulate_plain_reaction(tmp_path, capsys):
     assert payload["termination"] == "blowup"
     assert payload["s_num"] == pytest.approx(0.5, rel=0.05)
     assert payload["tau0"] == pytest.approx(0.5, rel=1e-12)
-
-
-def test_snapshots_csv_formats_every_cell(tmp_path):
-    # the +0.0 cells past a snapshot's last nonzero bit pattern are written
-    # from preformatted rows; a -0.0 among the zeros keeps its sign
-    grid = RadialGrid(N=3, R=1.0, cells=6)
-    snaps = [
-        (0.0, np.array([1.5, 0.0, -0.0, 0.0, 0.0, 0.0])),
-        (0.25, np.zeros(6)),
-        (0.5, np.array([0.0, 0.0, 0.0, 0.0, 0.0, -0.0])),
-        (1.0 / 3.0, np.array([np.nan, 1.0e-300, 0.0, 2.0 / 3.0, 0.0, 0.0])),
-    ]
-    cli._write_run(str(tmp_path), SimpleNamespace(grid=grid, snapshots=snaps))
-    rows = [f"{t:.12g},{r:.12g},{v:.12g}\n" for t, u in snaps for r, v in zip(grid.centers, u)]
-    assert (tmp_path / "snapshots.csv").read_text() == "t,r,u\n" + "".join(rows)
 
 
 @pytest.mark.parametrize("command, stem", [("simulate", "reaction_check"), ("compare", "ge2")])
