@@ -61,15 +61,15 @@ explicit Euler steps (diffusion flux divergence plus optional reaction) until
 norm crosses ``blowup_threshold``, a non-finite value appears, or time stops
 advancing.  ``u_prev`` holds the state before the last executed step, so the
 caller can interpolate output times and the threshold crossing inside the
-final step; all of ``u`` is copied into it on entry, so the cells past the
-window hold their zeros there too.  Inside the call the two arrays are a
-double buffer: each step writes the new state into the other one, and an
-odd step count swaps their contents back on return.  ``u`` needs at least
-two cells.
+final step, reading both sups off the two states; all of ``u`` is copied
+into it on entry, so the cells past the window hold their zeros there too.
+Inside the call the two arrays are a double buffer: each step writes the new
+state into the other one, and an odd step count swaps their contents back on
+return.  ``u`` needs at least two cells.
 
-Returns ``(t_prev, t, status, nsub, clamp_added, sup_prev, sup_new)`` with
-status codes: 0 reached t_stop, 1 threshold blow-up, 2 non-finite blow-up,
-3 stalled (t + dt == t), 4 sub-step budget exhausted.
+Returns ``(t_prev, t, status, nsub, clamp_added)`` with status codes: 0
+nothing stopped the call (``t`` reached ``t_stop`` or the budget ran out),
+1 threshold blow-up, 2 non-finite blow-up, 3 stalled (t + dt == t).
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ import math
 
 import numpy as np
 
+from .density import power_or_inf
+
 # the only backend; kept so benchmark records can name it
 HAVE_NUMBA = False
 
@@ -85,7 +87,6 @@ STATUS_REACHED_TSTOP = 0
 STATUS_BLOWUP = 1
 STATUS_OVERFLOW = 2
 STATUS_STALLED = 3
-STATUS_BUDGET = 4
 
 # relative slack of the settle bound, many times the few roundings between
 # the dt minimum and the sup, and those of the logs in ``_settle_interval``
@@ -93,8 +94,6 @@ PAD = 1.0 + 2.0**-20
 # the bound keeps to relative rounding errors, which PAD covers, while r and
 # max(c3) / r are both normal floats, at least TINY
 TINY = 2.0**-1022
-# log of 2^1024, where the float range ends
-LOG_FLOAT_MAX = 1024.0 * math.log(2.0)
 
 
 def _settle_interval(cmax, m, p, reaction, threshold, react_cap):
@@ -128,13 +127,9 @@ def _settle_interval(cmax, m, p, reaction, threshold, react_cap):
 
 
 def reaction_cap(react_cap, sup, p):
-    """``react_cap * sup^(1-p)``, or +inf for a zero sup and where
-    ``sup^(1-p)`` passes the float range, where Python's ``**`` raises
-    ``OverflowError``.  The log test gives up a relative 1e-9 below the
-    largest float, where the rounding of the log could hide an overflow."""
-    if not sup > 0.0 or (1.0 - p) * math.log(sup) >= LOG_FLOAT_MAX - 1.0e-9:
-        return math.inf
-    return react_cap * sup ** (1.0 - p)
+    """``react_cap * sup^(1-p)``, or +inf for a sup that is not positive and
+    where ``sup^(1-p)`` passes the float range."""
+    return react_cap * power_or_inf(sup, 1.0 - p) if sup > 0.0 else math.inf
 
 
 def _clamp(uw, rho_w, clamp_added):
@@ -157,8 +152,7 @@ def _settle(uw, rho_w, clamp, clamp_added, threshold):
         clamp_added = _clamp(uw, rho_w, clamp_added)
     s1 = float(uw[uw.argmax()])
     if not math.isfinite(s1):
-        # s1 is the first nan, if any; the reference's sup skips nans
-        return clamp_added, max(0.0, float(np.fmax.reduce(uw))), STATUS_OVERFLOW
+        return clamp_added, s1, STATUS_OVERFLOW
     return clamp_added, s1, STATUS_BLOWUP if s1 >= threshold else STATUS_REACHED_TSTOP
 
 
@@ -188,7 +182,6 @@ def advance(
     # settled as it comes, unclamped
     s0 = float(u.max())
     settled = True
-    sup_prev = 0.0
     status = STATUS_REACHED_TSTOP
     # at m = 2 the clamp waits for the settle (module docstring)
     clamp_late = m == 2.0
@@ -311,17 +304,8 @@ def advance(
     if not settled:
         # a stall on an unsettled state had r inside (r_lo, r_hi), so there
         # the settle finds no stop and the stall stands
-        clamp_added, s0, found = _settle(cur[0], rho_w, clamp_late, clamp_added, blowup_threshold)
+        clamp_added, _, found = _settle(cur[0], rho_w, clamp_late, clamp_added, blowup_threshold)
         status = status or found
-    if nsub:
-        # the state before the last step: any clamp it needed ran before
-        # that step, so its sup is the one the reference took then
-        prev = nxt[0]
-        sup_prev = float(prev[prev.argmax()])
     if nsub % 2:  # the last state is in u_prev's buffer
         u[:], u_prev[:] = u_prev.copy(), u.copy()
-    if status == STATUS_REACHED_TSTOP and t < t_stop:
-        status = STATUS_BUDGET
-    # + 0.0 turns a -0.0 sup (every cell a zero, -0.0 first) into the
-    # reference's +0.0
-    return t_prev, t, status, nsub, clamp_added, sup_prev + 0.0, s0 + 0.0
+    return t_prev, t, status, nsub, clamp_added

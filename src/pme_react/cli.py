@@ -131,10 +131,7 @@ def _run_outcome(res: RunResult) -> dict:
 
 
 def _load(args) -> config_mod.Resolved:
-    loaded = config_mod.load(args.config)
-    if getattr(args, "seed", None) is not None:
-        loaded.seed = args.seed
-    return config_mod.resolve(loaded)
+    return config_mod.resolve(config_mod.load(args.config))
 
 
 def _compare_payload(result, defaults_used) -> dict:
@@ -177,7 +174,7 @@ def _cmd_barrier_check(args) -> int:
     bar, dens = resolved.barrier, resolved.density
     report = resolved.report
     sweep = residual_sweep(bar, dens, t_end=resolved.solver.t_end)
-    cross = derivative_crosscheck(bar, seed=resolved.seed)
+    cross = derivative_crosscheck(bar, seed=resolved.seed if args.seed is None else args.seed)
     passed = bool(report.overall and sweep.passed and cross.passed)
     _write_json(
         os.path.join(args.out, "verdict.json"),
@@ -201,7 +198,7 @@ def _cmd_simulate(args) -> int:
     res = run(u0, grid, resolved.density, resolved.constants, resolved.solver)
     _write_run(args.out, res)
     payload = _run_outcome(res)
-    payload.update(final_time=res.final_state.t, cells=res.grid.cells, R=res.grid.R, t_end=res.config.t_end,
+    payload.update(final_time=res.final_state.t, cells=res.grid.cells, R=res.grid.R, t_end=resolved.solver.t_end,
                    defaults_used=resolved.defaults_used)
     _write_json(os.path.join(args.out, "summary.json"), payload)
     ok = res.termination in (TERM_COMPLETED, TERM_BLOWUP)
@@ -263,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", required=True, help="output directory (created if absent)")
-        p.add_argument("--seed", type=int, default=None, help="override the harness seed (only barrier-check "
-                       "reads it: feasibility, simulate, compare and blow-up-scan accept it and ignore it)")
+        if fn is _cmd_barrier_check:
+            p.add_argument("--seed", type=config_mod.nonnegative_int, default=None,
+                           help="override [harness] seed, which draws the derivative crosscheck's points")
         p.set_defaults(fn=fn, infeasible=(out_file, infeasible))
     return parser
 

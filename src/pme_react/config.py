@@ -13,8 +13,9 @@ The format is a small INI dialect:
   scale_factor, seed).
 * ``R = auto`` and ``output_times = auto`` defer to regime-specific rules;
   ``initial_data`` is one of ``equals_barrier``, ``scaled_barrier``,
-  ``constant:<value>``, ``csv:<path>``; ``scale_factor`` is an error with
-  any but ``scaled_barrier``.
+  ``constant:<value>``, ``csv:<path>`` (the kind in any case); ``seed`` is
+  a non-negative integer; ``scale_factor`` is an error with any but
+  ``scaled_barrier``.
 
 Parsing is done by hand rather than with :mod:`configparser` so that every
 diagnostic carries a line number and all problems in a file are reported
@@ -144,6 +145,14 @@ def _float(raw: str) -> float:
 
 def _int(raw: str) -> int:
     return _convert(int, raw, "an integer")
+
+
+def nonnegative_int(raw: str) -> int:
+    """A seed: ``random.Random(-s)`` draws what ``random.Random(s)`` draws."""
+    value = _convert(int, raw, "a non-negative integer")
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {raw!r}")
+    return value
 
 
 def _bool(raw: str) -> bool:
@@ -304,9 +313,9 @@ def loads(text: str) -> LoadedConfig:
     har_s = section("harness")
     init_raw = har_s.get("initial_data", str, INIT_EQUALS_BARRIER)
     # the factor, and so its default, applies to scaled_barrier data only
-    scaled = init_raw is not None and init_raw.strip() == INIT_SCALED_BARRIER
+    scaled = init_raw is not None and init_raw.strip().lower() == INIT_SCALED_BARRIER
     scale_factor = har_s.get("scale_factor", _float, 1.0 if scaled else None)
-    seed = har_s.get("seed", _int, 0)
+    seed = har_s.get("seed", nonnegative_int, 0)
     har_s.finish()
 
     initial = None
@@ -357,18 +366,20 @@ def load(path: str) -> LoadedConfig:
 
 
 def _parse_initial(raw: str, factor: float) -> InitialData:
-    low = raw.strip()
-    if low == INIT_EQUALS_BARRIER:
+    # the kind in any case, as a _choice takes it; the csv path or value as written
+    kind, colon, arg = raw.strip().partition(":")
+    kind = kind.lower()
+    if kind == INIT_EQUALS_BARRIER and not colon:
         return InitialData(kind=INIT_EQUALS_BARRIER)
-    if low == INIT_SCALED_BARRIER:
+    if kind == INIT_SCALED_BARRIER and not colon:
         return InitialData(kind=INIT_SCALED_BARRIER, factor=factor)
-    if low.startswith("constant:"):
-        value = float(low.partition(":")[2])
+    if kind == INIT_CONSTANT and colon:
+        value = float(arg)
         if not math.isfinite(value):
             raise ValueError(f"constant value must be finite, got {raw!r}")
         return InitialData(kind=INIT_CONSTANT, value=value)
-    if low.startswith("csv:"):
-        return InitialData(kind=INIT_CSV, path=low.partition(":")[2].strip())
+    if kind == INIT_CSV and colon:
+        return InitialData(kind=INIT_CSV, path=arg.strip())
     raise ValueError(
         "expected equals_barrier, scaled_barrier, constant:<value> or csv:<path>, "
         f"got {raw!r}"

@@ -522,7 +522,8 @@ def find_params(
         return build_barrier(cc, dens, regime, C, a=a, **given)
 
     for omega in omegas:
-        boundary = _binding_amplitude(cc, check_auto(make(1.0, omega), dens))
+        probe = check_auto(make(1.0, omega), dens)
+        boundary = _binding_amplitude(cc, probe)
         if C_LO <= boundary <= C_HI:
             break
     else:
@@ -533,8 +534,8 @@ def find_params(
         if regime == REGIME_GE2 and not boundary >= C_LO:
             # at this omega the amplitude balance reads C^(p-1) + 1/(p-1) <=
             # (p-m) B / ((p-1) bbar (1 + MARGIN)), B the drift bracket minimum,
-            # so small C passes iff p - m > edge
-            edge = (1.0 + MARGIN) * bbar / (ge2_drift_minimum(cc.N, dens.r0) + bbar - 1.0)
+            # so small C passes iff p - m > edge; the probe's report holds B
+            edge = (1.0 + MARGIN) * bbar / probe.params["drift_bracket_min"]
             raise FeasibilitySearchError(
                 f"no feasible GE2 parameters: no amplitude in [{C_LO:g}, {C_HI:g}] "
                 f"passes the certificate at omega={omega:g}; needs p - m > {edge:.3g} "

@@ -3,9 +3,9 @@
 :func:`run_implicit` takes the operator and the reaction of
 :mod:`pme_react.solver` at each step's end, with a given value in the cell
 past R; the ``solver`` docstring derives why such a step keeps ordered data
-ordered at any diffusion dt.  Its steps follow the contract of
-:func:`pme_react._kernels.advance`, so the driver of :mod:`pme_react.solver`
-runs them and records the run, as it does for the explicit scheme.
+ordered at any diffusion dt.  Its steps keep the contract of
+:func:`pme_react._kernels.advance`: the driver of :mod:`pme_react.solver`
+runs them, reads the sups off the states and records the run.
 ``compare`` runs the GE1 barriers, which are positive everywhere, here with
 the barrier itself as the boundary datum.  It imports this module only for
 those runs, so no other command compiles it.
@@ -147,7 +147,7 @@ def run_implicit(
         def step(u, u_prev, t, t_stop, budget):
             nonlocal iterations, halvings
             t_prev, nsub = t, 0
-            sup_prev = sup = float(u.max())
+            sup = float(u.max())
             while t < t_stop and nsub < budget:
                 cap = _kernels.reaction_cap(IMPLICIT_DT_CAP / p, sup, p) if reaction else math.inf
                 # the first of equal bounds names the step
@@ -155,7 +155,7 @@ def run_implicit(
                 while True:
                     t_new = t_stop if dt == t_stop - t else t + dt
                     if t_new == t:
-                        return t_prev, t, _kernels.STATUS_STALLED, nsub, 0.0, sup_prev, sup
+                        return t_prev, t, _kernels.STATUS_STALLED, nsub, 0.0
                     ghost_m = _power(float(ghost(t_new)), m)
                     v, its = _backward_euler(u, dt, ghost_m, rho_vol, area_over_dr, m, p, reaction)
                     iterations += its
@@ -170,11 +170,10 @@ def run_implicit(
                 nsub += 1
                 dt_bound[bound] += 1
                 dts.append(dt)
-                sup_prev, sup = sup, float(u.max())
+                sup = float(u.max())
                 if sup >= config.blowup_threshold:
-                    return t_prev, t, _kernels.STATUS_BLOWUP, nsub, 0.0, sup_prev, sup
-            status = _kernels.STATUS_REACHED_TSTOP if t >= t_stop else _kernels.STATUS_BUDGET
-            return t_prev, t, status, nsub, 0.0, sup_prev, sup
+                    return t_prev, t, _kernels.STATUS_BLOWUP, nsub, 0.0
+            return t_prev, t, _kernels.STATUS_REACHED_TSTOP, nsub, 0.0
 
         return step
 

@@ -217,8 +217,6 @@ class RunResult:
     (both ``None`` unless it blew up), step count and clamped mass."""
 
     grid: RadialGrid
-    config: SolverConfig
-    rho_values: np.ndarray
     snapshots: List[Tuple[float, np.ndarray]]
     termination: str
     s_num: Optional[float]
@@ -288,9 +286,10 @@ def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: Solve
     ``step(u, u_prev, t, t_stop, budget)`` with the contract of
     :func:`pme_react._kernels.advance`: step ``u`` in place toward
     ``t_stop`` within ``budget`` steps, leave the state before the last step
-    in ``u_prev`` and return its 7-tuple and status codes.  The driver
-    validates the data, takes the output snapshots, classifies the
-    termination (module docstring) and counts steps against ``max_steps``.
+    in ``u_prev`` and return its 5-tuple and status codes.  The driver
+    validates the data, takes the output snapshots, reads the sups off
+    ``u_prev`` and ``u``, classifies the termination (module docstring) and
+    counts steps against ``max_steps``.
     """
     if grid.N != constants.N:
         raise ValueError(f"grid dimension N={grid.N} does not match constants N={constants.N}")
@@ -330,7 +329,7 @@ def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: Solve
             termination = TERM_STEP_LIMIT
             break
         t_stop = pending[0] if pending else config.t_end
-        t_prev, t, status, nsub, clamp_added, sup_prev, sup_new = step(u, u_prev, t, t_stop, budget)
+        t_prev, t, status, nsub, clamp_added = step(u, u_prev, t, t_stop, budget)
         steps += nsub
         clamp_total += clamp_added
 
@@ -343,12 +342,13 @@ def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: Solve
             snapshots.append((t_out, snap))
 
         if status == _kernels.STATUS_BLOWUP:
-            s_num = t_prev + (t - t_prev) * (config.blowup_threshold - sup_prev) / (sup_new - sup_prev)
+            sup_prev, sup = float(u_prev.max()), float(u.max())
+            s_num = t_prev + (t - t_prev) * (config.blowup_threshold - sup_prev) / (sup - sup_prev)
             flag = FLAG_THRESHOLD
         elif status == _kernels.STATUS_OVERFLOW:
             s_num, flag = t, FLAG_OVERFLOW
         elif status == _kernels.STATUS_STALLED:
-            if config.reaction and t + _kernels.reaction_cap(REACTION_DT_CAP, sup_new, constants.p) == t:
+            if config.reaction and t + _kernels.reaction_cap(REACTION_DT_CAP, float(u.max()), constants.p) == t:
                 # the reaction cap fell below half an ulp of t: the solution
                 # blows up faster than t can resolve, so t is the blow-up time
                 s_num, flag = t, FLAG_TIME_RESOLUTION
@@ -360,8 +360,6 @@ def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: Solve
 
     return RunResult(
         grid=grid,
-        config=config,
-        rho_values=rho_vals,
         snapshots=snapshots,
         termination=TERM_BLOWUP if flag is not None else termination,
         s_num=s_num,

@@ -4,7 +4,11 @@
 table when it runs with ``--trace 1``; a renamed or deleted target would
 only surface there, as a crash of the traced run.  It looks each module up
 in ``sys.modules`` right after ``import pme_react.cli``, so a module that
-import leaves out (a lazy import) would crash it the same way.
+import leaves out (a lazy import) would crash it the same way.  What its
+``EXTRA`` functions read off a call (the kernel's step count and array
+bytes, a run's steps) must stay where they look for it, or the per-layer
+``kernels.advance_calls``, ``bytes_per_step`` and ``solver.steps`` would
+shift without a crash.
 """
 
 import importlib
@@ -15,6 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
@@ -27,7 +32,8 @@ def _load_child():
     return module
 
 
-TRACED = _load_child().TRACED
+CHILD_MODULE = _load_child()
+TRACED = CHILD_MODULE.TRACED
 
 
 @pytest.mark.parametrize("span, mod_name, attr", TRACED, ids=[f"{m}.{a}" for _, m, a in TRACED])
@@ -54,3 +60,32 @@ def test_backend_flag_exists():
     from pme_react import _kernels
 
     assert isinstance(_kernels.HAVE_NUMBA, bool)
+
+
+def test_extra_reads_the_step_counts_and_array_bytes(monkeypatch):
+    from pme_react import _kernels
+    from pme_react.density import ProblemConstants
+    from pme_react.solver import RadialGrid, SolverConfig, run
+
+    cells = 16
+    g = RadialGrid(N=3, R=1.0, cells=cells)
+    rho_vol = g.volumes
+    area_over_dr = g.faces**2 / g.dr
+    cfl_coef = rho_vol / (2.0 * (area_over_dr[:-1] + area_over_dr[1:]))
+    u0 = 0.5 + 0.1 * np.cos(g.centers)
+    args = (
+        u0.copy(), np.empty(cells), rho_vol, 1.0 / rho_vol, area_over_dr, cfl_coef,
+        2.0, 3.0, True, True, 1.0e6, 0.1, 0.0, 1.0, 1.0, 7,
+    )
+    result = _kernels.advance(*args)
+    # seven steps within the budget; five cell arrays and the face array
+    assert CHILD_MODULE.EXTRA["kernels.advance"](args, result) == [7, 8 * (6 * cells + 1)]
+
+    # a run's steps are the sum of its kernel calls' step counts
+    tracer = CHILD_MODULE.Tracer()
+    monkeypatch.setattr(_kernels, "advance", tracer.wrap("kernels.advance", _kernels.advance))
+    cfg = SolverConfig(t_end=0.05, R=1.0, cells=cells, output_times=(0.01, 0.02, 0.05))
+    res = run(u0, g, np.ones(cells), ProblemConstants(m=2.0, p=3.0, N=3), cfg)
+    calls = [span[4] for span in tracer.spans]
+    assert len(calls) == 3
+    assert CHILD_MODULE.EXTRA["solver.run"]((), res) == res.steps == sum(nsub for nsub, _ in calls) > 0

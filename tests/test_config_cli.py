@@ -15,7 +15,7 @@ from pme_react import cli
 from pme_react.config import ConfigError, load, loads, resolve
 from pme_react.density import E
 from pme_react.feasibility import REGIME_BLOWUP, REGIME_GE1B, REGIME_GE2, check_auto
-from pme_react.harness import VERDICT_FAIL, comparison_experiment, residual_sweep
+from pme_react.harness import VERDICT_FAIL, comparison_experiment, derivative_crosscheck, residual_sweep
 from pme_react.solver import SUPPORT_THRESHOLD, RadialGrid
 
 GE1B_TEXT = """\
@@ -199,6 +199,20 @@ def test_initial_data_spellings():
     (issue,) = exc_info.value.issues
     assert "initial_data" in issue.message
     assert issue.line == PLAIN_TEXT.splitlines().index("initial_data = constant:1.0") + 1
+
+
+def test_initial_data_kind_matches_in_any_case():
+    # like every choice key; the csv path and the constant value stay as written
+    base = PLAIN_TEXT.replace("initial_data = constant:1.0", "initial_data = {}")
+    assert loads(base.format("Constant:1.5")).initial.value == 1.5
+    cfg = loads(base.format("CSV:/tmp/U0.csv"))
+    assert cfg.initial.kind == "csv" and cfg.initial.path == "/tmp/U0.csv"
+    assert loads(GE1B_TEXT + "\n[harness]\ninitial_data = Equals_Barrier\n").initial.kind == "equals_barrier"
+    scaled = loads(GE1B_TEXT + "\n[harness]\ninitial_data = SCALED_BARRIER\nscale_factor = 0.25\n").initial
+    assert scaled.kind == "scaled_barrier" and scaled.factor == 0.25
+    with pytest.raises(ConfigError) as exc_info:
+        loads(base.format("Equals_Barrier:1.0"))
+    assert "initial_data" in exc_info.value.issues[0].message
 
 
 @pytest.mark.parametrize(
@@ -961,6 +975,42 @@ def test_cli_barrier_check_names_one_regime(tmp_path, capsys, stem):
     assert all(set(e) == INEQUALITY_KEYS for e in feas["inequalities"])
     assert set(sweep) == SWEEP_KEYS and sweep["grid"] == [200, 50]
     assert set(verdict["derivative_crosscheck"]) == CROSSCHECK_KEYS
+
+
+def test_cli_barrier_check_seed_reaches_the_crosscheck(tmp_path, capsys):
+    """``--seed`` and ``[harness] seed`` pick the crosscheck's points; a
+    negative seed is refused at its config line or by the parser."""
+    text = (CONFIGS / "ge1b.cfg").read_text()
+    bar = resolve(loads(text)).barrier
+
+    def block(cfg, *extra):
+        out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+        assert cli.main(["barrier-check", "--config", cfg, "--out", str(out), *extra]) == 0
+        return _strict_json(out / "verdict.json")["derivative_crosscheck"]
+
+    def expected(seed):
+        return json.loads(json.dumps(cli._finite_or_null(derivative_crosscheck(bar, seed=seed))))
+
+    assert "seed = 0\n" in text
+    shipped = str(CONFIGS / "ge1b.cfg")
+    assert block(shipped, "--seed", "7") == expected(7) != expected(0)
+    assert block(shipped) == expected(0)
+    assert block(write(tmp_path, "seed5.cfg", text.replace("seed = 0", "seed = 5"))) == expected(5) != expected(0)
+
+    bad = write(tmp_path, "negative.cfg", text.replace("seed = 0", "seed = -1"))
+    for command in ("barrier-check", "compare"):
+        out = tmp_path / f"neg-{command}"
+        assert cli.main([command, "--config", bad, "--out", str(out)]) == 1
+        line = text.splitlines().index("seed = 0") + 1
+        err = capsys.readouterr().err
+        assert f"line {line}: [harness] seed: expected a non-negative integer, got '-1'" in err
+        assert not any(out.iterdir())
+    # only barrier-check reads the seed, so only it takes the flag
+    for argv in (["barrier-check", "--seed", "-3"], ["compare", "--seed", "3"]):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main([*argv, "--config", shipped, "--out", str(tmp_path / "unused")])
+        assert exc_info.value.code == 1
+    assert "argument --seed: invalid nonnegative_int value: '-3'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", [3, 4])

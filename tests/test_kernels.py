@@ -43,12 +43,10 @@ def _advance_impl(
     clamp_added = 0.0
     nsub = 0
     t_prev = t
-    sup_prev = 0.0
     s0 = 0.0
     for i in range(n):
         if u[i] > s0:
             s0 = u[i]
-    sup_new = s0
     status = _kernels.STATUS_REACHED_TSTOP
     # the kernel copies all of u into u_prev on entry, also when it takes
     # no step
@@ -106,7 +104,6 @@ def _advance_impl(
         for i in range(n):
             u_prev[i] = u[i]
         t_prev = t
-        sup_prev = s0
 
         s1 = 0.0
         finite = True
@@ -133,7 +130,6 @@ def _advance_impl(
 
         t = t + dt
         nsub += 1
-        sup_new = s1
         if not finite:
             status = _kernels.STATUS_OVERFLOW
             break
@@ -142,9 +138,7 @@ def _advance_impl(
             break
         s0 = s1
 
-    if status == _kernels.STATUS_REACHED_TSTOP and t < t_stop:
-        status = _kernels.STATUS_BUDGET
-    return t_prev, t, status, nsub, clamp_added, sup_prev, sup_new
+    return t_prev, t, status, nsub, clamp_added
 
 
 CELLS = 24
@@ -255,12 +249,12 @@ def test_signed_zero_data_matches_scalar_loop_bitwise(dirichlet, m, p):
 
 @pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
 @pytest.mark.parametrize("m,p", [(2.0, 3.0), (3.0, 2.0)])
-def test_all_negative_zero_data_reports_positive_zero_sups(dirichlet, m, p):
+def test_all_negative_zero_data_matches_scalar_loop_bitwise(dirichlet, m, p):
     # the reference starts its max at +0.0, so an all -0.0 state has sup
-    # +0.0; with no mass dt is t_end - t, so one call takes the one step
+    # +0.0, which caps no step; with no mass dt is t_end - t, so one call
+    # takes the one step
     got = _assert_bitwise(np.full(CELLS, -0.0), m, p, dirichlet, calls=((T_END, 50),))
-    res = got[-1][0]
-    assert res[3] == 1 and not np.signbit(res[5]) and not np.signbit(res[6])
+    assert got[-1][0][3] == 1
 
 
 @pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
@@ -331,11 +325,13 @@ def test_dt_from_the_neighbourhood_min_matches_scalar_loop_bitwise(m, p):
         cfl_safety = rng.uniform(0.05, 1.0)
         for dirichlet in (True, False):
             got = _assert_bitwise(u0, m, p, dirichlet, cfl_safety=cfl_safety, rho=rho, calls=((T_END, 1),))
-            res = got[-1][0]
+            res, _, u_prev = got[-1]
             assert res[3] == 1
-            # u <= 1, so the reaction cap 0.1 sup^(1-p) is below t_end
-            if res[5] > 0.0:
-                diffusion_bound += res[1] < 0.1 * res[5] ** (1.0 - p)
+            # u <= 1, so the reaction cap 0.1 sup^(1-p) of the state before
+            # the step is below t_end
+            sup = u_prev.max()
+            if sup > 0.0:
+                diffusion_bound += res[1] < 0.1 * sup ** (1.0 - p)
     # the diffusion limit set most of the 400 steps
     assert diffusion_bound >= 300
 
@@ -351,13 +347,16 @@ def test_blowup_in_one_step_calls_matches_scalar_loop_bitwise(dirichlet):
     # the whole run settles its crossing step in the loop, the one-step
     # calls at the return of the last call
     u0 = 4.0 * _initial("touching")
-    whole = _assert_bitwise(u0, 2.0, 3.0, dirichlet, calls=((T_END, 3000),))[-1][0]
+    whole, u_whole, prev_whole = _assert_bitwise(u0, 2.0, 3.0, dirichlet, calls=((T_END, 3000),))[-1]
     assert whole[2] == _kernels.STATUS_BLOWUP
     got = _one_step_calls(u0, 2.0, 3.0, dirichlet, whole[3])
     statuses = [res[2] for res, _, _ in got]
-    assert statuses == [_kernels.STATUS_BUDGET] * (whole[3] - 1) + [_kernels.STATUS_BLOWUP]
-    last = got[-1][0]
-    assert _bits(*last[:2], *last[5:]) == _bits(*whole[:2], *whole[5:])
+    # the budget of one step stops nothing: status 0 until the crossing
+    assert statuses == [_kernels.STATUS_REACHED_TSTOP] * (whole[3] - 1) + [_kernels.STATUS_BLOWUP]
+    last, u_last, prev_last = got[-1]
+    assert _bits(*last[:2]) == _bits(*whole[:2])
+    assert u_last.tobytes() == u_whole.tobytes()
+    assert prev_last.tobytes() == prev_whole.tobytes()
 
 
 @pytest.mark.parametrize("m,p", [(2.0, 3.0), (3.0, 2.0)])
@@ -377,8 +376,8 @@ def test_reaction_cap_on_small_data_at_p_below_m_matches_scalar_loop_bitwise(dir
     kw = dict(rho=np.full(CELLS, 10.0))
     whole = _assert_bitwise(u0, 3.0, 2.0, dirichlet, calls=((T_END, 50),), **kw)[-1][0]
     got = _one_step_calls(u0, 3.0, 2.0, dirichlet, whole[3], **kw)
-    first = got[0][0]
-    assert first[1] == 0.1 * first[5] ** -1.0  # the cap set the first step
+    first, _, u_start = got[0]
+    assert first[1] == 0.1 * u_start.max() ** -1.0  # the cap set the first step
 
 
 @pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
@@ -400,10 +399,10 @@ def test_stalled_run_matches_scalar_loop_bitwise():
     t0 = 2.0**40
     kw = dict(rho=np.full(CELLS, 0.1), t0=t0, t_end=2.0 * t0)
     u0 = 3.0 * _initial("touching")
-    whole = _assert_bitwise(u0, 2.0, 3.0, False, calls=((t0 + 100.0, 5000),), **kw)[-1][0]
+    whole, u_end, _ = _assert_bitwise(u0, 2.0, 3.0, False, calls=((t0 + 100.0, 5000),), **kw)[-1]
     t = whole[1]
     assert whole[2] == _kernels.STATUS_STALLED and whole[3] > 0
-    assert t + 0.1 * whole[6] ** -2.0 > t  # the cap would not have stalled
+    assert t + 0.1 * u_end.max() ** -2.0 > t  # the cap would not have stalled
     # as one-step calls, the stall comes at the entry of the last call
     got = _one_step_calls(u0, 2.0, 3.0, False, whole[3] + 1, t_stop=t0 + 100.0, **kw)
     assert got[-1][0][2:4] == (_kernels.STATUS_STALLED, 0)
