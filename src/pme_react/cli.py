@@ -174,7 +174,7 @@ def _cmd_barrier_check(args) -> int:
     bar, dens = resolved.barrier, resolved.density
     report = resolved.report
     sweep = residual_sweep(bar, dens, t_end=resolved.solver.t_end)
-    cross = derivative_crosscheck(bar, seed=resolved.seed if args.seed is None else args.seed)
+    cross = derivative_crosscheck(bar, seed=args.seed)
     passed = bool(report.overall and sweep.passed and cross.passed)
     _write_json(
         os.path.join(args.out, "verdict.json"),
@@ -261,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", required=True, help="output directory (created if absent)")
         if fn is _cmd_barrier_check:
-            p.add_argument("--seed", type=config_mod.nonnegative_int, default=None,
-                           help="override [harness] seed, which draws the derivative crosscheck's points")
+            p.add_argument("--seed", type=config_mod.nonnegative_int, default=0,
+                           help="seed of the derivative crosscheck's points (default 0)")
         p.set_defaults(fn=fn, infeasible=(out_file, infeasible))
     return parser
 

@@ -7,24 +7,26 @@ The format is a small INI dialect:
 * Sections: ``[problem]`` (m, p, N), ``[density]`` (family, alpha, r0,
   then k for H1 or k1, k2 for H2Smooth; a key of the other family is an
   error, and so are the derived constants k0, rho1 and rho2, which a
-  config never sets), ``[barrier]`` (regime, C, a, T, beta, b,
-  eps), ``[solver]`` (R, cells, t_end, cfl_safety, blowup_threshold,
-  boundary, reaction, output_times), ``[harness]`` (initial_data,
-  scale_factor, seed).
+  config never sets), ``[barrier]`` (regime, then C and the parameters
+  the regime takes: T, beta, b, eps for GE1a and GE1b, a, T for GE2 and
+  Blowup; any other key is an error), ``[solver]`` (R, cells, t_end,
+  cfl_safety, blowup_threshold, boundary, reaction, output_times),
+  ``[harness]`` (initial_data).
 * ``R = auto`` and ``output_times = auto`` defer to regime-specific rules;
-  ``initial_data`` is one of ``equals_barrier``, ``scaled_barrier``,
-  ``constant:<value>``, ``csv:<path>`` (the kind in any case); ``seed`` is
-  a non-negative integer; ``scale_factor`` is an error with any but
-  ``scaled_barrier``.
+  ``initial_data`` is one of ``equals_barrier``, ``scaled_barrier:<factor>``,
+  ``constant:<value>``, ``csv:<path>`` (the kind in any case).
 
 Parsing is done by hand rather than with :mod:`configparser` so that every
 diagnostic carries a line number and all problems in a file are reported
-together; every number must be finite.  Omitted barrier parameters are
-filled by the feasibility search or by the regime defaults of
-:func:`pme_react.feasibility.build_barrier`, and a barrier key the regime
-does not take is an error.  ``[barrier]`` may be left out entirely for
-plain simulation runs, in which case R, t_end and output_times must be
-explicit and the initial data cannot reference a barrier.
+together; every number must be finite.  Each value is read once, at its
+line, and every rule the file alone decides is checked there:
+:func:`loads` returns only configs whose remaining faults need the
+barrier.  Omitted barrier parameters are filled by the feasibility search
+or by the regime defaults of :func:`pme_react.feasibility.build_barrier`.
+``[barrier]`` may be left out entirely for plain simulation runs, in which
+case R, t_end and output_times must be numbers and the initial data cannot
+reference a barrier.  The seed of ``barrier-check``'s derivative
+crosscheck is its ``--seed`` option, not a key.
 """
 
 from __future__ import annotations
@@ -45,14 +47,7 @@ from .density import (
 )
 from .feasibility import BARRIER_KEYS, FeasibilityReport, build_barrier, check_auto, find_params
 from .feasibility import refuse_degenerate_support
-from .harness import (
-    INIT_CONSTANT,
-    INIT_CSV,
-    INIT_EQUALS_BARRIER,
-    INIT_SCALED_BARRIER,
-    Barrier,
-    InitialData,
-)
+from .harness import INIT_CONSTANT, INIT_CSV, INIT_EQUALS_BARRIER, INIT_SCALED_BARRIER, Barrier, InitialData
 from .solver import BOUNDARIES, SolverConfig
 
 _SECTIONS = ("problem", "density", "barrier", "solver", "harness")
@@ -103,7 +98,8 @@ class _Section:
 
     def get(self, key, parse, default=_REQUIRED):
         """``parse`` of the value under ``key``, or ``default`` when the key
-        is absent.  A missing required key, a value ``parse`` rejects (its
+        is absent (a string default is written as in a file, and parsed).
+        A missing required key, a value ``parse`` rejects (its
         ``ValueError`` text) and a non-finite number are issues at the
         key's line, and give None."""
         self.seen.add(key)
@@ -113,7 +109,7 @@ class _Section:
                 return None
             if default is not None:
                 self.defaults.append(f"[{self.name}] {key} = {default} (default)")
-            return default
+            return parse(default) if isinstance(default, str) else default
         raw, line = self.table[key]
         try:
             val = parse(raw)
@@ -176,16 +172,17 @@ def _choice(choices):
     return parse
 
 
-def _float_or_auto(raw: str):
-    if raw.lower() == "auto":
-        return "auto"
-    return _convert(float, raw, "a number or 'auto'")
+def _floats(raw: str) -> Tuple[float, ...]:
+    return tuple(_convert(float, part.strip(), "comma-separated numbers") for part in raw.split(","))
 
 
-def _float_list_or_auto(raw: str):
-    if raw.lower() == "auto":
-        return "auto"
-    return tuple(_convert(float, part.strip(), "numbers or 'auto'") for part in raw.split(","))
+def _or_auto(parse):
+    """``parse``, with ``auto`` (in any case) read as "auto"."""
+
+    def parse_or_auto(raw: str):
+        return "auto" if raw.lower() == "auto" else parse(raw)
+
+    return parse_or_auto
 
 
 def _parse_sections(text: str):
@@ -239,19 +236,18 @@ def _parse_sections(text: str):
 
 @dataclass
 class LoadedConfig:
-    """A parsed and validated config, before any search or regime-dependent default."""
+    """A parsed and validated config, before any search or regime-dependent default.
+
+    ``solver`` holds the :class:`SolverConfig` keywords; with a barrier,
+    ``R`` and ``output_times`` may be "auto" and ``t_end`` None (10 T).
+    """
 
     constants: ProblemConstants
     density: DensityParams
     regime: Optional[str]
     barrier_given: Dict[str, float]
-    solver_R: Union[float, str]  # number or "auto"
-    solver_cells: int
-    solver_t_end: Optional[float]  # None means 10 T
-    solver_kwargs: Dict[str, object]
-    output_times: Union[Tuple[float, ...], str]  # tuple or "auto"
+    solver: Dict[str, object]
     initial: InitialData
-    seed: int
     defaults_used: List[str] = field(default_factory=list)
 
 
@@ -283,51 +279,40 @@ def loads(text: str) -> LoadedConfig:
     dens_s.finish(note)
 
     bar_s = section("barrier")
-    regime = None
-    barrier_given: Dict[str, float] = {}
-    if bar_s.present:
-        regime = bar_s.get("regime", _choice(REGIMES))
-        for name in ("C", "a", "T", "beta", "b", "eps"):
-            val = bar_s.get(name.lower(), _float, None)
-            if val is not None:
-                barrier_given[name] = val
-    bar_s.finish()
+    regime = bar_s.get("regime", _choice(REGIMES)) if bar_s.present else None
+    # an unreadable regime, too, reads every regime's keys
+    taken = ("C",) + BARRIER_KEYS.get(regime, tuple(sorted(set().union(*BARRIER_KEYS.values()))))
+    given = {name: bar_s.get(name.lower(), _float, None) for name in taken}
+    barrier_given = {name: val for name, val in given.items() if val is not None}
+    bar_s.finish(f" for regime {regime} (its keys: regime, {', '.join(taken)})" if regime else "")
 
+    # a barrier sizes the domain, the horizon and the output times the file
+    # leaves to it ("auto", None); without one the file gives all three
+    if bar_s.present:
+        number, numbers, auto, horizon = _or_auto(_float), _or_auto(_floats), "auto", None
+    else:
+        number, numbers, auto, horizon = _float, _floats, _REQUIRED, _REQUIRED
     solver_s = section("solver")
-    R = solver_s.get("r", _float_or_auto, "auto")
-    cells = solver_s.get("cells", _int, 256)
-    t_end = solver_s.get("t_end", _float, None)
-    # a dataclass field's default is its class attribute: each is written once
-    solver_kwargs = {
-        key: solver_s.get(key, parse, getattr(SolverConfig, key))
-        for key, parse in (
-            ("cfl_safety", _float),
-            ("blowup_threshold", _float),
-            ("boundary", _choice(BOUNDARIES)),
-            ("reaction", _bool),
-        )
+    solver = {
+        "R": solver_s.get("r", number, auto),
+        "cells": solver_s.get("cells", _int, 256),
+        "t_end": solver_s.get("t_end", _float, horizon),
     }
-    output_times = solver_s.get("output_times", _float_list_or_auto, "auto")
+    # a dataclass field's default is its class attribute: each is written once
+    for key, parse in (
+        ("cfl_safety", _float),
+        ("blowup_threshold", _float),
+        ("boundary", _choice(BOUNDARIES)),
+        ("reaction", _bool),
+    ):
+        solver[key] = solver_s.get(key, parse, getattr(SolverConfig, key))
+    solver["output_times"] = solver_s.get("output_times", numbers, auto)
     solver_s.finish()
 
     har_s = section("harness")
-    init_raw = har_s.get("initial_data", str, INIT_EQUALS_BARRIER)
-    # the factor, and so its default, applies to scaled_barrier data only
-    scaled = init_raw is not None and init_raw.strip().lower() == INIT_SCALED_BARRIER
-    scale_factor = har_s.get("scale_factor", _float, 1.0 if scaled else None)
-    seed = har_s.get("seed", nonnegative_int, 0)
+    initial = har_s.get("initial_data", lambda raw: _parse_initial(raw, bar_s.present),
+                        INIT_EQUALS_BARRIER if bar_s.present else _REQUIRED)
     har_s.finish()
-
-    initial = None
-    if init_raw is not None and not (scaled and scale_factor is None):
-        init_line = har_s.table.get("initial_data", ("", har_s.header_line))[1]
-        try:
-            initial = _parse_initial(init_raw, scale_factor)
-        except ValueError as exc:
-            issues.append(ConfigIssue(init_line, f"[harness] initial_data: {exc}"))
-    if initial is not None and initial.kind != INIT_SCALED_BARRIER and "scale_factor" in har_s.table:
-        message = f"only used with initial_data = {INIT_SCALED_BARRIER}, got {initial.kind}"
-        issues.append(ConfigIssue(har_s.table["scale_factor"][1], f"[harness] scale_factor: {message}"))
 
     constants = density = None
     if None not in (m, p, N):
@@ -349,13 +334,8 @@ def loads(text: str) -> LoadedConfig:
         density=density,
         regime=regime,
         barrier_given=barrier_given,
-        solver_R=R,
-        solver_cells=cells,
-        solver_t_end=t_end,
-        solver_kwargs=solver_kwargs,
-        output_times=output_times,
+        solver=solver,
         initial=initial,
-        seed=seed,
         defaults_used=defaults,
     )
 
@@ -365,23 +345,27 @@ def load(path: str) -> LoadedConfig:
         return loads(fh.read())
 
 
-def _parse_initial(raw: str, factor: float) -> InitialData:
-    # the kind in any case, as a _choice takes it; the csv path or value as written
+def _parse_initial(raw: str, barrier: bool) -> InitialData:
+    """``equals_barrier``, ``scaled_barrier:<factor>``, ``constant:<value>``
+    or ``csv:<path>``; the barrier kinds only in a config with a barrier."""
+    # the kind in any case, as a _choice takes it; the number or path as written
     kind, colon, arg = raw.strip().partition(":")
     kind = kind.lower()
+    if kind in (INIT_EQUALS_BARRIER, INIT_SCALED_BARRIER) and not barrier:
+        raise ValueError(f"{kind} needs a [barrier] section")
     if kind == INIT_EQUALS_BARRIER and not colon:
-        return InitialData(kind=INIT_EQUALS_BARRIER)
-    if kind == INIT_SCALED_BARRIER and not colon:
-        return InitialData(kind=INIT_SCALED_BARRIER, factor=factor)
-    if kind == INIT_CONSTANT and colon:
-        value = float(arg)
-        if not math.isfinite(value):
-            raise ValueError(f"constant value must be finite, got {raw!r}")
-        return InitialData(kind=INIT_CONSTANT, value=value)
+        return InitialData(kind=kind)
+    if kind in (INIT_SCALED_BARRIER, INIT_CONSTANT) and colon:
+        number = _float(arg.strip())
+        if not math.isfinite(number):
+            raise ValueError(f"expected a finite number after '{kind}:', got {raw!r}")
+        if kind == INIT_CONSTANT:
+            return InitialData(kind=kind, value=number)
+        return InitialData(kind=kind, factor=number)
     if kind == INIT_CSV and colon:
-        return InitialData(kind=INIT_CSV, path=arg.strip())
+        return InitialData(kind=kind, path=arg.strip())
     raise ValueError(
-        "expected equals_barrier, scaled_barrier, constant:<value> or csv:<path>, "
+        "expected equals_barrier, scaled_barrier:<factor>, constant:<value> or csv:<path>, "
         f"got {raw!r}"
     )
 
@@ -400,16 +384,16 @@ class Resolved:
     report: Optional[FeasibilityReport]  # the barrier's certificate, None without one
     solver: SolverConfig
     initial: InitialData
-    seed: int
     defaults_used: List[str]
 
 
 def resolve(loaded: LoadedConfig) -> Resolved:
-    """Search or certify the barrier and fill regime-dependent solver
-    defaults; raises ``ValueError``/``FeasibilitySearchError`` on
+    """Search or certify the barrier and fill the solver settings it
+    decides; raises ``ValueError``/``FeasibilitySearchError`` on
     inconsistent requests."""
     defaults = list(loaded.defaults_used)
     cc, dens = loaded.constants, loaded.density
+    solver = dict(loaded.solver)
     barrier: Optional[Barrier] = None
     report: Optional[FeasibilityReport] = None
 
@@ -422,25 +406,20 @@ def resolve(loaded: LoadedConfig) -> Resolved:
         else:
             barrier = build_barrier(cc, dens, loaded.regime, C, **given)
             report = check_auto(barrier, dens)
-            if barrier.regime in (REGIME_GE2, REGIME_BLOWUP):
-                refuse_degenerate_support(barrier)
+            refuse_degenerate_support(barrier)
             defaults += [
                 f"[barrier] {key} = {getattr(barrier, key):g} (default)"
                 for key in BARRIER_KEYS[loaded.regime]
                 if key not in given
             ]
 
-    if loaded.solver_t_end is not None:
-        t_end = loaded.solver_t_end
-    else:
-        if barrier is None:
-            raise ValueError("[solver] t_end is required when no barrier regime is set")
-        t_end = 10.0 * barrier.T
+    # "auto" and None come only with a barrier (loads)
+    t_end = solver["t_end"]
+    if t_end is None:
+        t_end = solver["t_end"] = 10.0 * barrier.T
         defaults.append(f"[solver] t_end = {t_end:g} (10 T)")
 
-    if loaded.solver_R == "auto":
-        if barrier is None:
-            raise ValueError("[solver] R must be a number when no barrier regime is set")
+    if solver["R"] == "auto":
         if barrier.regime in (REGIME_GE2, REGIME_BLOWUP):
             # the GE2 support is widest at t_end, the shrinking blow-up one at 0
             R = 2.0 * float(barrier.support_radius(t_end if barrier.regime == REGIME_GE2 else 0.0))
@@ -448,37 +427,19 @@ def resolve(loaded: LoadedConfig) -> Resolved:
                 raise ValueError(f"[solver] R = auto overflows at t_end = {t_end:g}; give R")
         else:
             R = 2.0 * dens.r0
+        solver["R"] = R
         defaults.append(f"[solver] R = {R:.6g} (auto)")
-    else:
-        R = float(loaded.solver_R)
 
-    if loaded.output_times == "auto":
-        if barrier is None:
-            raise ValueError("[solver] output_times must be explicit when no barrier regime is set")
-        output_times = tuple(float(t) for t in np.linspace(0.0, t_end, 21))
+    if solver["output_times"] == "auto":
+        solver["output_times"] = tuple(float(t) for t in np.linspace(0.0, t_end, 21))
         defaults.append("[solver] output_times = 21 evenly spaced (auto)")
-    else:
-        output_times = tuple(loaded.output_times)
 
-    if barrier is None and loaded.initial.kind in (INIT_EQUALS_BARRIER, INIT_SCALED_BARRIER):
-        raise ValueError(
-            f"[harness] initial_data = {loaded.initial.kind} needs a barrier regime"
-        )
-
-    solver = SolverConfig(
-        t_end=t_end,
-        R=R,
-        cells=loaded.solver_cells,
-        output_times=output_times,
-        **loaded.solver_kwargs,
-    )
     return Resolved(
         constants=cc,
         density=dens,
         barrier=barrier,
         report=report,
-        solver=solver,
+        solver=SolverConfig(**solver),
         initial=loaded.initial,
-        seed=loaded.seed,
         defaults_used=defaults,
     )

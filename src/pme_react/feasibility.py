@@ -459,7 +459,10 @@ def refuse_degenerate_support(bar) -> None:
     support at t = 0 is empty (GE2: the certificate ignores ``T``, the
     support does not), has a radius R(0) that is not a finite float, or
     has ``R(0)^N`` past the float range, where the residual sweep's powers
-    of r and the solver's cell volumes overflow."""
+    of r and the solver's cell volumes overflow.  A GE1 barrier, positive
+    everywhere, passes."""
+    if isinstance(bar, GE1Barrier):
+        return
     if bar.regime == REGIME_GE2:
         q = (bar.constants.p - bar.constants.m) / (bar.constants.p - 1.0)
         edge = math.log(bar.r0) ** bar.bbar
@@ -547,8 +550,7 @@ def find_params(
     report = check_auto(bar, dens)
     if not report.overall:
         raise FeasibilitySearchError("search produced parameters that fail their own check")
-    if omega is not None:
-        refuse_degenerate_support(bar)
+    refuse_degenerate_support(bar)
     return bar, report
 
 

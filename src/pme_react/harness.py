@@ -59,8 +59,8 @@ class InitialData:
     """How a comparison run builds its starting profile.
 
     ``equals_barrier`` samples the barrier at t=0, ``scaled_barrier``
-    multiplies that by ``factor``, ``constant`` fills with ``value`` and
-    ``csv`` reads one value per cell from ``path``.
+    multiplies that by a positive ``factor``, ``constant`` fills with a
+    nonnegative ``value`` and ``csv`` reads one value per cell from ``path``.
     """
 
     kind: str = INIT_EQUALS_BARRIER
@@ -73,6 +73,8 @@ class InitialData:
             raise ValueError(f"initial data kind must be one of {INIT_KINDS}, got {self.kind!r}")
         if self.kind == INIT_SCALED_BARRIER and not self.factor > 0.0:
             raise ValueError(f"scale factor must be positive, got {self.factor}")
+        if self.kind == INIT_CONSTANT and not self.value >= 0.0:
+            raise ValueError(f"constant value must be nonnegative, got {self.value}")
         if self.kind == INIT_CSV and not self.path:
             raise ValueError("csv initial data needs a path")
 

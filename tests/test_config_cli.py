@@ -88,12 +88,20 @@ def test_loads_happy_path():
     assert cfg.density.family == "H1" and cfg.density.r0 == 25.0
     assert cfg.regime == REGIME_GE1B
     assert cfg.barrier_given == {}
-    assert cfg.solver_R == "auto"
-    assert cfg.solver_cells == 32
-    assert cfg.solver_t_end is None
-    assert cfg.output_times == "auto"
+    assert cfg.solver == {
+        "R": "auto", "cells": 32, "t_end": None, "cfl_safety": 0.9, "blowup_threshold": 1.0e6,
+        "boundary": "dirichlet0", "reaction": True, "output_times": "auto",
+    }
     assert cfg.initial.kind == "equals_barrier"
     assert any("cfl_safety = 0.9 (default)" in d for d in cfg.defaults_used)
+
+
+def test_readme_example_is_ge1b_cfg():
+    readme = (CONFIGS.parent / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    lines = (CONFIGS / "ge1b.cfg").read_text().splitlines(keepends=True)
+    assert example == "".join(line for line in lines if not line.startswith("#")).lstrip("\n")
+    assert loads(example).regime == REGIME_GE1B
 
 
 def test_loads_collects_every_issue():
@@ -144,7 +152,7 @@ PLAIN_BOUNDARY_LINE = PLAIN_TEXT.splitlines().index("boundary = neumann0") + 1
 )
 def test_solver_reaction_spellings(spelling, value):
     text = PLAIN_TEXT.replace("boundary = neumann0", f"boundary = neumann0\nreaction = {spelling}")
-    assert loads(text).solver_kwargs["reaction"] is value
+    assert loads(text).solver["reaction"] is value
 
 
 def test_solver_reaction_rejects_other_words():
@@ -208,11 +216,14 @@ def test_initial_data_kind_matches_in_any_case():
     cfg = loads(base.format("CSV:/tmp/U0.csv"))
     assert cfg.initial.kind == "csv" and cfg.initial.path == "/tmp/U0.csv"
     assert loads(GE1B_TEXT + "\n[harness]\ninitial_data = Equals_Barrier\n").initial.kind == "equals_barrier"
-    scaled = loads(GE1B_TEXT + "\n[harness]\ninitial_data = SCALED_BARRIER\nscale_factor = 0.25\n").initial
+    scaled = loads(GE1B_TEXT + "\n[harness]\ninitial_data = SCALED_BARRIER:0.25\n").initial
     assert scaled.kind == "scaled_barrier" and scaled.factor == 0.25
-    with pytest.raises(ConfigError) as exc_info:
-        loads(base.format("Equals_Barrier:1.0"))
-    assert "initial_data" in exc_info.value.issues[0].message
+    # equals_barrier takes no number, and scaled_barrier needs its factor
+    for bad in ("Equals_Barrier:1.0", "scaled_barrier"):
+        with pytest.raises(ConfigError) as exc_info:
+            loads(GE1B_TEXT + f"\n[harness]\ninitial_data = {bad}\n")
+        (issue,) = exc_info.value.issues
+        assert issue.message.startswith("[harness] initial_data: expected equals_barrier, scaled_barrier:<factor>")
 
 
 @pytest.mark.parametrize(
@@ -238,10 +249,22 @@ def test_initial_constant_must_be_finite(line, bad):
 
 
 def test_scaled_barrier_picks_up_factor():
-    text = GE1B_TEXT + "\n[harness]\ninitial_data = scaled_barrier\nscale_factor = 0.25\n"
+    text = GE1B_TEXT + "\n[harness]\ninitial_data = scaled_barrier:0.25\n"
     cfg = loads(text)
     assert cfg.initial.kind == "scaled_barrier"
     assert cfg.initial.factor == 0.25
+
+
+def test_negative_constant_data_is_an_issue_at_its_line(tmp_path, capsys):
+    # it used to load, and compare ran the whole search before the solver
+    # refused the data with no line
+    text = (CONFIGS / "ge1b.cfg").read_text().replace("equals_barrier", "constant:-1")
+    cfg = write(tmp_path, "negative.cfg", text)
+    assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    line = text.splitlines().index("initial_data = constant:-1") + 1
+    assert capsys.readouterr().err == (
+        f"config error(s) in {cfg}:\n  line {line}: [harness] initial_data: constant value must be nonnegative, got -1.0\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -250,16 +273,15 @@ def test_scaled_barrier_picks_up_factor():
     ids=["equals_barrier", "default", "constant"],
 )
 def test_scale_factor_without_scaled_barrier_is_an_error(tmp_path, capsys, initial):
-    # ignored, it would let an unscaled run pass as the scaled one
+    # ignored, it would let an unscaled run pass as the scaled one; the
+    # factor is written in the value, scaled_barrier:<factor>
     text = (CONFIGS / "ge1b.cfg").read_text()
     text = text.replace("initial_data = equals_barrier\n", initial + "scale_factor = 5.0\n")
     cfg = write(tmp_path, "scaled.cfg", text)
     rc = cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 1
     line = text.splitlines().index("scale_factor = 5.0") + 1
-    assert f"line {line}: [harness] scale_factor: only used with initial_data = scaled_barrier" in (
-        capsys.readouterr().err
-    )
+    assert f"line {line}: [harness] unknown key 'scale_factor'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -323,9 +345,6 @@ def test_defaults_used_lists_only_defaults_that_apply():
     for used, foreign in ((h1, ("k1", "k2")), (h2, ("k",))):
         names = [d.split(" = ")[0] for d in used]
         assert not any(f"[density] {key}" in names for key in foreign)
-        assert "[harness] scale_factor" not in names
-    scaled = loads(GE1B_TEXT + "\n[harness]\ninitial_data = scaled_barrier\n")
-    assert "[harness] scale_factor = 1.0 (default)" in scaled.defaults_used
 
 
 # -- resolution -------------------------------------------------------------
@@ -399,7 +418,7 @@ def test_ge2_at_256_cells_takes_the_pinned_step_count():
     """The default cfl_safety and the dt rule fix the step count of the
     shipped GE2 comparison; a change to either shows here."""
     loaded = load(str(CONFIGS / "ge2.cfg"))
-    loaded.solver_cells = 256
+    loaded.solver["cells"] = 256
     res = resolve(loaded)
     out = comparison_experiment(res.barrier, res.density, res.solver, res.initial)
     assert out.run.steps == 1664
@@ -436,11 +455,10 @@ def _shipped(stem, extra):
     return text.replace("[barrier]\n", "[barrier]\n" + extra, 1)
 
 
-# the search and the explicit-amplitude path reject the same keys alike
+# the search and the explicit-amplitude path reject the same values alike
 UNUSED_KEYS = {
     "ge1b-beta-search": (_shipped("ge1b", "beta = 0.3\n"), "p > m requires beta == 0"),
     "ge1b-beta-explicit": (_shipped("ge1b", "beta = 0.3\nC = 0.5\n"), "p > m requires beta == 0"),
-    "ge2-b-eps-search": (_shipped("ge2", "b = 0.5\neps = 7\n"), "regime GE2 takes no b, eps"),
 }
 
 
@@ -460,21 +478,57 @@ def test_cli_barrier_keys_the_regime_does_not_take_exit_1(tmp_path, capsys, case
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "stem, extra, regime, takes",
+    [("ge2", "b = 0.5\neps = 7\n", "GE2", "C, a, T"), ("ge1b", "a = 5\n", "GE1b", "C, T, beta, b, eps")],
+    ids=["ge2-b-eps", "ge1b-a"],
+)
+def test_barrier_key_the_regime_does_not_take_is_an_issue_at_its_line(tmp_path, capsys, stem, extra, regime, takes):
+    # like a density key of another family: ignored, it would let a run
+    # claim a barrier it never used
+    text = _shipped(stem, extra)
+    cfg = write(tmp_path, "extra.cfg", text)
+    rc = cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    lines = text.splitlines()
+    assert capsys.readouterr().err == f"config error(s) in {cfg}:\n" + "".join(
+        f"  line {lines.index(key) + 1}: [barrier] unknown key '{key.partition(' ')[0]}' "
+        f"for regime {regime} (its keys: regime, {takes})\n"
+        for key in extra.splitlines()
+    )
+
+
 def test_resolve_plain_simulation():
     res = resolve(loads(PLAIN_TEXT))
     assert res.barrier is None
     assert res.solver.output_times == (0.0, 0.2, 0.4)
 
 
-def test_resolve_plain_requires_explicit_numbers():
-    with pytest.raises(ValueError, match="R must be a number"):
-        resolve(loads(PLAIN_TEXT.replace("R = 1.0", "R = auto")))
-    with pytest.raises(ValueError, match="t_end is required"):
-        resolve(loads(PLAIN_TEXT.replace("t_end = 0.6\n", "")))
-    with pytest.raises(ValueError, match="output_times must be explicit"):
-        resolve(loads(PLAIN_TEXT.replace("output_times = 0, 0.2, 0.4", "output_times = auto")))
-    with pytest.raises(ValueError, match="needs a barrier"):
-        resolve(loads(PLAIN_TEXT.replace("initial_data = constant:1.0", "initial_data = equals_barrier")))
+def test_loads_plain_requires_explicit_numbers():
+    # without a barrier nothing sizes the domain, the horizon, the output
+    # times or the data, and the file alone shows it: one error, four lines
+    text = PLAIN_TEXT
+    for old, new in (
+        ("R = 1.0", "R = auto"),
+        ("t_end = 0.6\n", ""),
+        ("output_times = 0, 0.2, 0.4", "output_times = auto"),
+        ("initial_data = constant:1.0", "initial_data = equals_barrier"),
+    ):
+        text = text.replace(old, new)
+    lines = text.splitlines()
+    with pytest.raises(ConfigError) as exc_info:
+        loads(text)
+    assert [(i.line, i.message) for i in exc_info.value.issues] == [
+        (lines.index("[solver]") + 1, "[solver] missing required key 't_end'"),
+        (lines.index("R = auto") + 1, "[solver] r: expected a number, got 'auto'"),
+        (lines.index("output_times = auto") + 1, "[solver] output_times: expected comma-separated numbers, got 'auto'"),
+        (lines.index("initial_data = equals_barrier") + 1,
+         "[harness] initial_data: equals_barrier needs a [barrier] section"),
+    ]
+    text = PLAIN_TEXT.replace("\n[harness]\ninitial_data = constant:1.0\n", "")
+    with pytest.raises(ConfigError) as exc_info:
+        loads(text)
+    assert [str(i) for i in exc_info.value.issues] == ["line 0: [harness] missing required key 'initial_data'"]
 
 
 # -- command line -----------------------------------------------------------
@@ -978,8 +1032,8 @@ def test_cli_barrier_check_names_one_regime(tmp_path, capsys, stem):
 
 
 def test_cli_barrier_check_seed_reaches_the_crosscheck(tmp_path, capsys):
-    """``--seed`` and ``[harness] seed`` pick the crosscheck's points; a
-    negative seed is refused at its config line or by the parser."""
+    """``--seed`` (default 0) picks the crosscheck's points; a negative
+    seed is refused by the parser, and a seed key at its config line."""
     text = (CONFIGS / "ge1b.cfg").read_text()
     bar = resolve(loads(text)).barrier
 
@@ -991,19 +1045,20 @@ def test_cli_barrier_check_seed_reaches_the_crosscheck(tmp_path, capsys):
     def expected(seed):
         return json.loads(json.dumps(cli._finite_or_null(derivative_crosscheck(bar, seed=seed))))
 
-    assert "seed = 0\n" in text
+    assert "seed" not in text
     shipped = str(CONFIGS / "ge1b.cfg")
     assert block(shipped, "--seed", "7") == expected(7) != expected(0)
     assert block(shipped) == expected(0)
-    assert block(write(tmp_path, "seed5.cfg", text.replace("seed = 0", "seed = 5"))) == expected(5) != expected(0)
 
-    bad = write(tmp_path, "negative.cfg", text.replace("seed = 0", "seed = -1"))
+    # the seed is an option only: a leftover key is an error at its line
+    keyed = text.replace("initial_data = equals_barrier\n", "initial_data = equals_barrier\nseed = 5\n")
+    bad = write(tmp_path, "keyed.cfg", keyed)
     for command in ("barrier-check", "compare"):
-        out = tmp_path / f"neg-{command}"
+        out = tmp_path / f"keyed-{command}"
         assert cli.main([command, "--config", bad, "--out", str(out)]) == 1
-        line = text.splitlines().index("seed = 0") + 1
+        line = keyed.splitlines().index("seed = 5") + 1
         err = capsys.readouterr().err
-        assert f"line {line}: [harness] seed: expected a non-negative integer, got '-1'" in err
+        assert f"line {line}: [harness] unknown key 'seed'" in err
         assert not any(out.iterdir())
     # only barrier-check reads the seed, so only it takes the flag
     for argv in (["barrier-check", "--seed", "-3"], ["compare", "--seed", "3"]):

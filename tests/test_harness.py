@@ -93,6 +93,8 @@ def test_initial_data_validation():
         InitialData(kind="random")
     with pytest.raises(ValueError):
         InitialData(kind="scaled_barrier", factor=0.0)
+    with pytest.raises(ValueError, match="constant value must be nonnegative, got -1.0"):
+        InitialData(kind="constant", value=-1.0)
     with pytest.raises(ValueError):
         InitialData(kind="csv")
 

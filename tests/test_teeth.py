@@ -26,7 +26,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def _resolved(stem, cells=None):
     loaded = load(str(CONFIGS / f"{stem}.cfg"))
     if cells is not None:
-        loaded.solver_cells = cells
+        loaded.solver["cells"] = cells
     return resolve(loaded)
 
 
