@@ -455,27 +455,36 @@ def _shipped(stem, extra):
     return text.replace("[barrier]\n", "[barrier]\n" + extra, 1)
 
 
-# the search and the explicit-amplitude path reject the same values alike
+def _unknown_barrier_key(stem, extra, regime):
+    text = _shipped(stem, extra)
+    key = extra.partition(" ")[0]
+    return text, f"line {text.splitlines().index(extra.splitlines()[0]) + 1}: [barrier] unknown key '{key}' for regime {regime}"
+
+
+# the search and the explicit-amplitude path reject the same values alike;
+# a key the regime never reads is refused at its line, GE1b's beta when
+# the barrier is built (p > m). Each case: (text, message, stderr prefix)
 UNUSED_KEYS = {
-    "ge1b-beta-search": (_shipped("ge1b", "beta = 0.3\n"), "p > m requires beta == 0"),
-    "ge1b-beta-explicit": (_shipped("ge1b", "beta = 0.3\nC = 0.5\n"), "p > m requires beta == 0"),
+    "ge1b-beta-search": (_shipped("ge1b", "beta = 0.3\n"), "p > m requires beta == 0", "error: "),
+    "ge1b-beta-explicit": (_shipped("ge1b", "beta = 0.3\nC = 0.5\n"), "p > m requires beta == 0", "error: "),
+    "ge2-b-eps-search": (*_unknown_barrier_key("ge2", "b = 0.5\neps = 7\n", "GE2"), "  "),
 }
 
 
 @pytest.mark.parametrize("case", list(UNUSED_KEYS))
 def test_resolve_rejects_barrier_keys_the_regime_does_not_take(case):
-    text, message = UNUSED_KEYS[case]
-    with pytest.raises(ValueError, match=message):
+    text, message, _ = UNUSED_KEYS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
         resolve(loads(text))
 
 
 @pytest.mark.parametrize("case", list(UNUSED_KEYS))
 def test_cli_barrier_keys_the_regime_does_not_take_exit_1(tmp_path, capsys, case):
-    text, message = UNUSED_KEYS[case]
+    text, message, prefix = UNUSED_KEYS[case]
     cfg = write(tmp_path, "extra.cfg", text)
     rc = cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"\n{prefix}{message}" in "\n" + capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
