@@ -217,9 +217,9 @@ class GE1Barrier:
     the derived reaction comparison constant ``(log r0)^(-b p / m)``, the
     sharp upper bound of ``(log(r + r0))^(-b p / m)`` over ``r >= 0``.
 
-    The time exponent must match the regime: ``beta > 0`` when ``p < m``
-    (growing barrier absorbs the reaction) and ``beta = 0`` when ``p > m``
-    (static-in-amplitude barrier).  ``p == m`` is not supported.
+    Only ``C <= 0``, ``T <= 0``, ``r0 < e`` and ``p == m`` leave it
+    undefined; the windows of ``b``, ``eps`` and ``beta`` (> 0 for p < m,
+    0 for p > m) are entries of :func:`pme_react.feasibility.check_ge1`.
     """
 
     constants: ProblemConstants
@@ -235,18 +235,12 @@ class GE1Barrier:
         cc = self.constants
         if cc.p == cc.m:
             raise ValueError("p == m is outside every supported regime")
-        for name in ("C", "T", "b", "eps"):
+        for name in ("C", "T"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.r0 >= E:
             raise ValueError(f"r0 must be at least e, got {self.r0}")
-        if cc.p < cc.m and not self.beta > 0.0:
-            raise ValueError("p < m requires beta > 0")
-        if cc.p > cc.m and self.beta != 0.0:
-            raise ValueError("p > m requires beta == 0")
-        object.__setattr__(
-            self, "cbar", math.log(self.r0) ** (-self.b * cc.p / cc.m)
-        )
+        object.__setattr__(self, "cbar", power_or_inf(math.log(self.r0), -self.b * cc.p / cc.m))
 
     @property
     def regime(self) -> str:

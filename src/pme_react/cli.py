@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 from . import config as config_mod
 from .barrier import REGIME_BLOWUP
-from .feasibility import FeasibilitySearchError
+from .feasibility import FeasibilitySearchError, refuse_failing
 from .harness import (
     VERDICT_PASS,
     blowup_scan,
@@ -147,16 +147,6 @@ def _need_regime(resolved: config_mod.Resolved, command: str) -> None:
         raise ValueError(f"'{command}' needs a [barrier] section with a regime")
 
 
-def _need_certificate(resolved: config_mod.Resolved) -> None:
-    report = resolved.report
-    if not report.overall:
-        failing = "; ".join(
-            f"{e.name}: {e.lhs:.6g} {'>=' if e.strict else '>'} {e.rhs:.6g}"
-            for e in report.inequalities if not e.passed
-        )
-        raise FeasibilitySearchError(f"the given {report.mode} parameters fail their certificate ({failing})")
-
-
 def _cmd_feasibility(args) -> int:
     resolved = _load(args)
     _need_regime(resolved, "feasibility")
@@ -210,7 +200,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     resolved = _load(args)
     _need_regime(resolved, "compare")
-    _need_certificate(resolved)
+    refuse_failing(resolved.report, "given")
     result = comparison_experiment(resolved.barrier, resolved.density, resolved.solver, resolved.initial)
     _write_run(args.out, result.run)
     _write_json(os.path.join(args.out, "verdict.json"), _compare_payload(result, resolved.defaults_used))
@@ -224,7 +214,7 @@ def _cmd_scan(args) -> int:
     _need_regime(resolved, "blow-up-scan")
     if resolved.barrier.regime != REGIME_BLOWUP:
         raise ValueError("'blow-up-scan' needs the blow-up regime")
-    _need_certificate(resolved)
+    refuse_failing(resolved.report, "given")
     inputs = (resolved.barrier, resolved.density, resolved.solver, resolved.initial)
     result = comparison_experiment(*inputs)
     rows = blowup_scan(*inputs)

@@ -17,12 +17,12 @@ The format is a small INI dialect:
   ``constant:<value>``, ``csv:<path>`` (the kind in any case).
 
 Parsing is done by hand rather than with :mod:`configparser` so that every
-diagnostic carries a line number and all problems in a file are reported
-together; every number must be finite.  Each value is read once, at its
-line, and every rule the file alone decides is checked there:
-:func:`loads` returns only configs whose remaining faults need the
-barrier.  Omitted barrier parameters are filled by the feasibility search
-or by the regime defaults of :func:`pme_react.feasibility.build_barrier`.
+diagnostic carries its line (a missing section has none) and its key as
+spelt above, and all problems in a file are reported together; every number
+must be finite.  Each value is read once, at its line, and every rule the
+file alone decides is checked there; the barrier's certificate judges the
+rest.  Omitted barrier parameters are filled by the feasibility search or
+by :func:`pme_react.feasibility.build_barrier`.
 ``[barrier]`` may be left out entirely for plain simulation runs, in which
 case R, t_end and output_times must be numbers and the initial data cannot
 reference a barrier.  The seed of ``barrier-check``'s derivative
@@ -46,7 +46,7 @@ from .density import (
     ProblemConstants,
 )
 from .feasibility import BARRIER_KEYS, FeasibilityReport, build_barrier, check_auto, find_params
-from .feasibility import refuse_degenerate_support
+from .feasibility import _check_pair, _check_regime, refuse_degenerate_support
 from .harness import INIT_CONSTANT, INIT_CSV, INIT_EQUALS_BARRIER, INIT_SCALED_BARRIER, Barrier, InitialData
 from .solver import BOUNDARIES, SolverConfig
 
@@ -67,7 +67,7 @@ class ConfigIssue:
     message: str
 
     def __str__(self) -> str:
-        return f"line {self.line}: {self.message}"
+        return f"line {self.line}: {self.message}" if self.line else self.message
 
 
 class ConfigError(ValueError):
@@ -97,20 +97,20 @@ class _Section:
         self.issues.append(ConfigIssue(line, f"[{self.name}] {message}"))
 
     def get(self, key, parse, default=_REQUIRED):
-        """``parse`` of the value under ``key``, or ``default`` when the key
-        is absent (a string default is written as in a file, and parsed).
+        """``parse`` of the value under ``key`` (as spelt above, in any
+        case), or ``default`` when it is absent (a string default is parsed).
         A missing required key, a value ``parse`` rejects (its
         ``ValueError`` text) and a non-finite number are issues at the
         key's line, and give None."""
-        self.seen.add(key)
-        if key not in self.table:
+        self.seen.add(key.lower())
+        if key.lower() not in self.table:
             if default is _REQUIRED:
                 self._fail(self.header_line, f"missing required key '{key}'")
                 return None
             if default is not None:
                 self.defaults.append(f"[{self.name}] {key} = {default} (default)")
             return parse(default) if isinstance(default, str) else default
-        raw, line = self.table[key]
+        raw, line = self.table[key.lower()]
         try:
             val = parse(raw)
         except ValueError as exc:
@@ -121,6 +121,13 @@ class _Section:
             self._fail(line, f"{key}: value must be finite, got {raw!r}")
             return None
         return val
+
+    def judge(self, line: int, rule, *args, **kwargs):
+        """``rule(*args, **kwargs)``, or None with its ``ValueError`` an issue at ``line``."""
+        try:
+            return rule(*args, **kwargs)
+        except ValueError as exc:
+            self._fail(line, str(exc))
 
     def finish(self, note: str = "") -> None:
         for key, (_, line) in self.table.items():
@@ -265,7 +272,7 @@ def loads(text: str) -> LoadedConfig:
     prob = section("problem")
     m = prob.get("m", _float)
     p = prob.get("p", _float)
-    N = prob.get("n", _int)
+    N = prob.get("N", _int)
     prob.finish()
 
     dens_s = section("density")
@@ -282,7 +289,7 @@ def loads(text: str) -> LoadedConfig:
     regime = bar_s.get("regime", _choice(REGIMES)) if bar_s.present else None
     # an unreadable regime, too, reads every regime's keys
     taken = ("C",) + BARRIER_KEYS.get(regime, tuple(sorted(set().union(*BARRIER_KEYS.values()))))
-    given = {name: bar_s.get(name.lower(), _float, None) for name in taken}
+    given = {name: bar_s.get(name, _float, None) for name in taken}
     barrier_given = {name: val for name, val in given.items() if val is not None}
     bar_s.finish(f" for regime {regime} (its keys: regime, {', '.join(taken)})" if regime else "")
 
@@ -294,7 +301,7 @@ def loads(text: str) -> LoadedConfig:
         number, numbers, auto, horizon = _float, _floats, _REQUIRED, _REQUIRED
     solver_s = section("solver")
     solver = {
-        "R": solver_s.get("r", number, auto),
+        "R": solver_s.get("R", number, auto),
         "cells": solver_s.get("cells", _int, 256),
         "t_end": solver_s.get("t_end", _float, horizon),
     }
@@ -316,15 +323,15 @@ def loads(text: str) -> LoadedConfig:
 
     constants = density = None
     if None not in (m, p, N):
-        try:
-            constants = ProblemConstants(m=m, p=p, N=N)
-        except ValueError as exc:
-            issues.append(ConfigIssue(header_lines.get("problem", 0), f"[problem] {exc}"))
+        constants = prob.judge(prob.header_line, ProblemConstants, m=m, p=p, N=N)
     if None not in (family, alpha, r0, *dens_kw.values()):
-        try:
-            density = DensityParams(family=family, alpha=alpha, r0=r0, **dens_kw)
-        except ValueError as exc:
-            issues.append(ConfigIssue(header_lines.get("density", 0), f"[density] {exc}"))
+        density = dens_s.judge(dens_s.header_line, DensityParams, family=family, alpha=alpha, r0=r0, **dens_kw)
+    # the library's own regime rules, at the line of a lone C or a and of the regime
+    if regime is not None:
+        C_line, a_line = (bar_s.table.get(key, (None, None))[1] for key in ("c", "a"))
+        bar_s.judge(C_line or a_line, _check_pair, regime, C_line, a_line)
+        if constants is not None:
+            bar_s.judge(bar_s.table["regime"][1], _check_regime, constants, regime)
 
     if issues:
         raise ConfigError(sorted(issues, key=lambda i: i.line))
@@ -400,7 +407,7 @@ def resolve(loaded: LoadedConfig) -> Resolved:
     if loaded.regime is not None:
         given = dict(loaded.barrier_given)
         C = given.pop("C", None)
-        if C is None and "a" not in given:
+        if C is None:  # a compact regime's a comes with its C (loads)
             barrier, report = find_params(cc, dens, loaded.regime, **given)
             defaults.append(f"[barrier] C = {report.params['C']:.6g} (search)")
         else:

@@ -7,8 +7,8 @@ two sides, slack and verdict; its ``mode`` is the barrier's ``regime``.
 ``build_barrier`` is the one place that turns a regime name and its
 parameters into a barrier: it holds the regime defaults, the shape
 exponents and the table ``BARRIER_KEYS`` of the parameters each regime
-takes.  It and ``find_params`` share one check of the regime name and its
-exponent condition (:func:`_check_regime`).  ``find_params`` returns
+takes.  It, ``find_params`` and ``config.loads`` share one check of the
+regime's exponent condition (:func:`_check_regime`).  ``find_params`` returns
 parameters with ``MARGIN`` relative slack on the binding inequality; ``C``
 enters each certificate only through power laws, so its binding value is
 closed form.  The blow-up search scans a log grid of ``OMEGA_POINTS``
@@ -376,24 +376,14 @@ def _binding_amplitude(cc, probe):
 
 
 def _ge1_shape_defaults(cc: ProblemConstants, dens: DensityParams, b, eps):
+    """``b = (alpha-1)/2`` and ``eps`` the geometric mean of its window
+    ``(1.05/log r0, (N-2)/(b+1))``, or its floor where the window is empty
+    or ``b <= -1``, for those not given; :func:`check_ge1` judges both."""
     b = b if b is not None else 0.5 * (dens.alpha - 1.0)
-    if not 0.0 < b < dens.alpha - 1.0:
-        raise FeasibilitySearchError(
-            f"decay exponent b={b:g} outside the window (0, alpha-1) for alpha={dens.alpha:g}"
-        )
-    eps_lo = 1.05 / math.log(dens.r0)
-    eps_hi = (cc.N - 2.0) / (b + 1.0)
     if eps is None:
-        if eps_lo >= eps_hi:
-            raise FeasibilitySearchError(
-                f"empty eps window: need 1/log(r0)={1.0 / math.log(dens.r0):g} < eps < "
-                f"(N-2)/(b+1)={eps_hi:g}; increase r0 or decrease b"
-            )
-        eps = math.sqrt(eps_lo * eps_hi)
-    if not (1.0 / math.log(dens.r0) < eps and eps * (b + 1.0) < cc.N - 2.0):
-        raise FeasibilitySearchError(
-            f"eps={eps:g} violates its admissible window for b={b:g}, r0={dens.r0:g}"
-        )
+        eps_lo = 1.05 / math.log(dens.r0)
+        eps_hi = (cc.N - 2.0) / (b + 1.0) if b > -1.0 else 0.0
+        eps = math.sqrt(eps_lo * eps_hi) if eps_lo < eps_hi else eps_lo
     return b, eps
 
 
@@ -409,11 +399,17 @@ def _check_regime(cc: ProblemConstants, regime: str) -> None:
         raise ValueError(f"regime {regime} requires p > m")
 
 
+def _check_pair(regime: str, C, a) -> None:
+    """Reject a compact regime given one of ``C`` and ``a``."""
+    if regime in (REGIME_GE2, REGIME_BLOWUP) and (C is None) != (a is None):
+        raise ValueError(f"regime {regime} needs both C and a (or neither, to search)")
+
+
 def build_barrier(
     cc: ProblemConstants,
     dens: DensityParams,
     regime: str,
-    C: Optional[float],
+    C: float,
     a: Optional[float] = None,
     T: Optional[float] = None,
     beta: Optional[float] = None,
@@ -424,13 +420,13 @@ def build_barrier(
     filled with the regime defaults.
 
     Defaults: ``T`` = 2 for GE1a and 1 otherwise; ``beta`` = 0.05 for GE1a
-    and 0 for GE1b; ``b = (alpha-1)/2`` and ``eps`` the geometric mean of
-    its admissible window (:class:`FeasibilitySearchError` when a given or
-    default value leaves its window).  The compact profiles take their
-    shape exponent from the density (:func:`_bbar`, :func:`_bunder`) and
-    need ``a``.  An unknown regime, one whose exponent condition fails
-    (:func:`_check_regime`) and a parameter outside ``BARRIER_KEYS[regime]``
-    are a ``ValueError``.
+    and 0 for GE1b; ``b`` and ``eps`` from :func:`_ge1_shape_defaults`
+    (any finite ``b``, ``eps`` and ``beta`` build, and the certificate
+    judges them).  The compact profiles take their shape exponent from the
+    density (:func:`_bbar`, :func:`_bunder`) and need ``a``.  An unknown
+    regime, a failed exponent condition (:func:`_check_regime`), a lone
+    ``C`` or ``a`` (:func:`_check_pair`) and a parameter outside
+    ``BARRIER_KEYS[regime]`` are a ``ValueError``.
     """
     _check_regime(cc, regime)
     given = {"a": a, "T": T, "beta": beta, "b": b, "eps": eps}
@@ -447,11 +443,21 @@ def build_barrier(
         if beta is None:
             beta = 0.05 if regime == REGIME_GE1A else 0.0
         return GE1Barrier(constants=cc, C=C, T=T, beta=beta, b=b, eps=eps, r0=dens.r0)
-    if C is None or a is None:
-        raise ValueError(f"regime {regime} needs both C and a (or neither, to search)")
+    _check_pair(regime, C, a)
     if regime == REGIME_GE2:
         return GE2Barrier(constants=cc, C=C, a=a, T=T, bbar=_bbar(dens), r0=dens.r0)
     return BlowupSubsolution(constants=cc, C=C, a=a, T=T, bunder=_bunder(dens))
+
+
+def refuse_failing(report: FeasibilityReport, how: str) -> None:
+    """Raise :class:`FeasibilitySearchError` naming each failing entry of
+    the ``how`` ("given", "searched") parameters' ``report`` with its sides."""
+    failing = "; ".join(
+        f"{e.name}: {e.lhs:.6g} {'>=' if e.strict else '>'} {e.rhs:.6g}"
+        for e in report.inequalities if not e.passed
+    )
+    if failing:
+        raise FeasibilitySearchError(f"the {how} {report.mode} parameters fail their certificate ({failing})")
 
 
 def refuse_degenerate_support(bar) -> None:
@@ -544,12 +550,13 @@ def find_params(
                 f"passes the certificate at omega={omega:g}; needs p - m > {edge:.3g} "
                 f"at N = {cc.N}, r0 = {dens.r0:g}, alpha = {dens.alpha:g}"
             )
-        raise FeasibilitySearchError(f"binding amplitude {boundary:g} outside [{C_LO:g}, {C_HI:g}]")
+        (e,) = [e for e in probe.inequalities if e.name.startswith("amplitude_balance")]
+        raise FeasibilitySearchError(f"no feasible {regime} parameters: {e.name} (lhs {e.lhs:g}, rhs {e.rhs:g} "
+                                     f"at C = 1) gives the binding amplitude {boundary:g}, outside [{C_LO:g}, {C_HI:g}]")
     floor = regime in (REGIME_GE1A, REGIME_BLOWUP)
     bar = make(boundary * (1.0 + MARGIN) if floor else boundary / (1.0 + MARGIN), omega)
     report = check_auto(bar, dens)
-    if not report.overall:
-        raise FeasibilitySearchError("search produced parameters that fail their own check")
+    refuse_failing(report, "searched")
     refuse_degenerate_support(bar)
     return bar, report
 

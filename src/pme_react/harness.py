@@ -138,9 +138,10 @@ def _block_margins(bar: Barrier, dens: DensityParams, r: np.ndarray, t: np.ndarr
 
 def _sweep_grid(bar: Barrier, t_grid: np.ndarray, n_r: int) -> np.ndarray:
     """Interior radius samples, one row of ``n_r`` per time in ``t_grid``,
-    away from r=0 and kinks."""
+    away from r=0 and kinks.  GE1 radii reach ``max(1e6, 1e3 r0)``: its
+    residual binds at tens of ``r0``."""
     if isinstance(bar, GE1Barrier):
-        return np.tile(np.geomspace(1.0e-3, 1.0e6, n_r), (t_grid.size, 1))
+        return np.tile(np.geomspace(1.0e-3, max(1.0e6, 1.0e3 * bar.r0), n_r), (t_grid.size, 1))
     r_star = bar.support_radius(t_grid)
     if isinstance(bar, GE2Barrier):
         return np.linspace(0.005, 0.995, n_r) * r_star[:, None]

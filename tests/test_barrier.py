@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +25,8 @@ from pme_react.barrier import (
     _paraboloid_branch,
     sfrak,
 )
-from pme_react.density import ProblemConstants
+from pme_react.density import DensityParams, ProblemConstants
+from pme_react.feasibility import check_ge1
 
 CC23 = ProblemConstants(m=2.0, p=3.0, N=3)
 CC32 = ProblemConstants(m=3.0, p=2.0, N=3)
@@ -91,14 +93,24 @@ def test_ge1_cbar():
     assert bar.cbar == pytest.approx(2.0 ** (-1.5), rel=1e-14)
 
 
+def passes(bar, entry, alpha=2.0):
+    """Whether ``bar`` passes the named entry of its certificate over the H1 weight with ``alpha``."""
+    (e,) = [e for e in check_ge1(bar, DensityParams(family="H1", alpha=alpha, r0=bar.r0)).inequalities
+            if e.name == entry]
+    return e.passed
+
+
 def test_ge1_beta_regime_coupling():
-    with pytest.raises(ValueError):
-        ge1(beta=0.1)  # p > m forbids a growing amplitude
+    # the barrier builds for any beta; the certificate's beta_mode entry
+    # ties it to the regime
+    assert passes(ge1(), "beta_mode")
+    assert not passes(ge1(beta=0.1), "beta_mode")  # p > m forbids a growing amplitude
     grow = GE1Barrier(constants=CC32, C=1.0, T=2.0, b=1.0, eps=0.25, r0=E, beta=0.05)
     assert grow.eval(0.0, 0.0) == pytest.approx(2.0**0.05, rel=1e-14)
-    with pytest.raises(ValueError):
-        GE1Barrier(constants=CC32, C=1.0, T=2.0, b=1.0, eps=0.25, r0=E, beta=0.0)
-    with pytest.raises(ValueError):
+    assert passes(grow, "beta_mode")
+    for beta in (0.0, -0.05):  # p < m needs a growing amplitude
+        assert not passes(dataclasses.replace(grow, beta=beta), "beta_mode")
+    with pytest.raises(ValueError, match="p == m"):
         GE1Barrier(
             constants=ProblemConstants(m=2.0, p=2.0, N=3),
             C=1.0, T=1.0, b=1.0, eps=0.25, r0=E,
@@ -118,9 +130,22 @@ def test_regime_follows_class_and_exponents():
 
 
 def test_ge1_validation():
-    for bad in (dict(C=0.0), dict(T=-1.0), dict(b=0.0), dict(eps=0.0), dict(r0=1.0)):
+    # the barrier refuses only what leaves its profile undefined
+    for bad in (dict(C=0.0), dict(T=-1.0), dict(r0=1.0)):
         with pytest.raises(ValueError):
             ge1(**bad)
+    # the windows of b and eps are the certificate's entries
+    for bad, entry in (
+        (dict(b=0.0), "b_positive"),
+        (dict(b=-1.0), "b_positive"),
+        (dict(b=-3.0), "b_positive"),
+        (dict(b=1.0), "b_below_alpha_window"),
+        (dict(eps=0.0), "epsilon_floor"),
+        (dict(eps=0.4, r0=E**2), "epsilon_floor"),
+        (dict(eps=1.0, r0=E**4), "laplacian_margin"),
+    ):
+        assert passes(ge1(b=0.5, eps=0.5, r0=E**4), entry)
+        assert not passes(ge1(**{"b": 0.5, "eps": 0.5, "r0": E**4, **bad}), entry)
 
 
 def test_ge1_monotone_decay_in_r():

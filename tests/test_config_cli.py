@@ -14,7 +14,8 @@ import pytest
 from pme_react import cli
 from pme_react.config import ConfigError, load, loads, resolve
 from pme_react.density import E
-from pme_react.feasibility import REGIME_BLOWUP, REGIME_GE1B, REGIME_GE2, check_auto
+from pme_react.feasibility import REGIME_BLOWUP, REGIME_GE1B, REGIME_GE2, FeasibilitySearchError, check_auto
+from pme_react.feasibility import refuse_failing
 from pme_react.harness import VERDICT_FAIL, comparison_experiment, derivative_crosscheck, residual_sweep
 from pme_react.solver import SUPPORT_THRESHOLD, RadialGrid
 
@@ -137,8 +138,9 @@ cells = 64
     assert has(10, "duplicate key 'alpha'")
     assert has(11, "unknown section [orbit]")
     assert has(13, "unterminated section header")
-    # missing required N is attributed to the [problem] header
-    assert has(2, "missing required key 'n'")
+    # missing required N is attributed to the [problem] header, spelled as
+    # the docs spell it
+    assert has(2, "missing required key 'N'")
     # the swallowed keys under bad headers produce no extra noise
     assert not any("x" in i.message and i.line == 12 for i in issues)
 
@@ -370,9 +372,14 @@ def test_resolve_blowup_auto_R():
 
 
 def test_resolve_explicit_barrier_needs_full_pair():
-    text = BLOWUP_TEXT.replace("regime = Blowup", "regime = GE2\nC = 0.7")
-    with pytest.raises(ValueError, match="both C and a"):
-        resolve(loads(text))
+    # the file alone decides it, so loads reports it at the given key's line
+    for key in ("C = 0.7", "a = 40"):
+        text = BLOWUP_TEXT.replace("regime = Blowup", f"regime = GE2\n{key}")
+        with pytest.raises(ConfigError) as exc_info:
+            loads(text)
+        assert [str(i) for i in exc_info.value.issues] == [
+            f"line {text.splitlines().index(key) + 1}: [barrier] regime GE2 needs both C and a (or neither, to search)"
+        ]
 
 
 def test_resolve_explicit_ge2_pair():
@@ -461,14 +468,41 @@ def _unknown_barrier_key(stem, extra, regime):
     return text, f"line {text.splitlines().index(extra.splitlines()[0]) + 1}: [barrier] unknown key '{key}' for regime {regime}"
 
 
-# the search and the explicit-amplitude path reject the same values alike;
-# a key the regime never reads is refused at its line, GE1b's beta when
-# the barrier is built (p > m). Each case: (text, message, stderr prefix)
+# a key the regime never reads is refused at its line. Each case: (text,
+# message, stderr prefix)
 UNUSED_KEYS = {
-    "ge1b-beta-search": (_shipped("ge1b", "beta = 0.3\n"), "p > m requires beta == 0", "error: "),
-    "ge1b-beta-explicit": (_shipped("ge1b", "beta = 0.3\nC = 0.5\n"), "p > m requires beta == 0", "error: "),
     "ge2-b-eps-search": (*_unknown_barrier_key("ge2", "b = 0.5\neps = 7\n", "GE2"), "  "),
 }
+
+# GE1b takes beta, and its certificate entry beta_mode judges the value,
+# searched or given. Each case: (text, the refusal)
+GE1B_BETA = {
+    "ge1b-beta-search": (
+        _shipped("ge1b", "beta = 0.3\n"),
+        "no feasible GE1b parameters: beta_mode fails at every amplitude (lhs 0.3, rhs 0)",
+    ),
+    "ge1b-beta-explicit": (
+        _shipped("ge1b", "beta = 0.3\nC = 0.3\n"),
+        "the given GE1b parameters fail their certificate (beta_mode: 0.3 > 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GE1B_BETA))
+def test_resolve_judges_ge1b_beta_by_its_certificate(case):
+    text, message = GE1B_BETA[case]
+    with pytest.raises(FeasibilitySearchError) as err:
+        refuse_failing(resolve(loads(text)).report, "given")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("case", list(GE1B_BETA))
+def test_cli_ge1b_beta_exits_2(tmp_path, capsys, case):
+    text, message = GE1B_BETA[case]
+    cfg = write(tmp_path, "beta.cfg", text)
+    rc = cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"infeasible: {message}\n"
 
 
 @pytest.mark.parametrize("case", list(UNUSED_KEYS))
@@ -529,7 +563,7 @@ def test_loads_plain_requires_explicit_numbers():
         loads(text)
     assert [(i.line, i.message) for i in exc_info.value.issues] == [
         (lines.index("[solver]") + 1, "[solver] missing required key 't_end'"),
-        (lines.index("R = auto") + 1, "[solver] r: expected a number, got 'auto'"),
+        (lines.index("R = auto") + 1, "[solver] R: expected a number, got 'auto'"),
         (lines.index("output_times = auto") + 1, "[solver] output_times: expected comma-separated numbers, got 'auto'"),
         (lines.index("initial_data = equals_barrier") + 1,
          "[harness] initial_data: equals_barrier needs a [barrier] section"),
@@ -537,7 +571,8 @@ def test_loads_plain_requires_explicit_numbers():
     text = PLAIN_TEXT.replace("\n[harness]\ninitial_data = constant:1.0\n", "")
     with pytest.raises(ConfigError) as exc_info:
         loads(text)
-    assert [str(i) for i in exc_info.value.issues] == ["line 0: [harness] missing required key 'initial_data'"]
+    # an absent section has no line to name
+    assert [str(i) for i in exc_info.value.issues] == ["[harness] missing required key 'initial_data'"]
 
 
 # -- command line -----------------------------------------------------------
@@ -590,17 +625,21 @@ INFEASIBLE_OUTPUTS = {
 }
 
 
-# regime GE1a with p > m: with beta = 0 and an explicit C the GE1 barrier
-# itself builds, so only the regime check keeps compare from running it
-GE1A_WITH_P_ABOVE_M = GE1B_TEXT.replace("regime = GE1b", "regime = GE1a\nC = 0.5\nbeta = 0")
+# regime GE1a with p > m: the GE1 barrier itself builds for any beta, so
+# only the regime check keeps compare from running it
+GE1A_WITH_P_ABOVE_M = GE1B_TEXT.replace("regime = GE1b", "regime = GE1a\nC = 0.5")
 
 
 @pytest.mark.parametrize("command", list(INFEASIBLE_OUTPUTS))
 def test_cli_regime_exponent_mismatch_exits_1(tmp_path, capsys, command):
+    # the file alone decides it: a config error at the regime's line
     cfg = write(tmp_path, "ge1a.cfg", GE1A_WITH_P_ABOVE_M)
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "error: regime GE1a requires p < m" in capsys.readouterr().err
+    line = GE1A_WITH_P_ABOVE_M.splitlines().index("regime = GE1a") + 1
+    assert capsys.readouterr().err == (
+        f"config error(s) in {cfg}:\n  line {line}: [barrier] regime GE1a requires p < m\n"
+    )
 
 
 @pytest.mark.parametrize("command", list(INFEASIBLE_OUTPUTS))
@@ -615,6 +654,38 @@ def test_cli_infeasible_search_exits_2(tmp_path, capsys, command):
     payload = json.loads((out / out_file).read_text())
     assert payload[key] == value
     assert payload["error"]
+
+
+# a given GE1b value outside its window (C = 0.3 is otherwise certified),
+# and the certificate entry that refuses it first, with both sides; b <= -1
+# leaves the eps window undefined, not the barrier
+GE1_GIVEN_OUTSIDE = {
+    "b=-2": ("b = -2", "b_positive: 0 >= -2"),
+    "b=1.5": ("b = 1.5", "b_below_alpha_window: 1.5 >= 1"),
+    "eps=5": ("eps = 5", "laplacian_margin: 7.5 >= 1"),
+    "eps=0.1": ("eps = 0.1", "epsilon_floor: 0.310667 >= 0.1"),
+    "beta=0.3": ("beta = 0.3", "beta_mode: 0.3 > 0"),
+}
+
+
+@pytest.mark.parametrize("command", ["feasibility", "barrier-check", "compare"])
+@pytest.mark.parametrize("case", list(GE1_GIVEN_OUTSIDE))
+def test_cli_given_ge1_value_outside_its_window_exits_2(tmp_path, capsys, case, command):
+    extra, first = GE1_GIVEN_OUTSIDE[case]
+    cfg = write(tmp_path, "given.cfg", GE1B_TEXT.replace("regime = GE1b", f"regime = GE1b\nC = 0.3\n{extra}"))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    if command == "compare":
+        assert captured.err.startswith(f"infeasible: the given GE1b parameters fail their certificate ({first}")
+        return
+    assert captured.err == ""
+    assert captured.out.startswith("GE1b: infeasible" if command == "feasibility" else "barrier-check: fail")
+    payload = json.loads((out / ("summary.json" if command == "feasibility" else "verdict.json")).read_text())
+    report = payload if command == "feasibility" else payload["feasibility"]
+    failing = [e["name"] for e in report["inequalities"] if not e["passed"]]
+    assert failing[0] == first.partition(":")[0] and set(failing[1:]) <= {"amplitude_balance"}
 
 
 @pytest.mark.parametrize("command", ["barrier-check", "compare"])

@@ -187,11 +187,50 @@ def test_ge1_requires_h1_weight(ge1b_found):
 
 
 def test_ge1_search_rejects_bad_shape():
-    with pytest.raises(FeasibilitySearchError):
-        find_params(CC32, H1_FAR, REGIME_GE1A, b=1.2)
-    # r0 = e leaves no admissible eps window at all
-    with pytest.raises(FeasibilitySearchError):
-        find_params(CC23, DensityParams(family="H1", alpha=2.0, r0=E), REGIME_GE1B)
+    # each window is an entry of the certificate, and the refusal names it
+    # with both sides; r0 = e leaves no eps window, so eps takes its floor
+    # 1.05/log r0 and the Laplacian margin fails
+    for cc, dens, given, refusal in (
+        (CC32, H1_FAR, dict(b=1.2), "b_below_alpha_window fails at every amplitude (lhs 1.2, rhs 1)"),
+        (CC23, DensityParams(family="H1", alpha=2.0, r0=E), {},
+         "laplacian_margin fails at every amplitude (lhs 1.575, rhs 1)"),
+        (CC23, H1_NEAR, dict(beta=0.3), "beta_mode fails at every amplitude (lhs 0.3, rhs 0)"),
+    ):
+        regime = REGIME_GE1A if cc is CC32 else REGIME_GE1B
+        with pytest.raises(FeasibilitySearchError) as err:
+            find_params(cc, dens, regime, **given)
+        assert str(err.value) == f"no feasible {regime} parameters: {refusal}"
+
+
+GE1_ENTRIES = (
+    "b_positive", "b_below_alpha_window", "laplacian_margin", "epsilon_floor",
+    "beta_mode", "time_shift_gt_one", "amplitude_balance",
+)
+FINITE_OR_NONE = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    regime=st.sampled_from((REGIME_GE1A, REGIME_GE1B)),
+    b=FINITE_OR_NONE | st.sampled_from((-1.0, -2.0)),
+    eps=FINITE_OR_NONE,
+    beta=FINITE_OR_NONE,
+    r0=st.floats(min_value=E, max_value=1.0e12),
+)
+def test_ge1_shape_is_judged_by_the_certificate(regime, b, eps, beta, r0):
+    # the barrier builds for every finite b, eps and beta (b <= -1 too, where
+    # the default eps window is undefined), and a refusal of the search
+    # names an entry of check_ge1 that fails at C = 1, or the balance
+    cc = CC32 if regime == REGIME_GE1A else CC23
+    dens = DensityParams(family="H1", alpha=2.0, r0=r0)
+    report = check_ge1(build_barrier(cc, dens, regime, 1.0, b=b, eps=eps, beta=beta), dens)
+    assert [e.name for e in report.inequalities] == [n for n in GE1_ENTRIES if n != "time_shift_gt_one"
+                                                     or regime == REGIME_GE1A]
+    try:
+        find_params(cc, dens, regime, b=b, eps=eps, beta=beta)
+    except FeasibilitySearchError as err:
+        named = [e for e in report.inequalities if e.name in str(err)]
+        assert len(named) == 1 and (named[0].name == "amplitude_balance" or not named[0].passed), str(err)
 
 
 def test_ge1_search_names_an_amplitude_free_failure():
@@ -235,8 +274,8 @@ def test_one_regime_check(build, case):
     dens = H1_NEAR if regime in (REGIME_GE1A, REGIME_GE1B) else H2S_8
     with pytest.raises(ValueError, match=message):
         if build == "build_barrier":
-            # with beta = 0 the GE1 barrier itself accepts p > m
-            build_barrier(cc, dens, regime, 0.5, beta=0.0 if regime == REGIME_GE1A else None)
+            # the GE1 barrier itself accepts any beta, so only this check refuses
+            build_barrier(cc, dens, regime, 0.5)
         else:
             find_params(cc, dens, regime)
 
@@ -251,8 +290,6 @@ def test_build_barrier_rejects_keys_outside_its_regime():
     # the search builds through the same function, so it rejects them too
     with pytest.raises(ValueError, match="regime GE2 takes no b"):
         find_params(CC23, H2S_8, REGIME_GE2, b=0.5)
-    with pytest.raises(ValueError, match="p > m requires beta == 0"):
-        find_params(CC23, H1_NEAR, REGIME_GE1B, beta=0.3)
 
 
 # -- GE2 search and certificate ---------------------------------------------
@@ -770,8 +807,7 @@ def _blowup_search_by_full_sweep(cc, dens, given):
             )
         bar = make(boundary * (1.0 + feasibility.MARGIN), w)
         report = check_blowup(bar, dens)
-        if not report.overall:
-            raise FeasibilitySearchError("search produced parameters that fail their own check")
+        feasibility.refuse_failing(report, "searched")
         feasibility.refuse_degenerate_support(bar)
     except FeasibilitySearchError as err:
         return found, err
@@ -849,7 +885,7 @@ ATLAS = {
 # Each refusal reason, by a phrase its message holds.
 ATLAS_REASONS = {
     "outside the budget": "binding amplitude",
-    "empty eps window": "empty eps window",
+    "laplacian_margin": "laplacian_margin fails",
     "p - m edge": "needs p - m >",
     "identically zero at t = 0": "identically zero at t = 0",
     "R(0) not finite": "is not a finite float",
@@ -858,8 +894,8 @@ ATLAS_REASONS = {
 }
 # A change that moves a count names the move in CHANGES.md.
 ATLAS_PINS = {
-    REGIME_GE1A: {"certified": 443, "outside the budget": 337, "empty eps window": 120},
-    REGIME_GE1B: {"certified": 964, "outside the budget": 336, "empty eps window": 200},
+    REGIME_GE1A: {"certified": 443, "outside the budget": 337, "laplacian_margin": 120},
+    REGIME_GE1B: {"certified": 964, "outside the budget": 336, "laplacian_margin": 200},
     REGIME_GE2: {"certified": 492, "p - m edge": 615, "identically zero at t = 0": 393},
     REGIME_BLOWUP: {
         "certified": 1063, "R(0) not finite": 187, "R(0)^N not finite": 114, "no omega on the grid": 136,

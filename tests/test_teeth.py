@@ -1,4 +1,5 @@
-"""Barriers that are wrong must fail ``compare``.
+"""Barriers that are wrong must fail ``compare``, and ``barrier-check``'s
+residual sweep wherever their residual binds.
 
 Each mutant below breaks its certificate (its residual has the wrong sign
 inside the run's domain and horizon), and the comparison must say so; the
@@ -17,8 +18,9 @@ from pathlib import Path
 import pytest
 
 from pme_react.config import load, resolve
-from pme_react.feasibility import check_auto
-from pme_react.harness import VERDICT_FAIL, VERDICT_PASS, comparison_experiment
+from pme_react.density import DensityParams, ProblemConstants
+from pme_react.feasibility import REGIME_GE1B, check_auto, find_params
+from pme_react.harness import VERDICT_FAIL, VERDICT_PASS, comparison_experiment, residual_sweep
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -67,6 +69,20 @@ def test_ge1_amplitude_mutants_fail(stem, factor, headroom):
     assert out.max_violation > 0.0
     assert out.headroom == pytest.approx(headroom, rel=0.05)
     assert out.half_dt.verdict == VERDICT_FAIL
+
+
+@pytest.mark.parametrize("r0", [1.0e8, 1.0e10, 1.0e12])
+def test_ge1b_amplitude_mutant_fails_its_sweep_at_large_r0(r0):
+    # the GE1 residual binds at tens of r0, past a sweep that stops at 1e6
+    dens = DensityParams(family="H1", alpha=2.0, r0=r0)
+    bar, _ = find_params(ProblemConstants(m=2.0, p=3.0, N=3), dens, REGIME_GE1B)
+    assert residual_sweep(bar, dens).min_margin > 6.0
+    mutant = dataclasses.replace(bar, C=bar.C * 30.0)
+    assert not check_auto(mutant, dens).overall
+    sweep = residual_sweep(mutant, dens)
+    assert not sweep.passed
+    assert sweep.min_margin == pytest.approx(-0.72, abs=0.02)
+    assert 10.0 * r0 < sweep.worst_r < 100.0 * r0
 
 
 def test_slowed_ge2_barrier_fails():
