@@ -46,7 +46,7 @@ from .density import (
     ProblemConstants,
 )
 from .feasibility import BARRIER_KEYS, FeasibilityReport, build_barrier, check_auto, find_params
-from .feasibility import _check_pair, _check_regime, refuse_degenerate_support
+from .feasibility import _check_family, _check_pair, _check_regime, refuse_degenerate_support
 from .harness import INIT_CONSTANT, INIT_CSV, INIT_EQUALS_BARRIER, INIT_SCALED_BARRIER, Barrier, InitialData
 from .solver import BOUNDARIES, SolverConfig
 
@@ -330,8 +330,11 @@ def loads(text: str) -> LoadedConfig:
     if regime is not None:
         C_line, a_line = (bar_s.table.get(key, (None, None))[1] for key in ("c", "a"))
         bar_s.judge(C_line or a_line, _check_pair, regime, C_line, a_line)
+        regime_line = bar_s.table["regime"][1]
         if constants is not None:
-            bar_s.judge(bar_s.table["regime"][1], _check_regime, constants, regime)
+            bar_s.judge(regime_line, _check_regime, constants, regime)
+        if family is not None:
+            bar_s.judge(regime_line, _check_family, regime, family)
 
     if issues:
         raise ConfigError(sorted(issues, key=lambda i: i.line))

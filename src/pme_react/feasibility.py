@@ -8,12 +8,13 @@ two sides, slack and verdict; its ``mode`` is the barrier's ``regime``.
 parameters into a barrier: it holds the regime defaults, the shape
 exponents and the table ``BARRIER_KEYS`` of the parameters each regime
 takes.  It, ``find_params`` and ``config.loads`` share one check of the
-regime's exponent condition (:func:`_check_regime`).  ``find_params`` returns
-parameters with ``MARGIN`` relative slack on the binding inequality; ``C``
-enters each certificate only through power laws, so its binding value is
-closed form.  The blow-up search scans a log grid of ``OMEGA_POINTS``
-values of ``omega = C^(m-1)/a`` from its top end and takes the first whose
-binding amplitude lies in ``[C_LO, C_HI]``.
+regime's exponent condition (:func:`_check_regime`), the certificates and
+``loads`` one of its density family (:func:`_check_family`).
+``find_params`` returns parameters with ``MARGIN`` relative slack on the
+binding inequality; ``C`` enters each certificate only through power laws,
+so its binding value is closed form.  The blow-up search scans a log grid
+of ``OMEGA_POINTS`` values of ``omega = C^(m-1)/a`` from its top end and
+takes the first whose binding amplitude lies in ``[C_LO, C_HI]``.
 
 The spreading supersolution has one condition set, :func:`check_ge2`,
 over the canonical band member (the weight with constant ``k1``, the only
@@ -68,7 +69,6 @@ class FeasibilityReport:
     """A certificate: each inequality of one condition set, the parameters, and their conjunction."""
 
     mode: str
-    condition_set: str
     inequalities: Tuple[FeasibilityEntry, ...]
     params: Dict[str, float] = field(default_factory=dict)
     overall: bool = True
@@ -82,10 +82,9 @@ def _entry(name: str, lhs: float, rhs: float, strict: bool = False) -> Feasibili
     )
 
 
-def _finish(mode, condition_set, entries, params) -> FeasibilityReport:
+def _finish(mode, entries, params) -> FeasibilityReport:
     return FeasibilityReport(
         mode=mode,
-        condition_set=condition_set,
         inequalities=tuple(entries),
         params={k: float(v) for k, v in params.items()},
         overall=all(e.passed for e in entries),
@@ -129,8 +128,7 @@ def check_ge1(bar: GE1Barrier, dens: DensityParams) -> FeasibilityReport:
     sides are reported in the regime-appropriate scale-free form.
     """
     cc = bar.constants
-    if dens.family != FAMILY_H1:
-        raise ValueError("GE1 certificates require an H1-family density")
+    _check_family(bar.regime, dens.family)
     k0 = derive_k0(dens)
     K0 = k0 * bar.b * (cc.N - 2.0 - bar.eps * (bar.b + 1.0))
 
@@ -159,17 +157,12 @@ def check_ge1(bar: GE1Barrier, dens: DensityParams) -> FeasibilityReport:
         "k0": k0,
         "K0": K0,
     }
-    return _finish(bar.regime, "envelope", entries, params)
+    return _finish(bar.regime, entries, params)
 
 
 # ---------------------------------------------------------------------------
 # GE2: spreading compact supersolution (p > m)
 # ---------------------------------------------------------------------------
-
-
-def _require_two_sided(dens: DensityParams, what: str) -> None:
-    if dens.family == FAMILY_H1:
-        raise ValueError(f"{what} requires a two-sided (H2Smooth) density")
 
 
 def _bbar(dens: DensityParams) -> float:
@@ -225,12 +218,9 @@ def check_ge2(bar: GE2Barrier, dens: DensityParams) -> FeasibilityReport:
       ``C^(p-1) + 1/(p-1) <= bbar omega (m/(m-1)) k1 B`` with ``B`` the
       spatial minimum of the drift bracket ``(N-1)(1 + r0/r)L - L + bbar - 1``
       (:func:`ge2_drift_minimum`).
-
-    The entries keep their ``_pointwise`` names and the report its
-    ``condition_set = "pointwise"``, so written reports keep their layout.
     """
     cc = bar.constants
-    _require_two_sided(dens, "the GE2 certificate")
+    _check_family(bar.regime, dens.family)
     m, p, N = cc.m, cc.p, cc.N
     kc = dens.k1
     omega = omega_of(bar.C, bar.a, m)
@@ -260,7 +250,7 @@ def check_ge2(bar: GE2Barrier, dens: DensityParams) -> FeasibilityReport:
         "k_canonical": kc,
         "drift_bracket_min": bracket_min,
     }
-    return _finish(bar.regime, "pointwise", entries, params)
+    return _finish(bar.regime, entries, params)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +277,7 @@ def check_blowup(bar: BlowupSubsolution, dens: DensityParams) -> FeasibilityRepo
       ``nu = (p+m-2)/(p-1)`` and ``K`` from :func:`K_const`.
     """
     cc = bar.constants
-    _require_two_sided(dens, "the blow-up certificate")
+    _check_family(bar.regime, dens.family)
     m, p, N = cc.m, cc.p, cc.N
     omega = omega_of(bar.C, bar.a, m)
     k2 = dens.k2
@@ -320,7 +310,7 @@ def check_blowup(bar: BlowupSubsolution, dens: DensityParams) -> FeasibilityRepo
         "branch_outer": branch_outer,
         "branch_inner": branch_inner,
     }
-    return _finish(bar.regime, "envelope", entries, params)
+    return _finish(bar.regime, entries, params)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +387,17 @@ def _check_regime(cc: ProblemConstants, regime: str) -> None:
             raise ValueError("regime GE1a requires p < m")
     elif not cc.p > cc.m:
         raise ValueError(f"regime {regime} requires p > m")
+
+
+def _check_family(regime: str, family: str) -> None:
+    """Reject a density family the regime's certificate does not cover:
+    GE1 needs H1, GE2 and Blowup the two-sided H2Smooth."""
+    if regime in (REGIME_GE1A, REGIME_GE1B):
+        if family != FAMILY_H1:
+            raise ValueError("GE1 certificates require an H1-family density")
+    elif family == FAMILY_H1:
+        what = "the GE2 certificate" if regime == REGIME_GE2 else "the blow-up certificate"
+        raise ValueError(f"{what} requires a two-sided (H2Smooth) density")
 
 
 def _check_pair(regime: str, C, a) -> None:

@@ -272,30 +272,6 @@ def derivative_crosscheck(
 
 
 @dataclass(frozen=True)
-class HypothesisReport:
-    """Cellwise side check of the initial data against the barrier at t=0."""
-
-    side: str  # "below_barrier" or "above_barrier"
-    max_violation: float
-    n_violations: int
-    ok: bool
-
-
-def hypothesis_check(u0: np.ndarray, bar: Barrier, grid: RadialGrid) -> HypothesisReport:
-    bar0 = bar.eval(grid.centers, 0.0)
-    tol = 1.0e-12 * max(float(np.max(np.abs(bar0))), 1.0)
-    if isinstance(bar, BlowupSubsolution):
-        side = "above_barrier"
-        viol = bar0 - u0 - tol
-    else:
-        side = "below_barrier"
-        viol = u0 - bar0 - tol
-    worst = float(np.max(viol)) if viol.size else 0.0
-    n_bad = int(np.sum(viol > 0.0))
-    return HypothesisReport(side=side, max_violation=max(worst, 0.0), n_violations=n_bad, ok=n_bad == 0)
-
-
-@dataclass(frozen=True)
 class HalfStepCheck:
     """The implicit comparison rerun with every step at most ``max_dt``,
     half the first run's largest step, judged the same way."""
@@ -314,17 +290,14 @@ class ComparisonResult:
 
     verdict: str
     regime: str
-    hypothesis: HypothesisReport
     checked_times: List[float]
     max_violation: float
     worst_time: float
     headroom: float
     headroom_time: float
     headroom_radius: float
-    support_checked: bool
     support_ok: Optional[bool]
     support_worst_cells: float
-    blowup_expected: bool
     blowup_window_ok: Optional[bool]
     notes: List[str]
     half_dt: Optional[HalfStepCheck]
@@ -354,7 +327,10 @@ def comparison_experiment(
     that stops early for numerical reasons (stall, step budget) yields an
     ``inconclusive`` verdict rather than a fail, and so does a run that
     leaves no output time to check (before ``0.95 s_num`` for blow-up)
-    unless it has already failed.
+    unless it has already failed.  Data on the wrong side of the barrier
+    at t = 0 (by more than ``1e-12 max(max|W(., 0)|, 1)``) and data whose
+    sup reaches ``blowup_threshold`` are a ``ValueError``: against them
+    the run decides nothing.
 
     GE1 barriers are positive everywhere, so a zero wall at R would drain
     the run far below them.  Their runs take the barrier itself as the
@@ -371,11 +347,21 @@ def comparison_experiment(
     """
     grid = _grid(bar, solver)
     u0 = build_initial(initial, grid, bar)
-    hyp = hypothesis_check(u0, bar, grid)
-    if not hyp.ok:
+    bar0 = bar.eval(grid.centers, 0.0)
+    tol = 1.0e-12 * max(float(np.max(np.abs(bar0))), 1.0)
+    excess = (bar0 - u0 if isinstance(bar, BlowupSubsolution) else u0 - bar0) - tol
+    n_bad = int(np.sum(excess > 0.0))
+    if n_bad:
         raise ValueError(
-            f"initial data is on the wrong side of the barrier in {hyp.n_violations} cells "
-            f"(worst excess {hyp.max_violation:.3e}); comparison would be vacuous"
+            f"initial data is on the wrong side of the barrier in {n_bad} cells "
+            f"(worst excess {float(np.max(excess)):.3e}); comparison would be vacuous"
+        )
+    del bar0, excess  # kept through the run, they raised its peak memory
+    sup0 = float(u0.max())
+    if sup0 >= solver.blowup_threshold:
+        raise ValueError(
+            f"initial data reach sup {sup0:.6g} >= blowup_threshold = {solver.blowup_threshold:g}: "
+            "the run would blow up before its first step; raise [solver] blowup_threshold"
         )
     half_dt: Optional[HalfStepCheck] = None
     if isinstance(bar, GE1Barrier):
@@ -412,8 +398,6 @@ def comparison_experiment(
         judged = _judge(bar, grid, res)
     return ComparisonResult(
         regime=bar.regime,
-        hypothesis=hyp,
-        blowup_expected=isinstance(bar, BlowupSubsolution),
         half_dt=half_dt,
         run=res,
         **judged,
@@ -435,7 +419,6 @@ def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> dict:
     if res.termination in (TERM_STALLED, TERM_STEP_LIMIT):
         notes.append(f"run terminated early ({res.termination}) at t={res.final_state.t:.6g}")
         verdict = VERDICT_INCONCLUSIVE
-        support_checked = False
     elif sub and res.termination != TERM_BLOWUP:
         notes.append("expected blow-up but the run completed")
         verdict = VERDICT_FAIL
@@ -495,7 +478,6 @@ def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> dict:
             # nothing was compared: a pass would claim an ordering never seen
             cut = f" before 0.95 s_num = {0.95 * s_num:.6g}" if sub else ""
             notes.append(f"no output time{cut} to check: ordering and support untested")
-            support_checked = False
             support_worst = math.nan
             verdict = VERDICT_INCONCLUSIVE if ok else VERDICT_FAIL
         else:
@@ -511,7 +493,6 @@ def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> dict:
         headroom=headroom,
         headroom_time=headroom_time,
         headroom_radius=headroom_radius,
-        support_checked=support_checked,
         support_ok=support_ok,
         support_worst_cells=support_worst,
         blowup_window_ok=blow_ok,

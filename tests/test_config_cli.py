@@ -872,14 +872,13 @@ def test_cli_overflowing_power_of_c_gives_inf(tmp_path, capsys, case):
     assert (rc, captured.out, captured.err, caught) == (code, line, "", [])
 
 
-# given parameters whose certificate fails: (config, regime, condition set,
-# the failing inequalities)
+# given parameters whose certificate fails: (config, regime, the failing
+# inequalities)
 UNCERTIFIED = {
-    "compare": (GE2_WIDE, "GE2", "pointwise", "amplitude_balance_pointwise: 0.51 > 6.67574e-09"),
+    "compare": (GE2_WIDE, "GE2", "amplitude_balance_pointwise: 0.51 > 6.67574e-09"),
     "blow-up-scan": (
         _shipped("blowup", "C = 10.0\na = 3.0\n").replace("cells = 2048", "cells = 64"),
         "Blowup",
-        "envelope",
         "outer_coupling: 644.432 > 5; inner_coupling: 322.652 > 5",
     ),
 }
@@ -890,7 +889,7 @@ def test_cli_given_barrier_failing_its_certificate_is_refused(tmp_path, capsys, 
     # a run against an uncertified barrier confirms nothing (compare used to
     # print "compare[GE2]: fail (..., max_violation=3.285e-02)"), so it is
     # refused the way a failed search is, before the solver runs
-    text, regime, conditions, failing = UNCERTIFIED[command]
+    text, regime, failing = UNCERTIFIED[command]
     cfg = write(tmp_path, "given.cfg", text)
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
@@ -904,12 +903,13 @@ def test_cli_given_barrier_failing_its_certificate_is_refused(tmp_path, capsys, 
     assert json.loads((out / "verdict.json").read_text()) == {"verdict": "fail", "error": error}
     # feasibility reports the same certificate as infeasible
     assert cli.main(["feasibility", "--config", cfg, "--out", str(tmp_path / "f")]) == 2
-    assert capsys.readouterr().out == f"{regime}: infeasible ({conditions} conditions)\n"
+    assert capsys.readouterr().out == f"{regime}: infeasible\n"
 
 
 # GE1 parameters given on a density the GE1 certificate does not cover: the
 # search path refused them, but compare used to run a verdict against the
-# uncertified barrier (exit 2) and simulate to run it (exit 0)
+# uncertified barrier (exit 2) and simulate to run it (exit 0); the file
+# alone decides the family rule, so every command refuses it at the regime line
 GE1B_GIVEN_ON_H2SMOOTH = (
     _shipped("ge1b", "C = 0.3\n").replace("family = H1", "family = H2Smooth").replace("k = 1.0", "k1 = 1.0")
 )
@@ -918,9 +918,35 @@ GE1B_GIVEN_ON_H2SMOOTH = (
 @pytest.mark.parametrize("command", list(INFEASIBLE_OUTPUTS))
 def test_cli_given_barrier_is_certified_by_every_command(tmp_path, capsys, command):
     cfg = write(tmp_path, "ge1b_h2.cfg", GE1B_GIVEN_ON_H2SMOOTH)
+    line = GE1B_GIVEN_ON_H2SMOOTH.splitlines().index("regime = GE1b") + 1
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert capsys.readouterr().err == "error: GE1 certificates require an H1-family density\n"
+    assert capsys.readouterr().err == (
+        f"config error(s) in {cfg}:\n  line {line}: [barrier] GE1 certificates require an H1-family density\n"
+    )
+
+
+# each regime on the family its certificate does not cover: the
+# certificates' own rule, reported by loads at the regime line
+WRONG_FAMILY = {
+    "ge1a": ("family = H1", "family = H2Smooth", "GE1 certificates require an H1-family density"),
+    "ge1b": ("family = H1", "family = H2Smooth", "GE1 certificates require an H1-family density"),
+    "ge2": ("family = H2Smooth", "family = H1",
+            "the GE2 certificate requires a two-sided (H2Smooth) density"),
+    "blowup": ("family = H2Smooth", "family = H1",
+               "the blow-up certificate requires a two-sided (H2Smooth) density"),
+}
+
+
+@pytest.mark.parametrize("stem", list(WRONG_FAMILY))
+def test_loads_reports_the_density_family_at_the_regime_line(stem):
+    shipped, swapped, message = WRONG_FAMILY[stem]
+    text = (CONFIGS / f"{stem}.cfg").read_text().replace(shipped, swapped)
+    text = re.sub(r"(?m)^k1? = .*\n(k2 = .*\n)?", "", text)
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if row.startswith("regime ="))
+    with pytest.raises(ConfigError) as err:
+        loads(text)
+    assert [str(issue) for issue in err.value.issues] == [f"line {line}: [barrier] {message}"]
 
 
 def test_cli_compare_fast_ge1b(tmp_path, capsys):
@@ -1001,18 +1027,16 @@ def _strict_json(path):
 
 # the JSON keys of each report: its dataclass fields, and for compare the run
 # reduced to the eight values it reports (the raw run never reaches the file)
-HYPOTHESIS_KEYS = {"side", "max_violation", "n_violations", "ok"}
 COMPARE_KEYS = {
-    "verdict", "regime", "hypothesis", "checked_times", "max_violation", "worst_time",
-    "support_checked", "support_ok", "support_worst_cells", "blowup_expected",
-    "blowup_window_ok", "s_num", "blowup_flag", "tau0", "termination", "notes",
+    "verdict", "regime", "checked_times", "max_violation", "worst_time", "support_ok",
+    "support_worst_cells", "blowup_window_ok", "s_num", "blowup_flag", "tau0", "termination", "notes",
     "headroom", "headroom_time", "headroom_radius", "implicit", "half_dt",
     "steps", "final_sup", "clamp_total", "defaults_used",
 }
 IMPLICIT_KEYS = {"newton_iterations", "halvings", "dt_bound", "dt_smallest", "dt_largest"}
 HALF_DT_KEYS = {"max_dt", "steps", "newton_iterations", "max_violation", "headroom", "verdict"}
 SCAN_ROW_KEYS = {"factor", "blew_up", "s_num", "tau0", "termination"}
-FEASIBILITY_KEYS = {"mode", "condition_set", "inequalities", "params", "overall"}
+FEASIBILITY_KEYS = {"mode", "inequalities", "params", "overall"}
 INEQUALITY_KEYS = {"name", "lhs", "rhs", "slack", "passed", "strict"}
 SWEEP_KEYS = {"regime", "role", "grid", "rel_tol", "min_margin", "worst_r", "worst_t", "passed"}
 CROSSCHECK_KEYS = {"n_points", "h", "rel_tol", "max_err", "passed"}
@@ -1024,12 +1048,10 @@ def test_cli_writes_strict_json(tmp_path, capsys):
     assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp")]) == 0
     verdict = _strict_json(tmp_path / "cmp" / "verdict.json")
     assert set(verdict) == COMPARE_KEYS and "run" not in verdict
-    assert set(verdict["hypothesis"]) == HYPOTHESIS_KEYS
     assert set(verdict["implicit"]) == IMPLICIT_KEYS
     assert set(verdict["implicit"]["dt_bound"]) == {"output", "positivity", "max_dt"}
     assert set(verdict["half_dt"]) == HALF_DT_KEYS
-    assert verdict["support_checked"] is False
-    assert verdict["support_worst_cells"] is None
+    assert verdict["support_ok"] is None and verdict["support_worst_cells"] is None
     cfg = write(tmp_path, "zero.cfg", PLAIN_TEXT.replace("constant:1.0", "constant:0.0"))
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "zero")]) == 0
     summary = _strict_json(tmp_path / "zero" / "summary.json")
@@ -1068,7 +1090,7 @@ def test_cli_compare_with_nothing_to_check_is_inconclusive(tmp_path, capsys):
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["termination"] == "blowup" and verdict["blowup_window_ok"] is True
     assert verdict["checked_times"] == [] and verdict["max_violation"] is None
-    assert verdict["support_ok"] is None and verdict["support_checked"] is False
+    assert verdict["support_ok"] is None and verdict["support_worst_cells"] is None
     assert any("untested" in note for note in verdict["notes"])
 
 
@@ -1092,6 +1114,50 @@ def test_cli_scan_writes_rows(tmp_path, capsys):
     assert len(verdict["scan"]) == 5
     assert all(set(row) == SCAN_ROW_KEYS for row in verdict["scan"])
     assert verdict["verdict"] == "pass"
+
+
+def test_cli_compare_blowup_that_completes_fails_with_a_null_support_verdict(tmp_path, capsys):
+    # the run ends at t_end = 5e-6, before it blows up: the verdict is a
+    # fail with its note, and no support check is reported that never ran
+    text = re.sub(r"(?m)^cells = .*$", "cells = 256", (CONFIGS / "blowup.cfg").read_text())
+    text = re.sub(r"(?m)^output_times = .*$", "output_times = 0, 5e-6", text.replace("t_end = 2.0e-5", "t_end = 5e-6"))
+    cfg = write(tmp_path, "short.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("compare[Blowup]: fail (termination=completed, ")
+    verdict = _strict_json(out / "verdict.json")
+    assert set(verdict) == COMPARE_KEYS
+    assert verdict["notes"] == ["expected blow-up but the run completed"]
+    assert verdict["checked_times"] == [] and verdict["support_ok"] is None
+    assert verdict["blowup_window_ok"] is False
+
+
+# data at or above blowup_threshold: (command, config, initial data,
+# threshold, sup of the data); compare printed "fail" for the shipped data,
+# after 0 steps ("unexpected numerical blow-up") on ge2 and with
+# "s_num=0 outside [9.88617e-06, 1.05]" on blowup
+AT_THRESHOLD = {
+    "ge2-compare": ("compare", "ge2", "equals_barrier", "0.3", "0.426333"),
+    "blowup-compare": ("compare", "blowup", "equals_barrier", "100", "219.196"),
+    "blowup-scan": ("blow-up-scan", "blowup", "equals_barrier", "100", "219.196"),
+    "blowup-constant": ("compare", "blowup", "constant:300", "250", "300"),
+}
+
+
+@pytest.mark.parametrize("case", list(AT_THRESHOLD))
+def test_cli_compare_refuses_data_at_the_blowup_threshold(tmp_path, capsys, case):
+    command, stem, initial, threshold, sup = AT_THRESHOLD[case]
+    text = re.sub(r"(?m)^cells = .*$", f"cells = 256\nblowup_threshold = {threshold}",
+                  (CONFIGS / f"{stem}.cfg").read_text()).replace("equals_barrier", initial)
+    cfg = write(tmp_path, f"{stem}.cfg", text)
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, list(out.iterdir())) == (1, "", [])
+    assert captured.err == (
+        f"error: initial data reach sup {sup} >= blowup_threshold = {threshold}: "
+        "the run would blow up before its first step; raise [solver] blowup_threshold\n"
+    )
 
 
 @pytest.mark.parametrize("stem", ["ge1a", "ge1b", "ge2", "blowup"])

@@ -450,7 +450,6 @@ def ge2_found():
 def test_ge2_pointwise_parameters(ge2_found):
     bar, rep = ge2_found
     assert rep.overall
-    assert rep.condition_set == "pointwise"
     # the decay-rate cap (p-m)/((p-1) bbar^2 (m/(m-1)) k1) is exactly 1/64
     omega = omega_of(bar.C, bar.a, 2.0)
     decay = entry(rep, "support_decay_rate_pointwise")
@@ -613,7 +612,7 @@ def test_reports_serialize(ge2_found, blowup_found):
     for bar, rep in (ge2_found, blowup_found):
         text = json.dumps(cli._finite_or_null(rep), indent=2, sort_keys=True, allow_nan=False)
         parsed = json.loads(text)
-        assert set(parsed) == {"mode", "condition_set", "inequalities", "params", "overall"}
+        assert set(parsed) == {"mode", "inequalities", "params", "overall"}
         assert parsed["overall"] is True and parsed["mode"] == bar.regime
         assert [e["name"] for e in parsed["inequalities"]] == [e.name for e in rep.inequalities]
         for e in parsed["inequalities"]:
