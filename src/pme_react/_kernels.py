@@ -120,9 +120,10 @@ def _settle_interval(cmax, m, p, reaction, threshold, react_cap):
         else:
             log_hi = k / (p - m)
     # one pad more for the rounding of the logs; np.exp gives inf and 0.0
-    # where math.exp would raise
-    r_lo = max(float(np.exp(log_lo + log_pad)), TINY)
-    r_hi = min(float(np.exp(log_hi - log_pad)), cmax / TINY)
+    # where math.exp would raise, and warns of neither here
+    with np.errstate(over="ignore"):
+        r_lo = max(float(np.exp(log_lo + log_pad)), TINY)
+        r_hi = min(float(np.exp(log_hi - log_pad)), cmax / TINY)
     return r_lo, r_hi
 
 

@@ -12,9 +12,9 @@ regime's exponent condition (:func:`_check_regime`), the certificates and
 ``loads`` one of its density family (:func:`_check_family`).
 ``find_params`` returns parameters with ``MARGIN`` relative slack on the
 binding inequality; ``C`` enters each certificate only through power laws,
-so its binding value is closed form.  The blow-up search scans a log grid
-of ``OMEGA_POINTS`` values of ``omega = C^(m-1)/a`` from its top end and
-takes the first whose binding amplitude lies in ``[C_LO, C_HI]``.
+so its binding value is closed form.  The blow-up search takes ``omega =
+OMEGA_MAX`` unless that puts its binding amplitude past ``C_HI``, and then
+the omega at which the same certificate binds at ``C_HI/(1 + MARGIN)``.
 
 The spreading supersolution has one condition set, :func:`check_ge2`,
 over the canonical band member (the weight with constant ``k1``, the only
@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
-
-import numpy as np
 
 from .barrier import REGIME_BLOWUP, REGIME_GE1A, REGIME_GE1B, REGIME_GE2, REGIMES
 from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
@@ -319,14 +317,12 @@ def check_blowup(bar: BlowupSubsolution, dens: DensityParams) -> FeasibilityRepo
 
 
 # Search budget: the amplitude range [C_LO, C_HI] a binding amplitude must
-# lie in, and the relative slack kept on the binding side.
+# lie in, the relative slack kept on the binding side, and the blow-up
+# search's first and largest omega.
 C_LO = 1.0e-8
 C_HI = 1.0e8
 MARGIN = 0.01
-# The blow-up omega grid (log-spaced, both ends included).
-OMEGA_MIN = 1.0e-3
 OMEGA_MAX = 1.0
-OMEGA_POINTS = 25
 
 # The parameters each regime takes besides the amplitude C.
 BARRIER_KEYS = {
@@ -505,55 +501,59 @@ def find_params(
 ):
     """Deterministic parameter search for one regime.
 
-    One loop over the candidate omegas (none for GE1, GE2's decay-rate cap
-    over ``1 + MARGIN``, the blow-up grid from its top end) builds the
-    barrier at C = 1 and stops at the first binding amplitude
-    (:func:`_binding_amplitude`) inside ``[C_LO, C_HI]``.  ``C`` is that
-    amplitude moved ``MARGIN`` to the feasible side (above a floor for GE1a
-    and Blowup, below a cap for GE1b and GE2), and the report is its
-    rechecked certificate.  The rest comes from the caller or
-    :func:`build_barrier`.  Raises :class:`FeasibilitySearchError` when
-    nothing passes within the budget, and for a compact barrier whose
-    support is degenerate (:func:`refuse_degenerate_support`).
+    The certificate at C = 1 (GE2 at its decay-rate cap on omega over
+    ``1 + MARGIN``; Blowup at ``OMEGA_MAX``, or where it binds at
+    ``C_HI/(1 + MARGIN)`` if its amplitude passes ``C_HI`` there) gives the
+    binding amplitude (:func:`_binding_amplitude`).  ``C`` is that amplitude
+    moved ``MARGIN`` to the feasible side (above a floor for GE1a and Blowup,
+    below a cap for GE1b and GE2); the report is its rechecked certificate,
+    the rest from the caller or :func:`build_barrier`.  Raises
+    :class:`FeasibilitySearchError` when no amplitude lies in ``[C_LO, C_HI]``
+    and for a degenerate compact support (:func:`refuse_degenerate_support`).
     """
     _check_regime(cc, regime)
     m, p = cc.m, cc.p
     given = {"T": T, "beta": beta, "b": b, "eps": eps}
-    omegas = [None]
+    omega = OMEGA_MAX if regime == REGIME_BLOWUP else None
     if regime == REGIME_GE2:
         bbar = _bbar(dens)
         # the decay-rate condition caps omega independently of C
-        omegas = [(p - m) / ((p - 1.0) * bbar**2 * (m / (m - 1.0)) * dens.k1) / (1.0 + MARGIN)]
-    elif regime == REGIME_BLOWUP:
-        omegas = np.geomspace(OMEGA_MIN, OMEGA_MAX, OMEGA_POINTS)[::-1]
+        omega = (p - m) / ((p - 1.0) * bbar**2 * (m / (m - 1.0)) * dens.k1) / (1.0 + MARGIN)
 
     def make(C: float, omega):
         a = None if omega is None else power_or_inf(C, m - 1.0) / omega
         return build_barrier(cc, dens, regime, C, a=a, **given)
 
-    for omega in omegas:
+    probe = check_auto(make(1.0, omega), dens)
+    boundary = _binding_amplitude(cc, probe)
+    if regime == REGIME_BLOWUP and boundary > C_HI:
+        # at C = 1 each branch is 1 + (branch - 1) omega/OMEGA_MAX, and at C* = target the gap and
+        # coupling entries (rhs g, c at C = 1) hold for branches <= g C*^(p-1), (m-1) (c C*^(m-1)/K)^(1/nu)
+        rhs, target = {e.name: e.rhs for e in probe.inequalities}, C_HI / (1.0 + MARGIN)
+        coupling = rhs["outer_coupling"] * power_or_inf(target, m - 1.0) / probe.params["K"]
+        budget = min(rhs["outer_gap_amplitude"] * power_or_inf(target, p - 1.0),
+                     (m - 1.0) * power_or_inf(coupling, (p - 1.0) / (p + m - 2.0)))
+        omega = min(OMEGA_MAX * (budget - 1.0) / (probe.params[k] - 1.0) for k in ("branch_outer", "branch_inner"))
+        if not omega > 0.0:
+            raise FeasibilitySearchError(f"no feasible Blowup parameters: no omega > 0 fits, as the gap and "
+                                         f"coupling entries at C = {target:g} cap each branch at {budget:g} <= 1")
         probe = check_auto(make(1.0, omega), dens)
         boundary = _binding_amplitude(cc, probe)
-        if C_LO <= boundary <= C_HI:
-            break
-    else:
-        if regime == REGIME_BLOWUP:
-            raise FeasibilitySearchError(
-                "no feasible blow-up parameters on the omega grid within the amplitude budget"
-            )
-        if regime == REGIME_GE2 and not boundary >= C_LO:
-            # at this omega the amplitude balance reads C^(p-1) + 1/(p-1) <=
-            # (p-m) B / ((p-1) bbar (1 + MARGIN)), B the drift bracket minimum,
-            # so small C passes iff p - m > edge; the probe's report holds B
-            edge = (1.0 + MARGIN) * bbar / probe.params["drift_bracket_min"]
-            raise FeasibilitySearchError(
-                f"no feasible GE2 parameters: no amplitude in [{C_LO:g}, {C_HI:g}] "
-                f"passes the certificate at omega={omega:g}; needs p - m > {edge:.3g} "
-                f"at N = {cc.N}, r0 = {dens.r0:g}, alpha = {dens.alpha:g}"
-            )
-        (e,) = [e for e in probe.inequalities if e.name.startswith("amplitude_balance")]
-        raise FeasibilitySearchError(f"no feasible {regime} parameters: {e.name} (lhs {e.lhs:g}, rhs {e.rhs:g} "
-                                     f"at C = 1) gives the binding amplitude {boundary:g}, outside [{C_LO:g}, {C_HI:g}]")
+    if regime == REGIME_GE2 and not boundary >= C_LO:
+        # at this omega the amplitude balance reads C^(p-1) + 1/(p-1) <=
+        # (p-m) B / ((p-1) bbar (1 + MARGIN)), B the drift bracket minimum,
+        # so small C passes iff p - m > edge; the probe's report holds B
+        edge = (1.0 + MARGIN) * bbar / probe.params["drift_bracket_min"]
+        raise FeasibilitySearchError(
+            f"no feasible GE2 parameters: no amplitude in [{C_LO:g}, {C_HI:g}] "
+            f"passes the certificate at omega={omega:g}; needs p - m > {edge:.3g} "
+            f"at N = {cc.N}, r0 = {dens.r0:g}, alpha = {dens.alpha:g}"
+        )
+    if not C_LO <= boundary <= C_HI:
+        sides = ", ".join(f"{e.name} (lhs {e.lhs:g}, rhs {e.rhs:g} at C = 1)"
+                          for e in probe.inequalities if "amplitude" in e.name or "coupling" in e.name)
+        raise FeasibilitySearchError(f"no feasible {regime} parameters: {sides} "
+                                     f"gives the binding amplitude {boundary:g}, outside [{C_LO:g}, {C_HI:g}]")
     floor = regime in (REGIME_GE1A, REGIME_BLOWUP)
     bar = make(boundary * (1.0 + MARGIN) if floor else boundary / (1.0 + MARGIN), omega)
     report = check_auto(bar, dens)

@@ -313,6 +313,16 @@ def _grid(bar: Barrier, solver: SolverConfig) -> RadialGrid:
     return RadialGrid(N=bar.constants.N, R=solver.R, cells=solver.cells)
 
 
+def _refuse_at_threshold(data: str, sup: float, solver: SolverConfig) -> None:
+    """Raise ``ValueError`` for ``data`` whose sup reaches the threshold:
+    their run would end at t = 0 with no step, and decide nothing."""
+    if sup >= solver.blowup_threshold:
+        raise ValueError(
+            f"{data} reach sup {sup:.6g} >= blowup_threshold = {solver.blowup_threshold:g}: "
+            "the run would blow up before its first step; raise [solver] blowup_threshold"
+        )
+
+
 def comparison_experiment(
     bar: Barrier, dens: DensityParams, solver: SolverConfig, initial: InitialData = InitialData()
 ) -> ComparisonResult:
@@ -357,12 +367,7 @@ def comparison_experiment(
             f"(worst excess {float(np.max(excess)):.3e}); comparison would be vacuous"
         )
     del bar0, excess  # kept through the run, they raised its peak memory
-    sup0 = float(u0.max())
-    if sup0 >= solver.blowup_threshold:
-        raise ValueError(
-            f"initial data reach sup {sup0:.6g} >= blowup_threshold = {solver.blowup_threshold:g}: "
-            "the run would blow up before its first step; raise [solver] blowup_threshold"
-        )
+    _refuse_at_threshold("initial data", float(u0.max()), solver)
     half_dt: Optional[HalfStepCheck] = None
     if isinstance(bar, GE1Barrier):
         # imported here, so that only these runs compile the module; with no
@@ -526,7 +531,9 @@ def blowup_scan(
 
     The time horizon of each row is stretched to at least three reaction
     times of its own scaled data, so smaller amplitudes get a fair window
-    instead of inheriting the horizon tuned to the unscaled run.
+    instead of inheriting the horizon tuned to the unscaled run.  A factor
+    that scales the data to ``blowup_threshold`` or above is a
+    ``ValueError``, raised before the first run.
     """
     if not isinstance(bar, BlowupSubsolution):
         raise ValueError("the amplitude scan is defined for the blow-up regime")
@@ -537,6 +544,8 @@ def blowup_scan(
     sup0 = float(u0.max())
     if sup0 <= 0.0:
         raise ValueError("scan needs nonzero initial data")
+    for f in factors:
+        _refuse_at_threshold(f"initial data scaled by {f:g}", f * sup0, solver)
     rows = []
     for f in factors:
         tau_f = reaction_time_scale(bar.constants.p, f * sup0)

@@ -1133,20 +1133,24 @@ def test_cli_compare_blowup_that_completes_fails_with_a_null_support_verdict(tmp
 
 
 # data at or above blowup_threshold: (command, config, initial data,
-# threshold, sup of the data); compare printed "fail" for the shipped data,
-# after 0 steps ("unexpected numerical blow-up") on ge2 and with
-# "s_num=0 outside [9.88617e-06, 1.05]" on blowup
+# threshold, the data and their sup); compare printed "fail" for the shipped
+# data, after 0 steps ("unexpected numerical blow-up") on ge2 and with
+# "s_num=0 outside [9.88617e-06, 1.05]" on blowup, and the scan wrote the
+# row "1.25,true,0,..." for data scaled past the threshold with no step
 AT_THRESHOLD = {
-    "ge2-compare": ("compare", "ge2", "equals_barrier", "0.3", "0.426333"),
-    "blowup-compare": ("compare", "blowup", "equals_barrier", "100", "219.196"),
-    "blowup-scan": ("blow-up-scan", "blowup", "equals_barrier", "100", "219.196"),
-    "blowup-constant": ("compare", "blowup", "constant:300", "250", "300"),
+    "ge2-compare": ("compare", "ge2", "equals_barrier", "0.3", "initial data reach sup 0.426333"),
+    "blowup-compare": ("compare", "blowup", "equals_barrier", "100", "initial data reach sup 219.196"),
+    "blowup-scan": ("blow-up-scan", "blowup", "equals_barrier", "100", "initial data reach sup 219.196"),
+    "blowup-constant": ("compare", "blowup", "constant:300", "250", "initial data reach sup 300"),
+    "blowup-scan-factor": (
+        "blow-up-scan", "blowup", "equals_barrier", "250", "initial data scaled by 1.25 reach sup 273.995",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(AT_THRESHOLD))
 def test_cli_compare_refuses_data_at_the_blowup_threshold(tmp_path, capsys, case):
-    command, stem, initial, threshold, sup = AT_THRESHOLD[case]
+    command, stem, initial, threshold, data = AT_THRESHOLD[case]
     text = re.sub(r"(?m)^cells = .*$", f"cells = 256\nblowup_threshold = {threshold}",
                   (CONFIGS / f"{stem}.cfg").read_text()).replace("equals_barrier", initial)
     cfg = write(tmp_path, f"{stem}.cfg", text)
@@ -1155,7 +1159,7 @@ def test_cli_compare_refuses_data_at_the_blowup_threshold(tmp_path, capsys, case
     captured = capsys.readouterr()
     assert (rc, captured.out, list(out.iterdir())) == (1, "", [])
     assert captured.err == (
-        f"error: initial data reach sup {sup} >= blowup_threshold = {threshold}: "
+        f"error: {data} >= blowup_threshold = {threshold}: "
         "the run would blow up before its first step; raise [solver] blowup_threshold\n"
     )
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pme_react import cli, feasibility
 from pme_react.barrier import E, BlowupSubsolution, GE1Barrier, GE2Barrier
-from pme_react.config import load
+from pme_react.config import load, loads, resolve
 from pme_react.density import DensityParams, ProblemConstants, derive_k0, derive_rho_bounds
 from pme_react.feasibility import (
     REGIME_BLOWUP,
@@ -30,7 +30,7 @@ from pme_react.feasibility import (
     ge2_drift_minimum,
     omega_of,
 )
-from pme_react.harness import residual_sweep
+from pme_react.harness import comparison_experiment, residual_sweep
 
 CC23 = ProblemConstants(m=2.0, p=3.0, N=3)
 CC32 = ProblemConstants(m=3.0, p=2.0, N=3)
@@ -771,46 +771,9 @@ def test_search_pins_shipped_configs_bitwise(stem, monkeypatch):
 def test_search_evaluates_no_certificate_it_does_not_decide_by(regime, m, p):
     # C_HI^(p-1) overflows a float here, and the search evaluates no
     # certificate at C_HI: each takes C = 1 and the closed-form binding
-    # amplitude, and Blowup stops at the top grid omega
+    # amplitude, and Blowup's fits the budget at omega = OMEGA_MAX
     bar, rep = find_params(ProblemConstants(m=m, p=p, N=3), H2S_8, regime)
     assert rep.overall and check_auto(bar, H2S_8) == rep
-
-
-def _blowup_search_by_full_sweep(cc, dens, given):
-    """Reference Blowup search: every omega of the grid is tried on the
-    amplitude bracket and the largest at which the certificate differs
-    between C_LO and C_HI is kept; its binding amplitude is moved MARGIN
-    above the floor and rechecked.  Returns the flipping omegas and the
-    barrier and report, or the FeasibilitySearchError the search would
-    raise."""
-
-    def make(C, w):
-        return build_barrier(cc, dens, REGIME_BLOWUP, C, a=C ** (cc.m - 1.0) / w, **given)
-
-    grid = np.geomspace(feasibility.OMEGA_MIN, feasibility.OMEGA_MAX, feasibility.OMEGA_POINTS)
-    found = [
-        w for w in grid
-        if check_blowup(make(feasibility.C_LO, w), dens).overall
-        != check_blowup(make(feasibility.C_HI, w), dens).overall
-    ]
-    if not found:
-        return found, FeasibilitySearchError(
-            "no feasible blow-up parameters on the omega grid within the amplitude budget"
-        )
-    w = found[-1]
-    try:
-        boundary = feasibility._binding_amplitude(cc, check_blowup(make(1.0, w), dens))
-        if not feasibility.C_LO <= boundary <= feasibility.C_HI:
-            raise FeasibilitySearchError(
-                f"binding amplitude {boundary:g} outside [{feasibility.C_LO:g}, {feasibility.C_HI:g}]"
-            )
-        bar = make(boundary * (1.0 + feasibility.MARGIN), w)
-        report = check_blowup(bar, dens)
-        feasibility.refuse_failing(report, "searched")
-        feasibility.refuse_degenerate_support(bar)
-    except FeasibilitySearchError as err:
-        return found, err
-    return found, (bar, report)
 
 
 def _blowup_draws(n=50, seed=20261019):
@@ -838,36 +801,59 @@ def _blowup_draws(n=50, seed=20261019):
     yield loaded.constants, loaded.density, loaded.barrier_given
 
 
-def test_blowup_search_matches_the_full_omega_sweep(monkeypatch):
-    # scanning the grid from its top end and stopping at the first binding
-    # amplitude inside the budget returns the full sweep's largest flipping
-    # omega, bit for bit
-    calls = []
-    monkeypatch.setattr(
-        feasibility, "check_blowup", lambda *args: calls.append(1) or check_blowup(*args)
-    )
-    grid = np.geomspace(feasibility.OMEGA_MIN, feasibility.OMEGA_MAX, feasibility.OMEGA_POINTS)
-    outcomes = {"top": 0, "below top": 0, "no flip": 0, "refused": 0}
+def _search_or_refusal(search):
+    """What ``search()`` returns, or the message of its
+    :class:`FeasibilitySearchError`."""
+    try:
+        return search()
+    except FeasibilitySearchError as err:
+        return str(err)
+
+
+def test_blowup_search_in_closed_form(monkeypatch):
+    # omega = OMEGA_MAX where its binding amplitude fits the budget, with
+    # the barrier and report of the top of the former omega grid; elsewhere
+    # the omega whose binding amplitude is C_HI/(1 + MARGIN); at most three
+    # certificates either way
+    probes = []
+
+    def counted(bar, dens):
+        probes.append(bar)
+        return check_blowup(bar, dens)
+
+    monkeypatch.setattr(feasibility, "check_blowup", counted)
+    target = feasibility.C_HI / (1.0 + feasibility.MARGIN)
+    outcomes = {"omega = 1": 0, "searched omega": 0, "searched omega, refused": 0, "no omega > 0": 0}
     for cc, dens, given in _blowup_draws():
-        found, want = _blowup_search_by_full_sweep(cc, dens, given)
-        calls.clear()
-        if isinstance(want, FeasibilitySearchError):
-            with pytest.raises(FeasibilitySearchError) as err:
-                find_params(cc, dens, REGIME_BLOWUP, **given)
-            assert str(err.value) == str(want)
-            outcomes["refused" if found else "no flip"] += 1
-            if not found:
-                assert len(calls) == len(grid)
-            continue
-        bar, report = find_params(cc, dens, REGIME_BLOWUP, **given)
-        want_bar, want_report = want
-        assert (bar.C, bar.a, bar.T) == (want_bar.C, want_bar.a, want_bar.T)
-        assert bar == want_bar and report == want_report
-        # the certificate at C = 1 for each grid omega from the top down to
-        # the flip, then the recheck
-        assert len(calls) == np.count_nonzero(grid >= found[-1]) + 1
-        outcomes["top" if found[-1] == grid[-1] else "below top"] += 1
-    assert min(outcomes.values()) >= 1 and outcomes["no flip"] >= 4, outcomes
+        probes.clear()
+        found = _search_or_refusal(lambda: find_params(cc, dens, REGIME_BLOWUP, **given))
+        assert len(probes) <= 3
+        top = build_barrier(cc, dens, REGIME_BLOWUP, 1.0, a=1.0 / feasibility.OMEGA_MAX, **given)
+        boundary = feasibility._binding_amplitude(cc, check_blowup(top, dens))
+        if feasibility.C_LO <= boundary <= feasibility.C_HI:
+            assert len(probes) == 2
+            C = boundary * (1.0 + feasibility.MARGIN)
+            bar = build_barrier(cc, dens, REGIME_BLOWUP, C, a=C ** (cc.m - 1.0) / feasibility.OMEGA_MAX, **given)
+
+            def recheck():
+                report = check_blowup(bar, dens)
+                feasibility.refuse_failing(report, "searched")
+                feasibility.refuse_degenerate_support(bar)
+                return bar, report
+
+            assert found == _search_or_refusal(recheck)
+            outcomes["omega = 1"] += 1
+        elif len(probes) == 1:
+            assert "no omega > 0" in found
+            outcomes["no omega > 0"] += 1
+        else:
+            # the probe at C = 1 and the searched omega, between two others
+            searched = probes[1]
+            assert len(probes) == 3 and searched.C == 1.0
+            amplitude = feasibility._binding_amplitude(cc, check_blowup(searched, dens))
+            assert amplitude == pytest.approx(target, rel=1e-12, abs=0.0)
+            outcomes["searched omega, refused" if isinstance(found, str) else "searched omega"] += 1
+    assert outcomes == {"omega = 1": 36, "searched omega": 11, "searched omega, refused": 1, "no omega > 0": 3}
 
 
 # -- the atlas: what the search certifies and why it refuses -----------------
@@ -889,16 +875,13 @@ ATLAS_REASONS = {
     "identically zero at t = 0": "identically zero at t = 0",
     "R(0) not finite": "is not a finite float",
     "R(0)^N not finite": "R(0)^N past the float range",
-    "no omega on the grid": "on the omega grid",
 }
 # A change that moves a count names the move in CHANGES.md.
 ATLAS_PINS = {
     REGIME_GE1A: {"certified": 443, "outside the budget": 337, "laplacian_margin": 120},
     REGIME_GE1B: {"certified": 964, "outside the budget": 336, "laplacian_margin": 200},
     REGIME_GE2: {"certified": 492, "p - m edge": 615, "identically zero at t = 0": 393},
-    REGIME_BLOWUP: {
-        "certified": 1063, "R(0) not finite": 187, "R(0)^N not finite": 114, "no omega on the grid": 136,
-    },
+    REGIME_BLOWUP: {"certified": 1094, "R(0) not finite": 262, "R(0)^N not finite": 144},
 }
 
 
@@ -921,6 +904,43 @@ def test_search_on_the_atlas(regime):
             reason = "certified"
         counts[reason] = counts.get(reason, 0) + 1
     assert counts == ATLAS_PINS[regime]
+
+
+# What compare decides on the first 30 atlas points of a seeded shuffle whose
+# config resolves, at 256 cells and every other solver key at its default:
+# each verdict, and each refusal (data at the blowup threshold, an R whose
+# cell volumes pass the float range).  A change that moves a count names the
+# move in CHANGES.md.
+COMPARE_ATLAS_PINS = {
+    REGIME_GE2: {"pass": 18, "fail": 12, "inconclusive": 0, "threshold": 0, "grid": 0},
+    REGIME_BLOWUP: {"pass": 20, "fail": 0, "inconclusive": 0, "threshold": 10, "grid": 0},
+}
+
+
+@pytest.mark.parametrize("regime", sorted(COMPARE_ATLAS_PINS))
+def test_compare_on_the_atlas(regime):
+    points = list(itertools.product(*ATLAS.values()))
+    random.Random(f"compare-atlas-{regime}").shuffle(points)
+    counts = dict.fromkeys(COMPARE_ATLAS_PINS[regime], 0)
+    for m, gap, alpha, r0, N in points:
+        text = (f"[problem]\nm = {m!r}\np = {m + gap!r}\nN = {N}\n"
+                f"[density]\nfamily = H2Smooth\nalpha = {alpha!r}\nr0 = {r0!r}\n"
+                f"[barrier]\nregime = {regime}\n[solver]\ncells = 256\n")
+        try:
+            resolved = resolve(loads(text))
+        except (ValueError, FeasibilitySearchError):
+            continue
+        try:
+            outcome = comparison_experiment(
+                resolved.barrier, resolved.density, resolved.solver, resolved.initial
+            ).verdict
+        except ValueError as err:
+            (outcome,) = [k for k, phrase in (("threshold", "blowup_threshold"), ("grid", "cell volumes"))
+                          if phrase in str(err)]
+        counts[outcome] += 1
+        if sum(counts.values()) == 30:
+            break
+    assert counts == COMPARE_ATLAS_PINS[regime]
 
 
 # -- certified implies a supersolution (or subsolution) on the sweep --------

@@ -391,6 +391,17 @@ def test_p_equal_to_m_matches_scalar_loop_bitwise(m, dirichlet):
     _one_step_calls(u0, m, m, dirichlet, 40)
 
 
+@pytest.mark.parametrize(
+    "cmax, p, reaction, threshold", [(math.exp(10.0), 2.01, True, 1.0e6), (1.0e300, 3.0, False, 1.0e-30)],
+    ids=["reaction-near-p-equal-m", "threshold-far-below-the-data"],
+)
+def test_settle_interval_past_exp_range_is_empty_and_silent(cmax, p, reaction, threshold):
+    # the lower end's log passes exp's range: inf empties the interval (every
+    # step settles) with no overflow warning, which the suite makes an error
+    r_lo, r_hi = _kernels._settle_interval(cmax, 2.0, p, reaction, threshold, 0.5)
+    assert r_lo == math.inf and not r_lo < r_hi
+
+
 def test_stalled_run_matches_scalar_loop_bitwise():
     # near t = 2^40 half an ulp of t is 1.2e-4; the diffusion limit c / u
     # falls below it as the reaction grows u, long before the cap binds, so
