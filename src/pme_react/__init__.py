@@ -3,7 +3,8 @@
 The package is organized bottom-up:
 
 - ``density``: admissible radial weight families, their canonical members
-  and the derived constants the certificates need.
+  and the derived constants the certificates need; ``Checked``, the base
+  of every record (a named tuple) that checks its fields.
 - ``barrier``: closed-form super/subsolution profiles and their derivatives.
 - ``feasibility``: inequality systems certifying the barrier sign conditions,
   plus a deterministic parameter search.

@@ -54,11 +54,12 @@ names are the ``REGIME_*`` constants here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .density import E, ProblemConstants, power_or_inf
+from .density import E, Checked, power_or_inf
 
 KINK_TOL = 1.0e-9
 
@@ -77,8 +78,7 @@ class TimeDomainError(ValueError):
     """Raised when a blow-up profile is evaluated at or beyond its end time."""
 
 
-@dataclass(frozen=True)
-class BarrierDerivatives:
+class BarrierDerivatives(NamedTuple):
     """Bundle (w_t, (w^m)_r, (w^m)_rr, Lap(w^m)); numpy values of the
     broadcast shape of ``r`` and ``t``, 0-d for scalar inputs."""
 
@@ -207,31 +207,25 @@ def _refuse_corner(r_b, t_b, corner, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GE1Barrier:
+class GE1Barrier(Checked, namedtuple("GE1Barrier", "constants C T b eps r0 beta cbar", defaults=(0.0, None))):
     """Supersolution ``C (T+t)^beta (log(r + r0))^(-b/m)``.
 
     ``b`` is the logarithmic decay exponent, ``eps`` the slack reserved when
     trading the Laplacian's dimensional term against the decay (kept on the
     record because the feasibility certificate depends on it), and ``cbar``
     the derived reaction comparison constant ``(log r0)^(-b p / m)``, the
-    sharp upper bound of ``(log(r + r0))^(-b p / m)`` over ``r >= 0``.
+    sharp upper bound of ``(log(r + r0))^(-b p / m)`` over ``r >= 0``,
+    computed at every build.
 
     Only ``C <= 0``, ``T <= 0``, ``r0 < e`` and ``p == m`` leave it
     undefined; the windows of ``b``, ``eps`` and ``beta`` (> 0 for p < m,
     0 for p > m) are entries of :func:`pme_react.feasibility.check_ge1`.
     """
 
-    constants: ProblemConstants
-    C: float
-    T: float
-    b: float
-    eps: float
-    r0: float
-    beta: float = 0.0
-    cbar: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         cc = self.constants
         if cc.p == cc.m:
             raise ValueError("p == m is outside every supported regime")
@@ -240,7 +234,8 @@ class GE1Barrier:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.r0 >= E:
             raise ValueError(f"r0 must be at least e, got {self.r0}")
-        object.__setattr__(self, "cbar", power_or_inf(math.log(self.r0), -self.b * cc.p / cc.m))
+        # cbar, the last field, is derived
+        return tuple.__new__(cls, (*self[:-1], power_or_inf(math.log(self.r0), -self.b * cc.p / cc.m)))
 
     @property
     def regime(self) -> str:
@@ -286,8 +281,7 @@ class GE1Barrier:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GE2Barrier:
+class GE2Barrier(Checked, namedtuple("GE2Barrier", "constants C a T bbar r0")):
     """Supersolution ``C zeta [1 - (log(r + r0))^bbar eta/a]_+^(1/(m-1))``.
 
     ``zeta = (T+t)^(-1/(p-1))``, ``eta = (T+t)^(-(p-m)/(p-1))``; requires
@@ -297,21 +291,17 @@ class GE2Barrier:
     here); ``a`` calibrates the support size.
     """
 
+    __slots__ = ()
     regime = REGIME_GE2
 
-    constants: ProblemConstants
-    C: float
-    a: float
-    T: float
-    bbar: float
-    r0: float
-
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _validate_compact(self, "spreading supersolution")
         if not self.bbar > 3.0:
             raise ValueError("bbar = alpha + 2 with alpha > 1 forces bbar > 3")
         if not self.r0 >= E:
             raise ValueError(f"r0 must be at least e, got {self.r0}")
+        return self
 
     def time_factors(self, t):
         """``(zeta, eta, zeta', eta')`` at ``s = T + t``."""
@@ -346,8 +336,7 @@ class GE2Barrier:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlowupSubsolution:
+class BlowupSubsolution(Checked, namedtuple("BlowupSubsolution", "constants C a T bunder")):
     """Subsolution ``C zeta [1 - sfrak(r) eta/a]_+^(1/(m-1))`` for ``t < T``.
 
     ``zeta = (T-t)^(-1/(p-1))`` and ``eta = (T-t)^((m-p)/(p-1))`` both
@@ -357,18 +346,15 @@ class BlowupSubsolution:
     density (checked by the certificate entry ``outer_shape_exponent``).
     """
 
+    __slots__ = ()
     regime = REGIME_BLOWUP
 
-    constants: ProblemConstants
-    C: float
-    a: float
-    T: float
-    bunder: float
-
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _validate_compact(self, "blow-up subsolution")
         if not self.bunder > 2.0:
             raise ValueError("bunder = alpha + 1 with alpha > 1 forces bunder > 2")
+        return self
 
     def time_factors(self, t):
         """``(zeta, eta, zeta', eta')`` at ``s = T - t``; refuses ``t >= T``."""

@@ -13,7 +13,7 @@ Subcommands, all driven by one config file (see :mod:`pme_react.config`):
 * ``blow-up-scan``: the blow-up comparison plus reruns with scaled initial
   data, adding ``scan.csv``.
 
-Reports are dataclasses; their fields are the JSON keys, and only the
+Reports are named tuples; their fields are the JSON keys, and only the
 compare payload is reshaped here (the raw run becomes its outcome, the
 keys it shares with ``summary.json``, and ``implicit``).  ``series.csv`` is
 read off the run's snapshots.
@@ -31,7 +31,6 @@ against an uncertified barrier shows nothing.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import math
@@ -69,13 +68,9 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _fields(report) -> dict:
-    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-
-
 def _finite_or_null(value):
-    if dataclasses.is_dataclass(value):
-        value = _fields(value)
+    if hasattr(value, "_asdict"):  # a record's fields are keys, not tuple items
+        value = value._asdict()
     if isinstance(value, float) and not math.isfinite(value):
         return None
     if isinstance(value, dict):
@@ -136,7 +131,7 @@ def _load(args) -> config_mod.Resolved:
 
 def _compare_payload(result, defaults_used) -> dict:
     """A comparison's fields, with the raw run reduced to its outcome and ``implicit``."""
-    payload = _fields(result)
+    payload = result._asdict()
     res = payload.pop("run")
     payload.update(_run_outcome(res), implicit=res.implicit, defaults_used=defaults_used)
     return payload
@@ -151,7 +146,7 @@ def _cmd_feasibility(args) -> int:
     resolved = _load(args)
     _need_regime(resolved, "feasibility")
     report = resolved.report
-    payload = {**_fields(report), "defaults_used": resolved.defaults_used}
+    payload = {**report._asdict(), "defaults_used": resolved.defaults_used}
     _write_json(os.path.join(args.out, "summary.json"), payload)
     print(f"{report.mode}: {'feasible' if report.overall else 'infeasible'}")
     return EXIT_OK if report.overall else EXIT_FAIL

@@ -32,8 +32,7 @@ crosscheck is its ``--seed`` option, not a key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -59,8 +58,7 @@ _DENSITY_KEYS = {
 _IGNORED = object()  # sentinel section for keys under an unknown header
 
 
-@dataclass(frozen=True)
-class ConfigIssue:
+class ConfigIssue(NamedTuple):
     """One problem found in a config file, with its line."""
 
     line: int
@@ -241,8 +239,7 @@ def _parse_sections(text: str):
     return sections, header_lines, issues
 
 
-@dataclass
-class LoadedConfig:
+class LoadedConfig(NamedTuple):
     """A parsed and validated config, before any search or regime-dependent default.
 
     ``solver`` holds the :class:`SolverConfig` keywords; with a barrier,
@@ -255,7 +252,7 @@ class LoadedConfig:
     barrier_given: Dict[str, float]
     solver: Dict[str, object]
     initial: InitialData
-    defaults_used: List[str] = field(default_factory=list)
+    defaults_used: List[str]
 
 
 def loads(text: str) -> LoadedConfig:
@@ -281,7 +278,7 @@ def loads(text: str) -> LoadedConfig:
     r0 = dens_s.get("r0", _float)
     # an unreadable family reads every family's keys, so none is judged against it
     taken = _DENSITY_KEYS.get(family, _DENSITY_KEYS[FAMILY_H1] + _DENSITY_KEYS[FAMILY_H2SMOOTH])
-    dens_kw = {key: dens_s.get(key, _float, getattr(DensityParams, key)) for key in taken}
+    dens_kw = {key: dens_s.get(key, _float, DensityParams._field_defaults[key]) for key in taken}
     note = f" for family {family} (its keys: family, alpha, r0, {', '.join(taken)})" if family else ""
     dens_s.finish(note)
 
@@ -305,14 +302,14 @@ def loads(text: str) -> LoadedConfig:
         "cells": solver_s.get("cells", _int, 256),
         "t_end": solver_s.get("t_end", _float, horizon),
     }
-    # a dataclass field's default is its class attribute: each is written once
+    # each default is written once, in SolverConfig
     for key, parse in (
         ("cfl_safety", _float),
         ("blowup_threshold", _float),
         ("boundary", _choice(BOUNDARIES)),
         ("reaction", _bool),
     ):
-        solver[key] = solver_s.get(key, parse, getattr(SolverConfig, key))
+        solver[key] = solver_s.get(key, parse, SolverConfig._field_defaults[key])
     solver["output_times"] = solver_s.get("output_times", numbers, auto)
     solver_s.finish()
 
@@ -384,8 +381,7 @@ def _parse_initial(raw: str, barrier: bool) -> InitialData:
 # resolution: config -> runnable objects
 
 
-@dataclass
-class Resolved:
+class Resolved(NamedTuple):
     """A config made runnable: the certified barrier, its report, solver settings and initial data."""
 
     constants: ProblemConstants

@@ -22,8 +22,7 @@ inverse-weight bounds on the closed ball of radius e, are produced by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 import numpy as np
 
@@ -49,8 +48,22 @@ def power_or_inf(x: float, e: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class ProblemConstants:
+class Checked:
+    """Base of a record that checks its fields: a ``collections.namedtuple``
+    whose ``__new__`` builds the tuple, validates it and fills any derived
+    field (given a default of None in the namedtuple, and replaced whatever
+    value is passed).  ``_make``, and so ``_replace``, the namedtuple's
+    copy, build through ``__new__`` too, so a modified copy is checked like
+    a fresh record and its derived fields are computed afresh."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class ProblemConstants(Checked, namedtuple("ProblemConstants", "m p N")):
     """Exponents and dimension of the reaction-diffusion problem.
 
     Parameters
@@ -63,21 +76,23 @@ class ProblemConstants:
         Spatial dimension, at least 3.
     """
 
-    m: float
-    p: float
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.m > 1.0:
             raise ValueError(f"m must exceed 1, got {self.m}")
         if not self.p > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
         if int(self.N) != self.N or self.N < 3:
             raise ValueError(f"N must be an integer >= 3, got {self.N}")
+        return self
 
 
-@dataclass(frozen=True)
-class DensityParams:
+class DensityParams(
+    Checked,
+    namedtuple("DensityParams", "family alpha r0 k k1 k2 k0 rho1 rho2", defaults=(1.0, 1.0, 1.0, None, None, None)),
+):
     """Constants pinning down a weight family member.
 
     H1 uses ``k``, its envelope constant, and the optional override ``k0``
@@ -91,17 +106,10 @@ class DensityParams:
     envelopes by construction.
     """
 
-    family: str
-    alpha: float
-    r0: float
-    k: float = 1.0
-    k1: float = 1.0
-    k2: float = 1.0
-    k0: Optional[float] = None
-    rho1: Optional[float] = None
-    rho2: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in FAMILIES:
             raise ValueError(
                 f"unknown density family {self.family!r}; expected one of {FAMILIES}"
@@ -125,6 +133,7 @@ class DensityParams:
                 raise ValueError(
                     f"need 0 < rho1 <= rho2, got rho1={self.rho1}, rho2={self.rho2}"
                 )
+        return self
 
 
 def inverse_rho(params: DensityParams, r):

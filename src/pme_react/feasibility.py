@@ -29,8 +29,7 @@ all it names the edge ``p - m`` must pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .barrier import REGIME_BLOWUP, REGIME_GE1A, REGIME_GE1B, REGIME_GE2, REGIMES
 from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
@@ -50,8 +49,7 @@ class FeasibilitySearchError(RuntimeError):
     the given ones fail their certificate where a command needs it."""
 
 
-@dataclass(frozen=True)
-class FeasibilityEntry:
+class FeasibilityEntry(NamedTuple):
     """One inequality ``lhs <= rhs`` (or ``lhs < rhs`` when strict)."""
 
     name: str
@@ -62,14 +60,13 @@ class FeasibilityEntry:
     strict: bool = False
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     """A certificate: each inequality of one condition set, the parameters, and their conjunction."""
 
     mode: str
     inequalities: Tuple[FeasibilityEntry, ...]
-    params: Dict[str, float] = field(default_factory=dict)
-    overall: bool = True
+    params: Dict[str, float]
+    overall: bool
 
 
 def _entry(name: str, lhs: float, rhs: float, strict: bool = False) -> FeasibilityEntry:

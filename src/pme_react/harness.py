@@ -23,21 +23,21 @@ The pieces here connect the closed-form comparison functions from
   amplitudes still blow up.
 
 Each takes a barrier, which carries its regime and problem constants.
-Everything returns plain report dataclasses; the command line writes their
-fields as JSON keys.
+Everything returns plain report records (named tuples); the command line
+writes their fields as JSON keys.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from collections import namedtuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
-from .density import E, DensityParams, inverse_rho
+from .density import E, Checked, DensityParams, inverse_rho
 from .solver import TERM_BLOWUP, TERM_STALLED, TERM_STEP_LIMIT, RadialGrid, RunResult, SolverConfig
 from .solver import reaction_time_scale, run, support_radius_numeric
 
@@ -54,8 +54,9 @@ VERDICT_FAIL = "fail"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class InitialData:
+class InitialData(
+    Checked, namedtuple("InitialData", "kind factor value path", defaults=(INIT_EQUALS_BARRIER, 1.0, 0.0, ""))
+):
     """How a comparison run builds its starting profile.
 
     ``equals_barrier`` samples the barrier at t=0, ``scaled_barrier``
@@ -63,12 +64,10 @@ class InitialData:
     nonnegative ``value`` and ``csv`` reads one value per cell from ``path``.
     """
 
-    kind: str = INIT_EQUALS_BARRIER
-    factor: float = 1.0
-    value: float = 0.0
-    path: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in INIT_KINDS:
             raise ValueError(f"initial data kind must be one of {INIT_KINDS}, got {self.kind!r}")
         if self.kind == INIT_SCALED_BARRIER and not self.factor > 0.0:
@@ -77,6 +76,7 @@ class InitialData:
             raise ValueError(f"constant value must be nonnegative, got {self.value}")
         if self.kind == INIT_CSV and not self.path:
             raise ValueError("csv initial data needs a path")
+        return self
 
 
 def build_initial(init: InitialData, grid: RadialGrid, barrier: Optional[Barrier] = None) -> np.ndarray:
@@ -100,8 +100,7 @@ def build_initial(init: InitialData, grid: RadialGrid, barrier: Optional[Barrier
 # residual sign sweeps
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Worst signed relative residual of a barrier over an (r, t) grid, and where it lies."""
 
     regime: str
@@ -198,8 +197,7 @@ def residual_sweep(
 # derivative cross-check
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     """Largest relative error of the closed-form derivatives against finite differences."""
 
     n_points: int
@@ -271,8 +269,7 @@ def derivative_crosscheck(
 # comparison experiments
 
 
-@dataclass(frozen=True)
-class HalfStepCheck:
+class HalfStepCheck(NamedTuple):
     """The implicit comparison rerun with every step at most ``max_dt``,
     half the first run's largest step, judged the same way."""
 
@@ -284,8 +281,7 @@ class HalfStepCheck:
     verdict: str
 
 
-@dataclass
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     """Verdict of one barrier comparison, the evidence it rests on, and the run itself."""
 
     verdict: str
@@ -509,8 +505,7 @@ def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> dict:
 # amplitude scan around the blow-up comparison
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One run of the amplitude scan: its data factor and whether, and when, it blew up."""
 
     factor: float
@@ -550,7 +545,7 @@ def blowup_scan(
     for f in factors:
         tau_f = reaction_time_scale(bar.constants.p, f * sup0)
         t_end = max(solver.t_end, 3.0 * tau_f)
-        cfg = replace(solver, t_end=t_end, output_times=())
+        cfg = solver._replace(t_end=t_end, output_times=())
         res = run(f * u0, grid, dens, bar.constants, cfg)
         rows.append(
             ScanRow(

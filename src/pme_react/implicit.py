@@ -14,8 +14,7 @@ those runs, so no other command compiles it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Union
+from typing import Callable, Dict, List, NamedTuple, Union
 
 import numpy as np
 
@@ -29,8 +28,7 @@ NEWTON_MAX_ITER = 8
 NEWTON_RTOL = 1.0e-12
 
 
-@dataclass(frozen=True)
-class ImplicitStats:
+class ImplicitStats(NamedTuple):
     """Why a :func:`run_implicit` run took the steps it took.
 
     ``dt_bound`` counts the accepted steps by the bound that set their first
@@ -177,12 +175,13 @@ def run_implicit(
 
         return step
 
-    res = _drive(u0, grid, rho, constants, config, scheme)
-    res.implicit = ImplicitStats(
-        newton_iterations=iterations,
-        halvings=halvings,
-        dt_bound=dt_bound,
-        dt_smallest=min(dts, default=math.nan),
-        dt_largest=max(dts, default=math.nan),
-    )
-    return res
+    def stats():
+        return ImplicitStats(
+            newton_iterations=iterations,
+            halvings=halvings,
+            dt_bound=dt_bound,
+            dt_smallest=min(dts, default=math.nan),
+            dt_largest=max(dts, default=math.nan),
+        )
+
+    return _drive(u0, grid, rho, constants, config, scheme, stats)

@@ -2,8 +2,8 @@
 steps (:func:`run`) and, against a boundary datum, backward-Euler steps
 (:func:`pme_react.implicit.run_implicit`).  One driver, ``_drive``, runs
 the steps of both schemes and records their runs: output snapshots, the
-termination, the blow-up time and flag, ``max_steps``, ``tau0`` and the
-clamped mass.
+termination, the blow-up time and flag, ``max_steps``, ``tau0``, the
+clamped mass and, for backward Euler, its step statistics.
 
 Discretization.  Radial domain [0, R] split into equal cells; faces sit at
 ``i Δr`` and carry the area factor ``r^(N-1)``, cell volumes are
@@ -106,13 +106,13 @@ files agree by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from collections import namedtuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from . import _kernels
-from .density import DensityParams, ProblemConstants, power_or_inf, rho as density_rho
+from .density import Checked, DensityParams, ProblemConstants, power_or_inf, rho as density_rho
 
 if TYPE_CHECKING:
     from .implicit import ImplicitStats
@@ -134,19 +134,15 @@ SUPPORT_THRESHOLD = 1.0e-12
 REACTION_DT_CAP = 0.1
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """Uniform radial grid; derived arrays are computed once at build."""
+class RadialGrid(Checked, namedtuple("RadialGrid", "N R cells faces centers volumes dr", defaults=(None,) * 4)):
+    """Uniform radial grid of ``cells`` cells on [0, R] in dimension ``N``;
+    the arrays ``faces``, ``centers``, ``volumes`` and the width ``dr`` are
+    derived, computed once at every build."""
 
-    N: int
-    R: float
-    cells: int
-    faces: np.ndarray = field(init=False, repr=False)
-    centers: np.ndarray = field(init=False, repr=False)
-    volumes: np.ndarray = field(init=False, repr=False)
-    dr: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if int(self.N) != self.N or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
         if not 0.0 < self.R < math.inf:
@@ -164,27 +160,25 @@ class RadialGrid:
                 f"R = {self.R!r} with N = {self.N} and cells = {self.cells} gives cell volumes or face areas "
                 "that are zero or not finite in double precision"
             )
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "centers", 0.5 * (faces[:-1] + faces[1:]))
-        object.__setattr__(self, "volumes", volumes)
-        object.__setattr__(self, "dr", float(faces[1] - faces[0]))
+        centers = 0.5 * (faces[:-1] + faces[1:])
+        return tuple.__new__(cls, (self.N, self.R, self.cells, faces, centers, volumes, float(faces[1] - faces[0])))
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Run settings: horizon, grid, step safety, blow-up threshold, boundary, reaction, output times."""
+class SolverConfig(
+    Checked,
+    namedtuple(
+        "SolverConfig",
+        "t_end R cells cfl_safety blowup_threshold boundary reaction output_times max_steps",
+        defaults=(0.9, 1.0e6, BOUNDARY_DIRICHLET, True, (), 10**9),
+    ),
+):
+    """Run settings: horizon, grid, step safety, blow-up threshold, boundary,
+    reaction, output times (``()`` gives ``(t_end,)``) and step budget."""
 
-    t_end: float
-    R: float
-    cells: int
-    cfl_safety: float = 0.9
-    blowup_threshold: float = 1.0e6
-    boundary: str = BOUNDARY_DIRICHLET
-    reaction: bool = True
-    output_times: Tuple[float, ...] = ()
-    max_steps: int = 10**9
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.t_end > 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if not 0.0 < self.R < math.inf:
@@ -200,21 +194,21 @@ class SolverConfig:
             raise ValueError("output_times must lie within [0, t_end]")
         if list(times) != sorted(set(times)):
             raise ValueError("output_times must be strictly increasing")
-        object.__setattr__(self, "output_times", times if times else (self.t_end,))
+        *settings, _, max_steps = self
+        return tuple.__new__(cls, (*settings, times if times else (self.t_end,), max_steps))
 
 
-@dataclass
-class State:
+class State(NamedTuple):
     """The cell values ``u`` at time ``t``."""
 
     t: float
     u: np.ndarray
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """What one run produced: snapshots, termination, blow-up time and flag
-    (both ``None`` unless it blew up), step count and clamped mass."""
+    (both ``None`` unless it blew up), step count, clamped mass and, for a
+    backward-Euler run, its :class:`~pme_react.implicit.ImplicitStats`."""
 
     grid: RadialGrid
     snapshots: List[Tuple[float, np.ndarray]]
@@ -225,7 +219,7 @@ class RunResult:
     steps: int
     clamp_total: float
     final_state: State
-    implicit: Optional[ImplicitStats] = None
+    implicit: Optional[ImplicitStats]
 
 
 def reaction_time_scale(p: float, sup_u0: float) -> float:
@@ -279,7 +273,8 @@ def run(
     return _drive(u0, grid, rho, constants, config, explicit)
 
 
-def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: SolverConfig, scheme) -> RunResult:
+def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: SolverConfig, scheme,
+           stats: Optional[Callable[[], ImplicitStats]] = None) -> RunResult:
     """The run loop of both schemes, and the one place that records a run.
 
     ``scheme(rho_vol, area_over_dr)`` returns the step function, called as
@@ -289,7 +284,9 @@ def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: Solve
     in ``u_prev`` and return its 5-tuple and status codes.  The driver
     validates the data, takes the output snapshots, reads the sups off
     ``u_prev`` and ``u``, classifies the termination (module docstring) and
-    counts steps against ``max_steps``.
+    counts steps against ``max_steps``.  ``stats``, given for a
+    backward-Euler run, is called once the steps are done, and its result
+    is recorded as ``implicit``.
     """
     if grid.N != constants.N:
         raise ValueError(f"grid dimension N={grid.N} does not match constants N={constants.N}")
@@ -368,4 +365,5 @@ def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: Solve
         steps=steps,
         clamp_total=clamp_total,
         final_state=State(t=t, u=u.copy()),
+        implicit=stats() if stats is not None else None,
     )

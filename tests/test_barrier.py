@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -109,7 +108,7 @@ def test_ge1_beta_regime_coupling():
     assert grow.eval(0.0, 0.0) == pytest.approx(2.0**0.05, rel=1e-14)
     assert passes(grow, "beta_mode")
     for beta in (0.0, -0.05):  # p < m needs a growing amplitude
-        assert not passes(dataclasses.replace(grow, beta=beta), "beta_mode")
+        assert not passes(grow._replace(beta=beta), "beta_mode")
     with pytest.raises(ValueError, match="p == m"):
         GE1Barrier(
             constants=ProblemConstants(m=2.0, p=2.0, N=3),

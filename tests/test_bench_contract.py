@@ -56,6 +56,26 @@ def test_cli_import_loads_every_traced_module():
     assert {"pme_react." + mod_name for _, mod_name, _ in TRACED} <= loaded
 
 
+def test_package_records_generate_no_code_at_import():
+    # a dataclass execs its generated methods at import, about 0.6 ms a
+    # class, in every command; the records are named tuples instead
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import json, sys, pme_react.cli, pme_react.implicit\n"
+        "import dataclasses\n"
+        "mods = {n: m for n, m in sys.modules.items() if n.split('.')[0] == 'pme_react'}\n"
+        "print(json.dumps([\n"
+        "    sorted(f'{n}.{k}' for n, m in mods.items() for k, v in vars(m).items()\n"
+        "           if isinstance(v, type) and v.__module__ == n and dataclasses.is_dataclass(v)),\n"
+        "    sorted(f'{n}.{k}' for n, m in mods.items() for k, v in vars(m).items() if v is dataclasses),\n"
+        "]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    dataclass_types, bindings = json.loads(out.stdout)
+    assert dataclass_types == [] and bindings == []
+
+
 def test_backend_flag_exists():
     from pme_react import _kernels
 

@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pme_react.barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
 from pme_react.density import (
     E,
     FAMILY_H1,
@@ -17,6 +17,8 @@ from pme_react.density import (
     inverse_rho,
     rho,
 )
+from pme_react.harness import INIT_SCALED_BARRIER, InitialData
+from pme_react.solver import RadialGrid, SolverConfig
 
 
 def test_constants_validation():
@@ -190,10 +192,10 @@ def test_derived_constants_follow_params():
     h1 = DensityParams(family=FAMILY_H1, alpha=2.5, r0=25.0, k=1.5)
     h2 = DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=8.0, k1=1.0, k2=2.0)
     # overrides win
-    assert derive_k0(replace(h1, k0=0.5)) == 0.5
-    assert derive_rho_bounds(replace(h2, rho1=2.0, rho2=3.0)) == (2.0, 3.0)
+    assert derive_k0(h1._replace(k0=0.5)) == 0.5
+    assert derive_rho_bounds(h2._replace(rho1=2.0, rho2=3.0)) == (2.0, 3.0)
     # r0 moves the inverse-weight bounds
-    assert derive_rho_bounds(replace(h2, r0=9.0)) != derive_rho_bounds(h2)
+    assert derive_rho_bounds(h2._replace(r0=9.0)) != derive_rho_bounds(h2)
 
 
 def test_derive_rho_bounds_interior_minimum():
@@ -213,3 +215,49 @@ def test_derive_rho_bounds_from_member():
     assert lo == pytest.approx(0.95 * math.e**2, rel=1e-6)
     assert hi == pytest.approx(1.05 * (2 * math.e) ** 2 / math.log(2 * math.e) ** 2, rel=1e-6)
     assert lo < hi
+
+
+
+# Every record that checks its fields, built from keywords, with one changed
+# field and the derived field it moves (None where none), then one invalid
+# value.  The record is immutable, and a copy goes through the checks and
+# derivations of a fresh build.
+_GE1_CC, _COMPACT_CC = ProblemConstants(m=2.0, p=1.5, N=3), ProblemConstants(m=2.0, p=3.0, N=3)
+CHECKED_RECORDS = [
+    (ProblemConstants, dict(m=2.0, p=3.0, N=3), dict(p=4.0), None, dict(m=1.0)),
+    (DensityParams, dict(family=FAMILY_H1, alpha=2.0, r0=10.0), dict(k=2.0), None, dict(r0=2.0)),
+    (GE1Barrier, dict(constants=_GE1_CC, C=1.0, T=2.0, b=0.5, eps=0.5, r0=10.0, beta=0.05),
+     dict(r0=20.0), "cbar", dict(T=0.0)),
+    (GE2Barrier, dict(constants=_COMPACT_CC, C=1.0, a=1.0, T=1.0, bbar=4.0, r0=10.0), dict(a=2.0), None,
+     dict(bbar=3.0)),
+    (BlowupSubsolution, dict(constants=_COMPACT_CC, C=1.0, a=1.0, T=1.0, bunder=3.0), dict(T=2.0), None,
+     dict(C=-1.0)),
+    (RadialGrid, dict(N=3, R=1.0, cells=8), dict(cells=16), "centers", dict(cells=1)),
+    (SolverConfig, dict(t_end=1.0, R=1.0, cells=8, output_times=(0.5, 1.0)), dict(t_end=2.0, output_times=()),
+     "output_times", dict(cfl_safety=1.5)),
+    (InitialData, dict(kind=INIT_SCALED_BARRIER, factor=2.0), dict(factor=3.0), None, dict(factor=0.0)),
+]
+
+
+def _same(x, y):
+    return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, change, derived, bad", CHECKED_RECORDS, ids=[case[0].__name__ for case in CHECKED_RECORDS]
+)
+def test_modified_copies_keep_their_checks(cls, kwargs, change, derived, bad):
+    record = cls(**kwargs)
+    for name in (record._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    copy, fresh = record._replace(**change), cls(**{**kwargs, **change})
+    assert type(copy) is cls and copy._fields == fresh._fields
+    assert all(_same(getattr(copy, name), getattr(fresh, name)) for name in fresh._fields)
+    if derived is not None:
+        assert not _same(getattr(copy, derived), getattr(record, derived))
+    with pytest.raises(ValueError) as built:
+        cls(**{**kwargs, **bad})
+    with pytest.raises(ValueError) as copied:
+        record._replace(**bad)
+    assert str(copied.value) == str(built.value)

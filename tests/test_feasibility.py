@@ -157,7 +157,7 @@ def test_ge1a_amplitude_against_closed_form(ge1a_found):
 
 def test_ge1a_flip_below_threshold(ge1a_found):
     bar, _ = ge1a_found
-    lean = dataclasses.replace(bar, C=bar.C / 1.05)
+    lean = bar._replace(C=bar.C / 1.05)
     rep = check_ge1(lean, H1_FAR)
     assert not rep.overall
     assert not entry(rep, "amplitude_balance").passed
@@ -176,7 +176,7 @@ def test_ge1b_amplitude_against_closed_form(ge1b_found):
     assert bar.C == pytest.approx(c_max / 1.01, rel=1e-9)
     assert bar.b == 0.5  # default (alpha-1)/2
     assert bar.beta == 0.0 and bar.T == 1.0
-    fat = dataclasses.replace(bar, C=bar.C * 1.05)
+    fat = bar._replace(C=bar.C * 1.05)
     assert not entry(check_ge1(fat, H1_NEAR), "amplitude_balance").passed
 
 
@@ -465,7 +465,7 @@ def test_ge2_pointwise_balance_margin(ge2_found):
     bal = entry(rep, "amplitude_balance_pointwise")
     assert bal.passed
     assert 0.0 <= bal.slack <= 0.1 * bal.rhs  # found amplitude hugs the cap
-    lean = dataclasses.replace(bar, C=bar.C * 1.1)
+    lean = bar._replace(C=bar.C * 1.1)
     assert not check_ge2(lean, H2S_8).overall
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -268,11 +267,11 @@ def test_residual_sweep_certificate_is_sufficient_not_necessary(ge1b):
     """Certificate failure does not force a pointwise sign failure; only a
     much larger amplitude actually flips the residual."""
     bar, _ = ge1b
-    slightly_fat = dataclasses.replace(bar, C=bar.C * 5.0)
+    slightly_fat = bar._replace(C=bar.C * 5.0)
     assert not check_ge1(slightly_fat, H1_NEAR).overall
     assert residual_sweep(slightly_fat, H1_NEAR, n_r=50, n_t=10).passed
 
-    very_fat = dataclasses.replace(bar, C=bar.C * 50.0)
+    very_fat = bar._replace(C=bar.C * 50.0)
     sweep = residual_sweep(very_fat, H1_NEAR, n_r=50, n_t=10)
     assert not sweep.passed
     assert sweep.min_margin < -0.5
@@ -306,7 +305,7 @@ def test_derivative_crosscheck_fails_on_a_nan_error(shipped, monkeypatch):
         d = exact(self, r, t)
         wm_r = np.array(d.wm_r)
         wm_r[5] = np.nan
-        return dataclasses.replace(d, wm_r=wm_r)
+        return d._replace(wm_r=wm_r)
 
     monkeypatch.setattr(GE1Barrier, "eval_derivatives", nan_slope)
     rep = derivative_crosscheck(bar)
@@ -434,7 +433,7 @@ def test_comparison_to_jsonable_keys(ge1b):
     assert "run" not in d  # raw arrays stay out of the serialized record
     run_keys = {"s_num", "blowup_flag", "tau0", "termination", "implicit", "steps", "final_sup", "clamp_total"}
     assert set(d) - run_keys - {"defaults_used"} == {
-        f.name for f in dataclasses.fields(out) if f.name != "run"
+        name for name in out._fields if name != "run"
     }
 
 

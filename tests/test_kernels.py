@@ -154,8 +154,8 @@ def _bits(*values):
 
 
 def _advance_calls(
-    kernel, u0, m, p, dirichlet, cfl_safety=SolverConfig.cfl_safety, threshold=1.0e6, calls=CALLS, rho=None,
-    t0=0.0, t_end=T_END,
+    kernel, u0, m, p, dirichlet, cfl_safety=SolverConfig._field_defaults["cfl_safety"], threshold=1.0e6, calls=CALLS,
+    rho=None, t0=0.0, t_end=T_END,
 ):
     g = RadialGrid(N=N, R=R, cells=len(u0))
     if rho is None:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,7 +42,7 @@ def weighted_mass(u, grid, rho_values):
 
 def step(u, t, grid, rho, constants, config):
     """Single explicit step from ``(t, u)``; returns the new state."""
-    res = run(State(t=t, u=u), grid, rho, constants, replace(config, max_steps=1))
+    res = run(State(t=t, u=u), grid, rho, constants, config._replace(max_steps=1))
     return res.final_state.u, res.final_state.t
 
 
@@ -603,7 +602,7 @@ def test_implicit_positivity_cap_sets_the_step():
     assert res.implicit.halvings == 0
     assert res.final_state.t == IMPLICIT_DT_CAP / (2.0 * u0.max())
     # with the reaction off nothing but the output time bounds the step
-    res = run_implicit(u0, g, H2S_8, cc, replace(cfg, reaction=False), lambda t: 0.0)
+    res = run_implicit(u0, g, H2S_8, cc, cfg._replace(reaction=False), lambda t: 0.0)
     assert res.termination == TERM_COMPLETED and res.steps == 1
 
 
@@ -653,6 +652,6 @@ def test_implicit_step_halves_where_newton_fails(m, p):
     assert v == pytest.approx(1.0 + v**p / (4.0 * p), rel=1e-12)
     # left to run, the data blow up a little before the reaction time
     # 1/(p - 1): backward Euler grows faster than the ODE
-    res = run_implicit(np.ones(64), g, heavy, cc, replace(cfg, max_steps=10**4), lambda t: 1.0)
+    res = run_implicit(np.ones(64), g, heavy, cc, cfg._replace(max_steps=10**4), lambda t: 1.0)
     assert res.termination == TERM_BLOWUP and res.blowup_flag == FLAG_THRESHOLD
     assert 0.8 < res.s_num * (p - 1.0) < 1.0

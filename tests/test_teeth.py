@@ -12,7 +12,6 @@ the same profile with ``C k^(-1/(p-1))``, ``a k^((p-m)/(p-1))`` and
 ``T / k``, which starts from the same data and runs k times as fast.
 """
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -38,9 +37,7 @@ def _compare(res, bar):
 
 def _rescaled(bar, k):
     m, p = bar.constants.m, bar.constants.p
-    return dataclasses.replace(
-        bar, C=bar.C * k ** (-1.0 / (p - 1.0)), a=bar.a * k ** ((p - m) / (p - 1.0)), T=bar.T / k
-    )
+    return bar._replace(C=bar.C * k ** (-1.0 / (p - 1.0)), a=bar.a * k ** ((p - m) / (p - 1.0)), T=bar.T / k)
 
 
 @pytest.mark.parametrize("stem", ["ge1a", "ge1b"])
@@ -62,7 +59,7 @@ def test_certified_ge1_barriers_pass_close_to_the_barrier(stem):
 )
 def test_ge1_amplitude_mutants_fail(stem, factor, headroom):
     res = _resolved(stem)
-    bar = dataclasses.replace(res.barrier, C=res.barrier.C * factor)
+    bar = res.barrier._replace(C=res.barrier.C * factor)
     assert not check_auto(bar, res.density).overall
     out = _compare(res, bar)
     assert out.verdict == VERDICT_FAIL
@@ -77,7 +74,7 @@ def test_ge1b_amplitude_mutant_fails_its_sweep_at_large_r0(r0):
     dens = DensityParams(family="H1", alpha=2.0, r0=r0)
     bar, _ = find_params(ProblemConstants(m=2.0, p=3.0, N=3), dens, REGIME_GE1B)
     assert residual_sweep(bar, dens).min_margin > 6.0
-    mutant = dataclasses.replace(bar, C=bar.C * 30.0)
+    mutant = bar._replace(C=bar.C * 30.0)
     assert not check_auto(mutant, dens).overall
     sweep = residual_sweep(mutant, dens)
     assert not sweep.passed
