@@ -91,7 +91,7 @@ def _write_json(path: str, payload: dict) -> None:
 def _write_run(out: str, res: RunResult) -> None:
     """``snapshots.csv``, and ``series.csv`` with each snapshot's time, sup
     norm and support radius."""
-    radii = [f",{_fmt(r)}," for r in res.grid.centers.tolist()]
+    radii = res.grid.centers.tolist()
     with open(os.path.join(out, "series.csv"), "w", encoding="utf-8") as series, \
             open(os.path.join(out, "snapshots.csv"), "w", encoding="utf-8") as fh:
         series.write("t,sup_norm,support_radius\n")
@@ -99,8 +99,8 @@ def _write_run(out: str, res: RunResult) -> None:
         for t, u in res.snapshots:
             ts = _fmt(t)
             series.write(f"{ts},{_fmt(float(u.max()))},{_fmt(support_radius_numeric(u, res.grid))}\n")
-            # streamed: a joined snapshot set the peak memory of compare
-            fh.writelines(f"{ts}{r}{_fmt(v)}\n" for r, v in zip(radii, u.tolist()))
+            # streamed, radii formatted per row: a joined snapshot, or every radius held formatted, set the peak memory
+            fh.writelines(f"{ts},{_fmt(r)},{_fmt(v)}\n" for r, v in zip(radii, u.tolist()))
 
 
 def _write_scan(path: str, rows) -> None:

@@ -47,7 +47,7 @@ from .density import (
 from .feasibility import BARRIER_KEYS, FeasibilityReport, build_barrier, check_auto, find_params
 from .feasibility import _check_family, _check_pair, _check_regime, refuse_degenerate_support
 from .harness import INIT_CONSTANT, INIT_CSV, INIT_EQUALS_BARRIER, INIT_SCALED_BARRIER, Barrier, InitialData
-from .solver import BOUNDARIES, SolverConfig
+from .solver import BOUNDARIES, SolverConfig, _check_setting
 
 _SECTIONS = ("problem", "density", "barrier", "solver", "harness")
 # The [density] keys each family takes besides family, alpha and r0.
@@ -311,6 +311,12 @@ def loads(text: str) -> LoadedConfig:
     ):
         solver[key] = solver_s.get(key, parse, SolverConfig._field_defaults[key])
     solver["output_times"] = solver_s.get("output_times", numbers, auto)
+    # the rule each given value alone decides; a value that breaks it is None,
+    # so the output times are held only to a t_end that keeps its own
+    for key in ("R", "cells", "t_end", "cfl_safety", "blowup_threshold", "output_times"):
+        if key.lower() in solver_s.table and solver[key] not in (None, "auto"):
+            line = solver_s.table[key.lower()][1]
+            solver[key] = solver_s.judge(line, _check_setting, key, solver[key], solver["t_end"] or math.inf)
     solver_s.finish()
 
     har_s = section("harness")

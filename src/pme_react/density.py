@@ -91,15 +91,13 @@ class ProblemConstants(Checked, namedtuple("ProblemConstants", "m p N")):
 
 class DensityParams(
     Checked,
-    namedtuple("DensityParams", "family alpha r0 k k1 k2 k0 rho1 rho2", defaults=(1.0, 1.0, 1.0, None, None, None)),
+    namedtuple("DensityParams", "family alpha r0 k k1 k2 rho1 rho2", defaults=(1.0, 1.0, 1.0, None, None)),
 ):
     """Constants pinning down a weight family member.
 
-    H1 uses ``k``, its envelope constant, and the optional override ``k0``
-    of :func:`derive_k0`.  H2Smooth uses the band constants ``k1 <= k2``
-    (the canonical representative uses ``k1``) and the optional overrides
-    ``rho1``, ``rho2`` of :func:`derive_rho_bounds`.  Derived constants
-    without an override are computed on demand.
+    H1 uses ``k``, its envelope constant; H2Smooth the band constants
+    ``k1 <= k2`` (the canonical representative uses ``k1``) and the
+    optional overrides ``rho1``, ``rho2`` of :func:`derive_rho_bounds`.
 
     Only algebraic invariants are validated here (positivity, ``alpha > 1``,
     ``k1 <= k2``, ``r0 >= e``).  Both canonical members meet their
@@ -124,8 +122,6 @@ class DensityParams(
         else:
             if not 0.0 < self.k1 <= self.k2:
                 raise ValueError(f"need 0 < k1 <= k2, got k1={self.k1}, k2={self.k2}")
-        if self.k0 is not None and not self.k0 > 0.0:
-            raise ValueError(f"k0 override must be positive, got {self.k0}")
         if self.rho1 is not None or self.rho2 is not None:
             if self.rho1 is None or self.rho2 is None:
                 raise ValueError("rho1 and rho2 overrides must be supplied together")
@@ -168,8 +164,6 @@ def derive_k0(params: DensityParams) -> float:
     """
     if params.family != FAMILY_H1:
         raise ValueError("derive_k0 applies to the H1 family only")
-    if params.k0 is not None:
-        return params.k0
     return (1.0 - DERIVED_MARGIN) * params.k
 
 

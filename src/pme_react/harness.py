@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -364,7 +365,6 @@ def comparison_experiment(
         )
     del bar0, excess  # kept through the run, they raised its peak memory
     _refuse_at_threshold("initial data", float(u0.max()), solver)
-    half_dt: Optional[HalfStepCheck] = None
     if isinstance(bar, GE1Barrier):
         # imported here, so that only these runs compile the module; with no
         # bytecode cache, compiling it in every command cost start-up time
@@ -381,123 +381,86 @@ def comparison_experiment(
         if max_dt > 0.0:
             half = run_implicit(u0, grid, dens, bar.constants, solver, ghost, max_dt=max_dt)
             checked = _judge(bar, grid, half)
-            half_dt = HalfStepCheck(
-                max_dt=max_dt,
-                steps=half.steps,
-                newton_iterations=half.implicit.newton_iterations,
-                max_violation=checked["max_violation"],
-                headroom=checked["headroom"],
-                verdict=checked["verdict"],
-            )
-            if half_dt.verdict != judged["verdict"]:
-                judged["notes"].append(
-                    f"the rerun with dt <= {max_dt:.6g} gives {half_dt.verdict}, not {judged['verdict']}"
-                )
-                judged["verdict"] = VERDICT_INCONCLUSIVE
-    else:
-        res = run(u0, grid, dens, bar.constants, solver)
-        judged = _judge(bar, grid, res)
-    return ComparisonResult(
-        regime=bar.regime,
-        half_dt=half_dt,
-        run=res,
-        **judged,
-    )
+            judged = judged._replace(half_dt=HalfStepCheck(
+                max_dt, half.steps, half.implicit.newton_iterations, checked.max_violation, checked.headroom,
+                checked.verdict,
+            ))
+            if checked.verdict != judged.verdict:
+                note = f"the rerun with dt <= {max_dt:.6g} gives {checked.verdict}, not {judged.verdict}"
+                judged = judged._replace(verdict=VERDICT_INCONCLUSIVE, notes=judged.notes + [note])
+        return judged
+    return _judge(bar, grid, run(u0, grid, dens, bar.constants, solver))
 
 
-def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> dict:
-    """The verdict of one run against ``bar`` and the numbers behind it, as
-    :class:`ComparisonResult` fields."""
+def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> ComparisonResult:
+    """The verdict of one run against ``bar`` and the numbers behind it, with no rerun."""
     sub = isinstance(bar, BlowupSubsolution)
-    notes: List[str] = []
-    support_checked = not isinstance(bar, GE1Barrier)
-    checked_times: List[float] = []
-    max_viol = worst_time = support_worst = math.nan
-    headroom = headroom_time = headroom_radius = math.nan
-    support_ok: Optional[bool] = None
-    blow_ok: Optional[bool] = None
-
+    nan = math.nan
+    # a verdict that no snapshot decides reports no number: nothing was compared
+    untested = ComparisonResult(
+        VERDICT_INCONCLUSIVE, bar.regime, [], nan, nan, nan, nan, nan, None, nan, None, [], None, res
+    )
     if res.termination in (TERM_STALLED, TERM_STEP_LIMIT):
-        notes.append(f"run terminated early ({res.termination}) at t={res.final_state.t:.6g}")
-        verdict = VERDICT_INCONCLUSIVE
-    elif sub and res.termination != TERM_BLOWUP:
-        notes.append("expected blow-up but the run completed")
-        verdict = VERDICT_FAIL
-        blow_ok = False
+        note = f"run terminated early ({res.termination}) at t={res.final_state.t:.6g}"
+        return untested._replace(notes=[note])
+    if sub and res.termination != TERM_BLOWUP:
+        note = "expected blow-up but the run completed"
+        return untested._replace(verdict=VERDICT_FAIL, blowup_window_ok=False, notes=[note])
+    notes: List[str] = []
+    if sub:
+        lo = 0.95 * res.tau0 if res.tau0 is not None else 0.0
+        hi = 1.05 * bar.T
+        run_ok = blow_ok = bool(lo <= res.s_num <= hi)
+        if not blow_ok:
+            notes.append(f"s_num={res.s_num:.6g} outside [{lo:.6g}, {hi:.6g}]")
+        snapshots = [(t, u) for t, u in res.snapshots if t <= 0.95 * res.s_num and t < bar.T]
     else:
-        ordered_ok = True
-        if sub:
-            s_num = res.s_num
-            lo = 0.95 * res.tau0 if res.tau0 is not None else 0.0
-            hi = 1.05 * bar.T
-            blow_ok = bool(lo <= s_num <= hi)
-            if not blow_ok:
-                notes.append(f"s_num={s_num:.6g} outside [{lo:.6g}, {hi:.6g}]")
-            t_check = [(t, u) for (t, u) in res.snapshots if t <= 0.95 * s_num]
-        else:
-            if res.termination == TERM_BLOWUP:
-                notes.append("unexpected numerical blow-up in an upper-bound regime")
-                ordered_ok = False
-            t_check = list(res.snapshots)
+        run_ok, blow_ok = res.termination != TERM_BLOWUP, None
+        if not run_ok:
+            notes.append("unexpected numerical blow-up in an upper-bound regime")
+        snapshots = res.snapshots
+    if not snapshots:
+        # a pass would claim an ordering never seen
+        cut = f" before 0.95 s_num = {0.95 * res.s_num:.6g}" if sub else ""
+        notes.append(f"no output time{cut} to check: ordering and support untested")
+        verdict = VERDICT_INCONCLUSIVE if run_ok else VERDICT_FAIL
+        return untested._replace(verdict=verdict, blowup_window_ok=blow_ok, notes=notes)
 
-        max_viol = -math.inf
-        if support_checked:
-            support_worst = -math.inf
-        for t_k, u_k in t_check:
-            if sub and t_k >= bar.T:
-                continue
-            checked_times.append(float(t_k))
-            bar_k = bar.eval(grid.centers, t_k)
-            tol = comparison_tolerance(u_k, bar_k)
-            viol = (bar_k - u_k - tol) if sub else (u_k - bar_k - tol)
-            vmax = float(np.max(viol))
-            if vmax > max_viol:
-                max_viol = vmax
-                worst_time = float(t_k)
-            if vmax > 0.0:
-                ordered_ok = False
-            inside = np.flatnonzero(bar_k > 0.0)
-            if t_k > 0.0 and inside.size:
-                gap = (bar_k - u_k) if sub else (u_k - bar_k)
-                rel = gap[inside] / bar_k[inside]
-                k = int(np.argmax(rel))
-                if math.isnan(headroom) or rel[k] > headroom:
-                    headroom, headroom_time = float(rel[k]), float(t_k)
-                    headroom_radius = float(grid.centers[inside[k]])
-            if support_checked:
-                r_num = support_radius_numeric(u_k, grid)
-                r_bar = float(bar.support_radius(t_k))
-                # signed excess in cell widths: positive means the inclusion
-                # fails beyond the one-cell allowance at zero
-                excess = ((r_bar - r_num) if sub else (r_num - r_bar)) / grid.dr - 1.0
-                support_worst = max(support_worst, excess)
-
-        if max_viol == -math.inf:
-            max_viol = math.nan
-        ok = ordered_ok and (blow_ok is not False)
-        if not checked_times:
-            # nothing was compared: a pass would claim an ordering never seen
-            cut = f" before 0.95 s_num = {0.95 * s_num:.6g}" if sub else ""
-            notes.append(f"no output time{cut} to check: ordering and support untested")
-            support_worst = math.nan
-            verdict = VERDICT_INCONCLUSIVE if ok else VERDICT_FAIL
-        else:
-            if support_checked:
-                support_ok = bool(support_worst <= 0.0)
-            verdict = VERDICT_PASS if ok and support_ok is not False else VERDICT_FAIL
-
-    return dict(
-        verdict=verdict,
-        checked_times=checked_times,
-        max_violation=max_viol,
-        worst_time=worst_time,
-        headroom=headroom,
-        headroom_time=headroom_time,
-        headroom_radius=headroom_radius,
-        support_ok=support_ok,
-        support_worst_cells=support_worst,
-        blowup_window_ok=blow_ok,
-        notes=notes,
+    # per snapshot: the worst violation, the best headroom over t > 0 and
+    # W > 0, and the compact barriers' support excess in cell widths
+    # (positive where the inclusion fails beyond the one-cell allowance);
+    # a nan violation, and a -inf one, is passed over
+    checked_times, violations, headrooms, excesses = [], [], [], []
+    for t, u in snapshots:
+        checked_times.append(float(t))
+        w = bar.eval(grid.centers, t)
+        gap = w - u if sub else u - w
+        vmax = float(np.max(gap - comparison_tolerance(u, w)))
+        if vmax > -math.inf:
+            violations.append((vmax, float(t)))
+        inside = np.flatnonzero(w > 0.0)
+        if t > 0.0 and inside.size:
+            rel = gap[inside] / w[inside]
+            k = int(np.argmax(rel))
+            headrooms.append((float(rel[k]), float(t), float(grid.centers[inside[k]])))
+        if not isinstance(bar, GE1Barrier):
+            r_num, r_bar = support_radius_numeric(u, grid), float(bar.support_radius(t))
+            excesses.append(((r_bar - r_num) if sub else (r_num - r_bar)) / grid.dr - 1.0)
+    # the first largest in time order names the time; a nan headroom stands
+    # only where every snapshot gave one, at the last of them
+    first = itemgetter(0)
+    max_violation, worst_time = max(violations, key=first, default=(nan, nan))
+    headroom, headroom_time, headroom_radius = max(
+        [h for h in headrooms if not math.isnan(h[0])] or headrooms[-1:], key=first, default=(nan, nan, nan)
+    )
+    support_worst = max(excesses, default=nan)
+    support_ok = bool(support_worst <= 0.0) if excesses else None
+    passed = run_ok and not max_violation > 0.0 and support_ok is not False
+    return untested._replace(
+        verdict=VERDICT_PASS if passed else VERDICT_FAIL, checked_times=checked_times,
+        max_violation=max_violation, worst_time=worst_time,
+        headroom=headroom, headroom_time=headroom_time, headroom_radius=headroom_radius,
+        support_ok=support_ok, support_worst_cells=support_worst, blowup_window_ok=blow_ok, notes=notes,
     )
 
 

@@ -134,6 +134,28 @@ SUPPORT_THRESHOLD = 1.0e-12
 REACTION_DT_CAP = 0.1
 
 
+def _check_setting(key: str, value, t_end: float = math.inf):
+    """``value``, or a ``ValueError`` where the run setting ``key`` breaks its
+    rule; ``output_times`` must increase strictly within [0, ``t_end``]."""
+    if key == "output_times":
+        if not all(0.0 <= t <= t_end for t in value):
+            raise ValueError("output_times must lie within [0, t_end]")
+        if list(value) != sorted(set(value)):
+            raise ValueError("output_times must be strictly increasing")
+        return value
+    if key in ("t_end", "blowup_threshold"):
+        ok, rule = value > 0.0, "must be positive"
+    elif key == "R":
+        ok, rule = 0.0 < value < math.inf, "must be positive and finite"
+    elif key == "cells":
+        ok, rule = int(value) == value and value >= 2, "must be an integer >= 2"
+    else:
+        ok, rule = 0.0 < value <= 1.0, "must lie in (0, 1]"  # cfl_safety
+    if not ok:
+        raise ValueError(f"{key} {rule}, got {value}")
+    return value
+
+
 class RadialGrid(Checked, namedtuple("RadialGrid", "N R cells faces centers volumes dr", defaults=(None,) * 4)):
     """Uniform radial grid of ``cells`` cells on [0, R] in dimension ``N``;
     the arrays ``faces``, ``centers``, ``volumes`` and the width ``dr`` are
@@ -145,10 +167,8 @@ class RadialGrid(Checked, namedtuple("RadialGrid", "N R cells faces centers volu
         self = super().__new__(cls, *args, **kwargs)
         if int(self.N) != self.N or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
-        if not 0.0 < self.R < math.inf:
-            raise ValueError(f"R must be positive and finite, got {self.R}")
-        if int(self.cells) != self.cells or self.cells < 2:
-            raise ValueError(f"cells must be an integer >= 2, got {self.cells}")
+        _check_setting("R", self.R)
+        _check_setting("cells", self.cells)
         faces = np.linspace(0.0, self.R, self.cells + 1)
         # r^N underflows to 0 for a tiny R and overflows to inf - inf = nan
         # for a huge one; either way the scheme divides by nonsense
@@ -179,21 +199,12 @@ class SolverConfig(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not self.t_end > 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if not 0.0 < self.R < math.inf:
-            raise ValueError(f"R must be positive and finite, got {self.R}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
-        if not self.blowup_threshold > 0.0:
-            raise ValueError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
+        for key in ("t_end", "R", "cfl_safety", "blowup_threshold"):
+            _check_setting(key, getattr(self, key))
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
         times = tuple(float(t) for t in self.output_times)
-        if not all(0.0 <= t <= self.t_end for t in times):
-            raise ValueError("output_times must lie within [0, t_end]")
-        if list(times) != sorted(set(times)):
-            raise ValueError("output_times must be strictly increasing")
+        _check_setting("output_times", times, self.t_end)
         *settings, _, max_steps = self
         return tuple.__new__(cls, (*settings, times if times else (self.t_end,), max_steps))
 

@@ -17,12 +17,14 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pme_react"
 
 
 def _load_child():
@@ -109,3 +111,18 @@ def test_extra_reads_the_step_counts_and_array_bytes(monkeypatch):
     calls = [span[4] for span in tracer.spans]
     assert len(calls) == 3
     assert CHILD_MODULE.EXTRA["solver.run"]((), res) == res.steps == sum(nsub for nsub, _ in calls) > 0
+
+
+# Past 4,096 tokens CPython's parser doubles its token buffer: feasibility.py
+# at that size peaked 0.23 MB higher in compile() (tracemalloc), and the
+# ref-small workload's peak_rss_mb rose 0.12 MB, over its 0.1 MB bound.  A
+# command compiles every module it imports when no bytecode is cached.
+PARSER_TOKEN_BUFFER = 4096
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_module_fits_the_parser_token_buffer(path):
+    with open(path, "rb") as fh:
+        skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+        count = sum(1 for token in tokenize.tokenize(fh.readline) if token.type not in skipped)
+    assert count < PARSER_TOKEN_BUFFER

@@ -575,6 +575,49 @@ def test_loads_plain_requires_explicit_numbers():
     assert [str(i) for i in exc_info.value.issues] == ["[harness] missing required key 'initial_data'"]
 
 
+# a [solver] rule the file alone decides, broken on ge2.cfg. Each case: (the
+# setting, in place of the key's line or added to the section, the key whose
+# line is named, the message)
+SOLVER_RULES = {
+    "cells": ("cells = 1", "cells", "cells must be an integer >= 2, got 1"),
+    "cfl_safety": ("cfl_safety = 2.0", "cfl_safety", "cfl_safety must lie in (0, 1], got 2.0"),
+    "blowup_threshold": ("blowup_threshold = 0", "blowup_threshold", "blowup_threshold must be positive, got 0.0"),
+    "t_end": ("t_end = 0", "t_end", "t_end must be positive, got 0.0"),
+    "R": ("R = -52", "R", "R must be positive and finite, got -52.0"),
+    "output_times-negative": ("output_times = -1, 0, 10", "output_times", "output_times must lie within [0, t_end]"),
+    "output_times-order": ("output_times = 0, 2, 1", "output_times", "output_times must be strictly increasing"),
+    "output_times-past-t_end": ("t_end = 5", "output_times", "output_times must lie within [0, t_end]"),
+}
+
+
+def _broken_solver(case):
+    setting, key, message = SOLVER_RULES[case]
+    text = (CONFIGS / "ge2.cfg").read_text()
+    text, n = re.subn(rf"(?m)^{setting.partition(' ')[0]} = .*$", setting, text)
+    if not n:
+        text = text.replace("[solver]\n", f"[solver]\n{setting}\n")
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if row.startswith(f"{key} = "))
+    return text, f"line {line}: [solver] {message}"
+
+
+@pytest.mark.parametrize("case", list(SOLVER_RULES))
+def test_loads_reports_a_solver_rule_at_its_line(case):
+    # SolverConfig refused these only after the search, with no line, and
+    # barrier-check, which builds none, passed cells = 1
+    text, issue = _broken_solver(case)
+    with pytest.raises(ConfigError) as exc_info:
+        loads(text)
+    assert [str(i) for i in exc_info.value.issues] == [issue]
+
+
+@pytest.mark.parametrize("case", list(SOLVER_RULES))
+def test_cli_barrier_check_reports_a_solver_rule_at_its_line(tmp_path, capsys, case):
+    text, issue = _broken_solver(case)
+    cfg = write(tmp_path, "solver.cfg", text)
+    assert cli.main(["barrier-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error(s) in {cfg}:\n  {issue}\n"
+
+
 # -- command line -----------------------------------------------------------
 
 

@@ -189,10 +189,8 @@ def test_derive_rho_bounds_overrides_win():
 
 
 def test_derived_constants_follow_params():
-    h1 = DensityParams(family=FAMILY_H1, alpha=2.5, r0=25.0, k=1.5)
     h2 = DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=8.0, k1=1.0, k2=2.0)
     # overrides win
-    assert derive_k0(h1._replace(k0=0.5)) == 0.5
     assert derive_rho_bounds(h2._replace(rho1=2.0, rho2=3.0)) == (2.0, 3.0)
     # r0 moves the inverse-weight bounds
     assert derive_rho_bounds(h2._replace(r0=9.0)) != derive_rho_bounds(h2)

@@ -11,7 +11,7 @@ import pytest
 
 from pme_react import cli, harness, implicit
 from pme_react.barrier import E, BlowupSubsolution, GE1Barrier, GE2Barrier
-from pme_react.config import load, resolve
+from pme_react.config import load, loads, resolve
 from pme_react.density import DensityParams, ProblemConstants, inverse_rho
 from pme_react.feasibility import (
     BARRIER_KEYS,
@@ -34,7 +34,7 @@ from pme_react.harness import (
     derivative_crosscheck,
     residual_sweep,
 )
-from pme_react.solver import BOUNDARY_DIRICHLET, RadialGrid, SolverConfig, run
+from pme_react.solver import BOUNDARY_DIRICHLET, TERM_COMPLETED, RadialGrid, RunResult, SolverConfig, State, run
 
 CC23 = ProblemConstants(m=2.0, p=3.0, N=3)
 H1_NEAR = DensityParams(family="H1", alpha=2.0, r0=25.0)
@@ -445,6 +445,28 @@ def test_comparison_blowup_coarse(blowup):
     assert out.blowup_window_ok
     assert out.run.tau0 is not None
     assert 0.95 * out.run.tau0 <= out.run.s_num <= 1.05 * bub.T
+
+
+@pytest.mark.parametrize("nan_at, headroom_time", [(None, 1.0), (1.0, 2.0)], ids=["ties", "nan-passed-over"])
+def test_comparison_ties_keep_the_first_in_time_order(monkeypatch, nan_at, headroom_time):
+    # a run that equals the ge2.cfg barrier at t = 0, 1 and 2 ties on its
+    # violation at every time (-1e-8, the tolerance where both vanish) and on
+    # its headroom at every t > 0 (0 in every cell inside the support): the
+    # first time names each, and the first cell the headroom's radius; a nan
+    # cell makes its snapshot's violation and headroom nan, which are passed over
+    res = resolve(loads((ROOT / "configs" / "ge2.cfg").read_text().replace("cells = 2048", "cells = 256")))
+    bar = res.barrier
+    grid = RadialGrid(N=bar.constants.N, R=res.solver.R, cells=256)
+    snapshots = [(t, bar.eval(grid.centers, t)) for t in (0.0, 1.0, 2.0)]
+    for t, u in snapshots:
+        if t == nan_at:
+            u[0] = math.nan
+    ran = RunResult(grid, snapshots, TERM_COMPLETED, None, None, None, 0, 0.0, State(*snapshots[-1]), None)
+    monkeypatch.setattr(harness, "run", lambda *args: ran)
+    out = comparison_experiment(bar, res.density, res.solver)
+    assert (out.max_violation, out.worst_time) == (-1.0e-8, 0.0)
+    assert (out.headroom, out.headroom_time, out.headroom_radius) == (0.0, headroom_time, 0.1015625)
+    assert out.checked_times == [0.0, 1.0, 2.0] and out.verdict == VERDICT_PASS
 
 
 # -- amplitude scan ---------------------------------------------------------
