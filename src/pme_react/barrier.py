@@ -45,10 +45,14 @@ Residual convention.  ``residual = w_t - (1/rho) Lap(w^m) - w^p``; a
 supersolution has residual >= 0 on its support interior, a subsolution
 has residual <= 0.
 
-Regimes.  Each barrier names the regime it certifies as ``regime``, so the
-regime is never passed beside a barrier: GE1a (p < m) and GE1b (p > m) for
-:class:`GE1Barrier`, GE2 and Blowup for the two compact profiles.  The
-names are the ``REGIME_*`` constants here.
+Regimes and weights.  A barrier carries its regime, constants and weight,
+so none of them is passed beside it.  It names the regime it certifies as
+``regime``: GE1a (p < m) and GE1b (p > m) for :class:`GE1Barrier`, GE2 and
+Blowup for the two compact profiles; the names are the ``REGIME_*``
+constants here.  Its ``density`` is the weight it is a barrier for, and
+the shift ``r0`` and the shape exponents (``bbar = alpha + 2`` for GE2,
+``bunder = alpha + 1`` for Blowup) are read off that weight, never set on
+their own.
 """
 
 from __future__ import annotations
@@ -192,6 +196,11 @@ def _validate_compact(bar, role: str) -> None:
             raise ValueError(f"{name} must be positive, got {getattr(bar, name)}")
 
 
+def _r0(bar) -> float:
+    """The weight's shift ``r0``, which the log profiles share."""
+    return bar.density.r0
+
+
 def _refuse_corner(r_b, t_b, corner, what: str) -> None:
     # a nan corner is never near
     near = np.abs(r_b - corner) < KINK_TOL
@@ -207,8 +216,9 @@ def _refuse_corner(r_b, t_b, corner, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-class GE1Barrier(Checked, namedtuple("GE1Barrier", "constants C T b eps r0 beta cbar", defaults=(0.0, None))):
-    """Supersolution ``C (T+t)^beta (log(r + r0))^(-b/m)``.
+class GE1Barrier(Checked, namedtuple("GE1Barrier", "constants density C T b eps beta cbar", defaults=(0.0, None))):
+    """Supersolution ``C (T+t)^beta (log(r + r0))^(-b/m)``, with ``r0`` that
+    of ``density``.
 
     ``b`` is the logarithmic decay exponent, ``eps`` the slack reserved when
     trading the Laplacian's dimensional term against the decay (kept on the
@@ -217,9 +227,9 @@ class GE1Barrier(Checked, namedtuple("GE1Barrier", "constants C T b eps r0 beta 
     sharp upper bound of ``(log(r + r0))^(-b p / m)`` over ``r >= 0``,
     computed at every build.
 
-    Only ``C <= 0``, ``T <= 0``, ``r0 < e`` and ``p == m`` leave it
-    undefined; the windows of ``b``, ``eps`` and ``beta`` (> 0 for p < m,
-    0 for p > m) are entries of :func:`pme_react.feasibility.check_ge1`.
+    Only ``C <= 0``, ``T <= 0`` and ``p == m`` leave it undefined; the
+    windows of ``b``, ``eps`` and ``beta`` (> 0 for p < m, 0 for p > m) are
+    entries of :func:`pme_react.feasibility.check_ge1`.
     """
 
     __slots__ = ()
@@ -232,8 +242,6 @@ class GE1Barrier(Checked, namedtuple("GE1Barrier", "constants C T b eps r0 beta 
         for name in ("C", "T"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.r0 >= E:
-            raise ValueError(f"r0 must be at least e, got {self.r0}")
         # cbar, the last field, is derived
         return tuple.__new__(cls, (*self[:-1], power_or_inf(math.log(self.r0), -self.b * cc.p / cc.m)))
 
@@ -241,6 +249,8 @@ class GE1Barrier(Checked, namedtuple("GE1Barrier", "constants C T b eps r0 beta 
     def regime(self) -> str:
         """GE1a when p < m, GE1b when p > m."""
         return REGIME_GE1A if self.constants.p < self.constants.m else REGIME_GE1B
+
+    r0 = property(_r0)
 
     def _zeta(self, t):
         return (self.T + t) ** self.beta
@@ -281,26 +291,26 @@ class GE1Barrier(Checked, namedtuple("GE1Barrier", "constants C T b eps r0 beta 
 # ---------------------------------------------------------------------------
 
 
-class GE2Barrier(Checked, namedtuple("GE2Barrier", "constants C a T bbar r0")):
+class GE2Barrier(Checked, namedtuple("GE2Barrier", "constants density C a T")):
     """Supersolution ``C zeta [1 - (log(r + r0))^bbar eta/a]_+^(1/(m-1))``.
 
     ``zeta = (T+t)^(-1/(p-1))``, ``eta = (T+t)^(-(p-m)/(p-1))``; requires
-    ``p > m``.  ``bbar`` is the support-shape exponent, pinned to
-    ``alpha + 2`` by the density it is paired with (checked by the
-    certificate entry ``support_shape_exponent``, hence only ``bbar > 3``
-    here); ``a`` calibrates the support size.
+    ``p > m``.  ``r0`` is that of ``density`` and the support-shape exponent
+    ``bbar`` is its ``alpha + 2``; ``a`` calibrates the support size.
     """
 
     __slots__ = ()
     regime = REGIME_GE2
+    r0 = property(_r0)
+
+    @property
+    def bbar(self) -> float:
+        """``alpha + 2``, from the weight."""
+        return self.density.alpha + 2.0
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         _validate_compact(self, "spreading supersolution")
-        if not self.bbar > 3.0:
-            raise ValueError("bbar = alpha + 2 with alpha > 1 forces bbar > 3")
-        if not self.r0 >= E:
-            raise ValueError(f"r0 must be at least e, got {self.r0}")
         return self
 
     def time_factors(self, t):
@@ -336,24 +346,26 @@ class GE2Barrier(Checked, namedtuple("GE2Barrier", "constants C a T bbar r0")):
 # ---------------------------------------------------------------------------
 
 
-class BlowupSubsolution(Checked, namedtuple("BlowupSubsolution", "constants C a T bunder")):
+class BlowupSubsolution(Checked, namedtuple("BlowupSubsolution", "constants density C a T")):
     """Subsolution ``C zeta [1 - sfrak(r) eta/a]_+^(1/(m-1))`` for ``t < T``.
 
     ``zeta = (T-t)^(-1/(p-1))`` and ``eta = (T-t)^((m-p)/(p-1))`` both
     diverge as ``t -> T``: the amplitude blows up while the support
-    ``{sfrak < a/eta}`` shrinks onto the core of the paraboloid.  ``bunder``
-    is the outer log exponent, pinned to ``alpha + 1 > 2`` by the paired
-    density (checked by the certificate entry ``outer_shape_exponent``).
+    ``{sfrak < a/eta}`` shrinks onto the core of the paraboloid.  The outer
+    log exponent ``bunder`` is ``alpha + 1 > 2``, from ``density``.
     """
 
     __slots__ = ()
     regime = REGIME_BLOWUP
 
+    @property
+    def bunder(self) -> float:
+        """``alpha + 1``, from the weight."""
+        return self.density.alpha + 1.0
+
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         _validate_compact(self, "blow-up subsolution")
-        if not self.bunder > 2.0:
-            raise ValueError("bunder = alpha + 1 with alpha > 1 forces bunder > 2")
         return self
 
     def time_factors(self, t):

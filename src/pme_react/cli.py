@@ -155,9 +155,8 @@ def _cmd_feasibility(args) -> int:
 def _cmd_barrier_check(args) -> int:
     resolved = _load(args)
     _need_regime(resolved, "barrier-check")
-    bar, dens = resolved.barrier, resolved.density
-    report = resolved.report
-    sweep = residual_sweep(bar, dens, t_end=resolved.solver.t_end)
+    bar, report = resolved.barrier, resolved.report
+    sweep = residual_sweep(bar, t_end=resolved.solver.t_end)
     cross = derivative_crosscheck(bar, seed=args.seed)
     passed = bool(report.overall and sweep.passed and cross.passed)
     _write_json(
@@ -200,7 +199,7 @@ def _cmd_compare(args) -> int:
     if scan and resolved.barrier.regime != REGIME_BLOWUP:
         raise ValueError("'blow-up-scan' needs the blow-up regime")
     refuse_failing(resolved.report, "given")
-    inputs = (resolved.barrier, resolved.density, resolved.solver, resolved.initial)
+    inputs = (resolved.barrier, resolved.solver, resolved.initial)
     result = comparison_experiment(*inputs)
     payload = _compare_payload(result, resolved.defaults_used)
     line = (f"compare[{result.regime}]: {result.verdict} "

@@ -6,8 +6,8 @@ The format is a small INI dialect:
   comments starting with ``#`` or ``;``.
 * Sections: ``[problem]`` (m, p, N), ``[density]`` (family, alpha, r0,
   then k for H1 or k1, k2 for H2Smooth; a key of the other family is an
-  error, and so are the derived constants k0, rho1 and rho2, which a
-  config never sets), ``[barrier]`` (regime, then C and the parameters
+  error, and so are the derived constants k0 and rho2, which a config
+  never sets), ``[barrier]`` (regime, then C and the parameters
   the regime takes: T, beta, b, eps for GE1a and GE1b, a, T for GE2 and
   Blowup; any other key is an error), ``[solver]`` (R, cells, t_end,
   cfl_safety, blowup_threshold, boundary, reaction, output_times),
@@ -44,7 +44,7 @@ from .density import (
     DensityParams,
     ProblemConstants,
 )
-from .feasibility import BARRIER_KEYS, FeasibilityReport, build_barrier, check_auto, find_params
+from .feasibility import BARRIER_KEYS, DEFAULT_T, FeasibilityReport, build_barrier, check_auto, find_params
 from .feasibility import _check_family, _check_pair, _check_regime, refuse_degenerate_support
 from .harness import INIT_CONSTANT, INIT_CSV, INIT_EQUALS_BARRIER, INIT_SCALED_BARRIER, Barrier, InitialData
 from .solver import BOUNDARIES, SolverConfig, _check_setting
@@ -311,12 +311,16 @@ def loads(text: str) -> LoadedConfig:
     ):
         solver[key] = solver_s.get(key, parse, SolverConfig._field_defaults[key])
     solver["output_times"] = solver_s.get("output_times", numbers, auto)
+    # a barrier's horizon is 10 T, with T given or the regime's default
+    T = barrier_given.get("T", DEFAULT_T.get(regime))
+    derived = 10.0 * T if "t_end" not in solver_s.table and T is not None and T > 0.0 else None
     # the rule each given value alone decides; a value that breaks it is None,
     # so the output times are held only to a t_end that keeps its own
     for key in ("R", "cells", "t_end", "cfl_safety", "blowup_threshold", "output_times"):
         if key.lower() in solver_s.table and solver[key] not in (None, "auto"):
             line = solver_s.table[key.lower()][1]
-            solver[key] = solver_s.judge(line, _check_setting, key, solver[key], solver["t_end"] or math.inf)
+            t_end = solver["t_end"] or derived or math.inf
+            solver[key] = solver_s.judge(line, _check_setting, key, solver[key], t_end)
     solver_s.finish()
 
     har_s = section("harness")
@@ -417,7 +421,7 @@ def resolve(loaded: LoadedConfig) -> Resolved:
             defaults.append(f"[barrier] C = {report.params['C']:.6g} (search)")
         else:
             barrier = build_barrier(cc, dens, loaded.regime, C, **given)
-            report = check_auto(barrier, dens)
+            report = check_auto(barrier)
             refuse_degenerate_support(barrier)
             defaults += [
                 f"[barrier] {key} = {getattr(barrier, key):g} (default)"
@@ -438,7 +442,7 @@ def resolve(loaded: LoadedConfig) -> Resolved:
             if not math.isfinite(R):
                 raise ValueError(f"[solver] R = auto overflows at t_end = {t_end:g}; give R")
         else:
-            R = 2.0 * dens.r0
+            R = 2.0 * barrier.r0
         solver["R"] = R
         defaults.append(f"[solver] R = {R:.6g} (auto)")
 

@@ -14,9 +14,11 @@ by the hypothesis they realize:
 Each family has a canonical smooth representative (see :func:`rho`), the
 only weight the laboratory builds: a config names a family and its
 constants, never a weight of its own.  Derived constants used by the
-feasibility layer, a safe one-sided envelope constant for ``H1`` and
-inverse-weight bounds on the closed ball of radius e, are produced by
-:func:`derive_k0` and :func:`derive_rho_bounds` in closed form.
+feasibility layer, a safe one-sided envelope constant for ``H1`` and an
+upper bound on the inverse weight over the closed ball of radius e, are
+produced by :func:`derive_k0` and :func:`derive_rho_bounds` in closed form.
+A barrier carries its weight (:mod:`pme_react.barrier`), and reads its
+shift ``r0`` and shape exponent off it.
 """
 
 from __future__ import annotations
@@ -91,13 +93,13 @@ class ProblemConstants(Checked, namedtuple("ProblemConstants", "m p N")):
 
 class DensityParams(
     Checked,
-    namedtuple("DensityParams", "family alpha r0 k k1 k2 rho1 rho2", defaults=(1.0, 1.0, 1.0, None, None)),
+    namedtuple("DensityParams", "family alpha r0 k k1 k2 rho2", defaults=(1.0, 1.0, 1.0, None)),
 ):
     """Constants pinning down a weight family member.
 
     H1 uses ``k``, its envelope constant; H2Smooth the band constants
     ``k1 <= k2`` (the canonical representative uses ``k1``) and the
-    optional overrides ``rho1``, ``rho2`` of :func:`derive_rho_bounds`.
+    optional override ``rho2`` of :func:`derive_rho_bounds`.
 
     Only algebraic invariants are validated here (positivity, ``alpha > 1``,
     ``k1 <= k2``, ``r0 >= e``).  Both canonical members meet their
@@ -122,13 +124,8 @@ class DensityParams(
         else:
             if not 0.0 < self.k1 <= self.k2:
                 raise ValueError(f"need 0 < k1 <= k2, got k1={self.k1}, k2={self.k2}")
-        if self.rho1 is not None or self.rho2 is not None:
-            if self.rho1 is None or self.rho2 is None:
-                raise ValueError("rho1 and rho2 overrides must be supplied together")
-            if not 0.0 < self.rho1 <= self.rho2:
-                raise ValueError(
-                    f"need 0 < rho1 <= rho2, got rho1={self.rho1}, rho2={self.rho2}"
-                )
+        if self.rho2 is not None and not self.rho2 > 0.0:
+            raise ValueError(f"rho2 must be positive, got {self.rho2}")
         return self
 
 
@@ -167,22 +164,17 @@ def derive_k0(params: DensityParams) -> float:
     return (1.0 - DERIVED_MARGIN) * params.k
 
 
-def derive_rho_bounds(params: DensityParams) -> tuple:
-    """Bounds ``rho1 <= 1/rho <= rho2`` on the closed ball of radius e.
+def derive_rho_bounds(params: DensityParams) -> float:
+    """Bound ``rho2 >= 1/rho`` on the closed ball of radius e.
 
-    Explicit overrides on ``params`` win.  Otherwise: ``s^2/L^alpha`` with
-    ``s = r + r0`` has one critical point, a minimum at ``s = e^(alpha/2)``,
-    so the maximum on [0, e] is at an end and the minimum at an end or
-    there; both are widened outward by ``DERIVED_MARGIN``.  These constants
-    feed the inner-ball branch of the blow-up feasibility system.
+    An explicit override on ``params`` wins.  Otherwise: ``s^2/L^alpha``
+    with ``s = r + r0`` has one critical point, a minimum at
+    ``s = e^(alpha/2)``, so its maximum on [0, e] is at an end, widened
+    outward by ``DERIVED_MARGIN``.  It feeds the inner-ball branch of the
+    blow-up feasibility system.
     """
     if params.family == FAMILY_H1:
         raise ValueError("derive_rho_bounds applies to the H2Smooth family only")
-    if params.rho1 is not None and params.rho2 is not None:
-        return params.rho1, params.rho2
-    radii = [0.0, E]
-    r_min = math.exp(0.5 * params.alpha) - params.r0
-    if 0.0 < r_min < E:
-        radii.append(r_min)
-    inv = inverse_rho(params, np.array(radii))
-    return (1.0 - DERIVED_MARGIN) * float(inv.min()), (1.0 + DERIVED_MARGIN) * float(inv.max())
+    if params.rho2 is not None:
+        return params.rho2
+    return (1.0 + DERIVED_MARGIN) * float(inverse_rho(params, np.array([0.0, E])).max())

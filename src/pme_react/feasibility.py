@@ -4,12 +4,15 @@ Each ``check_*`` function evaluates a closed system of scalar inequalities
 that is sufficient for the corresponding barrier to be a super/subsolution,
 and returns a :class:`FeasibilityReport` listing every inequality with its
 two sides, slack and verdict; its ``mode`` is the barrier's ``regime``.
-``build_barrier`` is the one place that turns a regime name and its
-parameters into a barrier: it holds the regime defaults, the shape
-exponents and the table ``BARRIER_KEYS`` of the parameters each regime
-takes.  It, ``find_params`` and ``config.loads`` share one check of the
-regime's exponent condition (:func:`_check_regime`), the certificates and
-``loads`` one of its density family (:func:`_check_family`).
+A certificate takes the barrier alone: the barrier carries its regime,
+constants and weight, and reads ``r0`` and its shape exponent off the
+weight.  ``build_barrier`` is the one place that turns a regime name, a
+weight and parameters into a barrier: it holds the regime defaults
+(``DEFAULT_T`` and the rest) and the table ``BARRIER_KEYS`` of the
+parameters each regime takes.  It, ``find_params`` and ``config.loads``
+share one check of the regime's exponent condition (:func:`_check_regime`),
+the certificates and ``loads`` one of its density family
+(:func:`_check_family`).
 ``find_params`` returns parameters with ``MARGIN`` relative slack on the
 binding inequality; ``C`` enters each certificate only through power laws,
 so its binding value is closed form.  The blow-up search takes ``omega =
@@ -33,15 +36,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 from .barrier import REGIME_BLOWUP, REGIME_GE1A, REGIME_GE1B, REGIME_GE2, REGIMES
 from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
-from .density import (
-    DensityParams,
-    E,
-    FAMILY_H1,
-    ProblemConstants,
-    derive_k0,
-    derive_rho_bounds,
-    power_or_inf,
-)
+from .density import DensityParams, E, FAMILY_H1, ProblemConstants, derive_k0, derive_rho_bounds, power_or_inf
 
 
 class FeasibilitySearchError(RuntimeError):
@@ -111,8 +106,8 @@ def omega_of(C: float, a: float, m: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_ge1(bar: GE1Barrier, dens: DensityParams) -> FeasibilityReport:
-    """Certificate for the logarithmic-decay supersolution over an H1 weight.
+def check_ge1(bar: GE1Barrier) -> FeasibilityReport:
+    """Certificate for the logarithmic-decay supersolution over its H1 weight.
 
     Conditions: the decay exponent window ``0 < b < alpha - 1``; the
     Laplacian margin ``eps (b + 1) < N - 2``; the slack floor
@@ -122,7 +117,7 @@ def check_ge1(bar: GE1Barrier, dens: DensityParams) -> FeasibilityReport:
     ``cbar C^p <= K0 C^m`` with ``K0 = k0 b (N - 2 - eps(b+1))``, whose two
     sides are reported in the regime-appropriate scale-free form.
     """
-    cc = bar.constants
+    cc, dens = bar.constants, bar.density
     _check_family(bar.regime, dens.family)
     k0 = derive_k0(dens)
     K0 = k0 * bar.b * (cc.N - 2.0 - bar.eps * (bar.b + 1.0))
@@ -160,11 +155,6 @@ def check_ge1(bar: GE1Barrier, dens: DensityParams) -> FeasibilityReport:
 # ---------------------------------------------------------------------------
 
 
-def _bbar(dens: DensityParams) -> float:
-    """Support shape exponent of the spreading supersolution."""
-    return dens.alpha + 2.0
-
-
 def ge2_drift_minimum(N: int, r0: float) -> float:
     """Minimum over r > 0 of ``g(r) = (N-1)(1 + r0/r) log(r+r0) - log(r+r0)``.
 
@@ -199,13 +189,13 @@ def ge2_drift_minimum(N: int, r0: float) -> float:
             hi = mid
 
 
-def check_ge2(bar: GE2Barrier, dens: DensityParams) -> FeasibilityReport:
-    """Certificate for the spreading supersolution over the canonical band
+def check_ge2(bar: GE2Barrier) -> FeasibilityReport:
+    """Certificate for the spreading supersolution over its canonical band
     member (the weight with constant ``k1``).
 
     The residual equals ``C tau F^(1/(m-1)-1)`` times a profile polynomial
     that is concave in ``F``, so nonnegativity on the support interior
-    reduces to the endpoints, after the shape check ``bbar = alpha + 2``:
+    reduces to the endpoints:
 
     - ``F -> 0``: the support decay rate
       ``bbar^2 omega (m/(m-1)) k1 <= (p-m)/(p-1)``;
@@ -215,15 +205,14 @@ def check_ge2(bar: GE2Barrier, dens: DensityParams) -> FeasibilityReport:
       (:func:`ge2_drift_minimum`).
     """
     cc = bar.constants
-    _check_family(bar.regime, dens.family)
+    _check_family(bar.regime, bar.density.family)
     m, p, N = cc.m, cc.p, cc.N
-    kc = dens.k1
+    kc = bar.density.k1
     omega = omega_of(bar.C, bar.a, m)
     mf = m / (m - 1.0)
     bracket_min = ge2_drift_minimum(N, bar.r0) + bar.bbar - 1.0
 
     entries = [
-        _entry("support_shape_exponent", abs(bar.bbar - _bbar(dens)), 0.0),
         _entry(
             "support_decay_rate_pointwise",
             bar.bbar**2 * omega * mf * kc,
@@ -253,13 +242,8 @@ def check_ge2(bar: GE2Barrier, dens: DensityParams) -> FeasibilityReport:
 # ---------------------------------------------------------------------------
 
 
-def _bunder(dens: DensityParams) -> float:
-    """Outer log exponent of the shrinking subsolution."""
-    return dens.alpha + 1.0
-
-
-def check_blowup(bar: BlowupSubsolution, dens: DensityParams) -> FeasibilityReport:
-    """Certificate for the shrinking subsolution over a two-sided weight.
+def check_blowup(bar: BlowupSubsolution) -> FeasibilityReport:
+    """Certificate for the shrinking subsolution over its two-sided weight.
 
     Two branches (the outer log profile and the inner paraboloid, the latter
     controlled by the inverse-weight bound ``rho2`` on the ball of radius e)
@@ -271,12 +255,12 @@ def check_blowup(bar: BlowupSubsolution, dens: DensityParams) -> FeasibilityRepo
     - coupling: ``K (branch/(m-1))^nu <= (p-m)/((m-1)(p-1)) C^(m-1)`` with
       ``nu = (p+m-2)/(p-1)`` and ``K`` from :func:`K_const`.
     """
-    cc = bar.constants
+    cc, dens = bar.constants, bar.density
     _check_family(bar.regime, dens.family)
     m, p, N = cc.m, cc.p, cc.N
     omega = omega_of(bar.C, bar.a, m)
     k2 = dens.k2
-    rho1, rho2 = derive_rho_bounds(dens)
+    rho2 = derive_rho_bounds(dens)
     K = K_const(m, p)
     nu = (p + m - 2.0) / (p - 1.0)
 
@@ -286,7 +270,6 @@ def check_blowup(bar: BlowupSubsolution, dens: DensityParams) -> FeasibilityRepo
     coupling_rhs = (p - m) / ((m - 1.0) * (p - 1.0)) * power_or_inf(bar.C, m - 1.0)
 
     entries = [
-        _entry("outer_shape_exponent", abs(bar.bunder - _bunder(dens)), 0.0),
         _entry("outer_gap_amplitude", branch_outer, gap_rhs),
         _entry("inner_gap_amplitude", branch_inner, gap_rhs),
         _entry("outer_coupling", K * (branch_outer / (m - 1.0)) ** nu, coupling_rhs),
@@ -299,7 +282,6 @@ def check_blowup(bar: BlowupSubsolution, dens: DensityParams) -> FeasibilityRepo
         "bunder": bar.bunder,
         "omega": omega,
         "k2": k2,
-        "rho1": rho1,
         "rho2": rho2,
         "K": K,
         "branch_outer": branch_outer,
@@ -320,6 +302,10 @@ C_LO = 1.0e-8
 C_HI = 1.0e8
 MARGIN = 0.01
 OMEGA_MAX = 1.0
+
+# The time shift T of each regime when none is given: GE1a's growing time
+# factor needs T > 1.
+DEFAULT_T = {REGIME_GE1A: 2.0, REGIME_GE1B: 1.0, REGIME_GE2: 1.0, REGIME_BLOWUP: 1.0}
 
 # The parameters each regime takes besides the amplitude C.
 BARRIER_KEYS = {
@@ -413,11 +399,11 @@ def build_barrier(
     """The barrier of ``regime`` with amplitude ``C``, omitted parameters
     filled with the regime defaults.
 
-    Defaults: ``T`` = 2 for GE1a and 1 otherwise; ``beta`` = 0.05 for GE1a
-    and 0 for GE1b; ``b`` and ``eps`` from :func:`_ge1_shape_defaults`
-    (any finite ``b``, ``eps`` and ``beta`` build, and the certificate
-    judges them).  The compact profiles take their shape exponent from the
-    density (:func:`_bbar`, :func:`_bunder`) and need ``a``.  An unknown
+    Defaults: ``T`` from ``DEFAULT_T`` (2 for GE1a and 1 otherwise);
+    ``beta`` = 0.05 for GE1a and 0 for GE1b; ``b`` and ``eps`` from
+    :func:`_ge1_shape_defaults` (any finite ``b``, ``eps`` and ``beta``
+    build, and the certificate judges them).  The barrier carries ``dens``,
+    and the compact profiles need ``a``.  An unknown
     regime, a failed exponent condition (:func:`_check_regime`), a lone
     ``C`` or ``a`` (:func:`_check_pair`) and a parameter outside
     ``BARRIER_KEYS[regime]`` are a ``ValueError``.
@@ -431,16 +417,15 @@ def build_barrier(
             f"its parameters are C, {', '.join(BARRIER_KEYS[regime])}"
         )
     if T is None:
-        T = 2.0 if regime == REGIME_GE1A else 1.0
+        T = DEFAULT_T[regime]
     if regime in (REGIME_GE1A, REGIME_GE1B):
         b, eps = _ge1_shape_defaults(cc, dens, b, eps)
         if beta is None:
             beta = 0.05 if regime == REGIME_GE1A else 0.0
-        return GE1Barrier(constants=cc, C=C, T=T, beta=beta, b=b, eps=eps, r0=dens.r0)
+        return GE1Barrier(constants=cc, density=dens, C=C, T=T, beta=beta, b=b, eps=eps)
     _check_pair(regime, C, a)
-    if regime == REGIME_GE2:
-        return GE2Barrier(constants=cc, C=C, a=a, T=T, bbar=_bbar(dens), r0=dens.r0)
-    return BlowupSubsolution(constants=cc, C=C, a=a, T=T, bunder=_bunder(dens))
+    cls = GE2Barrier if regime == REGIME_GE2 else BlowupSubsolution
+    return cls(constants=cc, density=dens, C=C, a=a, T=T)
 
 
 def refuse_failing(report: FeasibilityReport, how: str) -> None:
@@ -512,16 +497,17 @@ def find_params(
     m, p = cc.m, cc.p
     given = {"T": T, "beta": beta, "b": b, "eps": eps}
     omega = OMEGA_MAX if regime == REGIME_BLOWUP else None
-    if regime == REGIME_GE2:
-        bbar = _bbar(dens)
-        # the decay-rate condition caps omega independently of C
-        omega = (p - m) / ((p - 1.0) * bbar**2 * (m / (m - 1.0)) * dens.k1) / (1.0 + MARGIN)
 
     def make(C: float, omega):
         a = None if omega is None else power_or_inf(C, m - 1.0) / omega
         return build_barrier(cc, dens, regime, C, a=a, **given)
 
-    probe = check_auto(make(1.0, omega), dens)
+    if regime == REGIME_GE2:
+        # the decay-rate condition caps omega independently of C; the
+        # barrier holds the shape exponent
+        bbar = make(1.0, 1.0).bbar
+        omega = (p - m) / ((p - 1.0) * bbar**2 * (m / (m - 1.0)) * dens.k1) / (1.0 + MARGIN)
+    probe = check_auto(make(1.0, omega))
     boundary = _binding_amplitude(cc, probe)
     if regime == REGIME_BLOWUP and boundary > C_HI:
         # at C = 1 each branch is 1 + (branch - 1) omega/OMEGA_MAX, and at C* = target the gap and
@@ -534,7 +520,7 @@ def find_params(
         if not omega > 0.0:
             raise FeasibilitySearchError(f"no feasible Blowup parameters: no omega > 0 fits, as the gap and "
                                          f"coupling entries at C = {target:g} cap each branch at {budget:g} <= 1")
-        probe = check_auto(make(1.0, omega), dens)
+        probe = check_auto(make(1.0, omega))
         boundary = _binding_amplitude(cc, probe)
     if regime == REGIME_GE2 and not boundary >= C_LO:
         # at this omega the amplitude balance reads C^(p-1) + 1/(p-1) <=
@@ -553,18 +539,18 @@ def find_params(
                                      f"gives the binding amplitude {boundary:g}, outside [{C_LO:g}, {C_HI:g}]")
     floor = regime in (REGIME_GE1A, REGIME_BLOWUP)
     bar = make(boundary * (1.0 + MARGIN) if floor else boundary / (1.0 + MARGIN), omega)
-    report = check_auto(bar, dens)
+    report = check_auto(bar)
     refuse_failing(report, "searched")
     refuse_degenerate_support(bar)
     return bar, report
 
 
-def check_auto(bar, dens: DensityParams) -> FeasibilityReport:
+def check_auto(bar) -> FeasibilityReport:
     """Run the certificate matching the barrier's type."""
     if isinstance(bar, GE1Barrier):
-        return check_ge1(bar, dens)
+        return check_ge1(bar)
     if isinstance(bar, GE2Barrier):
-        return check_ge2(bar, dens)
+        return check_ge2(bar)
     if isinstance(bar, BlowupSubsolution):
-        return check_blowup(bar, dens)
+        return check_blowup(bar)
     raise TypeError(f"no condition set for {type(bar).__name__}")

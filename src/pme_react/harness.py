@@ -22,7 +22,8 @@ The pieces here connect the closed-form comparison functions from
   scaled by a list of factors, one run after another, and records which
   amplitudes still blow up.
 
-Each takes a barrier, which carries its regime and problem constants.
+Each takes a barrier, which carries its regime, constants and weight, so
+no density is passed beside it.
 Everything returns plain report records (named tuples); the command line
 writes their fields as JSON keys.
 """
@@ -38,7 +39,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
-from .density import E, Checked, DensityParams, inverse_rho
+from .density import E, Checked, inverse_rho
 from .solver import TERM_BLOWUP, TERM_STALLED, TERM_STEP_LIMIT, RadialGrid, RunResult, SolverConfig
 from .solver import reaction_time_scale, run, support_radius_numeric
 
@@ -129,10 +130,10 @@ def _relative_margins(resid: np.ndarray, scale: np.ndarray) -> np.ndarray:
 _SWEEP_ROWS = 10
 
 
-def _block_margins(bar: Barrier, dens: DensityParams, r: np.ndarray, t: np.ndarray, sub: bool) -> np.ndarray:
+def _block_margins(bar: Barrier, r: np.ndarray, t: np.ndarray, sub: bool) -> np.ndarray:
     d = bar.eval_derivatives(r, t)
     wp = bar.eval(r, t) ** bar.constants.p
-    resid = d.w_t - inverse_rho(dens, r) * d.lap_wm - wp
+    resid = d.w_t - inverse_rho(bar.density, r) * d.lap_wm - wp
     return _relative_margins(-resid if sub else resid, np.abs(wp) + np.abs(d.w_t))
 
 
@@ -152,7 +153,6 @@ def _sweep_grid(bar: Barrier, t_grid: np.ndarray, n_r: int) -> np.ndarray:
 
 def residual_sweep(
     bar: Barrier,
-    dens: DensityParams,
     n_r: int = 200,
     n_t: int = 50,
     rel_tol: float = 1.0e-10,
@@ -177,7 +177,7 @@ def residual_sweep(
     with np.errstate(all="ignore"):
         r = _sweep_grid(bar, t_grid, n_r)
         rel = np.concatenate([
-            _block_margins(bar, dens, r[i:i + _SWEEP_ROWS], t_grid[i:i + _SWEEP_ROWS, None], sub)
+            _block_margins(bar, r[i:i + _SWEEP_ROWS], t_grid[i:i + _SWEEP_ROWS, None], sub)
             for i in range(0, n_t, _SWEEP_ROWS)
         ])
     it, ir = np.unravel_index(np.argmin(rel), rel.shape)
@@ -321,7 +321,7 @@ def _refuse_at_threshold(data: str, sup: float, solver: SolverConfig) -> None:
 
 
 def comparison_experiment(
-    bar: Barrier, dens: DensityParams, solver: SolverConfig, initial: InitialData = InitialData()
+    bar: Barrier, solver: SolverConfig, initial: InitialData = InitialData()
 ) -> ComparisonResult:
     """Run the scheme and test the ordering the barrier predicts.
 
@@ -351,6 +351,7 @@ def comparison_experiment(
     ``headroom`` is the largest ``(u - W)/W`` (``(W - u)/W`` for the
     blow-up regime) over the checked times t > 0 and the cells with W > 0,
     with its time and cell radius: how near the run came to the barrier.
+    A nan ratio is passed over; where none is a number, all three are nan.
     """
     grid = _grid(bar, solver)
     u0 = build_initial(initial, grid, bar)
@@ -375,11 +376,11 @@ def comparison_experiment(
         def ghost(t: float) -> float:
             return float(bar.eval(r_ghost, t))
 
-        res = run_implicit(u0, grid, dens, bar.constants, solver, ghost)
+        res = run_implicit(u0, grid, bar.density, bar.constants, solver, ghost)
         judged = _judge(bar, grid, res)
         max_dt = 0.5 * res.implicit.dt_largest
         if max_dt > 0.0:
-            half = run_implicit(u0, grid, dens, bar.constants, solver, ghost, max_dt=max_dt)
+            half = run_implicit(u0, grid, bar.density, bar.constants, solver, ghost, max_dt=max_dt)
             checked = _judge(bar, grid, half)
             judged = judged._replace(half_dt=HalfStepCheck(
                 max_dt, half.steps, half.implicit.newton_iterations, checked.max_violation, checked.headroom,
@@ -389,7 +390,7 @@ def comparison_experiment(
                 note = f"the rerun with dt <= {max_dt:.6g} gives {checked.verdict}, not {judged.verdict}"
                 judged = judged._replace(verdict=VERDICT_INCONCLUSIVE, notes=judged.notes + [note])
         return judged
-    return _judge(bar, grid, run(u0, grid, dens, bar.constants, solver))
+    return _judge(bar, grid, run(u0, grid, bar.density, bar.constants, solver))
 
 
 def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> ComparisonResult:
@@ -446,12 +447,12 @@ def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> ComparisonResult:
         if not isinstance(bar, GE1Barrier):
             r_num, r_bar = support_radius_numeric(u, grid), float(bar.support_radius(t))
             excesses.append(((r_bar - r_num) if sub else (r_num - r_bar)) / grid.dr - 1.0)
-    # the first largest in time order names the time; a nan headroom stands
-    # only where every snapshot gave one, at the last of them
+    # the first largest in time order names the time; a nan headroom is
+    # passed over, and with no number left there is no place either
     first = itemgetter(0)
     max_violation, worst_time = max(violations, key=first, default=(nan, nan))
     headroom, headroom_time, headroom_radius = max(
-        [h for h in headrooms if not math.isnan(h[0])] or headrooms[-1:], key=first, default=(nan, nan, nan)
+        [h for h in headrooms if not math.isnan(h[0])], key=first, default=(nan, nan, nan)
     )
     support_worst = max(excesses, default=nan)
     support_ok = bool(support_worst <= 0.0) if excesses else None
@@ -480,7 +481,6 @@ class ScanRow(NamedTuple):
 
 def blowup_scan(
     bar: Barrier,
-    dens: DensityParams,
     solver: SolverConfig,
     initial: InitialData = InitialData(),
     factors: Sequence[float] = (0.25, 0.5, 0.75, 1.0, 1.25),
@@ -509,7 +509,7 @@ def blowup_scan(
         tau_f = reaction_time_scale(bar.constants.p, f * sup0)
         t_end = max(solver.t_end, 3.0 * tau_f)
         cfg = solver._replace(t_end=t_end, output_times=())
-        res = run(f * u0, grid, dens, bar.constants, cfg)
+        res = run(f * u0, grid, bar.density, bar.constants, cfg)
         rows.append(
             ScanRow(
                 factor=float(f),

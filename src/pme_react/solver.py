@@ -199,7 +199,7 @@ class SolverConfig(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for key in ("t_end", "R", "cfl_safety", "blowup_threshold"):
+        for key in ("t_end", "R", "cells", "cfl_safety", "blowup_threshold"):
             _check_setting(key, getattr(self, key))
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")

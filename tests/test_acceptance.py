@@ -49,7 +49,7 @@ H1_FAR = DensityParams(family="H1", alpha=2.0, r0=1000.0)
 H1_NEAR = DensityParams(family="H1", alpha=2.0, r0=25.0)
 H2S_8 = DensityParams(family="H2Smooth", alpha=2.0, r0=8.0)
 H2S_E = DensityParams(family="H2Smooth", alpha=2.0, r0=E)
-H2S_UNIT = DensityParams(family="H2Smooth", alpha=2.0, r0=E, rho1=1.0, rho2=1.0)
+H2S_UNIT = DensityParams(family="H2Smooth", alpha=2.0, r0=E, rho2=1.0)
 
 
 def _report(ok: bool, label: str) -> None:
@@ -59,40 +59,36 @@ def _report(ok: bool, label: str) -> None:
 
 @pytest.fixture(scope="module")
 def ge1a_pack():
-    bar, rep = find_params(CC32, H1_FAR, REGIME_GE1A, b=0.95)
-    return bar, rep, H1_FAR
+    return find_params(CC32, H1_FAR, REGIME_GE1A, b=0.95)
 
 
 @pytest.fixture(scope="module")
 def ge1b_pack():
-    bar, rep = find_params(CC23, H1_NEAR, REGIME_GE1B)
-    return bar, rep, H1_NEAR
+    return find_params(CC23, H1_NEAR, REGIME_GE1B)
 
 
 @pytest.fixture(scope="module")
 def ge2_pack():
-    bar, rep = find_params(CC23, H2S_8, REGIME_GE2)
-    return bar, rep, H2S_8
+    return find_params(CC23, H2S_8, REGIME_GE2)
 
 
 @pytest.fixture(scope="module")
 def blowup_pack():
-    bar, rep = find_params(CC23, H2S_E, REGIME_BLOWUP)
-    return bar, rep, H2S_E
+    return find_params(CC23, H2S_E, REGIME_BLOWUP)
 
 
 def test_criterion_1_residual_signs(ge1a_pack, ge1b_pack, ge2_pack, blowup_pack):
     """Every certified profile keeps its residual sign on a 200x50 grid."""
     ok = True
     detail = []
-    for (bar, _, dens), regime in (
+    for (bar, _), regime in (
         (ge1a_pack, REGIME_GE1A),
         (ge1b_pack, REGIME_GE1B),
         (ge2_pack, REGIME_GE2),
         (blowup_pack, REGIME_BLOWUP),
     ):
         t0 = time.perf_counter()
-        sweep = residual_sweep(bar, dens, n_r=200, n_t=50, rel_tol=1e-10)
+        sweep = residual_sweep(bar, n_r=200, n_t=50, rel_tol=1e-10)
         dt = time.perf_counter() - t0
         ok = ok and sweep.passed and dt <= 1.0
         detail.append(f"{regime} margin={sweep.min_margin:.3g} in {dt:.2f}s")
@@ -103,17 +99,15 @@ def test_criterion_1_residual_signs(ge1a_pack, ge1b_pack, ge2_pack, blowup_pack)
 def test_criterion_2_blowup_threshold_at_unit_constants():
     """With omega = 1 and unit weight constants the certificate reduces to
     closed-form branch values and a single binding amplitude."""
-    rep = check_blowup(
-        BlowupSubsolution(constants=CC23, C=300.0, a=300.0, T=1.0, bunder=3.0), H2S_UNIT
-    )
+    rep = check_blowup(BlowupSubsolution(constants=CC23, density=H2S_UNIT, C=300.0, a=300.0, T=1.0))
     branches_ok = (
         abs(rep.params["branch_outer"] - 43.0) <= 1e-12 * 43.0
         and abs(rep.params["branch_inner"] - (1.0 + 18.0 / E**2)) <= 1e-12 * 4.0
     )
 
     def feasible(C: float) -> bool:
-        bar = BlowupSubsolution(constants=CC23, C=C, a=C, T=1.0, bunder=3.0)
-        return check_blowup(bar, H2S_UNIT).overall
+        bar = BlowupSubsolution(constants=CC23, density=H2S_UNIT, C=C, a=C, T=1.0)
+        return check_blowup(bar).overall
 
     lo, hi = 50.0, 400.0
     assert not feasible(lo) and feasible(hi)
@@ -145,7 +139,7 @@ def test_criterion_3_calibration_constant():
 def test_criterion_4_derivative_crosschecks(ge1b_pack, ge2_pack, blowup_pack):
     ok = True
     detail = []
-    for (bar, _, _), name in (
+    for (bar, _), name in (
         (ge1b_pack, "log-decay"),
         (ge2_pack, "spreading"),
         (blowup_pack, "blow-up"),
@@ -226,13 +220,13 @@ def test_criterion_6_reaction_clock(tmp_path):
 
 
 def test_criterion_7_spreading_bound_end_to_end(ge2_pack):
-    bar, _, dens = ge2_pack
+    bar, _ = ge2_pack
     times = (0.0, 0.25, 0.5) + tuple(float(k) for k in range(1, 11))
     cfg = SolverConfig(
         t_end=10.0, R=52.0, cells=2048, boundary=BOUNDARY_DIRICHLET, output_times=times
     )
     t0 = time.perf_counter()
-    out = comparison_experiment(bar, dens, cfg)
+    out = comparison_experiment(bar, cfg)
     dt = time.perf_counter() - t0
     ok = (
         out.verdict == "pass"
@@ -248,7 +242,7 @@ def test_criterion_7_spreading_bound_end_to_end(ge2_pack):
 
 
 def test_criterion_8_blowup_end_to_end(blowup_pack):
-    bar, _, dens = blowup_pack
+    bar, _ = blowup_pack
     cfg = SolverConfig(
         t_end=2.0e-5,
         R=2.0 * bar.support_radius(0.0),
@@ -257,7 +251,7 @@ def test_criterion_8_blowup_end_to_end(blowup_pack):
         output_times=tuple(k * 1.0e-6 for k in range(12)),
     )
     t0 = time.perf_counter()
-    out = comparison_experiment(bar, dens, cfg)
+    out = comparison_experiment(bar, cfg)
     dt = time.perf_counter() - t0
     ok = (
         out.verdict == "pass"
@@ -277,7 +271,7 @@ def test_criterion_8_blowup_end_to_end(blowup_pack):
 def test_criterion_9_log_decay_bounds_end_to_end(ge1a_pack, ge1b_pack):
     ok = True
     detail = []
-    for (bar, _, dens), regime, (R, cells) in (
+    for (bar, _), regime, (R, cells) in (
         (ge1a_pack, REGIME_GE1A, (2000.0, 48)),
         (ge1b_pack, REGIME_GE1B, (50.0, 64)),
     ):
@@ -287,7 +281,7 @@ def test_criterion_9_log_decay_bounds_end_to_end(ge1a_pack, ge1b_pack):
             output_times=tuple(float(t) for t in np.linspace(0.0, t_end, 21)),
         )
         t0 = time.perf_counter()
-        out = comparison_experiment(bar, dens, cfg)
+        out = comparison_experiment(bar, cfg)
         dt = time.perf_counter() - t0
         ok = ok and out.verdict == "pass" and out.max_violation <= 0.0 and dt <= 300.0
         detail.append(f"{regime} max_violation={out.max_violation:.2e} in {dt:.1f}s")
@@ -321,7 +315,7 @@ def test_criterion_10_comparison_ordering():
 
 
 def test_criterion_11_interface_flux_match(blowup_pack):
-    bar, _, _ = blowup_pack
+    bar, _ = blowup_pack
     rng = np.random.default_rng(11)
     worst = 0.0
     for t in rng.uniform(0.0, bar.T * (1.0 - 1e-9), 100):

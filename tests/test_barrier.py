@@ -31,6 +31,14 @@ CC23 = ProblemConstants(m=2.0, p=3.0, N=3)
 CC32 = ProblemConstants(m=3.0, p=2.0, N=3)
 
 
+def h1(r0=E, alpha=2.0):
+    return DensityParams(family="H1", alpha=alpha, r0=r0)
+
+
+def h2(r0=E, alpha=2.0):
+    return DensityParams(family="H2Smooth", alpha=alpha, r0=r0)
+
+
 # -- shape function ---------------------------------------------------------
 
 
@@ -72,8 +80,8 @@ def test_sfrak_curvature():
 # -- GE1 --------------------------------------------------------------------
 
 
-def ge1(**kw):
-    args = dict(constants=CC23, C=1.0, T=1.0, b=1.0, eps=0.25, r0=E, beta=0.0)
+def ge1(r0=E, **kw):
+    args = dict(constants=CC23, density=h1(r0), C=1.0, T=1.0, b=1.0, eps=0.25, beta=0.0)
     args.update(kw)
     return GE1Barrier(**args)
 
@@ -92,10 +100,9 @@ def test_ge1_cbar():
     assert bar.cbar == pytest.approx(2.0 ** (-1.5), rel=1e-14)
 
 
-def passes(bar, entry, alpha=2.0):
-    """Whether ``bar`` passes the named entry of its certificate over the H1 weight with ``alpha``."""
-    (e,) = [e for e in check_ge1(bar, DensityParams(family="H1", alpha=alpha, r0=bar.r0)).inequalities
-            if e.name == entry]
+def passes(bar, entry):
+    """Whether ``bar`` passes the named entry of its certificate."""
+    (e,) = [e for e in check_ge1(bar).inequalities if e.name == entry]
     return e.passed
 
 
@@ -104,32 +111,33 @@ def test_ge1_beta_regime_coupling():
     # ties it to the regime
     assert passes(ge1(), "beta_mode")
     assert not passes(ge1(beta=0.1), "beta_mode")  # p > m forbids a growing amplitude
-    grow = GE1Barrier(constants=CC32, C=1.0, T=2.0, b=1.0, eps=0.25, r0=E, beta=0.05)
+    grow = GE1Barrier(constants=CC32, density=h1(), C=1.0, T=2.0, b=1.0, eps=0.25, beta=0.05)
     assert grow.eval(0.0, 0.0) == pytest.approx(2.0**0.05, rel=1e-14)
     assert passes(grow, "beta_mode")
     for beta in (0.0, -0.05):  # p < m needs a growing amplitude
         assert not passes(grow._replace(beta=beta), "beta_mode")
     with pytest.raises(ValueError, match="p == m"):
         GE1Barrier(
-            constants=ProblemConstants(m=2.0, p=2.0, N=3),
-            C=1.0, T=1.0, b=1.0, eps=0.25, r0=E,
+            constants=ProblemConstants(m=2.0, p=2.0, N=3), density=h1(),
+            C=1.0, T=1.0, b=1.0, eps=0.25,
         )
 
 
 def test_regime_follows_class_and_exponents():
     assert ge1().regime == REGIME_GE1B  # p > m
-    grow = GE1Barrier(constants=CC32, C=1.0, T=2.0, b=1.0, eps=0.25, r0=E, beta=0.05)
+    grow = GE1Barrier(constants=CC32, density=h1(), C=1.0, T=2.0, b=1.0, eps=0.25, beta=0.05)
     assert grow.regime == REGIME_GE1A  # p < m
-    assert GE2Barrier(constants=CC23, C=1.0, a=1.0, T=1.0, bbar=4.0, r0=E).regime == REGIME_GE2
-    assert BlowupSubsolution(constants=CC23, C=1.0, a=1.0, T=1.0, bunder=3.0).regime == REGIME_BLOWUP
+    assert GE2Barrier(constants=CC23, density=h2(), C=1.0, a=1.0, T=1.0).regime == REGIME_GE2
+    assert BlowupSubsolution(constants=CC23, density=h2(), C=1.0, a=1.0, T=1.0).regime == REGIME_BLOWUP
     # the compact profiles exist for p > m only, so p < m names no regime
-    for cls, shape in ((GE2Barrier, dict(bbar=4.0, r0=E)), (BlowupSubsolution, dict(bunder=3.0))):
+    for cls in (GE2Barrier, BlowupSubsolution):
         with pytest.raises(ValueError, match="requires p > m"):
-            cls(constants=CC32, C=1.0, a=1.0, T=1.0, **shape)
+            cls(constants=CC32, density=h2(), C=1.0, a=1.0, T=1.0)
 
 
 def test_ge1_validation():
-    # the barrier refuses only what leaves its profile undefined
+    # the barrier refuses only what leaves its profile undefined, and its
+    # weight an r0 below e
     for bad in (dict(C=0.0), dict(T=-1.0), dict(r0=1.0)):
         with pytest.raises(ValueError):
             ge1(**bad)
@@ -169,8 +177,8 @@ def test_ge1_scalar_array_parity():
 # -- GE2 --------------------------------------------------------------------
 
 
-def ge2(**kw):
-    args = dict(constants=CC23, C=0.7, a=40.0, T=1.0, bbar=4.0, r0=8.0)
+def ge2(r0=8.0, alpha=2.0, **kw):
+    args = dict(constants=CC23, density=h2(r0, alpha), C=0.7, a=40.0, T=1.0)
     args.update(kw)
     return GE2Barrier(**args)
 
@@ -178,7 +186,8 @@ def ge2(**kw):
 def test_ge2_validation():
     with pytest.raises(ValueError):
         ge2(constants=CC32)  # needs p > m
-    for bad in (dict(C=0.0), dict(a=-1.0), dict(T=0.0), dict(bbar=3.0), dict(r0=2.0)):
+    # alpha = 1 (bbar = 3) and r0 < e are refused by the weight
+    for bad in (dict(C=0.0), dict(a=-1.0), dict(T=0.0), dict(alpha=1.0), dict(r0=2.0)):
         with pytest.raises(ValueError):
             ge2(**bad)
 
@@ -246,8 +255,8 @@ def test_ge2_amplitude_decays():
 # -- blow-up subsolution ----------------------------------------------------
 
 
-def bu(**kw):
-    args = dict(constants=CC23, C=1.0, a=1.0, T=1.0, bunder=3.0)
+def bu(alpha=2.0, **kw):
+    args = dict(constants=CC23, density=h2(alpha=alpha), C=1.0, a=1.0, T=1.0)
     args.update(kw)
     return BlowupSubsolution(**args)
 
@@ -255,7 +264,8 @@ def bu(**kw):
 def test_blowup_validation():
     with pytest.raises(ValueError):
         bu(constants=CC32)
-    for bad in (dict(C=0.0), dict(a=0.0), dict(T=-2.0), dict(bunder=2.0)):
+    # alpha = 1 (bunder = 2) is refused by the weight
+    for bad in (dict(C=0.0), dict(a=0.0), dict(T=-2.0), dict(alpha=1.0)):
         with pytest.raises(ValueError):
             bu(**bad)
 
@@ -427,14 +437,14 @@ def test_compact_eval_is_the_closed_form_bit_for_bit():
 
     r = np.linspace(0.0, 12.0, 241)
     t = np.linspace(0.0, 1.9, 241)
-    g = GE2Barrier(constants=cc, C=0.7, a=40.0, T=1.0, bbar=4.0, r0=8.0)
+    g = GE2Barrier(constants=cc, density=h2(8.0), C=0.7, a=40.0, T=1.0)
     s = g.T + t
     S = np.log(r + g.r0) ** g.bbar
     want = profile(g.C, s ** (-1.0 / (p - 1.0)), s ** (-(p - m) / (p - 1.0)), g.a, S)
     assert (want == 0.0).any() and (want > 0.0).any()
     assert g.eval(r, t).tobytes() == want.tobytes()
 
-    b = BlowupSubsolution(constants=cc, C=1.0, a=3.0, T=2.0, bunder=3.0)
+    b = BlowupSubsolution(constants=cc, density=h2(), C=1.0, a=3.0, T=2.0)
     s = b.T - t
     outer = r >= E
     S = np.where(outer, np.log(np.where(outer, r, E)) ** b.bunder, b.bunder * r**2 / (2.0 * E**2) + 1.0 - b.bunder / 2.0)
@@ -442,3 +452,34 @@ def test_compact_eval_is_the_closed_form_bit_for_bit():
     assert outer.any() and (~outer).any() and (want == 0.0).any() and (want > 0.0).any()
     assert b.eval(r, t).tobytes() == want.tobytes()
     assert sfrak(r, b.bunder).tobytes() == S.tobytes()
+
+
+# -- the weight a barrier carries ----------------------------------------------
+
+
+@pytest.mark.parametrize("make", [ge1, ge2, bu], ids=["ge1", "ge2", "blowup"])
+@pytest.mark.parametrize("alpha, r0", [(1.5, E), (2.0, 8.0), (3.0, 1.0e4)])
+def test_barrier_reads_r0_and_shape_exponent_off_its_density(make, alpha, r0):
+    family = "H1" if make is ge1 else "H2Smooth"
+    dens = DensityParams(family=family, alpha=alpha, r0=r0)
+    for bar in (make(density=dens), make()._replace(density=dens)):
+        assert bar.density == dens
+        if isinstance(bar, BlowupSubsolution):
+            assert bar.bunder == alpha + 1.0
+        else:
+            assert bar.r0 == r0
+        if isinstance(bar, GE2Barrier):
+            assert bar.bbar == alpha + 2.0
+        if isinstance(bar, GE1Barrier):  # cbar follows r0
+            assert bar.cbar == math.log(r0) ** (-bar.b * bar.constants.p / bar.constants.m)
+
+
+@pytest.mark.parametrize("make", [ge1, ge2, bu], ids=["ge1", "ge2", "blowup"])
+@pytest.mark.parametrize("name", ["r0", "bbar", "bunder"])
+def test_barrier_refuses_r0_and_shape_exponents_of_its_own(make, name):
+    args = make()._asdict()
+    args[name] = 25.0
+    with pytest.raises(TypeError):
+        type(make())(**args)
+    with pytest.raises(ValueError):
+        make()._replace(**{name: 25.0})

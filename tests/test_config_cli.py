@@ -389,7 +389,7 @@ def test_resolve_explicit_ge2_pair():
     res = resolve(loads(text))
     assert res.barrier.regime == REGIME_GE2
     # explicit parameters skip the search, not the certificate
-    assert res.report == check_auto(res.barrier, res.density)
+    assert res.report == check_auto(res.barrier)
     assert not any("(search)" in d for d in res.defaults_used)
     assert res.barrier.bbar == 4.0  # alpha + 2 from the density
     assert any("T = 1 (default)" in d for d in res.defaults_used)
@@ -427,7 +427,7 @@ def test_ge2_at_256_cells_takes_the_pinned_step_count():
     loaded = load(str(CONFIGS / "ge2.cfg"))
     loaded.solver["cells"] = 256
     res = resolve(loaded)
-    out = comparison_experiment(res.barrier, res.density, res.solver, res.initial)
+    out = comparison_experiment(res.barrier, res.solver, res.initial)
     assert out.run.steps == 1664
     assert out.run.clamp_total == 0.0
     # the one-cell support check fails at this resolution (a spatial error)
@@ -587,6 +587,8 @@ SOLVER_RULES = {
     "output_times-negative": ("output_times = -1, 0, 10", "output_times", "output_times must lie within [0, t_end]"),
     "output_times-order": ("output_times = 0, 2, 1", "output_times", "output_times must be strictly increasing"),
     "output_times-past-t_end": ("t_end = 5", "output_times", "output_times must lie within [0, t_end]"),
+    # no t_end: the horizon is 10 T, at the default T = 1
+    "output_times-past-10-T": ("output_times = 0, 5, 12", "output_times", "output_times must lie within [0, t_end]"),
 }
 
 
@@ -608,6 +610,33 @@ def test_loads_reports_a_solver_rule_at_its_line(case):
     with pytest.raises(ConfigError) as exc_info:
         loads(text)
     assert [str(i) for i in exc_info.value.issues] == [issue]
+
+
+@pytest.mark.parametrize(
+    "stem, given_T, times, horizon",
+    [
+        ("ge2", None, "0, 5, 10", 10.0),
+        ("ge2", None, "0, 5, 10.5", 10.0),
+        ("ge2", 2.0, "0, 5, 12", 20.0),
+        ("ge2", 0.5, "0, 5, 6", 5.0),
+        ("ge2", -1.0, "0, 5, 12", None),  # a T the barrier refuses holds no time
+        ("ge1a", None, "0, 20", 20.0),  # GE1a's default T is 2
+        ("ge1a", None, "0, 21", 20.0),
+    ],
+)
+def test_loads_holds_output_times_to_the_derived_horizon(stem, given_T, times, horizon):
+    # without t_end a barrier config runs to 10 T, T given or the regime's
+    # default, and the file alone decides that horizon
+    text = re.sub(r"(?m)^output_times = .*$", f"output_times = {times}", (CONFIGS / f"{stem}.cfg").read_text())
+    if given_T is not None:
+        text = text.replace("[barrier]\n", f"[barrier]\nT = {given_T}\n")
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if row.startswith("output_times = "))
+    if horizon is None or max(map(float, times.split(","))) <= horizon:
+        assert loads(text).solver["t_end"] is None
+        return
+    with pytest.raises(ConfigError) as exc_info:
+        loads(text)
+    assert [str(i) for i in exc_info.value.issues] == [f"line {line}: [solver] output_times must lie within [0, t_end]"]
 
 
 @pytest.mark.parametrize("case", list(SOLVER_RULES))
@@ -1272,7 +1301,7 @@ def test_cli_barrier_check_sweeps_to_t_end(tmp_path, k):
     text = text.replace("regime = GE2", given).replace("cells = 2048", "cells = 2048\nt_end = 10")
     cfg = write(tmp_path, f"ge2_k{k}.cfg", text)
     resolved = resolve(load(cfg))
-    assert residual_sweep(resolved.barrier, resolved.density).passed  # t <= 10 T alone misses it
+    assert residual_sweep(resolved.barrier).passed  # t <= 10 T alone misses it
     out = tmp_path / "out"
     assert cli.main(["barrier-check", "--config", cfg, "--out", str(out)]) == 2
     sweep = _strict_json(out / "verdict.json")["residual_sweep"]

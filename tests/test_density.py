@@ -42,10 +42,9 @@ def test_params_validation():
         DensityParams(family=FAMILY_H1, alpha=2.0, r0=1.0)  # below e
     with pytest.raises(ValueError):
         DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=8.0, k1=2.0, k2=1.0)
-    with pytest.raises(ValueError):
-        DensityParams(family=FAMILY_H1, alpha=2.0, r0=8.0, rho1=1.0)  # rho2 missing
-    with pytest.raises(ValueError):
-        DensityParams(family=FAMILY_H1, alpha=2.0, r0=8.0, rho1=2.0, rho2=1.0)
+    for rho2 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="rho2 must be positive"):
+            DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=8.0, rho2=rho2)
 
 
 def test_h1_member_at_origin():
@@ -130,12 +129,11 @@ def grid_k0(params, margin=0.05):
     return (1.0 - margin) * float(min(ratio.min(), params.k))
 
 
-def grid_rho_bounds(params, margin=0.05):
-    """Oracle for :func:`derive_rho_bounds`: min and max of ``1/rho`` on a
+def grid_rho2(params, margin=0.05):
+    """Oracle for :func:`derive_rho_bounds`: the max of ``1/rho`` on a
     1025-point grid on [0, e], widened outward by ``margin``."""
     radii = np.linspace(0.0, E, 1025)
-    inv = np.asarray(inverse_rho(params, radii))
-    return (1.0 - margin) * float(inv.min()), (1.0 + margin) * float(inv.max())
+    return (1.0 + margin) * float(np.max(inverse_rho(params, radii)))
 
 
 # The density sections of the shipped reference configs.
@@ -147,7 +145,7 @@ def test_derived_constants_match_the_grid_oracles_at_shipped_params():
     for d in SHIPPED_H1:
         assert derive_k0(d) == grid_k0(d) == 0.95
     for d in SHIPPED_H2SMOOTH:
-        assert derive_rho_bounds(d) == grid_rho_bounds(d)
+        assert derive_rho_bounds(d) == grid_rho2(d)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0, 6.0], ids=lambda a: f"alpha={a:g}")
@@ -157,11 +155,8 @@ def test_derived_constants_against_the_grid_oracles(alpha, r0):
     assert derive_k0(h1) == pytest.approx(grid_k0(h1), rel=1e-15)
     assert derive_k0(h1) >= grid_k0(h1)
     h2 = DensityParams(family=FAMILY_H2SMOOTH, alpha=alpha, r0=r0, k1=1.3, k2=2.0)
-    (lo, hi), (grid_lo, grid_hi) = derive_rho_bounds(h2), grid_rho_bounds(h2)
-    # rho1 is the exact minimum, the grid's can only sit above it
-    assert lo <= grid_lo
-    assert lo == pytest.approx(grid_lo, rel=1e-5)
-    assert hi == pytest.approx(grid_hi, rel=1e-15)
+    # the maximum lies at an end of [0, e], a point of the grid too
+    assert derive_rho_bounds(h2) == pytest.approx(grid_rho2(h2), rel=1e-15)
 
 
 def test_derive_k0_scales_with_k():
@@ -178,41 +173,35 @@ def test_derive_rho_bounds_refuses_h1():
         derive_rho_bounds(DensityParams(family=FAMILY_H1, alpha=2.0, r0=8.0))
     # an override does not make it apply
     with pytest.raises(ValueError, match="H2Smooth family only"):
-        derive_rho_bounds(DensityParams(family=FAMILY_H1, alpha=2.0, r0=8.0, rho1=1.0, rho2=2.0))
+        derive_rho_bounds(DensityParams(family=FAMILY_H1, alpha=2.0, r0=8.0, rho2=2.0))
 
 
 def test_derive_rho_bounds_overrides_win():
-    d = DensityParams(
-        family=FAMILY_H2SMOOTH, alpha=2.0, r0=math.e, rho1=1.0, rho2=1.0
-    )
-    assert derive_rho_bounds(d) == (1.0, 1.0)
+    d = DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=math.e, rho2=1.0)
+    assert derive_rho_bounds(d) == 1.0
 
 
 def test_derived_constants_follow_params():
     h2 = DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=8.0, k1=1.0, k2=2.0)
     # overrides win
-    assert derive_rho_bounds(h2._replace(rho1=2.0, rho2=3.0)) == (2.0, 3.0)
-    # r0 moves the inverse-weight bounds
+    assert derive_rho_bounds(h2._replace(rho2=3.0)) == 3.0
+    # r0 moves the inverse-weight bound
     assert derive_rho_bounds(h2._replace(r0=9.0)) != derive_rho_bounds(h2)
 
 
 def test_derive_rho_bounds_interior_minimum():
-    # alpha = 3, r0 = 3: s^2/L^3 has its minimum at s = e^1.5, inside [r0, r0 + e]
+    # alpha = 3, r0 = 3: s^2/L^3 has its one critical point, a minimum, at
+    # s = e^1.5 inside [r0, r0 + e], so the maximum is at an end
     d = DensityParams(family=FAMILY_H2SMOOTH, alpha=3.0, r0=3.0)
-    lo, hi = derive_rho_bounds(d)
-    assert lo == pytest.approx(0.95 * math.exp(3.0) / 1.5**3, rel=1e-14)
     ends = [s**2 / math.log(s) ** 3 for s in (3.0, 3.0 + E)]
-    assert hi == pytest.approx(1.05 * max(ends), rel=1e-14)
-    assert lo < 0.95 * min(ends)
+    assert math.exp(3.0) / 1.5**3 < min(ends)
+    assert derive_rho_bounds(d) == pytest.approx(1.05 * max(ends), rel=1e-14)
 
 
 def test_derive_rho_bounds_from_member():
     d = DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=math.e)
-    lo, hi = derive_rho_bounds(d)
-    # min/max of (r+e)^2 / log(r+e)^2 on [0, e], widened by 5 percent
-    assert lo == pytest.approx(0.95 * math.e**2, rel=1e-6)
-    assert hi == pytest.approx(1.05 * (2 * math.e) ** 2 / math.log(2 * math.e) ** 2, rel=1e-6)
-    assert lo < hi
+    # max of (r+e)^2 / log(r+e)^2 on [0, e], widened by 5 percent
+    assert derive_rho_bounds(d) == pytest.approx(1.05 * (2 * math.e) ** 2 / math.log(2 * math.e) ** 2, rel=1e-6)
 
 
 
@@ -221,14 +210,15 @@ def test_derive_rho_bounds_from_member():
 # value.  The record is immutable, and a copy goes through the checks and
 # derivations of a fresh build.
 _GE1_CC, _COMPACT_CC = ProblemConstants(m=2.0, p=1.5, N=3), ProblemConstants(m=2.0, p=3.0, N=3)
+_H1_10, _H2_10 = (DensityParams(family=family, alpha=2.0, r0=10.0) for family in (FAMILY_H1, FAMILY_H2SMOOTH))
 CHECKED_RECORDS = [
     (ProblemConstants, dict(m=2.0, p=3.0, N=3), dict(p=4.0), None, dict(m=1.0)),
     (DensityParams, dict(family=FAMILY_H1, alpha=2.0, r0=10.0), dict(k=2.0), None, dict(r0=2.0)),
-    (GE1Barrier, dict(constants=_GE1_CC, C=1.0, T=2.0, b=0.5, eps=0.5, r0=10.0, beta=0.05),
-     dict(r0=20.0), "cbar", dict(T=0.0)),
-    (GE2Barrier, dict(constants=_COMPACT_CC, C=1.0, a=1.0, T=1.0, bbar=4.0, r0=10.0), dict(a=2.0), None,
-     dict(bbar=3.0)),
-    (BlowupSubsolution, dict(constants=_COMPACT_CC, C=1.0, a=1.0, T=1.0, bunder=3.0), dict(T=2.0), None,
+    (GE1Barrier, dict(constants=_GE1_CC, density=_H1_10, C=1.0, T=2.0, b=0.5, eps=0.5, beta=0.05),
+     dict(density=_H1_10._replace(r0=20.0)), "cbar", dict(T=0.0)),
+    (GE2Barrier, dict(constants=_COMPACT_CC, density=_H2_10, C=1.0, a=1.0, T=1.0), dict(a=2.0), None,
+     dict(a=0.0)),
+    (BlowupSubsolution, dict(constants=_COMPACT_CC, density=_H2_10, C=1.0, a=1.0, T=1.0), dict(T=2.0), None,
      dict(C=-1.0)),
     (RadialGrid, dict(N=3, R=1.0, cells=8), dict(cells=16), "centers", dict(cells=1)),
     (SolverConfig, dict(t_end=1.0, R=1.0, cells=8, output_times=(0.5, 1.0)), dict(t_end=2.0, output_times=()),

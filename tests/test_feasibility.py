@@ -40,7 +40,7 @@ H1_FAR = DensityParams(family="H1", alpha=2.0, r0=1000.0)
 H1_NEAR = DensityParams(family="H1", alpha=2.0, r0=25.0)
 H2S_8 = DensityParams(family="H2Smooth", alpha=2.0, r0=8.0)
 H2S_E = DensityParams(family="H2Smooth", alpha=2.0, r0=E)
-H2S_UNIT = DensityParams(family="H2Smooth", alpha=2.0, r0=E, rho1=1.0, rho2=1.0)
+H2S_UNIT = DensityParams(family="H2Smooth", alpha=2.0, r0=E, rho2=1.0)
 
 
 def entry(report, name):
@@ -72,11 +72,11 @@ def test_omega_of():
 
 
 def unit_subsolution(C):
-    return BlowupSubsolution(constants=CC23, C=C, a=C, T=1.0, bunder=3.0)
+    return BlowupSubsolution(constants=CC23, density=H2S_UNIT, C=C, a=C, T=1.0)
 
 
 def test_blowup_branch_values():
-    rep = check_blowup(unit_subsolution(300.0), H2S_UNIT)
+    rep = check_blowup(unit_subsolution(300.0))
     # omega = C^(m-1)/a = 1 here, k2 = rho2 = 1:
     #   outer branch 1 + m k2 b omega (N-2+b m/(m-1)) = 1 + 2*3*(1+6) = 43
     #   inner branch 1 + m rho2 omega b N / e^2 = 1 + 18/e^2
@@ -93,27 +93,21 @@ def test_blowup_amplitude_threshold():
     # which for m=2, p=3 pins C >= 2 K 43^(3/2)
     threshold = 2.0 * (1.0 / 3.0) ** 0.5 * (2.0 / 3.0) * 43.0**1.5
     assert threshold == pytest.approx(217.06049677281047, rel=1e-12)
-    above = check_blowup(unit_subsolution(threshold * 1.0001), H2S_UNIT)
-    below = check_blowup(unit_subsolution(threshold * 0.9999), H2S_UNIT)
+    above = check_blowup(unit_subsolution(threshold * 1.0001))
+    below = check_blowup(unit_subsolution(threshold * 0.9999))
     assert above.overall
     assert entry(above, "outer_coupling").passed
     assert not below.overall
     assert not entry(below, "outer_coupling").passed
     # every other inequality is slack at both amplitudes
     for rep in (above, below):
-        for name in ("outer_shape_exponent", "outer_gap_amplitude", "inner_gap_amplitude", "inner_coupling"):
+        for name in ("outer_gap_amplitude", "inner_gap_amplitude", "inner_coupling"):
             assert entry(rep, name).passed
 
 
 def test_blowup_requires_two_sided_weight():
     with pytest.raises(ValueError):
-        check_blowup(unit_subsolution(300.0), H1_NEAR)
-
-
-def test_blowup_shape_exponent_must_match_alpha():
-    bar = BlowupSubsolution(constants=CC23, C=300.0, a=300.0, T=1.0, bunder=2.5)
-    rep = check_blowup(bar, H2S_UNIT)
-    assert not entry(rep, "outer_shape_exponent").passed
+        check_blowup(unit_subsolution(300.0)._replace(density=H1_NEAR))
 
 
 @settings(max_examples=30, deadline=None)
@@ -123,8 +117,8 @@ def test_blowup_shape_exponent_must_match_alpha():
 )
 def test_blowup_pass_is_monotone_in_amplitude(C, boost):
     """At fixed omega = 1 a passing amplitude keeps passing when raised."""
-    if check_blowup(unit_subsolution(C), H2S_UNIT).overall:
-        assert check_blowup(unit_subsolution(C * boost), H2S_UNIT).overall
+    if check_blowup(unit_subsolution(C)).overall:
+        assert check_blowup(unit_subsolution(C * boost)).overall
 
 
 # -- GE1 search and certificate ---------------------------------------------
@@ -158,7 +152,7 @@ def test_ge1a_amplitude_against_closed_form(ge1a_found):
 def test_ge1a_flip_below_threshold(ge1a_found):
     bar, _ = ge1a_found
     lean = bar._replace(C=bar.C / 1.05)
-    rep = check_ge1(lean, H1_FAR)
+    rep = check_ge1(lean)
     assert not rep.overall
     assert not entry(rep, "amplitude_balance").passed
     for name in ("b_positive", "b_below_alpha_window", "laplacian_margin",
@@ -177,13 +171,13 @@ def test_ge1b_amplitude_against_closed_form(ge1b_found):
     assert bar.b == 0.5  # default (alpha-1)/2
     assert bar.beta == 0.0 and bar.T == 1.0
     fat = bar._replace(C=bar.C * 1.05)
-    assert not entry(check_ge1(fat, H1_NEAR), "amplitude_balance").passed
+    assert not entry(check_ge1(fat), "amplitude_balance").passed
 
 
 def test_ge1_requires_h1_weight(ge1b_found):
     bar, _ = ge1b_found
     with pytest.raises(ValueError):
-        check_ge1(bar, H2S_8)
+        check_ge1(bar._replace(density=H2S_8))
 
 
 def test_ge1_search_rejects_bad_shape():
@@ -223,7 +217,7 @@ def test_ge1_shape_is_judged_by_the_certificate(regime, b, eps, beta, r0):
     # names an entry of check_ge1 that fails at C = 1, or the balance
     cc = CC32 if regime == REGIME_GE1A else CC23
     dens = DensityParams(family="H1", alpha=2.0, r0=r0)
-    report = check_ge1(build_barrier(cc, dens, regime, 1.0, b=b, eps=eps, beta=beta), dens)
+    report = check_ge1(build_barrier(cc, dens, regime, 1.0, b=b, eps=eps, beta=beta))
     assert [e.name for e in report.inequalities] == [n for n in GE1_ENTRIES if n != "time_shift_gt_one"
                                                      or regime == REGIME_GE1A]
     try:
@@ -410,8 +404,8 @@ def test_ge2_search_ignores_the_upper_band_constant():
     narrow = DensityParams(family="H2Smooth", alpha=2.0, r0=8.0, k1=1.0, k2=1.0)
     wide = DensityParams(family="H2Smooth", alpha=2.0, r0=8.0, k1=1.0, k2=1.2)
     (bar, rep), (bar_narrow, rep_narrow) = (find_params(cc, d, REGIME_GE2) for d in (wide, narrow))
-    assert bar == bar_narrow and rep.params == rep_narrow.params
-    assert residual_sweep(bar, wide).passed
+    assert bar == bar_narrow._replace(density=wide) and rep.params == rep_narrow.params
+    assert residual_sweep(bar).passed
 
 
 def test_ge2_search_refuses_an_empty_support():
@@ -424,7 +418,7 @@ def test_ge2_search_refuses_an_empty_support():
     bar, rep = find_params(CC23, dens, REGIME_GE2, T=5.0)
     assert rep.overall and bar.T == 5.0
     assert bar.support_radius(0.0) > 0.0
-    sweep = residual_sweep(bar, dens)
+    sweep = residual_sweep(bar)
     assert sweep.passed and sweep.min_margin > 0.0
 
 
@@ -438,7 +432,7 @@ def test_ge2_search_at_large_r0_certifies_only_a_supersolution():
         find_params(cc, dens, REGIME_GE2, T=1.0e8)
     bar, rep = find_params(cc, dens, REGIME_GE2, T=7.0e9)
     assert rep.overall
-    sweep = residual_sweep(bar, dens)
+    sweep = residual_sweep(bar)
     assert sweep.passed and sweep.min_margin > 0.0
 
 
@@ -461,12 +455,12 @@ def test_ge2_pointwise_parameters(ge2_found):
 
 def test_ge2_pointwise_balance_margin(ge2_found):
     bar, _ = ge2_found
-    rep = check_ge2(bar, H2S_8)
+    rep = check_ge2(bar)
     bal = entry(rep, "amplitude_balance_pointwise")
     assert bal.passed
     assert 0.0 <= bal.slack <= 0.1 * bal.rhs  # found amplitude hugs the cap
     lean = bar._replace(C=bar.C * 1.1)
-    assert not check_ge2(lean, H2S_8).overall
+    assert not check_ge2(lean).overall
 
 
 # -- round-trips and the time-grid conditions -------------------------------
@@ -501,10 +495,10 @@ def _grid_report(t_grid, margins) -> TimeGridReport:
     )
 
 
-def time_conditions_ge1(bar: GE1Barrier, dens: DensityParams, n: int = 1000) -> TimeGridReport:
+def time_conditions_ge1(bar: GE1Barrier, n: int = 1000) -> TimeGridReport:
     """Monotone time factor and amplitude balance along t in [0, 10 T]."""
     cc = bar.constants
-    k0 = derive_k0(dens)
+    k0 = derive_k0(bar.density)
     K0 = k0 * bar.b * (cc.N - 2.0 - bar.eps * (bar.b + 1.0))
     t = np.linspace(0.0, 10.0 * bar.T, n)
     zeta = (bar.T + t) ** bar.beta
@@ -518,10 +512,10 @@ def time_conditions_ge1(bar: GE1Barrier, dens: DensityParams, n: int = 1000) -> 
     return _grid_report(t, margins)
 
 
-def time_conditions_ge2(bar: GE2Barrier, dens: DensityParams, n: int = 1000) -> TimeGridReport:
+def time_conditions_ge2(bar: GE2Barrier, n: int = 1000) -> TimeGridReport:
     """Support decay rate and drift balance along t in [0, 10 T], over the
     canonical member (constant ``k1``) and its drift-bracket minimum."""
-    cc = bar.constants
+    cc, dens = bar.constants, bar.density
     m, p, N = cc.m, cc.p, cc.N
     mf = m / (m - 1.0)
     t = np.linspace(0.0, 10.0 * bar.T, n)
@@ -537,12 +531,12 @@ def time_conditions_ge2(bar: GE2Barrier, dens: DensityParams, n: int = 1000) -> 
     return _grid_report(t, margins)
 
 
-def time_conditions_blowup(bar: BlowupSubsolution, dens: DensityParams, n: int = 1000) -> TimeGridReport:
+def time_conditions_blowup(bar: BlowupSubsolution, n: int = 1000) -> TimeGridReport:
     """Envelope/core gap and coupling conditions along t in [0, T)."""
-    cc = bar.constants
+    cc, dens = bar.constants, bar.density
     m, p, N = cc.m, cc.p, cc.N
     mf = m / (m - 1.0)
-    _, rho2 = derive_rho_bounds(dens)
+    rho2 = derive_rho_bounds(dens)
     K = K_const(m, p)
     t = np.linspace(0.0, bar.T * (1.0 - 1.0e-3), n)
     zeta, eta, zeta_p, eta_p = bar.time_factors(t)
@@ -579,7 +573,8 @@ def test_found_parameters_recheck(ge1a_found, ge1b_found, ge2_found, blowup_foun
         (ge2_found, H2S_8),
         (blowup_found, H2S_E),
     ):
-        again = check_auto(bar, dens)
+        assert bar.density == dens
+        again = check_auto(bar)
         assert again.overall
         assert again.mode == rep.mode
 
@@ -588,20 +583,19 @@ def test_blowup_found_values(blowup_found):
     bar, rep = blowup_found
     assert rep.params["omega"] == pytest.approx(1.0, rel=1e-12)
     assert bar.a == pytest.approx(bar.C, rel=1e-12)
-    # derived inverse-weight bounds of the canonical member on [0, e]
-    assert rep.params["rho1"] == pytest.approx(7.019603, abs=1e-5)
+    # derived inverse-weight bound of the canonical member on [0, e]
     assert rep.params["rho2"] == pytest.approx(10.825522, abs=1e-5)
     assert rep.params["branch_inner"] == pytest.approx(27.371351, abs=1e-5)
 
 
 def test_time_grid_conditions_hold(ge1a_found, ge1b_found, ge2_found, blowup_found):
-    for (bar, _), dens, fn in (
-        (ge1a_found, H1_FAR, time_conditions_ge1),
-        (ge1b_found, H1_NEAR, time_conditions_ge1),
-        (ge2_found, H2S_8, time_conditions_ge2),
-        (blowup_found, H2S_E, time_conditions_blowup),
+    for (bar, _), fn in (
+        (ge1a_found, time_conditions_ge1),
+        (ge1b_found, time_conditions_ge1),
+        (ge2_found, time_conditions_ge2),
+        (blowup_found, time_conditions_blowup),
     ):
-        rep = fn(bar, dens)
+        rep = fn(bar)
         assert rep.overall, rep.min_margins
         assert all(v >= 0.0 for v in rep.min_margins.values())
         assert len(rep.t_grid) == 1000
@@ -620,8 +614,8 @@ def test_reports_serialize(ge2_found, blowup_found):
 
 
 def test_report_mode_is_the_barrier_regime(ge1a_found, ge1b_found, ge2_found, blowup_found):
-    for bar, dens in ((ge1a_found[0], H1_FAR), (ge1b_found[0], H1_NEAR)):
-        assert check_ge1(bar, dens).mode == bar.regime
+    for bar in (ge1a_found[0], ge1b_found[0]):
+        assert check_ge1(bar).mode == bar.regime
     for (bar, rep), want in (
         (ge1a_found, REGIME_GE1A), (ge1b_found, REGIME_GE1B),
         (ge2_found, REGIME_GE2), (blowup_found, REGIME_BLOWUP),
@@ -687,11 +681,11 @@ def test_binding_amplitude_against_bisection(regime):
     compared = 0
     for cc, dens, make, check in _amplitude_cases(regime):
         try:
-            closed = feasibility._binding_amplitude(cc, check(make(1.0), dens))
+            closed = feasibility._binding_amplitude(cc, check(make(1.0)))
         except FeasibilitySearchError:
             closed = None
         try:
-            oracle = _bisect_flip(lambda C: check(make(C), dens).overall)
+            oracle = _bisect_flip(lambda C: check(make(C)).overall)
         except FeasibilitySearchError:
             # no flip inside the budget: the closed form lies outside it too
             assert closed is None or not feasibility.C_LO <= closed <= feasibility.C_HI
@@ -738,8 +732,7 @@ SEARCH_PINS = {
         {"C": 219.23110174053858, "a": 219.23110174053858, "T": 1.0},
         {
             "C": 219.23110174053858, "a": 219.23110174053858, "T": 1.0, "bunder": 3.0,
-            "omega": 1.0, "k2": 1.0, "rho1": 7.019603293984117,
-            "rho2": 10.825521594868949, "K": 0.3849001794597505, "branch_outer": 43.0,
+            "omega": 1.0, "k2": 1.0, "rho2": 10.825521594868949, "K": 0.3849001794597505, "branch_outer": 43.0,
             "branch_inner": 27.37135056206182,
         },
     ),
@@ -773,7 +766,7 @@ def test_search_evaluates_no_certificate_it_does_not_decide_by(regime, m, p):
     # certificate at C_HI: each takes C = 1 and the closed-form binding
     # amplitude, and Blowup's fits the budget at omega = OMEGA_MAX
     bar, rep = find_params(ProblemConstants(m=m, p=p, N=3), H2S_8, regime)
-    assert rep.overall and check_auto(bar, H2S_8) == rep
+    assert rep.overall and check_auto(bar) == rep
 
 
 def _blowup_draws(n=50, seed=20261019):
@@ -817,9 +810,9 @@ def test_blowup_search_in_closed_form(monkeypatch):
     # certificates either way
     probes = []
 
-    def counted(bar, dens):
+    def counted(bar):
         probes.append(bar)
-        return check_blowup(bar, dens)
+        return check_blowup(bar)
 
     monkeypatch.setattr(feasibility, "check_blowup", counted)
     target = feasibility.C_HI / (1.0 + feasibility.MARGIN)
@@ -829,14 +822,14 @@ def test_blowup_search_in_closed_form(monkeypatch):
         found = _search_or_refusal(lambda: find_params(cc, dens, REGIME_BLOWUP, **given))
         assert len(probes) <= 3
         top = build_barrier(cc, dens, REGIME_BLOWUP, 1.0, a=1.0 / feasibility.OMEGA_MAX, **given)
-        boundary = feasibility._binding_amplitude(cc, check_blowup(top, dens))
+        boundary = feasibility._binding_amplitude(cc, check_blowup(top))
         if feasibility.C_LO <= boundary <= feasibility.C_HI:
             assert len(probes) == 2
             C = boundary * (1.0 + feasibility.MARGIN)
             bar = build_barrier(cc, dens, REGIME_BLOWUP, C, a=C ** (cc.m - 1.0) / feasibility.OMEGA_MAX, **given)
 
             def recheck():
-                report = check_blowup(bar, dens)
+                report = check_blowup(bar)
                 feasibility.refuse_failing(report, "searched")
                 feasibility.refuse_degenerate_support(bar)
                 return bar, report
@@ -850,7 +843,7 @@ def test_blowup_search_in_closed_form(monkeypatch):
             # the probe at C = 1 and the searched omega, between two others
             searched = probes[1]
             assert len(probes) == 3 and searched.C == 1.0
-            amplitude = feasibility._binding_amplitude(cc, check_blowup(searched, dens))
+            amplitude = feasibility._binding_amplitude(cc, check_blowup(searched))
             assert amplitude == pytest.approx(target, rel=1e-12, abs=0.0)
             outcomes["searched omega, refused" if isinstance(found, str) else "searched omega"] += 1
     assert outcomes == {"omega = 1": 36, "searched omega": 11, "searched omega, refused": 1, "no omega > 0": 3}
@@ -931,9 +924,7 @@ def test_compare_on_the_atlas(regime):
         except (ValueError, FeasibilitySearchError):
             continue
         try:
-            outcome = comparison_experiment(
-                resolved.barrier, resolved.density, resolved.solver, resolved.initial
-            ).verdict
+            outcome = comparison_experiment(resolved.barrier, resolved.solver, resolved.initial).verdict
         except ValueError as err:
             (outcome,) = [k for k, phrase in (("threshold", "blowup_threshold"), ("grid", "cell volumes"))
                           if phrase in str(err)]
@@ -977,6 +968,6 @@ def test_certified_barriers_pass_their_sweep(regime):
         except FeasibilitySearchError:
             continue
         certified += 1
-        sweep = residual_sweep(bar, dens)
+        sweep = residual_sweep(bar)
         assert sweep.passed, (cc, dens, T, sweep.min_margin)
     assert certified > 0

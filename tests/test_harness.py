@@ -45,12 +45,8 @@ STEMS = ("ge1a", "ge1b", "ge2", "blowup")
 
 @pytest.fixture(scope="module")
 def shipped():
-    """The barrier and density each shipped barrier config resolves to."""
-    out = {}
-    for stem in STEMS:
-        res = resolve(load(str(ROOT / "configs" / f"{stem}.cfg")))
-        out[stem] = (res.barrier, res.density)
-    return out
+    """The barrier each shipped barrier config resolves to."""
+    return {stem: resolve(load(str(ROOT / "configs" / f"{stem}.cfg"))).barrier for stem in STEMS}
 
 
 @pytest.fixture(scope="module")
@@ -149,18 +145,18 @@ def sweep_radii(bar, t, n_r):
     return np.where(np.abs(r - E) < 1.0e-6, r + 2.0e-6, r)
 
 
-def slice_margins(bar, dens, t, n_r, radii=sweep_radii):
+def slice_margins(bar, t, n_r, radii=sweep_radii):
     """Sample radii and signed relative margins of one time slice."""
     sub = isinstance(bar, BlowupSubsolution)
     r = radii(bar, t, n_r)
     d = bar.eval_derivatives(r, t)
     w = bar.eval(r, t)
-    resid = d.w_t - inverse_rho(dens, r) * d.lap_wm - w**bar.constants.p
+    resid = d.w_t - inverse_rho(bar.density, r) * d.lap_wm - w**bar.constants.p
     scale = np.abs(w**bar.constants.p) + np.abs(d.w_t)
     return r, harness._relative_margins(-resid if sub else resid, scale)
 
 
-def looped_sweep(bar, dens, n_r=200, n_t=50, rel_tol=1.0e-10, radii=sweep_radii):
+def looped_sweep(bar, n_r=200, n_t=50, rel_tol=1.0e-10, radii=sweep_radii):
     """Oracle for :func:`residual_sweep`: one evaluation per time slice; a
     slice's first minimum replaces the worst point only when strictly
     smaller, so ties keep the earliest (t, r)."""
@@ -169,7 +165,7 @@ def looped_sweep(bar, dens, n_r=200, n_t=50, rel_tol=1.0e-10, radii=sweep_radii)
     min_margin = math.inf
     worst_r = worst_t = math.nan
     for t in np.linspace(0.0, t_max, n_t):
-        r, rel = slice_margins(bar, dens, float(t), n_r, radii)
+        r, rel = slice_margins(bar, float(t), n_r, radii)
         i = int(np.argmin(rel))
         if rel[i] < min_margin:
             min_margin, worst_r, worst_t = float(rel[i]), float(r[i]), float(t)
@@ -182,34 +178,34 @@ def looped_sweep(bar, dens, n_r=200, n_t=50, rel_tol=1.0e-10, radii=sweep_radii)
 
 @pytest.mark.parametrize("stem", STEMS)
 def test_residual_sweep_matches_the_looped_oracle(shipped, stem):
-    bar, dens = shipped[stem]
-    rep = residual_sweep(bar, dens)
+    bar = shipped[stem]
+    rep = residual_sweep(bar)
     assert rep.passed
-    assert rep == looped_sweep(bar, dens)
+    assert rep == looped_sweep(bar)
 
 
 @pytest.mark.parametrize("stem", STEMS)
 def test_residual_sweep_in_blocks_matches_the_looped_oracle_on_a_ragged_grid(shipped, stem):
     # 23 time rows: two full blocks and a short one
-    bar, dens = shipped[stem]
-    assert residual_sweep(bar, dens, n_r=40, n_t=23) == looped_sweep(bar, dens, n_r=40, n_t=23)
+    bar = shipped[stem]
+    assert residual_sweep(bar, n_r=40, n_t=23) == looped_sweep(bar, n_r=40, n_t=23)
 
 
 def test_residual_sweep_horizon_is_at_least_10_T_and_blowup_ignores_t_end(shipped):
     # a t_end past 10 T is swept: see test_cli_barrier_check_sweeps_to_t_end
-    ge2, dens = shipped["ge2"]
-    assert residual_sweep(ge2, dens, t_end=5.0 * ge2.T) == residual_sweep(ge2, dens)
-    blowup, dens = shipped["blowup"]
-    assert residual_sweep(blowup, dens, t_end=100.0) == residual_sweep(blowup, dens)
+    ge2 = shipped["ge2"]
+    assert residual_sweep(ge2, t_end=5.0 * ge2.T) == residual_sweep(ge2)
+    blowup = shipped["blowup"]
+    assert residual_sweep(blowup, t_end=100.0) == residual_sweep(blowup)
 
 
 def test_residual_sweep_peak_memory_is_a_block_of_rows(shipped):
     # the whole 50 x 200 grid at once peaked at about 1.1 MB of numpy
     # temporaries, the resident peak of barrier-check; ten rows, ~0.36 MB
-    bar, dens = shipped["blowup"]
+    bar = shipped["blowup"]
     tracemalloc.start()
     try:
-        residual_sweep(bar, dens)
+        residual_sweep(bar)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -220,7 +216,7 @@ def test_residual_sweep_tie_keeps_the_first_in_t_then_r_order(shipped, monkeypat
     # GE1b has beta = 0, so its margins depend on r alone.  With the radii
     # rolled back one place per slice, every slice holds the same minimum,
     # one column earlier each time: only the (t, r) order picks slice 0.
-    bar, dens = shipped["ge1b"]
+    bar = shipped["ge1b"]
     t_grid = np.linspace(0.0, 10.0 * bar.T, 10)
     roll = {float(t): -k for k, t in enumerate(t_grid)}
 
@@ -228,18 +224,18 @@ def test_residual_sweep_tie_keeps_the_first_in_t_then_r_order(shipped, monkeypat
         return np.roll(sweep_radii(b, t, n), roll[t])
 
     monkeypatch.setattr(harness, "_sweep_grid", lambda b, ts, n: np.stack([rolled(b, float(t), n) for t in ts]))
-    slices = [slice_margins(bar, dens, float(t), 50, rolled) for t in t_grid]
+    slices = [slice_margins(bar, float(t), 50, rolled) for t in t_grid]
     assert len({float(np.min(rel)) for _, rel in slices}) == 1
     assert len({int(np.argmin(rel)) for _, rel in slices}) == 10
-    rep = residual_sweep(bar, dens, n_r=50, n_t=10)
-    assert rep == looped_sweep(bar, dens, n_r=50, n_t=10, radii=rolled)
+    rep = residual_sweep(bar, n_r=50, n_t=10)
+    assert rep == looped_sweep(bar, n_r=50, n_t=10, radii=rolled)
     r, rel = slices[0]
     assert rep.worst_t == 0.0 and rep.worst_r == r[np.argmin(rel)]
 
 
 def test_residual_sweep_fails_on_a_nan_margin(shipped, monkeypatch):
     # one nan value in every slice: the looped sweep skipped each such slice
-    bar, dens = shipped["ge1b"]
+    bar = shipped["ge1b"]
     exact = GE1Barrier.eval
 
     def nan_at_7(self, r, t):
@@ -248,16 +244,16 @@ def test_residual_sweep_fails_on_a_nan_margin(shipped, monkeypatch):
         return w
 
     monkeypatch.setattr(GE1Barrier, "eval", nan_at_7)
-    old = looped_sweep(bar, dens, n_r=50, n_t=10)
+    old = looped_sweep(bar, n_r=50, n_t=10)
     assert old.passed and old.min_margin == math.inf
-    rep = residual_sweep(bar, dens, n_r=50, n_t=10)
+    rep = residual_sweep(bar, n_r=50, n_t=10)
     assert not rep.passed and math.isnan(rep.min_margin)
     assert (rep.worst_r, rep.worst_t) == (sweep_radii(bar, 0.0, 50)[7], 0.0)
 
 
 def test_residual_sweep_passes_at_found_params(ge1b):
     bar, _ = ge1b
-    rep = residual_sweep(bar, H1_NEAR, n_r=50, n_t=10)
+    rep = residual_sweep(bar, n_r=50, n_t=10)
     assert rep.passed
     assert rep.min_margin > 1.0  # large slack: the certificate is conservative
     assert rep.role == "supersolution"
@@ -268,24 +264,24 @@ def test_residual_sweep_certificate_is_sufficient_not_necessary(ge1b):
     much larger amplitude actually flips the residual."""
     bar, _ = ge1b
     slightly_fat = bar._replace(C=bar.C * 5.0)
-    assert not check_ge1(slightly_fat, H1_NEAR).overall
-    assert residual_sweep(slightly_fat, H1_NEAR, n_r=50, n_t=10).passed
+    assert not check_ge1(slightly_fat).overall
+    assert residual_sweep(slightly_fat, n_r=50, n_t=10).passed
 
     very_fat = bar._replace(C=bar.C * 50.0)
-    sweep = residual_sweep(very_fat, H1_NEAR, n_r=50, n_t=10)
+    sweep = residual_sweep(very_fat, n_r=50, n_t=10)
     assert not sweep.passed
     assert sweep.min_margin < -0.5
-    assert sweep == looped_sweep(very_fat, H1_NEAR, n_r=50, n_t=10)
+    assert sweep == looped_sweep(very_fat, n_r=50, n_t=10)
 
 
 def test_residual_sweep_detects_weak_subsolution(blowup):
     bub, _ = blowup
-    good = residual_sweep(bub, H2S_E, n_r=50, n_t=10)
+    good = residual_sweep(bub, n_r=50, n_t=10)
     assert good.passed and good.role == "subsolution"
-    weak = BlowupSubsolution(constants=CC23, C=1.0, a=1.0, T=bub.T, bunder=3.0)
-    sweep = residual_sweep(weak, H2S_E, n_r=50, n_t=10)
+    weak = BlowupSubsolution(constants=CC23, density=H2S_E, C=1.0, a=1.0, T=bub.T)
+    sweep = residual_sweep(weak, n_r=50, n_t=10)
     assert not sweep.passed
-    assert sweep == looped_sweep(weak, H2S_E, n_r=50, n_t=10)
+    assert sweep == looped_sweep(weak, n_r=50, n_t=10)
 
 
 def test_derivative_crosscheck_small_batch(ge1b):
@@ -298,7 +294,7 @@ def test_derivative_crosscheck_small_batch(ge1b):
 
 def test_derivative_crosscheck_fails_on_a_nan_error(shipped, monkeypatch):
     # a nan after a finite w_t error used to drop out of max()
-    bar, _ = shipped["ge1b"]
+    bar = shipped["ge1b"]
     exact = GE1Barrier.eval_derivatives
 
     def nan_slope(self, r, t):
@@ -315,7 +311,7 @@ def test_derivative_crosscheck_fails_on_a_nan_error(shipped, monkeypatch):
 
 def test_derivative_crosscheck_passes_for_fifty_seeds(shipped):
     for stem in STEMS:
-        bar, _ = shipped[stem]
+        bar = shipped[stem]
         for seed in range(50):
             rep = derivative_crosscheck(bar, seed=seed)
             assert rep.passed, (stem, seed, rep.max_err)
@@ -351,7 +347,7 @@ def test_run_scenario_outputs(ge1b):
 
 def test_comparison_ge1b_passes(ge1b):
     bar, _ = ge1b
-    out = comparison_experiment(bar, H1_NEAR, ge1b_solver())
+    out = comparison_experiment(bar, ge1b_solver())
     assert out.verdict == VERDICT_PASS
     assert out.max_violation <= 0.0
     assert out.support_ok is None and math.isnan(out.support_worst_cells)
@@ -369,7 +365,7 @@ def test_comparison_ge1_runs_implicitly_with_the_barrier_at_the_wall(ge1b, monke
         return real(u0, grid, rho, constants, config, ghost, **kw)
 
     monkeypatch.setattr(implicit, "run_implicit", spy)
-    out = comparison_experiment(bar, H1_NEAR, cfg)
+    out = comparison_experiment(bar, cfg)
     grid = grid_of(cfg)
     # the cell past R holds the barrier's value there
     assert len(ghosts) == 2 and ghosts[0] is ghosts[1]
@@ -394,7 +390,7 @@ def test_comparison_ge1_reruns_that_disagree_are_inconclusive(ge1b, monkeypatch)
         return res
 
     monkeypatch.setattr(implicit, "run_implicit", doubled_rerun)
-    out = comparison_experiment(bar, H1_NEAR, ge1b_solver())
+    out = comparison_experiment(bar, ge1b_solver())
     assert out.half_dt.verdict == VERDICT_FAIL
     assert out.verdict == VERDICT_INCONCLUSIVE
     assert "gives fail, not pass" in out.notes[-1]
@@ -407,17 +403,17 @@ def test_comparison_rejects_wrong_side_data(request, regime, factor):
     # cell where it is positive are refused before the run: the comparison
     # would be vacuous
     bar, _ = request.getfixturevalue(regime)
-    dens, cfg = (H1_NEAR, ge1b_solver()) if regime == "ge1b" else (H2S_E, blowup_solver(bar))
+    cfg = ge1b_solver() if regime == "ge1b" else blowup_solver(bar)
     inside = int(np.sum(bar.eval(grid_of(cfg).centers, 0.0) > 0.0))
     assert inside == (64 if regime == "ge1b" else 32)
     scaled = InitialData(kind="scaled_barrier", factor=factor)
     with pytest.raises(ValueError, match=f"wrong side of the barrier in {inside} cells"):
-        comparison_experiment(bar, dens, cfg, scaled)
+        comparison_experiment(bar, cfg, scaled)
 
 
 def test_comparison_step_budget_is_inconclusive(ge1b):
     bar, _ = ge1b
-    out = comparison_experiment(bar, H1_NEAR, ge1b_solver(max_steps=3))
+    out = comparison_experiment(bar, ge1b_solver(max_steps=3))
     assert out.verdict == VERDICT_INCONCLUSIVE
     assert out.run.termination == "step_limit"
     assert out.notes and "step_limit" in out.notes[0]
@@ -426,7 +422,7 @@ def test_comparison_step_budget_is_inconclusive(ge1b):
 def test_comparison_to_jsonable_keys(ge1b):
     # the serialized record is the result's fields, raw run reduced to numbers
     bar, _ = ge1b
-    out = comparison_experiment(bar, H1_NEAR, ge1b_solver(t_end=0.2))
+    out = comparison_experiment(bar, ge1b_solver(t_end=0.2))
     d = json.loads(json.dumps(cli._finite_or_null(cli._compare_payload(out, [])), allow_nan=False))
     for key in ("verdict", "max_violation", "termination", "steps"):
         assert key in d
@@ -439,7 +435,7 @@ def test_comparison_to_jsonable_keys(ge1b):
 
 def test_comparison_blowup_coarse(blowup):
     bub, _ = blowup
-    out = comparison_experiment(bub, H2S_E, blowup_solver(bub))
+    out = comparison_experiment(bub, blowup_solver(bub))
     assert out.verdict == VERDICT_PASS
     assert out.checked_times == [0.0, 2.5e-6, 5.0e-6] and out.support_ok
     assert out.blowup_window_ok
@@ -447,26 +443,40 @@ def test_comparison_blowup_coarse(blowup):
     assert 0.95 * out.run.tau0 <= out.run.s_num <= 1.05 * bub.T
 
 
-@pytest.mark.parametrize("nan_at, headroom_time", [(None, 1.0), (1.0, 2.0)], ids=["ties", "nan-passed-over"])
-def test_comparison_ties_keep_the_first_in_time_order(monkeypatch, nan_at, headroom_time):
-    # a run that equals the ge2.cfg barrier at t = 0, 1 and 2 ties on its
-    # violation at every time (-1e-8, the tolerance where both vanish) and on
-    # its headroom at every t > 0 (0 in every cell inside the support): the
-    # first time names each, and the first cell the headroom's radius; a nan
-    # cell makes its snapshot's violation and headroom nan, which are passed over
+def judge_barrier_run(monkeypatch, nan_times):
+    """``compare`` of a run equal to the ge2.cfg barrier at t = 0, 1 and 2
+    on 256 cells, with the first cell nan at each of ``nan_times``."""
     res = resolve(loads((ROOT / "configs" / "ge2.cfg").read_text().replace("cells = 2048", "cells = 256")))
     bar = res.barrier
     grid = RadialGrid(N=bar.constants.N, R=res.solver.R, cells=256)
     snapshots = [(t, bar.eval(grid.centers, t)) for t in (0.0, 1.0, 2.0)]
     for t, u in snapshots:
-        if t == nan_at:
+        if t in nan_times:
             u[0] = math.nan
     ran = RunResult(grid, snapshots, TERM_COMPLETED, None, None, None, 0, 0.0, State(*snapshots[-1]), None)
     monkeypatch.setattr(harness, "run", lambda *args: ran)
-    out = comparison_experiment(bar, res.density, res.solver)
+    return comparison_experiment(bar, res.solver)
+
+
+@pytest.mark.parametrize("nan_times, headroom_time", [((), 1.0), ((1.0,), 2.0)], ids=["ties", "nan-passed-over"])
+def test_comparison_ties_keep_the_first_in_time_order(monkeypatch, nan_times, headroom_time):
+    # a run that equals the barrier ties on its violation at every time
+    # (-1e-8, the tolerance where both vanish) and on its headroom at every
+    # t > 0 (0 in every cell inside the support): the first time names each,
+    # and the first cell the headroom's radius; a nan cell makes its
+    # snapshot's violation and headroom nan, which are passed over
+    out = judge_barrier_run(monkeypatch, nan_times)
     assert (out.max_violation, out.worst_time) == (-1.0e-8, 0.0)
     assert (out.headroom, out.headroom_time, out.headroom_radius) == (0.0, headroom_time, 0.1015625)
     assert out.checked_times == [0.0, 1.0, 2.0] and out.verdict == VERDICT_PASS
+
+
+def test_comparison_nan_headroom_has_no_time_or_radius(monkeypatch):
+    # every headroom (t > 0) is nan: no number, so no place for one either
+    out = judge_barrier_run(monkeypatch, (1.0, 2.0))
+    assert (out.max_violation, out.worst_time) == (-1.0e-8, 0.0)
+    assert all(math.isnan(x) for x in (out.headroom, out.headroom_time, out.headroom_radius))
+    assert out.checked_times == [0.0, 1.0, 2.0]
 
 
 # -- amplitude scan ---------------------------------------------------------
@@ -474,7 +484,7 @@ def test_comparison_ties_keep_the_first_in_time_order(monkeypatch, nan_at, headr
 
 def test_blowup_scan_rows(blowup):
     bub, _ = blowup
-    rows = blowup_scan(bub, H2S_E, blowup_solver(bub), factors=(0.5, 1.0))
+    rows = blowup_scan(bub, blowup_solver(bub), factors=(0.5, 1.0))
     assert [row.factor for row in rows] == [0.5, 1.0]
     for row in rows:
         assert row.blew_up and row.termination == "blowup"
@@ -487,7 +497,7 @@ def test_blowup_scan_rows(blowup):
 def test_blowup_scan_guards(ge1b, blowup):
     bar, _ = ge1b
     with pytest.raises(ValueError):
-        blowup_scan(bar, H1_NEAR, ge1b_solver())
+        blowup_scan(bar, ge1b_solver())
     bub, _ = blowup
     with pytest.raises(ValueError):
-        blowup_scan(bub, H2S_E, blowup_solver(bub), factors=(0.5, -1.0))
+        blowup_scan(bub, blowup_solver(bub), factors=(0.5, -1.0))

@@ -79,6 +79,10 @@ def test_config_validation():
         SolverConfig(**{**base, "output_times": (0.5, 0.4)})
     with pytest.raises(ValueError):
         SolverConfig(**{**base, "output_times": (0.5, 1.5)})
+    for cells in (1, 0, 2.5):
+        with pytest.raises(ValueError, match=f"cells must be an integer >= 2, got {cells}"):
+            SolverConfig(**{**base, "cells": cells})
+    assert SolverConfig(**{**base, "cells": 2}).cells == 2
     assert SolverConfig(**base).output_times == (1.0,)
     assert SolverConfig(**base, output_times=(0.25, 1.0)).output_times == (0.25, 1.0)
 

@@ -32,7 +32,7 @@ def _resolved(stem, cells=None):
 
 
 def _compare(res, bar):
-    return comparison_experiment(bar, res.density, res.solver, res.initial)
+    return comparison_experiment(bar, res.solver, res.initial)
 
 
 def _rescaled(bar, k):
@@ -60,7 +60,7 @@ def test_certified_ge1_barriers_pass_close_to_the_barrier(stem):
 def test_ge1_amplitude_mutants_fail(stem, factor, headroom):
     res = _resolved(stem)
     bar = res.barrier._replace(C=res.barrier.C * factor)
-    assert not check_auto(bar, res.density).overall
+    assert not check_auto(bar).overall
     out = _compare(res, bar)
     assert out.verdict == VERDICT_FAIL
     assert out.max_violation > 0.0
@@ -73,10 +73,10 @@ def test_ge1b_amplitude_mutant_fails_its_sweep_at_large_r0(r0):
     # the GE1 residual binds at tens of r0, past a sweep that stops at 1e6
     dens = DensityParams(family="H1", alpha=2.0, r0=r0)
     bar, _ = find_params(ProblemConstants(m=2.0, p=3.0, N=3), dens, REGIME_GE1B)
-    assert residual_sweep(bar, dens).min_margin > 6.0
+    assert residual_sweep(bar).min_margin > 6.0
     mutant = bar._replace(C=bar.C * 30.0)
-    assert not check_auto(mutant, dens).overall
-    sweep = residual_sweep(mutant, dens)
+    assert not check_auto(mutant).overall
+    sweep = residual_sweep(mutant)
     assert not sweep.passed
     assert sweep.min_margin == pytest.approx(-0.72, abs=0.02)
     assert 10.0 * r0 < sweep.worst_r < 100.0 * r0
@@ -85,7 +85,7 @@ def test_ge1b_amplitude_mutant_fails_its_sweep_at_large_r0(r0):
 def test_slowed_ge2_barrier_fails():
     res = _resolved("ge2", cells=256)
     bar = _rescaled(res.barrier, 0.5)
-    assert not check_auto(bar, res.density).overall
+    assert not check_auto(bar).overall
     out = _compare(res, bar)
     assert out.verdict == VERDICT_FAIL and out.max_violation > 0.0
     assert out.headroom > 0.0
@@ -94,7 +94,7 @@ def test_slowed_ge2_barrier_fails():
 def test_fast_blowup_subsolution_fails():
     res = _resolved("blowup")
     bar = _rescaled(res.barrier, 1.0e5)
-    assert not check_auto(bar, res.density).overall
+    assert not check_auto(bar).overall
     out = _compare(res, bar)
     assert out.verdict == VERDICT_FAIL
     assert out.blowup_window_ok is False
