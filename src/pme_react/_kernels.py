@@ -76,9 +76,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .density import power_or_inf
+from .density import exp_or_inf, power_or_inf
 
 # the only backend; kept so benchmark records can name it
 HAVE_NUMBA = False
@@ -119,11 +117,10 @@ def _settle_interval(cmax, m, p, reaction, threshold, react_cap):
             log_lo = max(log_lo, k / (p - m))
         else:
             log_hi = k / (p - m)
-    # one pad more for the rounding of the logs; np.exp gives inf and 0.0
-    # where math.exp would raise, and warns of neither here
-    with np.errstate(over="ignore"):
-        r_lo = max(float(np.exp(log_lo + log_pad)), TINY)
-        r_hi = min(float(np.exp(log_hi - log_pad)), cmax / TINY)
+    # one pad more for the rounding of the logs; exp_or_inf gives inf past
+    # the float range, where math.exp would raise
+    r_lo = max(exp_or_inf(log_lo + log_pad), TINY)
+    r_hi = min(exp_or_inf(log_hi - log_pad), cmax / TINY)
     return r_lo, r_hi
 
 
@@ -175,6 +172,8 @@ def advance(
     t_stop,
     max_sub,
 ):
+    import numpy as np
+
     n = u.shape[0]
     clamp_added = 0.0
     nsub = 0

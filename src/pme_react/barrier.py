@@ -17,29 +17,34 @@ Three profile families certify the dichotomy for
   diverges as ``t -> T`` while the support shrinks.  The profile is
   continuous with a distributional kink only at ``r = e`` whose one-sided
   fluxes cancel (acceptance criterion 11 evaluates both sides with
-  :func:`_compact_terms` on each branch).  Only ``s`` and
+  :func:`_compact_derivatives` on each branch).  Only ``s`` and
   ``S`` differ, so values and derivatives are written once, from ``S`` and
-  its radial derivatives ``S'``, ``S''`` (:func:`_compact_eval`,
+  its radial derivatives ``S'``, ``S''`` (:func:`_compact_value`,
   :func:`_compact_derivatives`).
 
-Evaluation.  ``eval``, ``eval_derivatives`` and ``support_radius`` take
-scalars or arrays and compute with numpy on at least 1-d arrays
-(:func:`_broadcast`), so a scalar equals the matching element of an array
-call bit for bit (numpy's scalar power can round an ulp away from its array
-loops); time factors are computed on ``t``'s own shape and broadcast in the
-formulas.  A scalar input gives a 0-d result (``float(...)`` makes a float).
+Evaluation.  Each closed form is written once, on Python floats with
+:mod:`math`.  ``eval`` and ``eval_derivatives`` take a batch of points:
+an iterable of radii ``r`` with one time ``t``, or ``r`` and ``t`` paired
+iterables.  Each returns an iterator, one float (one
+:class:`BarrierDerivatives`) per point, computed as it is read, so a
+caller maps a closed form over many points without building a list; a
+one-time batch computes its time factors once.  ``support_radius`` and
+``time_factors`` take one time.  A power or exponential past the float
+range is +inf (:func:`~pme_react.density.power_or_inf`,
+:func:`~pme_react.density.exp_or_inf`), never an exception, and inf and
+nan propagate as values.
 
-Derivative conventions.  ``eval_derivatives`` returns the tuple record
-``(w_t, (w^m)_r, (w^m)_rr, Lap(w^m))`` evaluated from hand-differentiated
-closed forms, with the radial Laplacian ``(w^m)_rr + (N-1)/r (w^m)_r`` away
+Derivative conventions.  ``eval_derivatives`` gives the tuple record
+``(w_t, (w^m)_r, (w^m)_rr, Lap(w^m))`` at each point, evaluated from
+hand-differentiated closed forms, with the radial Laplacian ``(w^m)_rr + (N-1)/r (w^m)_r`` away
 from the origin and the symmetric limit ``N (w^m)_rr`` at ``r = 0``.  Note
 the symmetric limit is a bare convention for GE1/GE2, whose radial slope of
 ``w^m`` does not vanish at the origin; the supersolution sign there follows
 from a one-sided flux argument, and residual sweeps sample ``r > 0`` only.
 On any open set where the profile vanishes all four derivatives are zero.
 Points within ``KINK_TOL`` of a free boundary (or of ``r = e`` for the
-subsolution) are refused with :class:`KinkError` rather than silently
-differentiated across a corner.
+subsolution) are refused with :class:`KinkError`, as they are read,
+rather than silently differentiated across a corner.
 
 Residual convention.  ``residual = w_t - (1/rho) Lap(w^m) - w^p``; a
 supersolution has residual >= 0 on its support interior, a subsolution
@@ -52,18 +57,18 @@ Blowup for the two compact profiles; the names are the ``REGIME_*``
 constants here.  Its ``density`` is the weight it is a barrier for, and
 the shift ``r0`` and the shape exponents (``bbar = alpha + 2`` for GE2,
 ``bunder = alpha + 1`` for Blowup) are read off that weight, never set on
-their own.
+their own.  A barrier refuses a weight of a family its regime's
+certificate does not cover (:func:`_check_family`).
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import repeat
 from typing import NamedTuple
 
-import numpy as np
-
-from .density import E, Checked, power_or_inf
+from .density import E, FAMILY_H1, Checked, exp_or_inf, power_or_inf
 
 KINK_TOL = 1.0e-9
 
@@ -83,26 +88,53 @@ class TimeDomainError(ValueError):
 
 
 class BarrierDerivatives(NamedTuple):
-    """Bundle (w_t, (w^m)_r, (w^m)_rr, Lap(w^m)); numpy values of the
-    broadcast shape of ``r`` and ``t``, 0-d for scalar inputs."""
+    """(w_t, (w^m)_r, (w^m)_rr, Lap(w^m)) at one point, as floats."""
 
-    w_t: object
-    wm_r: object
-    wm_rr: object
-    lap_wm: object
+    w_t: float
+    wm_r: float
+    wm_rr: float
+    lap_wm: float
+
+
+def _check_family(regime: str, family: str) -> None:
+    """Reject a density family the regime's certificate does not cover:
+    GE1 needs H1, GE2 and Blowup the two-sided H2Smooth."""
+    if regime in (REGIME_GE1A, REGIME_GE1B):
+        if family != FAMILY_H1:
+            raise ValueError("GE1 certificates require an H1-family density")
+    elif family == FAMILY_H1:
+        what = "the GE2 certificate" if regime == REGIME_GE2 else "the blow-up certificate"
+        raise ValueError(f"{what} requires a two-sided (H2Smooth) density")
+
+
+def _points(f, at, r, t):
+    """``f(r, at(t))`` at each point of a batch: the radii ``r`` with the
+    one time ``t``, whose constants ``at(t)`` are built once, or ``r`` and
+    ``t`` paired."""
+    if isinstance(t, (int, float)):
+        return map(f, r, repeat(at(float(t))))
+    return map(f, r, map(at, t))
 
 
 def _log_branch(x, b: float, derivs: bool = False):
     """``(log x)^b``; with ``derivs`` also its first two derivatives in x."""
-    L = np.log(x)
-    if not derivs:
-        return L**b
-    return L**b, b * L ** (b - 1.0) / x, b * ((b - 1.0) * L ** (b - 2.0) - L ** (b - 1.0)) / x**2
+    L = math.log(x)
+    # the powers of a closed form run at every point of a sweep or a grid:
+    # power_or_inf, a call, only past the float range
+    try:
+        if not derivs:
+            return L**b
+        Lb, Lb1, Lb2 = L**b, L ** (b - 1.0), L ** (b - 2.0)
+    except OverflowError:
+        if not derivs:
+            return power_or_inf(L, b)
+        Lb, Lb1, Lb2 = (power_or_inf(L, e) for e in (b, b - 1.0, b - 2.0))
+    return Lb, b * Lb1 / x, b * ((b - 1.0) * Lb2 - Lb1) / (x * x)
 
 
 def _paraboloid_branch(r, b: float, derivs: bool = False):
     """``b r^2/(2 e^2) + 1 - b/2``; with ``derivs`` also its first two r-derivatives."""
-    S = b * r**2 / (2.0 * E**2) + 1.0 - b / 2.0
+    S = b * (r * r) / (2.0 * E**2) + 1.0 - b / 2.0
     if not derivs:
         return S
     return S, b * r / E**2, b / E**2
@@ -112,80 +144,127 @@ def sfrak(r, bunder: float, derivs: bool = False):
     """Piecewise shape function: (log r)^bunder outside radius e, matched
     paraboloid ``bunder r^2/(2 e^2) + 1 - bunder/2`` inside; with ``derivs``
     also its first two r-derivatives.  Continuous with value 1 at r = e;
-    negative near the origin when bunder > 2.  Scalar or array ``r >= 0``.
+    negative near the origin when bunder > 2.  One radius ``r >= 0``.
     """
-    outer = r >= E
-    logs = _log_branch(np.where(outer, r, E), bunder, derivs)
-    paras = _paraboloid_branch(r, bunder, derivs)
-    if not derivs:
-        return np.where(outer, logs, paras)
-    return tuple(np.where(outer, lg, pa) for lg, pa in zip(logs, paras))
+    return (_log_branch if r >= E else _paraboloid_branch)(r, bunder, derivs)
 
 
 def _time_factors(T, t, sign: float, m: float, p: float):
     """``(zeta, eta, zeta', eta')`` with ``zeta = s^(-1/(p-1))``,
     ``eta = s^(-(p-m)/(p-1))`` and ``s = T + sign t``; primes are d/dt."""
     s = T + sign * t
-    zeta = s ** (-1.0 / (p - 1.0))
-    eta = s ** (-(p - m) / (p - 1.0))
+    try:
+        zeta, eta = s ** (-1.0 / (p - 1.0)), s ** (-(p - m) / (p - 1.0))
+    except (OverflowError, ZeroDivisionError):
+        zeta, eta = power_or_inf(s, -1.0 / (p - 1.0)), power_or_inf(s, -(p - m) / (p - 1.0))
     zeta_p = -sign * (1.0 / (p - 1.0)) * zeta / s
     eta_p = -sign * ((p - m) / (p - 1.0)) * eta / s
     return zeta, eta, zeta_p, eta_p
 
 
-def _broadcast(*args):
-    """``args`` as at least 1-d float arrays, which the formulas broadcast, and their broadcast shape."""
-    arrays = [np.atleast_1d(np.asarray(x, dtype=float)) for x in args]
-    return arrays, np.broadcast_shapes(*map(np.shape, args))
+# builds a record at every point, past NamedTuple's keyword-taking __new__
+_tuple_new = tuple.__new__
 
 
-def _assemble_laplacian(wm_r, wm_rr, r, N):
-    # (w^m)_rr + (N-1)/r (w^m)_r away from the origin, N (w^m)_rr at it.
-    r_safe = np.where(r > 0.0, r, 1.0)
-    lap = wm_rr + (N - 1.0) * wm_r / r_safe
-    return np.where(r > 0.0, lap, N * wm_rr)
+def _derivatives(r, N, w_t, wm_r, wm_rr) -> BarrierDerivatives:
+    """One point's record: ``Lap(w^m) = (w^m)_rr + (N-1)/r (w^m)_r`` away
+    from the origin, ``N (w^m)_rr`` at it."""
+    lap = wm_rr + (N - 1.0) * wm_r / r if r > 0.0 else N * wm_rr
+    return _tuple_new(BarrierDerivatives, (w_t, wm_r, wm_rr, lap))
 
 
-def _compact_eval(bar, r, t):
-    """``C zeta [1 - S eta/a]_+^(1/(m-1))`` for a compact profile ``bar``."""
-    (r_b, t_b), shape = _broadcast(r, t)
-    zeta, eta, _, _ = bar.time_factors(t_b)
-    F = 1.0 - bar._shape(r_b) * eta / bar.a
-    pos = F > 0.0
-    F_safe = np.where(pos, F, 1.0)
-    return np.where(pos, bar.C * zeta * F_safe ** (1.0 / (bar.constants.m - 1.0)), 0.0).reshape(shape)
+def _ge1_value(r, k):
+    scale, e, r0 = k
+    return scale * power_or_inf(math.log(r + r0), e)
 
 
-def _compact_terms(bar, factors, S, S_r, S_rr):
-    """``(w_t, (w^m)_r, (w^m)_rr)`` from ``factors = (zeta, eta, zeta', eta')``
-    and ``S``, ``S'``, ``S''``.  With ``F = 1 - S eta/a`` and ``q = 1/(m-1)``:
+def _ge1_derivatives(r, k):
+    ct, e, nbcz, bcz, b, r0, N = k
+    s = r + r0
+    L = math.log(s)
+    try:
+        Le, Lb1, Lb2 = L**e, L ** (-b - 1.0), L ** (-b - 2.0)
+    except OverflowError:
+        Le, Lb1, Lb2 = (power_or_inf(L, x) for x in (e, -b - 1.0, -b - 2.0))
+    wm_r = nbcz * Lb1 / s
+    wm_rr = bcz * ((b + 1.0) * Lb2 + Lb1) / (s * s)
+    return _derivatives(r, N, ct * Le, wm_r, wm_rr)
+
+
+def _compact_value(r, k):
+    """``C zeta [1 - S eta/a]_+^(1/(m-1))``, from ``k = (C zeta, eta, a,
+    1/(m-1), S, its exponent, its shift)``."""
+    Cz, eta, a, q, shape, b, shift = k
+    F = 1.0 - shape(r + shift, b) * eta / a
+    if not F > 0.0:
+        return 0.0
+    try:
+        return Cz * F**q
+    except OverflowError:
+        return Cz * power_or_inf(F, q)
+
+
+def _terms_at(bar, factors):
+    """The constants of :func:`_compact_derivatives` at the time of
+    ``factors = (zeta, eta, zeta', eta')``: ``C``, ``q = 1/(m-1)``,
+    ``eta/a``, ``zeta'``, ``q zeta``, ``eta'/a``, ``-m q C^m zeta^m eta/a``
+    and ``q eta/a``, each in the order the formulas multiply."""
+    m, C = bar.constants.m, bar.C
+    q = 1.0 / (m - 1.0)
+    zeta, eta, zeta_p, eta_p = factors
+    ea = eta / bar.a
+    coef = -m * q * power_or_inf(C, m) * power_or_inf(zeta, m) * ea
+    return C, q, ea, zeta_p, q * zeta, eta_p / bar.a, coef, q * ea
+
+
+def _compact_derivatives(r, k):
+    """The record at ``r`` from the shape ``S`` and its radial derivatives
+    ``S'``, ``S''``, with ``k = (constants of _terms_at, S, its exponent and
+    shift, the two corners, N, t)``.  With ``F = 1 - S eta/a`` and
+    ``q = 1/(m-1)``:
 
     ``w_t = C (zeta' F^q - q zeta S (eta'/a) F^(q-1))``,
     ``(w^m)_r = -m q C^m zeta^m (eta/a) S' F^q`` and
     ``(w^m)_rr = -m q C^m zeta^m (eta/a) (S'' F^q - q (eta/a) S'^2 F^(q-1))``;
     all three vanish where ``F <= 0``.
     """
-    cc = bar.constants
-    q = 1.0 / (cc.m - 1.0)
-    zeta, eta, zeta_p, eta_p = factors
-    ea = eta / bar.a
+    (C, q, ea, zeta_p, qz, epa, coef, qea), shape, b, shift, (c1, c2), N, t = k
+    # a nan corner is never near
+    if abs(r - c1) < KINK_TOL or abs(r - c2) < KINK_TOL:
+        corner, what = (c1, "piece interface r") if abs(r - c1) < KINK_TOL else (c2, "free boundary r*")
+        raise KinkError(f"point (r={r:.12g}, t={t:.12g}) is within {KINK_TOL:g} of the {what}={corner:.12g}")
+    S, S_r, S_rr = shape(r + shift, b, True)
     F = 1.0 - S * ea
-    pos = F > 0.0
-    F_safe = np.where(pos, F, 1.0)
-    Fq, Fq1 = F_safe**q, F_safe ** (q - 1.0)
-    coef = -cc.m * q * power_or_inf(bar.C, cc.m) * zeta**cc.m * ea
-    w_t = bar.C * (zeta_p * Fq - q * zeta * S * (eta_p / bar.a) * Fq1)
+    if not F > 0.0:
+        return _derivatives(r, N, 0.0, 0.0, 0.0)
+    try:
+        Fq, Fq1 = F**q, F ** (q - 1.0)
+    except OverflowError:
+        Fq, Fq1 = power_or_inf(F, q), power_or_inf(F, q - 1.0)
     wm_r = coef * S_r * Fq
-    wm_rr = coef * (S_rr * Fq - q * ea * S_r**2 * Fq1)
-    return tuple(np.where(pos, x, 0.0) for x in (w_t, wm_r, wm_rr))
+    wm_rr = coef * (S_rr * Fq - qea * (S_r * S_r) * Fq1)
+    return _derivatives(r, N, C * (zeta_p * Fq - qz * S * epa * Fq1), wm_r, wm_rr)
 
 
-def _compact_derivatives(bar, r, t) -> BarrierDerivatives:
-    (r_b, t_b), shape = _broadcast(r, t)
-    bar._refuse_kinks(r_b, t_b)
-    w_t, wm_r, wm_rr = _compact_terms(bar, bar.time_factors(t_b), *bar._shape(r_b, derivs=True))
-    lap = _assemble_laplacian(wm_r, wm_rr, r_b, bar.constants.N)
-    return BarrierDerivatives(*(x.reshape(shape) for x in (w_t, wm_r, wm_rr, lap)))
+def _compact_eval(bar, r, t):
+    C, a, q, (shape, b, shift) = bar.C, bar.a, 1.0 / (bar.constants.m - 1.0), bar._shape
+
+    def at(t):
+        zeta, eta = bar.time_factors(t)[:2]
+        return C * zeta, eta, a, q, shape, b, shift
+
+    return _points(_compact_value, at, r, t)
+
+
+def _compact_eval_derivatives(bar, r, t):
+    (shape, b, shift), N = bar._shape, bar.constants.N
+
+    def at(t):
+        # time_factors refuses t >= T before any kink
+        factors = bar.time_factors(t)
+        return _terms_at(bar, factors), shape, b, shift, bar._corners(factors[1]), N, t
+
+    return _points(_compact_derivatives, at, r, t)
 
 
 def _validate_compact(bar, role: str) -> None:
@@ -194,21 +273,12 @@ def _validate_compact(bar, role: str) -> None:
     for name in ("C", "a", "T"):
         if not getattr(bar, name) > 0.0:
             raise ValueError(f"{name} must be positive, got {getattr(bar, name)}")
+    _check_family(bar.regime, bar.density.family)
 
 
 def _r0(bar) -> float:
     """The weight's shift ``r0``, which the log profiles share."""
     return bar.density.r0
-
-
-def _refuse_corner(r_b, t_b, corner, what: str) -> None:
-    # a nan corner is never near
-    near = np.abs(r_b - corner) < KINK_TOL
-    if np.any(near):
-        shape = np.broadcast_shapes(near.shape, t_b.shape)
-        i = int(np.argmax(np.broadcast_to(near, shape)))
-        r, t, c = (np.broadcast_to(x, shape).flat[i] for x in (r_b, t_b, corner))
-        raise KinkError(f"point (r={r:.12g}, t={t:.12g}) is within {KINK_TOL:g} of the {what}={c:.12g}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +297,9 @@ class GE1Barrier(Checked, namedtuple("GE1Barrier", "constants density C T b eps 
     sharp upper bound of ``(log(r + r0))^(-b p / m)`` over ``r >= 0``,
     computed at every build.
 
-    Only ``C <= 0``, ``T <= 0`` and ``p == m`` leave it undefined; the
-    windows of ``b``, ``eps`` and ``beta`` (> 0 for p < m, 0 for p > m) are
-    entries of :func:`pme_react.feasibility.check_ge1`.
+    Only ``C <= 0``, ``T <= 0``, ``p == m`` and a weight outside H1 leave it
+    undefined; the windows of ``b``, ``eps`` and ``beta`` (> 0 for p < m, 0
+    for p > m) are entries of :func:`pme_react.feasibility.check_ge1`.
     """
 
     __slots__ = ()
@@ -242,6 +312,7 @@ class GE1Barrier(Checked, namedtuple("GE1Barrier", "constants density C T b eps 
         for name in ("C", "T"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        _check_family(self.regime, self.density.family)
         # cbar, the last field, is derived
         return tuple.__new__(cls, (*self[:-1], power_or_inf(math.log(self.r0), -self.b * cc.p / cc.m)))
 
@@ -252,38 +323,21 @@ class GE1Barrier(Checked, namedtuple("GE1Barrier", "constants density C T b eps 
 
     r0 = property(_r0)
 
-    def _zeta(self, t):
-        return (self.T + t) ** self.beta
-
-    def _zeta_prime(self, t):
-        if self.beta == 0.0:
-            return np.zeros_like(t)
-        return self.beta * (self.T + t) ** (self.beta - 1.0)
-
     def eval(self, r, t):
-        (r_b, t_b), shape = _broadcast(r, t)
-        L = np.log(r_b + self.r0)
-        return (self.C * self._zeta(t_b) * L ** (-self.b / self.constants.m)).reshape(shape)
+        C, T, beta, e, r0 = self.C, self.T, self.beta, -self.b / self.constants.m, self.r0
+        return _points(_ge1_value, lambda t: (C * power_or_inf(T + t, beta), e, r0), r, t)
 
-    def eval_derivatives(self, r, t) -> BarrierDerivatives:
-        cc = self.constants
-        (r_b, t_b), shape = _broadcast(r, t)
-        s = r_b + self.r0
-        L = np.log(s)
-        zeta = self._zeta(t_b)
-        zm = zeta**cc.m
-        Cm = power_or_inf(self.C, cc.m)
-        w_t = self.C * self._zeta_prime(t_b) * L ** (-self.b / cc.m)
-        wm_r = -self.b * Cm * zm * L ** (-self.b - 1.0) / s
-        wm_rr = (
-            self.b
-            * Cm
-            * zm
-            * ((self.b + 1.0) * L ** (-self.b - 2.0) + L ** (-self.b - 1.0))
-            / s**2
-        )
-        lap = _assemble_laplacian(wm_r, wm_rr, r_b, cc.N)
-        return BarrierDerivatives(*(x.reshape(shape) for x in (w_t, wm_r, wm_rr, lap)))
+    def eval_derivatives(self, r, t):
+        C, T, beta, b, r0, (m, _, N) = self.C, self.T, self.beta, self.b, self.r0, self.constants
+        Cm = power_or_inf(C, m)
+
+        def at(t):
+            zeta_p = 0.0 if beta == 0.0 else beta * power_or_inf(T + t, beta - 1.0)
+            zm = power_or_inf(power_or_inf(T + t, beta), m)
+            # C zeta', then -b C^m zeta^m and b C^m zeta^m in the order the formulas multiply
+            return C * zeta_p, -b / m, -b * Cm * zm, b * Cm * zm, b, r0, N
+
+        return _points(_ge1_derivatives, at, r, t)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +356,7 @@ class GE2Barrier(Checked, namedtuple("GE2Barrier", "constants density C a T")):
     __slots__ = ()
     regime = REGIME_GE2
     r0 = property(_r0)
+    eval, eval_derivatives = _compact_eval, _compact_eval_derivatives
 
     @property
     def bbar(self) -> float:
@@ -317,28 +372,24 @@ class GE2Barrier(Checked, namedtuple("GE2Barrier", "constants density C a T")):
         """``(zeta, eta, zeta', eta')`` at ``s = T + t``."""
         return _time_factors(self.T, t, 1.0, self.constants.m, self.constants.p)
 
-    def _shape(self, r, derivs: bool = False):
-        return _log_branch(r + self.r0, self.bbar, derivs)
+    @property
+    def _shape(self):
+        # S(r) = _log_branch(r + r0, bbar)
+        return _log_branch, self.bbar, self.r0
 
     def support_radius(self, t):
-        """Free boundary radius ``exp((a/eta(t))^(1/bbar)) - r0`` at scalar or
-        array ``t``: ``<= 0`` where the support is empty (very small ``a``),
+        """Free boundary radius ``exp((a/eta(t))^(1/bbar)) - r0`` at time
+        ``t``: ``<= 0`` where the support is empty (very small ``a``),
         ``+inf`` past the float range; never raises or warns."""
-        (t_b,), shape = _broadcast(t)
-        _, eta, _, _ = self.time_factors(t_b)
-        with np.errstate(over="ignore"):
-            r_star = np.exp((self.a / eta) ** (1.0 / self.bbar)) - self.r0
-        return r_star.reshape(shape)
+        return self._radius(self.time_factors(t)[1])
 
-    def _refuse_kinks(self, r_b, t_b) -> None:
-        r_star = self.support_radius(t_b)
-        _refuse_corner(r_b, t_b, np.where(r_star > 0.0, r_star, np.nan), "free boundary r*")
+    def _radius(self, eta):
+        return exp_or_inf((self.a / eta) ** (1.0 / self.bbar)) - self.r0
 
-    def eval(self, r, t):
-        return _compact_eval(self, r, t)
-
-    def eval_derivatives(self, r, t) -> BarrierDerivatives:
-        return _compact_derivatives(self, r, t)
+    def _corners(self, eta):
+        # no piece interface; an empty support has no free boundary
+        r_star = self._radius(eta)
+        return math.nan, (r_star if r_star > 0.0 else math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +408,7 @@ class BlowupSubsolution(Checked, namedtuple("BlowupSubsolution", "constants dens
 
     __slots__ = ()
     regime = REGIME_BLOWUP
+    eval, eval_derivatives = _compact_eval, _compact_eval_derivatives
 
     @property
     def bunder(self) -> float:
@@ -370,42 +422,32 @@ class BlowupSubsolution(Checked, namedtuple("BlowupSubsolution", "constants dens
 
     def time_factors(self, t):
         """``(zeta, eta, zeta', eta')`` at ``s = T - t``; refuses ``t >= T``."""
-        late = np.extract(np.asarray(t, dtype=float) >= self.T, t)
-        if late.size:
-            raise TimeDomainError(f"subsolution is defined for t < T = {self.T}; got t = {float(late[0])}")
+        if t >= self.T:
+            raise TimeDomainError(f"subsolution is defined for t < T = {self.T}; got t = {float(t)}")
         return _time_factors(self.T, t, -1.0, self.constants.m, self.constants.p)
 
-    def _shape(self, r, derivs: bool = False):
-        return sfrak(r, self.bunder, derivs)
+    @property
+    def _shape(self):
+        # S(r) = sfrak(r + 0, bunder)
+        return sfrak, self.bunder, 0.0
 
     def support_radius(self, t):
-        """Radius where ``sfrak(r) = a/eta(t)`` at scalar or array ``t``; the
-        support is [0, r*), and ``+inf`` past the float range never raises or
-        warns.
+        """Radius where ``sfrak(r) = a/eta(t)`` at time ``t``; the support
+        is [0, r*), and ``+inf`` past the float range never raises or warns.
 
         Solves the outer branch ``(log r)^bunder = a/eta`` when the level
         exceeds 1, the paraboloid branch otherwise.  Decreases in time and
         tends to ``e sqrt((bunder-2)/bunder)`` as ``a/eta -> 0``.
         """
-        (t_b,), shape = _broadcast(t)
-        _, eta, _, _ = self.time_factors(t_b)
+        return self._radius(self.time_factors(t)[1])
+
+    def _radius(self, eta):
         # levels > 0 and bunder > 2 keep both branches real everywhere
-        levels = self.a / eta
-        with np.errstate(over="ignore"):
-            r_star = np.where(
-                levels >= 1.0,
-                np.exp(levels ** (1.0 / self.bunder)),
-                E * np.sqrt(1.0 + (2.0 / self.bunder) * (levels - 1.0)),
-            )
-        return r_star.reshape(shape)
+        level = self.a / eta
+        if level >= 1.0:
+            return exp_or_inf(level ** (1.0 / self.bunder))
+        return E * math.sqrt(1.0 + (2.0 / self.bunder) * (level - 1.0))
 
-    def _refuse_kinks(self, r_b, t_b) -> None:
-        r_star = self.support_radius(t_b)  # refuses t >= T before any kink
-        _refuse_corner(r_b, t_b, E, "piece interface r")
-        _refuse_corner(r_b, t_b, r_star, "free boundary r*")
-
-    def eval(self, r, t):
-        return _compact_eval(self, r, t)
-
-    def eval_derivatives(self, r, t) -> BarrierDerivatives:
-        return _compact_derivatives(self, r, t)
+    def _corners(self, eta):
+        # the piece interface and the free boundary
+        return E, self._radius(eta)

@@ -248,14 +248,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand and return its exit status.
 
+    ``feasibility`` and ``barrier-check`` run on Python floats and never
+    load numpy; ``simulate``, ``compare`` and ``blow-up-scan`` load it where
+    the solver and the cell arrays need it, after the config is read.
+
     Whatever the status, ``main`` freezes the garbage collector on its way
     out (``gc.freeze()``), after every output file is closed: the objects
-    the process holds, mostly the import graph of numpy and this package,
-    move to the permanent generation.  Interpreter shutdown then skips them
-    in its final collection instead of walking and freeing them one by one,
-    and a command ends about 15 ms sooner.  An in-process caller that keeps
-    running after ``main`` may call ``gc.unfreeze()`` to hand those objects
-    back to the collector.
+    the process holds, mostly the import graph of this package and, when
+    the command loaded it, numpy, move to the permanent generation.
+    Interpreter shutdown then skips them in its final collection instead
+    of walking and freeing them one by one, and a command ends about 15 ms
+    sooner.  An in-process caller that keeps running after ``main`` may
+    call ``gc.unfreeze()`` to hand those objects back to the collector.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -34,9 +34,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-import numpy as np
-
-from .barrier import REGIME_BLOWUP, REGIME_GE2, REGIMES
+from .barrier import REGIME_BLOWUP, REGIME_GE2, REGIMES, _check_family
 from .density import (
     FAMILIES,
     FAMILY_H1,
@@ -45,8 +43,8 @@ from .density import (
     ProblemConstants,
 )
 from .feasibility import BARRIER_KEYS, DEFAULT_T, FeasibilityReport, build_barrier, check_auto, find_params
-from .feasibility import _check_family, _check_pair, _check_regime, refuse_degenerate_support
-from .harness import INIT_CONSTANT, INIT_CSV, INIT_EQUALS_BARRIER, INIT_SCALED_BARRIER, Barrier, InitialData
+from .feasibility import _check_pair, _check_regime, refuse_degenerate_support
+from .harness import INIT_CONSTANT, INIT_CSV, INIT_EQUALS_BARRIER, INIT_SCALED_BARRIER, Barrier, InitialData, linspace
 from .solver import BOUNDARIES, SolverConfig, _check_setting
 
 _SECTIONS = ("problem", "density", "barrier", "solver", "harness")
@@ -438,7 +436,7 @@ def resolve(loaded: LoadedConfig) -> Resolved:
     if solver["R"] == "auto":
         if barrier.regime in (REGIME_GE2, REGIME_BLOWUP):
             # the GE2 support is widest at t_end, the shrinking blow-up one at 0
-            R = 2.0 * float(barrier.support_radius(t_end if barrier.regime == REGIME_GE2 else 0.0))
+            R = 2.0 * barrier.support_radius(t_end if barrier.regime == REGIME_GE2 else 0.0)
             if not math.isfinite(R):
                 raise ValueError(f"[solver] R = auto overflows at t_end = {t_end:g}; give R")
         else:
@@ -447,7 +445,7 @@ def resolve(loaded: LoadedConfig) -> Resolved:
         defaults.append(f"[solver] R = {R:.6g} (auto)")
 
     if solver["output_times"] == "auto":
-        solver["output_times"] = tuple(float(t) for t in np.linspace(0.0, t_end, 21))
+        solver["output_times"] = tuple(linspace(0.0, t_end, 21))
         defaults.append("[solver] output_times = 21 evenly spaced (auto)")
 
     return Resolved(

@@ -18,15 +18,16 @@ feasibility layer, a safe one-sided envelope constant for ``H1`` and an
 upper bound on the inverse weight over the closed ball of radius e, are
 produced by :func:`derive_k0` and :func:`derive_rho_bounds` in closed form.
 A barrier carries its weight (:mod:`pme_react.barrier`), and reads its
-shift ``r0`` and shape exponent off it.
+shift ``r0`` and shape exponent off it.  The weights are written once, on
+Python floats: :func:`rho` and :func:`inverse_rho` take a batch of radii
+and give an iterator, and :func:`power_or_inf` and :func:`exp_or_inf` keep
+a closed form past the float range a value (inf), never an exception.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-
-import numpy as np
 
 E = math.e
 
@@ -38,14 +39,22 @@ FAMILIES = (FAMILY_H1, FAMILY_H2SMOOTH)
 DERIVED_MARGIN = 0.05
 
 
-
 def power_or_inf(x: float, e: float) -> float:
-    """``x ** e`` for a float ``x > 0``, or +inf where it passes the float
-    range: there Python's ``**`` raises ``OverflowError``, where numpy
-    arithmetic gives inf.  For powers of an amplitude that a config or a
-    search can push past the float range."""
+    """``x ** e`` for a float ``x >= 0``, or +inf where it passes the float
+    range and at ``x = 0`` with ``e < 0``: there Python's ``**`` raises, so
+    a closed form or a power of an amplitude past the float range is a
+    value (inf, and nan further on), never an exception."""
     try:
         return x**e
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def exp_or_inf(x: float) -> float:
+    """``math.exp(x)``, or +inf where it passes the float range (where
+    ``math.exp`` raises ``OverflowError``)."""
+    try:
+        return math.exp(x)
     except OverflowError:
         return math.inf
 
@@ -130,25 +139,34 @@ class DensityParams(
 
 
 def inverse_rho(params: DensityParams, r):
-    """Inverse weight ``1/rho`` of the canonical family member at radius ``r``.
+    """Inverse weight ``1/rho`` of the canonical family member at each
+    radius ``r >= 0`` of the iterable ``r`` (floats).
 
     Canonical representatives (``s = r + r0``, ``L = log s``):
 
     - H1: ``1/rho = k L^alpha s^2``
     - H2Smooth: ``1/rho = k1 s^2 / L^alpha``
 
-    Computed with numpy for scalar or array ``r >= 0`` (0-d for a scalar).
+    An iterator of floats, computed as it is read.
     """
-    s = np.asarray(r, dtype=float) + params.r0
-    L = np.log(s)
-    if params.family == FAMILY_H1:
-        return params.k * L**params.alpha * s**2
-    return params.k1 * s**2 / L**params.alpha
+    r0, alpha, h1 = params.r0, params.alpha, params.family == FAMILY_H1
+    k = params.k if h1 else params.k1
+
+    def inv(r):
+        s = r + r0
+        # power_or_inf, a call, only past the float range
+        try:
+            La = math.log(s) ** alpha
+        except OverflowError:
+            La = power_or_inf(math.log(s), alpha)
+        return k * La * (s * s) if h1 else k * (s * s) / La
+
+    return map(inv, r)
 
 
 def rho(params: DensityParams, r):
     """Canonical weight ``rho(r)``; the reciprocal of :func:`inverse_rho`."""
-    return 1.0 / inverse_rho(params, r)
+    return (1.0 / x for x in inverse_rho(params, r))
 
 
 def derive_k0(params: DensityParams) -> float:
@@ -177,4 +195,4 @@ def derive_rho_bounds(params: DensityParams) -> float:
         raise ValueError("derive_rho_bounds applies to the H2Smooth family only")
     if params.rho2 is not None:
         return params.rho2
-    return (1.0 + DERIVED_MARGIN) * float(inverse_rho(params, np.array([0.0, E])).max())
+    return (1.0 + DERIVED_MARGIN) * max(inverse_rho(params, (0.0, E)))

@@ -10,9 +10,10 @@ weight.  ``build_barrier`` is the one place that turns a regime name, a
 weight and parameters into a barrier: it holds the regime defaults
 (``DEFAULT_T`` and the rest) and the table ``BARRIER_KEYS`` of the
 parameters each regime takes.  It, ``find_params`` and ``config.loads``
-share one check of the regime's exponent condition (:func:`_check_regime`),
-the certificates and ``loads`` one of its density family
-(:func:`_check_family`).
+share one check of the regime's exponent condition (:func:`_check_regime`);
+the barriers and ``loads`` share one of its density family
+(:func:`pme_react.barrier._check_family`), so no certificate sees a
+weight it does not cover.
 ``find_params`` returns parameters with ``MARGIN`` relative slack on the
 binding inequality; ``C`` enters each certificate only through power laws,
 so its binding value is closed form.  The blow-up search takes ``omega =
@@ -36,7 +37,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 from .barrier import REGIME_BLOWUP, REGIME_GE1A, REGIME_GE1B, REGIME_GE2, REGIMES
 from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
-from .density import DensityParams, E, FAMILY_H1, ProblemConstants, derive_k0, derive_rho_bounds, power_or_inf
+from .density import DensityParams, E, ProblemConstants, derive_k0, derive_rho_bounds, power_or_inf
 
 
 class FeasibilitySearchError(RuntimeError):
@@ -118,7 +119,6 @@ def check_ge1(bar: GE1Barrier) -> FeasibilityReport:
     sides are reported in the regime-appropriate scale-free form.
     """
     cc, dens = bar.constants, bar.density
-    _check_family(bar.regime, dens.family)
     k0 = derive_k0(dens)
     K0 = k0 * bar.b * (cc.N - 2.0 - bar.eps * (bar.b + 1.0))
 
@@ -205,7 +205,6 @@ def check_ge2(bar: GE2Barrier) -> FeasibilityReport:
       (:func:`ge2_drift_minimum`).
     """
     cc = bar.constants
-    _check_family(bar.regime, bar.density.family)
     m, p, N = cc.m, cc.p, cc.N
     kc = bar.density.k1
     omega = omega_of(bar.C, bar.a, m)
@@ -256,7 +255,6 @@ def check_blowup(bar: BlowupSubsolution) -> FeasibilityReport:
       ``nu = (p+m-2)/(p-1)`` and ``K`` from :func:`K_const`.
     """
     cc, dens = bar.constants, bar.density
-    _check_family(bar.regime, dens.family)
     m, p, N = cc.m, cc.p, cc.N
     omega = omega_of(bar.C, bar.a, m)
     k2 = dens.k2
@@ -368,17 +366,6 @@ def _check_regime(cc: ProblemConstants, regime: str) -> None:
         raise ValueError(f"regime {regime} requires p > m")
 
 
-def _check_family(regime: str, family: str) -> None:
-    """Reject a density family the regime's certificate does not cover:
-    GE1 needs H1, GE2 and Blowup the two-sided H2Smooth."""
-    if regime in (REGIME_GE1A, REGIME_GE1B):
-        if family != FAMILY_H1:
-            raise ValueError("GE1 certificates require an H1-family density")
-    elif family == FAMILY_H1:
-        what = "the GE2 certificate" if regime == REGIME_GE2 else "the blow-up certificate"
-        raise ValueError(f"{what} requires a two-sided (H2Smooth) density")
-
-
 def _check_pair(regime: str, C, a) -> None:
     """Reject a compact regime given one of ``C`` and ``a``."""
     if regime in (REGIME_GE2, REGIME_BLOWUP) and (C is None) != (a is None):
@@ -457,7 +444,7 @@ def refuse_degenerate_support(bar) -> None:
                 f"a T^((p-m)/(p-1)) = {bar.a * bar.T**q:g} <= (log r0)^bbar = {edge:g}; "
                 f"its support opens for T > {power_or_inf(edge / bar.a, 1.0 / q):g}"
             )
-    R0 = float(bar.support_radius(0.0))
+    R0 = bar.support_radius(0.0)
     if not math.isfinite(R0):
         shape = bar.bbar if bar.regime == REGIME_GE2 else bar.bunder
         exponent = (bar.a / bar.time_factors(0.0)[1]) ** (1.0 / shape)

@@ -6,9 +6,9 @@ The pieces here connect the closed-form comparison functions from
 
 * :func:`residual_sweep` evaluates the analytic residual
   ``w_t - (1/rho) lap(w^m) - w^p`` on a deterministic (t, r) interior
-  grid, ten time rows at a time, and checks it has the sign the comparison
-  role demands (nonnegative for the decaying and spreading upper bounds,
-  nonpositive for the blow-up lower bound); a nan margin fails.
+  grid, point by point on Python floats, and checks it has the sign the
+  comparison role demands (nonnegative for the decaying and spreading upper
+  bounds, nonpositive for the blow-up lower bound); a nan margin fails.
 * :func:`derivative_crosscheck` validates the closed-form derivatives
   against central differences at interior points drawn from Python's
   ``random.Random(seed)``, which spares every command ``numpy.random``.
@@ -23,7 +23,11 @@ The pieces here connect the closed-form comparison functions from
   amplitudes still blow up.
 
 Each takes a barrier, which carries its regime, constants and weight, so
-no density is passed beside it.
+no density is passed beside it.  The sweep and the crosscheck need no
+numpy; the functions that build, run or judge cell arrays import it
+where they run, so ``barrier-check`` and ``feasibility`` never load it.
+A comparison maps the barrier's closed form over the cells
+(:func:`cell_values`) once at t = 0 and once per checked snapshot.
 Everything returns plain report records (named tuples); the command line
 writes their fields as JSON keys.
 """
@@ -34,14 +38,15 @@ import math
 import random
 from collections import namedtuple
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .barrier import BlowupSubsolution, GE1Barrier, GE2Barrier
-from .density import E, Checked, inverse_rho
+from .density import E, Checked, inverse_rho, power_or_inf
 from .solver import TERM_BLOWUP, TERM_STALLED, TERM_STEP_LIMIT, RadialGrid, RunResult, SolverConfig
 from .solver import reaction_time_scale, run, support_radius_numeric
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Barrier = Union[GE1Barrier, GE2Barrier, BlowupSubsolution]
 
@@ -81,8 +86,21 @@ class InitialData(
         return self
 
 
-def build_initial(init: InitialData, grid: RadialGrid, barrier: Optional[Barrier] = None) -> np.ndarray:
-    """Cell values of ``init`` on ``grid``; the barrier kinds need ``barrier``."""
+def cell_values(bar: Barrier, grid: RadialGrid, t: float) -> np.ndarray:
+    """``bar`` at the cell centers of ``grid`` at time ``t``: its closed
+    form mapped over the cells into an array, with no list built."""
+    import numpy as np
+
+    return np.fromiter(bar.eval(memoryview(grid.centers), t), float, grid.cells)
+
+
+def build_initial(
+    init: InitialData, grid: RadialGrid, barrier: Optional[Barrier] = None, w0: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Cell values of ``init`` on ``grid``; the barrier kinds scale ``w0``,
+    the :func:`cell_values` of ``barrier`` at t = 0, mapped here unless given."""
+    import numpy as np
+
     if init.kind == INIT_CONSTANT:
         return np.full(grid.cells, float(init.value))
     if init.kind == INIT_CSV:
@@ -92,10 +110,9 @@ def build_initial(init: InitialData, grid: RadialGrid, barrier: Optional[Barrier
                 f"csv initial data has {u0.shape[0]} values, grid has {grid.cells} cells"
             )
         return u0
-    u0 = barrier.eval(grid.centers, 0.0)
-    if init.kind == INIT_SCALED_BARRIER:
-        u0 = init.factor * u0
-    return u0
+    if w0 is None:
+        w0 = cell_values(barrier, grid, 0.0)
+    return init.factor * w0 if init.kind == INIT_SCALED_BARRIER else w0
 
 
 # ---------------------------------------------------------------------------
@@ -115,40 +132,59 @@ class SweepReport(NamedTuple):
     passed: bool
 
 
-def _relative_margins(resid: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(
-            scale > 0.0,
-            resid / np.where(scale > 0.0, scale, 1.0),
-            np.where(resid == 0.0, 0.0, np.sign(resid) * np.inf),
-        )
-    return rel
+def linspace(start: float, stop: float, num: int) -> List[float]:
+    """``num >= 2`` evenly spaced floats from ``start`` to ``stop``, bit for
+    bit ``numpy.linspace(start, stop, num)``."""
+    div, delta = num - 1, stop - start
+    step = delta / div
+    if step == 0.0:  # numpy's order where the step underflows
+        return [i / div * delta + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]
 
 
-# time rows the sweep evaluates at once: the whole 50 x 200 grid held about
-# 1 MB of temporaries, which set the resident peak of ``barrier-check``
-_SWEEP_ROWS = 10
-
-
-def _block_margins(bar: Barrier, r: np.ndarray, t: np.ndarray, sub: bool) -> np.ndarray:
-    d = bar.eval_derivatives(r, t)
-    wp = bar.eval(r, t) ** bar.constants.p
-    resid = d.w_t - inverse_rho(bar.density, r) * d.lap_wm - wp
-    return _relative_margins(-resid if sub else resid, np.abs(wp) + np.abs(d.w_t))
-
-
-def _sweep_grid(bar: Barrier, t_grid: np.ndarray, n_r: int) -> np.ndarray:
+def _sweep_grid(bar: Barrier, t_grid: List[float], n_r: int) -> Iterable[List[float]]:
     """Interior radius samples, one row of ``n_r`` per time in ``t_grid``,
     away from r=0 and kinks.  GE1 radii reach ``max(1e6, 1e3 r0)``: its
     residual binds at tens of ``r0``."""
     if isinstance(bar, GE1Barrier):
-        return np.tile(np.geomspace(1.0e-3, max(1.0e6, 1.0e3 * bar.r0), n_r), (t_grid.size, 1))
-    r_star = bar.support_radius(t_grid)
+        # geometric: numpy.geomspace's powers of ten, with its exact ends
+        top = max(1.0e6, 1.0e3 * bar.r0)
+        radii = [10.0**x for x in linspace(math.log10(1.0e-3), math.log10(top), n_r)]
+        radii[0], radii[-1] = 1.0e-3, top
+        return [radii] * len(t_grid)
     if isinstance(bar, GE2Barrier):
-        return np.linspace(0.005, 0.995, n_r) * r_star[:, None]
-    r = np.linspace(0.0, 0.995 * r_star, n_r, axis=1)
-    near_kink = np.abs(r - E) < 1.0e-6
-    return np.where(near_kink, r + 2.0e-6, r)
+        fractions = linspace(0.005, 0.995, n_r)
+        return ([f * r_star for f in fractions] for r_star in map(bar.support_radius, t_grid))
+    return (
+        [r + 2.0e-6 if abs(r - E) < 1.0e-6 else r for r in linspace(0.0, 0.995 * bar.support_radius(t), n_r)]
+        for t in t_grid
+    )
+
+
+def _first_worst(bar: Barrier, t_grid: List[float], rows: Iterable[List[float]], sub: bool):
+    """``(margin, r, t)`` of the first smallest margin in (t, r) order, or
+    of the first nan margin.  Where the scale ``|w^p| + |w_t|`` is not
+    positive, the margin is 0 for a zero residual and an infinity of its
+    sign otherwise."""
+    p, worst = bar.constants.p, None
+    for t, row in zip(t_grid, rows):
+        for r, (w_t, _, _, lap_wm), w, inv_rho in zip(
+            row, bar.eval_derivatives(row, t), bar.eval(row, t), inverse_rho(bar.density, row)
+        ):
+            try:
+                wp = w**p
+            except OverflowError:
+                wp = power_or_inf(w, p)
+            resid = w_t - inv_rho * lap_wm - wp
+            if sub:
+                resid = -resid
+            scale = abs(wp) + abs(w_t)
+            rel = resid / scale if scale > 0.0 else 0.0 if resid == 0.0 else resid * math.inf
+            if rel != rel:
+                return rel, r, t
+            if worst is None or rel < worst[0]:
+                worst = rel, r, t
+    return worst
 
 
 def residual_sweep(
@@ -168,28 +204,21 @@ def residual_sweep(
     ``|w^p| + |w_t|``, with the sign flipped for the blow-up lower bound so
     a uniform ``min_margin >= -rel_tol`` is the pass condition in all
     regimes.  The worst point is the first minimum in (t, r) order, or the
-    first nan margin, which fails the sweep.
+    first nan margin, which fails the sweep.  The grid is evaluated one time
+    row at a time, point by point, so no more than a row is held.
     """
     sub = isinstance(bar, BlowupSubsolution)
     t_max = bar.T * (1.0 - 1.0e-3) if sub else max(10.0 * bar.T, t_end or 0.0)
-    t_grid = np.linspace(0.0, t_max, n_t)
-    # a non-finite margin fails the sweep at its point, so overflow is not warned about
-    with np.errstate(all="ignore"):
-        r = _sweep_grid(bar, t_grid, n_r)
-        rel = np.concatenate([
-            _block_margins(bar, r[i:i + _SWEEP_ROWS], t_grid[i:i + _SWEEP_ROWS, None], sub)
-            for i in range(0, n_t, _SWEEP_ROWS)
-        ])
-    it, ir = np.unravel_index(np.argmin(rel), rel.shape)
-    min_margin = float(rel[it, ir])
+    t_grid = linspace(0.0, t_max, n_t)
+    min_margin, worst_r, worst_t = _first_worst(bar, t_grid, _sweep_grid(bar, t_grid, n_r), sub)
     return SweepReport(
         regime=bar.regime,
         role="subsolution" if sub else "supersolution",
         grid=(n_r, n_t),
         rel_tol=rel_tol,
         min_margin=min_margin,
-        worst_r=float(r[it, ir]),
-        worst_t=float(t_grid[it]),
+        worst_r=worst_r,
+        worst_t=worst_t,
         passed=bool(min_margin >= -rel_tol),
     )
 
@@ -208,20 +237,27 @@ class CrosscheckReport(NamedTuple):
     passed: bool
 
 
-def _uniform(rng: random.Random, lo: float, hi: float, n: int) -> np.ndarray:
-    return lo + (hi - lo) * np.array([rng.random() for _ in range(n)])
+def _uniform(rng: random.Random, lo: float, hi: float, n: int) -> List[float]:
+    return [lo + (hi - lo) * rng.random() for _ in range(n)]
 
 
-def _crosscheck_points(bar: Barrier, n: int, rng: random.Random, h: float) -> Tuple[np.ndarray, np.ndarray]:
+def _crosscheck_points(bar: Barrier, n: int, rng: random.Random, h: float) -> Tuple[List[float], List[float]]:
     if isinstance(bar, GE1Barrier):
         return _uniform(rng, 0.1, 50.0, n), _uniform(rng, 0.1, 3.0 * bar.T, n)
     ge2 = isinstance(bar, GE2Barrier)
     t = _uniform(rng, 0.1, 2.0 * bar.T, n) if ge2 else _uniform(rng, 0.0, 0.5 * bar.T, n)
-    r = _uniform(rng, 0.05, 0.9, n) * bar.support_radius(t)
+    r = [f * bar.support_radius(ti) for f, ti in zip(_uniform(rng, 0.05, 0.9, n), t)]
     if ge2:
-        return np.maximum(r, 0.1), t
+        return [max(ri, 0.1) for ri in r], t
     guard = 100.0 * h
-    return np.where(np.abs(r - E) < guard, r + 2.0 * guard, r), t
+    return [ri + 2.0 * guard if abs(ri - E) < guard else ri for ri in r], t
+
+
+def _max(values: Iterable[float]) -> float:
+    """The largest of the non-negative ``values``, or nan if one is nan."""
+    values = list(values)
+    total = sum(values)  # nan exactly when one is: none is -inf
+    return total if total != total else max(values)
 
 
 def derivative_crosscheck(
@@ -243,25 +279,22 @@ def derivative_crosscheck(
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = random.Random(seed)
     r, t = _crosscheck_points(bar, n_points, rng, h)
-    m = bar.constants.m
-
+    m, h2 = bar.constants.m, 2.0 * h
+    r_lo, r_hi = [ri - h for ri in r], [ri + h for ri in r]
+    d = list(bar.eval_derivatives(r, t))
+    fd = {
+        "w_t": [(a - b) / h2 for a, b in zip(bar.eval(r, [ti + h for ti in t]), bar.eval(r, [ti - h for ti in t]))],
+        "wm_r": [
+            (power_or_inf(a, m) - power_or_inf(b, m)) / h2 for a, b in zip(bar.eval(r_hi, t), bar.eval(r_lo, t))
+        ],
+        "wm_rr": [(a.wm_r - b.wm_r) / h2 for a, b in zip(bar.eval_derivatives(r_hi, t), bar.eval_derivatives(r_lo, t))],
+    }
     max_err: Dict[str, float] = {}
-    # a non-finite error fails the check, so overflow is not warned about
-    with np.errstate(all="ignore"):
-        d = bar.eval_derivatives(r, t)
-        w_t_fd = (bar.eval(r, t + h) - bar.eval(r, t - h)) / (2.0 * h)
-        wm_r_fd = (bar.eval(r + h, t) ** m - bar.eval(r - h, t) ** m) / (2.0 * h)
-        wm_rr_fd = (
-            bar.eval_derivatives(r + h, t).wm_r - bar.eval_derivatives(r - h, t).wm_r
-        ) / (2.0 * h)
-        for name, exact, fd in (
-            ("w_t", d.w_t, w_t_fd),
-            ("wm_r", d.wm_r, wm_r_fd),
-            ("wm_rr", d.wm_rr, wm_rr_fd),
-        ):
-            floor = 1.0e-3 * max(float(np.max(np.abs(exact))), 1.0e-300)
-            denom = np.maximum(np.maximum(np.abs(exact), np.abs(fd)), floor)
-            max_err[name] = float(np.max(np.abs(exact - fd) / denom))
+    for name, diffs in fd.items():
+        exact = [getattr(x, name) for x in d]
+        # a nan floor comes first, so that it makes every quotient nan
+        floor = 1.0e-3 * max(_max(map(abs, exact)), 1.0e-300)
+        max_err[name] = _max(abs(e - f) / max(floor, abs(e), abs(f)) for e, f in zip(exact, diffs))
     passed = all(err <= rel_tol for err in max_err.values())
     return CrosscheckReport(n_points=n_points, h=h, rel_tol=rel_tol, max_err=max_err, passed=passed)
 
@@ -303,6 +336,8 @@ class ComparisonResult(NamedTuple):
 
 def comparison_tolerance(u_num: np.ndarray, u_bar: np.ndarray) -> np.ndarray:
     """Pointwise allowance for scheme error: ``1e-8 + 1e-3 max(|u|,|bar|)``."""
+    import numpy as np
+
     return 1.0e-8 + 1.0e-3 * np.maximum(np.abs(u_num), np.abs(u_bar))
 
 
@@ -353,9 +388,11 @@ def comparison_experiment(
     with its time and cell radius: how near the run came to the barrier.
     A nan ratio is passed over; where none is a number, all three are nan.
     """
+    import numpy as np
+
     grid = _grid(bar, solver)
-    u0 = build_initial(initial, grid, bar)
-    bar0 = bar.eval(grid.centers, 0.0)
+    bar0 = cell_values(bar, grid, 0.0)
+    u0 = build_initial(initial, grid, w0=bar0)
     tol = 1.0e-12 * max(float(np.max(np.abs(bar0))), 1.0)
     excess = (bar0 - u0 if isinstance(bar, BlowupSubsolution) else u0 - bar0) - tol
     n_bad = int(np.sum(excess > 0.0))
@@ -374,7 +411,7 @@ def comparison_experiment(
         r_ghost = grid.R + 0.5 * grid.dr
 
         def ghost(t: float) -> float:
-            return float(bar.eval(r_ghost, t))
+            return next(bar.eval((r_ghost,), t))
 
         res = run_implicit(u0, grid, bar.density, bar.constants, solver, ghost)
         judged = _judge(bar, grid, res)
@@ -395,6 +432,8 @@ def comparison_experiment(
 
 def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> ComparisonResult:
     """The verdict of one run against ``bar`` and the numbers behind it, with no rerun."""
+    import numpy as np
+
     sub = isinstance(bar, BlowupSubsolution)
     nan = math.nan
     # a verdict that no snapshot decides reports no number: nothing was compared
@@ -434,7 +473,7 @@ def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> ComparisonResult:
     checked_times, violations, headrooms, excesses = [], [], [], []
     for t, u in snapshots:
         checked_times.append(float(t))
-        w = bar.eval(grid.centers, t)
+        w = cell_values(bar, grid, t)
         gap = w - u if sub else u - w
         vmax = float(np.max(gap - comparison_tolerance(u, w)))
         if vmax > -math.inf:
@@ -445,7 +484,7 @@ def _judge(bar: Barrier, grid: RadialGrid, res: RunResult) -> ComparisonResult:
             k = int(np.argmax(rel))
             headrooms.append((float(rel[k]), float(t), float(grid.centers[inside[k]])))
         if not isinstance(bar, GE1Barrier):
-            r_num, r_bar = support_radius_numeric(u, grid), float(bar.support_radius(t))
+            r_num, r_bar = support_radius_numeric(u, grid), bar.support_radius(t)
             excesses.append(((r_bar - r_num) if sub else (r_num - r_bar)) / grid.dr - 1.0)
     # the first largest in time order names the time; a nan headroom is
     # passed over, and with no number left there is no place either

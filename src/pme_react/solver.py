@@ -101,6 +101,12 @@ snapshots and nothing derived from them: the command line reads each
 series row (time, sup norm and :func:`support_radius_numeric`, which counts
 cells above ``SUPPORT_THRESHOLD``) off its snapshot, so the two output
 files agree by construction.
+
+numpy.  The grid, :func:`_drive` and the kernel import numpy where they
+run, not when this module is imported, so a command that runs no solver
+(``feasibility``, ``barrier-check``) never loads it.  :func:`_drive` maps the
+canonical weight's closed form (:func:`pme_react.density.rho`, on floats)
+over the cell centers once per run.
 """
 
 from __future__ import annotations
@@ -109,12 +115,12 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Tuple, Union
 
-import numpy as np
-
 from . import _kernels
 from .density import Checked, DensityParams, ProblemConstants, power_or_inf, rho as density_rho
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .implicit import ImplicitStats
 
 BOUNDARY_DIRICHLET = "dirichlet0"
@@ -164,6 +170,8 @@ class RadialGrid(Checked, namedtuple("RadialGrid", "N R cells faces centers volu
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
+        import numpy as np
+
         self = super().__new__(cls, *args, **kwargs)
         if int(self.N) != self.N or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
@@ -246,6 +254,8 @@ def support_radius_numeric(u: np.ndarray, grid: RadialGrid, threshold: float = S
 
     Monotone in the threshold: raising it never grows the radius.
     """
+    import numpy as np
+
     idx = np.flatnonzero(np.asarray(u) > threshold)
     if idx.size == 0:
         return 0.0
@@ -299,6 +309,8 @@ def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: Solve
     backward-Euler run, is called once the steps are done, and its result
     is recorded as ``implicit``.
     """
+    import numpy as np
+
     if grid.N != constants.N:
         raise ValueError(f"grid dimension N={grid.N} does not match constants N={constants.N}")
     t, u = (float(u0.t), u0.u) if isinstance(u0, State) else (0.0, u0)
@@ -309,7 +321,10 @@ def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: Solve
         raise ValueError("initial data must be finite")
     if np.any(u < 0.0):
         raise ValueError("initial data must be nonnegative")
-    rho_vals = density_rho(rho, grid.centers) if isinstance(rho, DensityParams) else np.asarray(rho, dtype=float)
+    if isinstance(rho, DensityParams):
+        rho_vals = np.fromiter(density_rho(rho, memoryview(grid.centers)), float, grid.cells)
+    else:
+        rho_vals = np.asarray(rho, dtype=float)
     if rho_vals.shape != (grid.cells,):
         raise ValueError(f"density values have shape {rho_vals.shape}, expected ({grid.cells},)")
     if not np.all(rho_vals > 0.0):

@@ -19,13 +19,14 @@ from pme_react.barrier import (
     GE2Barrier,
     KinkError,
     TimeDomainError,
-    _compact_terms,
+    _compact_derivatives,
     _log_branch,
     _paraboloid_branch,
+    _terms_at,
     sfrak,
 )
 from pme_react.density import DensityParams, ProblemConstants
-from pme_react.feasibility import check_ge1
+from pme_react.feasibility import check_ge1, find_params
 
 CC23 = ProblemConstants(m=2.0, p=3.0, N=3)
 CC32 = ProblemConstants(m=3.0, p=2.0, N=3)
@@ -39,6 +40,16 @@ def h2(r0=E, alpha=2.0):
     return DensityParams(family="H2Smooth", alpha=alpha, r0=r0)
 
 
+def value(bar, r, t):
+    """W at the one point (r, t): a batch of one."""
+    return next(bar.eval([r], t))
+
+
+def derivs(bar, r, t):
+    """The derivative record at the one point (r, t)."""
+    return next(bar.eval_derivatives([r], t))
+
+
 # -- shape function ---------------------------------------------------------
 
 
@@ -46,9 +57,8 @@ def test_sfrak_values():
     assert sfrak(E, 3.0) == pytest.approx(1.0, abs=1e-15)
     assert sfrak(0.0, 3.0) == pytest.approx(-0.5, abs=1e-15)
     assert sfrak(E**2, 3.0) == pytest.approx(8.0, rel=1e-14)
-    arr = sfrak(np.array([0.0, E, E**2]), 3.0)
-    assert arr.shape == (3,)
-    assert arr[2] == pytest.approx(8.0, rel=1e-14)
+    # a float in, a float out, on both branches
+    assert all(type(sfrak(r, 3.0)) is float for r in (0.0, E, E**2))
 
 
 @given(st.floats(min_value=1e-7, max_value=1e-3))
@@ -88,8 +98,8 @@ def ge1(r0=E, **kw):
 
 def test_ge1_point_values():
     bar = ge1()
-    assert bar.eval(0.0, 0.0) == pytest.approx(1.0, rel=1e-14)
-    d = bar.eval_derivatives(0.0, 0.0)
+    assert value(bar, 0.0, 0.0) == pytest.approx(1.0, rel=1e-14)
+    d = derivs(bar, 0.0, 0.0)
     assert d.w_t == 0.0
     assert d.wm_r == pytest.approx(-1.0 / E, rel=1e-14)
 
@@ -112,7 +122,7 @@ def test_ge1_beta_regime_coupling():
     assert passes(ge1(), "beta_mode")
     assert not passes(ge1(beta=0.1), "beta_mode")  # p > m forbids a growing amplitude
     grow = GE1Barrier(constants=CC32, density=h1(), C=1.0, T=2.0, b=1.0, eps=0.25, beta=0.05)
-    assert grow.eval(0.0, 0.0) == pytest.approx(2.0**0.05, rel=1e-14)
+    assert value(grow, 0.0, 0.0) == pytest.approx(2.0**0.05, rel=1e-14)
     assert passes(grow, "beta_mode")
     for beta in (0.0, -0.05):  # p < m needs a growing amplitude
         assert not passes(grow._replace(beta=beta), "beta_mode")
@@ -157,21 +167,20 @@ def test_ge1_validation():
 
 def test_ge1_monotone_decay_in_r():
     bar = ge1()
-    r = np.linspace(0.0, 100.0, 201)
-    vals = bar.eval(r, 0.5)
-    assert np.all(np.diff(vals) < 0.0)
+    vals = list(bar.eval(np.linspace(0.0, 100.0, 201).tolist(), 0.5))
+    assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_ge1_scalar_array_parity():
+    # a batch of one point is the element of a longer batch, bit for bit
     bar = ge1()
-    r = np.array([0.0, 1.0, 7.0])
+    r = [0.0, 1.0, 7.0]
     t = 0.3
-    vec = bar.eval(r, t)
-    d = bar.eval_derivatives(r, t)
+    vec = list(bar.eval(r, t))
+    d = list(bar.eval_derivatives(r, t))
     for i, ri in enumerate(r):
-        assert vec[i] == bar.eval(float(ri), t)
-        di = bar.eval_derivatives(float(ri), t)
-        assert d.lap_wm[i] == di.lap_wm
+        assert vec[i] == value(bar, ri, t)
+        assert d[i] == derivs(bar, ri, t)
 
 
 # -- GE2 --------------------------------------------------------------------
@@ -209,47 +218,46 @@ def test_ge2_empty_support_is_nonpositive_without_warning():
         r_star = bar.support_radius(0.0)
     assert r_star <= 0.0
     assert r_star == pytest.approx(E - bar.r0, rel=1e-14)
-    assert bar.eval(0.0, 0.0) == 0.0
+    assert value(bar, 0.0, 0.0) == 0.0
 
 
 def test_ge2_overflowing_support_is_inf_without_warning():
     bar = ge2(a=1.0e11)  # R(0) ~ exp(562), R(10) ~ exp(758)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        radii = bar.support_radius(np.array([0.0, 10.0]))
-        assert bar.support_radius(10.0) == math.inf
+        radii = [bar.support_radius(t) for t in (0.0, 10.0)]
     assert math.isfinite(radii[0]) and radii[1] == math.inf
 
 
 def test_ge2_vanishes_outside_support():
     bar = ge2()
     r_star = bar.support_radius(0.0)
-    assert bar.eval(r_star + 1.0, 0.0) == 0.0
-    d = bar.eval_derivatives(r_star + 1.0, 0.0)
+    assert value(bar, r_star + 1.0, 0.0) == 0.0
+    d = derivs(bar, r_star + 1.0, 0.0)
     assert d.w_t == d.wm_r == d.wm_rr == d.lap_wm == 0.0
-    assert bar.eval(r_star - 1.0, 0.0) > 0.0
+    assert value(bar, r_star - 1.0, 0.0) > 0.0
 
 
 def test_ge2_kink_refusal():
     bar = ge2()
     r_star = bar.support_radius(0.0)
     with pytest.raises(KinkError):
-        bar.eval_derivatives(r_star + 0.5 * KINK_TOL, 0.0)
+        derivs(bar, r_star + 0.5 * KINK_TOL, 0.0)
     # eval itself is continuous there and does not refuse
-    assert bar.eval(r_star + 0.5 * KINK_TOL, 0.0) >= 0.0
-    bar.eval_derivatives(r_star + 1e-6, 0.0)  # just outside the guard band
+    assert value(bar, r_star + 0.5 * KINK_TOL, 0.0) >= 0.0
+    derivs(bar, r_star + 1e-6, 0.0)  # just outside the guard band
 
 
 def test_ge2_amplitude_decays():
     bar = ge2()
-    peaks = [bar.eval(0.0, t) for t in (0.0, 1.0, 3.0, 10.0, 100.0)]
+    peaks = [value(bar, 0.0, t) for t in (0.0, 1.0, 3.0, 10.0, 100.0)]
     assert all(a > b > 0.0 for a, b in zip(peaks, peaks[1:]))
     # independent recompute of the peak: zeta and the origin profile factor
     t = 3.0
     zeta = (bar.T + t) ** (-0.5)
     eta = (bar.T + t) ** (-0.5)
     F = 1.0 - math.log(bar.r0) ** bar.bbar * eta / bar.a
-    assert bar.eval(0.0, t) == pytest.approx(bar.C * zeta * F, rel=1e-13)
+    assert value(bar, 0.0, t) == pytest.approx(bar.C * zeta * F, rel=1e-13)
 
 
 # -- blow-up subsolution ----------------------------------------------------
@@ -273,22 +281,27 @@ def test_blowup_validation():
 def test_blowup_point_value_at_origin():
     bar = bu()
     # P(0,0) = 1 - sfrak(0) = 1.5 and zeta(0) = 1, so w = C * 1.5^(1/(m-1))
-    assert bar.eval(0.0, 0.0) == pytest.approx(1.5, rel=1e-14)
+    assert value(bar, 0.0, 0.0) == pytest.approx(1.5, rel=1e-14)
 
 
 def test_blowup_time_domain():
     bar = bu()
     for t in (1.0, 1.5):
+        # a batch at one time refuses it at the call, before a point is read
         with pytest.raises(TimeDomainError):
-            bar.eval(0.0, t)
+            bar.eval([0.0], t)
         with pytest.raises(TimeDomainError):
-            bar.eval_derivatives(0.0, t)
+            bar.eval_derivatives([0.0], t)
         with pytest.raises(TimeDomainError):
             bar.support_radius(t)
         with pytest.raises(TimeDomainError):
             flux_match(bar, t)
+    # paired times are refused as they are read
+    values = bar.eval([0.0] * 3, [0.0, 0.5, 1.0])
+    assert next(values) == 1.5
+    next(values)
     with pytest.raises(TimeDomainError):
-        bar.eval(np.zeros(3), np.array([0.0, 0.5, 1.0]))
+        next(values)
 
 
 def test_blowup_support_branches():
@@ -310,29 +323,33 @@ def test_blowup_support_branches():
     ids=["ge2", "blowup"],
 )
 def test_support_radius_array_is_the_per_time_calls(bar, t_max):
-    # the residual sweep's 50 times: its per-slice radii and the array
-    # calls of the crosscheck run one code path, bit for bit
-    t = np.linspace(0.0, t_max, 50)
-    per_time = np.array([bar.support_radius(float(ti)) for ti in t])
-    assert bar.support_radius(t).tobytes() == per_time.tobytes()
-    assert bar.support_radius(t.reshape(5, 10)).shape == (5, 10)
-    assert np.ndim(bar.support_radius(0.5)) == 0
+    # the residual sweep's 50 times: the free boundary the kink refusal
+    # reads off a batch's time factors is support_radius, bit for bit
+    for t in np.linspace(0.0, t_max, 50).tolist():
+        r_star = bar.support_radius(t)
+        assert type(r_star) is float and r_star > 0.0
+        assert bar._corners(bar.time_factors(t)[1])[1] == r_star
 
 
 def test_blowup_amplitude_diverges():
     bar = bu()
-    assert bar.eval(0.0, 1.0 - 1e-6) / bar.eval(0.0, 0.0) > 1000.0
+    assert value(bar, 0.0, 1.0 - 1e-6) / value(bar, 0.0, 0.0) > 1000.0
 
 
 def test_blowup_kink_refusals():
     bar = bu(T=2.0)
-    with pytest.raises(KinkError):
-        bar.eval_derivatives(E + 0.1 * KINK_TOL, 0.5)
+    with pytest.raises(KinkError, match="piece interface"):
+        derivs(bar, E + 0.1 * KINK_TOL, 0.5)
     r_star = bar.support_radius(0.5)
     assert abs(r_star - E) > 1e-3  # distinct corners at this time
+    with pytest.raises(KinkError, match="free boundary"):
+        derivs(bar, r_star, 0.5)
+    derivs(bar, 0.5, 0.5)  # interior of the paraboloid piece is fine
+    # a batch refuses a corner as the point is read
+    batch = bar.eval_derivatives([0.5, E], 0.5)
+    next(batch)
     with pytest.raises(KinkError):
-        bar.eval_derivatives(r_star, 0.5)
-    bar.eval_derivatives(0.5, 0.5)  # interior of the paraboloid piece is fine
+        next(batch)
 
 
 @dataclass(frozen=True)
@@ -353,9 +370,14 @@ def flux_match(bar: BlowupSubsolution, t: float) -> FluxMatchRecord:
     the formula and branch ``eval_derivatives`` uses there, so the
     cancellation is tested, not assumed.  Acceptance criterion 11 calls it.
     """
-    factors = bar.time_factors(float(t))
-    right = float(_compact_terms(bar, factors, *_log_branch(E, bar.bunder, derivs=True))[1])
-    left = float(_compact_terms(bar, factors, *_paraboloid_branch(E, bar.bunder, derivs=True))[1])
+    terms, N = _terms_at(bar, bar.time_factors(float(t))), bar.constants.N
+
+    def flux(branch):
+        # the record eval_derivatives builds at r = e, on the given branch,
+        # with no corner to refuse
+        return _compact_derivatives(E, (terms, branch, bar.bunder, 0.0, (math.nan, math.nan), N, t)).wm_r
+
+    right, left = flux(_log_branch), flux(_paraboloid_branch)
     jump = right - left
     scale = max(abs(left), abs(right), 1.0e-300)
     return FluxMatchRecord(left, right, jump, abs(jump) / scale)
@@ -374,16 +396,19 @@ def test_blowup_paraboloid_branch_matches_central_differences():
     # the support at each time
     bar = bu(T=2.0, a=3.0)
     m, h = bar.constants.m, 1.0e-5
+    def at(r, t, deriv=False):
+        return np.array(list(bar.eval_derivatives(r.tolist(), t) if deriv else bar.eval(r.tolist(), t)))
+
     for t in (0.0, 0.3, 0.7, 1.2, 1.5):
         r = np.linspace(0.1, E - 0.05, 12)
         assert bar.support_radius(t) > E
-        d = bar.eval_derivatives(r, t)
-        w_t = (bar.eval(r, t + h) - bar.eval(r, t - h)) / (2.0 * h)
-        wm_r = (bar.eval(r + h, t) ** m - bar.eval(r - h, t) ** m) / (2.0 * h)
-        wm_rr = (bar.eval_derivatives(r + h, t).wm_r - bar.eval_derivatives(r - h, t).wm_r) / (2.0 * h)
-        np.testing.assert_allclose(d.w_t, w_t, rtol=1e-6)
-        np.testing.assert_allclose(d.wm_r, wm_r, rtol=1e-6)
-        np.testing.assert_allclose(d.wm_rr, wm_rr, rtol=1e-6)
+        d = at(r, t, True).T
+        w_t = (at(r, t + h) - at(r, t - h)) / (2.0 * h)
+        wm_r = (at(r + h, t) ** m - at(r - h, t) ** m) / (2.0 * h)
+        wm_rr = (at(r + h, t, True)[:, 1] - at(r - h, t, True)[:, 1]) / (2.0 * h)
+        np.testing.assert_allclose(d[0], w_t, rtol=1e-6)
+        np.testing.assert_allclose(d[1], wm_r, rtol=1e-6)
+        np.testing.assert_allclose(d[2], wm_rr, rtol=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -392,13 +417,12 @@ def test_blowup_paraboloid_branch_matches_central_differences():
     ids=["blowup", "ge2"],
 )
 def test_compact_scalar_array_parity(bar, r):
-    r = np.array(r)
-    vec = bar.eval(r, 0.25)
-    d = bar.eval_derivatives(r, 0.25)
+    # a batch of one point is the element of a longer batch, bit for bit
+    vec = list(bar.eval(r, 0.25))
+    d = list(bar.eval_derivatives(r, 0.25))
     for i, ri in enumerate(r):
-        assert vec[i] == bar.eval(float(ri), 0.25)
-        di = bar.eval_derivatives(float(ri), 0.25)
-        assert (d.w_t[i], d.wm_r[i], d.wm_rr[i], d.lap_wm[i]) == (di.w_t, di.wm_r, di.wm_rr, di.lap_wm)
+        assert vec[i] == value(bar, ri, 0.25)
+        assert d[i] == derivs(bar, ri, 0.25)
 
 
 @pytest.mark.parametrize(
@@ -407,20 +431,21 @@ def test_compact_scalar_array_parity(bar, r):
     ids=["ge1", "ge2", "blowup"],
 )
 def test_scalar_calls_are_array_elements_bit_for_bit(bar, t_hi):
-    # a scalar runs numpy's array loops: numpy's scalar power rounds an ulp
-    # away from them at several points in a hundred
+    # a paired batch builds each point's time constants afresh; one-point
+    # batches at each time give the same bits, as floats
     rng = np.random.default_rng(3)
     r = rng.uniform(0.1, 5.0, 200)
     r = np.where(np.abs(r - E) < 1.0e-3, r + 1.0e-2, r)
     t = rng.uniform(0.0, t_hi, 200)
     if not isinstance(bar, GE1Barrier):
-        r = np.minimum(r, 0.9 * bar.support_radius(t))  # inside the support, off its edge
-    vec, d = bar.eval(r, t), bar.eval_derivatives(r, t)
-    for i in range(r.size):
-        assert vec[i] == bar.eval(float(r[i]), float(t[i]))
-        di = bar.eval_derivatives(float(r[i]), float(t[i]))
-        assert (d.w_t[i], d.wm_r[i], d.wm_rr[i], d.lap_wm[i]) == (di.w_t, di.wm_r, di.wm_rr, di.lap_wm)
-    assert np.ndim(bar.eval(1.0, 0.5)) == 0 and np.ndim(bar.eval_derivatives(1.0, 0.5).lap_wm) == 0
+        # inside the support, off its edge
+        r = np.minimum(r, 0.9 * np.array([bar.support_radius(ti) for ti in t.tolist()]))
+    r, t = r.tolist(), t.tolist()
+    vec, d = list(bar.eval(r, t)), list(bar.eval_derivatives(r, t))
+    for i in range(len(r)):
+        assert vec[i] == value(bar, r[i], t[i])
+        assert d[i] == derivs(bar, r[i], t[i])
+    assert all(type(x) is float for x in vec + [x for di in d for x in di])
 
 
 def test_compact_eval_is_the_closed_form_bit_for_bit():
@@ -433,25 +458,31 @@ def test_compact_eval_is_the_closed_form_bit_for_bit():
 
     def profile(C, zeta, eta, a, S):
         F = 1.0 - S * eta / a
-        return np.where(F > 0.0, C * zeta * np.where(F > 0.0, F, 1.0) ** q, 0.0)
+        return C * zeta * F**q if F > 0.0 else 0.0
 
-    r = np.linspace(0.0, 12.0, 241)
-    t = np.linspace(0.0, 1.9, 241)
+    r = np.linspace(0.0, 12.0, 241).tolist()
+    t = np.linspace(0.0, 1.9, 241).tolist()
     g = GE2Barrier(constants=cc, density=h2(8.0), C=0.7, a=40.0, T=1.0)
-    s = g.T + t
-    S = np.log(r + g.r0) ** g.bbar
-    want = profile(g.C, s ** (-1.0 / (p - 1.0)), s ** (-(p - m) / (p - 1.0)), g.a, S)
-    assert (want == 0.0).any() and (want > 0.0).any()
-    assert g.eval(r, t).tobytes() == want.tobytes()
+    want = [
+        profile(g.C, (g.T + ti) ** (-1.0 / (p - 1.0)), (g.T + ti) ** (-(p - m) / (p - 1.0)), g.a,
+                math.log(ri + g.r0) ** g.bbar)
+        for ri, ti in zip(r, t)
+    ]
+    assert 0.0 in want and max(want) > 0.0
+    assert list(g.eval(r, t)) == want
 
     b = BlowupSubsolution(constants=cc, density=h2(), C=1.0, a=3.0, T=2.0)
-    s = b.T - t
-    outer = r >= E
-    S = np.where(outer, np.log(np.where(outer, r, E)) ** b.bunder, b.bunder * r**2 / (2.0 * E**2) + 1.0 - b.bunder / 2.0)
-    want = profile(b.C, s ** (-1.0 / (p - 1.0)), s ** ((m - p) / (p - 1.0)), b.a, S)
-    assert outer.any() and (~outer).any() and (want == 0.0).any() and (want > 0.0).any()
-    assert b.eval(r, t).tobytes() == want.tobytes()
-    assert sfrak(r, b.bunder).tobytes() == S.tobytes()
+    S = [
+        math.log(ri) ** b.bunder if ri >= E else b.bunder * (ri * ri) / (2.0 * E**2) + 1.0 - b.bunder / 2.0
+        for ri in r
+    ]
+    want = [
+        profile(b.C, (b.T - ti) ** (-1.0 / (p - 1.0)), (b.T - ti) ** ((m - p) / (p - 1.0)), b.a, Si)
+        for Si, ti in zip(S, t)
+    ]
+    assert min(r) < E < max(r) and 0.0 in want and max(want) > 0.0
+    assert list(b.eval(r, t)) == want
+    assert [sfrak(ri, b.bunder) for ri in r] == S
 
 
 # -- the weight a barrier carries ----------------------------------------------
@@ -483,3 +514,18 @@ def test_barrier_refuses_r0_and_shape_exponents_of_its_own(make, name):
         type(make())(**args)
     with pytest.raises(ValueError):
         make()._replace(**{name: 25.0})
+
+
+def test_barrier_refuses_a_weight_its_certificate_does_not_cover():
+    # a searched GE1b barrier handed a two-sided weight used to build, and
+    # its sweep read -0.999; each barrier now checks its family, with the
+    # text loads reports at the regime line
+    bar, _ = find_params(CC23, h1(r0=25.0), REGIME_GE1B)
+    with pytest.raises(ValueError, match=r"^GE1 certificates require an H1-family density$"):
+        bar._replace(density=h2(r0=25.0))
+    for make, what in ((ge2, "the GE2 certificate"), (bu, "the blow-up certificate")):
+        message = rf"^{what} requires a two-sided \(H2Smooth\) density$"
+        with pytest.raises(ValueError, match=message):
+            make(density=h1())
+        with pytest.raises(ValueError, match=message):
+            make()._replace(density=h1())

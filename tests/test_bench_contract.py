@@ -8,7 +8,9 @@ import leaves out (a lazy import) would crash it the same way.  What its
 ``EXTRA`` functions read off a call (the kernel's step count and array
 bytes, a run's steps) must stay where they look for it, or the per-layer
 ``kernels.advance_calls``, ``bytes_per_step`` and ``solver.steps`` would
-shift without a crash.
+shift without a crash.  Only numpy is loaded lazily: the closed forms run
+on Python floats, and the functions that build cell arrays import numpy
+where they run, so ``barrier-check`` and ``feasibility`` never load it.
 """
 
 import importlib
@@ -76,6 +78,53 @@ def test_package_records_generate_no_code_at_import():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     dataclass_types, bindings = json.loads(out.stdout)
     assert dataclass_types == [] and bindings == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+BARRIER_CONFIGS = ("ge1a", "ge1b", "ge2", "blowup")
+
+
+def _fresh_main(runs):
+    """The exit codes of ``cli.main`` on each argument list in ``runs``, in
+    one fresh interpreter, and whether numpy was loaded after them."""
+    code = (
+        "import json, sys\n"
+        "from pme_react import cli\n"
+        "codes = [cli.main(args) for args in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True,
+                         text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_certificate_commands_never_load_numpy(tmp_path):
+    # the closed forms, the sweep and the crosscheck run on Python floats;
+    # numpy loads only where a command builds cell arrays
+    runs = [
+        [command, "--config", str(ROOT / "configs" / f"{stem}.cfg"), "--out", str(tmp_path / f"{command}-{stem}")]
+        for command in ("barrier-check", "feasibility")
+        for stem in BARRIER_CONFIGS
+    ]
+    assert _fresh_main(runs) == [[0] * 8, False]
+
+
+def test_compare_loads_numpy(tmp_path):
+    cfg = tmp_path / "ge2_64.cfg"
+    cfg.write_text((ROOT / "configs" / "ge2.cfg").read_text().replace("cells = 2048", "cells = 64"))
+    # 64 cells are too coarse for the one-cell support check: fail, exit 2
+    assert _fresh_main([["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]]) == [[2], True]
+
+
+@pytest.mark.parametrize("t_end", [10.0, 1.0, 2.0 / 3.0, 7.3, 1.0e-3, 1.1e-5, 12345.678, 1.0e300])
+def test_auto_output_times_are_numpy_linspace_bit_for_bit(t_end):
+    from pme_react.config import load, resolve
+
+    loaded = load(str(ROOT / "configs" / "ge2.cfg"))
+    loaded.solver.update(output_times="auto", t_end=t_end)
+    times = resolve(loaded).solver.output_times
+    assert [t.hex() for t in times] == [t.hex() for t in np.linspace(0.0, t_end, 21).tolist()]
 
 
 def test_backend_flag_exists():

@@ -80,8 +80,11 @@ def _fresh(code: str, **env_vars: str) -> str:
                           text=True, check=True).stdout
 
 
+# numpy after the package: no module of it loads numpy at import, so the
+# thread count checks that numpy, loaded with the package's default, starts
+# no BLAS pool
 REPORT = (
-    "import json, os, pme_react\n"
+    "import json, os, pme_react, numpy\n"
     "task = '/proc/self/task'\n"
     "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
     f"print(json.dumps([os.environ.get('{VAR}'), threads]))\n"

@@ -21,6 +21,16 @@ from pme_react.harness import INIT_SCALED_BARRIER, InitialData
 from pme_react.solver import RadialGrid, SolverConfig
 
 
+def inv_at(params, r):
+    """``inverse_rho`` at the radii of the array ``r``, as an array."""
+    return np.array(list(inverse_rho(params, np.asarray(r, dtype=float).tolist())))
+
+
+def at(f, params, r):
+    """``f`` (``rho`` or ``inverse_rho``) at the one radius ``r``."""
+    return next(f(params, [r]))
+
+
 def test_constants_validation():
     ProblemConstants(m=2.0, p=3.0, N=3)
     with pytest.raises(ValueError):
@@ -50,31 +60,33 @@ def test_params_validation():
 def test_h1_member_at_origin():
     # k (log s)^alpha s^2 at r=0, r0=e is exactly e^2, so rho(0) = e^-2
     d = DensityParams(family=FAMILY_H1, alpha=2.0, r0=E)
-    assert rho(d, 0.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
-    assert inverse_rho(d, 0.0) == pytest.approx(math.e**2, rel=1e-14)
+    assert at(rho, d, 0.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
+    assert at(inverse_rho, d, 0.0) == pytest.approx(math.e**2, rel=1e-14)
 
 
 def test_h2smooth_member_formula():
     d = DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=8.0, k1=3.0, k2=3.0)
     r = 5.0
     s = r + 8.0
-    assert inverse_rho(d, r) == pytest.approx(3.0 * s**2 / math.log(s) ** 2, rel=1e-14)
+    assert at(inverse_rho, d, r) == pytest.approx(3.0 * s**2 / math.log(s) ** 2, rel=1e-14)
 
 
 def test_scalar_array_parity():
-    d = DensityParams(family=FAMILY_H2SMOOTH, alpha=2.5, r0=8.0)
-    r = np.array([0.0, 1.0, 10.0, 100.0])
-    vec = inverse_rho(d, r)
-    assert vec.shape == r.shape
-    for i, ri in enumerate(r):
-        assert vec[i] == inverse_rho(d, float(ri))
+    # a batch of one radius is the element of a longer batch, bit for bit
+    for d in (DensityParams(family=FAMILY_H2SMOOTH, alpha=2.5, r0=8.0), DensityParams(family=FAMILY_H1, alpha=2.5, r0=8.0)):
+        r = [0.0, 1.0, 10.0, 100.0]
+        vec = list(inverse_rho(d, r))
+        assert len(vec) == len(r) and all(type(v) is float for v in vec)
+        for i, ri in enumerate(r):
+            assert vec[i] == at(inverse_rho, d, ri)
+            assert at(rho, d, ri) == 1.0 / vec[i]
 
 
 @given(st.floats(min_value=0.0, max_value=1.0e6, allow_nan=False))
 def test_inverse_relation(r):
     d = DensityParams(family=FAMILY_H2SMOOTH, alpha=2.0, r0=8.0)
-    assert rho(d, r) * inverse_rho(d, r) == pytest.approx(1.0, rel=1e-12)
-    assert rho(d, r) > 0.0
+    assert at(rho, d, r) * at(inverse_rho, d, r) == pytest.approx(1.0, rel=1e-12)
+    assert at(rho, d, r) > 0.0
 
 
 # Radii (e, 1e6]: the H1 envelope is stated outside the ball of radius e,
@@ -87,7 +99,7 @@ def envelope_slack(band, member):
     ``band``'s family envelope on ENVELOPE_RADII: 0 touches the envelope,
     negative violates it."""
     r = ENVELOPE_RADII
-    inv = inverse_rho(member, r)
+    inv = inv_at(member, r)
     if band.family == FAMILY_H1:
         slack = inv / (band.k * np.log(r) ** band.alpha * r**2) - 1.0
     else:
@@ -124,8 +136,9 @@ def grid_k0(params, margin=0.05):
     ``margin``."""
     radii = np.concatenate([[0.0], np.geomspace(1.0e-3, 1.0e6, 4096)])
     s = radii + params.r0
-    envelope = np.log(s) ** params.alpha * s**2
-    ratio = np.asarray(inverse_rho(params, radii)) / envelope
+    # in the float arithmetic of inverse_rho, so that k = 1 gives a ratio of 1
+    envelope = np.array([math.log(x) ** params.alpha * (x * x) for x in s.tolist()])
+    ratio = inv_at(params, radii) / envelope
     return (1.0 - margin) * float(min(ratio.min(), params.k))
 
 
@@ -133,7 +146,7 @@ def grid_rho2(params, margin=0.05):
     """Oracle for :func:`derive_rho_bounds`: the max of ``1/rho`` on a
     1025-point grid on [0, e], widened outward by ``margin``."""
     radii = np.linspace(0.0, E, 1025)
-    return (1.0 + margin) * float(np.max(inverse_rho(params, radii)))
+    return (1.0 + margin) * float(np.max(inv_at(params, radii)))
 
 
 # The density sections of the shipped reference configs.

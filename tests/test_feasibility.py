@@ -512,6 +512,11 @@ def time_conditions_ge1(bar: GE1Barrier, n: int = 1000) -> TimeGridReport:
     return _grid_report(t, margins)
 
 
+def factors_on(bar, t):
+    """The time factors ``(zeta, eta, zeta', eta')`` at each time of the array ``t``, as four arrays."""
+    return (np.array(x) for x in zip(*(bar.time_factors(ti) for ti in t.tolist())))
+
+
 def time_conditions_ge2(bar: GE2Barrier, n: int = 1000) -> TimeGridReport:
     """Support decay rate and drift balance along t in [0, 10 T], over the
     canonical member (constant ``k1``) and its drift-bracket minimum."""
@@ -519,7 +524,7 @@ def time_conditions_ge2(bar: GE2Barrier, n: int = 1000) -> TimeGridReport:
     m, p, N = cc.m, cc.p, cc.N
     mf = m / (m - 1.0)
     t = np.linspace(0.0, 10.0 * bar.T, n)
-    zeta, eta, zeta_p, eta_p = bar.time_factors(t)
+    zeta, eta, zeta_p, eta_p = factors_on(bar, t)
     ratio = bar.C ** (m - 1.0) / bar.a
     drift = dens.k1 * (ge2_drift_minimum(N, bar.r0) + bar.bbar - 1.0)
     margins = {
@@ -539,7 +544,7 @@ def time_conditions_blowup(bar: BlowupSubsolution, n: int = 1000) -> TimeGridRep
     rho2 = derive_rho_bounds(dens)
     K = K_const(m, p)
     t = np.linspace(0.0, bar.T * (1.0 - 1.0e-3), n)
-    zeta, eta, zeta_p, eta_p = bar.time_factors(t)
+    zeta, eta, zeta_p, eta_p = factors_on(bar, t)
     ratio = bar.C ** (m - 1.0) / bar.a
     gamma = bar.C ** (p - 1.0) * zeta**p
     delta = (zeta / (m - 1.0)) * (eta_p / eta)

@@ -12,7 +12,7 @@ import pytest
 from pme_react import cli, harness, implicit
 from pme_react.barrier import E, BlowupSubsolution, GE1Barrier, GE2Barrier
 from pme_react.config import load, loads, resolve
-from pme_react.density import DensityParams, ProblemConstants, inverse_rho
+from pme_react.density import DensityParams, ProblemConstants, inverse_rho, power_or_inf
 from pme_react.feasibility import (
     BARRIER_KEYS,
     REGIME_BLOWUP,
@@ -29,6 +29,7 @@ from pme_react.harness import (
     VERDICT_PASS,
     blowup_scan,
     build_initial,
+    cell_values,
     comparison_experiment,
     comparison_tolerance,
     derivative_crosscheck,
@@ -98,7 +99,10 @@ def test_build_initial_kinds(tmp_path, ge1b):
     grid = grid_of(ge1b_solver())
 
     u_eq = build_initial(InitialData(), grid, bar)
-    np.testing.assert_array_equal(u_eq, bar.eval(grid.centers, 0.0))
+    np.testing.assert_array_equal(u_eq, list(bar.eval(grid.centers.tolist(), 0.0)))
+    # given the barrier's cell values, the data are those values
+    w0 = cell_values(bar, grid, 0.0)
+    assert build_initial(InitialData(), grid, w0=w0) is w0
 
     half = InitialData(kind="scaled_barrier", factor=0.5)
     np.testing.assert_allclose(build_initial(half, grid, bar), 0.5 * u_eq, rtol=1e-15)
@@ -135,9 +139,12 @@ def test_comparison_tolerance_scales():
 
 def sweep_radii(bar, t, n_r):
     """The oracle's radii: the interior samples of one time slice, away
-    from r=0 and kinks, one ``geomspace`` or ``linspace`` per slice."""
+    from r=0 and kinks, one geometric or ``linspace`` row per slice."""
     if isinstance(bar, GE1Barrier):
-        return np.geomspace(1.0e-3, 1.0e6, n_r)
+        # numpy.geomspace's ends, with Python's powers of ten between them
+        r = [10.0**x for x in np.linspace(-3.0, 6.0, n_r).tolist()]
+        r[0], r[-1] = 1.0e-3, 1.0e6
+        return np.array(r)
     r_star = bar.support_radius(t)
     if isinstance(bar, GE2Barrier):
         return np.linspace(0.005, 0.995, n_r) * r_star
@@ -145,15 +152,27 @@ def sweep_radii(bar, t, n_r):
     return np.where(np.abs(r - E) < 1.0e-6, r + 2.0e-6, r)
 
 
+def relative_margins(resid, scale):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            scale > 0.0,
+            resid / np.where(scale > 0.0, scale, 1.0),
+            np.where(resid == 0.0, 0.0, np.sign(resid) * np.inf),
+        )
+
+
 def slice_margins(bar, t, n_r, radii=sweep_radii):
     """Sample radii and signed relative margins of one time slice."""
     sub = isinstance(bar, BlowupSubsolution)
     r = radii(bar, t, n_r)
-    d = bar.eval_derivatives(r, t)
-    w = bar.eval(r, t)
-    resid = d.w_t - inverse_rho(bar.density, r) * d.lap_wm - w**bar.constants.p
-    scale = np.abs(w**bar.constants.p) + np.abs(d.w_t)
-    return r, harness._relative_margins(-resid if sub else resid, scale)
+    d = np.array(list(bar.eval_derivatives(r.tolist(), t)))
+    w = list(bar.eval(r.tolist(), t))
+    # Python's power, as the sweep takes it; numpy's SIMD power may round
+    # an ulp away
+    wp = np.array([power_or_inf(x, bar.constants.p) for x in w])
+    resid = d[:, 0] - np.array(list(inverse_rho(bar.density, r.tolist()))) * d[:, 3] - wp
+    scale = np.abs(wp) + np.abs(d[:, 0])
+    return r, relative_margins(-resid if sub else resid, scale)
 
 
 def looped_sweep(bar, n_r=200, n_t=50, rel_tol=1.0e-10, radii=sweep_radii):
@@ -201,7 +220,8 @@ def test_residual_sweep_horizon_is_at_least_10_T_and_blowup_ignores_t_end(shippe
 
 def test_residual_sweep_peak_memory_is_a_block_of_rows(shipped):
     # the whole 50 x 200 grid at once peaked at about 1.1 MB of numpy
-    # temporaries, the resident peak of barrier-check; ten rows, ~0.36 MB
+    # temporaries, the resident peak of barrier-check; ten rows, ~0.36 MB;
+    # on floats the sweep holds one row of radii
     bar = shipped["blowup"]
     tracemalloc.start()
     try:
@@ -223,7 +243,7 @@ def test_residual_sweep_tie_keeps_the_first_in_t_then_r_order(shipped, monkeypat
     def rolled(b, t, n):
         return np.roll(sweep_radii(b, t, n), roll[t])
 
-    monkeypatch.setattr(harness, "_sweep_grid", lambda b, ts, n: np.stack([rolled(b, float(t), n) for t in ts]))
+    monkeypatch.setattr(harness, "_sweep_grid", lambda b, ts, n: [rolled(b, t, n).tolist() for t in ts])
     slices = [slice_margins(bar, float(t), 50, rolled) for t in t_grid]
     assert len({float(np.min(rel)) for _, rel in slices}) == 1
     assert len({int(np.argmin(rel)) for _, rel in slices}) == 10
@@ -239,9 +259,9 @@ def test_residual_sweep_fails_on_a_nan_margin(shipped, monkeypatch):
     exact = GE1Barrier.eval
 
     def nan_at_7(self, r, t):
-        w = np.array(exact(self, r, t))
-        w[..., 7] = np.nan
-        return w
+        w = list(exact(self, r, t))
+        w[7] = math.nan
+        return iter(w)
 
     monkeypatch.setattr(GE1Barrier, "eval", nan_at_7)
     old = looped_sweep(bar, n_r=50, n_t=10)
@@ -298,10 +318,9 @@ def test_derivative_crosscheck_fails_on_a_nan_error(shipped, monkeypatch):
     exact = GE1Barrier.eval_derivatives
 
     def nan_slope(self, r, t):
-        d = exact(self, r, t)
-        wm_r = np.array(d.wm_r)
-        wm_r[5] = np.nan
-        return d._replace(wm_r=wm_r)
+        d = list(exact(self, r, t))
+        d[5] = d[5]._replace(wm_r=math.nan)
+        return iter(d)
 
     monkeypatch.setattr(GE1Barrier, "eval_derivatives", nan_slope)
     rep = derivative_crosscheck(bar)
@@ -369,7 +388,7 @@ def test_comparison_ge1_runs_implicitly_with_the_barrier_at_the_wall(ge1b, monke
     grid = grid_of(cfg)
     # the cell past R holds the barrier's value there
     assert len(ghosts) == 2 and ghosts[0] is ghosts[1]
-    assert ghosts[0](0.5) == float(bar.eval(grid.R + 0.5 * grid.dr, 0.5))
+    assert ghosts[0](0.5) == next(bar.eval([grid.R + 0.5 * grid.dr], 0.5))
     # one step per output time; the rerun at half the step takes two
     assert out.run.steps == 4 and out.run.implicit.dt_bound["output"] == 4
     assert out.half_dt.max_dt == 0.125 and out.half_dt.steps == 8
@@ -404,11 +423,28 @@ def test_comparison_rejects_wrong_side_data(request, regime, factor):
     # would be vacuous
     bar, _ = request.getfixturevalue(regime)
     cfg = ge1b_solver() if regime == "ge1b" else blowup_solver(bar)
-    inside = int(np.sum(bar.eval(grid_of(cfg).centers, 0.0) > 0.0))
+    inside = int(np.sum(cell_values(bar, grid_of(cfg), 0.0) > 0.0))
     assert inside == (64 if regime == "ge1b" else 32)
     scaled = InitialData(kind="scaled_barrier", factor=factor)
     with pytest.raises(ValueError, match=f"wrong side of the barrier in {inside} cells"):
         comparison_experiment(bar, cfg, scaled)
+
+
+def test_comparison_maps_the_barrier_over_the_cells_once_at_t0(shipped, monkeypatch):
+    # the initial data and the wrong-side check share one W(., 0); with no
+    # output time at 0, no snapshot asks for it again
+    bar = shipped["ge2"]
+    times = []
+    real = GE2Barrier.eval
+
+    def counted(self, r, t):
+        times.append(t)
+        return real(self, r, t)
+
+    monkeypatch.setattr(GE2Barrier, "eval", counted)
+    cfg = SolverConfig(t_end=1.0, R=52.0, cells=64, output_times=(0.5, 1.0))
+    out = comparison_experiment(bar, cfg)
+    assert times == [0.0, 0.5, 1.0] and out.checked_times == [0.5, 1.0]
 
 
 def test_comparison_step_budget_is_inconclusive(ge1b):
@@ -449,7 +485,7 @@ def judge_barrier_run(monkeypatch, nan_times):
     res = resolve(loads((ROOT / "configs" / "ge2.cfg").read_text().replace("cells = 2048", "cells = 256")))
     bar = res.barrier
     grid = RadialGrid(N=bar.constants.N, R=res.solver.R, cells=256)
-    snapshots = [(t, bar.eval(grid.centers, t)) for t in (0.0, 1.0, 2.0)]
+    snapshots = [(t, cell_values(bar, grid, t)) for t in (0.0, 1.0, 2.0)]
     for t, u in snapshots:
         if t in nan_times:
             u[0] = math.nan
