@@ -25,10 +25,9 @@ Three profile families certify the dichotomy for
 Evaluation.  Each closed form is written once, on Python floats with
 :mod:`math`.  ``eval`` and ``eval_derivatives`` take a batch of points:
 an iterable of radii ``r`` with one time ``t``, or ``r`` and ``t`` paired
-iterables.  Each returns an iterator, one float (one
-:class:`BarrierDerivatives`) per point, computed as it is read, so a
-caller maps a closed form over many points without building a list; a
-one-time batch computes its time factors once.  ``support_radius`` and
+iterables.  Each returns a list, one float (one
+:class:`BarrierDerivatives`) per point, computed at the call; a one-time
+batch computes its time factors once.  ``support_radius`` and
 ``time_factors`` take one time.  A power or exponential past the float
 range is +inf (:func:`~pme_react.density.power_or_inf`,
 :func:`~pme_react.density.exp_or_inf`), never an exception, and inf and
@@ -43,8 +42,8 @@ the symmetric limit is a bare convention for GE1/GE2, whose radial slope of
 from a one-sided flux argument, and residual sweeps sample ``r > 0`` only.
 On any open set where the profile vanishes all four derivatives are zero.
 Points within ``KINK_TOL`` of a free boundary (or of ``r = e`` for the
-subsolution) are refused with :class:`KinkError`, as they are read,
-rather than silently differentiated across a corner.
+subsolution) are refused with :class:`KinkError` rather than silently
+differentiated across a corner.
 
 Residual convention.  ``residual = w_t - (1/rho) Lap(w^m) - w^p``; a
 supersolution has residual >= 0 on its support interior, a subsolution
@@ -107,28 +106,23 @@ def _check_family(regime: str, family: str) -> None:
         raise ValueError(f"{what} requires a two-sided (H2Smooth) density")
 
 
-def _points(f, at, r, t):
+def _points(f, at, r, t) -> list:
     """``f(r, at(t))`` at each point of a batch: the radii ``r`` with the
     one time ``t``, whose constants ``at(t)`` are built once, or ``r`` and
-    ``t`` paired."""
-    if isinstance(t, (int, float)):
-        return map(f, r, repeat(at(float(t))))
-    return map(f, r, map(at, t))
+    ``t`` paired when ``t`` is iterable."""
+    try:
+        times = iter(t)
+    except TypeError:
+        return list(map(f, r, repeat(at(float(t)))))
+    return list(map(f, r, map(at, times)))
 
 
 def _log_branch(x, b: float, derivs: bool = False):
     """``(log x)^b``; with ``derivs`` also its first two derivatives in x."""
     L = math.log(x)
-    # the powers of a closed form run at every point of a sweep or a grid:
-    # power_or_inf, a call, only past the float range
-    try:
-        if not derivs:
-            return L**b
-        Lb, Lb1, Lb2 = L**b, L ** (b - 1.0), L ** (b - 2.0)
-    except OverflowError:
-        if not derivs:
-            return power_or_inf(L, b)
-        Lb, Lb1, Lb2 = (power_or_inf(L, e) for e in (b, b - 1.0, b - 2.0))
+    if not derivs:
+        return power_or_inf(L, b)
+    Lb, Lb1, Lb2 = power_or_inf(L, b), power_or_inf(L, b - 1.0), power_or_inf(L, b - 2.0)
     return Lb, b * Lb1 / x, b * ((b - 1.0) * Lb2 - Lb1) / (x * x)
 
 
@@ -153,24 +147,17 @@ def _time_factors(T, t, sign: float, m: float, p: float):
     """``(zeta, eta, zeta', eta')`` with ``zeta = s^(-1/(p-1))``,
     ``eta = s^(-(p-m)/(p-1))`` and ``s = T + sign t``; primes are d/dt."""
     s = T + sign * t
-    try:
-        zeta, eta = s ** (-1.0 / (p - 1.0)), s ** (-(p - m) / (p - 1.0))
-    except (OverflowError, ZeroDivisionError):
-        zeta, eta = power_or_inf(s, -1.0 / (p - 1.0)), power_or_inf(s, -(p - m) / (p - 1.0))
+    zeta, eta = power_or_inf(s, -1.0 / (p - 1.0)), power_or_inf(s, -(p - m) / (p - 1.0))
     zeta_p = -sign * (1.0 / (p - 1.0)) * zeta / s
     eta_p = -sign * ((p - m) / (p - 1.0)) * eta / s
     return zeta, eta, zeta_p, eta_p
-
-
-# builds a record at every point, past NamedTuple's keyword-taking __new__
-_tuple_new = tuple.__new__
 
 
 def _derivatives(r, N, w_t, wm_r, wm_rr) -> BarrierDerivatives:
     """One point's record: ``Lap(w^m) = (w^m)_rr + (N-1)/r (w^m)_r`` away
     from the origin, ``N (w^m)_rr`` at it."""
     lap = wm_rr + (N - 1.0) * wm_r / r if r > 0.0 else N * wm_rr
-    return _tuple_new(BarrierDerivatives, (w_t, wm_r, wm_rr, lap))
+    return BarrierDerivatives(w_t, wm_r, wm_rr, lap)
 
 
 def _ge1_value(r, k):
@@ -182,10 +169,7 @@ def _ge1_derivatives(r, k):
     ct, e, nbcz, bcz, b, r0, N = k
     s = r + r0
     L = math.log(s)
-    try:
-        Le, Lb1, Lb2 = L**e, L ** (-b - 1.0), L ** (-b - 2.0)
-    except OverflowError:
-        Le, Lb1, Lb2 = (power_or_inf(L, x) for x in (e, -b - 1.0, -b - 2.0))
+    Le, Lb1, Lb2 = power_or_inf(L, e), power_or_inf(L, -b - 1.0), power_or_inf(L, -b - 2.0)
     wm_r = nbcz * Lb1 / s
     wm_rr = bcz * ((b + 1.0) * Lb2 + Lb1) / (s * s)
     return _derivatives(r, N, ct * Le, wm_r, wm_rr)
@@ -198,10 +182,7 @@ def _compact_value(r, k):
     F = 1.0 - shape(r + shift, b) * eta / a
     if not F > 0.0:
         return 0.0
-    try:
-        return Cz * F**q
-    except OverflowError:
-        return Cz * power_or_inf(F, q)
+    return Cz * power_or_inf(F, q)
 
 
 def _terms_at(bar, factors):
@@ -237,10 +218,7 @@ def _compact_derivatives(r, k):
     F = 1.0 - S * ea
     if not F > 0.0:
         return _derivatives(r, N, 0.0, 0.0, 0.0)
-    try:
-        Fq, Fq1 = F**q, F ** (q - 1.0)
-    except OverflowError:
-        Fq, Fq1 = power_or_inf(F, q), power_or_inf(F, q - 1.0)
+    Fq, Fq1 = power_or_inf(F, q), power_or_inf(F, q - 1.0)
     wm_r = coef * S_r * Fq
     wm_rr = coef * (S_rr * Fq - qea * (S_r * S_r) * Fq1)
     return _derivatives(r, N, C * (zeta_p * Fq - qz * S * epa * Fq1), wm_r, wm_rr)

@@ -20,7 +20,7 @@ produced by :func:`derive_k0` and :func:`derive_rho_bounds` in closed form.
 A barrier carries its weight (:mod:`pme_react.barrier`), and reads its
 shift ``r0`` and shape exponent off it.  The weights are written once, on
 Python floats: :func:`rho` and :func:`inverse_rho` take a batch of radii
-and give an iterator, and :func:`power_or_inf` and :func:`exp_or_inf` keep
+and give a list, and :func:`power_or_inf` and :func:`exp_or_inf` keep
 a closed form past the float range a value (inf), never an exception.
 """
 
@@ -147,26 +147,22 @@ def inverse_rho(params: DensityParams, r):
     - H1: ``1/rho = k L^alpha s^2``
     - H2Smooth: ``1/rho = k1 s^2 / L^alpha``
 
-    An iterator of floats, computed as it is read.
+    A list of floats, one per radius.
     """
     r0, alpha, h1 = params.r0, params.alpha, params.family == FAMILY_H1
     k = params.k if h1 else params.k1
 
     def inv(r):
         s = r + r0
-        # power_or_inf, a call, only past the float range
-        try:
-            La = math.log(s) ** alpha
-        except OverflowError:
-            La = power_or_inf(math.log(s), alpha)
+        La = power_or_inf(math.log(s), alpha)
         return k * La * (s * s) if h1 else k * (s * s) / La
 
-    return map(inv, r)
+    return list(map(inv, r))
 
 
 def rho(params: DensityParams, r):
     """Canonical weight ``rho(r)``; the reciprocal of :func:`inverse_rho`."""
-    return (1.0 / x for x in inverse_rho(params, r))
+    return [1.0 / x for x in inverse_rho(params, r)]
 
 
 def derive_k0(params: DensityParams) -> float:

@@ -322,7 +322,7 @@ def _drive(u0, grid: RadialGrid, rho, constants: ProblemConstants, config: Solve
     if np.any(u < 0.0):
         raise ValueError("initial data must be nonnegative")
     if isinstance(rho, DensityParams):
-        rho_vals = np.fromiter(density_rho(rho, memoryview(grid.centers)), float, grid.cells)
+        rho_vals = np.array(density_rho(rho, memoryview(grid.centers)))
     else:
         rho_vals = np.asarray(rho, dtype=float)
     if rho_vals.shape != (grid.cells,):

@@ -42,12 +42,12 @@ def h2(r0=E, alpha=2.0):
 
 def value(bar, r, t):
     """W at the one point (r, t): a batch of one."""
-    return next(bar.eval([r], t))
+    return bar.eval([r], t)[0]
 
 
 def derivs(bar, r, t):
     """The derivative record at the one point (r, t)."""
-    return next(bar.eval_derivatives([r], t))
+    return bar.eval_derivatives([r], t)[0]
 
 
 # -- shape function ---------------------------------------------------------
@@ -167,7 +167,7 @@ def test_ge1_validation():
 
 def test_ge1_monotone_decay_in_r():
     bar = ge1()
-    vals = list(bar.eval(np.linspace(0.0, 100.0, 201).tolist(), 0.5))
+    vals = bar.eval(np.linspace(0.0, 100.0, 201).tolist(), 0.5)
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -176,8 +176,8 @@ def test_ge1_scalar_array_parity():
     bar = ge1()
     r = [0.0, 1.0, 7.0]
     t = 0.3
-    vec = list(bar.eval(r, t))
-    d = list(bar.eval_derivatives(r, t))
+    vec = bar.eval(r, t)
+    d = bar.eval_derivatives(r, t)
     for i, ri in enumerate(r):
         assert vec[i] == value(bar, ri, t)
         assert d[i] == derivs(bar, ri, t)
@@ -287,7 +287,7 @@ def test_blowup_point_value_at_origin():
 def test_blowup_time_domain():
     bar = bu()
     for t in (1.0, 1.5):
-        # a batch at one time refuses it at the call, before a point is read
+        # a batch at one time refuses it at the call
         with pytest.raises(TimeDomainError):
             bar.eval([0.0], t)
         with pytest.raises(TimeDomainError):
@@ -296,12 +296,12 @@ def test_blowup_time_domain():
             bar.support_radius(t)
         with pytest.raises(TimeDomainError):
             flux_match(bar, t)
-    # paired times are refused as they are read
-    values = bar.eval([0.0] * 3, [0.0, 0.5, 1.0])
-    assert next(values) == 1.5
-    next(values)
+    # so does a batch of paired times that holds one
+    assert bar.eval([0.0] * 2, [0.0, 0.5])[0] == 1.5
     with pytest.raises(TimeDomainError):
-        next(values)
+        bar.eval([0.0] * 3, [0.0, 0.5, 1.0])
+    with pytest.raises(TimeDomainError):
+        bar.eval_derivatives([0.0] * 3, [0.0, 0.5, 1.0])
 
 
 def test_blowup_support_branches():
@@ -345,11 +345,12 @@ def test_blowup_kink_refusals():
     with pytest.raises(KinkError, match="free boundary"):
         derivs(bar, r_star, 0.5)
     derivs(bar, 0.5, 0.5)  # interior of the paraboloid piece is fine
-    # a batch refuses a corner as the point is read
-    batch = bar.eval_derivatives([0.5, E], 0.5)
-    next(batch)
+    # a batch that holds a corner is refused at the call
+    bar.eval_derivatives([0.5, 1.0], 0.5)
     with pytest.raises(KinkError):
-        next(batch)
+        bar.eval_derivatives([0.5, E], 0.5)
+    with pytest.raises(KinkError):
+        bar.eval_derivatives([0.5, E], [0.5, 0.5])
 
 
 @dataclass(frozen=True)
@@ -397,7 +398,7 @@ def test_blowup_paraboloid_branch_matches_central_differences():
     bar = bu(T=2.0, a=3.0)
     m, h = bar.constants.m, 1.0e-5
     def at(r, t, deriv=False):
-        return np.array(list(bar.eval_derivatives(r.tolist(), t) if deriv else bar.eval(r.tolist(), t)))
+        return np.array(bar.eval_derivatives(r.tolist(), t) if deriv else bar.eval(r.tolist(), t))
 
     for t in (0.0, 0.3, 0.7, 1.2, 1.5):
         r = np.linspace(0.1, E - 0.05, 12)
@@ -418,8 +419,8 @@ def test_blowup_paraboloid_branch_matches_central_differences():
 )
 def test_compact_scalar_array_parity(bar, r):
     # a batch of one point is the element of a longer batch, bit for bit
-    vec = list(bar.eval(r, 0.25))
-    d = list(bar.eval_derivatives(r, 0.25))
+    vec = bar.eval(r, 0.25)
+    d = bar.eval_derivatives(r, 0.25)
     for i, ri in enumerate(r):
         assert vec[i] == value(bar, ri, 0.25)
         assert d[i] == derivs(bar, ri, 0.25)
@@ -441,11 +442,21 @@ def test_scalar_calls_are_array_elements_bit_for_bit(bar, t_hi):
         # inside the support, off its edge
         r = np.minimum(r, 0.9 * np.array([bar.support_radius(ti) for ti in t.tolist()]))
     r, t = r.tolist(), t.tolist()
-    vec, d = list(bar.eval(r, t)), list(bar.eval_derivatives(r, t))
+    vec, d = bar.eval(r, t), bar.eval_derivatives(r, t)
     for i in range(len(r)):
         assert vec[i] == value(bar, r[i], t[i])
         assert d[i] == derivs(bar, r[i], t[i])
     assert all(type(x) is float for x in vec + [x for di in d for x in di])
+
+
+@pytest.mark.parametrize("make", [ge1, ge2, bu], ids=["ge1", "ge2", "blowup"])
+@pytest.mark.parametrize("t", [np.float32(0.5), np.float32(0.3), np.int64(0), np.array(0.25)], ids=str)
+def test_a_numpy_scalar_time_is_one_time(make, t):
+    # numpy scalars that do not subclass float, and a 0-d array, are one
+    # time for the whole batch, as a float is
+    bar, r = make(), [0.5, 1.0, 2.0]
+    assert bar.eval(r, t) == bar.eval(r, float(t))
+    assert bar.eval_derivatives(r, t) == bar.eval_derivatives(r, float(t))
 
 
 def test_compact_eval_is_the_closed_form_bit_for_bit():
@@ -469,7 +480,7 @@ def test_compact_eval_is_the_closed_form_bit_for_bit():
         for ri, ti in zip(r, t)
     ]
     assert 0.0 in want and max(want) > 0.0
-    assert list(g.eval(r, t)) == want
+    assert g.eval(r, t) == want
 
     b = BlowupSubsolution(constants=cc, density=h2(), C=1.0, a=3.0, T=2.0)
     S = [
@@ -481,7 +492,7 @@ def test_compact_eval_is_the_closed_form_bit_for_bit():
         for Si, ti in zip(S, t)
     ]
     assert min(r) < E < max(r) and 0.0 in want and max(want) > 0.0
-    assert list(b.eval(r, t)) == want
+    assert b.eval(r, t) == want
     assert [sfrak(ri, b.bunder) for ri in r] == S
 
 

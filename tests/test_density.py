@@ -23,12 +23,12 @@ from pme_react.solver import RadialGrid, SolverConfig
 
 def inv_at(params, r):
     """``inverse_rho`` at the radii of the array ``r``, as an array."""
-    return np.array(list(inverse_rho(params, np.asarray(r, dtype=float).tolist())))
+    return np.array(inverse_rho(params, np.asarray(r, dtype=float).tolist()))
 
 
 def at(f, params, r):
     """``f`` (``rho`` or ``inverse_rho``) at the one radius ``r``."""
-    return next(f(params, [r]))
+    return f(params, [r])[0]
 
 
 def test_constants_validation():
@@ -75,7 +75,7 @@ def test_scalar_array_parity():
     # a batch of one radius is the element of a longer batch, bit for bit
     for d in (DensityParams(family=FAMILY_H2SMOOTH, alpha=2.5, r0=8.0), DensityParams(family=FAMILY_H1, alpha=2.5, r0=8.0)):
         r = [0.0, 1.0, 10.0, 100.0]
-        vec = list(inverse_rho(d, r))
+        vec = inverse_rho(d, r)
         assert len(vec) == len(r) and all(type(v) is float for v in vec)
         for i, ri in enumerate(r):
             assert vec[i] == at(inverse_rho, d, ri)

@@ -555,7 +555,7 @@ def test_implicit_steps_keep_ordered_pairs_ordered(m):
     cells, p, R = 64, 3.0, 20.0
     cc = ProblemConstants(m=m, p=p, N=3)
     g = RadialGrid(N=3, R=R, cells=cells)
-    rho_vals = np.array(list(density_rho(H2S_8, g.centers.tolist())))
+    rho_vals = np.array(density_rho(H2S_8, g.centers.tolist()))
     cfg = SolverConfig(t_end=0.2, R=R, cells=cells, output_times=(0.0, 0.2))
     rng = np.random.default_rng(20240817 + int(m))
     shape = np.exp(-g.centers / 5.0)
